@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Union
 
 from repro.chaos import ChaosConfig, RetryPolicy
 from repro.core.bootstrap import INCORRECT_OUTCOMES, SignalOutcome, assess_zone
@@ -49,6 +49,9 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
 from repro.reports.table3 import apply_recheck
 from repro.scanner.fleet import MachineReport
 from repro.scanner.results import ZoneScanResult
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.monitor.events import Event
 
 
 @dataclass(frozen=True)
@@ -293,6 +296,10 @@ class CampaignResult:
     # Set when the campaign ran with telemetry enabled: the (closed)
     # hub, with all counters and in-memory events still attached.
     telemetry: Optional[Telemetry] = None
+    # Set for epoch campaigns: the event batch the world replay applied
+    # to reach this epoch (empty at the baseline).  The monitor records
+    # it from here, so an epoch costs one world build, not two.
+    events: Optional[List["Event"]] = None
 
     @property
     def simulated_duration(self) -> float:
@@ -418,9 +425,10 @@ def run_campaign(config: Optional[CampaignConfig] = None, /, world=None, **legac
     return _run_validated(config, world)
 
 
-def _epoch_world_and_subset(config: CampaignConfig):
-    """The replayed world for ``config.epoch`` and, for delta epochs,
-    the changed-zone scan subset (None at epoch 0: scan everything).
+def _replay_epoch(config: CampaignConfig):
+    """The replayed world for ``config.epoch``, the changed-zone scan
+    subset for delta epochs (None at epoch 0: scan everything), and the
+    epoch's applied event batch.
 
     Events are applied to a freshly rebuilt world *before* any query is
     served, so every materialisation cache is still cold — exactly the
@@ -456,9 +464,9 @@ def _run_validated(config: CampaignConfig, world: Optional[World]) -> CampaignRe
             scenarios=config.scenarios,
         )
 
-    scan_override = None
+    scan_override = events = None
     if config.epoch is not None:
-        world, scan_override = _epoch_world_and_subset(config)
+        world, scan_override, events = _replay_epoch(config)
     telemetry = as_telemetry(config.telemetry)
     if world is None:
         world = build_world(scale=config.scale, seed=config.seed, scenarios=config.scenarios)
@@ -476,7 +484,9 @@ def _run_validated(config: CampaignConfig, world: Optional[World]) -> CampaignRe
         network=wire_network,
     )
     try:
-        return _run_scan(config, world, scanner, telemetry, scan_override=scan_override)
+        return _run_scan(
+            config, world, scanner, telemetry, scan_override=scan_override, events=events
+        )
     finally:
         if wire_network is not None:
             wire_network.close()
@@ -493,10 +503,10 @@ def _wire_network(config: CampaignConfig, world: World):
 
 
 def _run_scan(
-    config: CampaignConfig, world: World, scanner, telemetry, scan_override=None
+    config: CampaignConfig, world: World, scanner, telemetry, scan_override=None, events=None
 ) -> CampaignResult:
     # *scan_override* narrows the campaign to an explicit zone list —
-    # the delta-epoch change feed.
+    # the delta-epoch change feed; *events* is the batch behind it.
     scan_list = scan_override if scan_override is not None else _scan_list(world, config.use_sources)
 
     if config.store_dir is None:
@@ -560,6 +570,7 @@ def _run_scan(
             rechecked={},
             store_dir=store.root,
             telemetry=_seal(telemetry, scanner),
+            events=events,
         )
     store.complete()
 
@@ -575,6 +586,7 @@ def _run_scan(
         rechecked=rechecked,
         store_dir=store.root,
         telemetry=_seal(telemetry, scanner),
+        events=events,
     )
 
 
@@ -668,7 +680,7 @@ def resume_campaign(
     store.telemetry = hub
     if hub.enabled:
         hub.open_sink(events_path(root))
-    scan_override = None
+    scan_override = events = None
     if stored.epoch is not None:
         # A delta campaign resumes into the same epoch: replay the world
         # to the recorded week and re-derive the changed subset (the
@@ -678,7 +690,7 @@ def resume_campaign(
                 "epoch campaigns replay the world from the stored monitor "
                 "spec; do not pass world"
             )
-        world, scan_override = _epoch_world_and_subset(stored)
+        world, scan_override, events = _replay_epoch(stored)
     elif world is None:
         world = build_world(
             scale=manifest.scale, seed=manifest.seed, scenarios=stored.scenarios
@@ -727,6 +739,7 @@ def resume_campaign(
             rechecked=rechecked,
             store_dir=store.root,
             telemetry=_seal(hub, scanner),
+            events=events,
         )
     finally:
         if wire_network is not None:

@@ -133,48 +133,62 @@ class GenericRdata(Rdata):
         return f"\\# {len(self.data)} {self.data.hex()}"
 
 
+class _Address(Rdata):
+    """Shared implementation for the two address types.
+
+    Only the packed octets are stored.  Text input is parsed (and so
+    validated) once by ``__init__``; instances read from the wire are
+    built straight from the octets; encoding never re-parses anything.
+    The presentation form is derived on first use — most decoded
+    addresses are glue re-read with every referral and never printed.
+    """
+
+    _ip_class: ClassVar[type]
+    _octets: ClassVar[int]
+
+    def __init__(self, address: str):
+        self._packed = self._ip_class(address).packed
+
+    @property
+    def address(self) -> str:
+        text = self.__dict__.get("_address")
+        if text is None:
+            text = self.__dict__["_address"] = str(self._ip_class(self._packed))
+        return text
+
+    def write_rdata(self, writer: WireWriter) -> None:
+        writer.write_bytes(self._packed)
+
+    @classmethod
+    def read_rdata(cls, reader: WireReader, rdlength: int):
+        if rdlength != cls._octets:
+            raise WireError(
+                f"{cls.__name__} rdata must be {cls._octets} octets, got {rdlength}"
+            )
+        rdata = cls.__new__(cls)
+        rdata._packed = bytes(reader.read_bytes(rdlength))
+        return rdata
+
+    def to_text(self) -> str:
+        return self.address
+
+
 @register
-class A(Rdata):
+class A(_Address):
     """IPv4 address record."""
 
     rrtype = RRType.A
-
-    def __init__(self, address: str):
-        self.address = str(ipaddress.IPv4Address(address))
-
-    def write_rdata(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv4Address(self.address).packed)
-
-    @classmethod
-    def read_rdata(cls, reader: WireReader, rdlength: int) -> "A":
-        if rdlength != 4:
-            raise WireError(f"A rdata must be 4 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv4Address(reader.read_bytes(4))))
-
-    def to_text(self) -> str:
-        return self.address
+    _ip_class = ipaddress.IPv4Address
+    _octets = 4
 
 
 @register
-class AAAA(Rdata):
+class AAAA(_Address):
     """IPv6 address record."""
 
     rrtype = RRType.AAAA
-
-    def __init__(self, address: str):
-        self.address = str(ipaddress.IPv6Address(address))
-
-    def write_rdata(self, writer: WireWriter) -> None:
-        writer.write_bytes(ipaddress.IPv6Address(self.address).packed)
-
-    @classmethod
-    def read_rdata(cls, reader: WireReader, rdlength: int) -> "AAAA":
-        if rdlength != 16:
-            raise WireError(f"AAAA rdata must be 16 octets, got {rdlength}")
-        return cls(str(ipaddress.IPv6Address(reader.read_bytes(16))))
-
-    def to_text(self) -> str:
-        return self.address
+    _ip_class = ipaddress.IPv6Address
+    _octets = 16
 
 
 class _SingleName(Rdata):

@@ -2,13 +2,17 @@
 
 Builds the signed root and registry zones, every operator's nameserver
 fleet (with anycast pools, legacy quirks, and RFC 9615 signaling zones),
-delegates each customer zone with the right parent-side DS state, and
-installs lazy zone providers so even large worlds stay cheap: a customer
-zone is only signed when a scanner query first touches it.
+delegates each operator and customer zone with the right parent-side DS
+state, and installs lazy zone providers so a world costs what a scan
+touches: operator NS zones, signaling zones and customer zones are only
+built and signed when a query first reaches their apex.  Registries are
+the exception — provisioning mutates and re-signs them live, and their
+NSEC chains need every delegation in place — so they are signed eagerly.
 """
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -254,7 +258,9 @@ def materialize_customer_zone(spec: ZoneSpec, host: Optional[str]) -> Zone:
     zone.add(origin, _ZONE_TTL, SOA(spec.ns_hosts[0], f"hostmaster.{spec.name}", spec.serial))
     for ns_host in spec.ns_hosts:
         zone.add(origin, _ZONE_TTL, NS(ns_host))
-    octet = (hash(spec.name) & 0xFF) or 1
+    # crc32, not hash(): str hashes vary with PYTHONHASHSEED, and the
+    # same seed must yield byte-identical zones in every process.
+    octet = (zlib.crc32(spec.name.encode()) & 0xFF) or 1
     zone.add(origin.child("www"), 300, A(f"192.0.2.{octet}"))
     zone.add(origin, _ZONE_TTL, TXT([f"synthetic zone {spec.name}"]))
 
@@ -382,6 +388,39 @@ def _expire_signatures(zone: Zone, name: Name, key: KeyPair) -> None:
         zone.add_rrset(fresh)
 
 
+def materialize_operator_zone(
+    zone_name: str, profile: OperatorProfile, host_ips: Dict[str, List[str]]
+) -> Zone:
+    """Build (and sign) one of an operator's NS zones: the addresses of
+    its in-zone nameserver hosts and, for AB publishers, the ``_signal``
+    delegations (with DS unless the operator leaves them unsigned)."""
+    zone = Zone(zone_name)
+    origin = Name.from_text(zone_name)
+    in_zone_hosts = [
+        host for host in profile.hosts if Name.from_text(host).is_subdomain_of(origin)
+    ]
+    zone.add(origin, _ZONE_TTL, SOA(profile.hosts[0], f"hostmaster.{zone_name}", 1))
+    for ns_host in profile.hosts[:2]:
+        zone.add(origin, _ZONE_TTL, NS(ns_host))
+    for host in in_zone_hosts:
+        for ip in host_ips[host]:
+            rdata = AAAA(ip) if ":" in ip else A(ip)
+            zone.add(host, _ZONE_TTL, rdata)
+    if profile.publishes_signal:
+        for host in in_zone_hosts:
+            signal_origin = Name.from_text(f"_signal.{host}")
+            for ns_host in profile.hosts[:2]:
+                zone.add(signal_origin, _ZONE_TTL, NS(ns_host))
+            if not profile.signal_unsigned:
+                zone.add(
+                    signal_origin,
+                    _ZONE_TTL,
+                    ds_from_dnskey(signal_origin, signal_zone_key(host).dnskey()),
+                )
+    sign_zone(zone, [operator_zone_key(zone_name)])
+    return zone
+
+
 @dataclass
 class OperatorRuntime:
     """A built operator: its servers and bookkeeping."""
@@ -389,6 +428,9 @@ class OperatorRuntime:
     profile: OperatorProfile
     servers: Dict[Optional[str], AuthoritativeServer] = field(default_factory=dict)
     host_ips: Dict[str, List[str]] = field(default_factory=dict)
+    # NS zones materialised so far (apex → signed zone); empty until a
+    # query reaches one of ``profile.ns_zones``.
+    zones: Dict[Name, Zone] = field(default_factory=dict)
 
     def server_for(self, host: str) -> AuthoritativeServer:
         if self.profile.anycast:
@@ -505,48 +547,39 @@ class InfrastructureBuilder:
         if profile.legacy:
             for server in runtime.all_servers():
                 server.add_behavior(LegacyUnknownTypeBehavior(Rcode.SERVFAIL))
-        self._build_operator_zones(runtime)
+        self._install_operator_zones(runtime)
         return runtime
 
-    def _build_operator_zones(self, runtime: OperatorRuntime) -> None:
-        profile = runtime.profile
-        for zone_name in profile.ns_zones:
-            zone = Zone(zone_name)
-            origin = Name.from_text(zone_name)
-            in_zone_hosts = [
-                host for host in profile.hosts if Name.from_text(host).is_subdomain_of(origin)
-            ]
-            zone.add(origin, _ZONE_TTL, SOA(profile.hosts[0], f"hostmaster.{zone_name}", 1))
-            for ns_host in profile.hosts[:2]:
-                zone.add(origin, _ZONE_TTL, NS(ns_host))
-            for host in in_zone_hosts:
-                for ip in runtime.host_ips[host]:
-                    rdata = AAAA(ip) if ":" in ip else A(ip)
-                    zone.add(host, _ZONE_TTL, rdata)
-            if profile.publishes_signal:
-                for host in in_zone_hosts:
-                    signal_origin = Name.from_text(f"_signal.{host}")
-                    for ns_host in profile.hosts[:2]:
-                        zone.add(signal_origin, _ZONE_TTL, NS(ns_host))
-                    if not profile.signal_unsigned:
-                        zone.add(
-                            signal_origin,
-                            _ZONE_TTL,
-                            ds_from_dnskey(signal_origin, signal_zone_key(host).dnskey()),
-                        )
-            key = operator_zone_key(zone_name)
-            sign_zone(zone, [key])
-            for server in runtime.all_servers():
-                server.add_zone(zone)
-            self._delegate_operator_zone(zone_name, profile, runtime, key)
+    def _install_operator_zones(self, runtime: OperatorRuntime) -> None:
+        """Delegate the operator's NS zones now; serve them on demand.
 
-    def _delegate_operator_zone(
-        self,
-        zone_name: str,
-        profile: OperatorProfile,
-        runtime: OperatorRuntime,
-        key: KeyPair,
-    ) -> None:
+        Registry NS/DS/glue must land before the registries are signed,
+        so delegation is eager.  The zone bodies are a pure function of
+        the profile and the addresses allocated above, so they are built
+        and signed by a provider the first time a query reaches their
+        apex — one memo per operator, shared by all its servers.
+        """
+        profile = runtime.profile
+        names: Dict[Name, str] = {}
+        for zone_name in profile.ns_zones:
+            names[Name.from_text(zone_name)] = zone_name
+            self._delegate_operator_zone(zone_name, runtime)
+        zones = runtime.zones
+
+        def provider(apex: Name) -> Optional[Zone]:
+            zone = zones.get(apex)
+            if zone is None and apex in names:
+                zone = zones[apex] = materialize_operator_zone(
+                    names[apex], profile, runtime.host_ips
+                )
+            return zone
+
+        for server in runtime.all_servers():
+            server.add_zone_provider(names, provider)
+
+    def _delegate_operator_zone(self, zone_name: str, runtime: OperatorRuntime) -> None:
+        profile = runtime.profile
+        key = operator_zone_key(zone_name)
         _, suffix = psl.registrable_part(Name.from_text(zone_name))
         registry = self.registry_for(suffix)
         origin = Name.from_text(zone_name)

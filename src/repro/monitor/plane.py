@@ -37,7 +37,7 @@ from repro.core.operators import OperatorDB
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.ecosystem.profiles import build_profiles, operator_db_config
 from repro.monitor.diff import EpochDiff
-from repro.monitor.events import Event, events_for_epoch
+from repro.monitor.events import Event
 from repro.monitor.layout import (
     EPOCH_EVENTS_FILENAME,
     EPOCHS_DIR,
@@ -45,7 +45,6 @@ from repro.monitor.layout import (
     MONITOR_STATE_FILENAME,
 )
 from repro.monitor.spec import MonitorSpec
-from repro.monitor.timeline import world_at_epoch
 from repro.obs.events import agent_events_path, monitor_events_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.store.diff import ZoneClassification, diff_classifications
@@ -278,11 +277,13 @@ class Monitor:
                 f"epoch {in_progress} is still in progress; resume() it before advancing"
             )
         epoch = self.next_epoch()
-        events = self._events_at(epoch)
         config = self._campaign_config(epoch, stop_after=stop_after)
         hub = self._telemetry()
         with hub.span("epoch", epoch=epoch) as span:
             campaign = run_campaign(config)
+            # The week's batch comes from the replay the campaign just
+            # performed — one world build per epoch.
+            events = campaign.events
             self._write_events(epoch, events)
             manifest = load_manifest(self.epoch_dir(epoch))
             span["events"] = len(events)
@@ -317,7 +318,9 @@ class Monitor:
         )
         events = self._read_events(epoch)
         if events is None:
-            events = self._events_at(epoch)
+            # Killed before the batch was recorded: the resumed campaign
+            # replayed the same week, so its batch is the missing file.
+            events = campaign.events
             self._write_events(epoch, events)
         manifest = load_manifest(self.epoch_dir(epoch))
         hub = self._telemetry()
@@ -494,21 +497,6 @@ class Monitor:
                 hub.open_sink(agent_events_path(self.root))
                 hub.close()
         return run
-
-    def _events_at(self, epoch: int) -> List[Event]:
-        """The events that separate *epoch* from its parent ([] at 0)."""
-        if epoch == 0:
-            return []
-        spec = self._composed_spec()
-        world, _ = world_at_epoch(self.config.scale, self.config.seed, spec, epoch - 1)
-        # Agent installs from the parent epoch land before this epoch's
-        # draws are tested for applicability — the same order the scan
-        # path replays them in (see ``world_at_epoch``).
-        from repro.ecosystem.mutate import bootstrap_zone
-
-        for zone in spec.installs_at(epoch - 1):
-            bootstrap_zone(world, zone)
-        return events_for_epoch(world, spec, epoch)
 
     def _events_file(self, epoch: int) -> Path:
         return self.epoch_dir(epoch) / EPOCH_EVENTS_FILENAME

@@ -1,12 +1,22 @@
 """Replaying a monitored world to any epoch.
 
-Worlds are cheap to build and events are a pure function of the spec,
-so a process needing "the world as of week *e*" simply rebuilds from
-scratch and replays epochs 1..e.  Replaying (rather than caching a
-mutated world) matters for correctness: some server behaviours are
-stateful and consumable (e.g. transient-SERVFAIL quirks answer bogus a
-fixed number of times), so every campaign must scan a *fresh* replica,
-exactly like the from-scratch full scan it is compared against.
+Events are a pure function of the spec, so a process needing "the world
+as of week *e*" rebuilds from scratch and replays epochs 1..e.
+Replaying (rather than caching a mutated world) matters for
+correctness: some server behaviours are stateful and consumable (e.g.
+transient-SERVFAIL quirks answer bogus a fixed number of times), so
+every campaign must scan a *fresh* replica, exactly like the
+from-scratch full scan it is compared against.
+
+What keeps that affordable is that a build pays only for what is eager:
+IPs, keys, delegations and the signed registries (which provisioning
+and replay mutate live, so they cannot be deferred).  Operator, signal
+and customer zones are providers that sign on first query, so a delta
+epoch that re-scans 5 % of the zones signs about that share of the
+world.  And a build happens once per step: a delta epoch, a resume and
+an agent pass each replay exactly one world — the epoch's event batch
+is returned by :func:`scan_world` from the same replay the campaign
+scans, never drawn from a second, throw-away world.
 """
 
 from __future__ import annotations
@@ -52,28 +62,32 @@ def scan_world(
     epoch: Optional[int] = None,
     scenarios: Optional[ScenarioSpec] = None,
 ):
-    """The world a campaign should scan, plus its scan-subset.
+    """The world a campaign should scan, its scan-subset, and the event
+    batch the replay applied to reach it: ``(world, subset, events)``.
 
     For plain campaigns (``epoch=None``) and the baseline epoch 0 the
     subset is None (scan everything); for delta epochs it is the sorted
     changed-zone list of the epoch's event batch, unioned with any
     agent installs from the previous epoch (securing a zone changes its
     delegation, so the next delta re-scans it and confirms the
-    island → secured transition).  Every campaign participant — the
-    sequential runner, the parallel parent, each worker — goes through
-    this one function, so they all agree on what week *epoch* looks
-    like and which zones changed.
+    island → secured transition).  *events* is that batch (None for a
+    plain campaign, empty at epoch 0): the monitor records it from the
+    replay its campaign performs anyway instead of replaying again.
+    Every campaign participant — the sequential runner, the parallel
+    parent, each worker — goes through this one function, so they all
+    agree on what week *epoch* looks like and which zones changed.
     """
     if epoch is None:
-        return build_world(scale=scale, seed=seed, scenarios=scenarios), None
+        return build_world(scale=scale, seed=seed, scenarios=scenarios), None, None
     world, history = world_at_epoch(scale, seed, monitor, epoch)
     if epoch == 0:
-        return world, None
+        return world, None, []
     from repro.dns.name import Name
 
-    changed = set(changed_zones(history[-1])) | set(monitor.installs_at(epoch - 1))
+    events = history[-1]
+    changed = set(changed_zones(events)) | set(monitor.installs_at(epoch - 1))
     subset = sorted(
         (Name.from_text(zone) for zone in changed),
         key=lambda n: n.canonical_key(),
     )
-    return world, subset
+    return world, subset, events

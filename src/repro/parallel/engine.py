@@ -240,6 +240,7 @@ def _finish(
     telemetry=NULL_TELEMETRY,
     chaos=None,
     retry=None,
+    events=None,
 ):
     """Stream the merged store through the pipeline and re-check.
 
@@ -274,6 +275,7 @@ def _finish(
         store_dir=store.root,
         machines=_machine_reports(store.root),
         telemetry=telemetry if telemetry.enabled else None,
+        events=events,
     )
 
 
@@ -379,7 +381,9 @@ def run_parallel_campaign(
 
     # Overlap: the parent rebuilds (and, for epochs, replays) its world
     # while the workers scan.
-    world, subset = scan_world(scale, seed, monitor=monitor, epoch=epoch, scenarios=scenarios)
+    world, subset, events = scan_world(
+        scale, seed, monitor=monitor, epoch=epoch, scenarios=scenarios
+    )
     telemetry.bind_clock(world.network.clock)
     store.manifest.zones_total = len(
         subset if subset is not None else _scan_list(world, use_sources)
@@ -390,7 +394,9 @@ def run_parallel_campaign(
     merge_worker_manifests(
         store, [Path(spec.store_dir) for spec in specs], telemetry=telemetry
     )
-    return _finish(store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry)
+    return _finish(
+        store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry, events=events
+    )
 
 
 def resume_parallel_campaign(
@@ -460,12 +466,14 @@ def resume_parallel_campaign(
         telemetry.open_sink(events_path(root))
 
     if manifest.complete:
-        world, _ = scan_world(
+        world, _, events = scan_world(
             manifest.scale, manifest.seed, monitor=stored.monitor, epoch=stored.epoch,
             scenarios=stored.scenarios,
         )
         telemetry.bind_clock(world.network.clock)
-        return _finish(store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry)
+        return _finish(
+            store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry, events=events
+        )
 
     ranges = bucket_ranges(manifest.num_shards, workers)
     skip_roots = tuple(
@@ -504,7 +512,7 @@ def resume_parallel_campaign(
             CampaignStore.open(wroot, checkpoint_every=checkpoint_every).complete()
 
     processes = _spawn_workers(specs)
-    world, subset = scan_world(
+    world, subset, events = scan_world(
         manifest.scale, manifest.seed, monitor=stored.monitor, epoch=stored.epoch,
         scenarios=stored.scenarios,
     )
@@ -519,4 +527,6 @@ def resume_parallel_campaign(
     # Merge every worker store on disk — including leftovers from an
     # earlier run with a different worker count.
     merge_worker_manifests(store, _existing_worker_roots(root), telemetry=telemetry)
-    return _finish(store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry)
+    return _finish(
+        store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry, events=events
+    )

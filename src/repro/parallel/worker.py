@@ -143,7 +143,7 @@ def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
     from repro.scanner.fleet import make_machine_scanner
 
     telemetry = Telemetry() if spec.telemetry else NULL_TELEMETRY
-    world, scan_override = scan_world(
+    world, scan_override, _ = scan_world(
         spec.scale, spec.seed, monitor=spec.monitor, epoch=spec.epoch,
         scenarios=spec.scenarios,
     )

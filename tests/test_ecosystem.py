@@ -199,3 +199,155 @@ class TestEligibilityGroundTruth:
             if spec.status == StatusScenario.ISLAND and spec.cds == CdsScenario.DELETE
         )
         assert report.eligibility_count(BootstrapEligibility.ISLAND_CDS_DELETE) == expected
+
+
+# -- lazy operator zones ------------------------------------------------------
+
+
+def materialised_operator_zones(world) -> set:
+    """Apexes of the operator NS zones built so far."""
+    return {apex for rt in world.builder.operators.values() for apex in rt.zones}
+
+
+def operator_zones_of(world, specs) -> set:
+    """The NS zones enclosing the nameserver hosts of *specs* — what a
+    scan of those zones has to query.  DarkHost's addresses are dark, so
+    no query ever reaches its servers."""
+    builder = world.builder
+    wanted = set()
+    for spec in specs:
+        for host in spec.ns_hosts:
+            owner = builder.host_owner[host]
+            if owner == "DarkHost":
+                continue
+            wanted.update(
+                Name.from_text(zone)
+                for zone in builder.profiles[owner].ns_zones
+                if Name.from_text(host).is_subdomain_of(Name.from_text(zone))
+            )
+    return wanted
+
+
+class TestLazyOperatorZones:
+    def test_build_world_materialises_no_operator_zone(self):
+        world = build_world(scale=SCALE, seed=3)
+        total = sum(len(p.ns_zones) for p in world.builder.profiles.values())
+        assert total >= len(world.builder.operators) > 100
+        assert materialised_operator_zones(world) == set()
+
+    def test_a_scan_materialises_only_the_zones_it_queries(self):
+        world = build_world(scale=SCALE, seed=3)
+        subset = world.scan_list[::12]
+        world.make_scanner().scan_many(subset)
+        specs = [world.specs[name.to_text().rstrip(".")] for name in subset]
+        built = materialised_operator_zones(world)
+        assert built == operator_zones_of(world, specs)
+        total = sum(len(p.ns_zones) for p in world.builder.profiles.values())
+        assert 0 < len(built) < total / 4
+
+    def test_wire_campaign_materialises_the_same_zones_as_sim(self):
+        # Over sockets the provider runs on the engine thread; what gets
+        # built is still a function of what the scan asks for.
+        from repro.campaign import CampaignConfig, run_campaign
+
+        built = {}
+        for transport, in_flight in (("sim", None), ("wire", 8)):
+            world = build_world(scale=1.3e-7, seed=3)
+            config = CampaignConfig(recheck=False, transport=transport, in_flight=in_flight)
+            run_campaign(config, world=world)
+            built[transport] = materialised_operator_zones(world)
+            assert built[transport] == operator_zones_of(world, world.specs.values())
+        assert built["wire"] == built["sim"]
+
+    def test_lazy_answers_equal_a_directly_materialised_zone(self):
+        """Every operator server answers a fixed query set byte-for-byte
+        like a server that was handed the finished zones up front."""
+        from repro.dns.message import make_query
+        from repro.ecosystem.generator import (
+            materialize_operator_zone,
+            materialize_signal_zone,
+        )
+        from repro.scenarios.spec import ScenarioSpec
+        from repro.server.nameserver import AuthoritativeServer
+
+        # Scenarios add NullSign, whose _signal delegations carry no DS.
+        world = build_world(scale=SCALE, seed=3, scenarios=ScenarioSpec.default())
+        builder = world.builder
+        compared = denials = 0
+        for name, runtime in builder.operators.items():
+            profile = runtime.profile
+            zones = []
+            queries = []
+            for zone_name in profile.ns_zones:
+                apex = Name.from_text(zone_name)
+                zones.append(materialize_operator_zone(zone_name, profile, runtime.host_ips))
+                queries += [(apex, t) for t in (RRType.SOA, RRType.NS, RRType.DNSKEY, RRType.DS)]
+                queries.append((apex.child("no-such-host"), RRType.A))
+            for host in profile.hosts:
+                queries += [(Name.from_text(host), t) for t in (RRType.A, RRType.AAAA)]
+                if profile.publishes_signal:
+                    signal = Name.from_text(f"_signal.{host}")
+                    zones.append(
+                        materialize_signal_zone(host, profile, builder.signal_index.get(host, []))
+                    )
+                    # DS at the signal apex is the parent side of the cut:
+                    # answered from the operator zone, not the signal zone.
+                    queries += [(signal, RRType.DS), (signal, RRType.SOA)]
+                    denials += profile.signal_unsigned
+            for server in runtime.all_servers():
+                reference = AuthoritativeServer("reference")
+                for zone in zones:
+                    reference.add_zone(zone)
+                # Same quirks (legacy SERVFAILs, ...) on both sides; the
+                # stateful ones only act on _dsboot names, not queried here.
+                reference.behaviors = server.behaviors
+                for qname, qtype in queries:
+                    for dnssec_ok in (True, False):
+                        query = make_query(qname, qtype, dnssec_ok=dnssec_ok)
+                        lazy = server.handle_query(query).to_wire()
+                        assert lazy == reference.handle_query(query).to_wire(), (
+                            name, qname, qtype, dnssec_ok,
+                        )  # fmt: skip
+                        compared += 1
+            assert set(runtime.zones) == {Name.from_text(z) for z in profile.ns_zones}
+        assert compared > 2000 and denials > 0
+
+
+_ZONE_DIGEST_SCRIPT = """
+import hashlib, sys
+from repro.ecosystem import build_world
+from repro.ecosystem.generator import materialize_customer_zone
+
+world = build_world(scale=1e-6, seed=3)
+digest = hashlib.sha256()
+for name in sorted(world.specs)[::10]:
+    spec = world.specs[name]
+    for rrset in materialize_customer_zone(spec, spec.ns_hosts[0]).iter_rrsets():
+        digest.update(rrset.canonical_wire())
+print(digest.hexdigest())
+"""
+
+
+class TestZoneContentDeterminism:
+    def test_zone_bytes_do_not_depend_on_the_hash_seed(self):
+        """Same world seed ⇒ byte-identical zones in every process, not
+        just within one (``hash(str)`` varies with PYTHONHASHSEED)."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        digests = set()
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+            proc = subprocess.run(
+                [sys.executable, "-c", _ZONE_DIGEST_SCRIPT],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.add(proc.stdout.strip())
+        assert len(digests) == 1, digests

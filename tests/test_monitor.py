@@ -7,9 +7,14 @@ kill-and-resume.  Everything else here (event determinism, manifest
 round-trips, diffs, the epoch-aware query plane) supports that claim.
 """
 
+import json
+import sys
+
 import pytest
 
+from repro.agent import Agent
 from repro.campaign import CampaignConfig, run_campaign
+from repro.ecosystem.mutate import bootstrap_zone
 from repro.monitor import (
     Monitor,
     MonitorConfig,
@@ -18,7 +23,9 @@ from repro.monitor import (
     render_epoch_diff,
 )
 from repro.monitor.events import events_for_epoch
+from repro.monitor.layout import EPOCH_EVENTS_FILENAME
 from repro.monitor.timeline import scan_world, world_at_epoch
+from repro.parallel import ParallelCampaignError, run_parallel_campaign
 from repro.query import QueryService, build_index
 from repro.query.service import QueryError
 from repro.store.manifest import load_manifest
@@ -87,16 +94,17 @@ class TestEventStream:
         assert len({tuple(batch) for batch in history}) == WEEKS
 
     def test_scan_world_subset_is_the_change_feed(self):
-        _, subset = scan_world(SCALE, SEED, monitor=SPEC, epoch=1)
+        _, subset, replayed = scan_world(SCALE, SEED, monitor=SPEC, epoch=1)
         world, _ = world_at_epoch(SCALE, SEED, SPEC, 0)
         events = events_for_epoch(world, SPEC, 1)
+        assert replayed == events
         assert sorted(n.to_text() for n in subset) == sorted({dotted(e.zone) for e in events})
 
     def test_plain_and_baseline_scan_everything(self):
-        _, subset = scan_world(SCALE, SEED)
-        assert subset is None
-        _, subset = scan_world(SCALE, SEED, monitor=SPEC, epoch=0)
-        assert subset is None
+        _, subset, events = scan_world(SCALE, SEED)
+        assert subset is None and events is None
+        _, subset, events = scan_world(SCALE, SEED, monitor=SPEC, epoch=0)
+        assert subset is None and events == []
 
 
 class TestDeltaChain:
@@ -136,7 +144,7 @@ class TestDeltaChain:
         # A second process rebuilding the week-N world sees the same
         # zones the chain's stores recorded.
         monitor, results = chain
-        world, subset = scan_world(SCALE, SEED, monitor=SPEC, epoch=WEEKS)
+        world, subset, _ = scan_world(SCALE, SEED, monitor=SPEC, epoch=WEEKS)
         assert sorted(n.to_text() for n in subset) == sorted(
             {dotted(e.zone) for e in results[-1].events}
         )
@@ -185,6 +193,104 @@ class TestKillAndResume:
         monitor, _ = chain
         with pytest.raises(MonitorError, match="nothing to resume"):
             monitor.resume()
+
+
+class TestOneWorldPerEpoch:
+    """A delta epoch, an agent pass and a resume each build exactly one
+    world: the week's event batch is taken from the replay the campaign
+    performs, never from a second, throw-away world."""
+
+    LAYOUTS = {
+        "serial": {},
+        "workers": {"workers": 2},
+        "wire": {"transport": "wire", "in_flight": 8},
+    }
+
+    @pytest.fixture
+    def world_builds(self, monkeypatch):
+        """Counts ``build_world`` calls in this process, whichever
+        module-level alias they go through."""
+        from repro.ecosystem import world as world_module
+
+        real = world_module.build_world
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            name = getattr(module, "__name__", "")
+            if name.startswith("repro") and module.__dict__.get("build_world") is real:
+                monkeypatch.setattr(module, "build_world", counting)
+        return calls
+
+    @staticmethod
+    def replayed_independently(monitor: Monitor, epoch: int):
+        """The batch separating *epoch* from its parent, derived the
+        long way round: parent world, then the agent's installs, then
+        the week's draws."""
+        spec = monitor._composed_spec()
+        world, _ = world_at_epoch(SCALE, SEED, spec, epoch - 1)
+        for zone in spec.installs_at(epoch - 1):
+            bootstrap_zone(world, zone)
+        return events_for_epoch(world, spec, epoch)
+
+    @staticmethod
+    def interrupt_next_epoch(monitor: Monitor):
+        """Start the next epoch and leave it in progress with no
+        events.json — what a kill before the batch is recorded leaves.
+        Returns the epoch and the deleted file's bytes (None when the
+        kill came before it was ever written)."""
+        epoch = monitor.next_epoch()
+        if monitor.config.workers is None:
+            monitor.run_epoch(stop_after=1)
+            events_file = monitor.epoch_dir(epoch) / EPOCH_EVENTS_FILENAME
+            recorded = events_file.read_bytes()
+            events_file.unlink()
+            return epoch, recorded
+        config = monitor._campaign_config(epoch)
+        with pytest.raises(ParallelCampaignError):
+            run_parallel_campaign(
+                store_dir=config.store_dir,
+                scale=config.scale,
+                seed=config.seed,
+                workers=config.workers,
+                recheck=False,
+                faults={0: 1, 1: 1},
+                manifest_config=config.manifest_config(),
+                epoch=epoch,
+                monitor=config.monitor,
+            )
+        return epoch, None
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_one_build_per_epoch_agent_pass_and_resume(self, layout, tmp_path, world_builds):
+        root = tmp_path / "mon"
+        monitor = Monitor.init(monitor_config(root, **self.LAYOUTS[layout]))
+        baseline = monitor.run_epoch(agent=Agent())
+        assert baseline.agent.secured, "the replay needs an install to apply"
+
+        del world_builds[:]
+        delta = monitor.run_epoch()
+        assert len(world_builds) == 1
+        Agent().run(monitor)
+        assert len(world_builds) == 2
+
+        events_file = monitor.epoch_dir(1) / EPOCH_EVENTS_FILENAME
+        assert delta.events and delta.events == self.replayed_independently(monitor, 1)
+        assert json.loads(events_file.read_text()) == [e.to_dict() for e in delta.events]
+
+        interrupted, recorded = self.interrupt_next_epoch(monitor)
+        events_file = monitor.epoch_dir(interrupted) / EPOCH_EVENTS_FILENAME
+        assert not events_file.exists()
+        del world_builds[:]
+        resumed = Monitor.open(root).resume()
+        assert len(world_builds) == 1
+        assert resumed.complete and resumed.events
+        assert resumed.events == self.replayed_independently(monitor, interrupted)
+        assert json.loads(events_file.read_text()) == [e.to_dict() for e in resumed.events]
+        assert recorded is None or events_file.read_bytes() == recorded
 
 
 class TestLifecycle:

@@ -48,6 +48,26 @@ class TestAddressRecords:
     def test_a_text(self):
         assert A("198.51.100.1").to_text() == "198.51.100.1"
 
+    def test_wire_decoded_addresses_re_encode_the_same_octets(self):
+        for rdata, octets in (
+            (A("10.1.2.3"), bytes([10, 1, 2, 3])),
+            (AAAA("fd00::1f"), bytes([0xFD] + [0] * 14 + [0x1F])),
+        ):
+            decoded = round_trip(rdata)
+            assert decoded.to_wire() == rdata.to_wire() == octets
+            assert decoded.to_text() == rdata.to_text()
+            assert hash(decoded) == hash(rdata)
+
+    def test_text_addresses_are_validated_and_normalised(self):
+        for bad in (lambda: A("300.1.1.1"), lambda: A("fd00::1"), lambda: AAAA("10.0.0.1")):
+            with pytest.raises(ValueError):
+                bad()
+        assert AAAA("FD00:0:0::1F").address == "fd00::1f"
+
+    def test_aaaa_bad_length(self):
+        with pytest.raises(WireError):
+            read_rdata(RRType.AAAA, WireReader(b"\x00" * 4), 4)
+
 
 class TestNameRecords:
     def test_ns(self):
