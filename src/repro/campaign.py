@@ -5,50 +5,54 @@ the benchmark harness.  It mirrors the paper's methodology, including
 the re-check pass for zones whose signal errors might be transient
 (§4.4: "following further checks, these were transient errors").
 
-The campaign API is config-first: a frozen :class:`CampaignConfig`
-carries every knob (scale, seed, store, workers, telemetry, …),
-validates the mutually-exclusive combinations in one place, and
-round-trips losslessly through the store manifest so a resume rebuilds
-the exact configuration the campaign started with.
-:func:`run_campaign` accepts a :class:`CampaignConfig` and nothing
-else; the historical per-setting keyword form was retired when the
-epoch-first monitoring API landed.
+A frozen :class:`CampaignConfig` is the only thing that travels: it
+carries every setting, validates the combinations in one place, and
+round-trips losslessly through the store manifest.  One executor runs
+it, in three steps every participant shares — :func:`prepare` (config →
+world, scanner, scan list), :func:`scan_into` (zones − skip → a store
+or a list) and the re-analyse / :func:`recheck_pass` / :func:`seal`
+close.  *Run* is "create the store, skip nothing"; *resume* is "rebuild
+the config from the manifest, open the store, skip what it holds"; a
+parallel *worker* (:mod:`repro.parallel`) is the same two steps on its
+own store with its buckets' zones.  The paper's scan ran for a month on
+several machines, so interrupted, resumed and split is the normal case
+— and it is the same code as the uninterrupted one.
 
-A campaign may also be one *epoch* of a continuous-monitoring timeline
-(``epoch=...`` + ``monitor=...``): the world is rebuilt and replayed to
-that simulated week, and for epochs past the baseline only the zones
-the week's events touched are scanned — a delta campaign.  The
-orchestration lives in :class:`repro.monitor.Monitor`; the config layer
-here only knows how to reproduce the world and the changed subset.
-
-Campaigns can run fully in memory (the default, results returned as a
-list) or against a :mod:`repro.store` warehouse (``store_dir=...``):
-results are then committed shard-by-shard as the scan proceeds, a
-killed campaign resumes from its manifest via :func:`resume_campaign`,
-and the report is computed by streaming the store back through the
-pipeline — the same store-then-analyse discipline as the paper's
-6.5 TiB archive.  With ``telemetry=True`` the campaign additionally
-streams deterministic counters/spans/progress events into
-``<store>/events/`` (see :mod:`repro.obs`).
+A campaign may be one *epoch* of a continuous-monitoring timeline
+(``epoch=...`` + ``monitor=...``): the world is replayed to that
+simulated week and, past the baseline, only the zones the week's events
+touched are scanned (:func:`repro.monitor.timeline.scan_world`; the
+loop itself lives in :class:`repro.monitor.Monitor`).  It may run in
+memory (results returned as a list) or against a :mod:`repro.store`
+warehouse (``store_dir=...``): results are committed shard-by-shard as
+the scan proceeds and the report is computed by streaming the store
+back through the pipeline — the store-then-analyse discipline of the
+paper's 6.5 TiB archive.  With ``telemetry=True`` it streams
+deterministic counters/spans/progress events (:mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Container, Dict, List, Optional, Union
 
 from repro.chaos import ChaosConfig, RetryPolicy
 from repro.core.bootstrap import INCORRECT_OUTCOMES, SignalOutcome, assess_zone
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
-from repro.ecosystem.world import World, build_world
+from repro.ecosystem.world import World
 from repro.monitor.spec import MonitorSpec
+from repro.monitor.timeline import scan_world
 from repro.scenarios.spec import ScenarioSpec
 from repro.obs.events import events_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
 from repro.reports.table3 import apply_recheck
 from repro.scanner.fleet import MachineReport
 from repro.scanner.results import ZoneScanResult
+from repro.store import DEFAULT_CHECKPOINT_EVERY, DEFAULT_NUM_SHARDS, CampaignStore, StoreError
+from repro.store.manifest import load_manifest
+from repro.store.reader import StoreReader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.monitor.events import Event
@@ -153,6 +157,9 @@ class CampaignConfig:
                 )
             if self.stop_after is not None:
                 raise ValueError("stop_after is not supported with workers=N")
+            from repro.parallel.partition import bucket_ranges
+
+            bucket_ranges(self.num_shards or DEFAULT_NUM_SHARDS, self.workers)  # N <= shards
         elif self.stop_after is not None and self.store_dir is None:
             raise ValueError("stop_after requires a store (store_dir=...)")
         if self.transport not in ("sim", "wire"):
@@ -276,9 +283,6 @@ class CampaignConfig:
         )
 
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(CampaignConfig))
-
-
 @dataclass
 class CampaignResult:
     """Everything a campaign produces."""
@@ -313,30 +317,150 @@ class CampaignResult:
         return self.world.network.clock.now()
 
 
-def _scan_list(world: World, use_sources: bool):
-    if use_sources:
+# -- the executor's three steps: prepare, scan into a sink, re-check ---------
+
+
+def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NULL_TELEMETRY):
+    """Turn a config (plus an optional pre-built world) into what a scan
+    needs: ``(world, scanner, scan list, events)``.
+
+    Every participant that scans — a fresh run, a resume, each parallel
+    worker — comes through here, so a campaign setting reaches the
+    world and the scanner in exactly one place.  Without a *world* the
+    config's own is built (and, for an epoch campaign, replayed to that
+    week: the scan list is then the week's change feed and *events* the
+    batch behind it).
+    """
+    subset = events = None
+    if world is None:
+        world, subset, events = build(config)
+    if config.chaos is not None and config.chaos.enabled:
+        world.network.install_chaos(config.chaos)
+    # Campaigns never mutate zones mid-run, so repeated identical queries
+    # can be served from cached response wires.
+    world.network.enable_response_cache()
+    telemetry.bind_clock(world.network.clock)
+    network = None
+    if config.transport == "wire":
+        from repro.wire import WireNetwork
+
+        network = WireNetwork(world.network, time_scale=config.time_scale).start()
+    scanner = world.make_scanner(
+        telemetry=telemetry,
+        retry=config.effective_retry(),
+        in_flight=config.in_flight,
+        network=network,
+    )
+    return world, scanner, scan_list(config, world, subset), events
+
+
+def build(config: CampaignConfig):
+    """The world *config* describes, replayed to its epoch if it has one:
+    ``(world, delta subset, events)`` as :func:`scan_world` returns them."""
+    return scan_world(
+        config.scale,
+        config.seed,
+        monitor=config.monitor,
+        epoch=config.epoch,
+        scenarios=config.scenarios,
+    )
+
+
+def scan_list(config: CampaignConfig, world: World, subset=None):
+    """The zones a campaign scans: a delta epoch's change feed (*subset*),
+    the §3 acquired source list, or the generator's ground truth."""
+    if subset is not None:
+        return subset
+    if config.use_sources:
         from repro.scanner.sources import compile_scan_list
 
         return compile_scan_list(world).names
     return world.scan_list
 
 
-def _recheck_pass(
+def open_store(
+    config: CampaignConfig, root: Path, telemetry, create: Optional[Dict[str, Any]] = None
+) -> CampaignStore:
+    """Open the store at *root* — or, given the manifest fields of a new
+    one in *create* (``zones_total``, ``config``, ``epoch``, …), create
+    it.  The one place a campaign's checkpoint cadence, shard count and
+    compression reach a store."""
+    cadence = config.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    if create is None:
+        return CampaignStore.open(root, checkpoint_every=cadence, telemetry=telemetry)
+    return CampaignStore.create(
+        root,
+        seed=config.seed,
+        scale=config.scale,
+        num_shards=config.num_shards or DEFAULT_NUM_SHARDS,
+        compress=config.compress,
+        checkpoint_every=cadence,
+        telemetry=telemetry,
+        **create,
+    )
+
+
+def create_root_store(
+    config: CampaignConfig, telemetry, zones_total: Optional[int] = None
+) -> CampaignStore:
+    """A new campaign's root store, its manifest recording the config."""
+    recorded = dict(
+        zones_total=zones_total,
+        config=config.manifest_config(),
+        epoch=config.epoch,
+        parent_epoch=config.parent_epoch,
+    )
+    return open_store(config, config.store_dir, telemetry, create=recorded)
+
+
+def scan_into(
+    scanner, zones, store=None, skip: Container[str] = frozenset(),
+    stop_after: Optional[int] = None, each: Optional[Callable[[int, int], None]] = None,
+) -> List[ZoneScanResult]:
+    """Scan every zone of *zones* not in *skip* (dotted names), in order.
+
+    With a *store*, results are persisted as they are scanned and the
+    store is completed at the end; without one they are returned.  A
+    run is this call with nothing to skip, a resume skips what the
+    store already holds, a worker passes its buckets' zones and its own
+    store.  *stop_after* aborts after N zones with the store left in
+    progress — whatever was buffered is checkpointed, exactly like a
+    crash just after a checkpoint.  *each* is called with ``(scanned,
+    total)`` after every zone.
+    """
+    telemetry = scanner.telemetry
+    todo = [zone for zone in zones if zone.to_text() not in skip]
+    results: List[ZoneScanResult] = []
+    with store if store is not None else nullcontext():
+        sink = store.append if store is not None else results.append
+        for scanned, _ in enumerate(scanner.scan_iter(todo, sink=sink), start=1):
+            if telemetry.enabled:
+                telemetry.maybe_progress(scanned, len(todo))
+            if each is not None:
+                each(scanned, len(todo))
+            if stop_after is not None and scanned >= stop_after:
+                return results
+    if store is not None:
+        store.complete()
+    return results
+
+
+def recheck_pass(
     scanner,
     report: AnalysisReport,
-    double_check: FrozenSet[str] = frozenset(),
-    telemetry=NULL_TELEMETRY,
+    double_check: Container[str] = frozenset(),
 ) -> Dict[str, SignalOutcome]:
     """The §4.4 re-check: rescan zones with incorrect signal outcomes.
 
     *double_check* names zones whose stored result came from a previous
-    process (a resumed campaign).  Their first, transiently-failing
-    observation was consumed in *that* process's world; the resumed
-    world is fresh, so these zones get one extra rescan — the same
-    observation budget (initial scan + re-check) every other zone has —
-    which keeps a resumed report identical to an uninterrupted one.
+    process (a resumed campaign, a parallel worker).  Their first,
+    transiently-failing observation was consumed in *that* process's
+    world; this world is fresh, so these zones get one extra rescan —
+    the same observation budget (initial scan + re-check) every other
+    zone has — which keeps such a report identical to an uninterrupted
+    sequential one.
     """
-    with telemetry.span("recheck") as span:
+    with scanner.telemetry.span("recheck") as span:
         suspicious = [
             assessment.zone
             for assessment in report.assessments
@@ -361,7 +485,64 @@ def _recheck_pass(
     return resolved
 
 
-def run_campaign(config: Optional[CampaignConfig] = None, /, world=None, **legacy) -> CampaignResult:
+def seal(telemetry, scanner=None) -> Optional[Telemetry]:
+    """Final counter snapshot + flush + close; None when disabled."""
+    if not telemetry.enabled:
+        return None
+    if scanner is not None:
+        telemetry.capture_scanner(scanner)
+    telemetry.flush_counters()
+    telemetry.close()
+    return telemetry
+
+
+def _execute(config: CampaignConfig, world: Optional[World], resume: bool) -> CampaignResult:
+    """Run a validated config to the end: *resume* opens the store the
+    config names and skips what it holds; otherwise the store (if any)
+    is created and nothing is skipped.  That is the whole difference."""
+    if config.workers is not None:
+        from repro.parallel import resume_parallel_campaign, run_parallel_campaign
+
+        return (resume_parallel_campaign if resume else run_parallel_campaign)(config)
+
+    telemetry = as_telemetry(config.telemetry)
+    world, scanner, zones, events = prepare(config, world, telemetry)
+    try:
+        store, done = None, frozenset()
+        if resume:
+            store = open_store(config, config.store_dir, telemetry)
+            done = frozenset(store.completed_zones())
+        elif config.store_dir is not None:
+            store = create_root_store(config, telemetry, zones_total=len(zones))
+        if store is not None and telemetry.enabled:
+            telemetry.open_sink(events_path(store.root))
+
+        results: List[ZoneScanResult] = []
+        if store is None or not store.manifest.complete:
+            results = scan_into(scanner, zones, store, skip=done, stop_after=config.stop_after)
+        if store is None:
+            report = AnalysisPipeline(world.operator_db).analyze(results)
+        else:
+            report = StoreReader(store.root).reanalyze(world.operator_db)
+        rechecked: Dict[str, SignalOutcome] = {}
+        interrupted = store is not None and not store.manifest.complete  # stop_after
+        if config.recheck and not interrupted:
+            rechecked = recheck_pass(scanner, report, double_check=done)
+        return CampaignResult(
+            world=world,
+            results=results,
+            report=report,
+            rechecked=rechecked,
+            store_dir=store.root if store is not None else None,
+            telemetry=seal(telemetry, scanner),
+            events=events,
+        )
+    finally:
+        if scanner.network is not world.network:
+            scanner.network.close()  # the wire fleet's sockets
+
+
+def run_campaign(config: Optional[CampaignConfig] = None, /, world=None) -> CampaignResult:
     """Run one full measurement campaign.
 
     Takes a :class:`CampaignConfig` and nothing else::
@@ -370,9 +551,7 @@ def run_campaign(config: Optional[CampaignConfig] = None, /, world=None, **legac
 
     A pre-built *world* may accompany the config for sequential
     campaigns (parallel and epoch campaigns rebuild worlds per
-    process).  The historical per-setting keyword form is gone;
-    stray keywords raise a :class:`TypeError` naming the
-    :class:`CampaignConfig` field to use instead.
+    process).
 
     With ``recheck=True``, zones classified with incorrect signal zones
     are scanned a second time and the report updated with the outcome —
@@ -404,17 +583,6 @@ def run_campaign(config: Optional[CampaignConfig] = None, /, world=None, **legac
     store-backed campaigns, kept on ``result.telemetry.events``
     otherwise.
     """
-    if legacy:
-        known = sorted(set(legacy) & _CONFIG_FIELDS)
-        if known:
-            hints = ", ".join(f"CampaignConfig({name}=...)" for name in known)
-            raise TypeError(
-                "run_campaign() no longer accepts individual settings as "
-                f"keyword arguments; pass {hints} instead"
-            )
-        raise TypeError(
-            f"run_campaign() got unexpected keyword arguments: {', '.join(sorted(legacy))}"
-        )
     if config is None:
         config = CampaignConfig()
     elif not isinstance(config, CampaignConfig):
@@ -422,182 +590,7 @@ def run_campaign(config: Optional[CampaignConfig] = None, /, world=None, **legac
             "run_campaign() takes a CampaignConfig as its only positional argument"
         )
     config.validate(world=world)
-    return _run_validated(config, world)
-
-
-def _replay_epoch(config: CampaignConfig):
-    """The replayed world for ``config.epoch``, the changed-zone scan
-    subset for delta epochs (None at epoch 0: scan everything), and the
-    epoch's applied event batch.
-
-    Events are applied to a freshly rebuilt world *before* any query is
-    served, so every materialisation cache is still cold — exactly the
-    state a from-scratch scan of the same week would see.
-    """
-    from repro.monitor.timeline import scan_world
-
-    return scan_world(config.scale, config.seed, monitor=config.monitor, epoch=config.epoch)
-
-
-def _run_validated(config: CampaignConfig, world: Optional[World]) -> CampaignResult:
-    if config.workers is not None:
-        from repro.parallel import run_parallel_campaign
-
-        return run_parallel_campaign(
-            store_dir=config.store_dir,
-            scale=config.scale,
-            seed=config.seed,
-            workers=config.workers,
-            recheck=config.recheck,
-            use_sources=config.use_sources,
-            num_shards=config.num_shards,
-            compress=config.compress,
-            checkpoint_every=config.checkpoint_every,
-            telemetry=config.telemetry,
-            chaos=config.chaos,
-            retry=config.effective_retry(),
-            in_flight=config.in_flight,
-            manifest_config=config.manifest_config(),
-            epoch=config.epoch,
-            parent_epoch=config.parent_epoch,
-            monitor=config.monitor,
-            scenarios=config.scenarios,
-        )
-
-    scan_override = events = None
-    if config.epoch is not None:
-        world, scan_override, events = _replay_epoch(config)
-    telemetry = as_telemetry(config.telemetry)
-    if world is None:
-        world = build_world(scale=config.scale, seed=config.seed, scenarios=config.scenarios)
-    if config.chaos is not None and config.chaos.enabled:
-        world.network.install_chaos(config.chaos)
-    # Campaigns never mutate zones mid-run, so repeated identical queries
-    # can be served from cached response wires.
-    world.network.enable_response_cache()
-    telemetry.bind_clock(world.network.clock)
-    wire_network = _wire_network(config, world)
-    scanner = world.make_scanner(
-        telemetry=telemetry,
-        retry=config.effective_retry(),
-        in_flight=config.in_flight,
-        network=wire_network,
-    )
-    try:
-        return _run_scan(
-            config, world, scanner, telemetry, scan_override=scan_override, events=events
-        )
-    finally:
-        if wire_network is not None:
-            wire_network.close()
-
-
-def _wire_network(config: CampaignConfig, world: World):
-    """Stand up the live socket fleet for ``transport='wire'`` (None
-    for the simulated fabric)."""
-    if config.transport != "wire":
-        return None
-    from repro.wire import WireNetwork
-
-    return WireNetwork(world.network, time_scale=config.time_scale).start()
-
-
-def _run_scan(
-    config: CampaignConfig, world: World, scanner, telemetry, scan_override=None, events=None
-) -> CampaignResult:
-    # *scan_override* narrows the campaign to an explicit zone list —
-    # the delta-epoch change feed; *events* is the batch behind it.
-    scan_list = scan_override if scan_override is not None else _scan_list(world, config.use_sources)
-
-    if config.store_dir is None:
-        results = []
-        for result in scanner.scan_iter(scan_list):
-            results.append(result)
-            if telemetry.enabled:
-                telemetry.maybe_progress(len(results), len(scan_list))
-        pipeline = AnalysisPipeline(world.operator_db)
-        report = pipeline.analyze(results)
-        rechecked: Dict[str, SignalOutcome] = {}
-        if config.recheck:
-            rechecked = _recheck_pass(scanner, report, telemetry=telemetry)
-        return CampaignResult(
-            world=world,
-            results=results,
-            report=report,
-            rechecked=rechecked,
-            telemetry=_seal(telemetry, scanner),
-        )
-
-    # -- store-backed campaign: persist-as-you-scan ------------------------
-    from repro.store import DEFAULT_CHECKPOINT_EVERY, DEFAULT_NUM_SHARDS, CampaignStore
-    from repro.store.reader import StoreReader
-
-    store = CampaignStore.create(
-        config.store_dir,
-        seed=world.seed,
-        scale=world.scale,
-        num_shards=config.num_shards or DEFAULT_NUM_SHARDS,
-        compress=config.compress,
-        zones_total=len(scan_list),
-        config=config.manifest_config(),
-        checkpoint_every=config.checkpoint_every or DEFAULT_CHECKPOINT_EVERY,
-        telemetry=telemetry,
-        epoch=config.epoch,
-        parent_epoch=config.parent_epoch,
-    )
-    if telemetry.enabled:
-        telemetry.open_sink(events_path(store.root))
-    interrupted = False
-    scanned = 0
-    with store:
-        for result in scanner.scan_iter(scan_list, sink=store.append):
-            scanned += 1
-            if telemetry.enabled:
-                telemetry.maybe_progress(scanned, len(scan_list))
-            if config.stop_after is not None and scanned >= config.stop_after:
-                interrupted = True
-                break
-    if interrupted:
-        # The context manager checkpointed whatever was buffered; the
-        # manifest stays in-progress, exactly like a crash after the
-        # last checkpoint.
-        reader = StoreReader(store.root)
-        report = AnalysisPipeline(world.operator_db).analyze(reader.iter_results())
-        return CampaignResult(
-            world=world,
-            results=[],
-            report=report,
-            rechecked={},
-            store_dir=store.root,
-            telemetry=_seal(telemetry, scanner),
-            events=events,
-        )
-    store.complete()
-
-    reader = StoreReader(store.root)
-    report = reader.reanalyze(world.operator_db)
-    rechecked = {}
-    if config.recheck:
-        rechecked = _recheck_pass(scanner, report, telemetry=telemetry)
-    return CampaignResult(
-        world=world,
-        results=[],
-        report=report,
-        rechecked=rechecked,
-        store_dir=store.root,
-        telemetry=_seal(telemetry, scanner),
-        events=events,
-    )
-
-
-def _seal(telemetry, scanner) -> Optional[Telemetry]:
-    """Final counter snapshot + flush + close; None when disabled."""
-    if not telemetry.enabled:
-        return None
-    telemetry.capture_scanner(scanner)
-    telemetry.flush_counters()
-    telemetry.close()
-    return telemetry
+    return _execute(config, world, resume=False)
 
 
 def resume_campaign(
@@ -612,135 +605,42 @@ def resume_campaign(
 ) -> CampaignResult:
     """Finish an interrupted store-backed campaign.
 
-    Opens the manifest, rebuilds the world at the recorded seed/scale,
-    skips every zone already persisted, scans only the remainder
-    (checkpointing as it goes), marks the store complete, and produces
-    the report by streaming the whole store — byte-identical to the
-    report of an uninterrupted campaign at the same seed/scale.
+    Rebuilds the :class:`CampaignConfig` the campaign was started with
+    from its manifest, and runs it again with every zone already
+    persisted skipped: only the remainder is scanned (checkpointing as
+    it goes), the store is marked complete, and the report is produced
+    by streaming the whole store — byte-identical to the report of an
+    uninterrupted campaign at the same seed/scale.  Everything recorded
+    resumes as started: worker count, checkpoint cadence, telemetry
+    (the resumed process appends to the same event stream), the fault
+    model and retry policy (so the remainder sees the per-query fault
+    stream the uninterrupted campaign would have), transport, epoch.
 
-    Campaigns started with ``workers=N`` are resumed in parallel
-    automatically (the worker count is recorded in the manifest); pass
-    ``workers`` explicitly to repartition the remainder across a
-    different number of processes, or to parallelise the remainder of a
-    campaign that began sequentially.  Any subset of crashed workers is
-    tolerated — completed worker stores are skipped wholesale.
-
-    Campaigns started with telemetry resume with telemetry: the flag
-    round-trips through the manifest (:meth:`CampaignConfig.from_manifest`),
-    and the resumed process appends to the same event stream.  Likewise
-    a chaotic campaign resumes chaotic — the :class:`ChaosConfig` and
-    :class:`RetryPolicy` round-trip losslessly through the manifest, so
-    the resumed remainder sees the same per-query fault stream the
-    uninterrupted campaign would have.
+    The keyword arguments override the recorded setting for the rest of
+    the scan; the merged config is validated as a whole, exactly as
+    :func:`run_campaign` would, before anything is touched.  ``workers``
+    repartitions the remainder across a different number of processes,
+    or parallelises the remainder of a campaign that began sequentially;
+    any subset of crashed workers is tolerated — completed worker stores
+    are skipped wholesale.
     """
-    from repro.store import DEFAULT_CHECKPOINT_EVERY, CampaignStore, StoreError
-
     root = Path(store_dir)
-    # The store is opened exactly once; both the parallel and the
-    # sequential route work from this one loaded manifest.
-    store = CampaignStore.open(
-        root, checkpoint_every=checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    overrides = dict(
+        checkpoint_every=checkpoint_every,
+        workers=workers,
+        telemetry=telemetry,
+        chaos=chaos,
+        retry=retry,
+        in_flight=in_flight,
     )
-    stored = CampaignConfig.from_manifest(store.manifest, store_dir=root)
-    if chaos is not None or retry is not None or in_flight is not None:
-        # Explicit overrides (the CLI's --chaos/--retries/--in-flight on
-        # resume) replace the recorded model for the rest of the scan.
-        from dataclasses import replace as _replace
-
-        stored = _replace(
-            stored,
-            chaos=chaos if chaos is not None else stored.chaos,
-            retry=retry if retry is not None else stored.retry,
-            in_flight=in_flight if in_flight is not None else stored.in_flight,
-        )
-        stored.validate()
-
-    if workers is not None or stored.workers:
-        if world is not None:
-            raise ValueError(
-                "parallel resume rebuilds the world per process; do not pass world"
-            )
-        from repro.parallel import resume_parallel_campaign
-
-        return resume_parallel_campaign(
-            root,
-            workers=workers,
-            checkpoint_every=checkpoint_every,
-            telemetry=telemetry,
-            store=store,
-            chaos=chaos,
-            retry=retry,
-            in_flight=in_flight,
-        )
-
-    from repro.store.reader import StoreReader
-
-    manifest = store.manifest
-    hub = as_telemetry(telemetry if telemetry is not None else stored.telemetry)
-    store.telemetry = hub
-    if hub.enabled:
-        hub.open_sink(events_path(root))
-    scan_override = events = None
-    if stored.epoch is not None:
-        # A delta campaign resumes into the same epoch: replay the world
-        # to the recorded week and re-derive the changed subset (the
-        # event stream is a pure function of the stored monitor spec).
-        if world is not None:
-            raise ValueError(
-                "epoch campaigns replay the world from the stored monitor "
-                "spec; do not pass world"
-            )
-        world, scan_override, events = _replay_epoch(stored)
-    elif world is None:
-        world = build_world(
-            scale=manifest.scale, seed=manifest.seed, scenarios=stored.scenarios
-        )
-    elif (world.seed, world.scale) != (manifest.seed, manifest.scale):
+    config = replace(
+        CampaignConfig.from_manifest(load_manifest(root), store_dir=root),
+        **{name: value for name, value in overrides.items() if value is not None},
+    )
+    config.validate(world=world)
+    if world is not None and (world.seed, world.scale) != (config.seed, config.scale):
         raise StoreError(
             f"world (seed={world.seed}, scale={world.scale:g}) does not match "
-            f"the store's campaign (seed={manifest.seed}, scale={manifest.scale:g})"
+            f"the store's campaign (seed={config.seed}, scale={config.scale:g})"
         )
-    if stored.chaos is not None and stored.chaos.enabled:
-        world.network.install_chaos(stored.chaos)
-    world.network.enable_response_cache()
-    hub.bind_clock(world.network.clock)
-    wire_network = _wire_network(stored, world)
-    scanner = world.make_scanner(
-        telemetry=hub,
-        retry=stored.effective_retry(),
-        in_flight=stored.in_flight,
-        network=wire_network,
-    )
-    scan_list = (
-        scan_override if scan_override is not None else _scan_list(world, stored.use_sources)
-    )
-
-    try:
-        done = frozenset(store.completed_zones())
-        if not manifest.complete:
-            scanned = 0
-            remaining = len(scan_list) - len(done)
-            with store:
-                for _ in scanner.scan_iter(scan_list, skip=done, sink=store.append):
-                    scanned += 1
-                    if hub.enabled:
-                        hub.maybe_progress(scanned, remaining)
-            store.complete()
-
-        reader = StoreReader(store.root)
-        report = reader.reanalyze(world.operator_db)
-        rechecked: Dict[str, SignalOutcome] = {}
-        if stored.recheck:
-            rechecked = _recheck_pass(scanner, report, double_check=done, telemetry=hub)
-        return CampaignResult(
-            world=world,
-            results=[],
-            report=report,
-            rechecked=rechecked,
-            store_dir=store.root,
-            telemetry=_seal(hub, scanner),
-            events=events,
-        )
-    finally:
-        if wire_network is not None:
-            wire_network.close()
+    return _execute(config, world, resume=True)

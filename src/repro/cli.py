@@ -10,13 +10,9 @@ Canonical command families::
     repro-dnssec monitor advance --store ./monitor --epochs 3
     repro-dnssec monitor diff --store ./monitor
 
-``repro-dnssec report``, ``repro-dnssec store init|resume`` and the
-top-level ``stats`` remain as thin aliases for existing scripts; they
-print a deprecation pointer to stderr (stderr, so piped stdout stays
-byte-stable) and delegate to the canonical command.  Every subcommand
-spells its store flag ``--store`` (``--dir`` is accepted as a synonym)
-and shares the ``--workers`` / ``--in-flight`` / ``--transport`` /
-``--chaos`` / ``--retries`` vocabulary.
+Every subcommand spells its store flag ``--store`` (``--dir`` is
+accepted as a synonym) and shares the ``--workers`` / ``--in-flight`` /
+``--transport`` / ``--chaos`` / ``--retries`` vocabulary.
 """
 
 from __future__ import annotations
@@ -33,12 +29,6 @@ from repro.reports.table2 import compute_table2, expected_table2, render_table2
 from repro.reports.table3 import compute_table3, expected_table3, render_table3
 
 ARTIFACTS = ("table1", "table2", "table3", "figure1", "tld", "security")
-
-
-def _deprecated(old: str, new: str) -> None:
-    """Deprecation pointer for alias commands — stderr only, so CI jobs
-    diffing stdout against golden output are unaffected."""
-    print(f"note: '{old}' is deprecated; use '{new}'", file=sys.stderr)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -224,18 +214,18 @@ def _campaign_config(args: argparse.Namespace, store_dir, telemetry):
         seed=args.seed,
         recheck=not args.no_recheck,
         store_dir=store_dir,
-        checkpoint_every=getattr(args, "checkpoint_every", None),
-        num_shards=getattr(args, "shards", None),
-        compress=not getattr(args, "no_gzip", False),
-        stop_after=getattr(args, "stop_after", 0) or None,
+        checkpoint_every=args.checkpoint_every,
+        num_shards=args.shards,
+        compress=not args.no_gzip,
+        stop_after=args.stop_after or None,
         workers=args.workers or None,
         in_flight=args.in_flight,
         telemetry=telemetry,
         chaos=args.chaos,
         retry=args.retries,
-        transport=getattr(args, "transport", "sim"),
-        time_scale=getattr(args, "time_scale", 0.0),
-        scenarios=getattr(args, "scenarios", None),
+        transport=args.transport,
+        time_scale=args.time_scale,
+        scenarios=args.scenarios,
     )
 
 
@@ -243,21 +233,20 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     """One campaign, in-memory or store-backed.
 
     Without ``--store`` the campaign runs in memory and prints the
-    selected report artifacts (the old ``report`` command); with
-    ``--store`` results are persisted shard-by-shard and the store
-    summary is printed (the old ``store init``).
+    selected report artifacts; with ``--store`` results are persisted
+    shard-by-shard and the store summary is printed.
     """
     from repro.campaign import run_campaign
     from repro.parallel import ParallelCampaignError
 
     telemetry: object = False
-    if getattr(args, "telemetry", False):
+    if args.telemetry:
         from repro.obs import Telemetry
 
         telemetry = Telemetry()
         telemetry.on_heartbeat = _heartbeat_printer
 
-    store = getattr(args, "store", None)
+    store = args.store
     if store is None:
         if args.workers:
             # Parallel execution needs a store for the workers to commit
@@ -270,7 +259,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
                 campaign = run_campaign(_campaign_config(args, Path(tmp) / "store", telemetry))
         else:
             campaign = run_campaign(_campaign_config(args, None, telemetry))
-        _print_artifacts(campaign, getattr(args, "artifact", "all"))
+        _print_artifacts(campaign, args.artifact)
         return 0
 
     try:
@@ -340,33 +329,6 @@ def cmd_campaign_stats(args: argparse.Namespace) -> int:
         return 2
     print(render_stats(stats))
     return 0
-
-
-# -- deprecated aliases ------------------------------------------------------
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    _deprecated("repro-dnssec report", "repro-dnssec campaign run")
-    args.store = None
-    if getattr(args, "artifact_pos", None):
-        args.artifact = args.artifact_pos
-    return cmd_campaign_run(args)
-
-
-def cmd_store_init(args: argparse.Namespace) -> int:
-    _deprecated("repro-dnssec store init", "repro-dnssec campaign run --store")
-    return cmd_campaign_run(args)
-
-
-def cmd_store_resume(args: argparse.Namespace) -> int:
-    _deprecated("repro-dnssec store resume", "repro-dnssec campaign resume")
-    return cmd_campaign_resume(args)
-
-
-def cmd_stats(args: argparse.Namespace) -> int:
-    _deprecated("repro-dnssec stats", "repro-dnssec campaign stats --store")
-    args.store = args.dir
-    return cmd_campaign_stats(args)
 
 
 # -- continuous monitoring (repro.monitor) -----------------------------------
@@ -941,8 +903,7 @@ def cmd_trend(args: argparse.Namespace) -> int:
 
 
 def _add_campaign_run_options(parser: argparse.ArgumentParser) -> None:
-    """The full campaign-run vocabulary, shared by the canonical command
-    and its two deprecated aliases (``report`` and ``store init``)."""
+    """The full campaign-run vocabulary."""
     _add_common(parser)
     parser.add_argument("--artifact", choices=(*ARTIFACTS, "all"), default="all")
     parser.add_argument(
@@ -1157,21 +1118,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     agent_actions.set_defaults(func=cmd_agent_actions)
 
-    # -- deprecated alias: report == campaign run (no store)
-    report = sub.add_parser(
-        "report", help="(deprecated: use 'campaign run') regenerate tables/figures"
-    )
-    report.add_argument(
-        "artifact_pos",
-        nargs="?",
-        choices=(*ARTIFACTS, "all"),
-        default=None,
-        metavar="ARTIFACT",
-        help="artifact to print (e.g. 'security'); same as --artifact",
-    )
-    _add_campaign_run_options(report)
-    report.set_defaults(func=cmd_report, store=None)
-
     checks = sub.add_parser("checks", help="run the shape checks against the paper")
     _add_common(checks)
     checks.set_defaults(func=cmd_checks)
@@ -1204,28 +1150,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_sub = store.add_subparsers(dest="store_command", required=True)
 
-    # deprecated alias: store init == campaign run --store
-    store_init = store_sub.add_parser(
-        "init", help="(deprecated: use 'campaign run --store') run a persisted campaign"
-    )
-    _add_store(store_init, help="store directory to create")
-    _add_campaign_run_options(store_init)
-    store_init.set_defaults(func=cmd_store_init)
-
     store_status = store_sub.add_parser("status", help="inspect a campaign store")
     _add_store(store_status)
     store_status.add_argument(
         "--verify", action="store_true", help="re-hash every shard against the manifest"
     )
     store_status.set_defaults(func=cmd_store_status)
-
-    # deprecated alias: store resume == campaign resume
-    store_resume = store_sub.add_parser(
-        "resume", help="(deprecated: use 'campaign resume') finish an interrupted campaign"
-    )
-    _add_store(store_resume)
-    _add_campaign_resume_options(store_resume)
-    store_resume.set_defaults(func=cmd_store_resume)
 
     store_diff = store_sub.add_parser(
         "diff", help="longitudinal diff of two stored campaigns"
@@ -1240,13 +1170,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_store(store_reanalyze)
     store_reanalyze.add_argument("--verify", action="store_true")
     store_reanalyze.set_defaults(func=cmd_store_reanalyze)
-
-    # deprecated alias: stats == campaign stats --store
-    stats = sub.add_parser(
-        "stats", help="(deprecated: use 'campaign stats') telemetry report from a store"
-    )
-    stats.add_argument("dir", help="campaign store directory")
-    stats.set_defaults(func=cmd_stats)
 
     query = sub.add_parser(
         "query", help="read-serving plane: indexed per-zone status lookups"

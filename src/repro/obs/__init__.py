@@ -8,9 +8,9 @@ per producer and merge in deterministic ``(origin, seq)`` order.  Two
 campaigns at the same seed/scale/workers emit byte-identical event
 streams — telemetry is diffable across epochs exactly like results.
 
-``repro-dnssec stats <store>`` renders the collected streams as a
-campaign telemetry report (:mod:`repro.obs.stats`, loaded lazily —
-only the hub and the stream codec live at the bottom of the
+``repro-dnssec campaign stats --store <store>`` renders the collected
+streams as a campaign telemetry report (:mod:`repro.obs.stats`, loaded
+lazily — only the hub and the stream codec live at the bottom of the
 dependency graph).
 """
 

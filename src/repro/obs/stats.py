@@ -56,7 +56,7 @@ class SpanStats:
 
 @dataclass
 class CampaignStats:
-    """Everything ``repro-dnssec stats`` reports."""
+    """Everything ``repro-dnssec campaign stats`` reports."""
 
     root: str
     status: str

@@ -1,11 +1,12 @@
 """The parent half of the parallel campaign engine.
 
-``run_parallel_campaign`` turns one measurement campaign into N worker
-processes plus a deterministic merge:
+``run_parallel_campaign`` turns one measurement campaign — a
+:class:`repro.campaign.CampaignConfig` with ``workers=N`` — into N
+worker processes plus a deterministic merge:
 
 1. the parent creates the campaign root store and spawns one process
-   per worker, each owning a contiguous range of shard buckets
-   (:mod:`repro.parallel.partition`);
+   per worker, handing each the config itself and a contiguous range of
+   shard buckets (:mod:`repro.parallel.partition`);
 2. while the workers scan, the parent rebuilds its own copy of the
    world (needed for the operator database and the §4.4 re-check), so
    the build cost overlaps the scan instead of preceding it;
@@ -19,13 +20,16 @@ processes plus a deterministic merge:
    the same argument as any other checkpoint, and the merged stream
    order is a pure function of the data — never of worker timing.
 
+Resuming is the same body on an opened store: workers skip whatever any
+store under the root already holds.
+
 Determinism invariant: the streamed analysis of the merged store, and
 the report after the re-check pass, are byte-identical (Tables 1–3,
 Figure 1) to a sequential run at the same seed and scale.  Aggregates
 do not depend on record order, the record *set* is exactly the scan
 list, and the re-check gives every transiently-failing zone the same
 observation budget a sequential campaign gives it (see
-:func:`repro.campaign._recheck_pass`).
+:func:`repro.campaign.recheck_pass`).
 """
 
 from __future__ import annotations
@@ -35,16 +39,22 @@ import multiprocessing
 import os
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
+from repro.campaign import (
+    CampaignConfig,
+    CampaignResult,
+    build,
+    create_root_store,
+    open_store,
+    recheck_pass,
+    scan_list,
+    seal,
+)
 from repro.obs.events import WORKERS_DIR, events_path
 from repro.obs.telemetry import NULL_TELEMETRY, as_telemetry
 from repro.scanner.fleet import MachineReport
-from repro.store.checkpoint import (
-    DEFAULT_CHECKPOINT_EVERY,
-    DEFAULT_NUM_SHARDS,
-    CampaignStore,
-)
+from repro.store.checkpoint import CampaignStore
 from repro.store.manifest import load_manifest, manifest_path, save_manifest
 from repro.store.reader import StoreReader
 from repro.store.shards import StoreError
@@ -233,40 +243,25 @@ def _machine_reports(root: Path) -> List[MachineReport]:
     return reports
 
 
-def _finish(
-    store: CampaignStore,
-    world,
-    recheck: bool,
-    telemetry=NULL_TELEMETRY,
-    chaos=None,
-    retry=None,
-    events=None,
-):
+def _finish(config: CampaignConfig, store: CampaignStore, world, telemetry, events):
     """Stream the merged store through the pipeline and re-check.
 
     Every stored observation came from a *worker's* world, so every
     suspicious zone gets the resumed-campaign double-check budget — the
     parent's fresh world will replay the transient failure once before
-    resolving (see :func:`repro.campaign._recheck_pass`).  A chaotic
+    resolving (see :func:`repro.campaign.recheck_pass`).  A chaotic
     campaign re-checks under chaos too (the parent derives its own
     decision stream), with the same retry policy the workers ran.
     """
-    from repro.campaign import CampaignResult, _recheck_pass
-
-    reader = StoreReader(store.root)
-    report = reader.reanalyze(world.operator_db)
+    report = StoreReader(store.root).reanalyze(world.operator_db)
     rechecked = {}
-    if recheck:
-        if chaos is not None and chaos.enabled:
-            world.network.install_chaos(chaos.derive("recheck"))
-        scanner = world.make_scanner(telemetry=telemetry, retry=retry)
+    scanner = None
+    if config.recheck:
+        if config.chaos is not None and config.chaos.enabled:
+            world.network.install_chaos(config.chaos.derive("recheck"))
+        scanner = world.make_scanner(telemetry=telemetry, retry=config.effective_retry())
         done = frozenset(assessment.zone for assessment in report.assessments)
-        rechecked = _recheck_pass(scanner, report, double_check=done, telemetry=telemetry)
-        if telemetry.enabled:
-            telemetry.capture_scanner(scanner)
-    if telemetry.enabled:
-        telemetry.flush_counters()
-        telemetry.close()
+        rechecked = recheck_pass(scanner, report, double_check=done)
     return CampaignResult(
         world=world,
         results=[],
@@ -274,259 +269,91 @@ def _finish(
         rechecked=rechecked,
         store_dir=store.root,
         machines=_machine_reports(store.root),
-        telemetry=telemetry if telemetry.enabled else None,
+        telemetry=seal(telemetry, scanner),
         events=events,
     )
 
 
-def run_parallel_campaign(
-    store_dir: Path,
-    scale: float = 1 / 100_000,
-    seed: int = 1,
-    workers: int = 2,
-    recheck: bool = True,
-    use_sources: bool = False,
-    num_shards: Optional[int] = None,
-    compress: bool = True,
-    checkpoint_every: Optional[int] = None,
-    faults: Optional[Dict[int, int]] = None,
-    telemetry=None,
-    chaos=None,
-    retry=None,
-    in_flight: Optional[int] = None,
-    manifest_config: Optional[Dict[str, Any]] = None,
-    epoch: Optional[int] = None,
-    parent_epoch: Optional[int] = None,
-    monitor=None,
-    scenarios=None,
+def _drive(
+    config: CampaignConfig, store: CampaignStore, telemetry, faults: Optional[Dict[int, int]] = None
 ):
-    """Run one campaign across *workers* processes (see module docs).
-
-    With *epoch*/*monitor* set (the monitoring plane), the parent and
-    every worker replay the seeded event stream to that simulated week
-    and — for epoch >= 1 — scan only the changed-zone subset, which
-    each worker recomputes in-process from the picklable monitor spec.
-
-    *faults* is a testing hook: ``{worker_index: crash_after_n_zones}``
-    hard-kills the given workers mid-scan, leaving a resumable store.
-    *chaos* / *retry* (a :class:`repro.chaos.ChaosConfig` /
-    :class:`repro.chaos.RetryPolicy`) switch on fault injection: every
-    worker derives its own decision stream from (campaign seed, first
-    bucket) and the report still matches the fault-free campaign.
-    *manifest_config* overrides the ``config`` dict recorded in the root
-    manifest (the :class:`repro.campaign.CampaignConfig` serialization).
-    """
-    from repro.campaign import _scan_list
-    from repro.monitor.timeline import scan_world
-
-    telemetry = as_telemetry(telemetry)
-    num_shards = num_shards or DEFAULT_NUM_SHARDS
-    checkpoint_every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    if epoch is not None and epoch > 0 and parent_epoch is None:
-        parent_epoch = epoch - 1  # same default chaining as CampaignConfig
-    root = Path(store_dir)
-    ranges = bucket_ranges(num_shards, workers)  # validates workers vs shards
-
-    if manifest_config is None:
-        manifest_config = {"recheck": recheck, "use_sources": use_sources, "workers": workers}
-        if telemetry.enabled:
-            manifest_config["telemetry"] = True
-        if chaos is not None:
-            manifest_config["chaos"] = chaos.to_dict()
-        if retry is not None:
-            manifest_config["retry"] = retry.to_dict()
-        if in_flight is not None:
-            manifest_config["in_flight"] = in_flight
-        if monitor is not None:
-            manifest_config["monitor"] = monitor.to_dict()
-        if scenarios is not None:
-            manifest_config["scenarios"] = scenarios.to_dict()
-    store = CampaignStore.create(
-        root,
-        seed=seed,
-        scale=scale,
-        num_shards=num_shards,
-        compress=compress,
-        config=manifest_config,
-        checkpoint_every=checkpoint_every,
-        telemetry=telemetry,
-        epoch=epoch,
-        parent_epoch=parent_epoch,
-    )
+    """Finish the campaign in *store* with ``config.workers`` processes:
+    spawn one worker per bucket range over whatever is not stored yet,
+    rebuild the parent's world while they scan, merge, re-check."""
+    root, manifest = store.root, store.manifest
     if telemetry.enabled:
         telemetry.open_sink(events_path(root))
-    specs = [
-        WorkerSpec(
-            index=index,
-            seed=seed,
-            scale=scale,
-            num_shards=num_shards,
-            buckets=tuple(bucket_range),
-            store_dir=str(worker_dir(root, index)),
-            compress=compress,
-            checkpoint_every=checkpoint_every,
-            use_sources=use_sources,
-            telemetry=telemetry.enabled,
-            chaos=chaos,
-            retry=retry,
-            in_flight=in_flight,
-            crash_after=(faults or {}).get(index),
-            epoch=epoch,
-            monitor=monitor,
-            scenarios=scenarios,
+    specs: List[WorkerSpec] = []
+    if not manifest.complete:
+        skip_roots = tuple(
+            str(path)
+            for path in ([root] if manifest.shards else []) + _existing_worker_roots(root)
         )
-        for index, bucket_range in enumerate(ranges)
-    ]
-    processes = _spawn_workers(specs)
+        worker_config = replace(
+            config, num_shards=manifest.num_shards, telemetry=telemetry.enabled
+        )
+        specs = [
+            WorkerSpec(
+                index=index,
+                buckets=tuple(bucket_range),
+                store_dir=str(worker_dir(root, index)),
+                skip_roots=skip_roots,
+                crash_after=(faults or {}).get(index),
+                config=worker_config,
+            )
+            for index, bucket_range in enumerate(
+                bucket_ranges(manifest.num_shards, config.workers)
+            )
+        ]
+        # A resume with a different worker count can strand worker stores
+        # of the old partition: nobody reopens them, but their committed
+        # zones are in every new worker's skip-set.  Seal them (orphan
+        # sweep + complete) so the merge can reference their segments.
+        owned = {Path(spec.store_dir) for spec in specs}
+        for wroot in _existing_worker_roots(root):
+            if wroot not in owned and not load_manifest(wroot).complete:
+                CampaignStore.open(wroot).complete()
+        processes = _spawn_workers(specs)
 
     # Overlap: the parent rebuilds (and, for epochs, replays) its world
     # while the workers scan.
-    world, subset, events = scan_world(
-        scale, seed, monitor=monitor, epoch=epoch, scenarios=scenarios
-    )
+    world, subset, events = build(config)
     telemetry.bind_clock(world.network.clock)
-    store.manifest.zones_total = len(
-        subset if subset is not None else _scan_list(world, use_sources)
-    )
-    save_manifest(root, store.manifest)
-
-    _join_workers(root, specs, processes, telemetry=telemetry)
-    merge_worker_manifests(
-        store, [Path(spec.store_dir) for spec in specs], telemetry=telemetry
-    )
-    return _finish(
-        store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry, events=events
-    )
+    if specs:
+        if manifest.zones_total is None:
+            manifest.zones_total = len(scan_list(config, world, subset))
+            save_manifest(root, manifest)
+        _join_workers(root, specs, processes, telemetry=telemetry)
+        manifest.config["workers"] = config.workers
+        # Merge every worker store on disk — including leftovers from an
+        # earlier run with a different worker count.
+        merge_worker_manifests(store, _existing_worker_roots(root), telemetry=telemetry)
+    return _finish(config, store, world, telemetry, events)
 
 
-def resume_parallel_campaign(
-    store_dir: Path,
-    workers: Optional[int] = None,
-    checkpoint_every: Optional[int] = None,
-    telemetry=None,
-    store: Optional[CampaignStore] = None,
-    chaos=None,
-    retry=None,
-    in_flight: Optional[int] = None,
-):
-    """Finish an interrupted parallel campaign (or parallelise the
-    remainder of a sequential one).
+def run_parallel_campaign(config: CampaignConfig, *, faults: Optional[Dict[int, int]] = None):
+    """Run *config* (a :class:`repro.campaign.CampaignConfig` with
+    ``workers`` and ``store_dir`` set) across its worker processes —
+    create the root store, then the resume body with nothing to skip.
+
+    *faults* is a testing hook: ``{worker_index: crash_after_n_zones}``
+    hard-kills the given workers mid-scan, leaving a resumable store.
+    """
+    telemetry = as_telemetry(config.telemetry)
+    return _drive(config, create_root_store(config, telemetry), telemetry, faults)
+
+
+def resume_parallel_campaign(config: CampaignConfig):
+    """Finish the interrupted campaign in ``config.store_dir`` with
+    ``config.workers`` processes (or parallelise the remainder of a
+    sequential one).
 
     Tolerates a crash of any subset of workers: completed worker stores
     are recognised by their manifests and skipped wholesale, crashed
     ones resume from their last checkpoint, and missing ones start
-    fresh.  *workers* defaults to the count recorded in the campaign
-    manifest; a different count repartitions only the remaining zones
-    (every already-stored zone is skipped wherever it lives, so shares
-    stay disjoint).
+    fresh.  A worker count different from the one the campaign started
+    with repartitions only the remaining zones (every already-stored
+    zone is skipped wherever it lives, so shares stay disjoint).
     """
-    from repro.campaign import _scan_list
-    from repro.monitor.timeline import scan_world
-
-    root = Path(store_dir)
-    telemetry = as_telemetry(telemetry)
-    checkpoint_every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    if store is None:
-        # Callers that already opened the store (resume_campaign routing
-        # on the manifest) pass it in so it is loaded exactly once.
-        store = CampaignStore.open(root, checkpoint_every=checkpoint_every, telemetry=telemetry)
-    else:
-        store.telemetry = telemetry
-    manifest = store.manifest
-    if not telemetry.enabled and manifest.config.get("telemetry"):
-        # The campaign was started with telemetry on; keep the resumed
-        # half observable too so the merged streams stay coherent.
-        telemetry = as_telemetry(True)
-        store.telemetry = telemetry
-    workers = workers or manifest.config.get("workers")
-    if not workers:
-        raise StoreError(
-            f"{root} is not a parallel campaign; pass workers=N to parallelise it"
-        )
-    recheck = bool(manifest.config.get("recheck", True))
-    use_sources = bool(manifest.config.get("use_sources", False))
-    # A chaotic campaign resumes chaotic: the fault model and retry
-    # policy round-trip through the manifest like every other knob.
-    # Explicit *chaos*/*retry* arguments override the recorded model.
-    from repro.campaign import CampaignConfig
-
-    stored = CampaignConfig.from_manifest(manifest)
-    if chaos is not None or retry is not None or in_flight is not None:
-        stored = replace(
-            stored,
-            chaos=chaos if chaos is not None else stored.chaos,
-            retry=retry if retry is not None else stored.retry,
-            in_flight=in_flight if in_flight is not None else stored.in_flight,
-        )
-    chaos = stored.chaos
-    retry = stored.effective_retry()
-    in_flight = stored.in_flight
-
-    if telemetry.enabled:
-        telemetry.open_sink(events_path(root))
-
-    if manifest.complete:
-        world, _, events = scan_world(
-            manifest.scale, manifest.seed, monitor=stored.monitor, epoch=stored.epoch,
-            scenarios=stored.scenarios,
-        )
-        telemetry.bind_clock(world.network.clock)
-        return _finish(
-            store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry, events=events
-        )
-
-    ranges = bucket_ranges(manifest.num_shards, workers)
-    skip_roots = tuple(
-        str(path)
-        for path in ([root] if manifest.shards else []) + _existing_worker_roots(root)
-    )
-    specs = [
-        WorkerSpec(
-            index=index,
-            seed=manifest.seed,
-            scale=manifest.scale,
-            num_shards=manifest.num_shards,
-            buckets=tuple(bucket_range),
-            store_dir=str(worker_dir(root, index)),
-            skip_roots=skip_roots,
-            compress=manifest.compress,
-            checkpoint_every=checkpoint_every,
-            use_sources=use_sources,
-            telemetry=telemetry.enabled,
-            chaos=chaos,
-            retry=retry,
-            in_flight=in_flight,
-            epoch=stored.epoch,
-            monitor=stored.monitor,
-            scenarios=stored.scenarios,
-        )
-        for index, bucket_range in enumerate(ranges)
-    ]
-    # A resume with a different worker count can strand worker stores of
-    # the old partition: nobody reopens them, but their committed zones
-    # are in every new worker's skip-set.  Seal them (orphan sweep +
-    # complete) so the merge can reference their segments.
-    owned = {Path(spec.store_dir) for spec in specs}
-    for wroot in _existing_worker_roots(root):
-        if wroot not in owned and not load_manifest(wroot).complete:
-            CampaignStore.open(wroot, checkpoint_every=checkpoint_every).complete()
-
-    processes = _spawn_workers(specs)
-    world, subset, events = scan_world(
-        manifest.scale, manifest.seed, monitor=stored.monitor, epoch=stored.epoch,
-        scenarios=stored.scenarios,
-    )
-    telemetry.bind_clock(world.network.clock)
-    _join_workers(root, specs, processes, telemetry=telemetry)
-
-    manifest.config["workers"] = workers
-    if manifest.zones_total is None:
-        manifest.zones_total = len(
-            subset if subset is not None else _scan_list(world, use_sources)
-        )
-    # Merge every worker store on disk — including leftovers from an
-    # earlier run with a different worker count.
-    merge_worker_manifests(store, _existing_worker_roots(root), telemetry=telemetry)
-    return _finish(
-        store, world, recheck, telemetry=telemetry, chaos=chaos, retry=retry, events=events
-    )
+    telemetry = as_telemetry(config.telemetry)
+    return _drive(config, open_store(config, config.store_dir, telemetry), telemetry)

@@ -35,28 +35,21 @@ class MachineReport:
     duration: float  # simulated seconds on this machine's clock
 
 
-def make_machine_scanner(
-    world, config: Optional[ScannerConfig] = None, telemetry=None
-) -> tuple[Scanner, SimulatedClock]:
-    """Build one scan machine: a full scanner whose rate limiter waits on
-    its *own* simulated clock.
+def give_own_clock(scanner: Scanner) -> SimulatedClock:
+    """Make *scanner* a scan machine: its rate limiter waits on its
+    *own* simulated clock, and its spans are stamped with it.
 
     This is the shared machine model of the paper's fleet (App. D): both
     the in-process :class:`ScanFleet` simulation and the multiprocess
-    workers of :mod:`repro.parallel` construct their scanners here, so
-    per-machine durations always come from an independent clock —
-    rate-limit stalls on one machine never advance another machine's
-    time.
+    workers of :mod:`repro.parallel` come through here, so per-machine
+    durations always come from an independent clock — rate-limit stalls
+    on one machine never advance another machine's time.
     """
-    scanner = Scanner(
-        world.network, world.root_ips, config or world.scanner_config(), telemetry=telemetry
-    )
     clock = SimulatedClock()
     scanner.limiter = RateLimiter(clock, qps=scanner.config.qps_per_ns)
     scanner.resolver.limiter = scanner.limiter
-    # Spans on this machine are stamped with the machine's own clock.
     scanner.telemetry.bind_clock(clock)
-    return scanner, clock
+    return clock
 
 
 @dataclass
@@ -96,9 +89,9 @@ class ScanFleet:
         self._scanners: List[Scanner] = []
         self._clocks: List[SimulatedClock] = []
         for _ in range(machines):
-            scanner, clock = make_machine_scanner(world, config)
+            scanner = Scanner(world.network, world.root_ips, config or world.scanner_config())
             self._scanners.append(scanner)
-            self._clocks.append(clock)
+            self._clocks.append(give_own_clock(scanner))
 
     def partition(self, zones: Sequence[Name]) -> List[List[Name]]:
         """Deterministic round-robin partition of the zone list."""

@@ -53,15 +53,14 @@ class ScannerConfig:
 
     qps_per_ns: float = DEFAULT_QPS
     timeout: float = 2.0
-    retries: int = 1
     scan_signals: bool = True
     probe_zone_cuts: bool = True
     anycast_ns_suffixes: List[Name] = field(default_factory=list)
     full_scan_fraction: float = 0.05
-    # Full retry/backoff policy (repro.chaos).  None keeps the legacy
-    # behaviour: `retries` immediate re-attempts, no backoff, so
-    # pre-chaos campaigns keep their exact simulated durations.
-    retry_policy: Optional[RetryPolicy] = None
+    # Retry/backoff policy (repro.chaos).  The default is the legacy
+    # behaviour: one immediate re-attempt, no backoff, so fault-free
+    # campaigns keep their exact query counts and simulated durations.
+    retry_policy: RetryPolicy = RetryPolicy.legacy()
     # Concurrent in-flight zones per scan machine (repro.sched).  None
     # keeps the legacy serial loop; N >= 1 runs the scan on a
     # deterministic event loop with up to N zones overlapping their
@@ -96,7 +95,7 @@ class Scanner:
         self.telemetry = as_telemetry(telemetry)
         self.cache = DnsCache(now=network.clock.now)
         self.limiter = RateLimiter(network.clock, qps=self.config.qps_per_ns)
-        self.retry = self.config.retry_policy or RetryPolicy.legacy(self.config.retries)
+        self.retry = self.config.retry_policy
         self.resolver = IterativeResolver(
             network,
             root_ips,

@@ -10,14 +10,12 @@ Failure injection is delegated to the chaos plane
 (:mod:`repro.chaos`): install one with :meth:`SimulatedNetwork.install_chaos`
 and every exchange is first offered to it — packet loss, brownouts,
 SERVFAIL bursts, truncation storms, flaky TCP, and added latency, all
-seeded and replayable.  The historical ``loss_hook`` attribute remains
-as a deprecated shim for one release.
+seeded and replayable.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.dns.message import Message, make_response
 from repro.dns.types import Rcode
@@ -92,8 +90,6 @@ class SimulatedNetwork:
         self.per_ip_queries: Dict[str, int] = {}
         # The fault-injection plane (None = fault-free network).
         self.chaos: Optional["ChaosPlane"] = None
-        # Deprecated predecessor of the chaos plane; see the property below.
-        self._loss_hook: Optional[Callable[[str, Message], bool]] = None
         # Opt-in response-wire cache (see enable_response_cache): campaigns
         # never mutate zones mid-run, so behaviour-free servers answer as a
         # pure function of the query bytes.  Off by default because tests
@@ -138,28 +134,6 @@ class SimulatedNetwork:
 
         self.chaos = ChaosPlane(config, clock=self.clock)
         return self.chaos
-
-    @property
-    def loss_hook(self) -> Optional[Callable[[str, Message], bool]]:
-        """Deprecated: (ip, query) -> True to drop this datagram.
-
-        Superseded by the chaos plane (``install_chaos`` /
-        :class:`repro.chaos.ChaosConfig` with a ``loss`` intensity),
-        which is seeded, composable, and budget-aware.  Setting a hook
-        still works for one release and emits a DeprecationWarning.
-        """
-        return self._loss_hook
-
-    @loss_hook.setter
-    def loss_hook(self, hook: Optional[Callable[[str, Message], bool]]) -> None:
-        if hook is not None:
-            warnings.warn(
-                "SimulatedNetwork.loss_hook is deprecated; use "
-                "network.install_chaos(ChaosConfig(loss=...)) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._loss_hook = hook
 
     # -- topology ------------------------------------------------------------
 
@@ -213,10 +187,6 @@ class SimulatedNetwork:
         self.per_ip_queries[ip] = self.per_ip_queries.get(ip, 0) + 1
         if self.query_cost:
             self.clock.advance(self.query_cost)
-        if self._loss_hook is not None and self._loss_hook(ip, query):
-            self.timeouts += 1
-            self.clock.advance(timeout)
-            raise NetworkTimeout(f"packet to {ip} lost")
         if self.chaos is not None:
             question = query.question
             decision = self.chaos.decide(

@@ -13,13 +13,13 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_report_defaults(self):
-        args = build_parser().parse_args(["report"])
+        args = build_parser().parse_args(["campaign", "run"])
         assert args.scale == 1e-5
         assert args.artifact == "all"
 
     def test_bad_artifact(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["report", "--artifact", "table9"])
+            build_parser().parse_args(["campaign", "run", "--artifact", "table9"])
 
 
 class TestCommands:
@@ -36,14 +36,14 @@ class TestCommands:
         assert "status:" in out and "signal outcome:" in out
 
     def test_report_single_artifact(self, capsys):
-        rc = main(["report", *SCALE_ARGS, "--artifact", "figure1"])
+        rc = main(["campaign", "run", *SCALE_ARGS, "--artifact", "figure1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "Figure 1" in out
         assert "Table 1" not in out
 
     def test_report_all(self, capsys):
-        rc = main(["report", *SCALE_ARGS])
+        rc = main(["campaign", "run", *SCALE_ARGS])
         assert rc == 0
         out = capsys.readouterr().out
         for artefact in ("Table 1", "Table 2", "Table 3", "Figure 1"):
@@ -88,7 +88,7 @@ class TestStoreCommands:
         """The full warehouse lifecycle through the CLI."""
         store_a = str(tmp_path / "a")
         rc = main(
-            ["store", "init", *SCALE_ARGS, "--dir", store_a, "--stop-after", "25",
+            ["campaign", "run", *SCALE_ARGS, "--store", store_a, "--stop-after", "25",
              "--checkpoint-every", "10"]
         )
         assert rc == 0
@@ -102,7 +102,7 @@ class TestStoreCommands:
         assert "25/" in out
         assert "all shard digests verified" in out
 
-        rc = main(["store", "resume", "--dir", store_a])
+        rc = main(["campaign", "resume", "--store", store_a])
         assert rc == 0
         out = capsys.readouterr().out
         assert "status:    complete" in out
@@ -112,7 +112,7 @@ class TestStoreCommands:
         assert "analysed" in capsys.readouterr().out
 
         store_b = str(tmp_path / "b")
-        rc = main(["store", "init", *SCALE_ARGS, "--dir", store_b])
+        rc = main(["campaign", "run", *SCALE_ARGS, "--store", store_b])
         assert rc == 0
         capsys.readouterr()
         rc = main(["store", "diff", "--old", store_a, "--new", store_b])

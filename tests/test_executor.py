@@ -1,0 +1,248 @@
+"""The one campaign executor: run ≡ resume ≡ worker.
+
+A :class:`CampaignConfig` is the only thing that travels, so (a) every
+recorded setting must still be in force after a resume, (b) resume
+overrides are validated together with the recorded settings, and (c)
+every scan-affecting field must reach a spawned worker's world, scanner
+and store.  The first two tests fail at the commit that still had five
+hand-threaded copies of the executor.
+"""
+
+import pickle
+from dataclasses import fields, replace
+from types import SimpleNamespace
+
+import pytest
+
+import repro.parallel.worker as worker_module
+from repro.campaign import CampaignConfig, resume_campaign, run_campaign
+from repro.chaos import ChaosConfig, RetryPolicy
+from repro.ecosystem.world import build_world
+from repro.monitor import MonitorSpec
+from repro.monitor.timeline import scan_world
+from repro.parallel import (
+    ParallelCampaignError,
+    WorkerSpec,
+    run_parallel_campaign,
+    run_worker,
+    worker_dir,
+    zones_for_buckets,
+)
+from repro.scanner.sources import compile_scan_list
+from repro.scenarios import ScenarioSpec
+from repro.store.manifest import load_manifest, manifest_path
+
+SCALE = 5e-7
+SEED = 3
+
+
+class TestResumeHonoursTheRecordedCadence:
+    def test_sequential_resume_commits_like_the_uninterrupted_run(self, tmp_path):
+        config = CampaignConfig(
+            scale=SCALE, seed=SEED, recheck=False, checkpoint_every=10,
+            store_dir=tmp_path / "full",
+        )
+        run_campaign(config)
+        # stop_after is a multiple of the cadence, so commit boundaries
+        # of the two halves line up with the uninterrupted run's.
+        killed = replace(config, store_dir=tmp_path / "killed", stop_after=40)
+        run_campaign(killed)
+        resume_campaign(killed.store_dir)  # no arguments: all from the manifest
+
+        full = load_manifest(config.store_dir)
+        resumed = load_manifest(killed.store_dir)
+        assert resumed.complete and resumed.records == full.records
+        assert len(resumed.shards) == len(full.shards)
+        assert len(full.shards) > full.records // 10  # really cadence 10, not 256
+
+    def test_explicit_override_still_wins(self, tmp_path):
+        root = tmp_path / "store"
+        run_campaign(
+            CampaignConfig(
+                scale=SCALE, seed=SEED, recheck=False, checkpoint_every=10,
+                store_dir=root, stop_after=40,
+            )
+        )
+        before = len(load_manifest(root).shards)
+        resume_campaign(root, checkpoint_every=10_000)
+        manifest = load_manifest(root)
+        # The whole remainder went out in one commit: at most one new
+        # segment per shard bucket.
+        assert len(manifest.shards) - before <= manifest.num_shards
+
+    def test_killed_workers_resume_at_the_recorded_cadence(self, tmp_path):
+        config = CampaignConfig(
+            scale=SCALE, seed=SEED, recheck=False, checkpoint_every=10, workers=2,
+            store_dir=tmp_path / "full",
+        )
+        run_campaign(config)
+        killed = replace(config, store_dir=tmp_path / "killed")
+        with pytest.raises(ParallelCampaignError):
+            # 20 zones = two whole commits, then a hard exit.
+            run_parallel_campaign(killed, faults={0: 20})
+        resume_campaign(killed.store_dir)
+
+        full = load_manifest(config.store_dir)
+        resumed = load_manifest(killed.store_dir)
+        assert resumed.complete and resumed.records == full.records
+        assert [(s.bucket, s.records) for s in resumed.shards] == [
+            (s.bucket, s.records) for s in full.shards
+        ]
+
+
+class TestResumeOverridesAreValidatedAsAWhole:
+    def test_workers_on_a_wire_store_is_refused_before_anything_moves(self, tmp_path):
+        root = tmp_path / "store"
+        config = CampaignConfig(
+            scale=SCALE, seed=SEED, recheck=False, store_dir=root, stop_after=5,
+            transport="wire", in_flight=4,
+        )
+        run_campaign(config)
+        recorded = manifest_path(root).read_bytes()
+        with pytest.raises(ValueError) as at_run:
+            replace(config, workers=2, stop_after=None).validate()
+        with pytest.raises(ValueError) as at_resume:
+            resume_campaign(root, workers=2)
+        assert str(at_resume.value) == str(at_run.value)
+        assert manifest_path(root).read_bytes() == recorded
+        assert not worker_dir(root, 0).parent.exists()
+        # The recorded combination itself still resumes, over the wire.
+        resumed = resume_campaign(root)
+        assert load_manifest(root).complete
+        assert load_manifest(root).config["transport"] == "wire"
+        assert resumed.report.total_scanned == load_manifest(root).records
+
+
+# -- every scan-affecting CampaignConfig field reaches a worker --------------
+
+BUCKETS = (0, 1, 2, 3)
+PLAIN = CampaignConfig(
+    scale=SCALE,
+    seed=SEED,
+    use_sources=True,
+    checkpoint_every=7,
+    num_shards=8,
+    compress=False,
+    workers=2,
+    in_flight=4,
+    telemetry=True,
+    chaos=ChaosConfig.default(seed=5),
+    retry=RetryPolicy(attempts=6),
+    scenarios=ScenarioSpec.default(),
+)
+EPOCH = CampaignConfig(
+    scale=SCALE,
+    seed=SEED,
+    recheck=False,
+    workers=2,
+    epoch=1,
+    monitor=MonitorSpec(seed=7).scaled(20.0),
+)
+
+
+def _acquired_share(config):
+    # A fault-free replica: the §3 acquisition (AXFR, …) queries the network.
+    world = build_world(scale=config.scale, seed=config.seed, scenarios=config.scenarios)
+    acquired = compile_scan_list(world).names
+    assert acquired != world.scan_list  # CT-log-only ccTLDs are partial
+    return zones_for_buckets(acquired, config.num_shards, BUCKETS)
+
+
+def _delta_subset(config):
+    return scan_world(config.scale, config.seed, monitor=config.monitor, epoch=config.epoch)[1]
+
+
+# field → (which config carries a non-default value, what the worker's
+# world / scanner / zones / store must then show).
+OBSERVED = {
+    "scale": (PLAIN, lambda c, w: w.world.scale == c.scale),
+    "seed": (PLAIN, lambda c, w: w.world.seed == c.seed),
+    "use_sources": (PLAIN, lambda c, w: w.zones == _acquired_share(c)),
+    "checkpoint_every": (PLAIN, lambda c, w: w.store.checkpoint_every == 7),
+    "num_shards": (PLAIN, lambda c, w: w.store.manifest.num_shards == 8),
+    "compress": (PLAIN, lambda c, w: w.store.manifest.compress is False),
+    "in_flight": (PLAIN, lambda c, w: w.scanner.config.in_flight == 4),
+    "telemetry": (PLAIN, lambda c, w: w.scanner.telemetry.enabled),
+    "chaos": (
+        PLAIN,
+        lambda c, w: w.world.network.chaos.config == c.chaos.derive("worker", BUCKETS[0]),
+    ),
+    "retry": (PLAIN, lambda c, w: w.scanner.retry == c.retry.derive("worker", BUCKETS[0])),
+    "scenarios": (PLAIN, lambda c, w: "SpoofSign" in w.world.profiles),
+    "epoch": (EPOCH, lambda c, w: w.events is not None),
+    "monitor": (
+        EPOCH,
+        lambda c, w: w.zones == zones_for_buckets(_delta_subset(c), w.store.manifest.num_shards, BUCKETS),
+    ),
+}
+# Fields a worker has no use for, and why.
+NOT_A_WORKERS_BUSINESS = {
+    "recheck": "the parent re-checks, from the merged store",
+    "store_dir": "the root store; a worker writes WorkerSpec.store_dir",
+    "workers": "the parent partitions; a worker sees WorkerSpec.buckets",
+    "parent_epoch": "stamped in the root manifest only",
+    "stop_after": "validate() rejects it with workers=N",
+    "transport": "validate() rejects 'wire' with workers=N",
+    "time_scale": "wire-only",
+}
+
+
+def test_every_config_field_is_threaded_or_accounted_for():
+    names = {f.name for f in fields(CampaignConfig)}
+    assert set(OBSERVED) | set(NOT_A_WORKERS_BUSINESS) == names
+    assert not set(OBSERVED) & set(NOT_A_WORKERS_BUSINESS)
+    defaults = CampaignConfig()
+    for name, (config, _) in OBSERVED.items():
+        assert getattr(config, name) != getattr(defaults, name), name
+
+
+@pytest.fixture(scope="module")
+def seen_by_worker(tmp_path_factory):
+    """Run one worker inline per config (once), noting what the executor
+    steps handed it."""
+    cache = {}
+
+    def run(config):
+        if id(config) not in cache:
+            cache[id(config)] = _run_one_worker(config, tmp_path_factory.mktemp("executor"))
+        return cache[id(config)]
+
+    return run
+
+
+def _run_one_worker(config, root):
+    config = replace(config, store_dir=root)
+    config.validate()
+    spec = WorkerSpec(
+        index=0,
+        buckets=BUCKETS,
+        store_dir=str(worker_dir(root, 0)),
+        skip_roots=(),
+        crash_after=None,
+        # What the parent resolves before spawning (see engine._drive).
+        config=replace(config, num_shards=config.num_shards or 16, telemetry=bool(config.telemetry)),
+    )
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    seen = SimpleNamespace()
+    real_prepare, real_scan_into = worker_module.prepare, worker_module.scan_into
+
+    def prepare(*args, **kwargs):
+        seen.world, seen.scanner, zones, seen.events = real_prepare(*args, **kwargs)
+        return seen.world, seen.scanner, zones, seen.events
+
+    def scan_into(scanner, zones, store, **kwargs):
+        assert scanner is seen.scanner
+        seen.zones, seen.store = zones, store
+        return real_scan_into(scanner, zones[:2], store, **kwargs)  # two zones: keep it quick
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worker_module, "prepare", prepare)
+        patch.setattr(worker_module, "scan_into", scan_into)
+        run_worker(pickle.loads(pickle.dumps(spec)))
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(OBSERVED))
+def test_worker_observes_the_field(name, seen_by_worker):
+    config, check = OBSERVED[name]
+    assert check(config, seen_by_worker(config)), name

@@ -251,17 +251,7 @@ class TestOneWorldPerEpoch:
             return epoch, recorded
         config = monitor._campaign_config(epoch)
         with pytest.raises(ParallelCampaignError):
-            run_parallel_campaign(
-                store_dir=config.store_dir,
-                scale=config.scale,
-                seed=config.seed,
-                workers=config.workers,
-                recheck=False,
-                faults={0: 1, 1: 1},
-                manifest_config=config.manifest_config(),
-                epoch=epoch,
-                monitor=config.monitor,
-            )
+            run_parallel_campaign(config, faults={0: 1, 1: 1})
         return epoch, None
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -201,19 +201,11 @@ class TestCampaignConfig:
         config_form = run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=True))
         assert rendered_artifacts(config_form) == rendered_artifacts(plain)
 
-    def test_rejects_legacy_kwargs_naming_the_config_field(self):
-        # The historical per-setting keyword form is gone; each known
-        # field is pointed at its CampaignConfig spelling.
-        with pytest.raises(TypeError, match=r"CampaignConfig\(seed=\.\.\.\)"):
-            run_campaign(CampaignConfig(), seed=2)
-        with pytest.raises(
-            TypeError, match=r"CampaignConfig\(scale=\.\.\.\), CampaignConfig\(workers=\.\.\.\)"
-        ):
-            run_campaign(scale=1e-6, workers=2)
+    def test_takes_a_config_and_nothing_else(self):
         with pytest.raises(TypeError, match="positional"):
             run_campaign(1e-6)
         with pytest.raises(TypeError, match="unexpected"):
-            run_campaign(seeed=2)
+            run_campaign(CampaignConfig(), seed=2)
 
     def test_resume_reads_config_from_manifest(self, tmp_path):
         root = tmp_path / "store"
@@ -232,7 +224,7 @@ class TestCampaignConfig:
 
 class TestCli:
     def test_stats_renders_a_report(self, telemetered, capsys):
-        assert main(["stats", str(telemetered.store_dir)]) == 0
+        assert main(["campaign", "stats", "--store", str(telemetered.store_dir)]) == 0
         out = capsys.readouterr().out
         assert "campaign telemetry" in out
         assert "query volume" in out
@@ -240,7 +232,7 @@ class TestCli:
         assert "scan_zone" in out
 
     def test_stats_on_missing_store_fails(self, tmp_path, capsys):
-        assert main(["stats", str(tmp_path / "nowhere")]) == 2
+        assert main(["campaign", "stats", "--store", str(tmp_path / "nowhere")]) == 2
         err = capsys.readouterr().err
         assert "cannot read campaign telemetry" in err
 
@@ -250,14 +242,14 @@ class TestCli:
                 scale=SCALE, seed=SEED, store_dir=tmp_path / "store", recheck=False
             )
         )
-        assert main(["stats", str(tmp_path / "store")]) == 0
+        assert main(["campaign", "stats", "--store", str(tmp_path / "store")]) == 0
         assert "no telemetry events recorded" in capsys.readouterr().out
 
     def test_store_init_rejects_invalid_combination(self, tmp_path, capsys):
         rc = main(
             [
-                "store", "init",
-                "--dir", str(tmp_path / "s"),
+                "campaign", "run",
+                "--store", str(tmp_path / "s"),
                 "--workers", "2",
                 "--stop-after", "5",
             ]

@@ -90,7 +90,9 @@ class TestByteIdentity:
     @pytest.fixture(scope="class")
     def parallel(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("parallel") / "store"
-        return run_parallel_campaign(root, scale=SCALE, seed=SEED, workers=4)
+        return run_parallel_campaign(
+            CampaignConfig(scale=SCALE, seed=SEED, store_dir=root, workers=4)
+        )
 
     def test_reports_byte_identical(self, parallel, sequential_artifacts):
         assert rendered_artifacts(parallel) == sequential_artifacts
@@ -128,12 +130,10 @@ class TestCrashAndResume:
         root = tmp_path / "store"
         with pytest.raises(ParallelCampaignError) as excinfo:
             run_parallel_campaign(
-                root,
-                scale=SCALE,
-                seed=SEED,
-                workers=3,
+                CampaignConfig(
+                    scale=SCALE, seed=SEED, store_dir=root, workers=3, checkpoint_every=4
+                ),
                 faults={1: 5},
-                checkpoint_every=4,
             )
         assert set(excinfo.value.failed) == {1}
 
@@ -156,12 +156,10 @@ class TestCrashAndResume:
         root = tmp_path / "store"
         with pytest.raises(ParallelCampaignError):
             run_parallel_campaign(
-                root,
-                scale=SCALE,
-                seed=SEED,
-                workers=4,
+                CampaignConfig(
+                    scale=SCALE, seed=SEED, store_dir=root, workers=4, checkpoint_every=4
+                ),
                 faults={0: 3, 2: 3},
-                checkpoint_every=4,
             )
         resumed = resume_campaign(root, workers=2)
         assert rendered_artifacts(resumed) == sequential_artifacts

@@ -341,7 +341,7 @@ class TestQueryCli:
         assert "snapshot OK" in capsys.readouterr().out
 
         # Query telemetry accumulated across sessions shows up in stats.
-        assert cli_main(["stats", root]) == 0
+        assert cli_main(["campaign", "stats", "--store", root]) == 0
         out = capsys.readouterr().out
         assert "query plane" in out
         assert "lookups" in out

@@ -68,7 +68,7 @@ class TestQueryFuzzing:
 
 
 class TestPacketLoss:
-    """Packet loss via the chaos plane (the loss_hook successor)."""
+    """Packet loss via the chaos plane."""
 
     def test_scan_survives_moderate_loss(self):
         world = build_mini_world()
@@ -102,19 +102,6 @@ class TestPacketLoss:
         with pytest.raises(NetworkTimeout):
             network.query(OP_IP_1, make_query("example.com", RRType.A))
         assert network.timeouts == 1
-
-    def test_loss_hook_shim_still_works_but_warns(self):
-        # Deprecated for one release: the hook drops packets as before,
-        # but setting it emits a DeprecationWarning pointing at the plane.
-        world = build_mini_world()
-        network = world["network"]
-        with pytest.warns(DeprecationWarning, match="install_chaos"):
-            network.loss_hook = lambda ip, message: True
-        with pytest.raises(NetworkTimeout):
-            network.query(OP_IP_1, make_query("example.com", RRType.A))
-        network.loss_hook = None  # clearing does not warn
-        response = network.query(OP_IP_1, make_query("example.com", RRType.A))
-        assert response.is_response
 
 
 class TestAmplification:

@@ -404,7 +404,9 @@ class TestDifferentialGoldens:
 
     def test_workers_compose_with_in_flight(self, sequential_artifacts, tmp_path):
         parallel = run_parallel_campaign(
-            tmp_path / "store", scale=SCALE, seed=SEED, workers=2, in_flight=16
+            CampaignConfig(
+                scale=SCALE, seed=SEED, store_dir=tmp_path / "store", workers=2, in_flight=16
+            )
         )
         assert rendered_artifacts(parallel) == sequential_artifacts
         manifest = load_manifest(tmp_path / "store")

@@ -210,16 +210,6 @@ class TestNetwork:
             network.query("10.0.0.2", make_query("d.test", RRType.CDS))
         assert network.query("10.0.0.2", make_query("d.test", RRType.SOA)).rcode == Rcode.NOERROR
 
-    def test_loss_hook(self, fresh_world):
-        # Deprecated shim (superseded by repro.chaos): still drops, but
-        # setting a hook warns for one release.
-        network = fresh_world["network"]
-        with pytest.warns(DeprecationWarning, match="install_chaos"):
-            network.loss_hook = lambda ip, msg: True
-        with pytest.raises(NetworkTimeout):
-            network.query(OP_IP_1, make_query("example.com", RRType.A))
-        network.loss_hook = None
-
     def test_clock(self):
         clock = SimulatedClock()
         clock.advance(1.5)
