@@ -12,7 +12,7 @@ from repro.dns.message import Message
 from repro.dnssec import Algorithm, KeyPair, sign_zone, validate_rrset
 from repro.dnssec.validator import extract_rrsigs
 from repro.server import AuthoritativeServer
-from repro.server.udp import UdpNameserver, query_udp
+from repro.wire import WireEngine
 
 ZONE = "demo.example"
 
@@ -29,11 +29,15 @@ def main() -> None:
     server = AuthoritativeServer("udp-demo")
     server.add_zone(zone)
 
-    with UdpNameserver(server) as endpoint:
+    with WireEngine() as engine:
+        endpoint = engine.serve_udp(server.answer_wire)
         print(f"authoritative server listening on {endpoint[0]}:{endpoint[1]}\n")
 
+        def ask(query: Message) -> Message:
+            return Message.from_wire(engine.send_udp(endpoint, query.to_wire()).result(2.0))
+
         query = make_query(f"www.{ZONE}", RRType.A, msg_id=1234)
-        response: Message = query_udp(endpoint, query)
+        response = ask(query)
         print(f"query : www.{ZONE} A (DO bit set)")
         print(f"answer: rcode={response.rcode.name} AA={response.authoritative}")
         for rrset in response.answer:
@@ -48,7 +52,7 @@ def main() -> None:
         print(f"\nsignature validation over UDP round trip: "
               f"{'SECURE' if outcome.ok else outcome.reason.value}")
 
-        nx = query_udp(endpoint, make_query(f"nope.{ZONE}", RRType.A, msg_id=1235))
+        nx = ask(make_query(f"nope.{ZONE}", RRType.A, msg_id=1235))
         print(f"\nnonexistent name: rcode={nx.rcode.name}, "
               f"{sum(1 for r in nx.authority if int(r.rrtype) == int(RRType.NSEC))} NSEC proof(s) attached")
 

@@ -164,17 +164,11 @@ class CampaignConfig:
             raise ValueError("stop_after requires a store (store_dir=...)")
         if self.transport not in ("sim", "wire"):
             raise ValueError(f"transport must be 'sim' or 'wire' (got {self.transport!r})")
-        if self.transport == "wire":
-            if self.chaos is not None and self.chaos.enabled:
-                raise ValueError(
-                    "transport='wire' is incompatible with chaos: the fault plane "
-                    "injects into the simulated fabric, not real sockets"
-                )
-            if self.workers is not None:
-                raise ValueError(
-                    "transport='wire' runs single-process (one shared socket "
-                    "engine); combine with in_flight=N for concurrency"
-                )
+        if self.transport == "wire" and self.workers is not None:
+            raise ValueError(
+                "transport='wire' runs single-process (one shared socket "
+                "engine); combine with in_flight=N for concurrency"
+            )
         if self.time_scale < 0:
             raise ValueError(f"time_scale must be >= 0 (got {self.time_scale})")
         if self.time_scale and self.transport != "wire":

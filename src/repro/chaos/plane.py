@@ -12,8 +12,9 @@ the same decisions the sequential run makes for those queries.
 
 The plane also enforces the fairness bound
 (:attr:`ChaosConfig.max_consecutive`): once a key has absorbed that
-many consecutive faults, the next exchange passes through untouched and
-the streak resets.  Combined with a retry policy whose attempt count
+many consecutive faults — counted per asking task when zone scans run
+concurrently — the next exchange passes through untouched and the
+streak resets.  Combined with a retry policy whose attempt count
 exceeds the bound, convergence under chaos is a theorem — the
 differential suite in ``tests/test_chaos.py`` holds it up against every
 fault kind at once.
@@ -69,7 +70,7 @@ class ChaosPlane:
         # excluding UDP/TCP so a truncation fault and the flaky-TCP
         # fault that follows it share one fairness streak.
         self._occurrences: Dict[_Key, int] = {}
-        self._streak: Dict[_Key, int] = {}
+        self._streak: Dict[object, int] = {}
         # Accounting (plain ints; telemetry snapshots them at the end).
         self.decisions = 0
         self.suppressed = 0  # faults withheld by the fairness bound
@@ -94,14 +95,19 @@ class ChaosPlane:
                 latency = config.latency * 4.0 * u
                 self.faults[FAULT_LATENCY] = self.faults.get(FAULT_LATENCY, 0) + 1
 
-        kind = self._response_fault(key, n, ip, tcp)
+        # The streak belongs to the asking task's retry loop: concurrent
+        # zone scans retrying one key must not spend each other's pass.
+        task = self.clock.current_task
+        streak_key = key if task is None else (key, task.index)
+        streak = self._streak.get(streak_key, 0)
+        kind = self._response_fault(key, n, ip, tcp, streak)
         if kind is None:
-            self._streak[key] = 0
+            self._streak[streak_key] = 0
             if latency:
                 return FaultDecision(latency=latency)
             return CLEAN
 
-        self._streak[key] = self._streak.get(key, 0) + 1
+        self._streak[streak_key] = streak + 1
         self.faults[kind] = self.faults.get(kind, 0) + 1
         return FaultDecision(
             kind=kind,
@@ -111,9 +117,9 @@ class ChaosPlane:
             latency=latency,
         )
 
-    def _response_fault(self, key: _Key, n: int, ip: str, tcp: bool) -> Optional[str]:
+    def _response_fault(self, key: _Key, n: int, ip: str, tcp: bool, streak: int) -> Optional[str]:
         config = self.config
-        if config.max_consecutive and self._streak.get(key, 0) >= config.max_consecutive:
+        if config.max_consecutive and streak >= config.max_consecutive:
             # Fairness bound: this key has absorbed its streak; let the
             # exchange through so retries provably converge.
             self.suppressed += 1

@@ -1,9 +1,11 @@
 """Authoritative DNS serving: answer logic, operator quirks, and transports.
 
-The scanner talks to :class:`~repro.server.network.SimulatedNetwork` (an
-in-memory IP fabric) by default; the same :class:`AuthoritativeServer`
-objects can also be exposed on real localhost UDP sockets via
-:mod:`repro.server.udp`.
+Every exchange goes through one step,
+:meth:`AuthoritativeServer.answer_wire` (query wire in, response wire or
+silence out).  The scanner talks to
+:class:`~repro.server.network.SimulatedNetwork` (an in-memory IP fabric)
+by default, which calls that step directly; :mod:`repro.wire` puts the
+same step on real localhost UDP/TCP sockets.
 """
 
 from repro.server.nameserver import AuthoritativeServer

@@ -31,9 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover
 class ServerBehavior:
     """Hook points around the default answer algorithm.
 
-    ``intercept`` may return a complete response to short-circuit
-    processing; ``postprocess`` may rewrite the computed response.
+    ``should_drop`` may swallow the query (the client is left to its
+    timeout); ``intercept`` may return a complete response to
+    short-circuit processing; ``postprocess`` may rewrite the computed
+    response.
     """
+
+    def should_drop(self, query: Message) -> bool:
+        return False
 
     def intercept(self, server: "AuthoritativeServer", query: Message) -> Optional[Message]:
         return None
@@ -213,7 +218,7 @@ class SyntheticCutBehavior(ServerBehavior):
 
 
 class DropQueriesBehavior(ServerBehavior):
-    """Never answer (the network layer turns ``None`` into a timeout).
+    """Never answer (the client is left to its timeout).
 
     Models lame or firewalled nameservers; with *qtypes* set, only the
     listed query types are dropped (legacy middleboxes eating unknown
@@ -229,8 +234,3 @@ class DropQueriesBehavior(ServerBehavior):
         if self.qtypes is None:
             return True
         return query.question is not None and int(query.question.rrtype) in self.qtypes
-
-    def intercept(self, server: "AuthoritativeServer", query: Message) -> Optional[Message]:
-        # The sentinel is detected by SimulatedNetwork, which raises a
-        # timeout instead of delivering a response.
-        return None

@@ -28,6 +28,29 @@ if TYPE_CHECKING:  # pragma: no cover
 ZoneProvider = Callable[[Name], Optional[Zone]]
 
 
+class ResponseCache:
+    """Response wires of behaviour-free servers, for callers that never
+    mutate zones between queries (see
+    :meth:`AuthoritativeServer.answer_wire`).
+
+    Keyed by ``(server, query bytes minus the message id, tcp)``.  Off
+    until ``enabled`` is set, because tests and provisioning flows DO
+    mutate zones between queries; whoever mutates zone content while it
+    is on must :meth:`clear` it.
+    """
+
+    #: Bound on cached response wires (cleared wholesale on overflow).
+    LIMIT = 1 << 15
+
+    def __init__(self):
+        self.enabled = False
+        self.hits = 0
+        self.wires: Dict[tuple, bytes] = {}
+
+    def clear(self) -> None:
+        self.wires.clear()
+
+
 class AuthoritativeServer:
     """Serves one or more zones authoritatively."""
 
@@ -86,6 +109,46 @@ class AuthoritativeServer:
         return None
 
     # -- query handling -------------------------------------------------------
+
+    def answer_wire(
+        self, wire: bytes, tcp: bool = False, cache: Optional[ResponseCache] = None
+    ) -> Optional[bytes]:
+        """Answer one query *wire*: the response wire, or ``None`` when a
+        behaviour drops the query and the client is left to its timeout.
+
+        The one exchange step behind every transport — the simulated
+        fabric calls it in memory, the socket engine calls it between a
+        read and a write.  UDP responses are cut to the query's EDNS
+        payload size (512 octets without EDNS) and may come back with
+        the TC bit; TCP carries them whole (RFC 7766).  With an enabled
+        *cache*, a behaviour-free server's answer is a pure function of
+        the query bytes: a repeated query is served from the cached wire
+        with the message id patched in (the response id always mirrors
+        the query id).  Raises :class:`ValueError` if *wire* does not
+        decode.
+        """
+        key = None
+        if cache is not None and cache.enabled and not self.behaviors:
+            key = (id(self), wire[2:], tcp)
+            hit = cache.wires.get(key)
+            if hit is not None:
+                self.queries_handled += 1
+                cache.hits += 1
+                return wire[:2] + hit
+        query = Message.from_wire(wire)
+        for behavior in self.behaviors:
+            if behavior.should_drop(query):
+                return None
+        response = self.handle_query(query)
+        if tcp:
+            response_wire = response.to_wire()
+        else:
+            response_wire = response.to_wire(max_size=query.edns_payload if query.edns else 512)
+        if key is not None:
+            if len(cache.wires) >= cache.LIMIT:
+                cache.clear()
+            cache.wires[key] = response_wire[2:]
+        return response_wire
 
     def handle_query(self, query: Message) -> Message:
         """Answer one query message, running behaviour hooks around the

@@ -15,12 +15,11 @@ seeded and replayable.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.dns.message import Message, make_response
 from repro.dns.types import Rcode
-from repro.server.behaviors import DropQueriesBehavior
-from repro.server.nameserver import AuthoritativeServer
+from repro.server.nameserver import AuthoritativeServer, ResponseCache
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosConfig, ChaosPlane
@@ -73,9 +72,6 @@ class SimulatedClock:
 class SimulatedNetwork:
     """Registry of IP → server plus accounting and failure injection."""
 
-    #: Bound on cached response wires (cleared wholesale on overflow).
-    RESPONSE_CACHE_LIMIT = 1 << 15
-
     def __init__(self, clock: Optional[SimulatedClock] = None, query_cost: float = 0.0):
         self.clock = clock or SimulatedClock()
         self._servers: Dict[str, AuthoritativeServer] = {}
@@ -90,27 +86,24 @@ class SimulatedNetwork:
         self.per_ip_queries: Dict[str, int] = {}
         # The fault-injection plane (None = fault-free network).
         self.chaos: Optional["ChaosPlane"] = None
-        # Opt-in response-wire cache (see enable_response_cache): campaigns
-        # never mutate zones mid-run, so behaviour-free servers answer as a
-        # pure function of the query bytes.  Off by default because tests
-        # and provisioning flows DO mutate zones between queries.
-        self.response_cache_enabled = False
-        self._response_cache: Dict[tuple, bytes] = {}
-        self.response_cache_hits = 0
+        # Opt-in (see enable_response_cache); shared by every transport
+        # that serves this network's servers.
+        self.response_cache = ResponseCache()
 
     def enable_response_cache(self) -> None:
-        """Serve repeated identical queries from cached response wires.
-
-        Only exchanges with behaviour-free servers are cached, keyed by
-        (server, query bytes minus the message id, tcp); the message id
-        is patched into the cached wire on a hit.  Callers that mutate
+        """Serve repeated identical queries from cached response wires
+        (campaigns never mutate zones mid-run).  Callers that mutate
         zone content after enabling must call
         :meth:`invalidate_response_cache`.
         """
-        self.response_cache_enabled = True
+        self.response_cache.enabled = True
 
     def invalidate_response_cache(self) -> None:
-        self._response_cache.clear()
+        self.response_cache.clear()
+
+    @property
+    def response_cache_hits(self) -> int:
+        return self.response_cache.hits
 
     # -- scheduling --------------------------------------------------------
 
@@ -173,6 +166,27 @@ class SimulatedNetwork:
         Raises :class:`NetworkTimeout` for dark addresses, drop
         behaviours, and injected faults.
         """
+        wire, server, response_wire = self.outbound(ip, query, timeout, tcp, wire)
+        if response_wire is None:
+            response_wire = server.answer_wire(wire, tcp, self.response_cache)
+            if response_wire is None:
+                raise self.timed_out(timeout, f"{ip} dropped the query")
+        return self.inbound(response_wire)
+
+    # The scanner's half of an exchange, shared with the socket transport
+    # (repro.wire.WireNetwork): only how the bytes travel differs.
+
+    def outbound(
+        self, ip: str, query: Message, timeout: float, tcp: bool, wire: Optional[bytes]
+    ) -> Tuple[bytes, Optional[AuthoritativeServer], Optional[bytes]]:
+        """Account for one outgoing query and offer it to the chaos plane.
+
+        Returns ``(query wire, server at ip, response wire)``: the
+        response wire is ``None`` unless chaos answered in the server's
+        place (SERVFAIL burst, truncation storm).  Raises
+        :class:`NetworkTimeout` for injected loss and for dark or
+        unknown addresses.
+        """
         if wire is None:
             wire = query.to_wire()
         self.queries_sent += 1
@@ -198,65 +212,36 @@ class SimulatedNetwork:
             if decision.latency:
                 self.clock.advance(decision.latency)
             if decision.drop:
-                self.timeouts += 1
-                self.clock.advance(timeout)
-                raise NetworkTimeout(f"chaos {decision.kind}: packet to {ip} lost")
+                raise self.timed_out(timeout, f"chaos {decision.kind}: packet to {ip} lost")
             if decision.servfail or decision.truncate:
-                return self._synthesize_fault(wire, decision)
+                # Made from the decoded query and wire-round-tripped like
+                # any real answer, so the accounting holds.
+                decoded = Message.from_wire(wire)
+                if decision.servfail:
+                    response = make_response(decoded, Rcode.SERVFAIL)
+                else:
+                    response = make_response(decoded)
+                    response.truncated = True
+                return wire, None, response.to_wire()
         server = self._servers.get(ip)
         if server is None or ip in self._dark:
-            self.timeouts += 1
-            self.clock.advance(timeout)
-            raise NetworkTimeout(f"no server listening at {ip}")
-        response_wire = None
-        cache_key = None
-        if self.response_cache_enabled and not server.behaviors:
-            cache_key = (id(server), wire[2:], tcp)
-            hit = self._response_cache.get(cache_key)
-            if hit is not None:
-                # The cached tail is everything after the message id; the
-                # response id always mirrors the query id.
-                server.queries_handled += 1
-                self.response_cache_hits += 1
-                response_wire = wire[:2] + hit
-        if response_wire is None:
-            decoded = Message.from_wire(wire)
-            for behavior in server.behaviors:
-                if isinstance(behavior, DropQueriesBehavior) and behavior.should_drop(decoded):
-                    self.timeouts += 1
-                    self.clock.advance(timeout)
-                    raise NetworkTimeout(f"{ip} dropped the query")
-            response = server.handle_query(decoded)
-            if tcp:
-                response_wire = response.to_wire()
-            else:
-                limit = decoded.edns_payload if decoded.edns else 512
-                response_wire = response.to_wire(max_size=limit)
-            if cache_key is not None:
-                if len(self._response_cache) >= self.RESPONSE_CACHE_LIMIT:
-                    self._response_cache.clear()
-                self._response_cache[cache_key] = response_wire[2:]
+            raise self.timed_out(timeout, f"no server listening at {ip}")
+        return wire, server, None
+
+    def inbound(self, response_wire: bytes) -> Message:
+        """Account for and decode the bytes that came back."""
         self.bytes_received += len(response_wire)
         reply = Message.from_wire(response_wire)
         if reply.truncated:
             self.truncations += 1
         return reply
 
-    def _synthesize_fault(self, wire: bytes, decision) -> Message:
-        """A chaos-made response (SERVFAIL burst or truncation storm),
-        wire-round-tripped like any real answer so accounting holds."""
-        decoded = Message.from_wire(wire)
-        if decision.servfail:
-            response = make_response(decoded, Rcode.SERVFAIL)
-        else:
-            response = make_response(decoded)
-            response.truncated = True
-        response_wire = response.to_wire()
-        self.bytes_received += len(response_wire)
-        reply = Message.from_wire(response_wire)
-        if reply.truncated:
-            self.truncations += 1
-        return reply
+    def timed_out(self, timeout: float, why: str) -> NetworkTimeout:
+        """Count one timeout and spend it on the clock; the caller raises
+        the returned exception."""
+        self.timeouts += 1
+        self.clock.advance(timeout)
+        return NetworkTimeout(why)
 
     def __repr__(self) -> str:
         return (

@@ -6,8 +6,11 @@ real loopback sockets, proving the codec, the servers, and the scan
 pipeline interoperate at ZDNS-class mechanics: an asyncio socket pool
 with transaction-id demultiplexing, coalesced send batches, and coarse
 timeout wheels (:mod:`~repro.wire.engine`); the authoritative fleet
-live on ephemeral ports (:mod:`~repro.wire.fleet`); a drop-in scanner
-transport (:mod:`~repro.wire.network`); and the clock bridge that lets
+live on ephemeral ports, each endpoint running the servers' one answer
+step and the network's one response cache (:mod:`~repro.wire.fleet`); a
+drop-in scanner transport that shares the fabric's client prologue —
+counters, fault plane, dark addresses — and differs only in how the
+bytes travel (:mod:`~repro.wire.network`); and the clock bridge that lets
 the deterministic task scheduler park zones on socket futures
 (:mod:`~repro.wire.bridge`).
 

@@ -18,10 +18,12 @@ cheap:
   (:data:`WHEEL_GRANULARITY` seconds) with one ``call_at`` timer per
   bucket instead of one per query.
 
-Server side, :meth:`serve_udp` / :meth:`serve_tcp` host an
-:class:`~repro.server.nameserver.AuthoritativeServer` on an ephemeral
-loopback port of the same loop (see :class:`repro.wire.fleet.WireFleet`
-for the fleet-level wiring).
+Server side, :meth:`serve_udp` / :meth:`serve_tcp` put an *answer step*
+— ``(query wire, tcp) -> response wire | None``, in practice
+:meth:`repro.server.nameserver.AuthoritativeServer.answer_wire` — on an
+ephemeral loopback port of the same loop (see
+:class:`repro.wire.fleet.WireFleet` for the fleet-level wiring).  The
+engine only moves bytes: it never decodes a message.
 
 Everything the engine counts lands in :attr:`WireEngine.counters`
 (``wire.*`` telemetry): in-flight high-water mark, batch sizes, socket
@@ -35,11 +37,7 @@ import collections
 import contextlib
 import threading
 from concurrent.futures import Future
-from typing import Deque, Dict, Optional, Tuple
-
-from repro.dns.message import Message
-from repro.server.behaviors import DropQueriesBehavior
-from repro.server.nameserver import AuthoritativeServer
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 #: Timeout-wheel bucket width (real seconds).  Coarse on purpose: wall
 #: timeouts are a safety net against a hung peer, not a measured RTT.
@@ -47,6 +45,11 @@ WHEEL_GRANULARITY = 0.25
 
 #: Default UDP socket-pool size.
 DEFAULT_POOL_SIZE = 4
+
+
+#: An answer step: (query wire, tcp) -> response wire, or None to stay
+#: silent; raises ValueError for bytes that are not a DNS message.
+Answer = Callable[[bytes, bool], Optional[bytes]]
 
 
 class WireTimeout(Exception):
@@ -99,6 +102,7 @@ class WireEngine:
         # Server handles kept alive for close().
         self._server_transports: list = []
         self._servers: list[asyncio.AbstractServer] = []
+        self._stream_tasks: set[asyncio.Task] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -125,7 +129,13 @@ class WireEngine:
         for proto in self._udp_pool:
             if proto.transport is not None:
                 proto.transport.close()
-        self._loop.run_until_complete(asyncio.sleep(0))
+        # Whatever still runs (server-side stream handlers, client stream
+        # readers, endpoints mid-attach) is cancelled and reaped, never
+        # abandoned to the garbage collector.
+        pending = asyncio.all_tasks(self._loop)
+        for task in pending:
+            task.cancel()
+        self._loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
         self._loop.close()
 
     def close(self) -> None:
@@ -240,10 +250,7 @@ class WireEngine:
         if proto is None:
             future.set_exception(WireTimeout(f"transaction id collision for {addr}"))
             return
-        entry = _Pending(key, future, proto)
-        proto.pending[key] = entry
-        self._track_in_flight(+1)
-        self._arm_timeout(entry)
+        self._track(_Pending(key, future, proto))
         proto.send(wire, addr)
 
     def _send_tcp_now(self, addr, wire, future) -> None:
@@ -253,15 +260,15 @@ class WireEngine:
             self._tcp_conns[addr] = conn
         conn.send(wire, future)
 
-    def _track_in_flight(self, delta: int) -> None:
+    # -- outstanding queries and the timeout wheel -------------------------
+
+    def _track(self, entry: "_Pending") -> None:
+        """Register *entry* on its socket and arm its wall timeout."""
+        entry.owner.pending[entry.key] = entry
         counters = self.counters
-        counters["in_flight"] += delta
+        counters["in_flight"] += 1
         if counters["in_flight"] > counters["in_flight_peak"]:
             counters["in_flight_peak"] = counters["in_flight"]
-
-    # -- timeout wheel -----------------------------------------------------
-
-    def _arm_timeout(self, entry: "_Pending") -> None:
         deadline = self.loop.time() + self.wall_timeout
         bucket = int(deadline / WHEEL_GRANULARITY) + 1
         slot = self._wheel.get(bucket)
@@ -269,38 +276,65 @@ class WireEngine:
             slot = self._wheel[bucket] = []
             self.loop.call_at(bucket * WHEEL_GRANULARITY, self._expire_bucket, bucket)
         slot.append(entry)
-        entry.bucket = bucket
 
     def _expire_bucket(self, bucket: int) -> None:
         for entry in self._wheel.pop(bucket, ()):
-            if entry.done:
-                continue
-            entry.done = True
-            entry.owner.pending.pop(entry.key, None)
-            self._track_in_flight(-1)
-            self.counters["wall_timeouts"] += 1
-            if not entry.future.cancelled():
-                entry.future.set_exception(WireTimeout("no response on the wire"))
+            if not entry.done:
+                self.counters["wall_timeouts"] += 1
+                self._settle(entry, error=WireTimeout("no response on the wire"))
+
+    def _settle(self, entry: "_Pending", data: bytes = b"", error=None) -> None:
+        """Finish one outstanding query: a response, or why there is none."""
+        entry.done = True
+        entry.owner.pending.pop(entry.key, None)
+        self.counters["in_flight"] -= 1
+        if entry.future.cancelled():
+            return
+        if error is None:
+            entry.future.set_result(data)
+        else:
+            entry.future.set_exception(error)
+
+    def _deliver(self, owner, data: bytes, addr) -> None:
+        """Match *data*, read from *owner*'s socket to *addr*, to the
+        query it answers."""
+        if len(data) < 2:
+            self.counters["decode_errors"] += 1
+            return
+        entry = owner.pending.get((data[:2], addr))
+        if entry is None:
+            self.counters["demux_misses"] += 1
+        else:
+            self._settle(entry, data)
 
     # -- server side -------------------------------------------------------
 
-    def serve_udp(self, protocol_factory) -> Tuple[str, int]:
-        """Host a datagram protocol on an ephemeral loopback port."""
+    def serve_udp(self, answer: Answer) -> Tuple[str, int]:
+        """Host *answer* on an ephemeral loopback datagram port."""
 
         async def start():
             transport, _ = await self.loop.create_datagram_endpoint(
-                protocol_factory, local_addr=("127.0.0.1", 0)
+                lambda: _UdpEndpoint(answer, self.counters), local_addr=("127.0.0.1", 0)
             )
             self._server_transports.append(transport)
             return transport.get_extra_info("sockname")[:2]
 
         return self.run_coroutine(start())
 
-    def serve_tcp(self, handler) -> Tuple[str, int]:
-        """Host a stream handler on an ephemeral loopback port."""
+    def serve_tcp(self, answer: Answer) -> Tuple[str, int]:
+        """Host *answer* on an ephemeral loopback stream port (RFC 7766
+        two-octet length prefix, any number of queries per connection)."""
+
+        def accept(reader, writer) -> None:
+            # A task of our own: the one the stream protocol makes for a
+            # coroutine callback logs an error when cancelled (Python
+            # 3.11), and shutdown cancels every handler still reading.
+            task = self.loop.create_task(_serve_stream(answer, self.counters, reader, writer))
+            self._stream_tasks.add(task)
+            task.add_done_callback(self._stream_tasks.discard)
 
         async def start():
-            server = await asyncio.start_server(handler, "127.0.0.1", 0)
+            server = await asyncio.start_server(accept, "127.0.0.1", 0)
             self._servers.append(server)
             return server.sockets[0].getsockname()[:2]
 
@@ -310,13 +344,12 @@ class WireEngine:
 class _Pending:
     """One outstanding client query."""
 
-    __slots__ = ("key", "future", "owner", "bucket", "done")
+    __slots__ = ("key", "future", "owner", "done")
 
     def __init__(self, key, future, owner):
-        self.key = key
+        self.key = key  # (transaction id, remote address)
         self.future = future
-        self.owner = owner
-        self.bucket = 0
+        self.owner = owner  # the socket it went out on (has .pending)
         self.done = False
 
 
@@ -344,17 +377,7 @@ class _ClientProtocol(asyncio.DatagramProtocol):
         self.transport.sendto(wire, addr)
 
     def datagram_received(self, data: bytes, addr) -> None:
-        if len(data) < 2:
-            self.engine.counters["decode_errors"] += 1
-            return
-        entry = self.pending.pop((data[:2], addr), None)
-        if entry is None or entry.done:
-            self.engine.counters["demux_misses"] += 1
-            return
-        entry.done = True
-        self.engine._track_in_flight(-1)
-        if not entry.future.cancelled():
-            entry.future.set_result(data)
+        self.engine._deliver(self, data, addr)
 
     def error_received(self, exc) -> None:  # pragma: no cover - rare on loopback
         self.engine.counters["socket_errors"] += 1
@@ -363,27 +386,26 @@ class _ClientProtocol(asyncio.DatagramProtocol):
 class _TcpConnection:
     """One persistent client stream to a TCP endpoint.
 
-    Writes are queued and flushed by a writer coroutine; a reader
+    Writes issued before the connection is up are queued; a reader
     coroutine parses 2-byte-length-prefixed responses and resolves the
-    matching future by transaction id.
+    matching query by transaction id.
     """
 
     def __init__(self, engine: WireEngine, addr: Tuple[str, int]):
         self.engine = engine
         self.addr = addr
         self.closed = False
-        self.pending: Dict[bytes, Future] = {}
+        self.pending: Dict[tuple, _Pending] = {}
         self._writer: Optional[asyncio.StreamWriter] = None
         self._queue: list = []
         self._task = engine.loop.create_task(self._main())
 
     def send(self, wire: bytes, future: Future) -> None:
-        txid = wire[:2]
-        if txid in self.pending:
+        key = (wire[:2], self.addr)
+        if key in self.pending:
             future.set_exception(WireTimeout(f"transaction id collision for {self.addr}"))
             return
-        self.pending[txid] = future
-        self.engine._track_in_flight(+1)
+        self.engine._track(_Pending(key, future, self))
         if self._writer is not None:
             self._write(wire)
         else:
@@ -405,18 +427,8 @@ class _TcpConnection:
         try:
             while True:
                 header = await reader.readexactly(2)
-                length = int.from_bytes(header, "big")
-                data = await reader.readexactly(length)
-                if len(data) < 2:
-                    self.engine.counters["decode_errors"] += 1
-                    continue
-                future = self.pending.pop(data[:2], None)
-                if future is None:
-                    self.engine.counters["demux_misses"] += 1
-                    continue
-                self.engine._track_in_flight(-1)
-                if not future.cancelled():
-                    future.set_result(data)
+                data = await reader.readexactly(int.from_bytes(header, "big"))
+                self.engine._deliver(self, data, self.addr)
         except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
             self._fail()
         finally:
@@ -427,11 +439,8 @@ class _TcpConnection:
     def _fail(self) -> None:
         self.closed = True
         self.engine.counters["socket_errors"] += 1
-        pending, self.pending = self.pending, {}
-        for future in pending.values():
-            self.engine._track_in_flight(-1)
-            if not future.cancelled():
-                future.set_exception(WireTimeout(f"connection to {self.addr} failed"))
+        for entry in list(self.pending.values()):
+            self.engine._settle(entry, error=WireTimeout(f"connection to {self.addr} failed"))
 
     def close(self) -> None:
         self.closed = True
@@ -441,106 +450,48 @@ class _TcpConnection:
                 self._writer.close()
 
 
-class ServedUdpProtocol(asyncio.DatagramProtocol):
-    """Serve one :class:`AuthoritativeServer` over real datagrams.
+class _UdpEndpoint(asyncio.DatagramProtocol):
+    """One answer step on real datagrams.  Bytes that do not parse get
+    no reply (a real server can answer nothing useful) but are counted,
+    never silently dropped."""
 
-    Unlike the simulated fabric, a behaviour-free server's answer is a
-    pure function of the query bytes, so responses are cached by
-    ``query wire minus the transaction id`` (the id is patched on a
-    hit) — the wire-plane twin of
-    :meth:`repro.server.network.SimulatedNetwork.enable_response_cache`.
-    """
-
-    #: Bound on cached response wires (cleared wholesale on overflow).
-    CACHE_LIMIT = 1 << 15
-
-    def __init__(self, server: AuthoritativeServer, counters: Dict[str, int], cache=None):
-        self.server = server
+    def __init__(self, answer: Answer, counters: Dict[str, int]):
+        self.answer = answer
         self.counters = counters
-        self.cache = cache if cache is not None else {}
         self.transport: Optional[asyncio.DatagramTransport] = None
 
     def connection_made(self, transport) -> None:
         self.transport = transport
 
     def datagram_received(self, data: bytes, addr) -> None:
-        server = self.server
-        cache_key = None
-        if not server.behaviors:
-            cache_key = (id(server), data[2:], False)
-            hit = self.cache.get(cache_key)
-            if hit is not None:
-                server.queries_handled += 1
-                self.counters["cache_hits"] = self.counters.get("cache_hits", 0) + 1
-                self.transport.sendto(data[:2] + hit, addr)
-                return
         try:
-            query = Message.from_wire(data)
-        except Exception:
+            wire = self.answer(data, False)
+        except ValueError:
             self.counters["decode_errors"] += 1
             return
-        for behavior in server.behaviors:
-            if isinstance(behavior, DropQueriesBehavior) and behavior.should_drop(query):
-                return
-        response = server.handle_query(query)
-        payload = query.edns_payload if query.edns else 512
-        wire = response.to_wire(max_size=payload)
-        if cache_key is not None:
-            if len(self.cache) >= self.CACHE_LIMIT:
-                self.cache.clear()
-            self.cache[cache_key] = wire[2:]
-        self.transport.sendto(wire, addr)
+        if wire is not None:
+            self.transport.sendto(wire, addr)
 
 
-def make_tcp_handler(server: AuthoritativeServer, counters: Dict[str, int], cache=None):
-    """A stream handler serving *server* with the same caching and
-    decode-error accounting as :class:`ServedUdpProtocol`."""
-    response_cache = cache if cache is not None else {}
-
-    async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                header = await reader.readexactly(2)
-                length = int.from_bytes(header, "big")
-                data = await reader.readexactly(length)
-                cache_key = None
-                if not server.behaviors:
-                    cache_key = (id(server), data[2:], True)
-                    hit = response_cache.get(cache_key)
-                    if hit is not None:
-                        server.queries_handled += 1
-                        counters["cache_hits"] = counters.get("cache_hits", 0) + 1
-                        wire = data[:2] + hit
-                        writer.write(len(wire).to_bytes(2, "big") + wire)
-                        await writer.drain()
-                        continue
-                try:
-                    query = Message.from_wire(data)
-                except Exception:
-                    counters["decode_errors"] += 1
-                    break
-                dropped = False
-                for behavior in server.behaviors:
-                    if isinstance(behavior, DropQueriesBehavior) and behavior.should_drop(
-                        query
-                    ):
-                        dropped = True
-                        break
-                if dropped:
-                    continue
-                response = server.handle_query(query)
-                wire = response.to_wire()  # no size limit over TCP
-                if cache_key is not None:
-                    if len(response_cache) >= ServedUdpProtocol.CACHE_LIMIT:
-                        response_cache.clear()
-                    response_cache[cache_key] = wire[2:]
+async def _serve_stream(answer: Answer, counters: Dict[str, int], reader, writer) -> None:
+    """One answer step on one accepted stream.  A segment that does not
+    parse is counted and closes the connection; a dropped query leaves
+    it open and the client to its timeout."""
+    try:
+        while True:
+            header = await reader.readexactly(2)
+            data = await reader.readexactly(int.from_bytes(header, "big"))
+            try:
+                wire = answer(data, True)
+            except ValueError:
+                counters["decode_errors"] += 1
+                break
+            if wire is not None:
                 writer.write(len(wire).to_bytes(2, "big") + wire)
                 await writer.drain()
-        except (asyncio.IncompleteReadError, ConnectionResetError):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    return handle
+    except (asyncio.IncompleteReadError, ConnectionResetError):
+        pass
+    finally:
+        writer.close()
+        with contextlib.suppress(Exception):
+            await writer.wait_closed()

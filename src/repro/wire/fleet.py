@@ -7,16 +7,19 @@ UDP and one TCP loopback endpoint of the shared
 :class:`~repro.wire.engine.WireEngine` loop.  Anycast is preserved by
 construction: the many simulated IPs that share one server object all
 map to the same socket pair, exactly as the provider's single real
-deployment would answer them.  Dark IPs map to nothing — the client
-plane synthesises their timeouts without touching the wire.
+deployment would answer them.  Each endpoint runs the server's
+:meth:`~repro.server.nameserver.AuthoritativeServer.answer_wire` with
+the network's own response cache, so the fabric and the sockets answer
+from one step and one cache.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Tuple
 
 from repro.server.network import SimulatedNetwork
-from repro.wire.engine import ServedUdpProtocol, WireEngine, make_tcp_handler
+from repro.wire.engine import WireEngine
 
 
 class WireFleet:
@@ -35,7 +38,6 @@ class WireFleet:
         if self._started:
             return self
         self.engine.start()
-        counters = self.engine.counters
         by_server: Dict[int, Tuple[Tuple[str, int], Tuple[str, int]]] = {}
         # Sorted addresses so port assignment is reproducible run-to-run
         # given the same ephemeral-port state (and deterministic in count).
@@ -43,12 +45,13 @@ class WireFleet:
             server = self.network.server_at(ip)
             pair = by_server.get(id(server))
             if pair is None:
-                cache: dict = {}
-                udp = self.engine.serve_udp(
-                    lambda s=server, c=cache: ServedUdpProtocol(s, counters, cache=c)
+                answer = functools.partial(
+                    server.answer_wire, cache=self.network.response_cache
                 )
-                tcp = self.engine.serve_tcp(make_tcp_handler(server, counters, cache=cache))
-                pair = by_server[id(server)] = (udp, tcp)
+                pair = by_server[id(server)] = (
+                    self.engine.serve_udp(answer),
+                    self.engine.serve_tcp(answer),
+                )
                 self.servers_hosted += 1
             self._endpoints[ip] = pair
         self._started = True
@@ -56,9 +59,7 @@ class WireFleet:
 
     def endpoint(self, ip: str) -> Optional[Tuple[Tuple[str, int], Tuple[str, int]]]:
         """The (udp, tcp) socket addresses serving simulated *ip*, or
-        None for dark/unknown addresses."""
-        if ip in self.network._dark:
-            return None
+        None for an address that had no server when the fleet started."""
         return self._endpoints.get(ip)
 
     def close(self) -> None:

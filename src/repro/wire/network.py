@@ -1,17 +1,20 @@
 """The scanner-facing wire transport.
 
-:class:`WireNetwork` is a drop-in for
-:class:`~repro.server.network.SimulatedNetwork` on the scanner side of
-the fabric: same :meth:`query` signature, same accounting counters, same
-:class:`NetworkTimeout` contract — but the exchange crosses real
-loopback sockets through the :class:`~repro.wire.engine.WireEngine`.
+:class:`WireNetwork` wraps a
+:class:`~repro.server.network.SimulatedNetwork` and is a drop-in for it
+on the scanner side of the fabric: the accounting, the fault plane, the
+topology and the clock *are* the wrapped network's (one client prologue
+and epilogue, :meth:`SimulatedNetwork.outbound` / ``inbound``) — only
+the middle of :meth:`query` differs: the exchange crosses real loopback
+sockets through the :class:`~repro.wire.engine.WireEngine`.
 
 Inside a :class:`~repro.wire.bridge.WireLoop` task the blocking wait is
 cooperative (the task parks on the socket future and other zones keep
 scanning); outside any loop — serial scans, recheck passes, provisioning
-verification — it is a plain blocking wait.  Dark IPs never touch the
-wire: they raise :class:`NetworkTimeout` immediately and advance the
-simulated clock by the timeout, exactly like the simulated fabric.
+verification — it is a plain blocking wait.  Dark IPs and injected
+faults never touch the wire: the shared prologue raises
+:class:`NetworkTimeout` (or answers in the server's place) exactly as on
+the simulated fabric.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.dns.message import Message
-from repro.server.network import NetworkTimeout, SimulatedNetwork
+from repro.server.network import SimulatedNetwork
 from repro.wire.bridge import IO_WAIT_TIMEOUT, ClockBridge, WireLoop
 from repro.wire.engine import WireEngine, WireTimeout
 from repro.wire.fleet import WireFleet
@@ -35,25 +38,17 @@ class WireNetwork:
         time_scale: float = 0.0,
     ):
         self.sim = sim
-        self.clock = sim.clock
         self.time_scale = time_scale
         self.fleet = WireFleet(sim, engine=engine)
         self.engine = self.fleet.engine
-        # No fault plane on the wire: chaos composes with the simulated
-        # fabric only (campaign validation enforces this).
-        self.chaos = None
-        # SimulatedNetwork-compatible accounting.
-        self.queries_sent = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.timeouts = 0
-        self.truncations = 0
-        self.tcp_queries = 0
-        self.per_ip_queries: Dict[str, int] = {}
-        self.query_cost = sim.query_cost
         # The most recent loop built by make_event_loop (its io_waits /
         # io_blocks feed the wire.* telemetry snapshot).
         self.last_loop: Optional[WireLoop] = None
+
+    def __getattr__(self, name):
+        # Everything not defined here — clock, counters, chaos plane,
+        # topology — is the wrapped network's.
+        return getattr(self.sim, name)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -69,14 +64,6 @@ class WireNetwork:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # -- topology (delegated) ----------------------------------------------
-
-    def server_at(self, ip: str):
-        return self.sim.server_at(ip)
-
-    def addresses(self):
-        return self.sim.addresses()
 
     # -- scheduling --------------------------------------------------------
 
@@ -105,42 +92,22 @@ class WireNetwork:
     ) -> Message:
         """Send *query* to the endpoint serving simulated *ip* over a
         real socket; same contract as :meth:`SimulatedNetwork.query`."""
-        if wire is None:
-            wire = query.to_wire()
-        self.queries_sent += 1
-        task = self.clock.current_task
-        if task is not None:
-            task.queries += 1
-        if tcp:
-            self.tcp_queries += 1
-        self.bytes_sent += len(wire)
-        self.per_ip_queries[ip] = self.per_ip_queries.get(ip, 0) + 1
-        if self.query_cost:
-            self.clock.advance(self.query_cost)
-        endpoint = self.fleet.endpoint(ip)
-        if endpoint is None:
-            self.timeouts += 1
-            self.clock.advance(timeout)
-            raise NetworkTimeout(f"no server listening at {ip}")
-        udp, tcp_addr = endpoint
-        if tcp:
-            future = self.engine.send_tcp(tcp_addr, wire)
-        else:
-            future = self.engine.send_udp(udp, wire)
-        try:
-            data = self._wait(future)
-        except WireTimeout as exc:
-            self.timeouts += 1
-            self.clock.advance(timeout)
-            raise NetworkTimeout(f"no response from {ip} on the wire") from exc
-        self.bytes_received += len(data)
-        reply = Message.from_wire(data)
-        if reply.truncated:
-            self.truncations += 1
-        return reply
+        sim = self.sim
+        wire, _, response_wire = sim.outbound(ip, query, timeout, tcp, wire)
+        if response_wire is None:
+            endpoint = self.fleet.endpoint(ip)
+            if endpoint is None:
+                raise sim.timed_out(timeout, f"{ip} is not hosted by the fleet")
+            udp, stream = endpoint
+            future = self.engine.send_tcp(stream, wire) if tcp else self.engine.send_udp(udp, wire)
+            try:
+                response_wire = self._wait(future)
+            except WireTimeout as exc:
+                raise sim.timed_out(timeout, f"no response from {ip} on the wire") from exc
+        return sim.inbound(response_wire)
 
     def _wait(self, future) -> bytes:
-        scheduler = self.clock.scheduler
+        scheduler = self.sim.clock.scheduler
         if isinstance(scheduler, WireLoop) and scheduler.current_task is not None:
             return scheduler.task_block_io(future)
         return future.result(timeout=IO_WAIT_TIMEOUT)
@@ -160,7 +127,7 @@ class WireNetwork:
             "wire.demux_misses": c["demux_misses"],
             "wire.decode_errors": c["decode_errors"],
             "wire.wall_timeouts": c["wall_timeouts"],
-            "wire.response_cache_hits": c.get("cache_hits", 0),
+            "wire.response_cache_hits": self.sim.response_cache_hits,
             "wire.servers_hosted": self.fleet.servers_hosted,
         }
         loop = self.last_loop

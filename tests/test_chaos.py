@@ -27,6 +27,7 @@ from repro.obs.stats import collect_stats, render_stats
 from repro.scanner import Scanner
 from repro.scanner.results import QueryStatus
 from repro.scanner.yodns import ScannerConfig
+from repro.sched.loop import Task
 from repro.server.behaviors import DropQueriesBehavior, TransientFailureBehavior
 from repro.server.network import SimulatedClock
 from repro.store.manifest import load_manifest
@@ -308,6 +309,27 @@ class TestChaosPlane:
         # loss, loss, <clean>, loss, loss, <clean> — never 3 in a row.
         assert kinds == ["loss", "loss", None, "loss", "loss", None]
         assert plane.suppressed == 2
+
+    def test_fairness_cap_is_per_asking_task(self):
+        # Two concurrent zone scans retrying the same key: B's attempts,
+        # interleaved into A's retry loop, must not spend A's forced pass
+        # (a shared streak let A see loss, loss, [B passes], loss, loss —
+        # four consecutive timeouts, an abandoned query under in_flight).
+        class Tasks:
+            scheduler = None
+            current_task = None
+
+            def now(self):
+                return 0.0
+
+        clock = Tasks()
+        plane = _plane(clock=clock, loss=1.0, max_consecutive=2)
+        seen = {"A": [], "B": []}
+        for name in "AABAAB":
+            clock.current_task = Task(index="AB".index(name), item=None, start=0.0)
+            seen[name].append(plane.decide(*K1, False).kind)
+        assert seen["A"] == ["loss", "loss", None, "loss"]
+        assert seen["B"] == ["loss", "loss"]
 
     def test_zero_cap_means_unbounded(self):
         plane = _plane(loss=1.0, max_consecutive=0)

@@ -8,7 +8,7 @@ from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
 from repro.server import AuthoritativeServer, SimulatedNetwork
-from repro.server.tcp import TcpNameserver, query_tcp
+from repro.wire import WireEngine
 
 
 def make_fat_zone():
@@ -71,24 +71,30 @@ def _qname_qtype():
 
 
 class TestRealTcp:
-    @pytest.fixture(scope="class")
-    def endpoint(self):
-        ns = TcpNameserver(make_fat_zone())
-        endpoint = ns.start()
-        yield endpoint
-        ns.stop()
+    """The fat zone's answer step on a real stream socket of the wire
+    engine (RFC 7766 framing, one persistent client connection)."""
 
-    def test_large_answer_over_tcp(self, endpoint):
-        response = query_tcp(endpoint, make_query("big.fat.test", RRType.TXT, msg_id=3))
+    @pytest.fixture(scope="class")
+    def ask(self):
+        with WireEngine() as engine:
+            endpoint = engine.serve_tcp(make_fat_zone().answer_wire)
+
+            def ask(query) -> Message:
+                return Message.from_wire(engine.send_tcp(endpoint, query.to_wire()).result(2.0))
+
+            yield ask
+
+    def test_large_answer_over_tcp(self, ask):
+        response = ask(make_query("big.fat.test", RRType.TXT, msg_id=3))
         assert response.rcode == Rcode.NOERROR
         assert len(response.answer[0]) == 10
         assert response.id == 3
 
-    def test_multiple_queries_one_connection_style(self, endpoint):
+    def test_multiple_queries_one_connection_style(self, ask):
         for i in range(5):
-            response = query_tcp(endpoint, make_query("fat.test", RRType.SOA, msg_id=i))
+            response = ask(make_query("fat.test", RRType.SOA, msg_id=i))
             assert response.id == i
 
-    def test_nxdomain_over_tcp(self, endpoint):
-        response = query_tcp(endpoint, make_query("nope.fat.test", RRType.A, msg_id=9))
+    def test_nxdomain_over_tcp(self, ask):
+        response = ask(make_query("nope.fat.test", RRType.A, msg_id=9))
         assert response.rcode == Rcode.NXDOMAIN

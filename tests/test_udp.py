@@ -1,52 +1,63 @@
-"""Integration tests for the real UDP transport (localhost sockets)."""
+"""Integration tests for the real UDP transport (localhost sockets): an
+AuthoritativeServer's answer step hosted on the wire engine — the
+socket stack campaigns run on."""
 
 import pytest
 
-from repro.dns.message import make_query
+from repro.dns.message import Message, make_query
 from repro.dns.rdata import A, NS, SOA
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
 from repro.server import AuthoritativeServer, DropQueriesBehavior
-from repro.server.udp import UdpNameserver, query_udp
+from repro.wire import WireEngine, WireTimeout
 
 
 @pytest.fixture(scope="module")
-def udp_endpoint():
+def engine():
+    with WireEngine() as engine:
+        yield engine
+
+
+@pytest.fixture(scope="module")
+def udp_endpoint(engine):
     server = AuthoritativeServer("udp-test")
     zone = Zone("udp.test")
     zone.add("udp.test", 300, SOA("ns1.udp.test", "h.udp.test", 1))
     zone.add("udp.test", 300, NS("ns1.udp.test"))
     zone.add("www.udp.test", 300, A("192.0.2.123"))
     server.add_zone(zone)
-    ns = UdpNameserver(server)
-    endpoint = ns.start()
-    yield endpoint
-    ns.stop()
+    return engine.serve_udp(server.answer_wire)
+
+
+def ask(engine, endpoint, query, timeout=2.0) -> Message:
+    return Message.from_wire(engine.send_udp(endpoint, query.to_wire()).result(timeout))
 
 
 class TestUdpTransport:
-    def test_positive_answer(self, udp_endpoint):
-        resp = query_udp(udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=5))
+    def test_positive_answer(self, engine, udp_endpoint):
+        resp = ask(engine, udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=5))
         assert resp.rcode == Rcode.NOERROR
         assert resp.id == 5
         assert resp.answer[0].rdatas[0].address == "192.0.2.123"
 
-    def test_nxdomain_over_udp(self, udp_endpoint):
-        resp = query_udp(udp_endpoint, make_query("nope.udp.test", RRType.A, msg_id=6))
+    def test_nxdomain_over_udp(self, engine, udp_endpoint):
+        resp = ask(engine, udp_endpoint, make_query("nope.udp.test", RRType.A, msg_id=6))
         assert resp.rcode == Rcode.NXDOMAIN
 
-    def test_refused_out_of_zone(self, udp_endpoint):
-        resp = query_udp(udp_endpoint, make_query("other.example", RRType.A, msg_id=7))
+    def test_refused_out_of_zone(self, engine, udp_endpoint):
+        resp = ask(engine, udp_endpoint, make_query("other.example", RRType.A, msg_id=7))
         assert resp.rcode == Rcode.REFUSED
 
-    def test_many_sequential_queries(self, udp_endpoint):
+    def test_many_sequential_queries(self, engine, udp_endpoint):
         for i in range(20):
-            resp = query_udp(udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=i + 1))
+            resp = ask(engine, udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=i + 1))
             assert resp.id == i + 1
 
     def test_timeout_on_dropping_server(self):
         server = AuthoritativeServer("drop")
         server.add_behavior(DropQueriesBehavior())
-        with UdpNameserver(server) as endpoint:
-            with pytest.raises(TimeoutError):
-                query_udp(endpoint, make_query("x.test", RRType.A, msg_id=1), timeout=0.2, retries=0)
+        with WireEngine(wall_timeout=0.2) as engine:
+            endpoint = engine.serve_udp(server.answer_wire)
+            with pytest.raises(WireTimeout):
+                ask(engine, endpoint, make_query("x.test", RRType.A, msg_id=1))
+            assert engine.counters["wall_timeouts"] == 1

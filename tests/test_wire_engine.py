@@ -9,10 +9,14 @@ the artifacts, not the event stream.
 
 The unit tests cover the mechanisms underneath: the clock bridge's
 monotone-deadline invariant (hypothesis), task parking on socket
-futures, the decode-error telemetry on both sync servers, and the
-stats section gating.
+futures, the one answer step behind the fabric and both socket
+endpoints, hostile input on the engine's serving side, engine shutdown,
+and the stats section gating.
 """
 
+import contextlib
+import gc
+import logging
 import socket
 import struct
 import threading
@@ -25,22 +29,26 @@ from hypothesis import strategies as st
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig
-from repro.dns.message import make_query
-from repro.dns.rdata import A, NS, SOA
+from repro.dns.message import Message, make_query
+from repro.dns.rdata import A, NS, SOA, TXT
+from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
-from repro.obs.stats import CampaignStats, render_stats
-from repro.obs.telemetry import Telemetry
+from repro.obs.stats import CampaignStats, collect_stats, render_stats
 from repro.reports.figure1 import compute_figure1, render_figure1
 from repro.reports.table1 import compute_table1, render_table1
 from repro.reports.table2 import compute_table2, render_table2
 from repro.reports.table3 import compute_table3, render_table3
-from repro.server import AuthoritativeServer, DropQueriesBehavior
-from repro.server.network import SimulatedClock
-from repro.server.tcp import TcpNameserver, query_tcp
-from repro.server.udp import UdpNameserver, query_udp
+from repro.server import (
+    AuthoritativeServer,
+    DropQueriesBehavior,
+    LegacyUnknownTypeBehavior,
+    NetworkTimeout,
+    SimulatedClock,
+    SimulatedNetwork,
+)
 from repro.store.manifest import load_manifest
-from repro.wire import ClockBridge, WireLoop
+from repro.wire import ClockBridge, WireEngine, WireLoop, WireNetwork
 
 SCALE = 1e-6
 SEED = 41
@@ -97,11 +105,39 @@ class TestWireDifferential:
         resumed = resume_campaign(root)
         assert rendered_artifacts(resumed) == sequential_artifacts
 
-    def test_validate_rejects_wire_with_chaos(self):
-        with pytest.raises(ValueError, match="chaos"):
-            CampaignConfig(
-                scale=SCALE, seed=SEED, transport="wire", chaos=ChaosConfig.default()
-            ).validate()
+    def test_chaotic_wire_campaign_renders_the_fault_free_tables(
+        self, sequential_artifacts, tmp_path, caplog
+    ):
+        # The fault plane sits in the client prologue both transports
+        # share, so chaos + retries ≡ fault-free holds over sockets too.
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            campaign = run_campaign(
+                CampaignConfig(
+                    scale=SCALE,
+                    seed=SEED,
+                    recheck=True,
+                    store_dir=tmp_path / "store",
+                    transport="wire",
+                    in_flight=16,
+                    chaos=ChaosConfig.default(seed=7),
+                    telemetry=True,
+                )
+            )
+            gc.collect()
+        assert rendered_artifacts(campaign) == sequential_artifacts
+        stats = collect_stats(tmp_path / "store")
+        counters = stats.counters
+        for kind in ("loss", "servfail", "truncation", "latency", "brownout"):
+            assert counters[f"chaos.faults.{kind}"] > 0, kind
+        assert counters["retry.abandoned"] == 0
+        # Truncation storms reach the real TCP path ...
+        assert counters["net.tcp_queries"] > 0
+        assert counters["wire.socket_errors"] == 0
+        # ... and the engine reaps the stream tasks they leave behind.
+        assert _destroyed_tasks(caplog) == []
+        rendered = render_stats(stats)
+        assert "wire engine (repro.wire)" in rendered
+        assert "fault injection" in rendered
 
     def test_validate_rejects_unknown_transport(self):
         with pytest.raises(ValueError, match="transport"):
@@ -199,8 +235,10 @@ class TestWireLoop:
 
 
 # ---------------------------------------------------------------------------
-# Sync servers: unparseable input is counted, never silently dropped
+# The serving side: one answer step, hostile input, shutdown
 # ---------------------------------------------------------------------------
+
+IP = "10.0.0.53"
 
 
 def _zone_server(name: str) -> AuthoritativeServer:
@@ -209,8 +247,26 @@ def _zone_server(name: str) -> AuthoritativeServer:
     zone.add(f"{name}.test", 300, SOA(f"ns1.{name}.test", f"h.{name}.test", 1))
     zone.add(f"{name}.test", 300, NS(f"ns1.{name}.test"))
     zone.add(f"www.{name}.test", 300, A("192.0.2.77"))
+    # 3 x 200 octets fits an EDNS datagram but not the classic 512;
+    # 10 x 200 fits neither.
+    for label, strings in (("mid", 3), ("big", 10)):
+        rrset = RRset(f"{label}.{name}.test", RRType.TXT, 300)
+        for i in range(strings):
+            rrset.add(TXT([f"{i:03d}" + "x" * 200]))
+        zone.add_rrset(rrset)
     server.add_zone(zone)
     return server
+
+
+@contextlib.contextmanager
+def _hosted(server: AuthoritativeServer, wall_timeout: float = 10.0):
+    """*server* live on loopback the way a campaign hosts it: the wire
+    network plus the (udp, tcp) socket addresses behind ``IP``."""
+    sim = SimulatedNetwork()
+    sim.register(IP, server)
+    with WireEngine(wall_timeout=wall_timeout) as engine:
+        with WireNetwork(sim, engine=engine) as network:
+            yield network, *network.fleet.endpoint(IP)
 
 
 def _wait_for(predicate, timeout=2.0):
@@ -222,39 +278,126 @@ def _wait_for(predicate, timeout=2.0):
     return predicate()
 
 
+def _destroyed_tasks(caplog) -> list:
+    return [r.getMessage() for r in caplog.records if "Task was destroyed" in r.getMessage()]
+
+
+#: (case, qname, qtype, EDNS, legacy server, rcode, truncated over UDP)
+EXCHANGES = [
+    ("positive", "www.eq.test", RRType.A, True, False, Rcode.NOERROR, False),
+    ("nxdomain", "nope.eq.test", RRType.A, True, False, Rcode.NXDOMAIN, False),
+    ("refused", "other.example", RRType.A, True, False, Rcode.REFUSED, False),
+    ("oversize", "big.eq.test", RRType.TXT, True, False, Rcode.NOERROR, True),
+    ("fits-edns", "mid.eq.test", RRType.TXT, True, False, Rcode.NOERROR, False),
+    ("no-edns-512", "mid.eq.test", RRType.TXT, False, False, Rcode.NOERROR, True),
+    ("legacy-never-cached", "www.eq.test", RRType.CDS, True, True, Rcode.SERVFAIL, False),
+]
+
+
+class TestOneAnswerStep:
+    """The fabric, the UDP endpoint and the TCP endpoint answer from one
+    step and one cache: same bytes, modulo the UDP size limit."""
+
+    @pytest.mark.parametrize(
+        "qname,qtype,edns,legacy,rcode,udp_truncated",
+        [case[1:] for case in EXCHANGES],
+        ids=[case[0] for case in EXCHANGES],
+    )
+    def test_three_transports_one_answer(self, qname, qtype, edns, legacy, rcode, udp_truncated):
+        server = _zone_server("eq")
+        if legacy:
+            server.add_behavior(LegacyUnknownTypeBehavior())
+        handled = []
+        handle_query = server.handle_query
+        server.handle_query = lambda q: handled.append(q) or handle_query(q)
+        query = make_query(qname, qtype, msg_id=77)
+        query.edns = edns
+        wire = query.to_wire()
+
+        with _hosted(server) as (network, udp, tcp):
+            sim = network.sim
+            sim.enable_response_cache()
+            fabric = []
+            inbound = sim.inbound
+            sim.inbound = lambda response_wire: fabric.append(response_wire) or inbound(response_wire)
+            # Twice: the second round of a cacheable exchange is all hits.
+            for round_ in (1, 2):
+                fabric.clear()
+                sim.query(IP, query)
+                sim.query(IP, query, tcp=True)
+                over_udp = network.engine.send_udp(udp, wire).result(2.0)
+                over_tcp = network.engine.send_tcp(tcp, wire).result(2.0)
+                assert fabric == [over_udp, over_tcp]
+                datagram, stream = Message.from_wire(over_udp), Message.from_wire(over_tcp)
+                assert datagram.id == stream.id == 77
+                assert stream.rcode == rcode and not stream.truncated
+                assert datagram.truncated == udp_truncated
+                if udp_truncated:
+                    assert not datagram.answer and len(stream.answer[0]) in (3, 10)
+                else:
+                    assert over_udp == over_tcp
+                # One handle_query per uncached (question, transport);
+                # a server with behaviours is never cached.
+                assert len(handled) == (4 * round_ if legacy else 2)
+                assert sim.response_cache_hits == (0 if legacy else 4 * round_ - 2)
+                assert server.queries_handled == 4 * round_
+
+
 class TestServerDecodeErrors:
     def test_udp_garbage_is_counted_and_service_continues(self):
-        telemetry = Telemetry()
-        ns = UdpNameserver(_zone_server("garbage"), telemetry=telemetry)
-        with ns as endpoint:
+        with _hosted(_zone_server("garbage")) as (network, udp, _):
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
-                sock.sendto(b"\x00", endpoint)  # too short for a DNS header
-            assert _wait_for(lambda: ns.decode_errors == 1)
-            # The server survives the junk datagram.
-            resp = query_udp(endpoint, make_query("www.garbage.test", RRType.A, msg_id=3))
+                sock.sendto(b"\x00", udp)  # too short for a DNS header
+            assert _wait_for(lambda: network.engine.counters["decode_errors"] == 1)
+            # The endpoint survives the junk datagram.
+            resp = network.query(IP, make_query("www.garbage.test", RRType.A, msg_id=3))
             assert resp.rcode == Rcode.NOERROR
-        assert telemetry.counters.get("wire.decode_errors") == 1
+            assert network.wire_counters()["wire.decode_errors"] == 1
 
     def test_tcp_garbage_is_counted_and_closes_the_stream(self):
-        telemetry = Telemetry()
-        ns = TcpNameserver(_zone_server("tgarbage"), telemetry=telemetry)
-        with ns as endpoint:
-            with socket.create_connection(endpoint, timeout=2.0) as sock:
+        with _hosted(_zone_server("tgarbage")) as (network, _, tcp):
+            with socket.create_connection(tcp, timeout=2.0) as sock:
                 sock.sendall(struct.pack("!H", 3) + b"abc")
-                # The server closes the connection after the bad segment.
+                # The endpoint closes the connection after the bad segment.
                 assert sock.recv(64) == b""
-            assert _wait_for(lambda: ns.decode_errors == 1)
+            assert _wait_for(lambda: network.engine.counters["decode_errors"] == 1)
             # A fresh connection still gets answers.
-            resp = query_tcp(endpoint, make_query("www.tgarbage.test", RRType.A, msg_id=4))
+            resp = network.query(
+                IP, make_query("www.tgarbage.test", RRType.A, msg_id=4), tcp=True
+            )
             assert resp.rcode == Rcode.NOERROR
-        assert telemetry.counters.get("wire.decode_errors") == 1
+            assert network.wire_counters()["wire.decode_errors"] == 1
 
     def test_tcp_drop_behavior_leaves_client_to_its_timeout(self):
         server = AuthoritativeServer("tdrop")
         server.add_behavior(DropQueriesBehavior())
-        with TcpNameserver(server) as endpoint:
-            with pytest.raises((TimeoutError, OSError)):
-                query_tcp(endpoint, make_query("x.test", RRType.A, msg_id=1), timeout=0.2)
+        with _hosted(server, wall_timeout=0.2) as (network, _, _tcp):
+            with pytest.raises(NetworkTimeout):
+                network.query(IP, make_query("x.test", RRType.A, msg_id=1), tcp=True)
+            assert network.timeouts == 1
+            counters = network.wire_counters()
+            assert counters["wire.wall_timeouts"] == 1
+            # The stream stays open: a drop is silence, not an error.
+            assert counters["wire.socket_errors"] == 0
+
+    def test_address_registered_after_the_fleet_started_times_out(self):
+        with _hosted(_zone_server("late")) as (network, _, _tcp):
+            network.sim.register("10.0.0.54", _zone_server("later"))
+            with pytest.raises(NetworkTimeout, match="not hosted"):
+                network.query("10.0.0.54", make_query("www.later.test", RRType.A))
+            assert network.timeouts == 1 and network.queries_sent == 1
+
+
+class TestEngineShutdown:
+    def test_close_reaps_the_stream_tasks(self, caplog):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            engine = WireEngine().start()
+            endpoint = engine.serve_tcp(_zone_server("bye").answer_wire)
+            wire = make_query("www.bye.test", RRType.A, msg_id=9).to_wire()
+            assert Message.from_wire(engine.send_tcp(endpoint, wire).result(2.0)).id == 9
+            engine.close()
+            gc.collect()
+        assert _destroyed_tasks(caplog) == []
 
 
 # ---------------------------------------------------------------------------
