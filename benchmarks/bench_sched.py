@@ -9,15 +9,14 @@ toward its critical path: the per-IP rate-limit floor on the busiest
 registry server plus the longest single-zone chain.
 
 The acceptance bar is a >= 5x lower simulated duration at in_flight=64
-than at in_flight=1, with in_flight=1 matching the legacy serial scan
-*exactly* (same duration, same query count) — concurrency is a pure
-scheduling optimisation, pinned byte-for-byte by tests/test_sched.py.
+than at in_flight=1 (the serial scan) with the same query count —
+concurrency is a pure scheduling optimisation, pinned byte-for-byte by
+tests/test_sched.py.
 
 Wall-clock time is recorded for the artifact but only loosely
-asserted, and only on multi-core machines: the loop runs exactly one
-task at a time (determinism by construction), so concurrency buys
-*simulated* time, not CPU parallelism — on a 1-core container the
-thread handoffs are pure overhead.  Scale is controlled by
+asserted: the loop resumes one step generator at a time on the calling
+thread (determinism by construction), so concurrency buys *simulated*
+time, not CPU parallelism.  Scale is controlled by
 ``REPRO_BENCH_SCHED_SCALE`` (default 1e-6, the differential-golden
 scale).
 """
@@ -64,7 +63,6 @@ def test_sched_throughput(benchmark, results_dir):
     runs = {}
 
     def run_all():
-        runs["legacy"] = _scan(None)
         for n in IN_FLIGHT:
             runs[n] = _scan(n)
 
@@ -85,7 +83,7 @@ def test_sched_throughput(benchmark, results_dir):
         "cores": cores,
         "in_flight": {},
     }
-    for label in ("legacy", *IN_FLIGHT):
+    for label in IN_FLIGHT:
         run = runs[label]
         speedup = base["simulated"] / run["simulated"]
         lines.append(
@@ -108,15 +106,11 @@ def test_sched_throughput(benchmark, results_dir):
     # scanned the same zones with the same total query volume.
     assert all(run["zones"] == base["zones"] for run in runs.values())
     assert all(run["queries"] == base["queries"] for run in runs.values())
-    # in_flight=1 *is* the legacy serial scan, to the exact tick.
-    assert runs[1]["simulated"] == runs["legacy"]["simulated"]
     # The acceptance bar: 64 in-flight zones overlap enough RTT and
     # rate-limit wait to cut the campaign >= 5x.
     assert runs[64]["simulated"] <= runs[1]["simulated"] / SPEEDUP_FLOOR, metrics
     # More overlap never lengthens the campaign.
     assert runs[64]["simulated"] <= runs[8]["simulated"] * 1.25, metrics
-    # Wall clock: one runnable task at a time means concurrency should
-    # cost bounded scheduling overhead, not multiply runtime — but only
-    # hold it to that on hardware with cores to spare.
-    if cores >= 2:
-        assert runs[64]["wall"] < runs[1]["wall"] * 5, metrics
+    # Wall clock: one runnable task at a time means concurrency costs
+    # bounded scheduling overhead, it does not multiply runtime.
+    assert runs[64]["wall"] < runs[1]["wall"] * 5, metrics

@@ -62,7 +62,7 @@ def run_one(transport: str, scale: float, seed: int, in_flight, profile_path=Non
         seed=seed,
         recheck=True,
         transport=transport,
-        in_flight=in_flight if transport == "wire" else in_flight,
+        in_flight=in_flight,
     )
     profiler = None
     if profile_path is not None:

@@ -79,12 +79,12 @@ class CampaignConfig:
     compress: bool = True
     stop_after: Optional[int] = None
     workers: Optional[int] = None
-    # Concurrent in-flight zones per scan machine (repro.sched): None →
-    # the legacy serial scan loop; N >= 1 overlaps up to N zones on a
-    # deterministic event loop.  Composes with workers=M — every worker
-    # process runs its own loop.  Reports are byte-identical either
-    # way; only the simulated campaign duration drops.
-    in_flight: Optional[int] = None
+    # Zones in flight per scan machine (repro.sched): 1 is the serial
+    # scan; N > 1 overlaps up to N zones on the deterministic event
+    # loop.  Composes with workers=M — every worker process runs its
+    # own loop.  Reports are byte-identical either way; only the
+    # simulated campaign duration drops.
+    in_flight: int = 1
     # False (default) → zero-overhead NullTelemetry; True → a fresh
     # hub; or pass a configured Telemetry instance directly.
     telemetry: Union[bool, Telemetry] = False
@@ -101,11 +101,6 @@ class CampaignConfig:
     # same analysis tables at the same seed/scale — not the same event
     # streams or simulated durations (real I/O reorders the schedule).
     transport: str = "sim"
-    # Paced replay for the wire engine: 0.0 (default) collapses every
-    # simulated wait to "now" (run flat out); N > 0 plays simulated
-    # seconds back at N× wall speed through the ClockBridge.  Wire-only:
-    # the in-memory fabric has no wall clock to pace against.
-    time_scale: float = 0.0
     # Monitoring-plane leaf: which simulated week this campaign observes
     # (0 = baseline full scan, >= 1 = delta over the changed subset) and
     # the seeded event stream that evolves the world between weeks.
@@ -138,7 +133,7 @@ class CampaignConfig:
 
     def validate(self, world: Optional[World] = None) -> None:
         """Reject impossible combinations (one place, one message each)."""
-        if self.in_flight is not None and self.in_flight < 1:
+        if self.in_flight < 1:
             raise ValueError(f"in_flight must be >= 1 (got {self.in_flight})")
         if self.chaos is not None and self.chaos.enabled and self.chaos.max_consecutive:
             retry = self.effective_retry()
@@ -168,13 +163,6 @@ class CampaignConfig:
             raise ValueError(
                 "transport='wire' runs single-process (one shared socket "
                 "engine); combine with in_flight=N for concurrency"
-            )
-        if self.time_scale < 0:
-            raise ValueError(f"time_scale must be >= 0 (got {self.time_scale})")
-        if self.time_scale and self.transport != "wire":
-            raise ValueError(
-                "time_scale paces the wire engine's clock bridge; it requires "
-                "transport='wire'"
             )
         if self.epoch is not None:
             if self.epoch < 0:
@@ -228,7 +216,7 @@ class CampaignConfig:
         }
         if self.workers is not None:
             config["workers"] = self.workers
-        if self.in_flight is not None:
+        if self.in_flight != 1:
             config["in_flight"] = self.in_flight
         if self.checkpoint_every is not None:
             config["checkpoint_every"] = self.checkpoint_every
@@ -240,8 +228,6 @@ class CampaignConfig:
             config["retry"] = self.retry.to_dict()
         if self.transport != "sim":
             config["transport"] = self.transport
-        if self.time_scale:
-            config["time_scale"] = self.time_scale
         if self.monitor is not None:
             config["monitor"] = self.monitor.to_dict()
         if self.scenarios is not None:
@@ -268,12 +254,11 @@ class CampaignConfig:
             num_shards=manifest.num_shards,
             compress=manifest.compress,
             workers=config.get("workers"),
-            in_flight=config.get("in_flight"),
+            in_flight=config.get("in_flight", 1),
             telemetry=bool(config.get("telemetry", False)),
             chaos=ChaosConfig.from_dict(chaos) if chaos is not None else None,
             retry=RetryPolicy.from_dict(retry) if retry is not None else None,
             transport=config.get("transport", "sim"),
-            time_scale=float(config.get("time_scale", 0.0)),
         )
 
 
@@ -338,7 +323,7 @@ def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NUL
     if config.transport == "wire":
         from repro.wire import WireNetwork
 
-        network = WireNetwork(world.network, time_scale=config.time_scale).start()
+        network = WireNetwork(world.network).start()
     scanner = world.make_scanner(
         telemetry=telemetry,
         retry=config.effective_retry(),

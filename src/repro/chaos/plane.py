@@ -78,8 +78,12 @@ class ChaosPlane:
 
     # -- the decision ------------------------------------------------------
 
-    def decide(self, ip: str, qname_key: bytes, qtype: int, tcp: bool) -> FaultDecision:
-        """The plane's verdict for one exchange (see module docs)."""
+    def decide(
+        self, ip: str, qname_key: bytes, qtype: int, tcp: bool, asker: Optional[int] = None
+    ) -> FaultDecision:
+        """The plane's verdict for one exchange (see module docs);
+        *asker* is the in-flight task asking (its index in the scan
+        loop), ``None`` for a caller outside any scan."""
         config = self.config
         self.decisions += 1
         key = (ip, qname_key, qtype)
@@ -97,8 +101,7 @@ class ChaosPlane:
 
         # The streak belongs to the asking task's retry loop: concurrent
         # zone scans retrying one key must not spend each other's pass.
-        task = self.clock.current_task
-        streak_key = key if task is None else (key, task.index)
+        streak_key = (key, asker)
         streak = self._streak.get(streak_key, 0)
         kind = self._response_fault(key, n, ip, tcp, streak)
         if kind is None:

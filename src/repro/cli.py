@@ -125,15 +125,16 @@ def _add_scenarios(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_in_flight(parser: argparse.ArgumentParser) -> None:
+def _add_in_flight(parser: argparse.ArgumentParser, default: Optional[int] = 1) -> None:
     parser.add_argument(
         "--in-flight",
         type=int,
-        default=None,
+        default=default,
         metavar="N",
         help="overlap up to N zones per scan machine on the deterministic "
-        "event loop (repro.sched); the report is byte-identical to the "
-        "serial scan, only the simulated duration drops",
+        "event loop (repro.sched); 1 is the serial scan, and the report is "
+        "byte-identical to it for any N — only the simulated duration drops"
+        + ("" if default else " (default: the campaign's recorded value)"),
     )
 
 
@@ -224,7 +225,6 @@ def _campaign_config(args: argparse.Namespace, store_dir, telemetry):
         chaos=args.chaos,
         retry=args.retries,
         transport=args.transport,
-        time_scale=args.time_scale,
         scenarios=args.scenarios,
     )
 
@@ -929,14 +929,6 @@ def _add_campaign_run_options(parser: argparse.ArgumentParser) -> None:
     _add_in_flight(parser)
     _add_transport(parser)
     _add_scenarios(parser)
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=0.0,
-        help="pace wire replay: N wall seconds per simulated second, e.g. "
-        "0.01 plays 100 simulated seconds in ~1s (0 = run flat out; "
-        "requires --transport wire)",
-    )
     _add_chaos(parser)
 
 
@@ -951,7 +943,7 @@ def _add_campaign_resume_options(parser: argparse.ArgumentParser) -> None:
         help="stream telemetry for the resumed remainder (implied when the "
         "campaign was started with --telemetry)",
     )
-    _add_in_flight(parser)
+    _add_in_flight(parser, default=None)
     _add_chaos(parser)
 
 

@@ -64,7 +64,7 @@ class World:
 
         return ScannerConfig(anycast_ns_suffixes=list(self.anycast_ns_suffixes))
 
-    def make_scanner(self, telemetry=None, retry=None, in_flight=None, network=None):
+    def make_scanner(self, telemetry=None, retry=None, in_flight=1, network=None):
         """Build a scanner for this world.
 
         *network* overrides the transport the scanner queries through
@@ -75,11 +75,9 @@ class World:
 
         from repro.scanner.yodns import Scanner
 
-        config = self.scanner_config()
+        config = replace(self.scanner_config(), in_flight=in_flight)
         if retry is not None:
             config = replace(config, retry_policy=retry)
-        if in_flight is not None:
-            config = replace(config, in_flight=in_flight)
         return Scanner(
             network if network is not None else self.network,
             self.root_ips,

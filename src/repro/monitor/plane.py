@@ -72,7 +72,7 @@ class MonitorConfig:
     seed: int = 1
     monitor: MonitorSpec = MonitorSpec()
     workers: Optional[int] = None
-    in_flight: Optional[int] = None
+    in_flight: int = 1
     transport: str = "sim"
     telemetry: bool = False
     checkpoint_every: Optional[int] = None
@@ -105,7 +105,9 @@ class MonitorConfig:
         if version != MONITOR_FORMAT_VERSION:
             raise MonitorError(f"unsupported monitor.json version {version!r}")
         known = {f.name for f in fields(cls)} - {"root", "monitor"}
-        settings = {key: obj[key] for key in known if key in obj}
+        # Unset (null) settings take the default — an older monitor.json
+        # recorded a serial scan as ``"in_flight": null``.
+        settings = {key: obj[key] for key in known if obj.get(key) is not None}
         return cls(
             root=Path(root),
             monitor=MonitorSpec.from_dict(obj.get("monitor")) or MonitorSpec(),

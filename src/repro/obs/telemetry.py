@@ -318,7 +318,7 @@ class Telemetry:
         )
         if getattr(scanner, "sched_tasks", 0):
             # Event-loop statistics (repro.sched): only present when the
-            # scan ran with in_flight set, so legacy streams are
+            # scan ran with in_flight > 1, so serial streams are
             # byte-identical to pre-scheduler ones.
             self.set_counters(
                 {

@@ -6,20 +6,29 @@ ordinary lookups it exposes :meth:`IterativeResolver.find_delegation`,
 which captures the *parent side* of a zone cut (NS + DS as served by the
 registry) — the data the bootstrapping analysis compares against the
 child's view.
+
+The walk is written as step generators (the ``*_steps`` methods, see
+:mod:`repro.sched`): every query goes out through the shared
+:class:`~repro.resolver.exchange.Exchanger` as a yielded intent, so a
+scan with many zones in flight drives them directly.  The public
+``resolve`` / ``find_delegation`` / ``find_delegation_below`` /
+``resolve_addresses`` / ``ask`` are synchronous facades that run those
+steps to completion on a loop of their own.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
 from repro.chaos.retry import RetryPolicy
-from repro.dns.message import Message, make_query
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.resolver.cache import DnsCache
-from repro.sched import FlightMap, active_loop
-from repro.server.network import NetworkTimeout, SimulatedNetwork
+from repro.resolver.exchange import Exchanger
+from repro.sched import FlightMap, run_steps
+from repro.server.network import SimulatedNetwork
 
 _MAX_REFERRALS = 32
 _MAX_CNAME = 8
@@ -122,72 +131,39 @@ class IterativeResolver:
         self.retry = retry or RetryPolicy.legacy(0)
         self.retry_attempts = 0
         self.retry_backoff_seconds = 0.0
-        self._msg_id = 0
-        # Single-flight address lookups under the event loop
-        # (repro.sched): overlapping tasks asking for the same hostname
-        # serialize, so each observes the cache state a sequential
-        # caller in its position would have observed.
+        # The one retrying exchange step; a scanner built around this
+        # resolver sends its own queries through the same object.
+        self.exchange = Exchanger(timeout)
+        # Single-flight address lookups (repro.sched): overlapping tasks
+        # asking for the same hostname serialize, so each observes the
+        # cache state a sequential caller in its position would have.
         self._flights = FlightMap()
+
+    #: Namespaces this asker's backoff jitter stream (see Exchanger.ask).
+    retry_key = "resolver/"
 
     # -- plumbing ----------------------------------------------------------
 
-    def _next_id(self) -> int:
-        self._msg_id = (self._msg_id + 1) & 0xFFFF
-        return self._msg_id
-
-    def _ask(self, ips: Sequence[str], name: Name, rrtype: RRType) -> Tuple[Message, str]:
-        """Query the given server addresses in order until one answers.
-
-        The question is identical for every address, so it is encoded
-        once and the same wire bytes are retried down the server list.
-        Each address is given the resolver's full retry budget
-        (:attr:`retry`) before the walk moves on: timeouts — and
-        SERVFAILs, when the policy retries them — back off on the
-        simulated clock exactly like the scanner's own queries, so the
-        delegation walk converges under the same fault model.
-        """
-        last_error: Optional[Exception] = None
-        policy = self.retry
-        query = make_query(name, rrtype, msg_id=self._next_id())
-        wire = query.to_wire()
+    def _run(self, steps: Generator):
         clock = self.limiter.clock if self.limiter is not None else self.network.clock
+        return run_steps(clock, self.network, steps)
+
+    def ask(self, ips: Sequence[str], name: Name, rrtype: RRType) -> Tuple[Message, str]:
+        """Query the given server addresses in order until one answers;
+        returns ``(response, answering address)``."""
+        return self._run(self.ask_steps(ips, name, rrtype))
+
+    def ask_steps(self, ips: Sequence[str], name: Name, rrtype: RRType) -> Generator:
+        """Each address is given the resolver's full retry budget
+        (:attr:`retry`) before the walk moves on, and an address whose
+        final attempt timed out is passed over — so the delegation walk
+        converges under the same fault model as the scanner's queries."""
+        last_error: Optional[Exception] = None
         for ip in ips:
-            key: Optional[str] = None
-            waited = 0.0
-            response: Optional[Message] = None
-            for attempt in range(policy.attempts):
-                if attempt:
-                    if key is None:
-                        key = f"resolver/{ip}/{name.to_text()}/{int(rrtype)}"
-                    wait = policy.backoff(attempt, key, waited)
-                    if wait is None:
-                        break  # per-query backoff budget exhausted
-                    if wait:
-                        clock.advance(wait)
-                        waited += wait
-                        self.retry_backoff_seconds += wait
-                    self.retry_attempts += 1
-                try:
-                    if self.limiter is not None:
-                        self.limiter.acquire(ip)
-                    response = self.network.query(ip, query, timeout=self.timeout, wire=wire)
-                    if response.truncated:
-                        response = self.network.query(
-                            ip, query, timeout=self.timeout, tcp=True, wire=wire
-                        )
-                except NetworkTimeout as exc:
-                    last_error = exc
-                    response = None
-                    continue
-                if (
-                    policy.retry_servfail
-                    and response.rcode == Rcode.SERVFAIL
-                    and attempt + 1 < policy.attempts
-                ):
-                    continue  # transient-SERVFAIL model: retry this address
-                break
-            if response is not None:
+            response, timeout = yield from self.exchange.ask(self, ip, name, rrtype)
+            if timeout is None:
                 return response, ip
+            last_error = timeout
         raise ResolutionError(f"all servers failed for {name} {rrtype.name}: {last_error}")
 
     @staticmethod
@@ -216,29 +192,26 @@ class IterativeResolver:
     # -- address resolution ------------------------------------------------------
 
     def resolve_addresses(self, hostname: Name, _depth: int = 0) -> List[str]:
-        """All A+AAAA addresses for *hostname* (deterministic order).
+        """All A+AAAA addresses for *hostname* (deterministic order)."""
+        return self._run(self.resolve_addresses_steps(hostname, _depth))
 
-        Top-level lookups are single-flighted per hostname when an
-        event loop is driving the clock: a second in-flight task waits
-        for the first, then resolves against the now-warm cache.
-        Nested lookups (``_depth > 0``, glueless-chain recursion) bypass
-        the gate — two glueless chains may legitimately pass through
-        each other's hostnames, and waiting there could cycle.
+    def resolve_addresses_steps(self, hostname: Name, _depth: int = 0) -> Generator:
+        """Top-level lookups are single-flighted per hostname: a second
+        in-flight task waits for the first, then resolves against the
+        now-warm cache.  Nested lookups (``_depth > 0``, glueless-chain
+        recursion) bypass the gate — two glueless chains may
+        legitimately pass through each other's hostnames, and waiting
+        there could cycle.
         """
-        if _depth:
-            return self._resolve_addresses_impl(hostname, _depth)
-        clock = self.limiter.clock if self.limiter is not None else self.network.clock
-        while True:
-            loop = active_loop(clock)
-            if loop is None:
-                return self._resolve_addresses_impl(hostname, 0)
-            claim = self._flights.claim(loop, hostname)
+        while not _depth:
+            claim = yield from self._flights.claim(hostname)
             if claim is None:
                 continue  # waited out another task's lookup; cache is warm
             with claim:
-                return self._resolve_addresses_impl(hostname, 0)
+                return (yield from self._resolve_addresses_impl(hostname, 0))
+        return (yield from self._resolve_addresses_impl(hostname, _depth))
 
-    def _resolve_addresses_impl(self, hostname: Name, _depth: int) -> List[str]:
+    def _resolve_addresses_impl(self, hostname: Name, _depth: int) -> Generator:
         if _depth > _MAX_GLUELESS_DEPTH:
             return []
         addresses: List[str] = []
@@ -253,7 +226,7 @@ class IterativeResolver:
             if self.cache.is_negative(hostname, rrtype):
                 continue
             try:
-                resolution = self.resolve(hostname, rrtype, _depth=_depth + 1)
+                resolution = yield from self.resolve_steps(hostname, rrtype, _depth=_depth + 1)
             except ResolutionError:
                 continue
             rrset = resolution.rrset(rrtype)
@@ -266,16 +239,34 @@ class IterativeResolver:
                 self.cache.put_negative(hostname, rrtype, 300)
         return addresses
 
+    def _referred_servers(self, cut: RRset, response: Message, _depth: int = 0) -> Generator:
+        """The addresses a referral points at: glue first, else resolved
+        (at *_depth*, which bounds glueless-chain recursion)."""
+        glue = self._glue_from(response)
+        servers: List[str] = []
+        for rdata in cut.rdatas:
+            target = getattr(rdata, "target", None)
+            if target is None:
+                continue
+            if target in glue:
+                servers.extend(glue[target])
+            else:
+                servers.extend((yield from self.resolve_addresses_steps(target, _depth)))
+        return servers
+
     # -- main walk ------------------------------------------------------------------
 
     def resolve(self, name: Name | str, rrtype: RRType, _depth: int = 0) -> Resolution:
         """Iteratively resolve (name, type) starting from the root."""
+        return self._run(self.resolve_steps(name, rrtype, _depth))
+
+    def resolve_steps(self, name: Name | str, rrtype: RRType, _depth: int = 0) -> Generator:
         qname = name if isinstance(name, Name) else Name.from_text(name)
         cname_budget = _MAX_CNAME
         current = qname
         collected: List[RRset] = []
         while True:
-            resolution = self._resolve_no_cname(current, rrtype, _depth)
+            resolution = yield from self._resolve_no_cname(current, rrtype, _depth)
             cname = resolution.rrset(RRType.CNAME)
             wanted = resolution.rrset(rrtype)
             if wanted is not None or cname is None or int(rrtype) == int(RRType.CNAME):
@@ -287,11 +278,11 @@ class IterativeResolver:
                 raise ResolutionError(f"CNAME chain too long for {qname}")
             current = cname.rdatas[0].target
 
-    def _resolve_no_cname(self, qname: Name, rrtype: RRType, _depth: int) -> Resolution:
+    def _resolve_no_cname(self, qname: Name, rrtype: RRType, _depth: int) -> Generator:
         servers = list(self.root_ips)
         current_zone = Name.root()
         for _ in range(_MAX_REFERRALS):
-            response, ip = self._ask(servers, qname, rrtype)
+            response, ip = yield from self.ask_steps(servers, qname, rrtype)
             if response.rcode == Rcode.NXDOMAIN:
                 return Resolution(
                     Rcode.NXDOMAIN,
@@ -315,19 +306,9 @@ class IterativeResolver:
             if not cut.name.is_proper_subdomain_of(current_zone):
                 raise ResolutionError(f"upward referral from {ip} for {qname}")
             current_zone = cut.name
-            glue = self._glue_from(response)
-            next_servers: List[str] = []
-            for rdata in cut.rdatas:
-                target = getattr(rdata, "target", None)
-                if target is None:
-                    continue
-                if target in glue:
-                    next_servers.extend(glue[target])
-                elif _depth < _MAX_GLUELESS_DEPTH:
-                    next_servers.extend(self.resolve_addresses(target, _depth + 1))
-            if not next_servers:
+            servers = yield from self._referred_servers(cut, response, _depth + 1)
+            if not servers:
                 raise ResolutionError(f"no reachable nameservers below {cut.name}")
-            servers = next_servers
         raise ResolutionError(f"referral chain too long for {qname}")
 
     # -- delegation capture ----------------------------------------------------------
@@ -339,29 +320,31 @@ class IterativeResolver:
         *zone* itself, then asks the same parent servers for the DS RRset
         (which the parent answers authoritatively, RFC 4035 §3.1.4.1).
         """
+        return self._run(self.find_delegation_steps(zone))
+
+    def find_delegation_steps(self, zone: Name | str) -> Generator:
         zone = zone if isinstance(zone, Name) else Name.from_text(zone)
         servers = list(self.root_ips)
         current_zone = Name.root()
         for _ in range(_MAX_REFERRALS):
-            response, ip = self._ask(servers, zone, RRType.NS)
+            response, ip = yield from self.ask_steps(servers, zone, RRType.NS)
             cut = self._referral_cut(response, zone)
             if cut is not None and cut.name == zone:
-                return self._capture_delegation(zone, current_zone, cut, response, servers)
+                ds_rrset, ds_rrsigs = yield from self._ds_at_cut(zone, response, servers)
+                return Delegation(
+                    zone=zone,
+                    parent=current_zone,
+                    ns_rrset=cut,
+                    ds_rrset=ds_rrset,
+                    ds_rrsigs=ds_rrsigs,
+                    glue=self._glue_from(response),
+                    parent_ips=list(servers),
+                )
             if cut is not None:
                 current_zone = cut.name
-                glue = self._glue_from(response)
-                next_servers: List[str] = []
-                for rdata in cut.rdatas:
-                    target = getattr(rdata, "target", None)
-                    if target is None:
-                        continue
-                    if target in glue:
-                        next_servers.extend(glue[target])
-                    else:
-                        next_servers.extend(self.resolve_addresses(target))
-                if not next_servers:
+                servers = yield from self._referred_servers(cut, response)
+                if not servers:
                     raise ResolutionError(f"no reachable nameservers below {cut.name}")
-                servers = next_servers
                 continue
             if response.rcode == Rcode.NXDOMAIN:
                 raise ResolutionError(f"{zone} does not exist (NXDOMAIN from {ip})")
@@ -384,65 +367,34 @@ class IterativeResolver:
         the servers hand out a referral, or ``None`` when they answer
         authoritatively (no further cut towards *target*).
         """
-        response, _ = self._ask(servers, target, RRType.NS)
+        return self._run(self.find_delegation_below_steps(target, current_zone, servers))
+
+    def find_delegation_below_steps(
+        self, target: Name, current_zone: Name, servers: Sequence[str]
+    ) -> Generator:
+        response, _ = yield from self.ask_steps(servers, target, RRType.NS)
         cut = self._referral_cut(response, target)
         if cut is None:
             return None
-        ds_rrset: Optional[RRset] = None
-        ds_rrsigs: Optional[RRset] = None
-        for rrset in response.authority:
-            if rrset.name == cut.name and int(rrset.rrtype) == int(RRType.DS):
-                ds_rrset = rrset
-            if rrset.name == cut.name and int(rrset.rrtype) == int(RRType.RRSIG):
-                ds_rrsigs = rrset
-        if ds_rrset is None:
-            try:
-                ds_response, _ = self._ask(servers, cut.name, RRType.DS)
-                ds_rrset = ds_response.get_rrset(ds_response.answer, cut.name, RRType.DS)
-                ds_rrsigs = ds_response.get_rrset(ds_response.answer, cut.name, RRType.RRSIG)
-            except ResolutionError:
-                pass
-        glue = self._glue_from(response)
-        next_servers: List[str] = []
-        for rdata in cut.rdatas:
-            host = getattr(rdata, "target", None)
-            if host is None:
-                continue
-            if host in glue:
-                next_servers.extend(glue[host])
-            else:
-                next_servers.extend(self.resolve_addresses(host))
+        ds_rrset, ds_rrsigs = yield from self._ds_at_cut(cut.name, response, servers)
+        next_servers = yield from self._referred_servers(cut, response)
         return cut.name, ds_rrset, ds_rrsigs, next_servers
 
-    def _capture_delegation(
-        self,
-        zone: Name,
-        parent: Name,
-        cut: RRset,
-        referral: Message,
-        parent_ips: List[str],
-    ) -> Delegation:
+    def _ds_at_cut(self, cut: Name, referral: Message, parent_ips: Sequence[str]) -> Generator:
+        """``(DS RRset, its RRSIG RRset)`` for the zone cut *cut*: what
+        rides along in the referral, else asked of the parent servers."""
         ds_rrset: Optional[RRset] = None
         ds_rrsigs: Optional[RRset] = None
-        # DS may already ride along in the referral.
         for rrset in referral.authority:
-            if int(rrset.rrtype) == int(RRType.DS) and rrset.name == zone:
+            if rrset.name == cut and int(rrset.rrtype) == int(RRType.DS):
                 ds_rrset = rrset
-            if int(rrset.rrtype) == int(RRType.RRSIG) and rrset.name == zone:
+            if rrset.name == cut and int(rrset.rrtype) == int(RRType.RRSIG):
                 ds_rrsigs = rrset
         if ds_rrset is None:
             try:
-                response, _ = self._ask(parent_ips, zone, RRType.DS)
-                ds_rrset = response.get_rrset(response.answer, zone, RRType.DS)
-                ds_rrsigs = response.get_rrset(response.answer, zone, RRType.RRSIG)
+                response, _ = yield from self.ask_steps(parent_ips, cut, RRType.DS)
+                ds_rrset = response.get_rrset(response.answer, cut, RRType.DS)
+                ds_rrsigs = response.get_rrset(response.answer, cut, RRType.RRSIG)
             except ResolutionError:
                 pass
-        return Delegation(
-            zone=zone,
-            parent=parent,
-            ns_rrset=cut,
-            ds_rrset=ds_rrset,
-            ds_rrsigs=ds_rrsigs,
-            glue=self._glue_from(referral),
-            parent_ips=list(parent_ips),
-        )
+        return ds_rrset, ds_rrsigs

@@ -84,7 +84,7 @@ class ValidatingResolver:
 
     def _query(self, ips: Sequence[str], qname: Name, qtype: RRType) -> Optional[Message]:
         try:
-            response, _ = self.resolver._ask(ips, qname, qtype)
+            response, _ = self.resolver.ask(ips, qname, qtype)
             return response
         except ResolutionError:
             return None

@@ -2,10 +2,14 @@
 
 The paper limits each scan machine to 50 queries per second per
 nameserver "to limit the impact of our scans on DNS operator's load".
-A token bucket per destination address reproduces this: when a bucket is
-empty, the limiter *advances the simulated clock* to the next refill
-instead of sleeping, so scan-duration figures (App. D: "a scan duration
-of just over a month") remain meaningful without real waiting.
+A token bucket per destination address reproduces this.  The limiter
+never waits itself: :meth:`RateLimiter.reserve` charges the bucket and
+returns the deficit in simulated seconds, which the scan's one exchange
+step (:mod:`repro.resolver.exchange`) yields to the scan loop as a
+sleep — so scan-duration figures (App. D: "a scan duration of just over
+a month") remain meaningful without real waiting, and other in-flight
+zones run meanwhile.  :meth:`RateLimiter.acquire` is the synchronous
+form: reserve, then advance the clock by the deficit.
 """
 
 from __future__ import annotations
@@ -31,19 +35,18 @@ class RateLimiter:
         self.waits = 0
         self.total_wait_time = 0.0
 
-    def acquire(self, ip: str) -> float:
-        """Take one token for *ip*, advancing the clock if none is
-        available.  Returns the (simulated) seconds waited.
+    def reserve(self, ip: str) -> float:
+        """Take one token for *ip*; returns the (simulated) seconds the
+        caller must let pass before sending.
 
         The bucket is charged — and the grant timestamp reserved —
-        *before* the clock advance, which may suspend the caller when an
-        event loop (:mod:`repro.sched`) drives the clock.  A later
-        contender for the same address then sees the reservation sitting
-        in its future: the negative elapsed time charges it for the
-        pending grant, so same-instant waiters are granted tokens
-        exactly ``1/qps`` apart instead of double-spending one refill.
-        In sequential code the arithmetic is identical to refill-then-
-        wait, so pre-existing token accounting is unchanged.
+        *before* the caller waits, during which other in-flight tasks
+        run.  A later contender for the same address then sees the
+        reservation sitting in its future: the negative elapsed time
+        charges it for the pending grant, so same-instant waiters are
+        granted tokens exactly ``1/qps`` apart instead of double-spending
+        one refill.  For a lone caller the arithmetic is identical to
+        refill-then-wait.
         """
         now = self.clock.now()
         tokens, last = self._buckets.get(ip, (self.burst, now))
@@ -57,5 +60,11 @@ class RateLimiter:
         self._buckets[ip] = (min(1.0, self.burst) - 1.0, now + waited)
         self.waits += 1
         self.total_wait_time += waited
-        self.clock.advance(waited)
+        return waited
+
+    def acquire(self, ip: str) -> float:
+        """:meth:`reserve`, then advance the clock by the deficit."""
+        waited = self.reserve(ip)
+        if waited:
+            self.clock.advance(waited)
         return waited

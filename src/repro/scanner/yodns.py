@@ -17,15 +17,33 @@ For each zone the scanner:
 
 All traffic obeys a per-address token-bucket rate limit on the simulated
 clock (50 qps, §3).
+
+The scan is written as step generators (:mod:`repro.sched`): the
+``_*_steps`` methods yield their queries and waits, and one event loop
+drives them — ``config.in_flight`` zones at a time in :meth:`scan_iter`,
+a single task behind every synchronous entry point (:meth:`scan_zone`,
+:meth:`query_one`, :meth:`collect_chain`).
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Callable, Container, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Container,
+    Dict,
+    Generator,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.chaos.retry import RetryPolicy
-from repro.dns.message import Message, make_query
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import RRSIG
 from repro.dns.rrset import RRset
@@ -43,8 +61,8 @@ from repro.scanner.results import (
     make_signal_name,
 )
 from repro.scanner.sampling import AnycastSamplingPolicy
-from repro.sched import FlightMap, active_loop
-from repro.server.network import NetworkTimeout, SimulatedNetwork
+from repro.sched import EventLoop, FlightMap, Task, run_steps
+from repro.server.network import SimulatedNetwork
 
 
 @dataclass
@@ -61,12 +79,11 @@ class ScannerConfig:
     # behaviour: one immediate re-attempt, no backoff, so fault-free
     # campaigns keep their exact query counts and simulated durations.
     retry_policy: RetryPolicy = RetryPolicy.legacy()
-    # Concurrent in-flight zones per scan machine (repro.sched).  None
-    # keeps the legacy serial loop; N >= 1 runs the scan on a
-    # deterministic event loop with up to N zones overlapping their
-    # query RTTs, retry backoffs, and rate-limiter waits.  Reports are
+    # Zones in flight per scan machine (repro.sched): 1 is the serial
+    # scan; N > 1 overlaps up to N zones' query RTTs, retry backoffs and
+    # rate-limiter waits on the deterministic event loop.  Reports are
     # byte-identical either way; only the simulated duration drops.
-    in_flight: Optional[int] = None
+    in_flight: int = 1
 
 
 @dataclass
@@ -104,11 +121,13 @@ class Scanner:
             limiter=self.limiter,
             retry=self.retry,
         )
+        # One retrying exchange step for the scanner's point queries and
+        # the resolver's walk alike (one msg-id counter, one wire-template
+        # cache, one limiter charge per datagram and per TCP retry).
+        self.exchange = self.resolver.exchange
         self.sampling = AnycastSamplingPolicy(
             self.config.anycast_ns_suffixes, self.config.full_scan_fraction
         )
-        self._msg_id = 0
-        self.tcp_fallbacks = 0
         self._signal_info_cache: Dict[Name, _SignalZoneInfo] = {}
         self._chain_cache: Dict[Name, List[ChainLink]] = {}
         self._address_cache: Dict[Name, List[str]] = {}
@@ -136,88 +155,38 @@ class Scanner:
         self.sched_gate_waits = 0
         self.sched_in_flight_peak = 0
         self.sched_queue_peak = 0
-        # (qname, qtype) -> (query message, encoded wire with msg_id 0).
-        # The same question is asked of every selected server address, so
-        # encoding once and patching the 2-byte id saves a full wire
-        # encode per address.  Reuse is temporally local (within one
-        # zone's scan), so the cache is cleared when it grows large.
-        self._query_wire_cache: Dict[Tuple[Name, int], Tuple[Message, bytes]] = {}
 
-    _QUERY_WIRE_CACHE_MAX = 2048
+    #: The scanner's backoff jitter stream is the un-prefixed one.
+    retry_key = ""
 
-    # -- low-level query with rate limiting ---------------------------------
+    @property
+    def tcp_fallbacks(self) -> int:
+        """RFC 7766 TCP retries after a truncated UDP answer (scanner
+        and resolver traffic alike)."""
+        return self.exchange.tcp_fallbacks
 
-    def _query_raw(self, ip: str, qname: Name, qtype: RRType) -> Message:
-        self._msg_id = (self._msg_id + 1) & 0xFFFF
-        key = (qname, int(qtype))
-        entry = self._query_wire_cache.get(key)
-        if entry is None:
-            if len(self._query_wire_cache) >= self._QUERY_WIRE_CACHE_MAX:
-                self._query_wire_cache.clear()
-            query = make_query(qname, qtype, msg_id=0)
-            entry = (query, query.to_wire())
-            self._query_wire_cache[key] = entry
-        query, template = entry
-        query.id = self._msg_id
-        wire = self._msg_id.to_bytes(2, "big") + template[2:]
-        self.limiter.acquire(ip)
-        response = self.network.query(ip, query, timeout=self.config.timeout, wire=wire)
-        if response.truncated:
-            # RFC 7766: retry over TCP when the UDP answer was truncated.
-            self.limiter.acquire(ip)
-            self.tcp_fallbacks += 1
-            response = self.network.query(
-                ip, query, timeout=self.config.timeout, tcp=True, wire=wire
-            )
-        return response
+    def _run(self, steps: Generator):
+        """Run *steps* to completion on a one-task loop."""
+        return run_steps(self.limiter.clock, self.network, steps)
+
+    # -- low-level query ------------------------------------------------------
 
     def query_one(self, ip: str, qname: Name, qtype: RRType) -> RRQueryResult:
         """Ask one server one question; classify the outcome.
 
-        Retries follow :attr:`retry` (a :class:`repro.chaos.RetryPolicy`):
-        timeouts — and, when the policy says so, SERVFAILs — are retried
-        with capped exponential backoff on the simulated clock, bounded
-        by the policy's per-query budget.  A query whose every attempt
-        timed out is *counted* (``retry_abandoned``), never silently
-        dropped.
+        Retries follow :attr:`retry` (a :class:`repro.chaos.RetryPolicy`,
+        see :meth:`repro.resolver.exchange.Exchanger.ask`).  A query
+        whose every attempt timed out is *counted*
+        (``retry_abandoned``), never silently dropped.
         """
-        policy = self.retry
-        key: Optional[str] = None
-        waited = 0.0
-        # `last` holds the most recent *response-bearing* outcome: a
-        # trailing timeout never shadows an earlier SERVFAIL, so a query
-        # is "abandoned" exactly when every attempt timed out — a
-        # property of the server being dead, not of fault interleaving.
-        last = RRQueryResult(QueryStatus.TIMEOUT)
-        for attempt in range(policy.attempts):
-            if attempt:
-                if key is None:
-                    key = f"{ip}/{qname.to_text()}/{int(qtype)}"
-                wait = policy.backoff(attempt, key, waited)
-                if wait is None:
-                    break  # per-query backoff budget exhausted
-                if wait:
-                    self.limiter.clock.advance(wait)
-                    waited += wait
-                    self.retry_backoff_seconds += wait
-                self.retry_attempts += 1
-            try:
-                response = self._query_raw(ip, qname, qtype)
-            except NetworkTimeout:
-                continue
-            result = self._classify(response, qname, qtype)
-            if (
-                policy.retry_servfail
-                and result.status == QueryStatus.ERROR
-                and result.rcode == Rcode.SERVFAIL
-                and attempt + 1 < policy.attempts
-            ):
-                last = result
-                continue
-            return result
-        if last.status == QueryStatus.TIMEOUT:
+        return self._run(self._query_one_steps(ip, qname, qtype))
+
+    def _query_one_steps(self, ip: str, qname: Name, qtype: RRType) -> Generator:
+        response, _ = yield from self.exchange.ask(self, ip, qname, qtype)
+        if response is None:
             self.retry_abandoned += 1
-        return last
+            return RRQueryResult(QueryStatus.TIMEOUT)
+        return self._classify(response, qname, qtype)
 
     @staticmethod
     def _classify(response: Message, qname: Name, qtype: RRType) -> RRQueryResult:
@@ -238,18 +207,18 @@ class Scanner:
 
     # -- address resolution with cache ------------------------------------------
 
-    def _addresses_for(self, ns_host: Name) -> List[str]:
+    def _addresses_for(self, ns_host: Name) -> Generator:
         while True:
             cached = self._address_cache.get(ns_host)
             if cached is not None:
                 self.address_cache_hits += 1
                 return cached
-            claim = self._flights.claim(active_loop(self.limiter.clock), ("addr", ns_host))
+            claim = yield from self._flights.claim(("addr", ns_host))
             if claim is None:
                 continue  # waited on another task's lookup; re-check
             with claim:
                 self.address_cache_misses += 1
-                found = self.resolver.resolve_addresses(ns_host)
+                found = yield from self.resolver.resolve_addresses_steps(ns_host)
                 self._address_cache[ns_host] = found
                 return found
 
@@ -262,27 +231,30 @@ class Scanner:
         memoised — signaling zones are shared by an operator's whole
         portfolio, so this is queried once per signaling zone.
         """
+        return self._run(self._collect_chain_steps(apex))
+
+    def _collect_chain_steps(self, apex: Name) -> Generator:
         while True:
             cached = self._chain_cache.get(apex)
             if cached is not None:
                 self.chain_cache_hits += 1
                 return cached
-            claim = self._flights.claim(active_loop(self.limiter.clock), ("chain", apex))
+            claim = yield from self._flights.claim(("chain", apex))
             if claim is None:
                 continue  # waited on another task's walk; re-check
             with claim:
                 self.chain_cache_misses += 1
                 with self.telemetry.span("chain_validate", apex=apex.to_text()) as span:
-                    links = self._collect_chain_uncached(apex)
+                    links = yield from self._collect_chain_uncached(apex)
                     span["links"] = len(links)
                 self._chain_cache[apex] = links
                 return links
 
-    def _collect_chain_uncached(self, apex: Name) -> List[ChainLink]:
+    def _collect_chain_uncached(self, apex: Name) -> Generator:
         links: List[ChainLink] = []
         servers = list(self.resolver.root_ips)
         current = Name.root()
-        dnskey = self._first_ok(servers, current, RRType.DNSKEY)
+        dnskey = yield from self._first_ok(servers, current, RRType.DNSKEY)
         links.append(
             ChainLink(current, None, [], dnskey.rrset if dnskey else None, dnskey.rrsigs if dnskey else [])
         )
@@ -290,7 +262,9 @@ class Scanner:
         while depth <= len(apex):
             candidate = apex.split(depth)
             try:
-                step = self.resolver.find_delegation_below(candidate, current, servers)
+                step = yield from self.resolver.find_delegation_below_steps(
+                    candidate, current, servers
+                )
             except ResolutionError:
                 break
             if step is not None:
@@ -300,12 +274,12 @@ class Scanner:
                 # No referral: the same servers may host both sides of the
                 # cut.  A candidate owning an SOA is a zone apex; its DS
                 # (if any) is answered from the parent zone.
-                soa = self._first_ok(servers, candidate, RRType.SOA)
+                soa = yield from self._first_ok(servers, candidate, RRType.SOA)
                 if soa is None or not soa.has_data or soa.rrset.name != candidate:
                     depth += 1
                     continue
                 cut = candidate
-                ds = self._first_ok(servers, candidate, RRType.DS)
+                ds = yield from self._first_ok(servers, candidate, RRType.DS)
                 ds_rrset = ds.rrset if ds else None
                 ds_rrsig_rrset = None
                 if ds is not None and ds.rrsigs:
@@ -315,7 +289,7 @@ class Scanner:
                 for rd in (ds_rrsig_rrset.rdatas if ds_rrsig_rrset else [])
                 if isinstance(rd, RRSIG) and int(rd.type_covered) == int(RRType.DS)
             ]
-            dnskey = self._first_ok(servers, cut, RRType.DNSKEY)
+            dnskey = yield from self._first_ok(servers, cut, RRType.DNSKEY)
             links.append(
                 ChainLink(
                     cut,
@@ -329,38 +303,38 @@ class Scanner:
             depth = len(cut) + 1
         return links
 
-    def _first_ok(
-        self, ips: Sequence[str], qname: Name, qtype: RRType
-    ) -> Optional[RRQueryResult]:
+    def _first_ok(self, ips: Sequence[str], qname: Name, qtype: RRType) -> Generator:
         for ip in ips:
-            result = self.query_one(ip, qname, qtype)
+            result = yield from self._query_one_steps(ip, qname, qtype)
             if result.status == QueryStatus.OK:
                 return result
         return None
 
     # -- the per-zone scan -------------------------------------------------------------
 
-    def _query_count(self) -> int:
-        """The counter whose delta is this zone's ``queries_used``: the
-        calling task's own attribution under the event loop (other
-        in-flight zones' traffic must not leak in), the global network
-        counter in serial code."""
-        task = self.limiter.clock.current_task
-        if task is not None:
-            return task.queries
-        return self.network.queries_sent
-
     def scan_zone(self, zone: Name | str) -> ZoneScanResult:
+        """Scan one zone (steps 1–5 of the module docstring), as a lone task."""
+        return EventLoop(self.limiter.clock, network=self.network).run(
+            (zone,), self._scan_zone_steps
+        )[0]
+
+    def _scan_zone_steps(self, zone: Name | str, task: Task) -> Generator:
+        """One zone's scan; *task* is the loop task it runs as, whose
+        exchange count is the zone's ``queries_used`` (other in-flight
+        zones' traffic does not leak in)."""
         zone = zone if isinstance(zone, Name) else Name.from_text(zone)
         result = ZoneScanResult(zone=zone)
-        queries_before = self._query_count()
+        result.error = yield from self._scan_into(result)
+        result.queries_used = task.exchanges
+        return result
 
+    def _scan_into(self, result: ZoneScanResult) -> Generator:
+        """Fill *result* in; returns why the scan stopped short, if it did."""
+        zone = result.zone
         try:
-            delegation = self.resolver.find_delegation(zone)
+            delegation = yield from self.resolver.find_delegation_steps(zone)
         except ResolutionError as exc:
-            result.error = f"delegation: {exc}"
-            result.queries_used = self._query_count() - queries_before
-            return result
+            return f"delegation: {exc}"
 
         result.parent = delegation.parent
         result.delegation_ns = delegation.nameserver_names
@@ -381,43 +355,39 @@ class Scanner:
         # Resolve every NS hostname (glue first, then the tree).
         ns_addresses: Dict[Name, List[str]] = {}
         for ns_host in result.delegation_ns:
-            addresses = list(delegation.glue.get(ns_host, ())) or self._addresses_for(ns_host)
+            addresses = list(delegation.glue.get(ns_host, ())) or (
+                yield from self._addresses_for(ns_host)
+            )
             if addresses:
                 ns_addresses[ns_host] = addresses
         result.ns_addresses = ns_addresses
         if not ns_addresses:
-            result.error = "no reachable nameserver addresses"
-            result.queries_used = self._query_count() - queries_before
-            return result
+            return "no reachable nameserver addresses"
 
         pairs, result.sampled = self.sampling.select(zone, ns_addresses)
 
         # Child-side apex records from the first responsive server.
         for _, ip in pairs:
-            soa = self.query_one(ip, zone, RRType.SOA)
+            soa = yield from self._query_one_steps(ip, zone, RRType.SOA)
             if soa.answered:
                 result.soa = soa
-                result.child_ns = self.query_one(ip, zone, RRType.NS)
-                result.dnskey = self.query_one(ip, zone, RRType.DNSKEY)
+                result.child_ns = yield from self._query_one_steps(ip, zone, RRType.NS)
+                result.dnskey = yield from self._query_one_steps(ip, zone, RRType.DNSKEY)
                 result.resolved = True
                 break
         if not result.resolved:
-            result.error = "no authoritative server answered SOA"
-            result.queries_used = self._query_count() - queries_before
-            return result
+            return "no authoritative server answered SOA"
 
         # CDS/CDNSKEY from every selected server address.
         for ns_host, ip in pairs:
             key = f"{ns_host.to_text()}@{ip}"
-            result.cds_by_ns[key] = self.query_one(ip, zone, RRType.CDS)
-            result.cdnskey_by_ns[key] = self.query_one(ip, zone, RRType.CDNSKEY)
+            result.cds_by_ns[key] = yield from self._query_one_steps(ip, zone, RRType.CDS)
+            result.cdnskey_by_ns[key] = yield from self._query_one_steps(ip, zone, RRType.CDNSKEY)
 
         if self.config.scan_signals:
             for ns_host in result.delegation_ns:
-                result.signals.append(self._scan_signal(zone, ns_host))
-
-        result.queries_used = self._query_count() - queries_before
-        return result
+                result.signals.append((yield from self._scan_signal(zone, ns_host)))
+        return None
 
     def scan_iter(
         self,
@@ -434,81 +404,59 @@ class Scanner:
         yielded; a checkpointing store uses it to persist-as-you-scan so
         an interrupted campaign keeps everything committed so far.
 
-        With ``config.in_flight`` set, the scan runs on a deterministic
-        event loop (:mod:`repro.sched`): up to that many zones are in
-        flight at once, overlapping their simulated waits, while results
-        are still yielded in submission order — sinks, checkpoints, and
-        the final report are byte-identical to the serial scan.
+        With ``config.in_flight > 1`` up to that many zones are in
+        flight at once on one event loop (:mod:`repro.sched`),
+        overlapping their simulated waits, while results are still
+        yielded in submission order — sinks, checkpoints, and the final
+        report are byte-identical to the serial scan.  Abandoning the
+        iterator closes every zone still in flight.
         """
-        tel = self.telemetry
-        if self.config.in_flight is None:
-            for zone in zones:
-                name = zone if isinstance(zone, Name) else Name.from_text(zone)
-                if skip is not None and name.to_text() in skip:
-                    continue
-                if tel.enabled:
-                    with tel.span("scan_zone", zone=name.to_text()) as span:
-                        result = self.scan_zone(name)
-                        span["queries"] = result.queries_used
-                else:
-                    result = self.scan_zone(name)
+        names = (zone if isinstance(zone, Name) else Name.from_text(zone) for zone in zones)
+        if skip is not None:
+            names = (name for name in names if name.to_text() not in skip)
+        if self.config.in_flight > 1:
+            results = self._scan_overlapped(names)
+        else:
+            # Zone by zone through the public entry point: the serial scan.
+            results = (self._scan_spanned(name) for name in names)
+        with closing(results):
+            for result in results:
                 if sink is not None:
                     sink(result)
                 yield result
-            return
-        yield from self._scan_iter_scheduled(zones, skip, sink)
 
-    def _scan_iter_scheduled(
-        self,
-        zones: Iterable[Name | str],
-        skip: Optional[Container[str]],
-        sink: Optional[Callable[[ZoneScanResult], None]],
-    ) -> Iterator[ZoneScanResult]:
+    def _scan_spanned(self, name: Name) -> ZoneScanResult:
+        with self.telemetry.span("scan_zone", zone=name.to_text()) as span:
+            result = self.scan_zone(name)
+            span["queries"] = result.queries_used
+        return result
+
+    def _scan_overlapped(self, names: Iterator[Name]) -> Iterator[ZoneScanResult]:
         tel = self.telemetry
 
-        def names() -> Iterator[Name]:
-            for zone in zones:
-                name = zone if isinstance(zone, Name) else Name.from_text(zone)
-                if skip is not None and name.to_text() in skip:
-                    continue
-                yield name
+        def scan_one(name: Name, task: Task) -> Generator:
+            with tel.span("scan_zone", zone=name.to_text()) as span:
+                result = yield from self._scan_zone_steps(name, task)
+                span["queries"] = result.queries_used
+            return result
 
-        def scan_one(name: Name) -> ZoneScanResult:
-            if tel.enabled:
-                with tel.span("scan_zone", zone=name.to_text()) as span:
-                    result = self.scan_zone(name)
-                    span["queries"] = result.queries_used
-                    return result
-            return self.scan_zone(name)
-
-        # The loop owns the rate-limiter clock (the one that defines the
-        # machine's campaign duration); the network clock rides along so
-        # query costs, chaos latency, and timeouts suspend tasks too
-        # when it is a separate object (parallel-worker scan machines).
-        # The transport picks the loop class: the simulated fabric gives
-        # the plain deterministic EventLoop, the wire plane a WireLoop
-        # whose tasks park on socket futures.
-        loop = self.network.make_event_loop(
-            self.limiter.clock,
-            max_in_flight=self.config.in_flight,
-            extra_clocks=(self.network.clock,),
+        # The loop runs on the rate-limiter clock — the one that defines
+        # this machine's campaign duration — and the transport answers
+        # its exchanges: the fabric at once, sockets as bytes come back.
+        loop = EventLoop(
+            self.limiter.clock, max_in_flight=self.config.in_flight, network=self.network
         )
         try:
             with tel.span("sched_loop", in_flight=self.config.in_flight) as span:
-                for result in loop.map_iter(names(), scan_one):
-                    if sink is not None:
-                        sink(result)
-                    yield result
+                yield from loop.map_iter(names, scan_one)
                 span["tasks"] = loop.tasks_started
                 span["events"] = loop.events
         finally:
             self.sched_tasks += loop.tasks_started
             self.sched_events += loop.events
             self.sched_gate_waits += loop.gate_waits
-            if loop.in_flight_peak > self.sched_in_flight_peak:
-                self.sched_in_flight_peak = loop.in_flight_peak
-            if loop.queue_peak > self.sched_queue_peak:
-                self.sched_queue_peak = loop.queue_peak
+            self.sched_in_flight_peak = max(self.sched_in_flight_peak, loop.in_flight_peak)
+            self.sched_queue_peak = max(self.sched_queue_peak, loop.queue_peak)
 
     def scan_many(
         self,
@@ -522,29 +470,29 @@ class Scanner:
 
     # -- signal-zone scanning --------------------------------------------------------------
 
-    def _signal_zone_info(self, ns_host: Name) -> _SignalZoneInfo:
+    def _signal_zone_info(self, ns_host: Name) -> Generator:
         while True:
             info = self._signal_info_cache.get(ns_host)
             if info is not None:
                 self.signal_cache_hits += 1
                 return info
-            claim = self._flights.claim(active_loop(self.limiter.clock), ("signal", ns_host))
+            claim = yield from self._flights.claim(("signal", ns_host))
             if claim is None:
                 continue  # waited on another task's probe; re-check
             with claim:
                 self.signal_cache_misses += 1
-                info = self._signal_zone_info_uncached(ns_host)
+                info = yield from self._signal_zone_info_uncached(ns_host)
                 self._signal_info_cache[ns_host] = info
                 return info
 
-    def _signal_zone_info_uncached(self, ns_host: Name) -> _SignalZoneInfo:
+    def _signal_zone_info_uncached(self, ns_host: Name) -> Generator:
         signal_root = Name((b"_signal",)).concatenate(ns_host)
         apex: Optional[Name] = None
         server_pairs: List[Tuple[Name, str]] = []
         chain: List[ChainLink] = []
         error: Optional[str] = None
         try:
-            resolution = self.resolver.resolve(signal_root, RRType.SOA)
+            resolution = yield from self.resolver.resolve_steps(signal_root, RRType.SOA)
             if resolution.rrset(RRType.SOA) is not None:
                 apex = signal_root
             else:
@@ -557,7 +505,7 @@ class Scanner:
             if apex is None:
                 error = "no SOA found for signaling name"
             else:
-                ns_resolution = self.resolver.resolve(apex, RRType.NS)
+                ns_resolution = yield from self.resolver.resolve_steps(apex, RRType.NS)
                 ns_rrset = ns_resolution.rrset(RRType.NS)
                 if ns_rrset is None:
                     error = "signal zone has no NS records"
@@ -567,24 +515,24 @@ class Scanner:
                         target = getattr(rdata, "target", None)
                         if target is None:
                             continue
-                        found = self._addresses_for(target)
+                        found = yield from self._addresses_for(target)
                         if found:
                             addresses[target] = found
                     # Anycast sampling applies to signaling zones too —
                     # they sit behind the same Cloudflare-style pools.
                     server_pairs, _ = self.sampling.select(apex, addresses)
-                    chain = self.collect_chain(apex)
+                    chain = yield from self._collect_chain_steps(apex)
         except ResolutionError as exc:
             error = str(exc)
         return _SignalZoneInfo(apex=apex, server_pairs=server_pairs, chain=chain, error=error)
 
-    def _scan_signal(self, zone: Name, ns_host: Name) -> SignalScan:
+    def _scan_signal(self, zone: Name, ns_host: Name) -> Generator:
         signal_name = make_signal_name(zone, ns_host)
         scan = SignalScan(ns_host=ns_host, signal_name=signal_name)
         if signal_name is None:
             scan.name_too_long = True
             return scan
-        info = self._signal_zone_info(ns_host)
+        info = yield from self._signal_zone_info(ns_host)
         scan.signal_zone_apex = info.apex
         scan.chain = info.chain
         if info.error is not None:
@@ -592,13 +540,15 @@ class Scanner:
             return scan
         for host, ip in info.server_pairs:
             key = f"{host.to_text()}@{ip}"
-            scan.cds_by_ip[key] = self.query_one(ip, signal_name, RRType.CDS)
-            scan.cdnskey_by_ip[key] = self.query_one(ip, signal_name, RRType.CDNSKEY)
+            scan.cds_by_ip[key] = yield from self._query_one_steps(ip, signal_name, RRType.CDS)
+            scan.cdnskey_by_ip[key] = yield from self._query_one_steps(
+                ip, signal_name, RRType.CDNSKEY
+            )
         if self.config.probe_zone_cuts and scan.any_cds:
-            scan.zone_cuts = self._probe_zone_cuts(signal_name, info)
+            scan.zone_cuts = yield from self._probe_zone_cuts(signal_name, info)
         return scan
 
-    def _probe_zone_cuts(self, signal_name: Name, info: _SignalZoneInfo) -> List[Name]:
+    def _probe_zone_cuts(self, signal_name: Name, info: _SignalZoneInfo) -> Generator:
         """Find unexpected zone cuts strictly between the signaling zone
         apex and the signaling name (RFC 9615 §4.2 forbids them)."""
         cuts: List[Name] = []
@@ -608,7 +558,7 @@ class Scanner:
         for depth in range(apex_depth + 1, len(signal_name)):
             intermediate = signal_name.split(depth)
             for _, ip in info.server_pairs[:1]:
-                answer = self.query_one(ip, intermediate, RRType.NS)
+                answer = yield from self._query_one_steps(ip, intermediate, RRType.NS)
                 if answer.has_data:
                     cuts.append(intermediate)
                 break

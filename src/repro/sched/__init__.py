@@ -1,41 +1,38 @@
-"""Deterministic discrete-event scheduling for concurrent scans.
+"""One deterministic driver for every scan.
 
 The paper's YoDNS deployment finishes 287.6 M zones in about a month
-only because thousands of queries are in flight at once; our simulated
-scanner used to serialize every zone on the :class:`SimulatedClock`, so
-simulated campaign duration was the *sum* of per-zone latency instead of
-the makespan of an overlapped schedule.
+only because thousands of queries are in flight at once.  Here a scan —
+one zone or a campaign, simulated fabric or real sockets — is:
 
-:mod:`repro.sched` closes that gap without giving up determinism:
+* **step generators**: scan code yields the three things it can wait
+  for — an :class:`Exchange`, a :class:`Sleep`, a :class:`Gate` — instead
+  of calling the network or the clock;
+* **one** :class:`EventLoop` resuming them from a heap of ``(fire_time,
+  seq)`` events on the calling thread, up to ``max_in_flight`` at a time,
+  so zones overlap their query RTTs, retry backoffs and rate-limiter
+  waits.  The heap alone decides the interleaving (FIFO on ties): same
+  inputs, same schedule, on any machine.  One task (``in_flight=1``,
+  :func:`run_steps`, every synchronous facade) *is* the serial scan;
+* **two back-ends** answering exchanges — the network itself: the
+  simulated fabric on the spot, the socket transport when bytes return;
+* :class:`FlightMap`: single-flight admission to the scanner's shared
+  memo caches, so a key is computed once however many tasks need it.
 
-* :class:`EventLoop` — a discrete-event engine over a heap of
-  ``(fire_time, seq)`` events.  Each zone scan becomes a cooperative
-  task; every ``clock.advance`` inside a task suspends it until the
-  simulated fire time, so up to ``max_in_flight`` zones overlap their
-  query RTTs, retry backoffs, and rate-limiter waits.  Exactly one task
-  ever runs at a time and the interleaving is decided solely by the
-  event heap (FIFO on ties), never by the OS scheduler — same inputs,
-  same schedule, on any machine.
-* :class:`Gate` / :class:`FlightMap` — single-flight admission for the
-  scanner's shared memo caches, so a key is computed once no matter how
-  many in-flight tasks need it (mirroring what a sequential scan's
-  cache would do).
-* :exc:`TaskCancelled` — raised at a task's suspension point when the
-  scan is abandoned early (``stop_after`` / a closed iterator).
-
-Determinism invariant (pinned by ``tests/test_sched.py``): a campaign
-run with any ``in_flight`` renders Tables 1–3 and Figure 1 byte-identical
-to the sequential campaign at the same seed/scale.
+Abandoning a scan (``stop_after``, a closed iterator) closes the live
+generators: spans exit and claims release through ordinary ``finally``.
+Invariant (``tests/test_sched.py``): any ``in_flight`` renders Tables
+1–3 and Figure 1 byte-identical to the serial campaign.
 """
 
-from repro.sched.gate import FlightMap, Gate, active_loop
-from repro.sched.loop import EventLoop, Task, TaskCancelled
+from repro.sched.gate import FlightMap, Gate
+from repro.sched.loop import EventLoop, Exchange, Sleep, Task, run_steps
 
 __all__ = [
     "EventLoop",
+    "Exchange",
     "FlightMap",
     "Gate",
+    "Sleep",
     "Task",
-    "TaskCancelled",
-    "active_loop",
+    "run_steps",
 ]

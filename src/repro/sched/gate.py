@@ -2,135 +2,60 @@
 
 The scanner's memo caches (addresses, signal-zone info, trust chains)
 and the resolver's address lookups assume "first caller computes, later
-callers hit the cache".  Under the event loop, two tasks can need the
-same key while neither has finished computing it; without coordination
-both would compute — doubling the query stream and breaking the
-byte-identity invariant against the sequential scan.
-
-A :class:`Gate` is the primitive: tasks park on it, and whoever holds
-it wakes them all at the release time (a waiter never wakes before the
-releaser's clock — time only moves forward).  :class:`FlightMap` builds
-the per-key single-flight discipline on top: the first task to claim a
-key computes and releases; every other task waits, then re-checks the
-caller's cache — observing exactly the hit a sequential second caller
-would have observed.
+callers hit the cache".  With several zones in flight, two tasks can
+need the same key while neither has finished computing it; without
+coordination both would compute — doubling the query stream and breaking
+the byte-identity invariant against the sequential scan.  With
+:class:`FlightMap` the first task to claim a key computes and releases;
+every other task waits on its :class:`Gate`, then re-checks the caller's
+cache — observing exactly the hit a sequential second caller would have.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
-
-from repro.sched.loop import EventLoop, Task, TaskCancelled
-
-
-def active_loop(clock) -> Optional[EventLoop]:
-    """The EventLoop driving *clock*, if the caller is inside one of its
-    tasks; None in plain sequential code (including loop-side consumers)."""
-    scheduler = getattr(clock, "scheduler", None)
-    if scheduler is not None and scheduler.current_task is not None:
-        return scheduler
-    return None
+from contextlib import contextmanager
+from typing import Any, ContextManager, Dict, Generator, Iterator, List, Optional
 
 
 class Gate:
-    """A one-shot wake-up: tasks wait, the owner releases.
+    """A one-shot wake-up: tasks yield it to wait, the owner releases.
 
-    Waiters are woken strictly in the order they arrived (FIFO — their
-    wake events are pushed in arrival order at the same fire time, and
-    the heap breaks ties by push sequence), each with its clock moved up
-    to the release instant.
+    Waiters wake in arrival order (FIFO: same fire time, pushed in that
+    order), each no earlier than the release instant — a waiter's clock
+    is moved up to the releaser's, time only moves forward.
     """
 
-    __slots__ = ("_loop", "_waiters", "released")
+    __slots__ = ("_waiters", "_loop")
 
-    def __init__(self, loop: EventLoop):
-        self._loop = loop
-        self._waiters: List[Task] = []
-        self.released = False
+    def __init__(self):
+        self._waiters: List[Any] = []
+        self._loop = None
 
-    def wait(self) -> None:
-        """Park the calling task until :meth:`release`."""
-        loop = self._loop
-        task = loop.current_task
-        if task is None:
-            raise RuntimeError("Gate.wait() outside a scheduled task")
-        if self.released:
-            return
-        if task.cancelled:
-            raise TaskCancelled()
-        loop.gate_waits += 1
+    def park(self, task, loop) -> None:
+        """Loop side of the wait intent: hold *task* until :meth:`release`."""
         self._waiters.append(task)
-        loop._park(task)
+        self._loop = loop
 
     def release(self) -> None:
         """Wake every waiter at the releaser's current simulated time."""
-        self.released = True
-        loop = self._loop
-        owner = loop.current_task
-        now = owner.now if owner is not None else loop.frontier
-        for waiter in self._waiters:
-            if now > waiter.now:
-                waiter.now = now
-            loop._push(waiter.now, waiter)
-        self._waiters.clear()
-
-
-class _Claim:
-    """Context manager held by the task that owns a key's computation."""
-
-    __slots__ = ("_gates", "_key", "_gate")
-
-    def __init__(self, gates: Dict[Any, Gate], key: Any, gate: Gate):
-        self._gates = gates
-        self._key = key
-        self._gate = gate
-
-    def __enter__(self) -> "_Claim":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        # Released on success *and* on failure: a waiter re-checks the
-        # cache and, finding it still cold, claims the key itself —
-        # sequential retry semantics, never a stuck gate.
-        self._gates.pop(self._key, None)
-        self._gate.release()
-        return False
-
-
-class _NoClaim:
-    """Truthy no-op claim for sequential (loop-less) callers."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NoClaim":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-
-_NO_CLAIM = _NoClaim()
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            self._loop.wake(waiters)
 
 
 class FlightMap:
-    """Per-key single-flight admission.
-
-    Usage pattern (the caller owns the cache)::
+    """Per-key single-flight admission; the caller owns the cache::
 
         while True:
-            value = cache.get(key)
-            if value is not None:
-                return value                      # hit (possibly after a wait)
-            claim = flights.claim(active_loop(clock), key)
-            if claim is None:
-                continue                          # waited; re-check the cache
-            with claim:
-                value = compute()
-                cache[key] = value
-                return value
+            if key in cache:
+                return cache[key]                 # hit (possibly after a wait)
+            claim = yield from flights.claim(key)
+            if claim is not None:                 # else: waited; re-check
+                with claim:
+                    cache[key] = yield from compute()
 
-    Outside a loop ``claim`` always returns a no-op claim, so the
-    sequential hot path pays one ``None`` check and nothing else.
+    A lone task (every synchronous facade) always gets the claim at
+    once: the gate is only ever yielded when another task holds the key.
     """
 
     __slots__ = ("_gates",)
@@ -138,19 +63,28 @@ class FlightMap:
     def __init__(self):
         self._gates: Dict[Any, Gate] = {}
 
-    def claim(self, loop: Optional[EventLoop], key: Any):
-        """Claim *key* for computation.
+    def claim(self, key: Any) -> Generator[Gate, None, Optional[ContextManager]]:
+        """Claim *key* for computation (a step generator).
 
         Returns a context manager when the caller should compute (it
         releases the key on exit), or ``None`` after having waited for
         another task's computation — the caller then re-checks its cache.
         """
-        if loop is None:
-            return _NO_CLAIM
         gate = self._gates.get(key)
         if gate is None:
-            gate = Gate(loop)
-            self._gates[key] = gate
-            return _Claim(self._gates, key, gate)
-        gate.wait()
+            gate = self._gates[key] = Gate()
+            return self._held(key, gate)
+        yield gate
         return None
+
+    @contextmanager
+    def _held(self, key: Any, gate: Gate) -> Iterator[None]:
+        try:
+            yield
+        finally:
+            # Released on success, on failure *and* when the scan is
+            # abandoned (the holder is closed): a waiter re-checks the
+            # cache and, finding it still cold, claims the key itself —
+            # sequential retry semantics, never a stuck gate.
+            del self._gates[key]
+            gate.release()

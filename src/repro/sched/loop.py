@@ -1,138 +1,89 @@
-"""The discrete-event engine: a heap of ``(fire_time, seq)`` events
-driving cooperative per-zone tasks over a :class:`SimulatedClock`.
+"""The scan driver (the model is in the package docstring; this is the
+mechanism): a heap of ``(fire_time, seq)`` events resuming step
+generators on the calling thread, ``seq`` a global push counter.
 
-Concurrency model
------------------
-Each task runs on its own (daemon) thread, but *exactly one* thread is
-runnable at any moment: the loop thread and the task threads hand
-control back and forth through per-task events, so there is no true
-parallelism and no data race — the threads are a mechanism for
-suspending/resuming arbitrary Python call stacks (the scan hot path
-stays plain synchronous code), not for speed.  Which task runs next is
-decided solely by the event heap: events fire in ``(fire_time, seq)``
-order, where ``seq`` is a global push counter — ties on the simulated
-clock resolve FIFO.  The schedule is therefore a pure function of the
-submitted work, independent of dict iteration order, PYTHONHASHSEED,
-and OS thread scheduling.
+Before every slice the loop sets its clock to the running task's local
+time, so the clock stays a plain number: limiter arithmetic, span stamps
+and the fabric's own ``advance`` calls inside a slice read and move that
+task's timeline.  The clock is the scan *machine's*: a network with a
+clock of its own (a parallel worker's) accumulates fabric time there, as
+in a serial scan.  No event fires in the past — sleeps are non-negative,
+gate waiters wake no earlier than their releaser, a task the back-end
+hands back is lifted to the frontier — and the loop checks it.
 
-Clock interception
-------------------
-While a loop runs, its clocks' ``advance(dt)`` inside a task becomes
-"suspend until ``task.now + dt``" and ``now()`` answers the *task's*
-local time; outside any task both fall back to the global frontier
-(the latest fired event).  When the loop finishes, every intercepted
-clock has advanced by the schedule's makespan — the overlapped campaign
-duration.
-
-No event ever fires in the past: tasks only push events at
-``task.now + dt`` with ``dt >= 0`` and resume *at* the frontier, so the
-fire times the heap pops are non-decreasing (checked, not assumed).
+The *network* is the back-end: ``submit(exchange, task)`` returns the
+response (or raises the failure thrown into the task) — or ``None``,
+keeping the task until ``completions(block)`` hands it back as a
+``(task, land)`` pair, ``land()`` then returning or raising likewise.
 """
 
 from __future__ import annotations
 
 import heapq
-import threading
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+
+from repro.sched.gate import Gate
 
 
-class TaskCancelled(BaseException):
-    """Raised inside a task at its suspension point when the loop is
-    shut down before the task completes (e.g. ``stop_after`` closed the
-    scan iterator).  A ``BaseException`` so ordinary ``except Exception``
-    handlers in scan code cannot swallow the unwind."""
+class Exchange(NamedTuple):
+    """Intent: send *wire* (the encoded *question*) to *ip*; the task is
+    sent the decoded response or has the failure thrown in."""
+
+    ip: str
+    question: Any
+    wire: Optional[bytes]
+    tcp: bool = False
+    timeout: float = 2.0
+
+
+class Sleep(NamedTuple):
+    """Intent: resume after *seconds* of simulated time."""
+
+    seconds: float
+
+
+Steps = Generator[Any, Any, Any]
 
 
 class Task:
     """One cooperative unit of work (one zone scan)."""
 
-    __slots__ = (
-        "index",
-        "item",
-        "now",
-        "queries",
-        "thread",
-        "resume_evt",
-        "cancelled",
-        "finished",
-        "value",
-        "error",
-    )
+    __slots__ = ("index", "steps", "now", "exchanges", "finished", "outcome")
 
-    def __init__(self, index: int, item: Any, start: float):
+    def __init__(self, index: int, start: float):
         self.index = index
-        self.item = item
+        self.steps: Optional[Steps] = None
         self.now = start
-        # Queries attributed to this task by SimulatedNetwork.query —
-        # the per-zone ``queries_used`` accounting under concurrency
+        # Exchanges this task has issued — the per-zone ``queries_used``
         # (a global counter delta would count other tasks' traffic).
-        self.queries = 0
-        self.thread: Optional[threading.Thread] = None
-        self.resume_evt = threading.Event()
-        self.cancelled = False
+        self.exchanges = 0
         self.finished = False
-        self.value: Any = None
-        self.error: Optional[BaseException] = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "finished" if self.finished else ("cancelled" if self.cancelled else "parked")
-        return f"<Task #{self.index} t={self.now:.3f} {state}>"
+        # ``(value, error)``: what the next slice is resumed with (sent
+        # or thrown in) and, once finished, what the task ended with.
+        self.outcome: Tuple[Any, Optional[BaseException]] = (None, None)
 
 
 class EventLoop:
-    """Run up to *max_in_flight* tasks concurrently on simulated time.
+    """Run up to *max_in_flight* step generators on simulated time.
 
-    *clock* is the primary clock — the one whose reading defines the
-    campaign duration (the rate-limiter clock).  *extra_clocks* are
-    additionally intercepted so their advances suspend the task onto the
-    same timeline (the network clock, when it is a separate object as on
-    a parallel-worker scan machine).  All intercepted clocks advance by
-    the schedule's makespan when the loop completes.
-
-    Results from :meth:`map_iter` are yielded in **submission order**
-    (out-of-order completions are buffered), so downstream consumers —
-    store appends, checkpoints, progress events — observe exactly the
-    sequence a serial scan would have produced.
-
-    Subclasses may integrate external event sources (real sockets — see
-    :class:`repro.wire.WireLoop`) through three hooks: :meth:`_poll_io`
-    (drain completed I/O into the heap, called before every pop),
-    :meth:`_wait_io` (block for I/O when the heap is empty but tasks are
-    still parked; returning False means no I/O can arrive and the loop
-    deadlocks), and :attr:`_strict_frontier` (False relaxes the
-    monotonic-fire-time check, since I/O completions resume tasks in
-    wire-arrival order, which may trail the simulated frontier).
+    *clock* defines the campaign duration (the rate-limiter clock);
+    *network* answers the :class:`Exchange` intents.  Results from
+    :meth:`map_iter` are yielded in **submission order** (out-of-order
+    completions are buffered), so downstream consumers — store appends,
+    checkpoints, progress events — observe exactly the sequence a serial
+    scan would have produced.  *trace*, if given, collects one
+    ``(fire_time, seq, task_index)`` tuple per fired event.
     """
 
-    #: When True (the default), an event firing before the frontier is a
-    #: bug and raises; subclasses with external completions clamp instead.
-    _strict_frontier = True
-
-    def __init__(
-        self,
-        clock,
-        max_in_flight: int = 1,
-        extra_clocks: Iterable[Any] = (),
-        trace: Optional[List[Tuple[float, int, int]]] = None,
-    ):
+    def __init__(self, clock, max_in_flight: int = 1, network=None, trace: Optional[list] = None):
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.clock = clock
         self.max_in_flight = max_in_flight
-        self._clocks = list(dict.fromkeys((clock, *extra_clocks)))
-        # Optional event trace for the property-based suite: one
-        # (fire_time, seq, task_index) tuple per fired event.
+        self.network = network
         self.trace = trace
-        self.current_task: Optional[Task] = None
-        self._heap: List[Tuple[float, int, Task]] = []
         self._seq = 0
-        self._yielded = threading.Event()
-        self._tasks: List[Task] = []
-        self._running = 0
-        self._frontier = 0.0
-        self._base = 0.0
-        self._installed = False
-        self._clock_starts: List[float] = []
+        self._active = False
         # Counters surfaced as sched.* telemetry.
         self.tasks_started = 0
         self.events = 0
@@ -140,199 +91,155 @@ class EventLoop:
         self.in_flight_peak = 0
         self.queue_peak = 0
 
-    # -- public API --------------------------------------------------------
-
-    def map_iter(self, items: Iterable[Any], fn: Callable[[Any], Any]) -> Iterator[Any]:
-        """Apply *fn* to every item, up to *max_in_flight* at a time,
-        yielding results in submission order as they become ready."""
-        if self._installed:
+    def map_iter(self, items: Iterable[Any], fn: Callable[[Any, Task], Steps]) -> Iterator[Any]:
+        """Run ``fn(item, task)``'s steps for every item, up to
+        *max_in_flight* at a time, yielding each return value in
+        submission order as it becomes ready.  Abandoning the iterator
+        closes every live generator (their ``finally`` blocks run)."""
+        if self._active:
             raise RuntimeError("EventLoop is not reentrant")
-        self._install()
+        self._active = True
+        self._heap: List[Tuple[float, int, Task]] = []
+        self._tasks: List[Task] = []
+        self._running = 0
+        self._parked = 0  # tasks the back-end is keeping
+        self._frontier = self.clock._now
         try:
             yield from self._drive(iter(items), fn)
         finally:
-            self._cancel_unfinished()
-            self._uninstall()
+            for task in self._tasks:
+                if not task.finished:
+                    task.finished = True
+                    self.clock._now = task.now
+                    task.steps.close()
+            self.clock._now = self._frontier
+            self._active = False
 
-    def run(self, items: Iterable[Any], fn: Callable[[Any], Any]) -> List[Any]:
+    def run(self, items: Iterable[Any], fn: Callable[[Any, Task], Steps]) -> List[Any]:
         """Eager form of :meth:`map_iter`."""
         return list(self.map_iter(items, fn))
 
-    @property
-    def frontier(self) -> float:
-        """The latest fired event's time (the makespan so far)."""
-        return self._frontier
-
-    def gate(self) -> "Gate":
-        from repro.sched.gate import Gate
-
-        return Gate(self)
-
-    # -- the event loop ----------------------------------------------------
-
-    def _drive(self, it: Iterator[Any], fn: Callable[[Any], Any]) -> Iterator[Any]:
+    def _drive(self, it: Iterator[Any], fn: Callable[[Any, Task], Steps]) -> Iterator[Any]:
+        heap = self._heap
         pending = {}
         next_out = 0
-        exhausted = False
 
         def admit(now: float) -> None:
-            nonlocal exhausted
-            while not exhausted and self._running < self.max_in_flight:
+            while self._running < self.max_in_flight:
                 try:
                     item = next(it)
                 except StopIteration:
-                    exhausted = True
                     return
-                task = Task(len(self._tasks), item, now)
+                task = Task(len(self._tasks), now)
+                task.steps = fn(item, task)
                 self._tasks.append(task)
                 self._running += 1
                 self.tasks_started += 1
                 if self._running > self.in_flight_peak:
                     self.in_flight_peak = self._running
-                self._push(now, task)
+                self._push(task)
 
-        admit(self._base)
+        admit(self._frontier)
         while True:
-            self._poll_io()
-            if not self._heap:
-                if self._running and self._wait_io():
+            if self._parked:
+                self._collect(block=not heap)
+            if not heap:
+                if self._parked:
                     continue
                 break
-            fire, seq, task = heapq.heappop(self._heap)
+            fire, seq, task = heapq.heappop(heap)
             if fire < self._frontier:
-                if self._strict_frontier:
-                    raise RuntimeError(
-                        f"event for task #{task.index} fires at {fire:.6f}, "
-                        f"before the frontier {self._frontier:.6f}"
-                    )
-                fire = self._frontier
+                raise RuntimeError(
+                    f"event for task #{task.index} fires at {fire:.6f}, "
+                    f"before the frontier {self._frontier:.6f}"
+                )
             self.events += 1
-            self._frontier = fire
-            # Consumers between yields (sinks, progress events) read the
-            # primary clock outside any task: answer the frontier.
-            self.clock._now = fire
+            # The slice — and any consumer between yields (sinks,
+            # progress events) — reads the task's time off the clock.
+            self._frontier = self.clock._now = fire
             if self.trace is not None:
                 self.trace.append((fire, seq, task.index))
-            self._run_slice(task, fn)
+            self._run_slice(task)
             if task.finished:
                 self._running -= 1
-                pending[task.index] = task
+                # The result is the consumer's from here: not kept alive
+                # by the loop for the rest of the scan.
+                pending[task.index], task.outcome = task.outcome, (None, None)
                 admit(task.now)
                 while next_out in pending:
-                    done = pending.pop(next_out)
+                    value, error = pending.pop(next_out)
                     next_out += 1
-                    if done.error is not None:
-                        raise done.error
-                    yield done.value
+                    if error is not None:
+                        raise error
+                    yield value
         if self._running:
-            parked = [t.index for t in self._tasks if not t.finished]
+            stuck = [t.index for t in self._tasks if not t.finished]
             raise RuntimeError(
-                f"scheduler deadlock: task(s) {parked} parked with an empty event queue"
+                f"scheduler deadlock: task(s) {stuck} parked with an empty event queue"
             )
 
-    # -- external-event hooks (overridden by repro.wire.WireLoop) ----------
-
-    def _poll_io(self) -> None:
-        """Drain externally-completed work into the heap (no-op here)."""
-
-    def _wait_io(self) -> bool:
-        """Block until external I/O makes a parked task runnable again.
-
-        Returns True when at least one event was pushed (the loop
-        retries), False when no external source exists — the base loop
-        has none, so an empty heap with parked tasks is a deadlock.
-        """
-        return False
-
-    def _run_slice(self, task: Task, fn: Optional[Callable[[Any], Any]] = None) -> None:
-        """Resume *task* and block until it parks again or finishes."""
-        self.current_task = task
-        if task.thread is None:
-            task.thread = threading.Thread(
-                target=self._task_main,
-                args=(task, fn),
-                name=f"sched-task-{task.index}",
-                daemon=True,
-            )
-            task.thread.start()
-        else:
-            task.resume_evt.set()
-        self._yielded.wait()
-        self._yielded.clear()
-        self.current_task = None
-
-    def _task_main(self, task: Task, fn: Callable[[Any], Any]) -> None:
+    def _run_slice(self, task: Task) -> None:
+        """Resume *task* until its next intent, and act on that."""
+        value, error = task.outcome
         try:
-            task.value = fn(task.item)
-        except TaskCancelled:
-            pass
-        except BaseException as exc:  # noqa: BLE001 - handed to the consumer
-            task.error = exc
-        finally:
-            task.finished = True
-            self._yielded.set()
+            intent = task.steps.throw(error) if error is not None else task.steps.send(value)
+        except StopIteration as stop:
+            task.finished, task.outcome = True, (stop.value, None)
+            return
+        except Exception as exc:  # noqa: BLE001 - handed to the consumer, in order
+            task.finished, task.outcome = True, (None, exc)
+            return
+        task.outcome = (None, None)
+        kind = type(intent)
+        if kind is Exchange:
+            task.exchanges += 1
+            self._settle(task, self.network.submit, intent, task)
+        elif kind is Sleep:
+            self._push(task, self.clock._now + intent.seconds)
+        elif kind is Gate:
+            self.gate_waits += 1
+            intent.park(task, self)
+        else:
+            raise TypeError(f"task #{task.index} yielded {intent!r}, not an intent")
 
-    # -- task-side suspension (called from task threads) -------------------
+    def _settle(self, task: Task, answer: Callable[..., Any], *args: Any) -> None:
+        """Queue *task* to resume with what *answer* returns or raises,
+        at the time the clock reads afterwards — unless it returns
+        ``None``: the back-end keeps the task until :meth:`_collect`."""
+        try:
+            response = answer(*args)
+        except Exception as exc:  # noqa: BLE001 - thrown into the task
+            task.outcome = (None, exc)
+        else:
+            if response is None:
+                self._parked += 1
+                return
+            task.outcome = (response, None)
+        self._push(task, self.clock._now)
 
-    def task_advance(self, seconds: float) -> None:
-        """``clock.advance`` inside a task: sleep on simulated time."""
-        task = self.current_task
-        if task is None:  # pragma: no cover - clock guards this
-            raise RuntimeError("task_advance outside a scheduled task")
-        if task.cancelled:
-            raise TaskCancelled()
-        task.now += seconds
-        self._push(task.now, task)
-        self._park(task)
+    def _collect(self, block: bool) -> None:
+        """Take back the tasks whose I/O the back-end has completed."""
+        for task, land in self.network.completions(block):
+            if not task.finished:  # else: a straggler of an abandoned scan
+                self._parked -= 1
+                self.clock._now = max(task.now, self._frontier)
+                self._settle(task, land)
 
-    def _park(self, task: Task) -> None:
-        """Hand control to the loop thread; return when resumed."""
-        task.resume_evt.clear()
-        self._yielded.set()
-        task.resume_evt.wait()
-        if task.cancelled:
-            raise TaskCancelled()
-
-    def _push(self, fire: float, task: Task) -> None:
-        heapq.heappush(self._heap, (fire, self._seq, task))
+    def _push(self, task: Task, fire: Optional[float] = None) -> None:
+        if fire is not None:
+            task.now = fire
+        heapq.heappush(self._heap, (task.now, self._seq, task))
         self._seq += 1
         if len(self._heap) > self.queue_peak:
             self.queue_peak = len(self._heap)
 
-    # -- clock interception ------------------------------------------------
+    def wake(self, waiters: List[Task]) -> None:
+        """Gate release: resume *waiters* (FIFO) at the releaser's time."""
+        for waiter in waiters:
+            self._push(waiter, max(waiter.now, self.clock._now))
 
-    def _install(self) -> None:
-        self._clock_starts = []
-        for clock in self._clocks:
-            if getattr(clock, "scheduler", None) is not None:
-                raise RuntimeError("clock is already driven by another EventLoop")
-            clock.scheduler = self
-            self._clock_starts.append(clock._now)
-        self._base = self._clocks[0]._now
-        self._frontier = self._base
-        self._installed = True
 
-    def _uninstall(self) -> None:
-        if not self._installed:
-            return
-        elapsed = self._frontier - self._base
-        for clock, start in zip(self._clocks, self._clock_starts):
-            clock.scheduler = None
-            # Offsets between clocks are preserved: each advances by the
-            # schedule's makespan, exactly as if the whole overlapped
-            # scan had played out on it.
-            clock._now = start + elapsed
-        self._installed = False
-
-    def _cancel_unfinished(self) -> None:
-        """Unwind every live task (TaskCancelled at its suspension
-        point) so generators/finally blocks run and threads exit."""
-        for task in self._tasks:
-            if task.finished:
-                continue
-            if task.thread is None:
-                # Admitted but never started: nothing to unwind.
-                task.finished = True
-                continue
-            task.cancelled = True
-            self._run_slice(task)
+def run_steps(clock, network, steps: Steps) -> Any:
+    """Run one step generator to completion on a loop of its own — what
+    every synchronous facade (``scan_zone``, ``resolve``, …) does."""
+    return EventLoop(clock, network=network).run((steps,), lambda item, task: item)[0]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.dns.message import Message, make_response
+from repro.dns.message import Message, Question, make_response
 from repro.dns.types import Rcode
 from repro.server.nameserver import AuthoritativeServer, ResponseCache
 
@@ -30,43 +30,21 @@ class NetworkTimeout(Exception):
 
 
 class SimulatedClock:
-    """A monotonically advancing virtual clock (seconds).
-
-    When a :class:`repro.sched.EventLoop` drives this clock
-    (``scheduler`` is set), reads and advances made *inside a task* are
-    task-local: ``now()`` answers the task's own timeline and
-    ``advance()`` suspends the task until the simulated fire time, so
-    concurrent zone scans overlap their waits.  Outside any task — and
-    whenever no loop is attached — the clock is the plain global one.
-    """
+    """A virtual clock (seconds): a plain number that only code holding
+    it moves.  The scan loop (:mod:`repro.sched`) sets it to the running
+    task's local time before every slice, so with several zones in
+    flight it reads each task's own timeline."""
 
     def __init__(self, start: float = 0.0):
         self._now = start
-        self.scheduler = None
 
     def now(self) -> float:
-        scheduler = self.scheduler
-        if scheduler is not None:
-            task = scheduler.current_task
-            if task is not None:
-                return task.now
         return self._now
 
     def advance(self, seconds: float) -> None:
         if seconds < 0:
             raise ValueError("clock cannot go backwards")
-        scheduler = self.scheduler
-        if scheduler is not None and scheduler.current_task is not None:
-            scheduler.task_advance(seconds)
-            return
         self._now += seconds
-
-    @property
-    def current_task(self):
-        """The scheduled task currently advancing on this clock (None
-        outside an event loop) — used for per-task query attribution."""
-        scheduler = self.scheduler
-        return scheduler.current_task if scheduler is not None else None
 
 
 class SimulatedNetwork:
@@ -105,20 +83,6 @@ class SimulatedNetwork:
     def response_cache_hits(self) -> int:
         return self.response_cache.hits
 
-    # -- scheduling --------------------------------------------------------
-
-    def make_event_loop(self, clock, max_in_flight: int = 1, extra_clocks=()):
-        """The event loop a scanner on this transport should run under.
-
-        The simulated fabric uses the plain deterministic
-        :class:`repro.sched.EventLoop`; :class:`repro.wire.WireNetwork`
-        overrides this to return a :class:`repro.wire.WireLoop` whose
-        tasks can park on socket futures.
-        """
-        from repro.sched import EventLoop
-
-        return EventLoop(clock, max_in_flight=max_in_flight, extra_clocks=extra_clocks)
-
     # -- failure injection -------------------------------------------------
 
     def install_chaos(self, config: "ChaosConfig") -> "ChaosPlane":
@@ -148,10 +112,11 @@ class SimulatedNetwork:
     def query(
         self,
         ip: str,
-        query: Message,
+        query: "Message | Question",
         timeout: float = 2.0,
         tcp: bool = False,
         wire: Optional[bytes] = None,
+        asker: Optional[int] = None,
     ) -> Message:
         """Send *query* to *ip* and return the response message.
 
@@ -161,23 +126,41 @@ class SimulatedNetwork:
         to the EDNS payload limit and may come back truncated (TC bit);
         pass ``tcp=True`` to retry without the size limit (RFC 7766).
         Callers that ask the same question of many addresses may pass a
-        pre-encoded *wire* (it must be ``query.to_wire()``) to skip
-        re-encoding — the receiving side still decodes the actual bytes.
+        pre-encoded *wire* to skip re-encoding — *query* may then be
+        just the :class:`~repro.dns.message.Question` (all the fabric
+        reads beside the bytes is the question, for the fault plane);
+        the receiving side still decodes the actual bytes.  *asker*
+        tells the fault plane which in-flight task is asking.
         Raises :class:`NetworkTimeout` for dark addresses, drop
         behaviours, and injected faults.
         """
-        wire, server, response_wire = self.outbound(ip, query, timeout, tcp, wire)
+        wire, server, response_wire = self.outbound(ip, query, timeout, tcp, wire, asker)
         if response_wire is None:
             response_wire = server.answer_wire(wire, tcp, self.response_cache)
             if response_wire is None:
                 raise self.timed_out(timeout, f"{ip} dropped the query")
         return self.inbound(response_wire)
 
+    def submit(self, exchange, task) -> Message:
+        """Back-end of the scan loop's exchange intent
+        (:mod:`repro.sched`): the fabric answers on the spot, at the
+        task's local time; the simulated time it spends on this clock is
+        the task's resume time."""
+        return self.query(
+            exchange.ip, exchange.question, exchange.timeout, exchange.tcp, exchange.wire, task.index
+        )
+
     # The scanner's half of an exchange, shared with the socket transport
     # (repro.wire.WireNetwork): only how the bytes travel differs.
 
     def outbound(
-        self, ip: str, query: Message, timeout: float, tcp: bool, wire: Optional[bytes]
+        self,
+        ip: str,
+        query: "Message | Question",
+        timeout: float,
+        tcp: bool,
+        wire: Optional[bytes],
+        asker: Optional[int] = None,
     ) -> Tuple[bytes, Optional[AuthoritativeServer], Optional[bytes]]:
         """Account for one outgoing query and offer it to the chaos plane.
 
@@ -190,11 +173,6 @@ class SimulatedNetwork:
         if wire is None:
             wire = query.to_wire()
         self.queries_sent += 1
-        task = self.clock.current_task
-        if task is not None:
-            # Concurrent scans: charge the query to the in-flight zone
-            # (a global-counter delta would count other tasks' traffic).
-            task.queries += 1
         if tcp:
             self.tcp_queries += 1
         self.bytes_sent += len(wire)
@@ -202,12 +180,13 @@ class SimulatedNetwork:
         if self.query_cost:
             self.clock.advance(self.query_cost)
         if self.chaos is not None:
-            question = query.question
+            question = query.question if isinstance(query, Message) else query
             decision = self.chaos.decide(
                 ip,
                 question.name.canonical_key() if question else b"",
                 int(question.rrtype) if question else 0,
                 tcp,
+                asker,
             )
             if decision.latency:
                 self.clock.advance(decision.latency)

@@ -10,9 +10,9 @@ live on ephemeral ports, each endpoint running the servers' one answer
 step and the network's one response cache (:mod:`~repro.wire.fleet`); a
 drop-in scanner transport that shares the fabric's client prologue —
 counters, fault plane, dark addresses — and differs only in how the
-bytes travel (:mod:`~repro.wire.network`); and the clock bridge that lets
-the deterministic task scheduler park zones on socket futures
-(:mod:`~repro.wire.bridge`).
+bytes travel and doubles as the scan loop's socket back-end — tasks
+park on the engine's futures and resume in completion order
+(:mod:`~repro.wire.network`).
 
 The contract, in one line: **same seed, same scale → identical analysis
 tables** as the simulated fabric.  Wire mode does *not* promise
@@ -21,16 +21,13 @@ real I/O completes in wire order, which legitimately reshuffles the
 schedule.  The differential suite pins the table half of that contract.
 """
 
-from repro.wire.bridge import ClockBridge, WireLoop
 from repro.wire.engine import WireEngine, WireTimeout
 from repro.wire.fleet import WireFleet
 from repro.wire.network import WireNetwork
 
 __all__ = [
-    "ClockBridge",
     "WireEngine",
     "WireFleet",
-    "WireLoop",
     "WireNetwork",
     "WireTimeout",
 ]

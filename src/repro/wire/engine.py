@@ -90,7 +90,7 @@ class WireEngine:
         self._udp_pool: list[_ClientProtocol] = []
         self._next_socket = 0
         # Pending sends not yet flushed onto the loop thread.  The deque
-        # is the thread boundary: producers append from task threads, the
+        # is the thread boundary: callers append from their own thread, the
         # single flush callback drains on the loop thread.
         self._outbox: Deque[tuple] = collections.deque()
         self._flush_pending = False

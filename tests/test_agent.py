@@ -17,7 +17,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -515,49 +514,6 @@ class TestInstallReplay:
         # monitor.json files and manifests must not change shape.
         assert "installs" not in SPEC.to_dict()
         assert MonitorSpec.from_dict(SPEC.to_dict()) == SPEC
-
-
-class TestTimeScaleOption:
-    ARGS = ["campaign", "run", "--scale", "1e-6", "--seed", "3"]
-
-    def test_cli_flag_round_trips_into_the_config(self):
-        from repro.cli import _campaign_config, build_parser
-
-        args = build_parser().parse_args(
-            self.ARGS + ["--transport", "wire", "--time-scale", "2.5"]
-        )
-        assert args.time_scale == 2.5
-        config = _campaign_config(args, None, False)
-        assert config.time_scale == 2.5
-        assert config.transport == "wire"
-        assert config.manifest_config()["time_scale"] == 2.5
-
-    def test_default_is_unpaced_and_omitted_from_the_manifest(self):
-        from repro.cli import _campaign_config, build_parser
-
-        config = _campaign_config(build_parser().parse_args(self.ARGS), None, False)
-        assert config.time_scale == 0.0
-        assert "time_scale" not in config.manifest_config()
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="time_scale"):
-            CampaignConfig(transport="wire", time_scale=-1.0).validate()
-        with pytest.raises(ValueError, match="wire"):
-            CampaignConfig(time_scale=0.5).validate()
-        CampaignConfig(transport="wire", time_scale=0.5).validate()  # valid pairing
-
-    def test_manifest_round_trip(self):
-        config = CampaignConfig(transport="wire", time_scale=2.5)
-        manifest = SimpleNamespace(
-            config=config.manifest_config(),
-            scale=config.scale,
-            seed=config.seed,
-            num_shards=1,
-            compress=False,
-        )
-        restored = CampaignConfig.from_manifest(manifest)
-        assert restored.time_scale == 2.5
-        assert restored.transport == "wire"
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,6 @@ from repro.obs.stats import collect_stats, render_stats
 from repro.scanner import Scanner
 from repro.scanner.results import QueryStatus
 from repro.scanner.yodns import ScannerConfig
-from repro.sched.loop import Task
 from repro.server.behaviors import DropQueriesBehavior, TransientFailureBehavior
 from repro.server.network import SimulatedClock
 from repro.store.manifest import load_manifest
@@ -315,19 +314,10 @@ class TestChaosPlane:
         # interleaved into A's retry loop, must not spend A's forced pass
         # (a shared streak let A see loss, loss, [B passes], loss, loss —
         # four consecutive timeouts, an abandoned query under in_flight).
-        class Tasks:
-            scheduler = None
-            current_task = None
-
-            def now(self):
-                return 0.0
-
-        clock = Tasks()
-        plane = _plane(clock=clock, loss=1.0, max_consecutive=2)
+        plane = _plane(loss=1.0, max_consecutive=2)
         seen = {"A": [], "B": []}
         for name in "AABAAB":
-            clock.current_task = Task(index="AB".index(name), item=None, start=0.0)
-            seen[name].append(plane.decide(*K1, False).kind)
+            seen[name].append(plane.decide(*K1, False, asker="AB".index(name)).kind)
         assert seen["A"] == ["loss", "loss", None, "loss"]
         assert seen["B"] == ["loss", "loss"]
 

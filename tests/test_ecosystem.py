@@ -251,7 +251,7 @@ class TestLazyOperatorZones:
         from repro.campaign import CampaignConfig, run_campaign
 
         built = {}
-        for transport, in_flight in (("sim", None), ("wire", 8)):
+        for transport, in_flight in (("sim", 1), ("wire", 8)):
             world = build_world(scale=1.3e-7, seed=3)
             config = CampaignConfig(recheck=False, transport=transport, in_flight=in_flight)
             run_campaign(config, world=world)

@@ -183,7 +183,6 @@ NOT_A_WORKERS_BUSINESS = {
     "parent_epoch": "stamped in the root manifest only",
     "stop_after": "validate() rejects it with workers=N",
     "transport": "validate() rejects 'wire' with workers=N",
-    "time_scale": "wire-only",
 }
 
 

@@ -105,7 +105,7 @@ class TestNameLengthLimit:
 
     def test_scanner_flags_name_too_long(self, mini_world):
         scanner = Scanner(mini_world["network"], mini_world["root_ips"])
-        scan = scanner._scan_signal(self.LONG_ZONE, self.LONG_NS)
+        scan = scanner._run(scanner._scan_signal(self.LONG_ZONE, self.LONG_NS))
         assert scan.name_too_long
         assert scan.signal_name is None
         assert not scan.any_cds
@@ -116,7 +116,7 @@ class TestNameLengthLimit:
 
         scanner = Scanner(mini_world["network"], mini_world["root_ips"])
         result = ZoneScanResult(zone=self.LONG_ZONE, resolved=True)
-        result.signals = [scanner._scan_signal(self.LONG_ZONE, self.LONG_NS)]
+        result.signals = [scanner._run(scanner._scan_signal(self.LONG_ZONE, self.LONG_NS))]
         report = analyze_signals(result, None)
         assert not report.any_signal
         assert not report.acceptable

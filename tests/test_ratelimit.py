@@ -9,6 +9,7 @@ balances and wait statistics of the single-refill implementation.
 import pytest
 
 from repro.scanner.ratelimit import RateLimiter
+from repro.sched import EventLoop, Sleep
 from repro.server.network import SimulatedClock
 
 IP = "192.0.2.1"
@@ -87,26 +88,32 @@ class TestTokenAccounting:
         assert tokens(limiter, "192.0.2.2") == pytest.approx(0.0)
 
 
+def paced(limiter, ip=IP):
+    """The limiter's half of the scan's exchange step: reserve a token,
+    yield the deficit to the loop as a sleep."""
+    wait = limiter.reserve(ip)
+    if wait:
+        yield Sleep(wait)
+
+
 class TestInterleavedWaiters:
-    """Regression: ``acquire`` used to assume callers arrive in strictly
-    increasing clock order — true for the serial scanner, false under
-    the repro.sched event loop, where several tasks can contend for one
-    bucket at the *same* simulated instant (the advance suspends the
+    """Regression: the limiter used to assume callers arrive in strictly
+    increasing clock order — true for a lone scan, false under the
+    repro.sched event loop, where several tasks can contend for one
+    bucket at the *same* simulated instant (the sleep suspends the
     task, letting the next contender read the bucket mid-wait).  The
-    reservation-style acquire charges the bucket and records the grant
-    timestamp *before* yielding, so same-instant contenders serialize
-    at exactly 1/qps apart."""
+    reservation charges the bucket and records the grant timestamp
+    *before* the task yields, so same-instant contenders serialize at
+    exactly 1/qps apart."""
 
     def test_same_instant_contenders_serialize_at_qps(self):
-        from repro.sched import EventLoop
-
         clock = SimulatedClock()
         limiter = RateLimiter(clock, qps=10, burst=1)
         loop = EventLoop(clock, max_in_flight=4)
         grants = []
 
-        def fn(i):
-            limiter.acquire(IP)
+        def fn(i, task):
+            yield from paced(limiter)
             grants.append((i, clock.now()))
 
         loop.run(range(4), fn)
@@ -119,16 +126,13 @@ class TestInterleavedWaiters:
         assert limiter.total_wait_time == pytest.approx(0.6)  # 0.1+0.2+0.3
 
     def test_interleaved_buckets_do_not_interfere(self):
-        from repro.sched import EventLoop
-
         clock = SimulatedClock()
         limiter = RateLimiter(clock, qps=10, burst=1)
         loop = EventLoop(clock, max_in_flight=4)
         grants = {}
 
-        def fn(i):
-            ip = IP if i % 2 == 0 else "192.0.2.2"
-            limiter.acquire(ip)
+        def fn(i, task):
+            yield from paced(limiter, IP if i % 2 == 0 else "192.0.2.2")
             grants[i] = clock.now()
 
         loop.run(range(4), fn)
@@ -140,8 +144,6 @@ class TestInterleavedWaiters:
         assert grants[3] == pytest.approx(0.1)
 
     def test_concurrent_grant_schedule_matches_serial(self):
-        from repro.sched import EventLoop
-
         serial_clock = SimulatedClock()
         serial = RateLimiter(serial_clock, qps=10, burst=1)
         for _ in range(6):
@@ -151,7 +153,7 @@ class TestInterleavedWaiters:
         limiter = RateLimiter(clock, qps=10, burst=1)
         loop = EventLoop(clock, max_in_flight=6)
 
-        loop.run(range(6), lambda i: limiter.acquire(IP))
+        loop.run(range(6), lambda i, task: paced(limiter))
         # The *grant schedule* is invariant: same number of throttled
         # acquires, same final clock (last grant at 0.5 s either way).
         # Per-caller waits legitimately differ — serial callers arrive

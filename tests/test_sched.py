@@ -2,21 +2,26 @@
 
 The load-bearing claim of :mod:`repro.sched` is that concurrency is a
 *pure scheduling optimisation*: a campaign run with ``in_flight=N``
-renders the same bytes (Tables 1-3, Figure 1) as the sequential
-campaign at the same seed/scale — through chaos, through worker
-partitioning, and across a kill/resume cycle — while the simulated
-duration drops because query RTTs, retry backoffs, and rate-limit
-waits overlap.  The unit and property tests pin the mechanism that
-makes this true: a heap of ``(fire_time, sequence)`` events whose
-order is a pure function of the workload, independent of thread
-timing, dict layout, and ``PYTHONHASHSEED``.
+renders the same bytes (Tables 1-3, Figure 1) as the serial campaign at
+the same seed/scale — through chaos, through worker partitioning, and
+across a kill/resume cycle — while the simulated duration drops because
+query RTTs, retry backoffs, and rate-limit waits overlap.  The unit and
+property tests pin the mechanism that makes this true: step generators
+resumed from a heap of ``(fire_time, sequence)`` events whose order is
+a pure function of the workload, independent of dict layout and
+``PYTHONHASHSEED``.  The serial scan itself (one task on that loop) is
+held against literals recorded from the last commit that still had a
+separate serial scan loop.
 """
 
+import hashlib
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import threading
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -29,12 +34,26 @@ from repro.reports.figure1 import compute_figure1, render_figure1
 from repro.reports.table1 import compute_table1, render_table1
 from repro.reports.table2 import compute_table2, render_table2
 from repro.reports.table3 import compute_table3, render_table3
-from repro.sched import EventLoop, FlightMap, Gate, TaskCancelled, active_loop
+from repro.scanner.serialize import result_to_line
+from repro.sched import EventLoop, FlightMap, Gate, Sleep, run_steps
 from repro.server.network import SimulatedClock
 from repro.store.manifest import load_manifest
 
 SCALE = 1e-6
 SEED = 41
+
+# What the serial scan loop of commit cb2e959 (the parent of the change
+# that folded it into the event loop) produced for this fixture — an
+# independent reference: the goldens below no longer compare the driver
+# with itself.
+LEGACY_SERIAL = {
+    "queries_sent": 13400,
+    "simulated_duration": 105.77999999999186,
+    "results_sha256": "5143e5daf4ade9e1860ea51c0f366d30628e4b3ca178099d90c45873b3e019a5",
+    "artefacts_crc": 696075013,
+}
+LEGACY_WORKERS2_DURATIONS = [21.219999999999636, 25.07999999999958]
+LEGACY_CHAOS = {"retry.abandoned": 0, "net.timeouts": 1478, "net.queries": 16575}
 
 
 def rendered_artifacts(campaign) -> dict:
@@ -46,6 +65,15 @@ def rendered_artifacts(campaign) -> dict:
         "table3": render_table3(compute_table3(report)),
         "figure1": render_figure1(compute_figure1(report)),
     }
+
+
+def artefacts_crc(campaign) -> int:
+    return zlib.crc32("\n".join(rendered_artifacts(campaign).values()).encode())
+
+
+def results_digest(results) -> str:
+    """SHA-256 of the results' canonical serialisation (hash-seed free)."""
+    return hashlib.sha256("\n".join(result_to_line(r) for r in results).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -63,19 +91,24 @@ def sequential_artifacts(sequential):
 # ---------------------------------------------------------------------------
 
 
+def sleeper(clock):
+    """Task function: sleep through the item's durations, return the time."""
+
+    def fn(steps, task):
+        for dt in steps:
+            yield Sleep(dt)
+        return clock.now()
+
+    return fn
+
+
 def run_workload(durations, in_flight, clock=None):
-    """Run one synthetic workload: task *i* advances the clock through
+    """Run one synthetic workload: task *i* sleeps through
     ``durations[i]`` step by step.  Returns (trace, results, makespan)."""
     clock = clock or SimulatedClock()
     trace = []
     loop = EventLoop(clock, max_in_flight=in_flight, trace=trace)
-
-    def fn(steps):
-        for dt in steps:
-            clock.advance(dt)
-        return clock.now()
-
-    results = loop.run(list(durations), fn)
+    results = loop.run(list(durations), sleeper(clock))
     return trace, results, clock.now()
 
 
@@ -85,9 +118,9 @@ class TestEventLoop:
             EventLoop(SimulatedClock(), max_in_flight=0)
 
     def test_same_instant_events_fire_in_push_order(self):
-        # Four tasks all advance by the same amount: every wakeup lands
-        # on the same fire time, so the (fire, seq) heap must break ties
-        # by push order — FIFO, not hash or thread order.
+        # Four tasks all sleep the same amount: every wakeup lands on
+        # the same fire time, so the (fire, seq) heap must break ties
+        # by push order — FIFO, not hash order.
         trace, results, _ = run_workload([(1.0,)] * 4, in_flight=4)
         assert [index for _, _, index in trace] == [0, 1, 2, 3, 0, 1, 2, 3]
         seqs = [seq for _, seq, _ in trace]
@@ -111,13 +144,7 @@ class TestEventLoop:
         durations = [(10.0,), (1.0,), (1.0,), (1.0,)]
         clock = SimulatedClock()
         loop = EventLoop(clock, max_in_flight=4)
-
-        def fn(steps):
-            for dt in steps:
-                clock.advance(dt)
-            return clock.now()
-
-        results = list(loop.map_iter(durations, fn))
+        results = list(loop.map_iter(durations, sleeper(clock)))
         assert results == pytest.approx([10.0, 1.0, 1.0, 1.0])
         assert clock.now() == pytest.approx(10.0)  # overlapped, not 13.0
 
@@ -128,80 +155,119 @@ class TestEventLoop:
     def test_in_flight_peak_respects_cap(self):
         clock = SimulatedClock()
         loop = EventLoop(clock, max_in_flight=2, trace=[])
-
-        def fn(steps):
-            for dt in steps:
-                clock.advance(dt)
-
-        loop.run([(1.0,)] * 6, fn)
+        loop.run([(1.0,)] * 6, sleeper(clock))
         assert loop.in_flight_peak == 2
         assert loop.tasks_started == 6
 
     def test_task_error_propagates_and_loop_uninstalls(self):
         clock = SimulatedClock()
         loop = EventLoop(clock, max_in_flight=2)
+        closed = []
 
-        def fn(item):
-            if item == 1:
-                raise ValueError("boom")
-            clock.advance(1.0)
-            return item
+        def fn(item, task):
+            try:
+                yield Sleep(1.0)
+                if item == 0:
+                    raise ValueError("boom")
+                yield Sleep(1.0)
+                return item
+            finally:
+                closed.append(item)
 
         with pytest.raises(ValueError, match="boom"):
             loop.run([0, 1, 2], fn)
-        assert clock.scheduler is None  # clock handed back intact
+        # Task 1 was mid-flight when the error surfaced: it was closed
+        # (task 2, admitted but never started, has nothing to unwind),
+        # and the loop handed the clock back at the frontier, reusable.
+        assert closed == [0, 1]
+        assert clock.now() == pytest.approx(1.0)
+        assert loop.run([(0.5,)], sleeper(clock)) == pytest.approx([1.5])
+        assert closed == [0, 1]
 
     def test_abandoning_the_iterator_cancels_cleanly(self):
         clock = SimulatedClock()
         loop = EventLoop(clock, max_in_flight=3)
+        unwound = []
 
-        def fn(item):
-            clock.advance(1.0)
-            return item
+        def fn(item, task):
+            try:
+                yield Sleep(1.0 + item)
+                return item
+            finally:
+                unwound.append(item)
 
         gen = loop.map_iter(range(5), fn)
         assert next(gen) == 0
         gen.close()  # consumer walks away mid-flight
-        assert clock.scheduler is None
+        # Tasks 1 and 2 were parked on their sleeps, task 3 was admitted
+        # but never started: every live generator is closed (finally
+        # blocks run for the started ones), nothing else is admitted.
+        assert unwound == [0, 1, 2]
+        assert loop.tasks_started == 4
+        assert loop.run([7], fn) == [7]  # and the loop is reusable
 
     def test_loop_is_not_reentrant(self):
         clock = SimulatedClock()
         loop = EventLoop(clock, max_in_flight=2)
-
-        def fn(item):
-            clock.advance(1.0)
-            return item
-
-        gen = loop.map_iter(range(3), fn)
+        fn = sleeper(clock)
+        gen = loop.map_iter([(1.0,)] * 3, fn)
         next(gen)
         with pytest.raises(RuntimeError, match="not reentrant"):
-            loop.run([9], fn)
+            loop.run([(9.0,)], fn)
         gen.close()
 
-    def test_two_clocks_share_one_timeline(self):
-        # Machine mode: the limiter clock and the network clock are
-        # distinct objects; both must advance on the same task timeline
-        # and both must land on start + makespan afterwards.
-        a, b = SimulatedClock(), SimulatedClock()
-        b.advance(100.0)  # pre-existing offset survives the loop
-        loop = EventLoop(a, max_in_flight=2, extra_clocks=(b,))
+    def test_a_clock_the_loop_does_not_own_keeps_its_own_time(self):
+        # Machine mode: the loop runs on the scan machine's clock; a
+        # network with a clock of its own (a parallel worker's world)
+        # accumulates fabric time there — exactly as in a serial scan,
+        # it never lands on the machine's timeline.
+        machine, fabric = SimulatedClock(), SimulatedClock()
+        fabric.advance(100.0)  # pre-existing offset survives the loop
+        loop = EventLoop(machine, max_in_flight=2)
 
-        def fn(item):
-            a.advance(1.0)
-            b.advance(2.0)
-            return item
+        def fn(item, task):
+            yield Sleep(1.0)
+            fabric.advance(2.0)  # what a query cost or a timeout does
+            return machine.now()
 
-        loop.run([0, 1], fn)
-        assert a.scheduler is None and b.scheduler is None
-        assert a.now() == pytest.approx(3.0)
-        assert b.now() == pytest.approx(103.0)
+        assert loop.run([0, 1], fn) == pytest.approx([1.0, 1.0])
+        assert machine.now() == pytest.approx(1.0)
+        assert fabric.now() == pytest.approx(104.0)
+
+    def test_time_spent_inside_a_slice_moves_the_task(self):
+        # The clock is a plain number set to the running task's time:
+        # code that advances it synchronously inside a slice (the
+        # fabric charging a timeout) moves that task, and only it.
+        clock = SimulatedClock()
+        loop = EventLoop(clock, max_in_flight=2)
+
+        def fn(cost, task):
+            clock.advance(cost)
+            yield Sleep(1.0)
+            return clock.now()
+
+        assert loop.run([2.0, 0.0], fn) == pytest.approx([3.0, 1.0])
+        assert clock.now() == pytest.approx(3.0)
+
+    def test_yielding_anything_but_an_intent_is_an_error(self):
+        def fn(item, task):
+            yield 1.0
+
+        with pytest.raises(TypeError, match="not an intent"):
+            EventLoop(SimulatedClock()).run([0], fn)
 
 
 class TestGateAndFlightMap:
     def test_wait_outside_a_task_is_an_error(self):
-        loop = EventLoop(SimulatedClock(), max_in_flight=2)
-        with pytest.raises(RuntimeError, match="outside a scheduled task"):
-            loop.gate().wait()
+        # A gate is released by a task of the same loop.  A waiter with
+        # nobody to release it — a synchronous facade called while the
+        # holder sits suspended in another loop, say — deadlocks loudly
+        # instead of computing the key a second time.
+        def fn(item, task):
+            yield Gate()
+
+        with pytest.raises(RuntimeError, match="scheduler deadlock"):
+            EventLoop(SimulatedClock(), max_in_flight=2).run([0], fn)
 
     def test_single_flight_computes_once(self):
         # N concurrent tasks all need the same cache key: exactly one
@@ -212,16 +278,16 @@ class TestGateAndFlightMap:
         cache = {}
         computes = []
 
-        def fn(item):
+        def fn(item, task):
             while True:
                 if "key" in cache:
                     return cache["key"]
-                claim = flights.claim(active_loop(clock), "key")
+                claim = yield from flights.claim("key")
                 if claim is None:
                     continue  # woken: re-check the cache
                 with claim:
                     computes.append(item)
-                    clock.advance(5.0)  # expensive fill
+                    yield Sleep(5.0)  # expensive fill
                     cache["key"] = 42
                     return 42
 
@@ -229,6 +295,7 @@ class TestGateAndFlightMap:
         assert results == [42] * 8
         assert computes == [0]  # first claimant computed, alone
         assert clock.now() == pytest.approx(5.0)  # everyone else waited
+        assert loop.gate_waits == 7
 
     def test_claim_released_on_exception(self):
         clock = SimulatedClock()
@@ -236,31 +303,39 @@ class TestGateAndFlightMap:
         flights = FlightMap()
         attempts = []
 
-        def fn(item):
+        def fn(item, task):
             while True:
-                claim = flights.claim(active_loop(clock), "key")
+                claim = yield from flights.claim("key")
                 if claim is None:
                     continue
                 with claim:
                     attempts.append(item)
                     if item == 0:
-                        clock.advance(1.0)
+                        yield Sleep(1.0)
                         raise ValueError("fill failed")
                     return item
 
         with pytest.raises(ValueError, match="fill failed"):
             loop.run([0, 1], fn)
-        # Task 0's failure released the gate; nothing deadlocked.
-        assert clock.scheduler is None
+        # Task 0's failure released the gate; nothing deadlocked, and
+        # the key is free again.
+        assert attempts == [0]
+        assert run_steps(clock, None, flights.claim("key")) is not None
 
     def test_no_loop_means_no_claim_overhead(self):
-        # Outside a scheduled task, claim() returns a no-op context so
-        # the serial scan path stays branch-cheap.
+        # A lone task — every synchronous facade — gets its claim at
+        # once: no gate is yielded, so the serial scan never waits.
         flights = FlightMap()
-        claim = flights.claim(None, "key")
-        with claim:
-            pass
-        assert active_loop(SimulatedClock()) is None
+        loop = EventLoop(SimulatedClock())
+
+        def fn(item, task):
+            claim = yield from flights.claim("key")
+            with claim:
+                return "computed"
+
+        assert loop.run([0], fn) == ["computed"]
+        assert loop.gate_waits == 0
+        assert loop.events == 1  # the start event, nothing else
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +375,7 @@ class TestSchedulingProperties:
     @given(seed=st.integers(0, 2**32 - 1), in_flight=st.integers(1, 8))
     def test_results_match_the_serial_map(self, seed, in_flight):
         # Whatever the interleaving, per-task work is untouched: each
-        # task's total advance equals the serial sum of its steps.
+        # task's total sleep equals the serial sum of its steps.
         durations = synthetic_workload(seed)
         _, serial, _ = run_workload(durations, 1)
         _, concurrent, _ = run_workload(durations, in_flight)
@@ -327,7 +402,7 @@ class TestSchedulingProperties:
         script = textwrap.dedent(
             """
             import random
-            from repro.sched import EventLoop
+            from repro.sched import EventLoop, Sleep
             from repro.server.network import SimulatedClock
 
             rng = random.Random(7)
@@ -339,12 +414,12 @@ class TestSchedulingProperties:
             trace = []
             loop = EventLoop(clock, max_in_flight=4, trace=trace)
 
-            def fn(steps):
+            def fn(steps, task):
                 # Route the steps through a dict so iteration order would
                 # matter if anything keyed on hash order.
                 table = {f"step-{i}": dt for i, dt in enumerate(steps)}
                 for key in table:
-                    clock.advance(table[key])
+                    yield Sleep(table[key])
                 return clock.now()
 
             loop.run(durations, fn)
@@ -395,12 +470,36 @@ class TestDifferentialGoldens:
         one = run_campaign(
             CampaignConfig(scale=SCALE, seed=SEED, recheck=True, in_flight=1)
         )
-        # Not just the artifacts: the full per-zone records, the
-        # simulated duration, and the query count all match exactly —
-        # in_flight=1 *is* the legacy serial scan.
-        assert [repr(r) for r in one.results] == [repr(r) for r in sequential.results]
-        assert one.simulated_duration == sequential.simulated_duration
-        assert one.world.network.queries_sent == sequential.world.network.queries_sent
+        # in_flight=1 *is* the serial scan (it is the default) — and the
+        # serial scan is the legacy one: the full per-zone records, the
+        # simulated duration, the query count and the rendered artefacts
+        # equal what the deleted serial loop produced, literally.
+        for campaign in (one, sequential):
+            assert campaign.world.network.queries_sent == LEGACY_SERIAL["queries_sent"]
+            assert campaign.simulated_duration == LEGACY_SERIAL["simulated_duration"]
+            assert results_digest(campaign.results) == LEGACY_SERIAL["results_sha256"]
+            assert artefacts_crc(campaign) == LEGACY_SERIAL["artefacts_crc"]
+
+    def test_serial_workers_keep_the_legacy_machine_durations(self, tmp_path):
+        # A scan machine's clock carries its rate-limit waits and
+        # backoffs; fabric time stays on the worker's world clock.
+        parallel = run_parallel_campaign(
+            CampaignConfig(scale=SCALE, seed=SEED, store_dir=tmp_path / "store", workers=2)
+        )
+        assert [m.duration for m in parallel.machines] == LEGACY_WORKERS2_DURATIONS
+        assert artefacts_crc(parallel) == LEGACY_SERIAL["artefacts_crc"]
+
+    def test_serial_chaos_run_keeps_the_legacy_fault_stream(self):
+        # No chaos draw moved: same residual failures, same timeouts,
+        # same query volume as the deleted serial loop under the default
+        # fault model (whose truncation storms exercise the TCP retry).
+        chaotic = run_campaign(
+            CampaignConfig(scale=SCALE, seed=SEED, chaos=ChaosConfig.default(), telemetry=True)
+        )
+        counters = chaotic.telemetry.counters
+        assert {name: counters[name] for name in LEGACY_CHAOS} == LEGACY_CHAOS
+        assert counters["scan.tcp_fallbacks"] == counters["net.tcp_queries"] == 399
+        assert artefacts_crc(chaotic) == LEGACY_SERIAL["artefacts_crc"]
 
     def test_workers_compose_with_in_flight(self, sequential_artifacts, tmp_path):
         parallel = run_parallel_campaign(
@@ -437,6 +536,107 @@ class TestDifferentialGoldens:
         assert rendered_artifacts(resumed) == sequential_artifacts
 
 
+class TestOneDriver:
+    """Every scan runs on the calling thread; an abandoned scan unwinds
+    through ordinary generator closing."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{"in_flight": 256}, {"transport": "wire", "in_flight": 16}],
+        ids=["sim-256", "wire-16"],
+    )
+    def test_a_scan_starts_no_task_threads(self, layout, monkeypatch):
+        # Sample the thread count while zones are in flight (from the
+        # scanner's sink): nothing but the wire engine's one thread.
+        import repro.campaign as campaign_module
+
+        seen = set()
+        real_scan_into = campaign_module.scan_into
+
+        def scan_into(scanner, zones, store=None, **kwargs):
+            each = kwargs.pop("each", None)
+
+            def sample(scanned, total):
+                seen.add(threading.active_count())
+                if each is not None:
+                    each(scanned, total)
+
+            return real_scan_into(scanner, zones[:40], store, each=sample, **kwargs)
+
+        monkeypatch.setattr(campaign_module, "scan_into", scan_into)
+        before = threading.active_count()
+        run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=False, **layout))
+        assert seen == {before + (layout.get("transport") == "wire")}
+        assert threading.active_count() == before
+
+    def test_abandoning_a_scan_closes_every_live_zone(self, monkeypatch):
+        import inspect
+
+        from repro.ecosystem import build_world
+        from repro.obs import Telemetry
+        from repro.scanner.yodns import Scanner
+
+        world = build_world(scale=SCALE, seed=SEED)
+        zones = world.scan_list[:48]
+        expected = [result_to_line(r) for r in world.make_scanner().scan_many(zones)]
+
+        world = build_world(scale=SCALE, seed=SEED)
+        telemetry = Telemetry(clock=world.network.clock)
+        scanner = world.make_scanner(telemetry=telemetry, in_flight=8)
+        started = []
+        real_steps = Scanner._scan_zone_steps
+
+        def tracked(self, zone, task):
+            started.append(real_steps(self, zone, task))
+            return started[-1]
+
+        scanner.scan_many(zones[:2])  # warm the shared lookups: zone 2 is quick
+        monkeypatch.setattr(Scanner, "_scan_zone_steps", tracked)
+        scan = scanner.scan_iter(zones[2:])
+        next(scan)
+        scan.close()  # what stop_after and a dropped iterator amount to
+        states = {inspect.getgeneratorstate(steps) for steps in started}
+        assert states == {inspect.GEN_CLOSED}
+        # Zones were cut short (their spans never reported — only the
+        # finished ones did), and claimed gates were released on the way.
+        spans = [e["name"] for e in telemetry.events if e["kind"] == "span"]
+        assert 3 <= spans.count("scan_zone") < 2 + len(started)
+        assert spans.count("sched_loop") == 1  # the warm-up's; the cut one never closed
+        assert scanner._flights._gates == {} and scanner.resolver._flights._gates == {}
+        # A second scan on the same scanner works, warm caches and all.
+        again = scanner.scan_many(zones)
+        assert [_sans_queries(line) for line in map(result_to_line, again)] == [
+            _sans_queries(line) for line in expected
+        ]
+
+    def test_a_manifest_that_still_carries_time_scale_resumes(
+        self, sequential_artifacts, tmp_path
+    ):
+        # The pacing knob is gone; stores written while it existed still
+        # record it, and must resume (the key is ignored).
+        import json
+
+        from repro.store.manifest import manifest_path
+
+        root = tmp_path / "store"
+        run_campaign(CampaignConfig(scale=SCALE, seed=SEED, store_dir=root, stop_after=5))
+        path = manifest_path(root)
+        manifest = json.loads(path.read_text())
+        manifest["config"]["time_scale"] = 2.5
+        path.write_text(json.dumps(manifest))
+        assert rendered_artifacts(resume_campaign(root)) == sequential_artifacts
+
+
+def _sans_queries(line: str) -> str:
+    """A serialised result without its ``queries_used`` (which zone pays
+    for a shared lookup depends on who got there first)."""
+    import json
+
+    record = json.loads(line)
+    record.pop("queries_used", None)
+    return json.dumps(record, sort_keys=True)
+
+
 class TestConfigPlumbing:
     def test_validate_rejects_bad_in_flight(self):
         with pytest.raises(ValueError, match="in_flight"):
@@ -445,6 +645,8 @@ class TestConfigPlumbing:
     def test_manifest_round_trip_is_lossless(self):
         config = CampaignConfig(scale=SCALE, seed=SEED, in_flight=8)
         assert config.manifest_config().get("in_flight") == 8
-        # Legacy manifests (no in_flight key) load as in_flight=None.
-        legacy = CampaignConfig(scale=SCALE, seed=SEED)
-        assert "in_flight" not in legacy.manifest_config()
+        # The serial scan (in_flight=1, the default) records no key, and
+        # a manifest without the key loads as 1.
+        serial = CampaignConfig(scale=SCALE, seed=SEED, in_flight=1)
+        assert serial == CampaignConfig(scale=SCALE, seed=SEED)
+        assert "in_flight" not in serial.manifest_config()

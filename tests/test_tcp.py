@@ -64,6 +64,51 @@ class TestSimulatedTruncation:
         assert scanner.tcp_fallbacks >= 1
 
 
+class TestAllTrafficIsPacedAndCounted:
+    """Regression: the resolver's TC→TCP retry used to go out without a
+    limiter charge and without a fallback count, so "all measurement
+    traffic honours the per-NS budget" was false on the delegation walk."""
+
+    def test_a_truncating_tld_server_is_still_paced(self):
+        from collections import Counter
+
+        from repro.dns.message import make_response
+        from repro.ecosystem import build_world
+
+        world = build_world(scale=1e-6, seed=41)
+        zones = world.scan_list[:6]
+        network = world.network
+        tld_ips = world.make_scanner().resolver.find_delegation(zones[0]).parent_ips
+        for server in {id(s): s for s in map(network.server_at, tld_ips)}.values():
+            answer_wire = server.answer_wire
+
+            def truncating(wire, tcp=False, cache=None, answer_wire=answer_wire):
+                if tcp:
+                    return answer_wire(wire, tcp, cache)
+                response = make_response(Message.from_wire(wire))
+                response.truncated = True
+                return response.to_wire()
+
+            server.answer_wire = truncating
+
+        scanner = world.make_scanner()
+        charged = Counter()
+        reserve = scanner.limiter.reserve
+        scanner.limiter.reserve = lambda ip: charged.update([ip]) or reserve(ip)
+        sent_before = dict(network.per_ip_queries)
+        tcp_before = network.tcp_queries
+        results = scanner.scan_many(zones)
+
+        assert any(result.resolved for result in results)
+        asked = {ip for ip in tld_ips if network.per_ip_queries.get(ip, 0) > sent_before.get(ip, 0)}
+        assert asked
+        for ip in asked:
+            assert charged[ip] == network.per_ip_queries[ip] - sent_before.get(ip, 0), ip
+        # Every referral from those servers needed the TCP retry, and
+        # every retry was counted.
+        assert scanner.tcp_fallbacks == network.tcp_queries - tcp_before >= len(zones)
+
+
 def _qname_qtype():
     from repro.dns.name import Name
 

@@ -7,9 +7,9 @@ including across a kill/resume cycle.  Wire mode deliberately gives up
 *schedule* identity (completions arrive in wire order), so the tests pin
 the artifacts, not the event stream.
 
-The unit tests cover the mechanisms underneath: the clock bridge's
-monotone-deadline invariant (hypothesis), task parking on socket
-futures, the one answer step behind the fabric and both socket
+The unit tests cover the mechanisms underneath: the scan loop's socket
+back-end (tasks park on futures and resume in completion order), the
+one answer step behind the fabric and both socket
 endpoints, hostile input on the engine's serving side, engine shutdown,
 and the stats section gating.
 """
@@ -24,12 +24,9 @@ import time
 from concurrent.futures import Future
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig
-from repro.dns.message import Message, make_query
+from repro.dns.message import Message, make_query, make_response
 from repro.dns.rdata import A, NS, SOA, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
@@ -44,11 +41,11 @@ from repro.server import (
     DropQueriesBehavior,
     LegacyUnknownTypeBehavior,
     NetworkTimeout,
-    SimulatedClock,
     SimulatedNetwork,
 )
+from repro.sched import EventLoop, Exchange, run_steps
 from repro.store.manifest import load_manifest
-from repro.wire import ClockBridge, WireEngine, WireLoop, WireNetwork
+from repro.wire import WireEngine, WireNetwork, WireTimeout
 
 SCALE = 1e-6
 SEED = 41
@@ -145,93 +142,112 @@ class TestWireDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Clock bridge: issued deadlines are monotonically non-decreasing
+# The scan loop's socket back-end: tasks park on futures and resume in
+# completion order
 # ---------------------------------------------------------------------------
 
 
-class TestClockBridge:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        targets=st.lists(
-            st.floats(min_value=0, max_value=1e6, allow_nan=False, allow_infinity=False),
-            min_size=1,
-            max_size=50,
-        ),
-        steps=st.lists(
-            st.floats(min_value=0, max_value=10, allow_nan=False, allow_infinity=False),
-            min_size=50,
-            max_size=50,
-        ),
-        time_scale=st.floats(
-            min_value=0, max_value=100, allow_nan=False, allow_infinity=False
-        ),
-    )
-    def test_deadlines_never_decrease(self, targets, steps, time_scale):
-        # Simulated task-local timelines interleave arbitrarily (targets
-        # are NOT sorted) while the real clock drifts forward; the
-        # issued call_at deadlines must still be monotone and never in
-        # the (real) past — asyncio's contract for call_at.
-        real = {"now": 0.0}
-        bridge = ClockBridge(time_scale=time_scale, now=lambda: real["now"])
-        issued = []
-        for target, step in zip(targets, steps):
-            real["now"] += step
-            deadline = bridge.deadline(target)
-            assert deadline >= real["now"]
-            issued.append(deadline)
-        assert issued == sorted(issued)
-
-    def test_rejects_negative_scale(self):
-        with pytest.raises(ValueError):
-            ClockBridge(time_scale=-1.0)
+def _reply_wire(msg_id: int) -> bytes:
+    return make_response(make_query("park.test", RRType.A, msg_id=msg_id)).to_wire()
 
 
-# ---------------------------------------------------------------------------
-# WireLoop: tasks park on futures and resume in completion order
-# ---------------------------------------------------------------------------
+def _stub_wire(send) -> WireNetwork:
+    """A :class:`WireNetwork` whose send step is *send(exchange)* — a
+    hand-made future instead of a socket (the engine is never started)."""
+    network = WireNetwork(SimulatedNetwork())
+    network._send = lambda exchange, asker: send(exchange)
+    return network
+
+
+def _asks(i, task):
+    response = yield Exchange(f"10.0.0.{i}", None, b"", timeout=2.0)
+    return response.id
 
 
 class TestWireLoop:
     def test_tasks_park_on_futures_and_results_keep_submission_order(self):
-        clock = SimulatedClock()
-        loop = WireLoop(clock, max_in_flight=4)
-        started = []
+        resumed = []
 
-        def fn(i):
-            started.append(i)
+        def send(exchange):
+            i = int(exchange.ip.rsplit(".", 1)[1])
             future = Future()
             # Completions land in *reverse* submission order from a
             # foreign thread — the loop must keep draining regardless.
-            threading.Timer(0.01 * (4 - i), future.set_result, args=(i * 10,)).start()
-            return loop.task_block_io(future)
+            threading.Timer(0.02 * (4 - i), future.set_result, args=(_reply_wire(i * 10),)).start()
+            return future
 
-        results = loop.run([0, 1, 2, 3], fn)
-        assert results == [0, 10, 20, 30]
-        assert sorted(started) == [0, 1, 2, 3]
-        assert loop.io_blocks == 4
+        def fn(i, task):
+            value = yield from _asks(i, task)
+            resumed.append(i)
+            return value
+
+        network = _stub_wire(send)
+        clock = network.clock
+        loop = EventLoop(clock, max_in_flight=4, network=network)
+        assert loop.run([0, 1, 2, 3], fn) == [0, 10, 20, 30]
+        assert resumed == [3, 2, 1, 0]  # completion order, not submission order
+        assert network.io_blocks == 4
+        assert network.io_waits >= 1
         # Parking charges no simulated time.
         assert clock.now() == 0.0
 
     def test_block_io_outside_a_task_waits_inline(self):
-        loop = WireLoop(SimulatedClock(), max_in_flight=2)
-        future = Future()
-        future.set_result(7)
-        assert loop.task_block_io(future) == 7
-        assert loop.io_blocks == 0
+        # A future that is already done costs no park and no wait: the
+        # task is resumed from the heap like any simulated exchange —
+        # which is also all a lone synchronous caller ever does.
+        def send(exchange):
+            future = Future()
+            future.set_result(_reply_wire(7))
+            return future
+
+        network = _stub_wire(send)
+        assert run_steps(network.clock, network, _asks(0, None)) == 7
+        assert network.io_blocks == 0 and network.io_waits == 0
 
     def test_future_exception_propagates_to_the_task(self):
-        loop = WireLoop(SimulatedClock(), max_in_flight=2)
-
-        def fn(i):
+        def send(exchange):
             future = Future()
             threading.Timer(0.01, future.set_exception, args=(OSError("boom"),)).start()
+            return future
+
+        def fn(i, task):
             try:
-                loop.task_block_io(future)
+                yield from _asks(i, task)
             except OSError as exc:
                 return str(exc)
             return "no error"
 
-        assert loop.run([0], fn) == ["boom"]
+        network = _stub_wire(send)
+        assert EventLoop(network.clock, max_in_flight=2, network=network).run([0], fn) == ["boom"]
+
+    def test_a_wall_timeout_is_charged_to_the_task_that_waited(self):
+        # The engine's WireTimeout becomes the fabric's NetworkTimeout:
+        # counted, charged to the waiting task's clock — and no other's.
+        def send(exchange):
+            future = Future()
+            if exchange.ip.endswith(".0"):
+                threading.Timer(0.01, future.set_exception, args=(WireTimeout("lost"),)).start()
+            else:
+                threading.Timer(0.03, future.set_result, args=(_reply_wire(1),)).start()
+            return future
+
+        def fn(i, task):
+            try:
+                yield from _asks(i, task)
+            except NetworkTimeout:
+                pass
+            return network.clock.now()
+
+        network = _stub_wire(send)
+        loop = EventLoop(network.clock, max_in_flight=2, network=network)
+        assert loop.run([0, 1], fn) == [2.0, 2.0]  # task 1 resumes at the frontier
+        assert network.timeouts == 1
+
+    def test_a_stalled_engine_is_reported_not_waited_on_forever(self, monkeypatch):
+        monkeypatch.setattr("repro.wire.network.IO_WAIT_TIMEOUT", 0.05)
+        network = _stub_wire(lambda exchange: Future())  # never completes
+        with pytest.raises(RuntimeError, match="wire engine stalled"):
+            run_steps(network.clock, network, _asks(0, None))
 
 
 # ---------------------------------------------------------------------------
