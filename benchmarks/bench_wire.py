@@ -30,7 +30,6 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.campaign import CampaignConfig, run_campaign  # noqa: E402
-from repro.obs.stats import write_benchmark_metrics  # noqa: E402
 from repro.reports.figure1 import compute_figure1, render_figure1  # noqa: E402
 from repro.reports.table1 import compute_table1, render_table1  # noqa: E402
 from repro.reports.table2 import compute_table2, render_table2  # noqa: E402
@@ -122,7 +121,8 @@ def main(argv=None) -> int:
         "wire_ratio_vs_baseline": round(wire_zps / BASELINE_ZPS, 2),
         "tables_identical": identical,
     }
-    path = write_benchmark_metrics(results_dir, "wire", payload)
+    path = results_dir / "BENCH_wire.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[metrics saved to {path}]")
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if identical else 1

@@ -7,6 +7,7 @@ full-fidelity setting whose percentages match the paper to rounding).
 Set e.g. ``REPRO_BENCH_SCALE=2e-6`` for a quick smoke run.
 """
 
+import json
 import os
 import pathlib
 from typing import Any, Dict, Optional
@@ -14,17 +15,11 @@ from typing import Any, Dict, Optional
 import pytest
 
 from repro.campaign import CampaignConfig, run_campaign
-from repro.obs import Telemetry
-from repro.obs.stats import write_benchmark_metrics
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1e-4"))
 FULL_FIDELITY = SCALE >= 9e-5
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-# One hub for the whole benchmark session: every BENCH_*.json payload is
-# also recorded as a `metric` event, so a run's metrics are one stream.
-METRICS_HUB = Telemetry(wall_clock=True)
 
 
 @pytest.fixture(scope="session")
@@ -65,17 +60,10 @@ def campaign_store(campaign, tmp_path_factory):
 def save_metrics(results_dir: pathlib.Path, stem: str, metrics: Dict[str, Any]) -> None:
     """Write the machine-readable twin of a benchmark artifact:
     ``BENCH_<stem>.json`` with the experiment's headline numbers, so
-    downstream tooling can track throughput without parsing the .txt.
-
-    Emission goes through the shared telemetry hub
-    (:func:`repro.obs.stats.write_benchmark_metrics`), so the session's
-    metrics are also one queryable event stream."""
-    path = write_benchmark_metrics(
-        results_dir,
-        stem,
-        {"experiment": stem, "scale": SCALE, **metrics},
-        telemetry=METRICS_HUB,
-    )
+    downstream tooling can track throughput without parsing the .txt."""
+    payload = {"experiment": stem, "scale": SCALE, **metrics}
+    path = results_dir / f"BENCH_{stem}.json"
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"[metrics saved to {path}]")
 
 

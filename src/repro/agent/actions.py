@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
+from repro.obs.events import truncate_torn_tail
+
 AGENT_DIR = "agent"
 ACTIONS_FILENAME = "actions.jsonl"
 
@@ -159,31 +161,11 @@ def append_actions(path, actions: Sequence[AgentAction]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a+b") as fh:
-        _truncate_torn_tail(fh)
+        truncate_torn_tail(fh)
         for action in actions:
             fh.write(action.to_line().encode("utf-8") + b"\n")
         fh.flush()
         os.fsync(fh.fileno())
-
-
-def _truncate_torn_tail(fh) -> None:
-    size = fh.seek(0, os.SEEK_END)
-    if size == 0:
-        return
-    fh.seek(size - 1)
-    if fh.read(1) == b"\n":
-        return
-    # Walk back to the last newline and cut there.
-    data = _tail_bytes(fh, size)
-    keep = data.rfind(b"\n") + 1 + max(0, size - len(data))
-    fh.truncate(keep)
-    fh.seek(keep)
-
-
-def _tail_bytes(fh, size: int, window: int = 1 << 16) -> bytes:
-    start = max(0, size - window)
-    fh.seek(start)
-    return fh.read(size - start)
 
 
 def recorded_zones(actions: Sequence[AgentAction], epoch: int) -> Set[str]:

@@ -45,7 +45,7 @@ from repro.ecosystem.world import World
 from repro.monitor.spec import MonitorSpec
 from repro.monitor.timeline import scan_world
 from repro.scenarios.spec import ScenarioSpec
-from repro.obs.events import events_path
+from repro.obs.events import stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
 from repro.reports.table3 import apply_recheck
 from repro.scanner.fleet import MachineReport
@@ -92,8 +92,8 @@ class CampaignConfig:
     # chaotic campaign implies a retry policy (see effective_retry) so
     # the differential convergence invariant holds by construction.
     chaos: Optional[ChaosConfig] = None
-    # Scanner/resolver retry policy; None → the legacy single-retry
-    # behaviour (or the chaos default when chaos is enabled).
+    # Scanner/resolver retry policy; None → one immediate re-attempt
+    # (or the chaos default when chaos is enabled).
     retry: Optional[RetryPolicy] = None
     # Transport: "sim" moves messages through the in-memory fabric;
     # "wire" (repro.wire) hosts the authoritative fleet on real loopback
@@ -465,13 +465,12 @@ def recheck_pass(
 
 
 def seal(telemetry, scanner=None) -> Optional[Telemetry]:
-    """Final counter snapshot + flush + close; None when disabled."""
+    """Final counter snapshot, then end the session; None when disabled."""
     if not telemetry.enabled:
         return None
     if scanner is not None:
         telemetry.capture_scanner(scanner)
-    telemetry.flush_counters()
-    telemetry.close()
+    telemetry.end_session()
     return telemetry
 
 
@@ -494,7 +493,7 @@ def _execute(config: CampaignConfig, world: Optional[World], resume: bool) -> Ca
         elif config.store_dir is not None:
             store = create_root_store(config, telemetry, zones_total=len(zones))
         if store is not None and telemetry.enabled:
-            telemetry.open_sink(events_path(store.root))
+            telemetry.open_sink(stream_path(store.root))
 
         results: List[ZoneScanResult] = []
         if store is None or not store.manifest.complete:

@@ -22,12 +22,13 @@ probability.
 
 from repro.chaos.config import ChaosConfig
 from repro.chaos.plane import ChaosPlane, FaultDecision
-from repro.chaos.retry import RetryPolicy, derive_seed, stable_unit
+from repro.chaos.retry import ONE_IMMEDIATE_RETRY, RetryPolicy, derive_seed, stable_unit
 
 __all__ = [
     "ChaosConfig",
     "ChaosPlane",
     "FaultDecision",
+    "ONE_IMMEDIATE_RETRY",
     "RetryPolicy",
     "derive_seed",
     "stable_unit",

@@ -85,23 +85,6 @@ class RetryPolicy:
         return cls()
 
     @classmethod
-    def legacy(cls, retries: int = 1) -> "RetryPolicy":
-        """The historical scanner behaviour: ``retries`` immediate
-        re-attempts after a timeout, no backoff, no SERVFAIL retry.
-
-        This is the policy every scanner gets when none is configured,
-        so pre-chaos campaigns keep their exact query counts and
-        simulated durations.
-        """
-        return cls(
-            attempts=retries + 1,
-            base=0.0,
-            cap=0.0,
-            jitter=0.0,
-            retry_servfail=False,
-        )
-
-    @classmethod
     def from_spec(cls, spec: str) -> Optional["RetryPolicy"]:
         """Parse a CLI ``--retries`` value.
 
@@ -160,6 +143,15 @@ class RetryPolicy:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "RetryPolicy":
         return cls(**data)
+
+
+# One immediate re-attempt after a timeout, no backoff, no SERVFAIL
+# retry: what every scanner gets when no policy is configured, so
+# fault-free campaigns keep their exact query counts and simulated
+# durations.
+ONE_IMMEDIATE_RETRY = RetryPolicy(
+    attempts=2, base=0.0, cap=0.0, jitter=0.0, retry_servfail=False
+)
 
 
 def _parse_fields(cls, spec: str) -> Dict[str, Any]:

@@ -466,24 +466,19 @@ def _open_monitor(store):
 def cmd_agent_run(args: argparse.Namespace) -> int:
     """Act on a completed epoch: re-authenticate, provision, verify."""
     from repro.agent import Agent, AgentError
-    from repro.obs import Telemetry
-    from repro.obs.events import agent_events_path
+    from repro.obs import as_telemetry, stream_path
 
     monitor, error = _open_monitor(args.store)
     if monitor is None:
         print(f"cannot open monitor: {error}", file=sys.stderr)
         return 2
-    telemetry = Telemetry() if args.telemetry else None
+    telemetry = as_telemetry(args.telemetry)
     try:
         run = Agent().run(monitor, epoch=args.epoch, telemetry=telemetry)
     except AgentError as exc:
         print(f"agent run failed: {exc}", file=sys.stderr)
         return 1
-    if telemetry is not None:
-        telemetry.flush_counters()
-        if telemetry.events:
-            telemetry.open_sink(agent_events_path(monitor.root))
-            telemetry.close()
+    telemetry.end_session(stream_path(monitor.root, "agent"))
     print(
         f"epoch {run.epoch}: {run.considered} zones considered, "
         f"{len(run.secured)} secured, {len(run.rejected)} rejected, "
@@ -684,19 +679,9 @@ def _campaign_operator_db(store_dir=None):
     return OperatorDB(suffixes=suffixes)
 
 
-def _flush_query_telemetry(telemetry, store_dir) -> None:
-    """Append this session's query counters to <store>/events/query.jsonl."""
-    from repro.obs.events import query_events_path
-
-    telemetry.flush_counters()
-    if telemetry.events:
-        telemetry.open_sink(query_events_path(store_dir))
-        telemetry.close()
-
-
 def cmd_query_index(args: argparse.Namespace) -> int:
     """Compact a campaign store into its query snapshot."""
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, stream_path
     from repro.query import build_index
     from repro.store import StoreError
 
@@ -707,7 +692,7 @@ def cmd_query_index(args: argparse.Namespace) -> int:
     except StoreError as exc:
         print(f"cannot index store: {exc}", file=sys.stderr)
         return 2
-    _flush_query_telemetry(telemetry, args.store)
+    telemetry.end_session(stream_path(args.store, "query"))
     print(
         f"indexed {snapshot.records} zones into {snapshot.num_buckets} buckets "
         f"under {args.store}/index"
@@ -717,7 +702,7 @@ def cmd_query_index(args: argparse.Namespace) -> int:
 
 def cmd_query_get(args: argparse.Namespace) -> int:
     """Point lookup: one zone's status view (or full record with --full)."""
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, stream_path
     from repro.query import QueryError, QueryService
     from repro.scanner.serialize import result_to_line
 
@@ -731,7 +716,7 @@ def cmd_query_get(args: argparse.Namespace) -> int:
     except QueryError as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 2
-    _flush_query_telemetry(telemetry, args.store)
+    telemetry.end_session(stream_path(args.store, "query"))
     if view is None:
         print(f"zone {args.zone} is not in the snapshot")
         return 1
@@ -749,7 +734,7 @@ def cmd_query_get(args: argparse.Namespace) -> int:
 
 def cmd_query_list(args: argparse.Namespace) -> int:
     """Enumerate zones by status class or operator (columnar scan)."""
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, stream_path
     from repro.query import QueryError, QueryService
 
     telemetry = Telemetry()
@@ -766,12 +751,12 @@ def cmd_query_list(args: argparse.Namespace) -> int:
                 for status, count in sorted(counts.items(), key=lambda kv: -kv[1]):
                     print(f"  {status:<12} {count}")
                 print(f"{sum(counts.values())} zones indexed")
-                _flush_query_telemetry(telemetry, args.store)
+                telemetry.end_session(stream_path(args.store, "query"))
                 return 0
     except QueryError as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 2
-    _flush_query_telemetry(telemetry, args.store)
+    telemetry.end_session(stream_path(args.store, "query"))
     shown = zones if args.limit == 0 else zones[: args.limit]
     for zone in shown:
         print(zone)
@@ -782,7 +767,7 @@ def cmd_query_list(args: argparse.Namespace) -> int:
 
 def cmd_query_dashboard(args: argparse.Namespace) -> int:
     """Per-operator deployment dashboard from the columnar sidecars."""
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, stream_path
     from repro.query import QueryError, QueryService
     from repro.reports.dashboard import zone_status_dashboard
 
@@ -793,7 +778,7 @@ def cmd_query_dashboard(args: argparse.Namespace) -> int:
     except QueryError as exc:
         print(f"query failed: {exc}", file=sys.stderr)
         return 2
-    _flush_query_telemetry(telemetry, args.store)
+    telemetry.end_session(stream_path(args.store, "query"))
     return 0
 
 
@@ -815,7 +800,7 @@ def cmd_query_verify(args: argparse.Namespace) -> int:
 
 def cmd_query_serve(args: argparse.Namespace) -> int:
     """Serve lookups for zone names read line-by-line from stdin."""
-    from repro.obs import Telemetry
+    from repro.obs import Telemetry, stream_path
     from repro.query import QueryError, QueryService
 
     telemetry = Telemetry()
@@ -841,7 +826,7 @@ def cmd_query_serve(args: argparse.Namespace) -> int:
                     f"{view.outcome}\t{view.operator}"
                 )
             served += 1
-    _flush_query_telemetry(telemetry, args.store)
+    telemetry.end_session(stream_path(args.store, "query"))
     print(f"served {served} lookups", flush=True)
     return 0
 

@@ -1,8 +1,9 @@
-"""On-disk layout of a monitor root — dependency-free path helpers.
+"""On-disk layout of a monitor root — path helpers that need nothing
+above the store.
 
 Kept separate from :mod:`repro.monitor.plane` (which imports the whole
-campaign machinery) so lightweight consumers — the query plane detects
-monitor roots to route per-epoch lookups — can share the layout without
+campaign machinery) so lightweight consumers — the query plane routing
+per-epoch lookups, the telemetry reader — can share the layout without
 paying the import.
 
 ::
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import List
+
+from repro.store.manifest import load_manifest, manifest_path
 
 MONITOR_STATE_FILENAME = "monitor.json"
 EPOCHS_DIR = "epochs"
@@ -49,3 +52,14 @@ def list_epoch_dirs(root: Path) -> List[int]:
         if entry.is_dir() and name.startswith("e") and name[1:].isdigit():
             epochs.append(int(name[1:]))
     return sorted(epochs)
+
+
+def completed_epochs(root: Path) -> List[int]:
+    """Epochs whose store holds a manifest marked complete, sorted —
+    the one answer to "which epochs can be read"."""
+    return [
+        epoch
+        for epoch in list_epoch_dirs(root)
+        if manifest_path(epoch_dir(root, epoch)).exists()
+        and load_manifest(epoch_dir(root, epoch)).complete
+    ]

@@ -43,9 +43,12 @@ from repro.monitor.layout import (
     EPOCHS_DIR,
     MONITOR_FORMAT_VERSION,
     MONITOR_STATE_FILENAME,
+    completed_epochs,
+    epoch_dir,
+    list_epoch_dirs,
 )
 from repro.monitor.spec import MonitorSpec
-from repro.obs.events import agent_events_path, monitor_events_path
+from repro.obs.events import stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.store.diff import ZoneClassification, diff_classifications
 from repro.store.manifest import load_manifest, manifest_path
@@ -229,21 +232,16 @@ class Monitor:
     # -- epoch bookkeeping -------------------------------------------------
 
     def epoch_dir(self, epoch: int) -> Path:
-        return self.root / EPOCHS_DIR / f"e{epoch:04d}"
+        return epoch_dir(self.root, epoch)
 
     def epochs(self) -> List[int]:
         """Every epoch with a store on disk, in order."""
-        epochs_root = self.root / EPOCHS_DIR
-        if not epochs_root.is_dir():
-            return []
-        found = []
-        for child in sorted(epochs_root.iterdir()):
-            if child.name.startswith("e") and manifest_path(child).exists():
-                found.append(int(child.name[1:]))
-        return found
+        return [
+            e for e in list_epoch_dirs(self.root) if manifest_path(self.epoch_dir(e)).exists()
+        ]
 
     def completed_epochs(self) -> List[int]:
-        return [e for e in self.epochs() if load_manifest(self.epoch_dir(e)).complete]
+        return completed_epochs(self.root)
 
     def in_progress_epoch(self) -> Optional[int]:
         for epoch in self.epochs():
@@ -291,22 +289,7 @@ class Monitor:
             span["events"] = len(events)
             span["zones"] = manifest.records
             span["complete"] = manifest.complete
-        hub.count("monitor.epochs")
-        hub.count("monitor.events_applied", len(events))
-        hub.count("monitor.zones_rescanned", manifest.records)
-        hub.flush_counters()
-        agent_run = None
-        if agent is not None and manifest.complete:
-            agent_run = self._run_agent(agent, epoch)
-        return EpochResult(
-            epoch=epoch,
-            store_dir=self.epoch_dir(epoch),
-            events=events,
-            zones_scanned=manifest.records,
-            campaign=campaign,
-            complete=manifest.complete,
-            agent=agent_run,
-        )
+        return self._finish_epoch(epoch, events, campaign, manifest, agent)
 
     def resume(self, agent=None) -> EpochResult:
         """Finish the in-progress epoch (after a kill or ``stop_after``)."""
@@ -325,14 +308,27 @@ class Monitor:
             events = campaign.events
             self._write_events(epoch, events)
         manifest = load_manifest(self.epoch_dir(epoch))
-        hub = self._telemetry()
-        hub.event("epoch_resumed", epoch=epoch, zones=manifest.records)
+        self._telemetry().event("epoch_resumed", epoch=epoch, zones=manifest.records)
+        return self._finish_epoch(epoch, events, campaign, manifest, agent)
+
+    def _finish_epoch(self, epoch, events, campaign, manifest, agent) -> EpochResult:
+        """The one epilogue of :meth:`run_epoch` and :meth:`resume`: an
+        epoch is accounted for by the process that completes it — never
+        by one that stopped short — so the folded timeline stream counts
+        exactly the complete epoch stores, however the timeline was
+        split into processes and kills."""
         agent_run = None
-        if agent is not None and manifest.complete:
-            # Idempotent: zones the killed run already recorded for this
-            # epoch are skipped, so a crash between scan and agent (or
-            # mid-agent) resumes into the same ledger bytes.
-            agent_run = self._run_agent(agent, epoch)
+        if manifest.complete:
+            hub = self._telemetry()
+            hub.count("monitor.epochs")
+            hub.count("monitor.events_applied", len(events))
+            hub.count("monitor.zones_rescanned", manifest.records)
+            hub.flush_counters()
+            if agent is not None:
+                # Idempotent: zones a killed run already recorded for
+                # this epoch are skipped, so a crash between scan and
+                # agent (or mid-agent) resumes into the same ledger bytes.
+                agent_run = self._run_agent(agent, epoch)
         return EpochResult(
             epoch=epoch,
             store_dir=self.epoch_dir(epoch),
@@ -493,11 +489,7 @@ class Monitor:
         plane's stream)."""
         hub = Telemetry() if self.config.telemetry else NULL_TELEMETRY
         run = agent.run(self, epoch=epoch, telemetry=hub)
-        if hub is not NULL_TELEMETRY:
-            hub.flush_counters()
-            if hub.events:
-                hub.open_sink(agent_events_path(self.root))
-                hub.close()
+        hub.end_session(stream_path(self.root, "agent"))
         return run
 
     def _events_file(self, epoch: int) -> Path:
@@ -554,7 +546,5 @@ class Monitor:
             return NULL_TELEMETRY
         if self._hub is None:
             self._hub = Telemetry(wall_clock=True)
-            sink = monitor_events_path(self.root)
-            sink.parent.mkdir(parents=True, exist_ok=True)
-            self._hub.open_sink(sink)
+            self._hub.open_sink(stream_path(self.root, "monitor"))
         return self._hub

@@ -1,43 +1,39 @@
-"""Event-stream persistence and the deterministic merge rule.
+"""The stream contract: where producers append, and the one fold that
+reads them back.
 
-Each telemetry producer appends JSONL events to its *own* stream at
-``<store>/events/stream.jsonl`` — the sequential campaign (or the
-parallel parent) under the campaign root, each parallel worker under
-its worker store (``<root>/workers/wNN/events/stream.jsonl``).  Nothing
-is ever merged byte-wise; like shard segments, the streams stay in
-place and the *read order* is the merge: streams sort by origin (the
-root first, then workers in directory order) and events within a
-stream are already in per-producer ``seq`` order — so the merged
-iteration order is ``(origin, seq)``, a pure function of the stored
-data, the same discipline the manifest merge applies to
-``(bucket, origin, sequence)``.
+A *stream* is an append-only JSONL file, one per producer, at
+``<root>/events/<producer>.jsonl``: ``stream`` is the campaign itself
+(the sequential run or the parallel parent under the campaign root,
+each parallel worker under ``<root>/workers/wNN``), ``query`` the
+read-serving plane, ``monitor`` a monitor root's timeline, ``agent``
+the parental agent.  The files stay separate because the campaign
+stream is byte-identical for a given (seed, scale, config) and must
+stay so; query and agent traffic is driven by whoever asks later.
+
+A stream is a sequence of **sessions** — one per process that appended
+to it (a run, its resume, each ``query get``).  Every session numbers
+its events from ``seq`` 0, so a ``seq`` that fails to advance starts
+the next one; :func:`fold_stream` is the only code that knows this.
+Counters are cumulative within a session (its last ``counters`` event
+holds the totals) and additive across sessions and origins, except
+names ending ``_peak``, which fold by ``max``.
+
+Nothing is ever merged byte-wise: the *read order* is the merge.
+Campaign streams sort by origin (the root first, then workers in
+directory order) and events within a stream are in per-session ``seq``
+order — a pure function of the stored data, the same discipline the
+manifest merge applies to ``(bucket, origin, sequence)``.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 EVENTS_DIR = "events"
-EVENT_STREAM_FILENAME = "stream.jsonl"
-
-# The read-serving plane (repro.query) appends to its own stream: the
-# campaign stream above is byte-identical for a given (seed, scale,
-# config) and query traffic is driven by whoever asks questions later —
-# mixing the two would break the campaign stream's determinism contract.
-QUERY_STREAM_FILENAME = "query.jsonl"
-
-# The monitoring plane's own stream, one per *monitor* root (not per
-# epoch store): epoch spans, applied-event counts, re-scan sizes.  Each
-# epoch's campaign keeps writing its ordinary stream under its own
-# epoch store; this one narrates the timeline.
-MONITOR_STREAM_FILENAME = "monitor.jsonl"
-
-# The parental agent's stream, one per monitor root: decision counters
-# per agent session, appended additively like the query plane's stream
-# (agent sessions happen after the campaign streams are sealed).
-AGENT_STREAM_FILENAME = "agent.jsonl"
 
 # The parallel engine's worker-store directory (defined here, at the
 # bottom of the dependency graph, so the observability reader needs no
@@ -45,60 +41,123 @@ AGENT_STREAM_FILENAME = "agent.jsonl"
 WORKERS_DIR = "workers"
 
 
-def events_path(store_root: Path) -> Path:
-    """Where a store's own event stream lives."""
-    return Path(store_root) / EVENTS_DIR / EVENT_STREAM_FILENAME
+def stream_path(root: Path, producer: str = "stream") -> Path:
+    """Where *producer* appends under *root* (default: the campaign)."""
+    return Path(root) / EVENTS_DIR / f"{producer}.jsonl"
 
 
-def query_events_path(store_root: Path) -> Path:
-    """Where the read-serving plane's event stream lives."""
-    return Path(store_root) / EVENTS_DIR / QUERY_STREAM_FILENAME
-
-
-def monitor_events_path(monitor_root: Path) -> Path:
-    """Where a monitor root's timeline event stream lives."""
-    return Path(monitor_root) / EVENTS_DIR / MONITOR_STREAM_FILENAME
-
-
-def agent_events_path(monitor_root: Path) -> Path:
-    """Where a monitor root's agent event stream lives."""
-    return Path(monitor_root) / EVENTS_DIR / AGENT_STREAM_FILENAME
+def truncate_torn_tail(fh) -> None:
+    """Cut a final line that is not newline-terminated off *fh* (opened
+    ``a+b``): its writer died mid-line, so it was never durable."""
+    size = fh.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return
+    start = max(0, size - (1 << 16))
+    fh.seek(start)
+    keep = start + fh.read(size - start).rfind(b"\n") + 1
+    fh.truncate(keep)
+    fh.seek(keep)
 
 
 def read_events(path: Path) -> List[Dict[str, Any]]:
-    """Parse one stream file into event dicts."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events
+    """Parse one stream file into event dicts.
+
+    A torn final line (a process killed mid-write) is skipped; a
+    corrupt line anywhere else raises.
+    """
+    lines = Path(path).read_bytes().split(b"\n")
+    lines.pop()  # what follows the last newline: empty unless torn
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 def campaign_event_streams(store_root: Path) -> List[Tuple[str, Path]]:
-    """Every event stream under a campaign store, in merge order.
+    """Every campaign stream under a store, in merge order.
 
     Returns ``(origin, path)`` pairs: origin ``""`` for the campaign
     root's own stream, ``workers/wNN`` for each worker's — sorted, so
     the order is deterministic no matter which worker finished first.
     """
     root = Path(store_root)
-    streams: List[Tuple[str, Path]] = []
-    own = events_path(root)
-    if own.exists():
-        streams.append(("", own))
-    workers = root / WORKERS_DIR
-    if workers.is_dir():
-        for child in sorted(workers.iterdir()):
-            stream = events_path(child)
-            if stream.exists():
-                streams.append((child.relative_to(root).as_posix(), stream))
-    return streams
+    candidates = [root]
+    if (root / WORKERS_DIR).is_dir():
+        candidates += sorted((root / WORKERS_DIR).iterdir())
+    return [
+        (child.relative_to(root).as_posix() if child != root else "", stream_path(child))
+        for child in candidates
+        if stream_path(child).exists()
+    ]
 
 
-def iter_campaign_events(store_root: Path) -> Iterator[Tuple[str, Dict[str, Any]]]:
-    """Stream every event of a campaign in ``(origin, seq)`` order."""
-    for origin, path in campaign_event_streams(store_root):
-        for event in read_events(path):
-            yield origin, event
+@dataclass
+class SpanStats:
+    """Aggregate over every span of one name."""
+
+    count: int = 0
+    total: float = 0.0
+    longest: float = 0.0
+    records: int = 0  # sum of the per-span "records" field, if present
+
+    def add(self, duration: float, records: Optional[int]) -> None:
+        self.count += 1
+        self.total += duration
+        self.longest = max(self.longest, duration)
+        if records is not None:
+            self.records += records
+
+    def merge(self, other: "SpanStats") -> None:
+        self.count += other.count
+        self.total += other.total
+        self.longest = max(self.longest, other.longest)
+        self.records += other.records
+
+    @property
+    def mean(self) -> float:
+        return self.total / self.count if self.count else 0.0
+
+
+def add_counters(into: Dict[str, float], counters: Dict[str, float]) -> None:
+    """Combine two producers' (or sessions') totals: sum, peaks by max."""
+    for name, value in counters.items():
+        if name.endswith("_peak"):
+            into[name] = max(into.get(name, 0), value)
+        else:
+            into[name] = into.get(name, 0) + value
+
+
+@dataclass
+class StreamFold:
+    """What one stream file adds up to."""
+
+    events: int = 0
+    sessions: int = 0
+    counters: Dict[str, float] = field(default_factory=dict)
+    spans: Dict[str, SpanStats] = field(default_factory=dict)
+    last_progress: Optional[Dict[str, Any]] = None
+
+
+def fold_stream(path: Path) -> StreamFold:
+    """Walk every event of one stream, session by session."""
+    fold = StreamFold()
+    previous_seq = float("inf")  # so the first event opens session one
+    session_counters: Dict[str, float] = {}
+    for event in read_events(path):
+        seq = event.get("seq", 0)
+        if seq <= previous_seq:
+            fold.sessions += 1
+            add_counters(fold.counters, session_counters)
+            session_counters = {}
+        previous_seq = seq
+        fold.events += 1
+        kind = event.get("kind")
+        if kind == "counters":
+            session_counters = event["counters"]
+        elif kind == "span":
+            agg = fold.spans.setdefault(event["name"], SpanStats())
+            agg.add(event["t1"] - event["t0"], event.get("records"))
+        elif kind == "progress":
+            fold.last_progress = event
+    add_counters(fold.counters, session_counters)
+    return fold

@@ -1,11 +1,16 @@
-"""Aggregate a campaign's telemetry streams into a readable report.
+"""Aggregate a root's telemetry streams into a readable report.
 
-This is the offline half of the observability layer: given a store, it
-reads the manifest, every event stream (root + workers, in the
-deterministic merge order), and the per-worker ``worker.json`` machine
-stats, then renders query volume, cache effectiveness, span timings,
-checkpoint cadence, and per-machine durations — the numbers the paper's
-fleet had to be monitored for continuously (App. D).
+This is the offline half of the observability layer: given a campaign
+store or a monitor root, :func:`collect_stats` folds every stream that
+exists under it — the campaign's own and its workers', the query
+plane's, the agent's, the monitor timeline's — into **one** counters
+dict (the names are disjoint by prefix: ``net.`` ``cache.`` ``sched.``
+``wire.`` ``chaos.`` ``retry.`` ``store.`` ``query.`` ``agent.``
+``monitor.``) plus a per-producer session count, and
+:func:`render_stats` prints one section per plane whose counters are
+present — query volume, cache effectiveness, span timings, checkpoint
+cadence, per-machine durations: the numbers the paper's fleet had to be
+monitored for continuously (App. D).
 """
 
 from __future__ import annotations
@@ -15,43 +20,22 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.monitor.layout import (
+    MONITOR_STATE_FILENAME,
+    completed_epochs,
+    epoch_dir,
+    is_monitor_root,
+)
 from repro.obs.events import (
     WORKERS_DIR,
-    agent_events_path,
+    SpanStats,
+    add_counters,
     campaign_event_streams,
-    monitor_events_path,
-    query_events_path,
-    read_events,
+    fold_stream,
+    stream_path,
 )
 from repro.reports.render import format_count, format_duration, render_table
 from repro.store.manifest import load_manifest
-from repro.store.shards import StoreError
-
-# Monitor-root layout constants, duplicated here (like WORKERS_DIR) so
-# the observability reader needs no import from repro.monitor.
-MONITOR_STATE_FILENAME = "monitor.json"
-EPOCHS_DIR = "epochs"
-
-
-@dataclass
-class SpanStats:
-    """Aggregate over every span of one name."""
-
-    count: int = 0
-    total: float = 0.0
-    longest: float = 0.0
-    records: int = 0  # sum of the per-span "records" field, if present
-
-    def add(self, duration: float, records: Optional[int]) -> None:
-        self.count += 1
-        self.total += duration
-        self.longest = max(self.longest, duration)
-        if records is not None:
-            self.records += records
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
 
 @dataclass
@@ -64,38 +48,24 @@ class CampaignStats:
     scale: float
     records: int
     zones_total: Optional[int]
+    # Opt-in telemetry only: the query plane records unconditionally, so
+    # its stream says nothing about whether telemetry was enabled.
     events: int = 0
     streams: int = 0
     counters: Dict[str, float] = field(default_factory=dict)
+    sessions: Dict[str, int] = field(default_factory=dict)  # per producer
+    # Spans of the root's own narrative (campaign / monitor timeline);
+    # the planes that act on a root later report through counters.
     spans: Dict[str, SpanStats] = field(default_factory=dict)
     last_progress: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     machines: List[Dict[str, Any]] = field(default_factory=list)
-    # Read-serving plane (events/query.jsonl) — kept apart from the
-    # campaign counters because that stream is per-session and additive,
-    # not a deterministic function of (seed, scale, config).
-    query_counters: Dict[str, float] = field(default_factory=dict)
-    query_sessions: int = 0
-    # Parental agent (events/agent.jsonl) — same per-session-additive
-    # discipline as the query stream: agent sessions run after epochs
-    # complete and append one counters event each.
-    agent_counters: Dict[str, float] = field(default_factory=dict)
-    agent_sessions: int = 0
-    # True when the root holds a monitor (epochs/eNNNN stores) rather
-    # than a single campaign store.
-    monitor_root: bool = False
 
 
 def _machine_stats(root: Path) -> List[Dict[str, Any]]:
     """Final per-worker machine stats (heartbeat-only files — a worker
     killed mid-scan — are skipped: they carry no duration yet)."""
     machines: List[Dict[str, Any]] = []
-    workers = root / WORKERS_DIR
-    if not workers.is_dir():
-        return machines
-    for child in sorted(workers.iterdir()):
-        stats_file = child / "worker.json"
-        if not stats_file.exists():
-            continue
+    for stats_file in sorted((root / WORKERS_DIR).glob("*/worker.json")):
         try:
             stats = json.loads(stats_file.read_text(encoding="utf-8"))
         except json.JSONDecodeError:
@@ -105,238 +75,161 @@ def _machine_stats(root: Path) -> List[Dict[str, Any]]:
     return machines
 
 
-def collect_stats(store_root: Path) -> CampaignStats:
-    """Read manifest + event streams + machine stats for one campaign.
-
-    A monitor root (``monitor.json`` + per-epoch stores, no manifest of
-    its own) is summarised across its epoch stores instead.
-
-    Raises :class:`repro.store.StoreError` when *store_root* holds no
-    campaign (the CLI turns that into a nonzero exit).
-    """
-    root = Path(store_root)
-    try:
-        manifest = load_manifest(root)
-    except StoreError:
-        if (root / MONITOR_STATE_FILENAME).exists():
-            return _collect_monitor_stats(root)
-        raise
-    stats = CampaignStats(
-        root=str(root),
-        status=manifest.status,
-        seed=manifest.seed,
-        scale=manifest.scale,
-        records=manifest.records,
-        zones_total=manifest.zones_total,
-    )
-    for origin, path in campaign_event_streams(root):
-        stats.streams += 1
-        for event in read_events(path):
-            stats.events += 1
-            kind = event.get("kind")
-            if kind == "counters":
-                # Each producer's counters event carries *absolute*
-                # totals for that machine; summing across origins gives
-                # the campaign-wide figure.  The last event per origin
-                # wins within a stream (they are cumulative).
-                pass
-            if kind == "span":
-                agg = stats.spans.setdefault(event["name"], SpanStats())
-                agg.add(event["t1"] - event["t0"], event.get("records"))
-            elif kind == "progress":
-                stats.last_progress[origin] = event
-        # Fold in the final counters event of this stream (cumulative
-        # within a producer, additive across producers).
-        for event in reversed(read_events(path)):
-            if event.get("kind") == "counters":
-                for name, value in event["counters"].items():
-                    stats.counters[name] = stats.counters.get(name, 0) + value
-                break
-    stats.machines = _machine_stats(root)
-    query_stream = query_events_path(root)
-    if query_stream.exists():
-        # Unlike campaign streams, every CLI/service session appends its
-        # own final counters event here — counters are cumulative within
-        # a session and additive across sessions, so SUM all of them.
-        for event in read_events(query_stream):
-            if event.get("kind") != "counters":
-                continue
-            stats.query_sessions += 1
-            for name, value in event["counters"].items():
-                stats.query_counters[name] = stats.query_counters.get(name, 0) + value
-    stats.agent_sessions = _fold_session_counters(
-        agent_events_path(root), stats.agent_counters
-    )
-    return stats
-
-
-def _fold_session_counters(path: Path, into: Dict[str, float]) -> int:
-    """Sum per-session counter totals from an additive stream.
-
-    Counters are cumulative within one producer session and additive
-    across sessions; a ``seq`` that fails to advance marks a new
-    session, so the fold adds each session's final counters event.
-    Returns the session count (0 when the stream does not exist).
-    """
-    if not path.exists():
-        return 0
-    sessions = 0
-    pending: Optional[Dict[str, float]] = None
-    pending_seq = -1
-    for event in read_events(path):
-        if event.get("kind") != "counters":
-            continue
-        seq = event.get("seq", 0)
-        if pending is not None and seq <= pending_seq:
-            sessions += 1
-            for name, value in pending.items():
-                into[name] = into.get(name, 0) + value
-        pending, pending_seq = event["counters"], seq
-    if pending is not None:
-        sessions += 1
-        for name, value in pending.items():
-            into[name] = into.get(name, 0) + value
-    return sessions
-
-
-def _collect_monitor_stats(root: Path) -> CampaignStats:
-    """Summarise a monitor root: epoch stores + timeline/agent streams."""
+def _describe_root(root: Path) -> CampaignStats:
+    """The report header: a campaign store's manifest, or — for a
+    monitor root, which has no manifest of its own — its complete epoch
+    stores summed."""
+    if not is_monitor_root(root):
+        manifest = load_manifest(root)  # StoreError: no campaign here either
+        return CampaignStats(
+            root=str(root),
+            status=manifest.status,
+            seed=manifest.seed,
+            scale=manifest.scale,
+            records=manifest.records,
+            zones_total=manifest.zones_total,
+        )
     state = json.loads((root / MONITOR_STATE_FILENAME).read_text(encoding="utf-8"))
-    stats = CampaignStats(
+    epochs = [load_manifest(epoch_dir(root, e)) for e in completed_epochs(root)]
+    return CampaignStats(
         root=str(root),
-        status="monitor",
+        status=f"monitor ({len(epochs)} epoch store(s))",
         seed=int(state.get("seed", 0)),
         scale=float(state.get("scale", 0.0)),
-        records=0,
-        zones_total=None,
-        monitor_root=True,
+        records=sum(manifest.records for manifest in epochs),
+        zones_total=epochs[0].zones_total if epochs else None,
     )
-    epochs_dir = root / EPOCHS_DIR
-    epochs = 0
-    if epochs_dir.is_dir():
-        for child in sorted(epochs_dir.iterdir()):
-            try:
-                manifest = load_manifest(child)
-            except StoreError:
-                continue
-            epochs += 1
-            stats.records += manifest.records
-            if stats.zones_total is None:
-                stats.zones_total = manifest.zones_total
-    stats.status = f"monitor ({epochs} epoch store(s))"
-    timeline = monitor_events_path(root)
-    if timeline.exists():
-        stats.streams += 1
-        for event in read_events(timeline):
-            stats.events += 1
-            if event.get("kind") == "span":
-                agg = stats.spans.setdefault(event["name"], SpanStats())
-                agg.add(event["t1"] - event["t0"], event.get("records"))
-        _fold_session_counters(timeline, stats.counters)
-    stats.agent_sessions = _fold_session_counters(
-        agent_events_path(root), stats.agent_counters
-    )
-    if stats.agent_sessions:
-        stats.streams += 1
-        stats.events += len(read_events(agent_events_path(root)))
+
+
+def collect_stats(store_root: Path) -> CampaignStats:
+    """Fold every telemetry stream under one campaign store or monitor
+    root, plus the per-worker machine stats.
+
+    Raises :class:`repro.store.StoreError` when *store_root* holds
+    neither (the CLI turns that into a nonzero exit).
+    """
+    root = Path(store_root)
+    stats = _describe_root(root)
+    streams = [("stream", origin, path) for origin, path in campaign_event_streams(root)]
+    streams += [
+        (producer, "", stream_path(root, producer))
+        for producer in ("monitor", "agent", "query")
+        if stream_path(root, producer).exists()
+    ]
+    for producer, origin, path in streams:
+        fold = fold_stream(path)
+        stats.sessions[producer] = stats.sessions.get(producer, 0) + fold.sessions
+        add_counters(stats.counters, fold.counters)
+        if producer != "query":  # always-on reader traffic is not "telemetry enabled"
+            stats.streams += 1
+            stats.events += fold.events
+        if producer in ("stream", "monitor"):  # the root's own narrative
+            for name, agg in fold.spans.items():
+                stats.spans.setdefault(name, SpanStats()).merge(agg)
+            if fold.last_progress is not None:
+                stats.last_progress[origin] = fold.last_progress
+    stats.machines = _machine_stats(root)
     return stats
 
 
 def _rate(hits: float, misses: float) -> str:
     total = hits + misses
-    if not total:
-        return "-"
-    return f"{100.0 * hits / total:.1f}%"
+    return f"{100.0 * hits / total:.1f}%" if total else "-"
 
 
-def _render_query_plane(stats: CampaignStats) -> List[str]:
-    """The ``query plane`` stats section (read-serving counters)."""
-    q = stats.query_counters
-    if not q:
-        return []
-    lookups = q.get("query.lookups", 0)
-    hits = q.get("query.cache_hits", 0)
-    misses = q.get("query.cache_misses", 0)
-    per_miss = f"{q.get('query.index_seeks', 0) / misses:.1f}" if misses else "-"
+def _scan_sections(stats: CampaignStats, n) -> List[str]:
+    """What a scan leaves behind: query volume, then the scheduler and
+    wire-engine sections (only for campaigns that ran ``in_flight`` > 1
+    / over real sockets, so serial simulated-fabric reports carry
+    neither), then cache effectiveness."""
+    c = stats.counters
+    per_zone = f"{c['net.queries'] / stats.records:.1f}" if stats.records else "-"
     lines = [
         "",
-        f"query plane ({stats.query_sessions} session(s))",
-        f"  lookups:      {format_count(int(lookups))} "
-        f"({format_count(int(q.get('query.negative', 0)))} negative)",
-        f"  cache:        {format_count(int(hits))} hits, "
-        f"{format_count(int(misses))} misses ({_rate(hits, misses)})",
-        f"  index seeks:  {format_count(int(q.get('query.index_seeks', 0)))} "
-        f"({per_miss}/uncached lookup)",
-        f"  bytes read:   {format_count(int(q.get('query.bytes_read', 0)))}",
-        f"  enumerations: {format_count(int(q.get('query.enumerations', 0)))}",
+        "query volume",
+        f"  queries:      {n('net.queries')} ({per_zone}/zone)",
+        f"  bytes:        {n('net.bytes_sent')} sent, {n('net.bytes_received')} received",
+        f"  timeouts:     {n('net.timeouts')}",
+        f"  truncations:  {n('net.truncations')} ({n('scan.tcp_fallbacks')} TCP fallbacks, "
+        f"{n('net.tcp_queries')} TCP queries)",
+        f"  rate limit:   {n('ratelimit.waits')} waits, "
+        f"{format_duration(c.get('ratelimit.wait_seconds', 0.0))} waited (simulated)",
     ]
-    if q.get("query.index_builds"):
-        lines.append(
-            f"  index builds: {format_count(int(q.get('query.index_builds', 0)))} "
-            f"({format_count(int(q.get('query.index_records', 0)))} records compacted)"
+    if c.get("sched.tasks"):
+        lines += [
+            "",
+            "scheduler (repro.sched)",
+            f"  tasks:        {n('sched.tasks')} zone scans",
+            f"  events:       {n('sched.events')} fired",
+            f"  in flight:    {n('sched.in_flight_peak')} peak",
+            f"  event queue:  {n('sched.queue_peak')} deep at peak",
+            f"  gate waits:   {n('sched.gate_waits')} (single-flight cache fills)",
+        ]
+    if c.get("wire.queries"):
+        batches = c.get("wire.batches", 0)
+        per_batch = f"{c.get('wire.batched_queries', 0) / batches:.1f}" if batches else "-"
+        lines += [
+            "",
+            "wire engine (repro.wire)",
+            f"  queries:      {n('wire.queries')} over real sockets "
+            f"({n('wire.servers_hosted')} servers hosted)",
+            f"  in flight:    {n('wire.in_flight_peak')} peak",
+            f"  batches:      {n('wire.batches')} flushes "
+            f"({per_batch} queries/flush, {n('wire.batch_peak')} peak)",
+            f"  resp. cache:  {n('wire.response_cache_hits')} hits",
+            f"  errors:       {n('wire.socket_errors')} socket, "
+            f"{n('wire.demux_misses')} demux misses, {n('wire.decode_errors')} decode, "
+            f"{n('wire.wall_timeouts')} wall timeouts",
+        ]
+    cache_rows = [
+        [
+            label,
+            n(f"{key}.hits"),
+            n(f"{key}.misses"),
+            _rate(c.get(f"{key}.hits", 0), c.get(f"{key}.misses", 0)),
+        ]
+        for label, key in (
+            ("dns", "cache.dns"),
+            ("addresses", "cache.address"),
+            ("signal zones", "cache.signal_zone"),
+            ("chains", "cache.chain"),
         )
-    if q.get("query.stale_detected"):
-        lines.append(
-            f"  staleness:    {format_count(int(q.get('query.stale_detected', 0)))}"
-            f"/{format_count(int(q.get('query.stale_checks', 0)))} checks found "
-            "the snapshot behind the store"
-        )
-    return lines
+    ]
+    return lines + ["", render_table(["cache", "hits", "misses", "hit rate"], cache_rows)]
 
 
-def _render_wire_engine(counters: Dict[str, float]) -> List[str]:
-    """The ``wire engine`` stats section.
-
-    Present only when the campaign actually scanned over real sockets
-    (``wire.queries`` > 0): simulated-fabric campaigns render no wire
-    section at all, keeping their reports byte-identical to pre-wire
-    output.
-    """
-    queries = counters.get("wire.queries", 0)
-    if not queries:
-        return []
-    batches = counters.get("wire.batches", 0)
-    batched = counters.get("wire.batched_queries", 0)
-    per_batch = f"{batched / batches:.1f}" if batches else "-"
+def _fault_section(counters: Dict[str, float], n) -> List[str]:
+    rows = [
+        [name.removeprefix("chaos.faults."), n(name)]
+        for name in sorted(counters)
+        if name.startswith("chaos.faults.")
+    ]
+    rows.append(["(suppressed by fairness cap)", n("chaos.suppressed")])
+    backoff = counters.get("retry.backoff_seconds", 0.0) + counters.get(
+        "retry.resolver_backoff_seconds", 0.0
+    )
     return [
         "",
-        "wire engine (repro.wire)",
-        f"  queries:      {format_count(int(queries))} over real sockets "
-        f"({format_count(int(counters.get('wire.servers_hosted', 0)))} servers hosted)",
-        f"  in flight:    {format_count(int(counters.get('wire.in_flight_peak', 0)))} peak",
-        f"  batches:      {format_count(int(batches))} flushes "
-        f"({per_batch} queries/flush, {format_count(int(counters.get('wire.batch_peak', 0)))} peak)",
-        f"  resp. cache:  {format_count(int(counters.get('wire.response_cache_hits', 0)))} hits",
-        f"  errors:       {format_count(int(counters.get('wire.socket_errors', 0)))} socket, "
-        f"{format_count(int(counters.get('wire.demux_misses', 0)))} demux misses, "
-        f"{format_count(int(counters.get('wire.decode_errors', 0)))} decode, "
-        f"{format_count(int(counters.get('wire.wall_timeouts', 0)))} wall timeouts",
+        f"fault injection ({n('chaos.decisions')} decisions)",
+        render_table(["fault", "injected"], rows),
+        f"  retries:      {n('retry.attempts')} scanner + {n('retry.resolver_attempts')} "
+        f"resolver attempts, {format_duration(backoff)} backoff (simulated)",
+        f"  abandoned:    {n('retry.abandoned')} queries dead after full retry budget",
     ]
 
 
-def _render_agent(stats: CampaignStats) -> List[str]:
-    """The ``parental agent`` stats section.
-
-    Present only when an agent has acted on the root — campaigns and
-    monitors that never ran one render byte-identically to before.
-    """
-    a = stats.agent_counters
-    if not a:
-        return []
+def _agent_section(stats: CampaignStats, n) -> List[str]:
     lines = [
         "",
-        f"parental agent ({stats.agent_sessions} session(s))",
-        f"  considered:   {format_count(int(a.get('agent.considered', 0)))} zones "
-        f"across {format_count(int(a.get('agent.epochs_acted', 0)))} epoch(s)",
-        f"  secured:      {format_count(int(a.get('agent.secured', 0)))} DS provisioned "
-        "and verified",
-        f"  rejected:     {format_count(int(a.get('agent.rejected', 0)))}",
-        f"  re-scans:     {format_count(int(a.get('agent.rescans', 0)))} "
-        f"({format_count(int(a.get('agent.rollbacks', 0)))} rollbacks, RFC 8078 s3)",
+        f"parental agent ({stats.sessions['agent']} session(s))",
+        f"  considered:   {n('agent.considered')} zones across {n('agent.epochs_acted')} epoch(s)",
+        f"  secured:      {n('agent.secured')} DS provisioned and verified",
+        f"  rejected:     {n('agent.rejected')}",
+        f"  re-scans:     {n('agent.rescans')} ({n('agent.rollbacks')} rollbacks, RFC 8078 s3)",
     ]
     reasons = {
         name.removeprefix("agent.reason."): value
-        for name, value in a.items()
+        for name, value in stats.counters.items()
         if name.startswith("agent.reason.")
     }
     if reasons:
@@ -348,38 +241,44 @@ def _render_agent(stats: CampaignStats) -> List[str]:
     return lines
 
 
-def _render_monitor_root(stats: CampaignStats, lines: List[str]) -> str:
-    """The monitor-root flavour of the stats report: timeline counters
-    and spans, then the agent and query-plane sections."""
-    c = stats.counters
-    if c.get("monitor.epochs"):
-        lines += [
-            "",
-            "monitor timeline",
-            f"  epochs run:       {format_count(int(c.get('monitor.epochs', 0)))}",
-            f"  events applied:   {format_count(int(c.get('monitor.events_applied', 0)))}",
-            f"  zones re-scanned: {format_count(int(c.get('monitor.zones_rescanned', 0)))}",
-        ]
-    if stats.spans:
-        span_rows = [
-            [
-                name,
-                format_count(agg.count),
-                format_duration(agg.total),
-                format_duration(agg.mean),
-                format_duration(agg.longest),
-            ]
-            for name, agg in sorted(stats.spans.items())
-        ]
-        lines += ["", render_table(["span", "count", "total", "mean", "max"], span_rows)]
-    lines += _render_agent(stats)
-    lines += _render_query_plane(stats)
-    return "\n".join(lines)
+def _query_section(stats: CampaignStats, n) -> List[str]:
+    q = stats.counters
+    hits = q.get("query.cache_hits", 0)
+    misses = q.get("query.cache_misses", 0)
+    per_miss = f"{q.get('query.index_seeks', 0) / misses:.1f}" if misses else "-"
+    lines = [
+        "",
+        f"query plane ({stats.sessions['query']} session(s))",
+        f"  lookups:      {n('query.lookups')} ({n('query.negative')} negative)",
+        f"  cache:        {n('query.cache_hits')} hits, {n('query.cache_misses')} misses "
+        f"({_rate(hits, misses)})",
+        f"  index seeks:  {n('query.index_seeks')} ({per_miss}/uncached lookup)",
+        f"  bytes read:   {n('query.bytes_read')}",
+        f"  enumerations: {n('query.enumerations')}",
+    ]
+    if q.get("query.index_builds"):
+        lines.append(
+            f"  index builds: {n('query.index_builds')} "
+            f"({n('query.index_records')} records compacted)"
+        )
+    if q.get("query.stale_detected"):
+        lines.append(
+            f"  staleness:    {n('query.stale_detected')}/{n('query.stale_checks')} checks "
+            "found the snapshot behind the store"
+        )
+    return lines
 
 
 def render_stats(stats: CampaignStats) -> str:
-    """The campaign telemetry report, paper-style plain text."""
+    """The telemetry report, paper-style plain text: the header, then
+    each section whose trigger — a counter, a span, a session of its
+    producer — is present.  A root is whatever its streams say it is:
+    a monitor root is one whose streams carry ``monitor.*`` counters."""
     counters = stats.counters
+
+    def n(name: str) -> str:
+        return format_count(int(counters.get(name, 0)))
+
     planned = "?" if stats.zones_total is None else format_count(stats.zones_total)
     lines = [
         f"campaign telemetry: {stats.root}",
@@ -388,101 +287,34 @@ def render_stats(stats: CampaignStats) -> str:
         f"zones:     {format_count(stats.records)}/{planned} persisted",
         f"events:    {format_count(stats.events)} across {stats.streams} stream(s)",
     ]
-    if stats.monitor_root:
-        return _render_monitor_root(stats, lines)
-    if not stats.events:
-        if stats.query_counters:
-            lines += _render_query_plane(stats)
-            return "\n".join(lines)
+    if not stats.events and not counters:
         lines.append(
             "\nno telemetry events recorded — run the campaign with "
             "telemetry enabled (--telemetry / CampaignConfig(telemetry=True))"
         )
         return "\n".join(lines)
 
-    queries = counters.get("net.queries", 0)
-    per_zone = f"{queries / stats.records:.1f}" if stats.records else "-"
-    lines += [
-        "",
-        "query volume",
-        f"  queries:      {format_count(int(queries))} ({per_zone}/zone)",
-        f"  bytes:        {format_count(int(counters.get('net.bytes_sent', 0)))} sent, "
-        f"{format_count(int(counters.get('net.bytes_received', 0)))} received",
-        f"  timeouts:     {format_count(int(counters.get('net.timeouts', 0)))}",
-        f"  truncations:  {format_count(int(counters.get('net.truncations', 0)))} "
-        f"({format_count(int(counters.get('scan.tcp_fallbacks', 0)))} TCP fallbacks, "
-        f"{format_count(int(counters.get('net.tcp_queries', 0)))} TCP queries)",
-        f"  rate limit:   {format_count(int(counters.get('ratelimit.waits', 0)))} waits, "
-        f"{format_duration(counters.get('ratelimit.wait_seconds', 0.0))} waited (simulated)",
-    ]
-
-    if counters.get("sched.tasks"):
+    if counters.get("monitor.epochs"):
         lines += [
             "",
-            "scheduler (repro.sched)",
-            f"  tasks:        {format_count(int(counters.get('sched.tasks', 0)))} zone scans",
-            f"  events:       {format_count(int(counters.get('sched.events', 0)))} fired",
-            f"  in flight:    {format_count(int(counters.get('sched.in_flight_peak', 0)))} peak",
-            f"  event queue:  {format_count(int(counters.get('sched.queue_peak', 0)))} deep at peak",
-            f"  gate waits:   {format_count(int(counters.get('sched.gate_waits', 0)))} "
-            "(single-flight cache fills)",
+            "monitor timeline",
+            f"  epochs run:       {n('monitor.epochs')}",
+            f"  events applied:   {n('monitor.events_applied')}",
+            f"  zones re-scanned: {n('monitor.zones_rescanned')}",
         ]
-
-    lines += _render_wire_engine(counters)
-
-    cache_rows = []
-    for label, key in (
-        ("dns", "cache.dns"),
-        ("addresses", "cache.address"),
-        ("signal zones", "cache.signal_zone"),
-        ("chains", "cache.chain"),
-    ):
-        hits = counters.get(f"{key}.hits", 0)
-        misses = counters.get(f"{key}.misses", 0)
-        cache_rows.append(
-            [label, format_count(int(hits)), format_count(int(misses)), _rate(hits, misses)]
-        )
-    lines += ["", render_table(["cache", "hits", "misses", "hit rate"], cache_rows)]
-
+    if "net.queries" in counters:
+        lines += _scan_sections(stats, n)
     if stats.spans:
         span_rows = [
-            [
-                name,
-                format_count(agg.count),
-                format_duration(agg.total),
-                format_duration(agg.mean),
-                format_duration(agg.longest),
-            ]
+            [name, format_count(agg.count)]
+            + [format_duration(d) for d in (agg.total, agg.mean, agg.longest)]
             for name, agg in sorted(stats.spans.items())
         ]
-        lines += [
-            "",
-            render_table(
-                ["span (simulated)", "count", "total", "mean", "max"], span_rows
-            ),
-        ]
-
-    fault_counters = {
-        name: value for name, value in counters.items() if name.startswith("chaos.faults.")
-    }
-    if fault_counters or counters.get("chaos.decisions"):
-        fault_rows = [
-            [name.removeprefix("chaos.faults."), format_count(int(value))]
-            for name, value in sorted(fault_counters.items())
-        ]
-        fault_rows.append(["(suppressed by fairness cap)",
-                           format_count(int(counters.get("chaos.suppressed", 0)))])
-        lines += [
-            "",
-            "fault injection "
-            f"({format_count(int(counters.get('chaos.decisions', 0)))} decisions)",
-            render_table(["fault", "injected"], fault_rows),
-            f"  retries:      {format_count(int(counters.get('retry.attempts', 0)))} scanner "
-            f"+ {format_count(int(counters.get('retry.resolver_attempts', 0)))} resolver attempts, "
-            f"{format_duration(counters.get('retry.backoff_seconds', 0.0) + counters.get('retry.resolver_backoff_seconds', 0.0))} backoff (simulated)",
-            f"  abandoned:    {format_count(int(counters.get('retry.abandoned', 0)))} "
-            "queries dead after full retry budget",
-        ]
+        # The timeline hub spans many worlds and binds no simulated clock.
+        label = "span" if "monitor" in stats.sessions else "span (simulated)"
+        lines += ["", render_table([label, "count", "total", "mean", "max"], span_rows)]
+    if counters.get("chaos.decisions") or any(k.startswith("chaos.faults.") for k in counters):
+        lines += _fault_section(counters, n)
 
     commits = stats.spans.get("segment_commit")
     checkpoints = counters.get("store.checkpoints", 0)
@@ -492,10 +324,8 @@ def render_stats(stats: CampaignStats) -> str:
         cadence = f" (~{records / count:.0f} records/commit)" if count and records else ""
         lines += [
             "",
-            f"checkpoints: {format_count(count)} commits, "
-            f"{format_count(int(counters.get('store.segments', 0)))} segments{cadence}",
+            f"checkpoints: {format_count(count)} commits, {n('store.segments')} segments{cadence}",
         ]
-
     if stats.machines:
         machine_rows = [
             [
@@ -506,31 +336,10 @@ def render_stats(stats: CampaignStats) -> str:
             ]
             for m in stats.machines
         ]
-        lines += [
-            "",
-            render_table(
-                ["machine", "zones", "queries", "duration (simulated)"], machine_rows
-            ),
-        ]
-    lines += _render_agent(stats)
-    lines += _render_query_plane(stats)
+        header = ["machine", "zones", "queries", "duration (simulated)"]
+        lines += ["", render_table(header, machine_rows)]
+    if stats.sessions.get("agent"):
+        lines += _agent_section(stats, n)
+    if stats.sessions.get("query"):
+        lines += _query_section(stats, n)
     return "\n".join(lines)
-
-
-def write_benchmark_metrics(
-    results_dir: Path,
-    stem: str,
-    payload: Dict[str, Any],
-    telemetry=None,
-) -> Path:
-    """Write one ``BENCH_<stem>.json`` metrics twin through the hub.
-
-    The shared emission path for every benchmark artifact: the payload
-    is recorded as a ``metric`` event on *telemetry* (when given) and
-    written as the machine-readable JSON twin downstream tooling reads.
-    """
-    if telemetry is not None:
-        telemetry.metric(stem, payload)
-    path = Path(results_dir) / f"BENCH_{stem}.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path

@@ -20,8 +20,10 @@ results.  Wall-clock time is the one exception and is *opt-in*
 (``wall_clock=True`` adds a ``wall`` field); it is excluded from the
 determinism contract.
 
-Events stream append-only into ``<store>/events/stream.jsonl`` when a
-sink is bound (:meth:`Telemetry.open_sink`); campaigns without a store
+One hub is one *session* of one stream (:mod:`repro.obs.events`):
+events stream append-only into the producer's file once a sink is
+bound (:meth:`Telemetry.open_sink`), or are appended in one go when the
+session ends (:meth:`Telemetry.end_session`); campaigns without a store
 keep them in memory on ``Telemetry.events``.
 """
 
@@ -29,18 +31,13 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
+from repro.obs.events import truncate_torn_tail
+
 DEFAULT_PROGRESS_EVERY = 100
-
-
-class _ZeroClock:
-    """Stand-in clock before a simulated clock is bound (always 0.0)."""
-
-    @staticmethod
-    def now() -> float:
-        return 0.0
 
 
 class _NullSpan:
@@ -69,82 +66,20 @@ class NullTelemetry:
     enabled = False
     on_heartbeat: Optional[Callable[[Dict[str, Any]], None]] = None
 
-    def bind_clock(self, clock) -> None:
+    def _noop(self, *args, **kwargs) -> None:
         pass
 
-    def open_sink(self, path) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def count(self, name: str, value: float = 1) -> None:
-        pass
-
-    def set_counters(self, values: Mapping[str, float]) -> None:
-        pass
-
-    def flush_counters(self) -> None:
-        pass
-
-    def event(self, kind: str, **fields) -> None:
-        pass
+    bind_clock = open_sink = end_session = _noop
+    count = set_counters = flush_counters = capture_scanner = _noop
+    event = maybe_progress = live = _noop
 
     def span(self, name: str, **fields) -> _NullSpan:
         return _NULL_SPAN
-
-    def progress(self, done: int, total: Optional[int] = None) -> None:
-        pass
-
-    def maybe_progress(self, done: int, total: Optional[int] = None) -> None:
-        pass
-
-    def live(self, **fields) -> None:
-        pass
-
-    def metric(self, experiment: str, values: Mapping[str, Any]) -> None:
-        pass
-
-    def capture_network(self, network) -> None:
-        pass
-
-    def capture_scanner(self, scanner) -> None:
-        pass
 
 
 _NULL_SPAN = _NullSpan()
 
 NULL_TELEMETRY = NullTelemetry()
-
-
-class _Span:
-    """One named interval on the simulated clock.
-
-    ``__enter__`` returns a mutable field dict; whatever the caller
-    puts there rides along on the emitted span event.
-    """
-
-    __slots__ = ("_telemetry", "_name", "_fields", "_t0")
-
-    def __init__(self, telemetry: "Telemetry", name: str, fields: Dict[str, Any]):
-        self._telemetry = telemetry
-        self._name = name
-        self._fields = fields
-        self._t0 = 0.0
-
-    def __enter__(self) -> Dict[str, Any]:
-        self._t0 = self._telemetry.now()
-        return self._fields
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self._telemetry.event(
-                "span",
-                name=self._name,
-                t0=self._t0,
-                t1=self._telemetry.now(),
-                **self._fields,
-            )
 
 
 class Telemetry:
@@ -168,14 +103,13 @@ class Telemetry:
     ):
         if progress_every < 1:
             raise ValueError("progress_every must be >= 1")
-        self._clock = clock or _ZeroClock()
+        self._clock = clock  # None until a simulated clock is bound: t = 0.0
         self.wall_clock = wall_clock
         self.progress_every = progress_every
         self.counters: Dict[str, float] = {}
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
         self._sink = None
-        self.sink_path: Optional[Path] = None
         # Live-display callback for transient signals (worker heartbeats
         # observed by the parent).  Deliberately *not* persisted: what
         # the parent sees depends on process timing, and the event
@@ -185,7 +119,7 @@ class Telemetry:
     # -- wiring ------------------------------------------------------------
 
     def now(self) -> float:
-        return self._clock.now()
+        return self._clock.now() if self._clock is not None else 0.0
 
     def bind_clock(self, clock) -> None:
         """Attach the simulated clock that stamps events from now on."""
@@ -195,17 +129,25 @@ class Telemetry:
         """Stream events to *path* (append-only JSONL) from now on.
 
         Events already collected in memory are written first, so a hub
-        may be created before its store exists.
+        may be created before its store exists; a torn last line left
+        by a killed writer is cut before anything is appended.
         """
-        self.close()
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._sink = open(path, "a", encoding="utf-8")
-        self.sink_path = path
+        self._sink = open(path, "a+b")
+        truncate_torn_tail(self._sink)
         for event in self.events:
             self._write(event)
 
-    def close(self) -> None:
+    def end_session(self, path: Optional[Path] = None) -> None:
+        """Flush the counters and end this hub's session.
+
+        A hub that never streamed appends everything it collected to
+        *path* now — and creates nothing if it collected nothing.
+        """
+        self.flush_counters()
+        if self._sink is None and path is not None and self.events:
+            self.open_sink(path)
         if self._sink is not None:
             self._sink.close()
             self._sink = None
@@ -213,7 +155,7 @@ class Telemetry:
     # -- emission ----------------------------------------------------------
 
     def _write(self, event: Dict[str, Any]) -> None:
-        self._sink.write(json.dumps(event, sort_keys=True) + "\n")
+        self._sink.write((json.dumps(event, sort_keys=True) + "\n").encode("utf-8"))
         self._sink.flush()
 
     def event(self, kind: str, **fields) -> None:
@@ -229,34 +171,31 @@ class Telemetry:
         if self._sink is not None:
             self._write(event)
 
-    def span(self, name: str, **fields) -> _Span:
-        """Time a named interval on the simulated clock::
+    @contextmanager
+    def span(self, name: str, **fields):
+        """Time a named interval on the simulated clock; whatever the
+        caller puts in the yielded dict rides along on the span event
+        (none is emitted if the block raises)::
 
             with telemetry.span("scan_zone", zone=name) as span:
                 ...
                 span["queries"] = used
         """
-        return _Span(self, name, fields)
-
-    def progress(self, done: int, total: Optional[int] = None) -> None:
-        self.event("progress", done=done, total=total)
+        t0 = self.now()
+        yield fields
+        self.event("span", name=name, t0=t0, t1=self.now(), **fields)
 
     def maybe_progress(self, done: int, total: Optional[int] = None) -> None:
         """Emit progress every ``progress_every`` records (and at the
         end, when *total* is known) — a deterministic cadence."""
         if done % self.progress_every == 0 or done == total:
-            self.progress(done, total)
+            self.event("progress", done=done, total=total)
 
     def live(self, **fields) -> None:
         """Forward a transient signal to :attr:`on_heartbeat`; never
         recorded (see the determinism note in ``__init__``)."""
         if self.on_heartbeat is not None:
             self.on_heartbeat(dict(fields))
-
-    def metric(self, experiment: str, values: Mapping[str, Any]) -> None:
-        """Record one benchmark/experiment metrics payload as an event —
-        the shared emission path behind every ``BENCH_*.json`` twin."""
-        self.event("metric", experiment=experiment, values=dict(values))
 
     # -- counters ----------------------------------------------------------
 
@@ -270,14 +209,15 @@ class Telemetry:
     def flush_counters(self) -> None:
         """Emit all accumulated counters as one ``counters`` event."""
         if self.counters:
-            self.event(
-                "counters", counters={k: self.counters[k] for k in sorted(self.counters)}
-            )
+            self.event("counters", counters=dict(sorted(self.counters.items())))
 
     # -- snapshot sources --------------------------------------------------
 
-    def capture_network(self, network) -> None:
-        """Absorb a :class:`SimulatedNetwork`'s accounting counters."""
+    def capture_scanner(self, scanner) -> None:
+        """Absorb a :class:`Scanner`'s counters: its network, its three
+        memo caches, the shared DNS cache, the rate limiter, and — when
+        a chaos plane is installed — the retry loop and fault plane."""
+        network = scanner.network
         self.set_counters(
             {
                 "net.queries": network.queries_sent,
@@ -286,16 +226,6 @@ class Telemetry:
                 "net.timeouts": network.timeouts,
                 "net.truncations": network.truncations,
                 "net.tcp_queries": network.tcp_queries,
-            }
-        )
-
-    def capture_scanner(self, scanner) -> None:
-        """Absorb a :class:`Scanner`'s counters: its network, its three
-        memo caches, the shared DNS cache, the rate limiter, and — when
-        a chaos plane is installed — the retry loop and fault plane."""
-        self.capture_network(scanner.network)
-        self.set_counters(
-            {
                 "scan.tcp_fallbacks": scanner.tcp_fallbacks,
                 "cache.dns.hits": scanner.cache.hits,
                 "cache.dns.misses": scanner.cache.misses,
@@ -329,13 +259,13 @@ class Telemetry:
                     "sched.queue_peak": scanner.sched_queue_peak,
                 }
             )
-        wire_counters = getattr(scanner.network, "wire_counters", None)
+        wire_counters = getattr(network, "wire_counters", None)
         if wire_counters is not None:
             # Wire-transport statistics (repro.wire): only present when
             # the scan ran over real sockets, so simulated-fabric streams
             # stay byte-identical to pre-wire ones.
             self.set_counters(wire_counters())
-        chaos = getattr(scanner.network, "chaos", None)
+        chaos = getattr(network, "chaos", None)
         if chaos is not None:
             self.set_counters(chaos.counters())
 

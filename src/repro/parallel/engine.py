@@ -51,7 +51,7 @@ from repro.campaign import (
     scan_list,
     seal,
 )
-from repro.obs.events import WORKERS_DIR, events_path
+from repro.obs.events import WORKERS_DIR, stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, as_telemetry
 from repro.scanner.fleet import MachineReport
 from repro.store.checkpoint import CampaignStore
@@ -282,7 +282,7 @@ def _drive(
     rebuild the parent's world while they scan, merge, re-check."""
     root, manifest = store.root, store.manifest
     if telemetry.enabled:
-        telemetry.open_sink(events_path(root))
+        telemetry.open_sink(stream_path(root))
     specs: List[WorkerSpec] = []
     if not manifest.complete:
         skip_roots = tuple(

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign import CampaignConfig, open_store, prepare, scan_into, seal
-from repro.obs.events import events_path
+from repro.obs.events import stream_path
 from repro.obs.telemetry import as_telemetry
 from repro.scanner.fleet import give_own_clock
 from repro.store.manifest import load_manifest, manifest_path
@@ -132,7 +132,7 @@ def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
     created = {"zones_total": len(mine), "config": {"worker": spec.index, "buckets": buckets}}
     store = open_store(config, root, telemetry, create=created if fresh else None)
     if telemetry.enabled:
-        telemetry.open_sink(events_path(root))
+        telemetry.open_sink(stream_path(root))
 
     skip: set[str] = set()
     for skip_root in dict.fromkeys((str(root), *spec.skip_roots)):

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.dns.name import Name, NameError_
-from repro.monitor.layout import epoch_dir, is_monitor_root, list_epoch_dirs
+from repro.monitor.layout import completed_epochs, epoch_dir, is_monitor_root
 from repro.obs.telemetry import as_telemetry
 from repro.scanner.results import ZoneScanResult
 from repro.scanner.serialize import result_from_obj
@@ -167,11 +167,7 @@ class QueryService:
         self._epoch_services: Dict[int, "QueryService"] = {}
         self._monitor_epochs: List[int] = []
         if is_monitor_root(self.root):
-            self._monitor_epochs = [
-                epoch
-                for epoch in list_epoch_dirs(self.root)
-                if load_manifest(epoch_dir(self.root, epoch)).complete
-            ]
+            self._monitor_epochs = completed_epochs(self.root)
             if not self._monitor_epochs:
                 raise QueryError(
                     f"monitor at {self.root} has no completed epochs to serve"

@@ -51,7 +51,7 @@ from repro.core.bootstrap import SignalOutcome, assess_zone
 from repro.core.operators import UNKNOWN_OPERATOR, OperatorDB
 from repro.core.pipeline import signal_operator_for
 from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
-from repro.monitor.layout import epoch_dir, is_monitor_root, list_epoch_dirs
+from repro.monitor.layout import completed_epochs, epoch_dir, is_monitor_root
 from repro.obs.telemetry import as_telemetry
 from repro.scanner.serialize import result_to_obj
 from repro.store.manifest import CampaignManifest, load_manifest
@@ -263,11 +263,10 @@ def build_index(
     root = Path(store_root)
     if is_monitor_root(root):
         newest: Optional[SnapshotInfo] = None
-        for epoch in list_epoch_dirs(root):
-            store = epoch_dir(root, epoch)
-            if not load_manifest(store).complete:
-                continue
-            newest = build_index(store, operator_db=operator_db, now=now, telemetry=telemetry)
+        for epoch in completed_epochs(root):
+            newest = build_index(
+                epoch_dir(root, epoch), operator_db=operator_db, now=now, telemetry=telemetry
+            )
         if newest is None:
             raise StoreError(f"monitor at {root} has no completed epochs to index")
         return newest

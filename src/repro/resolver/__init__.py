@@ -1,4 +1,4 @@
-"""DNS resolution: TTL cache, stub resolver, and a full iterative resolver.
+"""DNS resolution: TTL cache and a full iterative resolver.
 
 The scanner uses :class:`IterativeResolver` to walk the delegation tree
 from the root — discovering each zone's parent-side NS/DS and the
@@ -8,7 +8,6 @@ resolution YoDNS performs.
 
 from repro.resolver.cache import DnsCache
 from repro.resolver.iterative import Delegation, IterativeResolver, Resolution, ResolutionError
-from repro.resolver.stub import StubResolver
 
 __all__ = [
     "Delegation",
@@ -16,5 +15,4 @@ __all__ = [
     "IterativeResolver",
     "Resolution",
     "ResolutionError",
-    "StubResolver",
 ]

@@ -18,9 +18,10 @@ steps to completion on a loop of their own.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.chaos.retry import RetryPolicy
+from repro.chaos.retry import ONE_IMMEDIATE_RETRY, RetryPolicy
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
@@ -126,9 +127,9 @@ class IterativeResolver:
         # every outgoing query is paced — the scanner shares its limiter
         # so *all* measurement traffic honours the per-NS budget.
         self.limiter = limiter
-        # Per-address retry/backoff (repro.chaos).  The legacy default is
-        # a single attempt per address — exactly the historical walk.
-        self.retry = retry or RetryPolicy.legacy(0)
+        # Per-address retry/backoff (repro.chaos).  The default is a
+        # single attempt per address — the next address is the retry.
+        self.retry = retry or replace(ONE_IMMEDIATE_RETRY, attempts=1)
         self.retry_attempts = 0
         self.retry_backoff_seconds = 0.0
         # The one retrying exchange step; a scanner built around this

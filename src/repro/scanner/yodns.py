@@ -42,7 +42,7 @@ from typing import (
     Tuple,
 )
 
-from repro.chaos.retry import RetryPolicy
+from repro.chaos.retry import ONE_IMMEDIATE_RETRY, RetryPolicy
 from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import RRSIG
@@ -75,10 +75,10 @@ class ScannerConfig:
     probe_zone_cuts: bool = True
     anycast_ns_suffixes: List[Name] = field(default_factory=list)
     full_scan_fraction: float = 0.05
-    # Retry/backoff policy (repro.chaos).  The default is the legacy
-    # behaviour: one immediate re-attempt, no backoff, so fault-free
-    # campaigns keep their exact query counts and simulated durations.
-    retry_policy: RetryPolicy = RetryPolicy.legacy()
+    # Retry/backoff policy (repro.chaos).  The default is one immediate
+    # re-attempt, no backoff, so fault-free campaigns keep their exact
+    # query counts and simulated durations.
+    retry_policy: RetryPolicy = ONE_IMMEDIATE_RETRY
     # Zones in flight per scan machine (repro.sched): 1 is the serial
     # scan; N > 1 overlaps up to N zones' query RTTs, retry backoffs and
     # rate-limiter waits on the deterministic event loop.  Reports are

@@ -19,7 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
-from repro.chaos import ChaosConfig, ChaosPlane, RetryPolicy, derive_seed, stable_unit
+from repro.chaos import (
+    ONE_IMMEDIATE_RETRY,
+    ChaosConfig,
+    ChaosPlane,
+    RetryPolicy,
+    derive_seed,
+    stable_unit,
+)
 from repro.dns.message import make_query
 from repro.dns.name import Name
 from repro.dns.types import Rcode, RRType
@@ -204,7 +211,7 @@ class TestRetryPolicyProperties:
         assert a.schedule(key) != b.schedule(key)
 
     def test_legacy_policy_reproduces_pre_chaos_behaviour(self):
-        legacy = RetryPolicy.legacy(retries=1)
+        legacy = ONE_IMMEDIATE_RETRY
         assert legacy.attempts == 2
         assert legacy.schedule("any/key") == [0.0]  # immediate re-attempt
         assert not legacy.retry_servfail

@@ -6,7 +6,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import A
 from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
-from repro.resolver import DnsCache, IterativeResolver, ResolutionError, StubResolver
+from repro.resolver import DnsCache, IterativeResolver, ResolutionError
 
 from tests.helpers import OP_IP_1, OP_IP_2, ROOT_IP
 
@@ -61,24 +61,6 @@ class TestCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
-
-
-class TestStub:
-    def test_query_first_server(self, mini_world):
-        stub = StubResolver(mini_world["network"], [OP_IP_1])
-        rrset = stub.lookup_rrset("www.example.com", RRType.A)
-        assert rrset.rdatas[0].address == "192.0.2.80"
-
-    def test_failover(self, mini_world):
-        stub = StubResolver(mini_world["network"], ["10.255.255.1", OP_IP_1])
-        assert stub.lookup_rrset("www.example.com", RRType.A) is not None
-
-    def test_all_fail(self, mini_world):
-        from repro.server import NetworkTimeout
-
-        stub = StubResolver(mini_world["network"], ["10.255.255.1"])
-        with pytest.raises(NetworkTimeout):
-            stub.query("www.example.com", RRType.A)
 
 
 @pytest.fixture
