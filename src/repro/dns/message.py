@@ -308,6 +308,15 @@ class Message:
                 rrsets.append(rrset)
         return rrsets
 
+    def with_id(self, msg_id: int) -> "Message":
+        """A view of this message under another id.  Everything else —
+        the section lists and their RRsets — is shared with the
+        original, so neither may be mutated."""
+        view = Message.__new__(Message)
+        view.__dict__.update(self.__dict__)
+        view.id = msg_id
+        return view
+
     def __repr__(self) -> str:
         q = f" {self.question.name} {self.question.rrtype.name}" if self.question else ""
         return (

@@ -338,6 +338,8 @@ class TXT(Rdata):
 
     @classmethod
     def read_rdata(cls, reader: WireReader, rdlength: int) -> "TXT":
+        if not rdlength:
+            raise WireError("TXT rdata holds no character-string")
         end = reader.position + rdlength
         strings: List[bytes] = []
         while reader.position < end:

@@ -564,14 +564,16 @@ class InfrastructureBuilder:
         for zone_name in profile.ns_zones:
             names[Name.from_text(zone_name)] = zone_name
             self._delegate_operator_zone(zone_name, runtime)
+        # The closure holds the two dicts, not the runtime: the servers
+        # that keep it are the runtime's own, and a cycle through them
+        # would leave a dropped world to the cycle collector.
         zones = runtime.zones
+        host_ips = runtime.host_ips
 
         def provider(apex: Name) -> Optional[Zone]:
             zone = zones.get(apex)
             if zone is None and apex in names:
-                zone = zones[apex] = materialize_operator_zone(
-                    names[apex], profile, runtime.host_ips
-                )
+                zone = zones[apex] = materialize_operator_zone(names[apex], profile, host_ips)
             return zone
 
         for server in runtime.all_servers():

@@ -102,7 +102,10 @@ class Exchanger:
                     self.tcp_fallbacks += 1
                     tcp = True
             except NetworkTimeout as exc:
-                timeout = exc
+                # Kept as a value, never re-raised: drop the traceback,
+                # whose frames (this one among them) would otherwise hold
+                # it — and the whole world — in a reference cycle.
+                timeout = exc.with_traceback(None)
                 continue
             last, timeout = response, None
             if (

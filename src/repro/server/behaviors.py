@@ -35,7 +35,14 @@ class ServerBehavior:
     timeout); ``intercept`` may return a complete response to
     short-circuit processing; ``postprocess`` may rewrite the computed
     response.
+
+    A behaviour whose hooks are pure functions of the query (no
+    countdown, no memory of earlier queries) sets ``cacheable``; a
+    server carrying only such behaviours may answer a repeated query
+    from the :class:`~repro.server.nameserver.ResponseCache`.
     """
+
+    cacheable = False
 
     def should_drop(self, query: Message) -> bool:
         return False
@@ -66,6 +73,8 @@ class LegacyUnknownTypeBehavior(ServerBehavior):
     """Return an error for query types the (ancient) implementation does
     not know, instead of the NODATA that RFC 3597 requires."""
 
+    cacheable = True
+
     def __init__(self, rcode: Rcode = Rcode.SERVFAIL):
         self.rcode = rcode
 
@@ -85,6 +94,8 @@ class AfternicParkingBehavior(ServerBehavior):
     failure mode that disqualified ``copacabanasomostudestino.com.bo``'s
     signal chain in the paper.
     """
+
+    cacheable = True
 
     def __init__(self, park_ns: Iterable[str] = ("ns1.namefind.com", "ns2.namefind.com")):
         self.park_ns = [NS(name) for name in park_ns]
@@ -131,6 +142,8 @@ class CorruptSignaturesBehavior(ServerBehavior):
 
     Models deSEC's transiently invalid signal-zone signatures (§4.4):
     the first scan sees validation failures, a re-check succeeds.
+    The countdown makes it stateful, hence not ``cacheable``: a cached
+    bogus answer would turn the transient fault into a permanent one.
     """
 
     def __init__(self, names: Iterable[Name], failures: int = 1):
@@ -177,6 +190,8 @@ class StripSignaturesBehavior(ServerBehavior):
     what keeps scenario worlds byte-identical across worker counts.
     """
 
+    cacheable = True
+
     def __init__(self, names: Iterable[Name]):
         self.names = set(names)
 
@@ -199,6 +214,8 @@ class SyntheticCutBehavior(ServerBehavior):
     signaling names) without actually delegating — the configuration
     error behind the paper's ``copacabanasomostudestino.com.bo`` case.
     """
+
+    cacheable = True
 
     def __init__(self, names: Iterable[Name], park_ns: Iterable[str] = ("ns1.namefind.com", "ns2.namefind.com")):
         self.names = set(names)
@@ -224,6 +241,8 @@ class DropQueriesBehavior(ServerBehavior):
     listed query types are dropped (legacy middleboxes eating unknown
     types without even an error).
     """
+
+    cacheable = True
 
     def __init__(self, qtypes: Optional[Iterable[RRType]] = None):
         self.qtypes: Optional[Set[int]] = (

@@ -29,8 +29,9 @@ ZoneProvider = Callable[[Name], Optional[Zone]]
 
 
 class ResponseCache:
-    """Response wires of behaviour-free servers, for callers that never
-    mutate zones between queries (see
+    """Response wires of servers whose answer is a pure function of the
+    query (no behaviours, or only ``cacheable`` ones), for callers that
+    never mutate zones between queries (see
     :meth:`AuthoritativeServer.answer_wire`).
 
     Keyed by ``(server, query bytes minus the message id, tcp)``.  Off
@@ -121,14 +122,19 @@ class AuthoritativeServer:
         read and a write.  UDP responses are cut to the query's EDNS
         payload size (512 octets without EDNS) and may come back with
         the TC bit; TCP carries them whole (RFC 7766).  With an enabled
-        *cache*, a behaviour-free server's answer is a pure function of
-        the query bytes: a repeated query is served from the cached wire
-        with the message id patched in (the response id always mirrors
-        the query id).  Raises :class:`ValueError` if *wire* does not
-        decode.
+        *cache*, the answer of a server whose behaviours (if any) are
+        all ``cacheable`` is a pure function of the query bytes: a
+        repeated query is served from the cached wire with the message
+        id patched in (the response id always mirrors the query id).  A
+        dropped query is never cached: it is dropped again every time.
+        Raises :class:`ValueError` if *wire* does not decode.
         """
         key = None
-        if cache is not None and cache.enabled and not self.behaviors:
+        if (
+            cache is not None
+            and cache.enabled
+            and all(behavior.cacheable for behavior in self.behaviors)
+        ):
             key = (id(self), wire[2:], tcp)
             hit = cache.wires.get(key)
             if hit is not None:

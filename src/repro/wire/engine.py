@@ -288,12 +288,16 @@ class WireEngine:
         entry.done = True
         entry.owner.pending.pop(entry.key, None)
         self.counters["in_flight"] -= 1
-        if entry.future.cancelled():
+        # The wheel keeps the entry until its bucket expires, a full
+        # wall_timeout from now; it must not keep the future (and the
+        # response bytes in it) that long.
+        future, entry.future = entry.future, None
+        if future.cancelled():
             return
         if error is None:
-            entry.future.set_result(data)
+            future.set_result(data)
         else:
-            entry.future.set_exception(error)
+            future.set_exception(error)
 
     def _deliver(self, owner, data: bytes, addr) -> None:
         """Match *data*, read from *owner*'s socket to *addr*, to the

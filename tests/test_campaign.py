@@ -1,11 +1,14 @@
 """Direct tests for the campaign orchestration (build → scan → analyze
 → re-check) and its acquired-sources mode."""
 
+import gc
+
 import pytest
 
 from repro.campaign import CampaignConfig, run_campaign
 from repro.core.bootstrap import INCORRECT_OUTCOMES, SignalOutcome
 from repro.ecosystem.spec import SignalScenario
+from repro.ecosystem.world import build_world
 
 SCALE = 1e-6
 
@@ -73,3 +76,21 @@ class TestSourcesMode:
         # Uniform CT-log sampling keeps the estimate representative
         # (§3.1's claim) — allow small-population noise.
         assert abs(secured_pct(acquired.report) - secured_pct(full.report)) < 0.04
+
+
+class TestADroppedWorldIsFreedByRefcount:
+    def test_no_reference_cycle_survives_a_campaign(self):
+        # A world is tens of thousands of objects per hundred zones; one
+        # cycle through it (a zone provider closing over its operator's
+        # runtime, a kept exception whose traceback holds the frame that
+        # keeps it) parks all of them until the next full collection.
+        gc.collect()
+        gc.disable()
+        try:
+            world = build_world(scale=1.25e-7, seed=3)
+            result = run_campaign(CampaignConfig(scale=1.25e-7, seed=3), world=world)
+            assert world.network.timeouts  # the kept-exception path was taken
+            del world, result
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chaos import ChaosConfig, RetryPolicy
-from repro.dns.message import Message, make_query
+from repro.dns.message import Message, make_query, make_response
 from repro.dns.name import Name
+from repro.dns.rdata import TXT
+from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.dns.wire import WireError
 from repro.scanner import Scanner
@@ -30,6 +32,82 @@ qtypes = st.sampled_from(
 @pytest.fixture(scope="module")
 def world():
     return build_mini_world()
+
+
+@pytest.fixture(scope="module")
+def responses(world) -> list:
+    """Referral with glue, NXDOMAIN proof, DNSKEY/CDS answers, NODATA."""
+    return [
+        world["network"].server_at(ip).answer_wire(make_query(name, qtype).to_wire(), tcp=True)
+        for ip, name, qtype in (
+            (ROOT_IP, "example.com", RRType.A),
+            (OP_IP_1, "nope.example.com", RRType.A),
+            (OP_IP_1, "example.com", RRType.DNSKEY),
+            (OP_IP_1, "island.com", RRType.CDS),
+            (OP_IP_1, "example.com", RRType.TXT),
+        )
+    ]
+
+
+class TestAuthoritySectionFaults:
+    """The client memoises whatever `from_wire` accepts and hands it to
+    every later asker, so a fault anywhere in a response — also in a
+    section the first asker never reads — must be refused there."""
+
+    @pytest.fixture(scope="class")
+    def nxdomain(self, responses):
+        """``(wire, offset of the first authority record)``; that record
+        is the SOA, its owner a compression pointer."""
+        wire = responses[1]
+        message = Message.from_wire(wire)
+        assert message.rcode == Rcode.NXDOMAIN and not message.answer
+        start = 12
+        while wire[start]:
+            start += 1 + wire[start]
+        start += 5  # root label, qtype, qclass
+        assert wire[start] & 0xC0 == 0xC0
+        assert wire[start + 2 : start + 4] == int(RRType.SOA).to_bytes(2, "big")
+        return wire, start
+
+    def test_truncated_rr_header(self, nxdomain):
+        wire, start = nxdomain
+        for keep in (start + 1, start + 2, start + 2 + 9):
+            with pytest.raises(WireError):
+                Message.from_wire(wire[:keep])
+
+    def test_rdlength_overrun(self, nxdomain):
+        wire, start = nxdomain
+        damaged = bytearray(wire)
+        damaged[start + 10 : start + 12] = b"\xff\xff"
+        with pytest.raises(WireError):
+            Message.from_wire(bytes(damaged))
+
+    def test_count_beyond_the_buffer(self, nxdomain):
+        wire, _ = nxdomain
+        damaged = bytearray(wire)
+        damaged[8:10] = b"\x00\xff"  # nscount
+        with pytest.raises(WireError):
+            Message.from_wire(bytes(damaged))
+
+    def test_bad_rdata_behind_sound_framing(self, nxdomain):
+        wire, start = nxdomain
+        damaged = bytearray(wire)
+        # One octet less of SOA rdata, rdlength adjusted to match: every
+        # record still starts where the previous one ends.
+        rdlength = int.from_bytes(damaged[start + 10 : start + 12], "big")
+        damaged[start + 10 : start + 12] = (rdlength - 1).to_bytes(2, "big")
+        del damaged[start + 12 + rdlength - 1]
+        with pytest.raises(WireError):
+            Message.from_wire(bytes(damaged))
+
+    def test_empty_txt_rdata_is_a_wire_error(self):
+        response = make_response(make_query("t.example", RRType.TXT))
+        response.authority.append(RRset("t.example", RRType.TXT, 60, [TXT(["x"])]))
+        wire = bytearray(response.to_wire())
+        at = wire.index(b"\x00\x02\x01x")  # rdlength 2, one 1-octet string
+        wire[at : at + 4] = b"\x00\x00"
+        with pytest.raises(WireError, match="TXT"):
+            Message.from_wire(bytes(wire))
 
 
 class TestQueryFuzzing:
@@ -54,8 +132,25 @@ class TestQueryFuzzing:
         try:
             Message.from_wire(data)
         except WireError:
-            pass  # rejecting malformed input is the correct outcome
-        except ValueError:
+            pass  # the only way to say no; any other exception is a bug
+
+    @given(
+        which=st.integers(0, 4),
+        edits=st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 255)), min_size=1, max_size=3),
+        cut=st.one_of(st.none(), st.integers(0, 4095)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_responses_raise_only_wire_error(self, responses, which, edits, cut):
+        # Random bytes rarely get past the header; damaged *valid*
+        # responses reach the section and rdata decoders.
+        wire = bytearray(responses[which])
+        for position, value in edits:
+            wire[position % len(wire)] = value
+        if cut is not None:
+            del wire[cut % len(wire) :]
+        try:
+            Message.from_wire(bytes(wire))
+        except WireError:
             pass
 
     @given(name=names, qtype=qtypes)

@@ -17,6 +17,13 @@ from repro.server import (
     SimulatedNetwork,
     TransientFailureBehavior,
 )
+from repro.server.behaviors import (
+    CorruptSignaturesBehavior,
+    ServerBehavior,
+    StripSignaturesBehavior,
+    SyntheticCutBehavior,
+)
+from repro.server.nameserver import ResponseCache
 
 from tests.helpers import COM_IP, OP_IP_1, OP_IP_2, ROOT_IP
 
@@ -168,6 +175,67 @@ class TestBehaviors:
         server = self.make_server()
         server.add_behavior(TransientFailureBehavior([Name.from_text("www.legacy.test")]))
         assert server.handle_query(make_query("legacy.test", RRType.SOA)).rcode == Rcode.NOERROR
+
+
+class TestPureBehavioursAnswerFromTheCache:
+    """A server whose behaviours are all pure functions of the query is
+    as cacheable as one with none (`ServerBehavior.cacheable`)."""
+
+    make_server = TestBehaviors.make_server
+
+    def exchange(self, server, cache, name, rrtype, msg_id):
+        wire = server.answer_wire(make_query(name, rrtype, msg_id=msg_id).to_wire(), False, cache)
+        return None if wire is None else Message.from_wire(wire)
+
+    def cache(self):
+        cache = ResponseCache()
+        cache.enabled = True
+        return cache
+
+    def test_which_behaviours_declare_themselves_pure(self):
+        name = [Name.from_text("www.legacy.test")]
+        pure = [
+            LegacyUnknownTypeBehavior(), AfternicParkingBehavior(), StripSignaturesBehavior(name),
+            SyntheticCutBehavior(name), DropQueriesBehavior(),
+        ]  # fmt: skip
+        assert all(behavior.cacheable for behavior in pure)
+        # These count down: the same query is answered differently later.
+        assert not ServerBehavior.cacheable
+        assert not TransientFailureBehavior(name).cacheable
+        assert not CorruptSignaturesBehavior(name).cacheable
+
+    def test_a_pure_server_answers_the_repeat_from_the_cache(self):
+        server, cache = self.make_server(), self.cache()
+        server.add_behavior(LegacyUnknownTypeBehavior(Rcode.SERVFAIL))
+        server.add_behavior(SyntheticCutBehavior([Name.from_text("www.legacy.test")]))
+        first = self.exchange(server, cache, "legacy.test", RRType.CDS, 1)
+        again = self.exchange(server, cache, "legacy.test", RRType.CDS, 2)
+        assert (first.rcode, first.id) == (Rcode.SERVFAIL, 1)
+        assert (again.rcode, again.id) == (Rcode.SERVFAIL, 2)
+        assert cache.hits == 1 and server.queries_handled == 2
+        cut = self.exchange(server, cache, "www.legacy.test", RRType.NS, 3)
+        assert cut.answer and self.exchange(server, cache, "www.legacy.test", RRType.NS, 4).answer
+        assert cache.hits == 2
+
+    def test_one_stateful_behaviour_keeps_the_whole_server_out(self):
+        server, cache = self.make_server(), self.cache()
+        target = Name.from_text("www.legacy.test")
+        server.add_behavior(LegacyUnknownTypeBehavior())
+        server.add_behavior(TransientFailureBehavior([target], failures=1))
+        assert self.exchange(server, cache, target, RRType.A, 1).rcode == Rcode.SERVFAIL
+        assert self.exchange(server, cache, target, RRType.A, 2).rcode == Rcode.NOERROR
+        assert cache.hits == 0 and not cache.wires
+
+    def test_a_dropped_query_stays_a_drop(self):
+        server, cache = self.make_server(), self.cache()
+        server.add_behavior(DropQueriesBehavior(qtypes=[RRType.CDS]))
+        for msg_id in (1, 2):
+            assert self.exchange(server, cache, "legacy.test", RRType.CDS, msg_id) is None
+        assert not cache.wires and cache.hits == 0
+        # What it does answer is cached like any pure server's answer.
+        for msg_id in (3, 4):
+            assert self.exchange(server, cache, "legacy.test", RRType.SOA, msg_id).id == msg_id
+        assert cache.hits == 1
 
 
 class TestNetwork:

@@ -2,6 +2,9 @@
 AuthoritativeServer's answer step hosted on the wire engine — the
 socket stack campaigns run on."""
 
+import gc
+from concurrent.futures import Future
+
 import pytest
 
 from repro.dns.message import Message, make_query
@@ -61,3 +64,31 @@ class TestUdpTransport:
             with pytest.raises(WireTimeout):
                 ask(engine, endpoint, make_query("x.test", RRType.A, msg_id=1))
             assert engine.counters["wall_timeouts"] == 1
+
+    def test_settled_futures_are_released_at_once(self, udp_endpoint):
+        # The timeout wheel holds an entry until its bucket expires, a
+        # full wall_timeout after the send; it must not hold the future
+        # (its lock, its condition, the response bytes) that long.
+        with WireEngine() as engine:
+            tcp_endpoint = engine.serve_tcp(lambda wire, tcp: wire)
+            futures = [
+                engine.send_udp(udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=i).to_wire())
+                for i in range(1, 33)
+            ]
+            futures += [engine.send_tcp(tcp_endpoint, bytes([0, i, 1, 2])) for i in range(1, 9)]
+            for future in futures:
+                future.result(2.0)
+            wheel = [entry for slot in engine._wheel.values() for entry in slot]
+            assert len(wheel) == 40  # all still on the wheel (10 s timeout)
+            assert all(entry.done and entry.future is None for entry in wheel)
+            del future, futures
+            gc.collect()
+            assert not [o for o in gc.get_objects() if isinstance(o, Future)]
+
+    def test_a_wall_timeout_still_reaches_the_future(self):
+        with WireEngine(wall_timeout=0.2) as engine:
+            endpoint = engine.serve_udp(lambda wire, tcp: None)
+            future = engine.send_udp(endpoint, b"\x00\x01rest")
+            with pytest.raises(WireTimeout):
+                future.result(2.0)
+            assert not engine._wheel

@@ -42,6 +42,7 @@ from repro.server import (
     LegacyUnknownTypeBehavior,
     NetworkTimeout,
     SimulatedNetwork,
+    TransientFailureBehavior,
 )
 from repro.sched import EventLoop, Exchange, run_steps
 from repro.store.manifest import load_manifest
@@ -298,16 +299,20 @@ def _destroyed_tasks(caplog) -> list:
     return [r.getMessage() for r in caplog.records if "Task was destroyed" in r.getMessage()]
 
 
-#: (case, qname, qtype, EDNS, legacy server, rcode, truncated over UDP)
+#: (case, qname, qtype, EDNS, server behaviour, rcode, truncated over UDP)
 EXCHANGES = [
-    ("positive", "www.eq.test", RRType.A, True, False, Rcode.NOERROR, False),
-    ("nxdomain", "nope.eq.test", RRType.A, True, False, Rcode.NXDOMAIN, False),
-    ("refused", "other.example", RRType.A, True, False, Rcode.REFUSED, False),
-    ("oversize", "big.eq.test", RRType.TXT, True, False, Rcode.NOERROR, True),
-    ("fits-edns", "mid.eq.test", RRType.TXT, True, False, Rcode.NOERROR, False),
-    ("no-edns-512", "mid.eq.test", RRType.TXT, False, False, Rcode.NOERROR, True),
-    ("legacy-never-cached", "www.eq.test", RRType.CDS, True, True, Rcode.SERVFAIL, False),
-]
+    ("positive", "www.eq.test", RRType.A, True, None, Rcode.NOERROR, False),
+    ("nxdomain", "nope.eq.test", RRType.A, True, None, Rcode.NXDOMAIN, False),
+    ("refused", "other.example", RRType.A, True, None, Rcode.REFUSED, False),
+    ("oversize", "big.eq.test", RRType.TXT, True, None, Rcode.NOERROR, True),
+    ("fits-edns", "mid.eq.test", RRType.TXT, True, None, Rcode.NOERROR, False),
+    ("no-edns-512", "mid.eq.test", RRType.TXT, False, None, Rcode.NOERROR, True),
+    # A pure behaviour is cached like no behaviour; a countdown one never.
+    ("legacy-cached", "www.eq.test", RRType.CDS, True, LegacyUnknownTypeBehavior(),
+     Rcode.SERVFAIL, False),
+    ("stateful-never-cached", "www.eq.test", RRType.CDS, True, TransientFailureBehavior([]),
+     Rcode.NOERROR, False),
+]  # fmt: skip
 
 
 class TestOneAnswerStep:
@@ -315,14 +320,15 @@ class TestOneAnswerStep:
     step and one cache: same bytes, modulo the UDP size limit."""
 
     @pytest.mark.parametrize(
-        "qname,qtype,edns,legacy,rcode,udp_truncated",
+        "qname,qtype,edns,behavior,rcode,udp_truncated",
         [case[1:] for case in EXCHANGES],
         ids=[case[0] for case in EXCHANGES],
     )
-    def test_three_transports_one_answer(self, qname, qtype, edns, legacy, rcode, udp_truncated):
+    def test_three_transports_one_answer(self, qname, qtype, edns, behavior, rcode, udp_truncated):
         server = _zone_server("eq")
-        if legacy:
-            server.add_behavior(LegacyUnknownTypeBehavior())
+        if behavior is not None:
+            server.add_behavior(behavior)
+        cached = behavior is None or behavior.cacheable
         handled = []
         handle_query = server.handle_query
         server.handle_query = lambda q: handled.append(q) or handle_query(q)
@@ -352,10 +358,9 @@ class TestOneAnswerStep:
                     assert not datagram.answer and len(stream.answer[0]) in (3, 10)
                 else:
                     assert over_udp == over_tcp
-                # One handle_query per uncached (question, transport);
-                # a server with behaviours is never cached.
-                assert len(handled) == (4 * round_ if legacy else 2)
-                assert sim.response_cache_hits == (0 if legacy else 4 * round_ - 2)
+                # One handle_query per uncached (question, transport).
+                assert len(handled) == (2 if cached else 4 * round_)
+                assert sim.response_cache_hits == (4 * round_ - 2 if cached else 0)
                 assert server.queries_handled == 4 * round_
 
 
