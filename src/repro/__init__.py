@@ -77,7 +77,6 @@ __all__ = [
     "MonitorConfig",
     "EpochDiff",
     "Agent",
-    "AgentConfig",
 ]
 
 _API = {
@@ -100,7 +99,6 @@ _API = {
     "MonitorConfig": ("repro.monitor", "MonitorConfig"),
     "EpochDiff": ("repro.monitor", "EpochDiff"),
     "Agent": ("repro.agent", "Agent"),
-    "AgentConfig": ("repro.agent", "AgentConfig"),
 }
 
 

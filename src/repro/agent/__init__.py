@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 __all__ = [
     "Agent",
     "AgentAction",
-    "AgentConfig",
     "AgentError",
     "AgentRun",
     "ConvergenceReport",
@@ -28,7 +27,6 @@ _API = {
     "ledger_path": ("repro.agent.actions", "ledger_path"),
     "read_ledger": ("repro.agent.actions", "read_ledger"),
     "Agent": ("repro.agent.plane", "Agent"),
-    "AgentConfig": ("repro.agent.plane", "AgentConfig"),
     "AgentError": ("repro.agent.plane", "AgentError"),
     "ConvergenceReport": ("repro.agent.report", "ConvergenceReport"),
     "compute_convergence": ("repro.agent.report", "compute_convergence"),
@@ -37,7 +35,7 @@ _API = {
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.agent.actions import AgentAction, AgentRun, ledger_path, read_ledger
-    from repro.agent.plane import Agent, AgentConfig, AgentError
+    from repro.agent.plane import Agent, AgentError
     from repro.agent.report import (
         ConvergenceReport,
         compute_convergence,

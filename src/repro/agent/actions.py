@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.obs.events import truncate_torn_tail
+from repro.provisioning.policies import CHAIN_AUTHENTICATED, LADDER, VERIFICATION_FAILED
 
 AGENT_DIR = "agent"
 ACTIONS_FILENAME = "actions.jsonl"
@@ -31,46 +32,11 @@ ACTIONS_FILENAME = "actions.jsonl"
 SECURED = "secured"
 REJECTED = "rejected"
 
-# Stable reason codes, one per way a zone can fail RFC 9615 / RFC 8078
-# acceptance (plus the accept code).  Ordering of the checks lives in
-# :func:`repro.agent.plane.decide`; these strings are the ledger
-# contract and must never be renamed.
-CHAIN_AUTHENTICATED = "chain_authenticated"
-ZONE_WENT_DARK = "zone_went_dark"
-DS_ALREADY_PRESENT = "ds_already_present"
-NO_SIGNAL = "no_signal"
-DELETE_REQUEST = "delete_request"
-ALGORITHM_NOT_PERMITTED = "algorithm_not_permitted"
-ZONE_UNSIGNED = "zone_unsigned"
-ZONE_DNSSEC_INVALID = "zone_dnssec_invalid"
-CDS_DISAGREEMENT = "cds_disagreement"
-CDS_SIGNATURE_INVALID = "cds_signature_invalid"
-SIGNAL_ZONE_CUT = "signal_zone_cut"
-SIGNAL_COVERAGE_GAP = "signal_coverage_gap"
-UNAUTHENTICATED_CHAIN = "unauthenticated_chain"
-SIGNAL_MISMATCH = "signal_mismatch"
-NO_ZONE_CDS = "no_zone_cds"
-VERIFICATION_FAILED = "verification_failed"
-
+# Every reason an action may carry: the accept code, the post-install
+# outcome, and each rejection the acceptance ladder can name.  The
+# strings are the ledger contract and must never be renamed.
 REASON_CODES = frozenset(
-    {
-        CHAIN_AUTHENTICATED,
-        ZONE_WENT_DARK,
-        DS_ALREADY_PRESENT,
-        NO_SIGNAL,
-        DELETE_REQUEST,
-        ALGORITHM_NOT_PERMITTED,
-        ZONE_UNSIGNED,
-        ZONE_DNSSEC_INVALID,
-        CDS_DISAGREEMENT,
-        CDS_SIGNATURE_INVALID,
-        SIGNAL_ZONE_CUT,
-        SIGNAL_COVERAGE_GAP,
-        UNAUTHENTICATED_CHAIN,
-        SIGNAL_MISMATCH,
-        NO_ZONE_CDS,
-        VERIFICATION_FAILED,
-    }
+    {CHAIN_AUTHENTICATED, VERIFICATION_FAILED, *(reason for reason, _, _ in LADDER)}
 )
 
 

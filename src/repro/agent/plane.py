@@ -5,12 +5,16 @@ the agent closes the loop.  After a monitor epoch completes, it walks
 the merged scan verdicts, re-scans every signalling zone against a
 fresh replica of that epoch's world, re-derives the full bootstrapping
 assessment (signal-zone DNSSEC validation down from the root, CDS
-consistency across all NSes, RFC 8078 §3 acceptance rules — the exact
-pipeline in :mod:`repro.core.bootstrap`), and provisions DS RRsets
-into the synthetic parent zones via :mod:`repro.provisioning.engine`.
+consistency across all NSes — the exact pipeline in
+:mod:`repro.core.bootstrap`), and hands it to the two things
+:mod:`repro.provisioning` owns: the acceptance ladder
+(:func:`~repro.provisioning.policies.decide`) and the per-zone
+install → re-scan → roll-back step
+(:func:`~repro.provisioning.engine.provision_zone`).  This module holds
+no acceptance rule and edits no registry zone itself.
 
-Determinism is the load-bearing property.  :func:`decide` is a pure
-function of ``(assessment, config)``; candidates are visited in sorted
+Determinism is the load-bearing property.  ``decide`` is a pure
+function of the assessment; candidates are visited in sorted
 order; the replica world is rebuilt from the composed
 :class:`~repro.monitor.MonitorSpec` exactly the way every campaign
 participant rebuilds it.  The ledger an agent-driven chain writes is
@@ -20,28 +24,11 @@ kill-and-resume layouts — the same invariant every other plane pins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from repro.agent.actions import (
-    ALGORITHM_NOT_PERMITTED,
-    CDS_DISAGREEMENT,
-    CDS_SIGNATURE_INVALID,
-    CHAIN_AUTHENTICATED,
-    DELETE_REQUEST,
-    DS_ALREADY_PRESENT,
-    NO_SIGNAL,
-    NO_ZONE_CDS,
     REJECTED,
     SECURED,
-    SIGNAL_COVERAGE_GAP,
-    SIGNAL_MISMATCH,
-    SIGNAL_ZONE_CUT,
-    UNAUTHENTICATED_CHAIN,
-    VERIFICATION_FAILED,
-    ZONE_DNSSEC_INVALID,
-    ZONE_UNSIGNED,
-    ZONE_WENT_DARK,
     AgentAction,
     AgentRun,
     append_actions,
@@ -50,113 +37,30 @@ from repro.agent.actions import (
     recorded_zones,
     secured_pairs,
 )
-from repro.core.bootstrap import BootstrapAssessment, SignalOutcome, assess_zone
-from repro.core.status import DnssecStatus, classify_status
-from repro.dnssec.algorithms import Algorithm, DigestType
+from repro.core.bootstrap import SignalOutcome, assess_zone
 from repro.obs.telemetry import as_telemetry
+from repro.provisioning.engine import provision_zone
+from repro.provisioning.policies import VERIFICATION_FAILED, decide
 
 
 class AgentError(Exception):
     """The agent cannot act (incomplete epoch, broken chain, ...)."""
 
 
-@dataclass(frozen=True)
-class AgentConfig:
-    """Acceptance policy knobs.
-
-    Defaults mirror the repo's validator support matrix: an agent never
-    provisions a DS it could not itself validate, which is also what
-    blocks algorithm-downgrade CDS (e.g. RSASHA1) at the door.
-    """
-
-    permitted_algorithms: Tuple[int, ...] = (
-        int(Algorithm.RSASHA256),
-        int(Algorithm.ECDSAP256SHA256),
-        int(Algorithm.ED25519),
-    )
-    permitted_digest_types: Tuple[int, ...] = (
-        int(DigestType.SHA256),
-        int(DigestType.SHA384),
-    )
-
-
-def _algorithms_permitted(assessment: BootstrapAssessment, config: AgentConfig) -> bool:
-    """Every CDS/CDNSKEY rdata the zone publishes must use a permitted
-    algorithm (and digest type, for CDS).  Delete sentinels (algorithm
-    0) are handled earlier, by the delete-request rule."""
-    cds = assessment.cds
-    for rdata in cds.cds_rrset.rdatas if cds.cds_rrset is not None else ():
-        if int(rdata.algorithm) not in config.permitted_algorithms:
-            return False
-        if int(rdata.digest_type) not in config.permitted_digest_types:
-            return False
-    for rdata in cds.cdnskey_rrset.rdatas if cds.cdnskey_rrset is not None else ():
-        if int(rdata.algorithm) not in config.permitted_algorithms:
-            return False
-    return True
-
-
-def decide(assessment: BootstrapAssessment, config: AgentConfig) -> Tuple[bool, str]:
-    """The pure acceptance function: ``(accept, reason_code)``.
-
-    Checks run in RFC 8078 §3 / RFC 9615 §4 order of precedence, with
-    one agent-specific insertion: the algorithm policy is applied as
-    soon as the zone's CDS is known well-formed, so a downgrade CDS is
-    reported as ``algorithm_not_permitted`` rather than as whichever
-    downstream consistency check it would also trip.
-    """
-    status, cds, signal = assessment.status, assessment.cds, assessment.signal
-    if status == DnssecStatus.UNRESOLVED:
-        return False, ZONE_WENT_DARK
-    if status == DnssecStatus.SECURE:
-        return False, DS_ALREADY_PRESENT
-    if not signal.any_signal:
-        return False, NO_SIGNAL
-    if signal.is_delete or (cds.present and cds.is_delete):
-        return False, DELETE_REQUEST
-    if not _algorithms_permitted(assessment, config):
-        return False, ALGORITHM_NOT_PERMITTED
-    if status == DnssecStatus.UNSIGNED:
-        return False, ZONE_UNSIGNED
-    if status == DnssecStatus.INVALID:
-        return False, ZONE_DNSSEC_INVALID
-    if not cds.present:
-        return False, NO_ZONE_CDS
-    if not cds.consistent or not signal.consistent:
-        return False, CDS_DISAGREEMENT
-    if cds.sigs_valid is False or cds.matches_dnskey is False:
-        return False, CDS_SIGNATURE_INVALID
-    if not signal.no_zone_cuts:
-        return False, SIGNAL_ZONE_CUT
-    if not signal.covered_all_ns:
-        return False, SIGNAL_COVERAGE_GAP
-    if not signal.secure_and_valid:
-        return False, UNAUTHENTICATED_CHAIN
-    if signal.matches_zone_cds is False:
-        return False, SIGNAL_MISMATCH
-    if assessment.signal_outcome != SignalOutcome.CORRECT:
-        # Remaining failure modes (island not internally valid, ...).
-        return False, ZONE_DNSSEC_INVALID
-    return True, CHAIN_AUTHENTICATED
-
-
-@dataclass
 class Agent:
-    """A parental agent bound to an acceptance policy.
+    """The RFC 9615 parental agent.
 
     ``agent.run(monitor)`` acts on the monitor's newest completed
     epoch: every zone the merged analysis shows publishing signal
     records is re-scanned in a fresh replica of that epoch's world,
-    decided by :func:`decide`, and — on accept — provisioned through
-    ``install_ds`` and verified by an immediate re-scan (RFC 8078 §3:
-    a DS that does not produce a SECURE chain is rolled back, never
-    left broken).  Every decision is appended to the monitor root's
+    decided by ``decide``, and — on accept — provisioned and verified
+    by ``provision_zone``'s immediate re-scan (RFC 8078 §3: a DS that
+    does not produce a SECURE chain is rolled back, never left
+    broken).  Every decision is appended to the monitor root's
     ``agent/actions.jsonl`` ledger; verified installs also land in the
     replay ledger (:meth:`MonitorSpec.with_installs`) so the next delta
     epoch re-scans them and confirms island → secured.
     """
-
-    config: AgentConfig = field(default_factory=AgentConfig)
 
     def run(self, monitor, epoch: Optional[int] = None, telemetry=None) -> AgentRun:
         """Act on *epoch* (default: newest complete) of *monitor*."""
@@ -208,34 +112,25 @@ class Agent:
 
     def _act(self, world, scanner, zone: str, epoch: int, hub) -> AgentAction:
         """Decide one zone; provision + verify on accept."""
-        from repro.provisioning.engine import install_ds, remove_ds
 
-        hub.count("agent.rescans")
-        assessment = assess_zone(scanner.scan_zone(zone))
-        accept, reason = decide(assessment, self.config)
-        if not accept:
-            return AgentAction(zone=zone, epoch=epoch, action=REJECTED, reason=reason)
-        cds_rrset = assessment.cds.cds_rrset
-        if cds_rrset is None:
-            # Accept with CDNSKEY only — nothing to hand install_ds.
-            return AgentAction(zone=zone, epoch=epoch, action=REJECTED, reason=NO_ZONE_CDS)
-        install_ds(world, zone, cds_rrset)
-        hub.count("agent.rescans")
-        status, _ = classify_status(scanner.scan_zone(zone))
-        if status != DnssecStatus.SECURE:
-            # RFC 8078 §3: never leave a broken delegation behind.
-            remove_ds(world, zone)
-            hub.count("agent.rollbacks")
-            return AgentAction(
-                zone=zone, epoch=epoch, action=REJECTED, reason=VERIFICATION_FAILED
-            )
+        def scan(name: str):
+            hub.count("agent.rescans")
+            return scanner.scan_zone(name)
+
+        assessment = assess_zone(scan(zone))
+        accept, reason = decide(assessment)
+        installed = []
+        if accept:
+            failure, installed = provision_zone(world, scan, assessment)
+            if failure == VERIFICATION_FAILED:
+                hub.count("agent.rollbacks")
+            reason = failure or reason
         ds = tuple(
             sorted(
                 f"{r.key_tag} {int(r.algorithm)} {int(r.digest_type)} {r.digest.hex()}"
-                for r in cds_rrset.rdatas
-                if int(r.algorithm) != int(Algorithm.DELETE)
+                for r in installed
             )
         )
         return AgentAction(
-            zone=zone, epoch=epoch, action=SECURED, reason=CHAIN_AUTHENTICATED, ds=ds
+            zone=zone, epoch=epoch, action=SECURED if ds else REJECTED, reason=reason, ds=ds
         )

@@ -111,7 +111,6 @@ def sign_zone(
     keys: Iterable[KeyPair],
     inception: int = DEFAULT_INCEPTION,
     expiration: Optional[int] = None,
-    dnskey_ttl: int = 3600,
     with_nsec: bool = True,
     denial: Optional[str] = None,
 ) -> None:
@@ -137,7 +136,7 @@ def sign_zone(
 
     dnskey_rrset = zone.get_rrset(zone.origin, RRType.DNSKEY)
     if dnskey_rrset is None:
-        dnskey_rrset = RRset(zone.origin, RRType.DNSKEY, dnskey_ttl)
+        dnskey_rrset = RRset(zone.origin, RRType.DNSKEY, 3600)
         zone.add_rrset(dnskey_rrset)
     for key in key_list:
         dnskey_rrset.add(key.dnskey())

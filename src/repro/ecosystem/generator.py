@@ -50,6 +50,8 @@ ROOT_IP = "198.41.0.4"
 REGISTRY_IPS = ("192.5.6.30", "2001:503:a83e::2:30")
 
 _ZONE_TTL = 3600
+#: Registry zones with at least this many RRsets are signed without an NSEC chain.
+TLD_NSEC_LIMIT = 20_000
 
 
 class _LruZoneCache:
@@ -509,13 +511,13 @@ class InfrastructureBuilder:
     def registry_for(self, suffix: str) -> Zone:
         return self.registry_zones[suffix]
 
-    def finalize_registries(self, nsec_limit: int = 20_000) -> None:
+    def finalize_registries(self) -> None:
         """Sign the registry zones and attach them to their servers
         (done last, after all delegations are in)."""
         from repro.scanner.sources import AXFR_SUFFIXES
 
         for name, zone in self.registry_zones.items():
-            sign_zone(zone, [registry_key(name)], with_nsec=len(zone) < nsec_limit)
+            sign_zone(zone, [registry_key(name)], with_nsec=len(zone) < TLD_NSEC_LIMIT)
             self.registry_server.add_zone(zone)
             if name in AXFR_SUFFIXES:
                 # The ccTLDs the paper fetched via open AXFR (§3 iii).

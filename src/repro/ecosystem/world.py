@@ -191,8 +191,6 @@ def expected_classification(
 def build_world(
     scale: float = 1 / 10_000,
     seed: int = 1,
-    with_unresolved: bool = True,
-    tld_nsec_limit: int = 20_000,
     cells_override: Optional[List[Cell]] = None,
     scenarios: Optional[ScenarioSpec] = None,
 ) -> World:
@@ -209,17 +207,15 @@ def build_world(
     and host assignments untouched.
     """
     cells = scale_cells(cells_override if cells_override is not None else build_cells(), scale)
-    if with_unresolved:
-        dark = max(2, round(UNRESOLVED_PAPER_COUNT * scale))
-        cells = cells + [
-            Cell(
-                operator="DarkHost",
-                status=StatusScenario.UNRESOLVED,
-                cds=CdsScenario.NONE,
-                signal=SignalScenario.NONE,
-                count=dark,
-            )
-        ]
+    cells = cells + [
+        Cell(
+            operator="DarkHost",
+            status=StatusScenario.UNRESOLVED,
+            cds=CdsScenario.NONE,
+            signal=SignalScenario.NONE,
+            count=max(2, round(UNRESOLVED_PAPER_COUNT * scale)),
+        )
+    ]
     if scenarios is not None and scenarios.enabled:
         cells = cells + scenario_cells(scenarios)
 
@@ -292,7 +288,7 @@ def build_world(
                     if spec.signal == SignalScenario.SPOOFED:
                         spoof_names.setdefault(cell.operator, []).append(boot)
 
-    builder.finalize_registries(nsec_limit=tld_nsec_limit)
+    builder.finalize_registries()
     builder.install_customer_provider(specs_by_host)
     builder.install_signal_providers(signal_index)
     builder.install_quirks(transient_names, cut_names, spoof_names)

@@ -379,43 +379,35 @@ class Monitor:
         suffix_map, _ = operator_db_config(build_profiles(adversarial=adversarial))
         return OperatorDB(suffixes=suffix_map)
 
-    def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
-        """Each zone's verdict as of *epoch* (default: latest complete):
-        the classification from the newest epoch <= *epoch* that scanned
-        the zone."""
-        epoch = self._resolve_epoch(epoch)
-        classes: Dict[str, ZoneClassification] = {}
+    def _merged(self, epoch: int):
+        """``(zone, result)`` for each zone's newest stored record as of
+        *epoch*: the record from the newest epoch <= *epoch* that
+        scanned the zone, in chain order."""
         owner = self._zone_owners(epoch)
         for e in self._chain(epoch):
-            reader = StoreReader(self.epoch_dir(e))
-            for result in reader.iter_results():
+            for result in StoreReader(self.epoch_dir(e)).iter_results():
                 zone = result.zone.to_text()
-                if owner[zone] != e:
-                    continue
-                assessment = assess_zone(result)
-                classes[zone] = ZoneClassification(
-                    status=assessment.status,
-                    eligibility_value=assessment.eligibility.value,
-                    outcome=assessment.signal_outcome,
-                )
+                if owner[zone] == e:
+                    yield zone, result
+
+    def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
+        """Each zone's verdict as of *epoch* (default: latest complete)."""
+        classes: Dict[str, ZoneClassification] = {}
+        for zone, result in self._merged(self._resolve_epoch(epoch)):
+            assessment = assess_zone(result)
+            classes[zone] = ZoneClassification(
+                status=assessment.status,
+                eligibility_value=assessment.eligibility.value,
+                outcome=assessment.signal_outcome,
+            )
         return classes
 
     def analyze(self, epoch: Optional[int] = None) -> AnalysisReport:
         """The merged analysis report as of *epoch* (default: latest
         complete) — computed over each zone's newest stored record, so a
         chain of deltas analyses exactly like one full scan."""
-        epoch = self._resolve_epoch(epoch)
-        owner = self._zone_owners(epoch)
-        pipeline = AnalysisPipeline(self.operator_db())
-
-        def merged():
-            for e in self._chain(epoch):
-                reader = StoreReader(self.epoch_dir(e))
-                for result in reader.iter_results():
-                    if owner[result.zone.to_text()] == e:
-                        yield result
-
-        return pipeline.analyze(merged())
+        merged = self._merged(self._resolve_epoch(epoch))
+        return AnalysisPipeline(self.operator_db()).analyze(result for _, result in merged)
 
     def diff(self, old: Optional[int] = None, new: Optional[int] = None) -> EpochDiff:
         """Epoch-over-epoch diff of merged views (default: the last

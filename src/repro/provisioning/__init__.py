@@ -4,13 +4,17 @@ The paper measures the child/operator side of RFC 9615; this package
 implements what a registry (or registrar with DS-update authority) does
 with those signals:
 
-* :mod:`repro.provisioning.policies` — the RFC 8078 Appendix-C
-  acceptance policies the IETF debated (accept-after-delay,
-  accept-with-challenge, ...) plus full RFC 9615 authenticated
-  acceptance, each as an executable policy object;
-* :mod:`repro.provisioning.engine` — a bootstrap engine that scans a
-  TLD's unsecured delegations, runs a policy, installs the accepted DS
-  RRsets into the registry zone, and re-scans to confirm the chain;
+* :mod:`repro.provisioning.policies` — the one acceptance ladder
+  (``LADDER``, a table of reason-coded rungs, and the pure
+  ``first_failure`` / ``decide`` that read it) plus the policies that
+  consume it: the RFC 8078 Appendix-C proposals the IETF debated
+  (accept-after-delay, accept-with-challenge, ...) and full RFC 9615
+  authenticated acceptance, each as an executable policy object;
+* :mod:`repro.provisioning.engine` — the one per-zone step
+  (``provision_zone``: install the accepted CDS as a signed DS, re-scan,
+  keep it iff the chain is SECURE, else roll back) shared with the
+  parental agent, and a bootstrap engine that scans a TLD's unsecured
+  delegations and runs a policy over them;
 * :mod:`repro.provisioning.rollover` — CDS-driven key rollovers for
   already-secured zones (RFC 7344 §4), the maintenance half of the
   automation story.

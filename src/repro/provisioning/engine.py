@@ -5,25 +5,35 @@ accepted CDS as signed DS RRsets in the live registry zones, and
 re-scans to confirm the delegation chain now validates — turning the
 paper's App.-D feasibility discussion ("only 1.2 M of 287.6 M domains
 need to be scanned to this depth") into an executable experiment.
+
+:func:`provision_zone` is the only install → re-scan → keep-or-roll-back
+step (the parental agent calls it too) and :func:`_replace_ds` the only
+code that edits a registry's DS RRset and its signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bootstrap import BootstrapAssessment, assess_zone
 from repro.core.status import DnssecStatus, classify_status
 from repro.dns.name import Name
-from repro.dns.rdata import CDS
+from repro.dns.rdata import CDS, DS
 from repro.dns.rrset import RRset
 from repro.dns.types import RRType
 from repro.dns.zone import Zone
 from repro.dnssec.ds import cds_to_ds
 from repro.dnssec.signer import sign_rrset
+from repro.ecosystem import psl
 from repro.ecosystem.generator import registry_key
 from repro.ecosystem.world import World
-from repro.provisioning.policies import BootstrapDecision, BootstrapPolicy, Decision
+from repro.provisioning.policies import (
+    NO_ZONE_CDS,
+    VERIFICATION_FAILED,
+    BootstrapPolicy,
+    Decision,
+)
 from repro.scanner.results import ZoneScanResult
 
 
@@ -55,56 +65,68 @@ class BootstrapRun:
         return len(self.accepted) / self.evaluated if self.evaluated else 0.0
 
 
-def install_ds(world: World, zone_name: str, cds_rrset: RRset) -> None:
-    """Install DS records derived from *cds_rrset* into the registry zone
-    for *zone_name*'s suffix, with a fresh registry signature."""
-    from repro.ecosystem import psl
-
-    _, suffix = psl.registrable_part(Name.from_text(zone_name))
-    registry: Zone = world.registry_zones[suffix]
+def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
+    """Replace the DS RRset and its covering RRSIG at *zone_name*'s
+    delegation (no rdatas: remove both), keeping the owner's other
+    signatures, and drop the now-stale cached response wires."""
     owner = Name.from_text(zone_name)
+    _, suffix = psl.registrable_part(owner)
+    registry: Zone = world.registry_zones[suffix]
+    registry.remove_rrset(owner, RRType.DS)
+    sig_rrset = registry.get_rrset(owner, RRType.RRSIG)
+    ttl, sigs = 3600, []
+    if sig_rrset is not None:
+        ttl = sig_rrset.ttl
+        sigs = [sig for sig in sig_rrset.rdatas if int(sig.type_covered) != int(RRType.DS)]
+        registry.remove_rrset(owner, RRType.RRSIG)
+    if ds_rdatas:
+        ds_rrset = RRset(owner, RRType.DS, 3600, ds_rdatas)
+        registry.add_rrset(ds_rrset)
+        sigs.append(sign_rrset(ds_rrset, registry_key(suffix), registry.origin))
+    if sigs:
+        registry.add_rrset(RRset(owner, RRType.RRSIG, ttl, sigs))
+    world.network.invalidate_response_cache()
+
+
+def install_ds(world: World, zone_name: str, cds_rrset: RRset) -> List[DS]:
+    """Install the DS records derived from *cds_rrset* into the registry
+    zone for *zone_name*'s suffix, freshly signed; returns them."""
     ds_rdatas = [
         cds_to_ds(rd) for rd in cds_rrset.rdatas if isinstance(rd, CDS) and not rd.is_delete
     ]
     if not ds_rdatas:
         raise ValueError(f"no installable CDS for {zone_name}")
-    registry.remove_rrset(owner, RRType.DS)
-    ds_rrset = RRset(owner, RRType.DS, 3600, ds_rdatas)
-    registry.add_rrset(ds_rrset)
-    # Replace the RRSIG covering DS at this owner (keep others).
-    sig_rrset = registry.get_rrset(owner, RRType.RRSIG)
-    retained = []
-    ttl = 3600
-    if sig_rrset is not None:
-        ttl = sig_rrset.ttl
-        retained = [
-            sig for sig in sig_rrset.rdatas if int(sig.type_covered) != int(RRType.DS)
-        ]
-        registry.remove_rrset(owner, RRType.RRSIG)
-    key = registry_key(suffix)
-    new_sig = sign_rrset(ds_rrset, key, registry.origin)
-    registry.add_rrset(RRset(owner, RRType.RRSIG, ttl, [*retained, new_sig]))
-    # Registry content changed: cached response wires are stale.
-    world.network.invalidate_response_cache()
+    _replace_ds(world, zone_name, ds_rdatas)
+    return ds_rdatas
 
 
 def remove_ds(world: World, zone_name: str) -> None:
     """Process an RFC 8078 delete request: drop the DS at the parent."""
-    from repro.ecosystem import psl
+    _replace_ds(world, zone_name, ())
 
-    _, suffix = psl.registrable_part(Name.from_text(zone_name))
-    registry: Zone = world.registry_zones[suffix]
-    owner = Name.from_text(zone_name)
-    registry.remove_rrset(owner, RRType.DS)
-    sig_rrset = registry.get_rrset(owner, RRType.RRSIG)
-    if sig_rrset is not None:
-        retained = [
-            sig for sig in sig_rrset.rdatas if int(sig.type_covered) != int(RRType.DS)
-        ]
-        registry.remove_rrset(owner, RRType.RRSIG)
-        if retained:
-            registry.add_rrset(RRset(owner, RRType.RRSIG, sig_rrset.ttl, retained))
-    world.network.invalidate_response_cache()
+
+def provision_zone(
+    world: World,
+    scan: Callable[[str], ZoneScanResult],
+    assessment: BootstrapAssessment,
+    verify: bool = True,
+) -> Tuple[Optional[str], List[DS]]:
+    """The one per-zone step after an accept: install the zone's CDS as
+    DS, re-scan with *scan*, keep it iff the chain is now SECURE.
+
+    Returns ``(None, installed DS rdatas)``, or ``(reason_code, [])``
+    with the parent left as it was found (RFC 8078 §3: never leave a
+    broken delegation behind).
+    """
+    zone = assessment.zone.rstrip(".")
+    if assessment.cds.cds_rrset is None:
+        # Accepted on CDNSKEY alone: no digest to install yet.
+        return NO_ZONE_CDS, []
+    installed = install_ds(world, zone, assessment.cds.cds_rrset)
+    if verify and classify_status(scan(zone))[0] != DnssecStatus.SECURE:
+        remove_ds(world, zone)
+        return VERIFICATION_FAILED, []
+    return None, installed
 
 
 class BootstrapEngine:
@@ -153,32 +175,21 @@ class BootstrapEngine:
         return run
 
     def _provision(
-        self,
-        run: BootstrapRun,
-        assessment: BootstrapAssessment,
-        verify: bool,
-        provision: bool = True,
+        self, run: BootstrapRun, assessment: BootstrapAssessment, verify: bool, provision: bool
     ) -> None:
-        zone = assessment.zone.rstrip(".")
-        cds_rrset = assessment.cds.cds_rrset
-        if cds_rrset is None:
-            run.rejected[assessment.zone] = "accepted but no CDS RRset captured"
-            return
+        zone = assessment.zone
         if not provision:
-            run.accepted.append(assessment.zone)
+            run.accepted.append(zone)
             return
-        install_ds(self.world, zone, cds_rrset)
-        run.accepted.append(assessment.zone)
-        if not verify:
+        failure, _ = provision_zone(self.world, self.scanner.scan_zone, assessment, verify)
+        if failure == NO_ZONE_CDS:
+            run.rejected[zone] = failure
             return
-        rescan = self.scanner.scan_zone(zone)
-        status, _ = classify_status(rescan)
-        if status == DnssecStatus.SECURE:
-            run.secured.append(assessment.zone)
-        else:
-            # RFC 8078 §3: never leave a broken delegation behind.
-            remove_ds(self.world, zone)
-            run.failed_verification.append(assessment.zone)
+        run.accepted.append(zone)
+        if failure is not None:
+            run.failed_verification.append(zone)
+        elif verify:
+            run.secured.append(zone)
 
     # -- delete processing (RFC 8078 §4, the "unAB" side) ------------------
 

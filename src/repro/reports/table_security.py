@@ -3,7 +3,7 @@
 The paper's tables count what operators *publish*; this table counts
 what an RFC 9615 / RFC 8078 parental agent would *do about it*.  Every
 signal-publishing zone in a campaign is run through the pure acceptance
-function :func:`repro.agent.plane.decide` (no DS is installed — the
+function :func:`repro.provisioning.policies.decide` (no DS is installed — the
 table is a dry run) and bucketed per signal operator by the stable
 reason code.  Adversarial operators therefore show up as columns whose
 entire population lands on one rejection row — the quantified claim
@@ -23,10 +23,12 @@ from repro.core.bootstrap import SignalOutcome
 from repro.core.pipeline import AnalysisReport
 from repro.reports.render import format_count, render_table
 
-#: Rows in :func:`repro.agent.plane.decide` precedence order, accepted
-#: first.  ``no_signal`` is absent by construction (the table covers
-#: signal publishers only) and ``verification_failed`` is a
-#: post-provision outcome the pure function never returns.
+#: Rows in the rendered table's pinned order (accepted first; *not* the
+#: ladder's precedence order).  ``compute_security`` checks the codes
+#: against the ladder: every rejection it can name has a row, except
+#: ``no_signal`` (the table covers signal publishers only);
+#: ``verification_failed`` is a post-provision outcome the pure function
+#: never returns.
 ROWS = (
     ("chain_authenticated", "Accepted: chain authenticated"),
     ("zone_went_dark", "Rejected: zone went dark"),
@@ -69,15 +71,16 @@ def compute_security(report: AnalysisReport) -> SecurityTableData:
     Zones without any signal are out of scope (an agent never considers
     them); everything else gets exactly one reason code.
     """
-    # Lazy import: rendering Tables 1-3 must not pull in the agent plane.
-    from repro.agent.plane import AgentConfig, decide
+    # Lazy import: rendering Tables 1-3 must not pull in provisioning.
+    from repro.provisioning.policies import CHAIN_AUTHENTICATED, LADDER, NO_SIGNAL, decide
 
-    config = AgentConfig()
+    ladder = {CHAIN_AUTHENTICATED, *(reason for reason, _, _ in LADDER)} - {NO_SIGNAL}
+    assert {reason for reason, _ in ROWS} == ladder, "ROWS out of step with LADDER"
     data = SecurityTableData()
     for assessment in report.assessments:
         if assessment.signal_outcome == SignalOutcome.NO_SIGNAL:
             continue
-        _, reason = decide(assessment, config)
+        _, reason = decide(assessment)
         operator = report.signal_operators.get(assessment.zone, "unknown")
         column = data.columns.setdefault(operator, {})
         column[reason] = column.get(reason, 0) + 1

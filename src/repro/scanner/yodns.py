@@ -30,6 +30,7 @@ from __future__ import annotations
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
+    Any,
     Callable,
     Container,
     Dict,
@@ -71,8 +72,6 @@ class ScannerConfig:
 
     qps_per_ns: float = DEFAULT_QPS
     timeout: float = 2.0
-    scan_signals: bool = True
-    probe_zone_cuts: bool = True
     anycast_ns_suffixes: List[Name] = field(default_factory=list)
     full_scan_fraction: float = 0.05
     # Retry/backoff policy (repro.chaos).  The default is one immediate
@@ -207,20 +206,32 @@ class Scanner:
 
     # -- address resolution with cache ------------------------------------------
 
-    def _addresses_for(self, ns_host: Name) -> Generator:
+    def _memo(
+        self, kind: str, cache: Dict[Name, Any], key: Name, compute: Callable[[Name], Generator]
+    ) -> Generator:
+        """The single-flight memo step behind the address, chain and
+        signal-zone caches: a hit returns (and counts
+        ``<kind>_cache_hits``); otherwise the first task to claim the key
+        runs ``compute(key)`` and stores it while later askers wait and
+        then re-check — no entry is ever computed twice."""
+        hits, misses = f"{kind}_cache_hits", f"{kind}_cache_misses"
         while True:
-            cached = self._address_cache.get(ns_host)
+            cached = cache.get(key)
             if cached is not None:
-                self.address_cache_hits += 1
+                setattr(self, hits, getattr(self, hits) + 1)
                 return cached
-            claim = yield from self._flights.claim(("addr", ns_host))
+            claim = yield from self._flights.claim((kind, key))
             if claim is None:
-                continue  # waited on another task's lookup; re-check
+                continue  # waited on another task's computation; re-check
             with claim:
-                self.address_cache_misses += 1
-                found = yield from self.resolver.resolve_addresses_steps(ns_host)
-                self._address_cache[ns_host] = found
-                return found
+                setattr(self, misses, getattr(self, misses) + 1)
+                cache[key] = value = yield from compute(key)
+                return value
+
+    def _addresses_for(self, ns_host: Name) -> Generator:
+        return self._memo(
+            "address", self._address_cache, ns_host, self.resolver.resolve_addresses_steps
+        )
 
     # -- chain collection ------------------------------------------------------------
 
@@ -234,21 +245,13 @@ class Scanner:
         return self._run(self._collect_chain_steps(apex))
 
     def _collect_chain_steps(self, apex: Name) -> Generator:
-        while True:
-            cached = self._chain_cache.get(apex)
-            if cached is not None:
-                self.chain_cache_hits += 1
-                return cached
-            claim = yield from self._flights.claim(("chain", apex))
-            if claim is None:
-                continue  # waited on another task's walk; re-check
-            with claim:
-                self.chain_cache_misses += 1
-                with self.telemetry.span("chain_validate", apex=apex.to_text()) as span:
-                    links = yield from self._collect_chain_uncached(apex)
-                    span["links"] = len(links)
-                self._chain_cache[apex] = links
-                return links
+        return self._memo("chain", self._chain_cache, apex, self._collect_chain_spanned)
+
+    def _collect_chain_spanned(self, apex: Name) -> Generator:
+        with self.telemetry.span("chain_validate", apex=apex.to_text()) as span:
+            links = yield from self._collect_chain_uncached(apex)
+            span["links"] = len(links)
+        return links
 
     def _collect_chain_uncached(self, apex: Name) -> Generator:
         links: List[ChainLink] = []
@@ -384,9 +387,8 @@ class Scanner:
             result.cds_by_ns[key] = yield from self._query_one_steps(ip, zone, RRType.CDS)
             result.cdnskey_by_ns[key] = yield from self._query_one_steps(ip, zone, RRType.CDNSKEY)
 
-        if self.config.scan_signals:
-            for ns_host in result.delegation_ns:
-                result.signals.append((yield from self._scan_signal(zone, ns_host)))
+        for ns_host in result.delegation_ns:
+            result.signals.append((yield from self._scan_signal(zone, ns_host)))
         return None
 
     def scan_iter(
@@ -471,19 +473,9 @@ class Scanner:
     # -- signal-zone scanning --------------------------------------------------------------
 
     def _signal_zone_info(self, ns_host: Name) -> Generator:
-        while True:
-            info = self._signal_info_cache.get(ns_host)
-            if info is not None:
-                self.signal_cache_hits += 1
-                return info
-            claim = yield from self._flights.claim(("signal", ns_host))
-            if claim is None:
-                continue  # waited on another task's probe; re-check
-            with claim:
-                self.signal_cache_misses += 1
-                info = yield from self._signal_zone_info_uncached(ns_host)
-                self._signal_info_cache[ns_host] = info
-                return info
+        return self._memo(
+            "signal", self._signal_info_cache, ns_host, self._signal_zone_info_uncached
+        )
 
     def _signal_zone_info_uncached(self, ns_host: Name) -> Generator:
         signal_root = Name((b"_signal",)).concatenate(ns_host)
@@ -544,7 +536,7 @@ class Scanner:
             scan.cdnskey_by_ip[key] = yield from self._query_one_steps(
                 ip, signal_name, RRType.CDNSKEY
             )
-        if self.config.probe_zone_cuts and scan.any_cds:
+        if scan.any_cds:
             scan.zone_cuts = yield from self._probe_zone_cuts(signal_name, info)
         return scan
 

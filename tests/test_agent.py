@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.agent import (
     Agent,
-    AgentConfig,
     AgentError,
     compute_convergence,
     ledger_path,
@@ -32,13 +31,8 @@ from repro.agent import (
     render_convergence,
 )
 from repro.agent.actions import (
-    ALGORITHM_NOT_PERMITTED,
-    CDS_DISAGREEMENT,
-    CHAIN_AUTHENTICATED,
-    DS_ALREADY_PRESENT,
     REJECTED,
     SECURED,
-    UNAUTHENTICATED_CHAIN,
     AgentAction,
     LedgerError,
     append_actions,
@@ -46,6 +40,13 @@ from repro.agent.actions import (
     secured_pairs,
 )
 from repro.agent.plane import decide
+from repro.provisioning.policies import (
+    ALGORITHM_NOT_PERMITTED,
+    CDS_DISAGREEMENT,
+    CHAIN_AUTHENTICATED,
+    DS_ALREADY_PRESENT,
+    UNAUTHENTICATED_CHAIN,
+)
 from repro.campaign import CampaignConfig, run_campaign
 from repro.core.bootstrap import SignalOutcome, assess_zone
 from repro.core.status import DnssecStatus
@@ -244,7 +245,7 @@ def accepted_scan(agent_chain):
     world, _ = world_at_epoch(SCALE, SEED, SPEC, action.epoch)
     world.network.enable_response_cache()
     result = world.make_scanner().scan_zone(action.zone)
-    assert decide(assess_zone(result), AgentConfig()) == (True, CHAIN_AUTHENTICATED)
+    assert decide(assess_zone(result)) == (True, CHAIN_AUTHENTICATED)
     return result
 
 
@@ -264,7 +265,7 @@ class TestAdversarialRejection:
         result.cds_by_ns["spoof@203.0.113.99"] = RRQueryResult(
             status=QueryStatus.OK, rrset=forged
         )
-        assert decide(assess_zone(result), AgentConfig()) == (False, CDS_DISAGREEMENT)
+        assert decide(assess_zone(result)) == (False, CDS_DISAGREEMENT)
 
     def test_unsigned_signal_zone_is_unauthenticated(self, accepted_scan):
         # Strip the chain of trust above every signaling zone — the
@@ -272,7 +273,7 @@ class TestAdversarialRejection:
         result = copy.deepcopy(accepted_scan)
         for scan in result.signals:
             scan.chain = []
-        assert decide(assess_zone(result), AgentConfig()) == (
+        assert decide(assess_zone(result)) == (
             False,
             UNAUTHENTICATED_CHAIN,
         )
@@ -293,7 +294,7 @@ class TestAdversarialRejection:
                     for rd in response.rrset.rdatas
                 ],
             )
-        assert decide(assess_zone(result), AgentConfig()) == (
+        assert decide(assess_zone(result)) == (
             False,
             ALGORITHM_NOT_PERMITTED,
         )
@@ -343,28 +344,26 @@ class TestDecisionPurity:
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_decisions_are_order_independent(self, candidate_results, data):
-        config = AgentConfig()
         baseline = {
-            zone: decide(assess_zone(result), config)
+            zone: decide(assess_zone(result))
             for zone, result in sorted(candidate_results.items())
         }
         order = data.draw(st.permutations(sorted(candidate_results)))
         permuted = {
-            zone: decide(assess_zone(candidate_results[zone]), config) for zone in order
+            zone: decide(assess_zone(candidate_results[zone])) for zone in order
         }
         assert permuted == baseline
 
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_ledger_lines_are_permutation_invariant(self, candidate_results, data):
-        config = AgentConfig()
         order = data.draw(st.permutations(sorted(candidate_results)))
         lines = sorted(
             AgentAction(
                 zone=zone,
                 epoch=0,
                 action=REJECTED,
-                reason=decide(assess_zone(candidate_results[zone]), config)[1],
+                reason=decide(assess_zone(candidate_results[zone]))[1],
             ).to_line()
             for zone in order
         )
@@ -373,7 +372,7 @@ class TestDecisionPurity:
                 zone=zone,
                 epoch=0,
                 action=REJECTED,
-                reason=decide(assess_zone(result), config)[1],
+                reason=decide(assess_zone(result))[1],
             ).to_line()
             for zone, result in candidate_results.items()
         )

@@ -8,7 +8,7 @@ from repro.core.status import classify_status
 from repro.dns import A, NS, RRset, RRType, SOA, Zone
 from repro.dns.name import Name
 from repro.dnssec import Algorithm, KeyPair, ds_from_dnskey, sign_zone
-from repro.ecosystem import build_world
+from repro.ecosystem import build_world, psl
 from repro.ecosystem.spec import CdsScenario, SignalScenario, StatusScenario
 from repro.provisioning import (
     AcceptAfterDelayPolicy,
@@ -20,6 +20,7 @@ from repro.provisioning import (
     RolloverEngine,
 )
 from repro.provisioning.engine import install_ds, remove_ds
+from repro.provisioning.policies import CDS_DISAGREEMENT, ZONE_UNSIGNED
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +56,7 @@ class TestAuthenticatedPolicy:
         assessment = pick(world, assessments, StatusScenario.UNSIGNED, CdsScenario.NONE)
         decision = AuthenticatedBootstrapPolicy().evaluate(assessment)
         assert decision.decision == Decision.REJECT
-        assert "not DNSSEC signed" in decision.reason
+        assert decision.reason == ZONE_UNSIGNED
 
     def test_rejects_delete(self, world, assessments):
         assessment = pick(world, assessments, StatusScenario.ISLAND, CdsScenario.DELETE)
@@ -86,7 +87,7 @@ class TestAuthenticatedPolicy:
         assessment = pick(world, assessments, StatusScenario.ISLAND, CdsScenario.INCONSISTENT)
         decision = AuthenticatedBootstrapPolicy().evaluate(assessment)
         assert decision.decision == Decision.REJECT
-        assert "inconsistent" in decision.reason
+        assert decision.reason == CDS_DISAGREEMENT
 
 
 class TestUnauthenticatedPolicies:
@@ -210,6 +211,41 @@ class TestEngine:
         remove_ds(world, spec.name)
         status, _ = classify_status(scanner.scan_zone(spec.name))
         assert status == DnssecStatus.ISLAND
+
+    def test_ds_edit_round_trip(self, world):
+        # Install then remove must leave the delegation's other
+        # signatures exactly as found, and neither edit may leave a
+        # stale cached response behind.
+        spec = next(
+            spec
+            for spec in world.specs.values()
+            if spec.status == StatusScenario.ISLAND and spec.cds == CdsScenario.OK
+        )
+        owner = Name.from_text(spec.name)
+        registry = world.registry_zones[psl.registrable_part(owner)[1]]
+        sigs_before = registry.get_rrset(owner, RRType.RRSIG)
+        assert all(int(sig.type_covered) != int(RRType.DS) for sig in sigs_before.rdatas)
+        cache = world.network.response_cache
+        scanner = world.make_scanner()
+        cds_rrset = assess_zone(scanner.scan_zone(spec.name)).cds.cds_rrset
+        world.network.enable_response_cache()
+        try:
+            scanner.scan_zone(spec.name)
+            assert cache.wires
+            installed = install_ds(world, spec.name, cds_rrset)
+            assert not cache.wires
+            assert list(registry.get_rrset(owner, RRType.DS).rdatas) == installed
+            sigs = registry.get_rrset(owner, RRType.RRSIG).rdatas
+            assert len(sigs) == len(sigs_before.rdatas) + 1
+            assert sum(int(sig.type_covered) == int(RRType.DS) for sig in sigs) == 1
+            scanner.scan_zone(spec.name)
+            assert cache.wires
+            remove_ds(world, spec.name)
+            assert not cache.wires
+        finally:
+            cache.enabled = False
+        assert registry.get_rrset(owner, RRType.DS) is None
+        assert registry.get_rrset(owner, RRType.RRSIG) == sigs_before
 
 
 class TestDeleteProcessing:

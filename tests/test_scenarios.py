@@ -23,15 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.agent import Agent, ledger_path, read_ledger
-from repro.agent.actions import (
-    ALGORITHM_NOT_PERMITTED,
-    CDS_DISAGREEMENT,
-    CHAIN_AUTHENTICATED,
-    SECURED,
-    SIGNAL_ZONE_CUT,
-    UNAUTHENTICATED_CHAIN,
-    secured_pairs,
-)
+from repro.agent.actions import SECURED, secured_pairs
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.core.signal import SignalThreat, classify_signal_threat
 from repro.core.status import DnssecStatus, KeyTransitionState, classify_status, classify_transition
@@ -40,6 +32,13 @@ from repro.dns.types import RRType
 from repro.ecosystem import psl
 from repro.ecosystem.spec import StatusScenario
 from repro.ecosystem.generator import transition_keys, zone_keys
+from repro.provisioning.policies import (
+    ALGORITHM_NOT_PERMITTED,
+    CDS_DISAGREEMENT,
+    CHAIN_AUTHENTICATED,
+    SIGNAL_ZONE_CUT,
+    UNAUTHENTICATED_CHAIN,
+)
 from repro.ecosystem.world import build_world
 from repro.monitor import Monitor, MonitorConfig, MonitorSpec
 from repro.monitor.events import apply_epoch, events_for_epoch
