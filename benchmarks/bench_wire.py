@@ -3,7 +3,7 @@
 Runs the same campaign twice at one (seed, scale): once through the
 in-memory simulated fabric and once through :mod:`repro.wire` — the
 authoritative fleet live on loopback sockets, the scanner issuing real
-asyncio UDP/TCP queries.  Records wall-clock zones/second for both
+UDP/TCP queries on the scan loop's own thread.  Records wall-clock zones/second for both
 transports against the PR-1 parallel baseline (86.8 z/s), and verifies
 the wire contract: **identical analysis tables**.
 

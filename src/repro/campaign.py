@@ -97,7 +97,8 @@ class CampaignConfig:
     retry: Optional[RetryPolicy] = None
     # Transport: "sim" moves messages through the in-memory fabric;
     # "wire" (repro.wire) hosts the authoritative fleet on real loopback
-    # sockets and scans over asyncio UDP/TCP.  Wire mode promises the
+    # sockets and scans over non-blocking UDP/TCP that the scan loop
+    # itself services (one thread, one selector).  Wire mode promises the
     # same analysis tables at the same seed/scale — not the same event
     # streams or simulated durations (real I/O reorders the schedule).
     transport: str = "sim"

@@ -145,7 +145,8 @@ def _add_transport(parser: argparse.ArgumentParser) -> None:
         default="sim",
         help="message transport: 'sim' moves wire-format messages through "
         "the in-memory fabric; 'wire' (repro.wire) hosts the authoritative "
-        "fleet on real loopback sockets and scans over asyncio UDP/TCP — "
+        "fleet on real loopback sockets and scans over non-blocking UDP/TCP "
+        "serviced by the scan loop itself (one thread, one selector) — "
         "same analysis tables, real I/O",
     )
 

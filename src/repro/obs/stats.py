@@ -174,8 +174,8 @@ def _scan_sections(stats: CampaignStats, n) -> List[str]:
             f"  queries:      {n('wire.queries')} over real sockets "
             f"({n('wire.servers_hosted')} servers hosted)",
             f"  in flight:    {n('wire.in_flight_peak')} peak",
-            f"  batches:      {n('wire.batches')} flushes "
-            f"({per_batch} queries/flush, {n('wire.batch_peak')} peak)",
+            f"  batches:      {n('wire.batches')} selector passes with sends "
+            f"({per_batch} queries/pass, {n('wire.batch_peak')} peak)",
             f"  resp. cache:  {n('wire.response_cache_hits')} hits",
             f"  errors:       {n('wire.socket_errors')} socket, "
             f"{n('wire.demux_misses')} demux misses, {n('wire.decode_errors')} decode, "

@@ -14,7 +14,9 @@ one zone or a campaign, simulated fabric or real sockets — is:
   inputs, same schedule, on any machine.  One task (``in_flight=1``,
   :func:`run_steps`, every synchronous facade) *is* the serial scan;
 * **two back-ends** answering exchanges — the network itself: the
-  simulated fabric on the spot, the socket transport when bytes return;
+  simulated fabric on the spot, the socket transport when bytes return
+  (the loop's ``completions`` call is what services the sockets: the
+  scan and its I/O share this one thread);
 * :class:`FlightMap`: single-flight admission to the scanner's shared
   memo caches, so a key is computed once however many tasks need it.
 

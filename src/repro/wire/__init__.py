@@ -1,18 +1,17 @@
-"""repro.wire — the asyncio wire engine.
+"""repro.wire — the wire engine: one thread, one selector.
 
 The simulated fabric (:mod:`repro.server.network`) moves wire-format
 messages through memory; this package moves the *same bytes* through
 real loopback sockets, proving the codec, the servers, and the scan
-pipeline interoperate at ZDNS-class mechanics: an asyncio socket pool
-with transaction-id demultiplexing, coalesced send batches, and coarse
-timeout wheels (:mod:`~repro.wire.engine`); the authoritative fleet
-live on ephemeral ports, each endpoint running the servers' one answer
-step and the network's one response cache (:mod:`~repro.wire.fleet`); a
-drop-in scanner transport that shares the fabric's client prologue —
-counters, fault plane, dark addresses — and differs only in how the
-bytes travel and doubles as the scan loop's socket back-end — tasks
-park on the engine's futures and resume in completion order
-(:mod:`~repro.wire.network`).
+pipeline interoperate at ZDNS-class mechanics: non-blocking sockets on
+one selector that the waiting caller pumps, a client socket pool with
+transaction-id demultiplexing, a deadline queue and a bounded drain
+(:mod:`~repro.wire.engine`); the authoritative fleet live on ephemeral
+ports, each endpoint running the servers' one answer step and the
+network's one response cache (:mod:`~repro.wire.fleet`); a drop-in
+scanner transport that shares the fabric's client prologue and doubles
+as the scan loop's socket back-end — tasks park on the engine's pending
+handles and resume in settling order (:mod:`~repro.wire.network`).
 
 The contract, in one line: **same seed, same scale → identical analysis
 tables** as the simulated fabric.  Wire mode does *not* promise

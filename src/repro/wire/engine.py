@@ -1,51 +1,53 @@
-"""The asyncio half of the wire plane: one event loop on a daemon
-thread carrying every socket the campaign touches.
+"""The socket half of the wire plane: one selector, one thread.
 
-Client side, the engine exposes :meth:`WireEngine.send_udp` /
-:meth:`send_tcp`: thread-safe calls that enqueue a datagram (or stream
-write) and return a :class:`concurrent.futures.Future` resolving to the
-raw response wire.  Three throughput mechanics keep the loop thread
-cheap:
+Every socket the campaign touches — the client pool, the persistent
+client streams, every server endpoint — is non-blocking and registered
+with one :mod:`selectors` selector, each with a handler.  Nothing runs
+on a thread of its own: :meth:`WireEngine.pump` is one *pass* (wait for
+readiness, service every ready socket once, expire overdue queries) and
+whoever is waiting calls it — the scan loop between slices
+(:meth:`repro.wire.network.WireNetwork.completions`) or a pending
+handle's :meth:`~Pending.result`.  The engine only moves bytes: a server
+is an *answer step* on a port, and a client send hands the bytes to the
+kernel on the spot and returns a :class:`Pending` handle that a later
+pass settles with the raw response wire:
 
-* **socket pool** — UDP queries round-robin over a small pool of
-  datagram sockets; responses demultiplex by ``(transaction id, remote
-  address)`` per socket, so thousands of queries can be outstanding on a
-  handful of file descriptors;
-* **coalesced send batches** — callers append to a lock-free deque and
-  at most one ``call_soon_threadsafe`` flush is ever pending, so a burst
-  of N queries crosses the thread boundary as one callback, not N;
-* **timeout wheel** — deadlines round up to coarse buckets
-  (:data:`WHEEL_GRANULARITY` seconds) with one ``call_at`` timer per
-  bucket instead of one per query.
+* **socket pool** — UDP queries round-robin over a few datagram
+  sockets; responses demultiplex by ``(transaction id, remote address)``
+  per socket, so thousands can be outstanding on a handful of fds;
+* **deadline queue** — one ``wall_timeout`` for every query makes
+  deadlines monotonic, so a FIFO is the whole timer: its head caps the
+  selector wait and overdue heads settle with :class:`WireTimeout`;
+* **bounded drain** — at most :data:`BURST` sends reach the kernel
+  between two passes (the sender that hits the bound runs a zero-wait
+  pass itself) and a datagram socket reads at most :data:`BURST`
+  datagrams per readiness event, so however many queries are outstanding
+  no pass answers more into a client socket than its buffer holds.
 
-Server side, :meth:`serve_udp` / :meth:`serve_tcp` put an *answer step*
-— ``(query wire, tcp) -> response wire | None``, in practice
-:meth:`repro.server.nameserver.AuthoritativeServer.answer_wire` — on an
-ephemeral loopback port of the same loop (see
-:class:`repro.wire.fleet.WireFleet` for the fleet-level wiring).  The
-engine only moves bytes: it never decodes a message.
-
-Everything the engine counts lands in :attr:`WireEngine.counters`
-(``wire.*`` telemetry): in-flight high-water mark, batch sizes, socket
-errors, demultiplex misses, decode errors, and wall timeouts.
+:attr:`WireEngine.counters` is the ``wire.*`` telemetry; a *batch* is
+the sends handed to the kernel between two passes, and reads ≈ 1 on
+loopback, where an answer is back before the next task runs.
 """
 
 from __future__ import annotations
 
-import asyncio
 import collections
-import contextlib
-import threading
-from concurrent.futures import Future
+import functools
+import selectors
+import socket
+from time import monotonic
 from typing import Callable, Deque, Dict, Optional, Tuple
 
-#: Timeout-wheel bucket width (real seconds).  Coarse on purpose: wall
-#: timeouts are a safety net against a hung peer, not a measured RTT.
-WHEEL_GRANULARITY = 0.25
+#: Datagram sockets in the UDP client pool.
+POOL_SIZE = 4
 
-#: Default UDP socket-pool size.
-DEFAULT_POOL_SIZE = 4
+#: The bounded-drain constant: sends between two passes, and datagrams
+#: one socket reads per readiness event.  A loopback receive buffer
+#: holds ~90 full-size responses; 64 spread over the pool stays under it.
+BURST = 64
 
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+_LOOPBACK = ("127.0.0.1", 0)
 
 #: An answer step: (query wire, tcp) -> response wire, or None to stay
 #: silent; raises ValueError for bytes that are not a DNS message.
@@ -56,95 +58,82 @@ class WireTimeout(Exception):
     """No response arrived on the wire within the wall timeout."""
 
 
+class Pending:
+    """One client query: outstanding until a pass settles it with the
+    response wire or with the reason there is none."""
+
+    __slots__ = ("engine", "deadline", "done", "data", "error", "tag")
+
+    def __init__(self, engine, deadline: float = 0.0, error: Optional[Exception] = None):
+        self.engine = engine
+        self.deadline = deadline
+        self.done = error is not None
+        self.data = b""
+        self.error = error
+        self.tag = None  # set: queue me on ``WireEngine.settled`` when settled
+
+    def result(self, timeout: float = 0.0) -> bytes:
+        """The response wire, pumping the engine until it is there;
+        raises what the query failed with, or :class:`TimeoutError`
+        after *timeout* real seconds."""
+        end = monotonic() + timeout
+        while not self.done:
+            left = end - monotonic()
+            if left <= 0:
+                raise TimeoutError("no result from the wire engine yet")
+            self.engine.pump(left)
+        if self.error is not None:
+            raise self.error
+        return self.data
+
+
 class WireEngine:
-    """One asyncio loop on a daemon thread; clients and servers share it.
+    """One selector carrying clients and servers, pumped by its callers:
+    on loopback a query and its answer are two passes of the same loop,
+    with no hand-off between threads (or cores) anywhere in the hot path."""
 
-    A single loop thread is deliberate: on loopback, a query and its
-    answer are two wakeups of the same thread, so there is no cross-core
-    handoff in the hot path and the GIL is never contended by socket
-    work.
-    """
-
-    def __init__(self, pool_size: int = DEFAULT_POOL_SIZE, wall_timeout: float = 10.0):
-        if pool_size < 1:
-            raise ValueError("pool_size must be >= 1")
-        self.pool_size = pool_size
+    def __init__(self, wall_timeout: float = 10.0):
         self.wall_timeout = wall_timeout
-        self.counters: Dict[str, int] = {
-            "in_flight": 0,
-            "in_flight_peak": 0,
-            "batches": 0,
-            "batched_queries": 0,
-            "batch_peak": 0,
-            "socket_errors": 0,
-            "demux_misses": 0,
-            "decode_errors": 0,
-            "wall_timeouts": 0,
-        }
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._closed = False
-        # UDP client pool: one protocol per socket, filled lazily on the
-        # loop thread the first time a send flushes.
-        self._udp_pool: list[_ClientProtocol] = []
-        self._next_socket = 0
-        # Pending sends not yet flushed onto the loop thread.  The deque
-        # is the thread boundary: callers append from their own thread, the
-        # single flush callback drains on the loop thread.
-        self._outbox: Deque[tuple] = collections.deque()
-        self._flush_pending = False
-        self._flush_lock = threading.Lock()
-        # Timeout wheel: bucket index -> [pending entry, ...].
-        self._wheel: Dict[int, list] = {}
-        # TCP client connections: (host, port) -> _TcpConnection.
-        self._tcp_conns: Dict[Tuple[str, int], "_TcpConnection"] = {}
-        # Server handles kept alive for close().
-        self._server_transports: list = []
-        self._servers: list[asyncio.AbstractServer] = []
-        self._stream_tasks: set[asyncio.Task] = set()
+        self.counters: Dict[str, int] = dict.fromkeys(
+            ("in_flight", "in_flight_peak", "batches", "batched_queries", "batch_peak",
+             "socket_errors", "demux_misses", "decode_errors", "wall_timeouts"),
+            0,
+        )  # fmt: skip
+        #: Settled handles that carry a ``tag``, in settling order.
+        self.settled: Deque[Pending] = collections.deque()
+        self._selector: Optional[selectors.BaseSelector] = None
+        # The UDP client pool: (socket, {(txid, peer): Pending}) each,
+        # next to send first.
+        self._udp_pool: Deque[Tuple[socket.socket, dict]] = collections.deque()
+        # The persistent client streams, by peer: (stream, its pending dict).
+        self._tcp_conns: Dict[Tuple[str, int], Tuple[_Stream, dict]] = {}
+        # (deadline, the pending dict the query is in, its key), oldest
+        # first — not the handle, so nothing settled stays reachable.
+        self._deadlines: Deque[tuple] = collections.deque()
+        self._sends = 0  # since the last pass
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "WireEngine":
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(target=self._run, name="wire-engine", daemon=True)
-        self._thread.start()
-        if not self._started.wait(timeout=5):  # pragma: no cover - startup failure
-            raise RuntimeError("wire engine failed to start")
+        if self._selector is None:
+            self._selector = selectors.DefaultSelector()
+            for _ in range(POOL_SIZE):
+                pending: dict = {}
+                sock = self._udp_socket(functools.partial(self._deliver, pending))
+                self._udp_pool.append((sock, pending))
         return self
 
-    def _run(self) -> None:
-        self._loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(self._loop)
-        self._started.set()
-        self._loop.run_forever()
-        for transport in self._server_transports:
-            transport.close()
-        for server in self._servers:
-            server.close()
-        for conn in self._tcp_conns.values():
-            conn.close()
-        for proto in self._udp_pool:
-            if proto.transport is not None:
-                proto.transport.close()
-        # Whatever still runs (server-side stream handlers, client stream
-        # readers, endpoints mid-attach) is cancelled and reaped, never
-        # abandoned to the garbage collector.
-        pending = asyncio.all_tasks(self._loop)
-        for task in pending:
-            task.cancel()
-        self._loop.run_until_complete(asyncio.gather(*pending, return_exceptions=True))
-        self._loop.close()
-
     def close(self) -> None:
-        if self._closed or self._loop is None:
+        """Close every socket (every open one is registered); queries
+        still outstanding are never settled."""
+        if self._selector is None:
             return
-        self._closed = True
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        selector, self._selector = self._selector, None
+        for key in list(selector.get_map().values()):
+            key.fileobj.close()
+        selector.close()
+        self._udp_pool.clear()
+        self._tcp_conns.clear()
 
     def __enter__(self) -> "WireEngine":
         return self.start()
@@ -152,350 +141,261 @@ class WireEngine:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        if self._loop is None:
+    def _running(self) -> selectors.BaseSelector:
+        if self._selector is None:
             raise RuntimeError("wire engine not started")
-        return self._loop
+        return self._selector
 
-    def loop_time(self) -> float:
-        return self.loop.time()
+    def _udp_socket(self, step) -> socket.socket:
+        """A loopback datagram socket on the selector: a readiness event
+        hands up to :data:`BURST` datagrams to *step(data, addr)* and
+        sends back what that returns (if anything).  Bytes that are not a
+        DNS message (``ValueError``) get no reply, but are counted."""
+        selector = self._running()
+        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.setblocking(False)
+        sock.bind(_LOOPBACK)
 
-    def call_threadsafe(self, fn, *args) -> None:
-        self.loop.call_soon_threadsafe(fn, *args)
+        def on_ready(mask: int) -> None:
+            for _ in range(BURST):
+                try:
+                    data, addr = sock.recvfrom(65535)
+                except BlockingIOError:
+                    return
+                except OSError:
+                    self.counters["socket_errors"] += 1
+                    return
+                try:
+                    reply = step(data, addr)
+                    if reply is not None:
+                        sock.sendto(reply, addr)
+                except ValueError:
+                    self.counters["decode_errors"] += 1
+                except OSError:
+                    self.counters["socket_errors"] += 1
 
-    def run_coroutine(self, coro):
-        """Run *coro* on the engine loop; block the caller until done."""
-        return asyncio.run_coroutine_threadsafe(coro, self.loop).result(timeout=30)
+        selector.register(sock, _READ, on_ready)
+        return sock
+
+    # -- the pass ----------------------------------------------------------
+
+    def pump(self, timeout: float = 0.0) -> None:
+        """One pass: wait up to *timeout* real seconds (and no longer
+        than the next deadline) for readiness, service every ready
+        socket once, settle the queries whose wall timeout has passed."""
+        selector = self._running()
+        counters = self.counters
+        if self._sends:
+            counters["batches"] += 1
+            counters["batched_queries"] += self._sends
+            counters["batch_peak"] = max(counters["batch_peak"], self._sends)
+            self._sends = 0
+        deadlines = self._deadlines
+        if deadlines and timeout:
+            timeout = min(timeout, max(deadlines[0][0] - monotonic(), 0.0))
+        for key, mask in selector.select(timeout):
+            key.data(mask)
+        now = monotonic()
+        while deadlines:
+            deadline, pending, key = deadlines[0]
+            entry = pending.get(key)
+            # (Else settled already, and a later query may reuse the key.)
+            if entry is not None and entry.deadline == deadline:
+                if deadline > now:
+                    break
+                del pending[key]
+                counters["wall_timeouts"] += 1
+                self._settle(entry, error=WireTimeout("no response on the wire"))
+            deadlines.popleft()
 
     # -- client side -------------------------------------------------------
 
-    def send_udp(self, addr: Tuple[str, int], wire: bytes) -> Future:
-        """Queue one datagram; the Future resolves to the response wire.
-
-        Thread-safe.  The first two octets of *wire* are the transaction
-        id the response is matched on.
-        """
-        future: Future = Future()
-        self._outbox.append(("udp", addr, wire, future))
-        self._schedule_flush()
-        return future
-
-    def send_tcp(self, addr: Tuple[str, int], wire: bytes) -> Future:
-        """Queue one length-prefixed stream query (persistent connection
-        per endpoint); the Future resolves to the response wire."""
-        future: Future = Future()
-        self._outbox.append(("tcp", addr, wire, future))
-        self._schedule_flush()
-        return future
-
-    def _schedule_flush(self) -> None:
-        with self._flush_lock:
-            if self._flush_pending:
-                return
-            self._flush_pending = True
-        self.loop.call_soon_threadsafe(self._flush)
-
-    def _flush(self) -> None:
-        """Drain the outbox on the loop thread — one callback per burst."""
-        with self._flush_lock:
-            self._flush_pending = False
-        counters = self.counters
-        batch = 0
-        while True:
-            try:
-                kind, addr, wire, future = self._outbox.popleft()
-            except IndexError:
-                break
-            batch += 1
-            if kind == "udp":
-                self._send_udp_now(addr, wire, future)
-            else:
-                self._send_tcp_now(addr, wire, future)
-        if batch:
-            counters["batches"] += 1
-            counters["batched_queries"] += batch
-            if batch > counters["batch_peak"]:
-                counters["batch_peak"] = batch
-
-    def _udp_socket(self, index: int) -> "_ClientProtocol":
-        # Called on the loop thread, which cannot await: bind the socket
-        # synchronously and let the endpoint attach on a later loop
-        # iteration (sends issued meanwhile buffer in the protocol).
-        import socket as _socket
-
-        while len(self._udp_pool) <= index:
-            proto = _ClientProtocol(self)
-            sock = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
-            sock.setblocking(False)
-            sock.bind(("127.0.0.1", 0))
-            proto.attach_task = self.loop.create_task(
-                self.loop.create_datagram_endpoint(lambda p=proto: p, sock=sock)
-            )
-            self._udp_pool.append(proto)
-        return self._udp_pool[index]
-
-    def _send_udp_now(self, addr, wire, future) -> None:
+    def send_udp(self, addr: Tuple[str, int], wire: bytes) -> Pending:
+        """Send one datagram; the handle settles with the response wire
+        (matched on the transaction id, the first two octets of *wire*)."""
+        self._running()
+        if self._sends >= BURST:
+            self.pump(0)
         # Round-robin across the pool, skipping sockets where this
         # (txid, addr) is already outstanding (demux would be ambiguous).
-        txid = wire[:2]
-        key = (txid, addr)
-        proto = None
-        for offset in range(self.pool_size):
-            candidate = self._udp_socket((self._next_socket + offset) % self.pool_size)
-            if key not in candidate.pending:
-                proto = candidate
+        key = (wire[:2], addr)
+        self._udp_pool.rotate(-1)
+        for sock, pending in self._udp_pool:
+            if key not in pending:
                 break
-        self._next_socket = (self._next_socket + 1) % self.pool_size
-        if proto is None:
-            future.set_exception(WireTimeout(f"transaction id collision for {addr}"))
-            return
-        self._track(_Pending(key, future, proto))
-        proto.send(wire, addr)
+        else:
+            return Pending(self, error=WireTimeout(f"transaction id collision for {addr}"))
+        entry = self._track(pending, key)
+        try:
+            sock.sendto(wire, addr)
+        except OSError:
+            self.counters["socket_errors"] += 1
+            del pending[key]
+            self._settle(entry, error=WireTimeout(f"datagram to {addr} not sent"))
+        return entry
 
-    def _send_tcp_now(self, addr, wire, future) -> None:
+    def send_tcp(self, addr: Tuple[str, int], wire: bytes) -> Pending:
+        """Send one length-prefixed stream query (persistent connection
+        per endpoint); the handle settles with the response wire."""
+        self._running()
+        if self._sends >= BURST:
+            self.pump(0)
         conn = self._tcp_conns.get(addr)
-        if conn is None or conn.closed:
-            conn = _TcpConnection(self, addr)
-            self._tcp_conns[addr] = conn
-        conn.send(wire, future)
+        if conn is None or conn[0].closed:
+            conn = self._tcp_conns[addr] = self._connect(addr)
+        stream, pending = conn
+        key = (wire[:2], addr)
+        if key in pending:
+            return Pending(self, error=WireTimeout(f"transaction id collision for {addr}"))
+        entry = self._track(pending, key)
+        stream.write(wire)
+        return entry
 
-    # -- outstanding queries and the timeout wheel -------------------------
+    def _connect(self, addr: Tuple[str, int]) -> Tuple[_Stream, dict]:
+        """A client stream to *addr*; its end fails what is outstanding."""
+        pending: dict = {}
 
-    def _track(self, entry: "_Pending") -> None:
-        """Register *entry* on its socket and arm its wall timeout."""
-        entry.owner.pending[entry.key] = entry
+        def lost() -> None:
+            self.counters["socket_errors"] += 1
+            while pending:
+                _, entry = pending.popitem()
+                self._settle(entry, error=WireTimeout(f"connection to {addr} lost"))
+
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        sock.connect_ex(addr)  # completes (or fails) by the first EVENT_WRITE
+        deliver = functools.partial(self._deliver, pending, addr=addr)
+        return _Stream(self, sock, _READ | _WRITE, deliver, lost), pending
+
+    def _track(self, pending: dict, key) -> Pending:
+        """Register a query on its socket and queue its wall timeout."""
+        self._sends += 1
+        deadline = monotonic() + self.wall_timeout
+        entry = pending[key] = Pending(self, deadline)
+        self._deadlines.append((deadline, pending, key))
         counters = self.counters
         counters["in_flight"] += 1
-        if counters["in_flight"] > counters["in_flight_peak"]:
-            counters["in_flight_peak"] = counters["in_flight"]
-        deadline = self.loop.time() + self.wall_timeout
-        bucket = int(deadline / WHEEL_GRANULARITY) + 1
-        slot = self._wheel.get(bucket)
-        if slot is None:
-            slot = self._wheel[bucket] = []
-            self.loop.call_at(bucket * WHEEL_GRANULARITY, self._expire_bucket, bucket)
-        slot.append(entry)
+        counters["in_flight_peak"] = max(counters["in_flight_peak"], counters["in_flight"])
+        return entry
 
-    def _expire_bucket(self, bucket: int) -> None:
-        for entry in self._wheel.pop(bucket, ()):
-            if not entry.done:
-                self.counters["wall_timeouts"] += 1
-                self._settle(entry, error=WireTimeout("no response on the wire"))
-
-    def _settle(self, entry: "_Pending", data: bytes = b"", error=None) -> None:
-        """Finish one outstanding query: a response, or why there is none."""
-        entry.done = True
-        entry.owner.pending.pop(entry.key, None)
+    def _settle(self, entry: Pending, data: bytes = b"", error=None) -> None:
+        """Finish a query its socket no longer holds."""
+        entry.done, entry.data, entry.error = True, data, error
         self.counters["in_flight"] -= 1
-        # The wheel keeps the entry until its bucket expires, a full
-        # wall_timeout from now; it must not keep the future (and the
-        # response bytes in it) that long.
-        future, entry.future = entry.future, None
-        if future.cancelled():
-            return
-        if error is None:
-            future.set_result(data)
-        else:
-            future.set_exception(error)
+        if entry.tag is not None:
+            self.settled.append(entry)
 
-    def _deliver(self, owner, data: bytes, addr) -> None:
-        """Match *data*, read from *owner*'s socket to *addr*, to the
-        query it answers."""
-        if len(data) < 2:
-            self.counters["decode_errors"] += 1
-            return
-        entry = owner.pending.get((data[:2], addr))
-        if entry is None:
-            self.counters["demux_misses"] += 1
-        else:
+    def _deliver(self, pending: dict, data: bytes, addr) -> None:
+        """Match *data*, read from *addr*, to the query it answers."""
+        entry = pending.pop((data[:2], addr), None)
+        if entry is not None:
             self._settle(entry, data)
+        else:
+            self.counters["decode_errors" if len(data) < 2 else "demux_misses"] += 1
 
     # -- server side -------------------------------------------------------
 
     def serve_udp(self, answer: Answer) -> Tuple[str, int]:
         """Host *answer* on an ephemeral loopback datagram port."""
-
-        async def start():
-            transport, _ = await self.loop.create_datagram_endpoint(
-                lambda: _UdpEndpoint(answer, self.counters), local_addr=("127.0.0.1", 0)
-            )
-            self._server_transports.append(transport)
-            return transport.get_extra_info("sockname")[:2]
-
-        return self.run_coroutine(start())
+        sock = self._udp_socket(lambda data, addr: answer(data, False))
+        return sock.getsockname()[:2]
 
     def serve_tcp(self, answer: Answer) -> Tuple[str, int]:
         """Host *answer* on an ephemeral loopback stream port (RFC 7766
         two-octet length prefix, any number of queries per connection)."""
+        selector = self._running()
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.setblocking(False)
+        listener.bind(_LOOPBACK)
+        listener.listen()
 
-        def accept(reader, writer) -> None:
-            # A task of our own: the one the stream protocol makes for a
-            # coroutine callback logs an error when cancelled (Python
-            # 3.11), and shutdown cancels every handler still reading.
-            task = self.loop.create_task(_serve_stream(answer, self.counters, reader, writer))
-            self._stream_tasks.add(task)
-            task.add_done_callback(self._stream_tasks.discard)
+        def accept(mask: int) -> None:
+            try:
+                conn, _ = listener.accept()
+            except BlockingIOError:
+                return
+            except OSError:
+                self.counters["socket_errors"] += 1
+                return
+            _Stream(self, conn, _READ, lambda data: answer(data, True))
 
-        async def start():
-            server = await asyncio.start_server(accept, "127.0.0.1", 0)
-            self._servers.append(server)
-            return server.sockets[0].getsockname()[:2]
-
-        return self.run_coroutine(start())
-
-
-class _Pending:
-    """One outstanding client query."""
-
-    __slots__ = ("key", "future", "owner", "done")
-
-    def __init__(self, key, future, owner):
-        self.key = key  # (transaction id, remote address)
-        self.future = future
-        self.owner = owner  # the socket it went out on (has .pending)
-        self.done = False
+        selector.register(listener, _READ, accept)
+        return listener.getsockname()[:2]
 
 
-class _ClientProtocol(asyncio.DatagramProtocol):
-    """One pooled client socket: sends queries, demuxes responses."""
+class _Stream:
+    """One non-blocking stream socket speaking RFC 7766 framing both
+    ways: every complete inbound segment goes to *segment(data)* and what
+    that returns (if anything) is written back — :meth:`write` frames and
+    sends, buffering what the kernel does not take until ``EVENT_WRITE``.
+    A segment that is not a DNS message (``ValueError``) is counted and
+    ends the stream; *lost()* hears of the end, however it came."""
 
-    def __init__(self, engine: WireEngine):
+    def __init__(self, engine: WireEngine, sock: socket.socket, events: int, segment, lost=None):
         self.engine = engine
-        self.transport: Optional[asyncio.DatagramTransport] = None
-        self.pending: Dict[tuple, _Pending] = {}
-        self._backlog: list = []
-        self.attach_task = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-        backlog, self._backlog = self._backlog, []
-        for wire, addr in backlog:
-            transport.sendto(wire, addr)
-
-    def send(self, wire: bytes, addr) -> None:
-        if self.transport is None:
-            # Endpoint still attaching (first loop iteration); buffer.
-            self._backlog.append((wire, addr))
-            return
-        self.transport.sendto(wire, addr)
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        self.engine._deliver(self, data, addr)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - rare on loopback
-        self.engine.counters["socket_errors"] += 1
-
-
-class _TcpConnection:
-    """One persistent client stream to a TCP endpoint.
-
-    Writes issued before the connection is up are queued; a reader
-    coroutine parses 2-byte-length-prefixed responses and resolves the
-    matching query by transaction id.
-    """
-
-    def __init__(self, engine: WireEngine, addr: Tuple[str, int]):
-        self.engine = engine
-        self.addr = addr
+        self.sock = sock
+        self.segment = segment
+        self.lost = lost
         self.closed = False
-        self.pending: Dict[tuple, _Pending] = {}
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._queue: list = []
-        self._task = engine.loop.create_task(self._main())
+        self._events = events  # with EVENT_WRITE while a flush is due
+        self._in = bytearray()
+        self._out = bytearray()
+        sock.setblocking(False)
+        engine._running().register(sock, events, self.on_ready)
 
-    def send(self, wire: bytes, future: Future) -> None:
-        key = (wire[:2], self.addr)
-        if key in self.pending:
-            future.set_exception(WireTimeout(f"transaction id collision for {self.addr}"))
-            return
-        self.engine._track(_Pending(key, future, self))
-        if self._writer is not None:
-            self._write(wire)
-        else:
-            self._queue.append(wire)
+    def write(self, wire: bytes) -> None:
+        self._out += len(wire).to_bytes(2, "big") + wire
+        if self._events == _READ:
+            self._flush()
 
-    def _write(self, wire: bytes) -> None:
-        self._writer.write(len(wire).to_bytes(2, "big") + wire)
-
-    async def _main(self) -> None:
+    def _flush(self) -> None:
         try:
-            reader, writer = await asyncio.open_connection(*self.addr)
-        except OSError:
-            self._fail()
+            del self._out[: self.sock.send(self._out)]
+        except BlockingIOError:
+            pass
+        except OSError:  # the connection failed, or was never made
+            self.close()
             return
-        self._writer = writer
-        queued, self._queue = self._queue, []
-        for wire in queued:
-            self._write(wire)
-        try:
-            while True:
-                header = await reader.readexactly(2)
-                data = await reader.readexactly(int.from_bytes(header, "big"))
-                self.engine._deliver(self, data, self.addr)
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            self._fail()
-        finally:
-            self.closed = True
-            with contextlib.suppress(Exception):
-                writer.close()
+        events = _READ | _WRITE if self._out else _READ
+        if events != self._events:
+            self._events = events
+            self.engine._running().modify(self.sock, events, self.on_ready)
 
-    def _fail(self) -> None:
-        self.closed = True
-        self.engine.counters["socket_errors"] += 1
-        for entry in list(self.pending.values()):
-            self.engine._settle(entry, error=WireTimeout(f"connection to {self.addr} failed"))
+    def on_ready(self, mask: int) -> None:
+        if mask & _WRITE:
+            self._flush()
+        if mask & _READ and not self.closed:
+            try:
+                chunk = self.sock.recv(65536)
+            except BlockingIOError:
+                return
+            except OSError:
+                chunk = b""
+            if not chunk:
+                self.close()
+                return
+            buf = self._in
+            buf += chunk
+            start = 0
+            while len(buf) - start >= 2 and not self.closed:
+                stop = start + 2 + int.from_bytes(buf[start : start + 2], "big")
+                if stop > len(buf):
+                    break
+                try:
+                    reply = self.segment(bytes(buf[start + 2 : stop]))
+                except ValueError:
+                    self.engine.counters["decode_errors"] += 1
+                    self.close()
+                    return
+                if reply is not None:  # (a server's answer; silence leaves it open)
+                    self.write(reply)
+                start = stop
+            del buf[:start]
 
     def close(self) -> None:
-        self.closed = True
-        self._task.cancel()
-        if self._writer is not None:
-            with contextlib.suppress(Exception):
-                self._writer.close()
-
-
-class _UdpEndpoint(asyncio.DatagramProtocol):
-    """One answer step on real datagrams.  Bytes that do not parse get
-    no reply (a real server can answer nothing useful) but are counted,
-    never silently dropped."""
-
-    def __init__(self, answer: Answer, counters: Dict[str, int]):
-        self.answer = answer
-        self.counters = counters
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport) -> None:
-        self.transport = transport
-
-    def datagram_received(self, data: bytes, addr) -> None:
-        try:
-            wire = self.answer(data, False)
-        except ValueError:
-            self.counters["decode_errors"] += 1
-            return
-        if wire is not None:
-            self.transport.sendto(wire, addr)
-
-
-async def _serve_stream(answer: Answer, counters: Dict[str, int], reader, writer) -> None:
-    """One answer step on one accepted stream.  A segment that does not
-    parse is counted and closes the connection; a dropped query leaves
-    it open and the client to its timeout."""
-    try:
-        while True:
-            header = await reader.readexactly(2)
-            data = await reader.readexactly(int.from_bytes(header, "big"))
-            try:
-                wire = answer(data, True)
-            except ValueError:
-                counters["decode_errors"] += 1
-                break
-            if wire is not None:
-                writer.write(len(wire).to_bytes(2, "big") + wire)
-                await writer.drain()
-    except (asyncio.IncompleteReadError, ConnectionResetError):
-        pass
-    finally:
-        writer.close()
-        with contextlib.suppress(Exception):
-            await writer.wait_closed()
+        if not self.closed:
+            self.closed = True
+            self.engine._running().unregister(self.sock)
+            self.sock.close()
+            if self.lost is not None:
+                self.lost()

@@ -4,7 +4,8 @@ A :class:`WireFleet` takes the IP → server topology of a
 :class:`~repro.server.network.SimulatedNetwork` and hosts every
 *unique* :class:`~repro.server.nameserver.AuthoritativeServer` on one
 UDP and one TCP loopback endpoint of the shared
-:class:`~repro.wire.engine.WireEngine` loop.  Anycast is preserved by
+:class:`~repro.wire.engine.WireEngine` selector (bound and registered
+on the spot: starting a fleet is a plain loop).  Anycast is preserved by
 construction: the many simulated IPs that share one server object all
 map to the same socket pair, exactly as the provider's single real
 deployment would answer them.  Each endpoint runs the server's
@@ -28,14 +29,12 @@ class WireFleet:
     def __init__(self, network: SimulatedNetwork, engine: Optional[WireEngine] = None):
         self.network = network
         self.engine = engine or WireEngine()
-        self._owns_engine = engine is None
         # sim IP -> ((udp host, udp port), (tcp host, tcp port)).
         self._endpoints: Dict[str, Tuple[Tuple[str, int], Tuple[str, int]]] = {}
         self.servers_hosted = 0
-        self._started = False
 
     def start(self) -> "WireFleet":
-        if self._started:
+        if self._endpoints:  # started already
             return self
         self.engine.start()
         by_server: Dict[int, Tuple[Tuple[str, int], Tuple[str, int]]] = {}
@@ -54,20 +53,9 @@ class WireFleet:
                 )
                 self.servers_hosted += 1
             self._endpoints[ip] = pair
-        self._started = True
         return self
 
     def endpoint(self, ip: str) -> Optional[Tuple[Tuple[str, int], Tuple[str, int]]]:
         """The (udp, tcp) socket addresses serving simulated *ip*, or
         None for an address that had no server when the fleet started."""
         return self._endpoints.get(ip)
-
-    def close(self) -> None:
-        if self._owns_engine:
-            self.engine.close()
-
-    def __enter__(self) -> "WireFleet":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -12,19 +12,18 @@ faults never touch the wire: the shared prologue raises
 the simulated fabric.
 
 As the scan loop's socket back-end (:mod:`repro.sched`), :meth:`submit`
-sends and parks the task; the engine's asyncio thread feeds finished
-futures into one completion queue and :meth:`completions` hands the
-tasks back in arrival order, so other zones keep scanning while a query
-is on the wire.  A socket wait costs no simulated time; only the
-prologue's faults and a real timeout move the clock.
+sends and parks the task, and :meth:`completions` *is* the socket
+service: an engine pass on the scan loop's own thread (no wait while
+other tasks can run, until something lands otherwise) that hands back
+the tasks whose queries settled.  A socket wait costs no simulated time;
+only the prologue's faults and a real timeout move the clock.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import threading
-from typing import Callable, Deque, Dict, Iterator, Optional, Tuple
+from time import monotonic
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.dns.message import Message
 from repro.sched import Exchange, run_steps
@@ -32,8 +31,8 @@ from repro.server.network import SimulatedNetwork
 from repro.wire.engine import WireEngine, WireTimeout
 from repro.wire.fleet import WireFleet
 
-#: How long a wait for the wire may last before the engine is declared
-#: wedged (real seconds; generous — loopback answers in micros).
+#: Real seconds a wait for the wire may last before the engine is declared
+#: wedged (a lost datagram settles at the engine's shorter wall timeout).
 IO_WAIT_TIMEOUT = 30.0
 
 
@@ -48,11 +47,6 @@ class WireNetwork:
         self.sim = sim
         self.fleet = WireFleet(sim, engine=engine)
         self.engine = self.fleet.engine
-        # The completion queue is the only structure touched by two
-        # threads (the asyncio thread appends, the scan loop drains); a
-        # deque plus an event keeps that boundary lock-free.
-        self._completions: Deque[Tuple[object, Callable[[], Message]]] = collections.deque()
-        self._io_event = threading.Event()
         # Surfaced as wire.* telemetry: exchanges that parked a task, and
         # times the loop had nothing to run but the wire to wait for.
         self.io_blocks = 0
@@ -63,14 +57,12 @@ class WireNetwork:
         # topology — is the wrapped network's.
         return getattr(self.sim, name)
 
-    # -- lifecycle ---------------------------------------------------------
-
     def start(self) -> "WireNetwork":
         self.fleet.start()
         return self
 
     def close(self) -> None:
-        self.fleet.close()
+        self.engine.close()
 
     def __enter__(self) -> "WireNetwork":
         return self.start()
@@ -94,8 +86,8 @@ class WireNetwork:
         return run_steps(self.clock, self, _lone(Exchange(ip, query, wire, tcp, timeout)))
 
     def _send(self, x: Exchange, asker: Optional[int]):
-        """Client prologue, then the bytes onto the wire: a future of the
-        response wire — or the wire itself when chaos answered."""
+        """Client prologue, then the bytes onto the wire: the engine's
+        pending handle — or the response wire itself when chaos answered."""
         sim = self.sim
         wire, _, response_wire = sim.outbound(x.ip, x.question, x.timeout, x.tcp, x.wire, asker)
         if response_wire is not None:
@@ -107,10 +99,10 @@ class WireNetwork:
         return self.engine.send_tcp(stream, wire) if x.tcp else self.engine.send_udp(udp, wire)
 
     def _land(self, x: Exchange, sent) -> Message:
-        """Client epilogue on what :meth:`_send` returned (a future is done)."""
+        """Client epilogue on what :meth:`_send` returned (a handle is settled)."""
         if not isinstance(sent, bytes):
             try:
-                sent = sent.result(timeout=0)
+                sent = sent.result()
             except WireTimeout as exc:
                 raise self.sim.timed_out(x.timeout, f"no response from {x.ip} on the wire") from exc
         return self.sim.inbound(sent)
@@ -119,39 +111,37 @@ class WireNetwork:
 
     def submit(self, exchange: Exchange, task) -> Optional[Message]:
         """Send *exchange* for *task*.  Returns the response when it is
-        already there (chaos answered, the future is done), else ``None``:
-        the task is parked until :meth:`completions` hands it back."""
+        already there (chaos answered, the send settled at once), else
+        ``None``: the task is parked until :meth:`completions` has it."""
         sent = self._send(exchange, task.index)
-        if isinstance(sent, bytes) or sent.done():
+        if isinstance(sent, bytes) or sent.done:
             return self._land(exchange, sent)
         self.io_blocks += 1
-        # (The callback must not hold the future it hangs on: a cycle
-        # would keep every response wire alive until the next full GC.)
-        sent.add_done_callback(functools.partial(self._completed, task, exchange))
+        sent.tag = (task, exchange)
         return None
 
-    def _completed(self, task, exchange: Exchange, future) -> None:
-        # On the asyncio thread.
-        self._completions.append((task, functools.partial(self._land, exchange, future)))
-        self._io_event.set()
-
     def completions(self, block: bool) -> Iterator[Tuple[object, Callable[[], Message]]]:
-        """``(task, land)`` for every parked exchange that has finished,
-        in arrival order; with *block*, first wait for at least one."""
-        if block and not self._completions:
+        """Run one engine pass, then ``(task, land)`` for every parked
+        exchange that has settled, in settling order; with *block*, keep
+        passing until at least one has."""
+        engine = self.engine
+        settled = engine.settled
+        if block and not settled:
             self.io_waits += 1
-            if not self._io_event.wait(timeout=IO_WAIT_TIMEOUT):
-                raise RuntimeError(
-                    f"wire engine stalled: no completion in {IO_WAIT_TIMEOUT:.0f}s "
-                    "with task(s) blocked on I/O"
-                )
-        # Clear before draining: a completion racing in after the drain
-        # re-sets the event, so a later wait never sleeps over a full queue.
-        self._io_event.clear()
-        while self._completions:
-            yield self._completions.popleft()
-
-    # -- telemetry ---------------------------------------------------------
+            give_up = monotonic() + IO_WAIT_TIMEOUT
+            while not settled:
+                left = give_up - monotonic()
+                if left <= 0:
+                    raise RuntimeError(
+                        f"wire engine stalled: no completion in {IO_WAIT_TIMEOUT:.0f}s"
+                    )
+                engine.pump(left)
+        else:
+            engine.pump(0)
+        while settled:
+            sent = settled.popleft()
+            task, exchange = sent.tag
+            yield task, functools.partial(self._land, exchange, sent)
 
     def wire_counters(self) -> Dict[str, float]:
         """The ``wire.*`` counter snapshot (absolute totals)."""
@@ -164,9 +154,3 @@ class WireNetwork:
             "wire.io_blocks": self.io_blocks,
             "wire.io_waits": self.io_waits,
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"<WireNetwork servers={self.fleet.servers_hosted} "
-            f"queries={self.queries_sent} timeouts={self.timeouts}>"
-        )

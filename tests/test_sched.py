@@ -547,7 +547,7 @@ class TestOneDriver:
     )
     def test_a_scan_starts_no_task_threads(self, layout, monkeypatch):
         # Sample the thread count while zones are in flight (from the
-        # scanner's sink): nothing but the wire engine's one thread.
+        # scanner's sink): no thread but the caller's, sockets included.
         import repro.campaign as campaign_module
 
         seen = set()
@@ -566,7 +566,7 @@ class TestOneDriver:
         monkeypatch.setattr(campaign_module, "scan_into", scan_into)
         before = threading.active_count()
         run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=False, **layout))
-        assert seen == {before + (layout.get("transport") == "wire")}
+        assert seen == {before}
         assert threading.active_count() == before
 
     def test_abandoning_a_scan_closes_every_live_zone(self, monkeypatch):

@@ -11,13 +11,14 @@ from repro.server import AuthoritativeServer, SimulatedNetwork
 from repro.wire import WireEngine
 
 
-def make_fat_zone():
-    """A zone whose TXT answer exceeds the 1232-byte EDNS payload."""
+def make_fat_zone(strings: int = 10):
+    """A zone whose TXT answer (*strings* × 204 octets of rdata) exceeds
+    the 1232-byte EDNS payload."""
     zone = Zone("fat.test")
     zone.add("fat.test", 300, SOA("ns1.fat.test", "h.fat.test", 1))
     zone.add("fat.test", 300, NS("ns1.fat.test"))
     big = RRset("big.fat.test", RRType.TXT, 300)
-    for i in range(10):
+    for i in range(strings):
         big.add(TXT([f"{i:03d}" + "x" * 200]))
     zone.add_rrset(big)
     server = AuthoritativeServer("fat")

@@ -3,7 +3,6 @@ AuthoritativeServer's answer step hosted on the wire engine — the
 socket stack campaigns run on."""
 
 import gc
-from concurrent.futures import Future
 
 import pytest
 
@@ -13,6 +12,7 @@ from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
 from repro.server import AuthoritativeServer, DropQueriesBehavior
 from repro.wire import WireEngine, WireTimeout
+from repro.wire.engine import Pending
 
 
 @pytest.fixture(scope="module")
@@ -65,30 +65,35 @@ class TestUdpTransport:
                 ask(engine, endpoint, make_query("x.test", RRType.A, msg_id=1))
             assert engine.counters["wall_timeouts"] == 1
 
-    def test_settled_futures_are_released_at_once(self, udp_endpoint):
-        # The timeout wheel holds an entry until its bucket expires, a
-        # full wall_timeout after the send; it must not hold the future
-        # (its lock, its condition, the response bytes) that long.
-        with WireEngine() as engine:
-            tcp_endpoint = engine.serve_tcp(lambda wire, tcp: wire)
-            futures = [
-                engine.send_udp(udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=i).to_wire())
-                for i in range(1, 33)
-            ]
-            futures += [engine.send_tcp(tcp_endpoint, bytes([0, i, 1, 2])) for i in range(1, 9)]
-            for future in futures:
-                future.result(2.0)
-            wheel = [entry for slot in engine._wheel.values() for entry in slot]
-            assert len(wheel) == 40  # all still on the wheel (10 s timeout)
-            assert all(entry.done and entry.future is None for entry in wheel)
-            del future, futures
-            gc.collect()
-            assert not [o for o in gc.get_objects() if isinstance(o, Future)]
+    def test_settled_futures_are_released_at_once(self, engine, udp_endpoint):
+        # The future is the engine's pending handle.  The deadline queue
+        # drops an entry once its query has settled, not a wall_timeout
+        # after the send, and never holds the handle: when the callers
+        # let go, nothing settled (the handle, the response bytes) stays
+        # reachable.
+        tcp_endpoint = engine.serve_tcp(lambda wire, tcp: wire)
+        engine.pump(0)
+        assert not engine._deadlines
+        sent = [
+            engine.send_udp(udp_endpoint, make_query("www.udp.test", RRType.A, msg_id=i).to_wire())
+            for i in range(1, 33)
+        ]
+        sent += [engine.send_tcp(tcp_endpoint, bytes([0, i, 1, 2])) for i in range(1, 9)]
+        assert len(engine._deadlines) == 40
+        for pending in sent:
+            pending.result(2.0)
+        engine.pump(0)
+        assert not engine._deadlines and not engine.settled
+        assert engine.counters["in_flight"] == 0
+        del pending, sent
+        gc.collect()
+        assert not [o for o in gc.get_objects() if isinstance(o, Pending)]
 
     def test_a_wall_timeout_still_reaches_the_future(self):
         with WireEngine(wall_timeout=0.2) as engine:
             endpoint = engine.serve_udp(lambda wire, tcp: None)
-            future = engine.send_udp(endpoint, b"\x00\x01rest")
+            pending = engine.send_udp(endpoint, b"\x00\x01rest")
             with pytest.raises(WireTimeout):
-                future.result(2.0)
-            assert not engine._wheel
+                pending.result(2.0)
+            assert not engine._deadlines
+            assert engine.counters["wall_timeouts"] == 1
