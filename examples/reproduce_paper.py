@@ -1,31 +1,18 @@
 #!/usr/bin/env python3
-"""Reproduce the paper's full evaluation: Tables 1-3, Figure 1, and the
-shape checks, at a configurable scale.
+"""Reproduce the paper's evaluation: Tables 1-3, Figure 1, the per-TLD
+and security tables, and the shape checks, at a configurable scale.
 
 Run:  python examples/reproduce_paper.py [scale]
 
 *scale* defaults to 1e-5 (2 876 zones, ~30 s).  Use 1e-4 for the
-full-fidelity run the benchmark harness performs (28 760 zones).
+full-fidelity setting (28 760 zones); `repro-dnssec experiments` then
+also regenerates the methodology checks and ablations of EXPERIMENTS.md.
 """
 
 import sys
 
 from repro.campaign import CampaignConfig, run_campaign
-from repro.reports import (
-    check_shapes,
-    compute_figure1,
-    compute_table1,
-    compute_table2,
-    compute_table3,
-    render_figure1,
-    render_table1,
-    render_table2,
-    render_table3,
-)
-from repro.reports.figure1 import expected_figure1
-from repro.reports.table1 import expected_table1
-from repro.reports.table2 import expected_table2
-from repro.reports.table3 import expected_table3
+from repro.reports import check_shapes, compute_table3, render_artifacts
 
 
 def main() -> int:
@@ -33,19 +20,11 @@ def main() -> int:
     print(f"running a measurement campaign at scale {scale:g} "
           f"(~{287_600_000 * scale:,.0f} zones) ...\n")
     campaign = run_campaign(CampaignConfig(scale=scale, seed=1, recheck=True))
-    report, targets = campaign.report, campaign.world.targets
-
-    print(render_table1(compute_table1(report), expected_table1(targets)))
-    print()
-    print(render_table2(compute_table2(report), expected_table2(targets)))
-    print()
-    table3 = compute_table3(report)
-    print(render_table3(table3, expected_table3(targets)))
-    print()
-    print(render_figure1(compute_figure1(report), expected_figure1(targets)))
+    report = campaign.report
+    print("\n\n".join(render_artifacts(report, campaign.world.targets).values()))
 
     print("\nShape checks against the paper's narrative:")
-    checks = check_shapes(report, table3)
+    checks = check_shapes(report, compute_table3(report))
     for check in checks:
         print(f"  {check}")
     passed = sum(check.passed for check in checks)

@@ -34,7 +34,7 @@ deterministic counters/spans/progress events (:mod:`repro.obs`).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Container, Dict, List, Optional, Union
 
@@ -284,17 +284,19 @@ class CampaignResult:
     # to reach this epoch (empty at the baseline).  The monitor records
     # it from here, so an epoch costs one world build, not two.
     events: Optional[List["Event"]] = None
+    # The campaign's own cost, frozen when it returns (the world stays
+    # live: later re-scans and provisioning advance ``world.network``).
+    queries_sent: int = field(init=False)  # worker machines' scans included
+    bytes_moved: int = field(init=False)  # sent + received, this process's fabric only
+    # Simulated seconds the scan consumed, rate limits included — the
+    # paper's month-long scan; the slowest machine's for a parallel campaign.
+    simulated_duration: float = field(init=False)
 
-    @property
-    def simulated_duration(self) -> float:
-        """Seconds of simulated wall-clock the scan consumed (rate
-        limits included) — the analogue of the paper's month-long scan.
-
-        For a parallel campaign this is the slowest machine's clock (the
-        fleet model of App. D); otherwise the shared world clock."""
-        if self.machines:
-            return max(machine.duration for machine in self.machines)
-        return self.world.network.clock.now()
+    def __post_init__(self):
+        network, machines = self.world.network, self.machines or ()
+        self.queries_sent = network.queries_sent + sum(m.queries for m in machines)
+        self.bytes_moved = network.bytes_sent + network.bytes_received
+        self.simulated_duration = max([m.duration for m in machines] or [network.clock.now()])
 
 
 # -- the executor's three steps: prepare, scan into a sink, re-check ---------
@@ -446,19 +448,17 @@ def recheck_pass(
             for assessment in report.assessments
             if assessment.signal_outcome in INCORRECT_OUTCOMES
         ]
-        updates: Dict[str, SignalOutcome] = {}
+        rescans = {}  # zone -> the re-scan's assessment
         for zone in suspicious:
-            rescan = scanner.scan_zone(zone)
-            outcome = assess_zone(rescan).signal_outcome
-            if outcome in INCORRECT_OUTCOMES and zone in double_check:
-                rescan = scanner.scan_zone(zone)
-                outcome = assess_zone(rescan).signal_outcome
-            updates[zone] = outcome
-        apply_recheck(report, updates)
+            rescan = assess_zone(scanner.scan_zone(zone))
+            if rescan.signal_outcome in INCORRECT_OUTCOMES and zone in double_check:
+                rescan = assess_zone(scanner.scan_zone(zone))
+            rescans[zone] = rescan
+        apply_recheck(report, rescans)
         resolved = {
-            zone: outcome
-            for zone, outcome in updates.items()
-            if outcome not in INCORRECT_OUTCOMES
+            zone: rescan.signal_outcome
+            for zone, rescan in rescans.items()
+            if rescan.signal_outcome not in INCORRECT_OUTCOMES
         }
         span["suspicious"] = len(suspicious)
         span["resolved"] = len(resolved)

@@ -9,6 +9,7 @@ Canonical command families::
     repro-dnssec monitor init --store ./monitor --scale 1e-5
     repro-dnssec monitor advance --store ./monitor --epochs 3
     repro-dnssec monitor diff --store ./monitor
+    repro-dnssec experiments --scale 1e-4 --out docs/experiments
 
 Every subcommand spells its store flag ``--store`` (``--dir`` is
 accepted as a synonym) and shares the ``--workers`` / ``--in-flight`` /
@@ -22,13 +23,7 @@ import sys
 from typing import List, Optional
 
 from repro.ecosystem.world import build_world
-from repro.reports.compare import check_shapes
-from repro.reports.figure1 import compute_figure1, expected_figure1, render_figure1
-from repro.reports.table1 import compute_table1, expected_table1, render_table1
-from repro.reports.table2 import compute_table2, expected_table2, render_table2
-from repro.reports.table3 import compute_table3, expected_table3, render_table3
-
-ARTIFACTS = ("table1", "table2", "table3", "figure1", "tld", "security")
+from repro.reports import ARTIFACTS, check_shapes, compute_table3, render_artifacts
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -155,43 +150,20 @@ def _add_transport(parser: argparse.ArgumentParser) -> None:
 
 
 def _print_artifacts(campaign, artifact: str) -> None:
-    report, targets = campaign.report, campaign.world.targets
+    rendered = render_artifacts(campaign.report, campaign.world.targets)
     wanted = ARTIFACTS if artifact == "all" else (artifact,)
-    sections: List[str] = []
-    if "table1" in wanted:
-        sections.append(render_table1(compute_table1(report), expected_table1(targets)))
-    if "table2" in wanted:
-        sections.append(render_table2(compute_table2(report), expected_table2(targets)))
-    if "table3" in wanted:
-        sections.append(render_table3(compute_table3(report), expected_table3(targets)))
-    if "figure1" in wanted:
-        sections.append(render_figure1(compute_figure1(report), expected_figure1(targets)))
-    if "tld" in wanted:
-        from repro.reports.tld import compute_tld_report, render_tld_report
-
-        sections.append(render_tld_report(compute_tld_report(report)))
-    if "security" in wanted:
-        from repro.reports.table_security import compute_security, render_security
-
-        sections.append(render_security(compute_security(report)))
-    print("\n\n".join(sections))
-    queries = campaign.world.network.queries_sent
-    if campaign.machines:
-        # Worker scan queries live on the worker networks; the parent
-        # world only saw the re-check traffic.
-        queries += sum(machine.queries for machine in campaign.machines)
+    print("\n\n".join(rendered[name] for name in wanted))
     print(
-        f"\nScanned {report.total_scanned} zones "
-        f"({queries} queries, "
+        f"\nScanned {campaign.report.total_scanned} zones "
+        f"({campaign.queries_sent} queries, "
         f"{campaign.simulated_duration:.0f}s simulated scan time, "
         f"{len(campaign.rechecked)} transient failures resolved on re-check)"
     )
-    if campaign.machines:
-        for machine in campaign.machines:
-            print(
-                f"  machine {machine.index}: {machine.zones} zones, "
-                f"{machine.queries} queries, {machine.duration:.0f}s"
-            )
+    for machine in campaign.machines or ():
+        print(
+            f"  machine {machine.index}: {machine.zones} zones, "
+            f"{machine.queries} queries, {machine.duration:.0f}s"
+        )
 
 
 def _heartbeat_printer(stats: dict) -> None:
@@ -528,18 +500,11 @@ def cmd_agent_actions(args: argparse.Namespace) -> int:
 # -- one-shot inspection commands -------------------------------------------
 
 
-def cmd_checks(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignConfig, run_campaign
+def cmd_experiments(args: argparse.Namespace) -> int:
+    """Regenerate the paper's artefacts and run their shape checks."""
+    from repro import experiments
 
-    campaign = run_campaign(CampaignConfig(scale=args.scale, seed=args.seed))
-    checks = check_shapes(
-        campaign.report, compute_table3(campaign.report), campaign.world.targets
-    )
-    for check in checks:
-        print(check)
-    failed = [c for c in checks if not c.passed]
-    print(f"\n{len(checks) - len(failed)}/{len(checks)} shape checks passed")
-    return 1 if failed else 0
+    return experiments.main(args.scale, args.only, args.out)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -873,18 +838,6 @@ def cmd_list_zones(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_trend(args: argparse.Namespace) -> int:
-    from repro.ecosystem.evolution import measure_trend
-
-    print(f"{'year':<6} {'secured %':>9} {'invalid %':>9} {'islands %':>9} {'signal':>7}")
-    for point in measure_trend(scale=args.scale, seed=args.seed):
-        print(
-            f"{point.year:<6} {point.secured_pct:>9.2f} {point.invalid_pct:>9.2f} "
-            f"{point.islands_pct:>9.2f} {point.with_signal:>7}"
-        )
-    return 0
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -1096,9 +1049,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     agent_actions.set_defaults(func=cmd_agent_actions)
 
-    checks = sub.add_parser("checks", help="run the shape checks against the paper")
-    _add_common(checks)
-    checks.set_defaults(func=cmd_checks)
+    experiments = sub.add_parser(
+        "experiments", help="regenerate every paper artefact and run its shape checks"
+    )
+    experiments.add_argument(
+        "--scale", type=float, default=1e-4, help="population scale (default 1e-4, calibrated)"
+    )
+    experiments.add_argument("--only", metavar="IDS", help="comma-separated ids (default: all)")
+    experiments.add_argument("--out", default="experiments", metavar="DIR")
+    experiments.set_defaults(func=cmd_experiments)
 
     audit = sub.add_parser("audit", help="audit one zone's AB readiness")
     _add_common(audit)
@@ -1209,11 +1168,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="rfc9615",
     )
     bootstrap.set_defaults(func=cmd_bootstrap)
-
-    trend = sub.add_parser("trend", help="regenerate the 2017-2025 deployment trajectory")
-    trend.add_argument("--scale", type=float, default=2e-6)
-    trend.add_argument("--seed", type=int, default=1)
-    trend.set_defaults(func=cmd_trend)
     return parser
 
 

@@ -5,7 +5,7 @@ Each policy answers one question: *given what we can observe about a
 child zone, may the parent install its CDS as DS?*  The paper's
 Appendix C lists the pre-RFC 9615 proposals and their operational
 problems; implementing them side by side makes the trade-offs
-measurable (see ``benchmarks/bench_policies.py``).
+measurable (experiment ``A1-policies`` of :mod:`repro.experiments`).
 
 The acceptance conditions themselves are one table, :data:`LADDER`, read
 by one pure function, :func:`first_failure`.  Every policy first requires

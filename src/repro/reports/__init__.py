@@ -2,16 +2,40 @@
 from an :class:`~repro.core.pipeline.AnalysisReport`, side by side with
 the scaled paper expectations, plus shape checks."""
 
+from typing import Dict
+
 from repro.reports.render import format_count, format_pct, render_table
-from repro.reports.table1 import compute_table1, render_table1
-from repro.reports.table2 import compute_table2, render_table2
-from repro.reports.table3 import compute_table3, render_table3
-from repro.reports.figure1 import compute_figure1, render_figure1
+from repro.reports.table1 import compute_table1, expected_table1, render_table1
+from repro.reports.table2 import compute_table2, expected_table2, render_table2
+from repro.reports.table3 import compute_table3, expected_table3, render_table3
+from repro.reports.figure1 import compute_figure1, expected_figure1, render_figure1
 from repro.reports.table_security import compute_security, render_security
 from repro.reports.tld import compute_tld_report, render_tld_report
 from repro.reports.compare import ShapeCheck, check_shapes
 
+ARTIFACTS = ("table1", "table2", "table3", "figure1", "tld", "security")
+
+
+def render_artifacts(report, targets=None) -> Dict[str, str]:
+    """Every artefact of *report* as the exact text a user sees, keyed
+    and ordered by :data:`ARTIFACTS`.  With *targets* (a world's scaled
+    paper targets) the four paper artefacts carry their expected twin."""
+
+    def expected(compute):
+        return compute(targets) if targets is not None else None
+
+    return {
+        "table1": render_table1(compute_table1(report), expected(expected_table1)),
+        "table2": render_table2(compute_table2(report), expected(expected_table2)),
+        "table3": render_table3(compute_table3(report), expected(expected_table3)),
+        "figure1": render_figure1(compute_figure1(report), expected(expected_figure1)),
+        "tld": render_tld_report(compute_tld_report(report)),
+        "security": render_security(compute_security(report)),
+    }
+
+
 __all__ = [
+    "ARTIFACTS",
     "ShapeCheck",
     "check_shapes",
     "compute_dashboard",
@@ -24,6 +48,7 @@ __all__ = [
     "render_tld_report",
     "format_count",
     "format_pct",
+    "render_artifacts",
     "render_figure1",
     "render_security",
     "render_table",

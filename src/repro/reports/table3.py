@@ -5,7 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.core.bootstrap import CANNOT_OUTCOMES, INCORRECT_OUTCOMES, SignalOutcome
+from repro.core.bootstrap import (
+    CANNOT_OUTCOMES,
+    INCORRECT_OUTCOMES,
+    BootstrapAssessment,
+    SignalOutcome,
+)
 from repro.core.pipeline import AnalysisReport, SignalFunnel
 from repro.ecosystem.spec import SignalScenario
 from repro.ecosystem.world import expected_classification
@@ -61,19 +66,21 @@ def expected_table3(targets, after_recheck: bool = True) -> Table3Data:
 
 
 def apply_recheck(
-    report: AnalysisReport, rescan_outcomes: Dict[str, SignalOutcome]
+    report: AnalysisReport, rescans: Dict[str, BootstrapAssessment]
 ) -> None:
-    """Fold re-scan outcomes into the report (the paper re-checked zones
-    whose signal errors looked transient; see §4.4)."""
+    """Fold re-scan assessments into the report (the paper re-checked
+    zones whose signal errors looked transient; see §4.4).  The signal
+    report travels with the outcome derived from it, so the acceptance
+    ladder and Table 3 read the same evidence."""
     for assessment in report.assessments:
-        new_outcome = rescan_outcomes.get(assessment.zone)
-        if new_outcome is None or new_outcome == assessment.signal_outcome:
+        rescan = rescans.get(assessment.zone)
+        if rescan is None or rescan.signal_outcome == assessment.signal_outcome:
             continue
         operator = report.signal_operators.get(
             assessment.zone, report.attributions[assessment.zone].primary
         )
-        old = assessment.signal_outcome
-        assessment.signal_outcome = new_outcome
+        old, new_outcome = assessment.signal_outcome, rescan.signal_outcome
+        assessment.signal, assessment.signal_outcome = rescan.signal, new_outcome
         report.outcome_counts[old] -= 1
         report.outcome_counts[new_outcome] += 1
         by_op = report.outcome_by_operator.setdefault(operator, type(report.outcome_counts)())

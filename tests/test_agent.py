@@ -58,11 +58,11 @@ from repro.dnssec.ds import cds_from_dnskey, cds_to_ds, ds_matches_dnskey
 from repro.dnssec.keys import KeyPair
 from repro.monitor import Monitor, MonitorSpec
 from repro.monitor.timeline import world_at_epoch
+from repro.reports import render_artifacts
 from repro.scanner.results import QueryStatus, RRQueryResult
 from repro.store.reader import StoreReader
 
 from tests.test_monitor import SCALE, SEED, SPEC, WEEKS, dotted, merged_artifacts, monitor_config
-from tests.test_parallel import rendered_artifacts
 
 
 def ledger_bytes(monitor: Monitor) -> bytes:
@@ -156,7 +156,7 @@ class TestAgentChain:
             CampaignConfig(recheck=False, store_dir=tmp_path / "operator-world"),
             world=world,
         )
-        assert merged_artifacts(monitor) == rendered_artifacts(campaign)
+        assert merged_artifacts(monitor) == render_artifacts(campaign.report)
 
     def test_rerun_on_a_decided_epoch_is_idempotent(self, agent_chain):
         monitor, _ = agent_chain

@@ -31,6 +31,7 @@ from repro.dns.message import make_query
 from repro.dns.name import Name
 from repro.dns.types import Rcode, RRType
 from repro.obs.stats import collect_stats, render_stats
+from repro.reports import render_artifacts
 from repro.scanner import Scanner
 from repro.scanner.results import QueryStatus
 from repro.scanner.yodns import ScannerConfig
@@ -39,7 +40,6 @@ from repro.server.network import SimulatedClock
 from repro.store.manifest import load_manifest
 
 from tests.helpers import OP_IP_1, build_mini_world
-from tests.test_parallel import rendered_artifacts
 
 SCALE = 1e-6
 SEED = 41
@@ -50,7 +50,7 @@ CHAOS = ChaosConfig.default(seed=7)
 @pytest.fixture(scope="module")
 def baseline_artifacts():
     """The fault-free campaign's artifacts — the convergence target."""
-    return rendered_artifacts(run_campaign(CampaignConfig(scale=SCALE, seed=SEED)))
+    return render_artifacts(run_campaign(CampaignConfig(scale=SCALE, seed=SEED)).report)
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +87,7 @@ class TestDifferential:
         self, chaotic_sequential, baseline_artifacts
     ):
         campaign, _ = chaotic_sequential
-        assert rendered_artifacts(campaign) == baseline_artifacts
+        assert render_artifacts(campaign.report) == baseline_artifacts
 
     def test_faults_were_actually_injected(self, chaotic_sequential):
         # The differential claim is vacuous unless the plane really hit
@@ -103,7 +103,7 @@ class TestDifferential:
         self, chaotic_parallel, baseline_artifacts
     ):
         campaign, _ = chaotic_parallel
-        assert rendered_artifacts(campaign) == baseline_artifacts
+        assert render_artifacts(campaign.report) == baseline_artifacts
 
     def test_residual_failures_match_across_layouts(
         self, chaotic_sequential, chaotic_parallel
@@ -147,7 +147,7 @@ class TestManifestRoundTrip:
         # Resume with no flags: the recorded fault model applies to the
         # remainder, and the finished report still equals fault-free.
         resumed = resume_campaign(root)
-        assert rendered_artifacts(resumed) == baseline_artifacts
+        assert render_artifacts(resumed.report) == baseline_artifacts
 
     def test_config_dict_round_trips_losslessly(self):
         chaos = ChaosConfig(loss=0.2, brownout_period=60.0, brownout_duration=5.0,

@@ -158,9 +158,9 @@ DOCUMENTED_EXCEPTIONS = {
 class TestCrossTaxonomy:
     @pytest.fixture(scope="class")
     def report(self):
-        # recheck=False: a re-check rewrites signal_outcome without
-        # re-deriving the signal report the ladder reads.
-        config = CampaignConfig(scale=5e-7, seed=3, recheck=False, scenarios=ScenarioSpec())
+        # Re-checked: the re-scan's signal report replaces the first
+        # scan's together with the outcome derived from it.
+        config = CampaignConfig(scale=5e-7, seed=3, recheck=True, scenarios=ScenarioSpec())
         return run_campaign(config).report
 
     def test_three_vocabularies_accept_the_same_zones(self, report):

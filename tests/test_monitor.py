@@ -28,10 +28,10 @@ from repro.monitor.timeline import scan_world, world_at_epoch
 from repro.parallel import ParallelCampaignError, run_parallel_campaign
 from repro.query import QueryService, build_index
 from repro.query.service import QueryError
+from repro.reports import render_artifacts
 from repro.store.manifest import load_manifest
 from repro.store.reader import StoreReader
 
-from tests.test_parallel import rendered_artifacts
 
 SCALE = 1e-6
 SEED = 41
@@ -52,11 +52,7 @@ def monitor_config(root, **overrides) -> MonitorConfig:
 
 
 def merged_artifacts(monitor: Monitor, epoch=None) -> dict:
-    class _Shim:
-        def __init__(self, report):
-            self.report = report
-
-    return rendered_artifacts(_Shim(monitor.analyze(epoch=epoch)))
+    return render_artifacts(monitor.analyze(epoch=epoch))
 
 
 def full_scan_artifacts(epoch: int, tmp_path) -> dict:
@@ -66,7 +62,7 @@ def full_scan_artifacts(epoch: int, tmp_path) -> dict:
         CampaignConfig(recheck=False, store_dir=tmp_path / f"full-e{epoch}"),
         world=world,
     )
-    return rendered_artifacts(campaign)
+    return render_artifacts(campaign.report)
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +112,8 @@ class TestDeltaChain:
         assert not baseline.events
         for delta in deltas:
             assert delta.events, f"epoch {delta.epoch} applied no events"
-            assert delta.zones_scanned < baseline.zones_scanned
+            # The re-scan budget the event rates are calibrated against.
+            assert delta.zones_scanned < 0.30 * baseline.zones_scanned
 
     def test_delta_stores_hold_exactly_the_changed_zones(self, chain):
         monitor, results = chain

@@ -22,9 +22,9 @@ from repro.obs import (
     stream_path,
 )
 from repro.obs.stats import collect_stats, render_stats
+from repro.reports import render_artifacts
 from repro.store.manifest import load_manifest
 
-from tests.test_parallel import rendered_artifacts
 
 SCALE = 1e-6
 SEED = 41
@@ -123,7 +123,7 @@ class TestDeterminism:
         assert first == second
 
     def test_telemetry_does_not_change_the_report(self, telemetered, plain):
-        assert rendered_artifacts(telemetered) == rendered_artifacts(plain)
+        assert render_artifacts(telemetered.report) == render_artifacts(plain.report)
         assert telemetered.rechecked == plain.rechecked
 
     def test_merged_read_order_is_origin_then_seq(self, telemetered):
@@ -202,7 +202,7 @@ class TestCampaignConfig:
 
     def test_config_form_is_deterministic(self, plain):
         config_form = run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=True))
-        assert rendered_artifacts(config_form) == rendered_artifacts(plain)
+        assert render_artifacts(config_form.report) == render_artifacts(plain.report)
 
     def test_takes_a_config_and_nothing_else(self):
         with pytest.raises(TypeError, match="positional"):

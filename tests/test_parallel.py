@@ -16,26 +16,12 @@ from repro.parallel import (
     partition_zones,
     run_parallel_campaign,
 )
-from repro.reports.figure1 import compute_figure1, render_figure1
-from repro.reports.table1 import compute_table1, render_table1
-from repro.reports.table2 import compute_table2, render_table2
-from repro.reports.table3 import compute_table3, render_table3
+from repro.reports import render_artifacts
 from repro.store import StoreReader
 from repro.store.shards import shard_for_zone
 
 SCALE = 1e-6
 SEED = 41
-
-
-def rendered_artifacts(campaign) -> dict:
-    """The four user-facing artifacts, as the exact strings a user sees."""
-    report = campaign.report
-    return {
-        "table1": render_table1(compute_table1(report)),
-        "table2": render_table2(compute_table2(report)),
-        "table3": render_table3(compute_table3(report)),
-        "figure1": render_figure1(compute_figure1(report)),
-    }
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +31,7 @@ def sequential():
 
 @pytest.fixture(scope="module")
 def sequential_artifacts(sequential):
-    return rendered_artifacts(sequential)
+    return render_artifacts(sequential.report)
 
 
 class TestPartition:
@@ -95,7 +81,7 @@ class TestByteIdentity:
         )
 
     def test_reports_byte_identical(self, parallel, sequential_artifacts):
-        assert rendered_artifacts(parallel) == sequential_artifacts
+        assert render_artifacts(parallel.report) == sequential_artifacts
 
     def test_recheck_matches_sequential(self, parallel, sequential):
         assert parallel.rechecked == sequential.rechecked
@@ -120,7 +106,7 @@ class TestByteIdentity:
         campaign = run_campaign(
             CampaignConfig(scale=SCALE, seed=SEED, store_dir=tmp_path / "seq-store")
         )
-        assert rendered_artifacts(campaign) == sequential_artifacts
+        assert render_artifacts(campaign.report) == sequential_artifacts
 
 
 class TestCrashAndResume:
@@ -138,7 +124,7 @@ class TestCrashAndResume:
         assert set(excinfo.value.failed) == {1}
 
         resumed = resume_campaign(root)  # worker count comes from the manifest
-        assert rendered_artifacts(resumed) == sequential_artifacts
+        assert render_artifacts(resumed.report) == sequential_artifacts
         assert resumed.rechecked == sequential.rechecked
 
         stored = [r.zone.to_text() for r in StoreReader(root).iter_results()]
@@ -148,7 +134,7 @@ class TestCrashAndResume:
         # Resuming a complete parallel campaign is a cheap no-op that
         # still renders the same bytes.
         again = resume_campaign(root)
-        assert rendered_artifacts(again) == sequential_artifacts
+        assert render_artifacts(again.report) == sequential_artifacts
 
     def test_resume_with_different_worker_count(
         self, tmp_path, sequential_artifacts
@@ -162,7 +148,7 @@ class TestCrashAndResume:
                 faults={0: 3, 2: 3},
             )
         resumed = resume_campaign(root, workers=2)
-        assert rendered_artifacts(resumed) == sequential_artifacts
+        assert render_artifacts(resumed.report) == sequential_artifacts
 
 
 class TestWiring:

@@ -202,6 +202,16 @@ class TestScanZone:
         scanner.scan_zone("example.com")
         assert mini_world["network"].clock.now() > before
 
+    def test_no_destination_sees_more_than_50_qps(self):
+        # The sustained rate plus the initial burst (one bucket) bounds
+        # every server's load from one scan machine.
+        from repro.ecosystem import build_world
+
+        world = build_world(scale=2e-6, seed=17)
+        world.make_scanner().scan_many(world.scan_list[:60])
+        worst = max(world.network.per_ip_queries.values())
+        assert worst <= 50 * world.network.clock.now() + 50
+
     def test_classify_error_rcode(self, scanner):
         from repro.dns.message import Message, make_query, make_response
         from repro.dns.types import Rcode

@@ -43,7 +43,8 @@ from repro.ecosystem.world import build_world
 from repro.monitor import Monitor, MonitorConfig, MonitorSpec
 from repro.monitor.events import apply_epoch, events_for_epoch
 from repro.monitor.timeline import world_at_epoch
-from repro.reports.table_security import compute_security, render_security
+from repro.reports import render_artifacts
+from repro.reports.table_security import compute_security
 from repro.scenarios import (
     ADVANCE_EVENT,
     KIND_ALGORITHM,
@@ -65,7 +66,6 @@ from repro.scenarios.transitions import (
     PHASE_STRANDED,
 )
 
-from tests.test_parallel import rendered_artifacts
 
 SCALE = 1e-6
 SEED = 41
@@ -93,13 +93,6 @@ PHASE_TO_STATE = {
 }
 
 
-def scenario_artifacts(campaign) -> dict:
-    """Tables 1-3 + Figure 1 + the security table, as rendered strings."""
-    artifacts = rendered_artifacts(campaign)
-    artifacts["security"] = render_security(compute_security(campaign.report))
-    return artifacts
-
-
 def monitor_config(root, **overrides) -> MonitorConfig:
     settings = dict(root=root, scale=SCALE, seed=SEED, monitor=SPEC)
     settings.update(overrides)
@@ -125,7 +118,7 @@ def serial():
 
 @pytest.fixture(scope="module")
 def serial_artifacts(serial):
-    return scenario_artifacts(serial)
+    return render_artifacts(serial.report)
 
 
 class TestDifferentialArtifacts:
@@ -148,13 +141,13 @@ class TestDifferentialArtifacts:
                 store_dir=tmp_path / "par",
             )
         )
-        assert scenario_artifacts(campaign) == serial_artifacts
+        assert render_artifacts(campaign.report) == serial_artifacts
 
     def test_in_flight_renders_identical_artifacts(self, serial_artifacts):
         campaign = run_campaign(
             CampaignConfig(scale=SCALE, seed=SEED, recheck=True, scenarios=SCEN, in_flight=16)
         )
-        assert scenario_artifacts(campaign) == serial_artifacts
+        assert render_artifacts(campaign.report) == serial_artifacts
 
     def test_kill_and_resume_renders_identical_artifacts(self, serial_artifacts, tmp_path):
         root = tmp_path / "killed"
@@ -170,7 +163,7 @@ class TestDifferentialArtifacts:
         )
         assert interrupted.report.total_scanned == 40
         resumed = resume_campaign(root)
-        assert scenario_artifacts(resumed) == serial_artifacts
+        assert render_artifacts(resumed.report) == serial_artifacts
 
     def test_scenarios_round_trip_the_store_manifest(self, tmp_path):
         custom = ScenarioSpec(seed=3, intensity=1, mishap=0.5)

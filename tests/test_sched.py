@@ -29,11 +29,9 @@ from hypothesis import strategies as st
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig
+from repro.ecosystem import build_world
 from repro.parallel import run_parallel_campaign
-from repro.reports.figure1 import compute_figure1, render_figure1
-from repro.reports.table1 import compute_table1, render_table1
-from repro.reports.table2 import compute_table2, render_table2
-from repro.reports.table3 import compute_table3, render_table3
+from repro.reports import ARTIFACTS, render_artifacts
 from repro.scanner.serialize import result_to_line
 from repro.sched import EventLoop, FlightMap, Gate, Sleep, run_steps
 from repro.server.network import SimulatedClock
@@ -56,19 +54,10 @@ LEGACY_WORKERS2_DURATIONS = [21.219999999999636, 25.07999999999958]
 LEGACY_CHAOS = {"retry.abandoned": 0, "net.timeouts": 1478, "net.queries": 16575}
 
 
-def rendered_artifacts(campaign) -> dict:
-    """The four user-facing artifacts, as the exact strings a user sees."""
-    report = campaign.report
-    return {
-        "table1": render_table1(compute_table1(report)),
-        "table2": render_table2(compute_table2(report)),
-        "table3": render_table3(compute_table3(report)),
-        "figure1": render_figure1(compute_figure1(report)),
-    }
-
-
 def artefacts_crc(campaign) -> int:
-    return zlib.crc32("\n".join(rendered_artifacts(campaign).values()).encode())
+    """CRC of the four paper artefacts (what LEGACY_SERIAL recorded)."""
+    rendered = render_artifacts(campaign.report)
+    return zlib.crc32("\n".join(rendered[name] for name in ARTIFACTS[:4]).encode())
 
 
 def results_digest(results) -> str:
@@ -83,7 +72,7 @@ def sequential():
 
 @pytest.fixture(scope="module")
 def sequential_artifacts(sequential):
-    return rendered_artifacts(sequential)
+    return render_artifacts(sequential.report)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +445,7 @@ class TestDifferentialGoldens:
         concurrent = run_campaign(
             CampaignConfig(scale=SCALE, seed=SEED, recheck=True, in_flight=64)
         )
-        assert rendered_artifacts(concurrent) == sequential_artifacts
+        assert render_artifacts(concurrent.report) == sequential_artifacts
         assert concurrent.rechecked == sequential.rechecked
         # Same classification work: identical total query volume.
         assert (
@@ -465,6 +454,21 @@ class TestDifferentialGoldens:
         )
         # And it was genuinely concurrent: overlap shrank the campaign.
         assert concurrent.simulated_duration < sequential.simulated_duration
+
+    def test_overlap_cuts_a_wan_campaign_fivefold(self):
+        # 50 ms per query, the RTT the paper's fleet paid: the loop overlaps
+        # the waits the serial scan pays end to end — same work, new schedule.
+        runs = {}
+        for in_flight in (1, 8, 64):
+            world = build_world(scale=SCALE, seed=SEED)
+            network = world.network
+            network.query_cost = 0.05
+            results = world.make_scanner(in_flight=in_flight).scan_many(world.scan_list)
+            zones = [result.zone for result in results]
+            runs[in_flight] = (zones, network.queries_sent, network.clock.now())
+        assert runs[1][:2] == runs[8][:2] == runs[64][:2]
+        assert runs[64][2] <= runs[1][2] / 5
+        assert runs[64][2] <= runs[8][2] * 1.25  # more overlap never lengthens it
 
     def test_in_flight_one_is_byte_identical_to_legacy(self, sequential):
         one = run_campaign(
@@ -507,7 +511,7 @@ class TestDifferentialGoldens:
                 scale=SCALE, seed=SEED, store_dir=tmp_path / "store", workers=2, in_flight=16
             )
         )
-        assert rendered_artifacts(parallel) == sequential_artifacts
+        assert render_artifacts(parallel.report) == sequential_artifacts
         manifest = load_manifest(tmp_path / "store")
         assert manifest.config.get("in_flight") == 16
 
@@ -519,7 +523,7 @@ class TestDifferentialGoldens:
                 scale=SCALE, seed=SEED, chaos=ChaosConfig.default(), in_flight=64
             )
         )
-        assert rendered_artifacts(chaotic) == sequential_artifacts
+        assert render_artifacts(chaotic.report) == sequential_artifacts
 
     def test_kill_and_resume_preserve_the_bytes(self, sequential_artifacts, tmp_path):
         root = tmp_path / "store"
@@ -533,7 +537,7 @@ class TestDifferentialGoldens:
         stored = CampaignConfig.from_manifest(load_manifest(root))
         assert stored.in_flight == 16
         resumed = resume_campaign(root)
-        assert rendered_artifacts(resumed) == sequential_artifacts
+        assert render_artifacts(resumed.report) == sequential_artifacts
 
 
 class TestOneDriver:
@@ -572,7 +576,6 @@ class TestOneDriver:
     def test_abandoning_a_scan_closes_every_live_zone(self, monkeypatch):
         import inspect
 
-        from repro.ecosystem import build_world
         from repro.obs import Telemetry
         from repro.scanner.yodns import Scanner
 
@@ -624,7 +627,7 @@ class TestOneDriver:
         manifest = json.loads(path.read_text())
         manifest["config"]["time_scale"] = 2.5
         path.write_text(json.dumps(manifest))
-        assert rendered_artifacts(resume_campaign(root)) == sequential_artifacts
+        assert render_artifacts(resume_campaign(root).report) == sequential_artifacts
 
 
 def _sans_queries(line: str) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.core import assess_zone
+from repro.reports import render_artifacts
 from repro.scanner import Scanner
 from repro.scanner.serialize import result_from_obj, result_to_obj
 from repro.store import (
@@ -317,20 +318,6 @@ class TestCampaignResume:
     """Acceptance: a campaign killed partway and resumed from its store
     produces a report byte-identical to an uninterrupted run."""
 
-    def _render_all(self, campaign):
-        from repro.reports.figure1 import compute_figure1, expected_figure1, render_figure1
-        from repro.reports.table1 import compute_table1, expected_table1, render_table1
-        from repro.reports.table3 import compute_table3, expected_table3, render_table3
-
-        targets = campaign.world.targets
-        return "\n\n".join(
-            [
-                render_table1(compute_table1(campaign.report), expected_table1(targets)),
-                render_table3(compute_table3(campaign.report), expected_table3(targets)),
-                render_figure1(compute_figure1(campaign.report), expected_figure1(targets)),
-            ]
-        )
-
     def test_interrupted_store_is_partial_and_resumable(self, campaign_stores):
         partial = campaign_stores["partial"]
         assert partial.report.total_scanned == 70
@@ -339,24 +326,16 @@ class TestCampaignResume:
         assert manifest.records == campaign_stores["full"].report.total_scanned
 
     def test_resumed_report_byte_identical_to_uninterrupted(self, campaign_stores):
-        assert self._render_all(campaign_stores["resumed"]) == self._render_all(
-            campaign_stores["full"]
-        )
-        assert campaign_stores["resumed"].rechecked == campaign_stores["full"].rechecked
-        assert (
-            campaign_stores["resumed"].report.status_counts
-            == campaign_stores["full"].report.status_counts
-        )
-        assert (
-            campaign_stores["resumed"].report.outcome_counts
-            == campaign_stores["full"].report.outcome_counts
-        )
+        resumed, full = campaign_stores["resumed"], campaign_stores["full"]
+        assert render_artifacts(resumed.report) == render_artifacts(full.report)
+        assert resumed.rechecked == full.rechecked
+        assert resumed.report.status_counts == full.report.status_counts
+        assert resumed.report.outcome_counts == full.report.outcome_counts
 
     def test_store_backed_matches_in_memory(self, campaign_stores):
-        assert self._render_all(campaign_stores["full"]) == self._render_all(
-            campaign_stores["memory"]
-        )
-        assert campaign_stores["full"].rechecked == campaign_stores["memory"].rechecked
+        full, memory = campaign_stores["full"], campaign_stores["memory"]
+        assert render_artifacts(full.report) == render_artifacts(memory.report)
+        assert full.rechecked == memory.rechecked
 
     def test_store_backed_results_not_materialised(self, campaign_stores):
         assert campaign_stores["full"].results == []

@@ -31,10 +31,7 @@ from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
 from repro.obs.stats import CampaignStats, collect_stats, render_stats
-from repro.reports.figure1 import compute_figure1, render_figure1
-from repro.reports.table1 import compute_table1, render_table1
-from repro.reports.table2 import compute_table2, render_table2
-from repro.reports.table3 import compute_table3, render_table3
+from repro.reports import render_artifacts
 from repro.server import (
     AuthoritativeServer,
     DropQueriesBehavior,
@@ -53,21 +50,10 @@ SCALE = 1e-6
 SEED = 41
 
 
-def rendered_artifacts(campaign) -> dict:
-    """The four user-facing artifacts, as the exact strings a user sees."""
-    report = campaign.report
-    return {
-        "table1": render_table1(compute_table1(report)),
-        "table2": render_table2(compute_table2(report)),
-        "table3": render_table3(compute_table3(report)),
-        "figure1": render_figure1(compute_figure1(report)),
-    }
-
-
 @pytest.fixture(scope="module")
 def sequential_artifacts():
-    return rendered_artifacts(
-        run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=True))
+    return render_artifacts(
+        run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=True)).report
     )
 
 
@@ -83,7 +69,7 @@ class TestWireDifferential:
                 scale=SCALE, seed=SEED, recheck=True, transport="wire", in_flight=16
             )
         )
-        assert rendered_artifacts(wire) == sequential_artifacts
+        assert render_artifacts(wire.report) == sequential_artifacts
 
     def test_kill_and_resume_over_the_wire(self, sequential_artifacts, tmp_path):
         root = tmp_path / "store"
@@ -102,7 +88,7 @@ class TestWireDifferential:
         stored = CampaignConfig.from_manifest(load_manifest(root))
         assert stored.transport == "wire"
         resumed = resume_campaign(root)
-        assert rendered_artifacts(resumed) == sequential_artifacts
+        assert render_artifacts(resumed.report) == sequential_artifacts
 
     def test_chaotic_wire_campaign_renders_the_fault_free_tables(
         self, sequential_artifacts, tmp_path
@@ -121,7 +107,7 @@ class TestWireDifferential:
                 telemetry=True,
             )
         )
-        assert rendered_artifacts(campaign) == sequential_artifacts
+        assert render_artifacts(campaign.report) == sequential_artifacts
         stats = collect_stats(tmp_path / "store")
         counters = stats.counters
         for kind in ("loss", "servfail", "truncation", "latency", "brownout"):
@@ -154,7 +140,7 @@ class TestWireDifferential:
         assert counters["wire.batch_peak"] <= 64
         assert wide_net.timeouts == narrow_net.timeouts
         assert wide_net.queries_sent == narrow_net.queries_sent
-        assert rendered_artifacts(wide) == rendered_artifacts(narrow)
+        assert render_artifacts(wide.report) == render_artifacts(narrow.report)
 
     def test_every_exchange_crosses_a_real_socket(self, monkeypatch):
         # Count the socket calls under a wire campaign: a query and its
