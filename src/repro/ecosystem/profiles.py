@@ -15,6 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.operators import OperatorDB
 from repro.ecosystem.paper_targets import TABLE1, TABLE2_EXTRA
 
 _CLOUDFLARE_POOL = (
@@ -179,23 +180,43 @@ def build_profiles(adversarial: bool = False) -> Dict[str, OperatorProfile]:
     return profiles
 
 
+def _ns_suffix(profile: OperatorProfile, zone: str) -> str:
+    return "ns.cloudflare.com" if profile.name == "Cloudflare" else zone
+
+
+def anycast_suffixes(profiles: Dict[str, OperatorProfile]) -> List[str]:
+    """NS suffixes of the anycast operators (the scanner samples their zones)."""
+    return [
+        _ns_suffix(profile, zone)
+        for profile in profiles.values()
+        if profile.known and profile.anycast
+        for zone in profile.ns_zones[:1]
+    ]
+
+
 def operator_db_config(
     profiles: Dict[str, OperatorProfile],
 ) -> Tuple[Dict[str, str], List[str]]:
     """(suffix → operator) mapping and the anycast suffix list."""
-    suffixes: Dict[str, str] = {}
-    anycast: List[str] = []
-    for profile in profiles.values():
-        if not profile.known:
-            continue
-        for zone in profile.ns_zones:
-            if profile.name == "Cloudflare":
-                suffixes["ns.cloudflare.com"] = profile.name
-            else:
-                suffixes[zone] = profile.name
-        if profile.anycast:
-            anycast.extend(
-                "ns.cloudflare.com" if profile.name == "Cloudflare" else zone
-                for zone in profile.ns_zones[:1]
-            )
-    return suffixes, anycast
+    suffixes = {
+        _ns_suffix(profile, zone): profile.name
+        for profile in profiles.values()
+        if profile.known
+        for zone in profile.ns_zones
+    }
+    return suffixes, anycast_suffixes(profiles)
+
+
+def build_operator_db(
+    adversarial: bool = False, profiles: Optional[Dict[str, OperatorProfile]] = None
+) -> OperatorDB:
+    """The NS-suffix attribution database every world carries.
+
+    The profile catalogue is seed/scale-independent, so stored records
+    are attributed without building a world: *adversarial* says whether
+    the scenario operators join it (their suffixes only ever match
+    scenario zones).  A world being built passes its own *profiles*.
+    """
+    if profiles is None:
+        profiles = build_profiles(adversarial=adversarial)
+    return OperatorDB(suffixes=operator_db_config(profiles)[0])

@@ -14,7 +14,7 @@ from repro.ecosystem.allocator import scale_cells
 from repro.ecosystem import generator as generator_module
 from repro.ecosystem.generator import InfrastructureBuilder
 from repro.ecosystem.paper_targets import PaperTargets, build_cells
-from repro.ecosystem.profiles import build_profiles, operator_db_config
+from repro.ecosystem.profiles import anycast_suffixes, build_operator_db, build_profiles
 from repro.ecosystem.spec import Cell, CdsScenario, SignalScenario, StatusScenario, ZoneSpec
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.transitions import (
@@ -293,9 +293,6 @@ def build_world(
     builder.install_signal_providers(signal_index)
     builder.install_quirks(transient_names, cut_names, spoof_names)
 
-    suffix_map, anycast = operator_db_config(profiles)
-    operator_db = OperatorDB(suffixes=suffix_map)
-
     scan_list = sorted(
         (Name.from_text(name) for name in specs), key=lambda n: n.canonical_key()
     )
@@ -307,8 +304,8 @@ def build_world(
         root_ips=[generator_module.ROOT_IP],
         specs=specs,
         scan_list=scan_list,
-        operator_db=operator_db,
-        anycast_ns_suffixes=[Name.from_text(s) for s in anycast],
+        operator_db=build_operator_db(profiles=profiles),
+        anycast_ns_suffixes=[Name.from_text(s) for s in anycast_suffixes(profiles)],
         targets=targets,
         profiles=profiles,
         registry_zones=builder.registry_zones,

@@ -35,7 +35,7 @@ from repro.campaign import CampaignConfig, CampaignResult, resume_campaign, run_
 from repro.core.bootstrap import assess_zone
 from repro.core.operators import OperatorDB
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
-from repro.ecosystem.profiles import build_profiles, operator_db_config
+from repro.ecosystem.profiles import build_operator_db
 from repro.monitor.diff import EpochDiff
 from repro.monitor.events import Event
 from repro.monitor.layout import (
@@ -54,6 +54,21 @@ from repro.store.diff import ZoneClassification, diff_classifications
 from repro.store.manifest import load_manifest, manifest_path
 from repro.store.reader import StoreReader
 from repro.store.shards import StoreError
+
+
+# The per-epoch execution settings: MonitorConfig fields that are handed,
+# name for name, to every epoch's CampaignConfig leaf.  ``monitor.json``,
+# the epoch leaf and ``repro-dnssec monitor init`` all read this tuple.
+EPOCH_SETTINGS = (
+    "workers",
+    "in_flight",
+    "transport",
+    "telemetry",
+    "checkpoint_every",
+    "num_shards",
+    "compress",
+)
+
 
 class MonitorError(RuntimeError):
     """Monitor-plane misuse or damaged monitor state."""
@@ -93,13 +108,7 @@ class MonitorConfig:
             "scale": self.scale,
             "seed": self.seed,
             "monitor": self.monitor.to_dict(),
-            "workers": self.workers,
-            "in_flight": self.in_flight,
-            "transport": self.transport,
-            "telemetry": self.telemetry,
-            "checkpoint_every": self.checkpoint_every,
-            "num_shards": self.num_shards,
-            "compress": self.compress,
+            **{name: getattr(self, name) for name in EPOCH_SETTINGS},
         }
 
     @classmethod
@@ -375,9 +384,7 @@ class Monitor:
         only), for re-analysing stored records.  Scenario-enabled
         monitors attribute the adversarial operators too."""
         scenarios = self.config.monitor.scenarios
-        adversarial = scenarios is not None and scenarios.enabled
-        suffix_map, _ = operator_db_config(build_profiles(adversarial=adversarial))
-        return OperatorDB(suffixes=suffix_map)
+        return build_operator_db(adversarial=scenarios is not None and scenarios.enabled)
 
     def _merged(self, epoch: int):
         """``(zone, result)`` for each zone's newest stored record as of
@@ -392,15 +399,10 @@ class Monitor:
 
     def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
         """Each zone's verdict as of *epoch* (default: latest complete)."""
-        classes: Dict[str, ZoneClassification] = {}
-        for zone, result in self._merged(self._resolve_epoch(epoch)):
-            assessment = assess_zone(result)
-            classes[zone] = ZoneClassification(
-                status=assessment.status,
-                eligibility_value=assessment.eligibility.value,
-                outcome=assessment.signal_outcome,
-            )
-        return classes
+        return {
+            zone: ZoneClassification.of(assess_zone(result))
+            for zone, result in self._merged(self._resolve_epoch(epoch))
+        }
 
     def analyze(self, epoch: Optional[int] = None) -> AnalysisReport:
         """The merged analysis report as of *epoch* (default: latest
@@ -446,16 +448,10 @@ class Monitor:
             seed=self.config.seed,
             recheck=False,
             store_dir=self.epoch_dir(epoch),
-            checkpoint_every=self.config.checkpoint_every,
-            num_shards=self.config.num_shards,
-            compress=self.config.compress,
             stop_after=stop_after,
-            workers=self.config.workers,
-            in_flight=self.config.in_flight,
-            telemetry=self.config.telemetry,
-            transport=self.config.transport,
             epoch=epoch,
             monitor=self._composed_spec(),
+            **{name: getattr(self.config, name) for name in EPOCH_SETTINGS},
         )
 
     def _composed_spec(self) -> MonitorSpec:

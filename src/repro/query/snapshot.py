@@ -433,7 +433,7 @@ def load_snapshot(store_root: Path) -> SnapshotInfo:
     path = snapshot_path(root)
     if not path.exists():
         raise QueryError(
-            f"no query index at {root} — build one with: repro-dnssec query index --dir {root}"
+            f"no query index at {root} — build one with: repro-dnssec query index --store {root}"
         )
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))

@@ -20,7 +20,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.core.bootstrap import INCORRECT_OUTCOMES, SignalOutcome, assess_zone
+from repro.core.bootstrap import (
+    INCORRECT_OUTCOMES,
+    BootstrapAssessment,
+    SignalOutcome,
+    assess_zone,
+)
 from repro.core.status import DnssecStatus
 from repro.store.reader import StoreReader
 
@@ -33,17 +38,22 @@ class ZoneClassification:
     eligibility_value: str
     outcome: SignalOutcome
 
+    @classmethod
+    def of(cls, assessment: BootstrapAssessment) -> "ZoneClassification":
+        """The triple kept of one ``assess_zone`` verdict."""
+        return cls(
+            status=assessment.status,
+            eligibility_value=assessment.eligibility.value,
+            outcome=assessment.signal_outcome,
+        )
+
 
 def classify_store(reader: StoreReader) -> Dict[str, ZoneClassification]:
     """Stream a store through ``assess_zone``; keep only the verdicts."""
     classes: Dict[str, ZoneClassification] = {}
     for result in reader.iter_results():
         assessment = assess_zone(result)
-        classes[assessment.zone] = ZoneClassification(
-            status=assessment.status,
-            eligibility_value=assessment.eligibility.value,
-            outcome=assessment.signal_outcome,
-        )
+        classes[assessment.zone] = ZoneClassification.of(assessment)
     return classes
 
 

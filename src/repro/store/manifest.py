@@ -158,3 +158,16 @@ def load_manifest(root: Path, verify_digests: bool = False) -> CampaignManifest:
         if verify_digests:
             verify_shard(root, info)
     return manifest
+
+
+def is_adversarial(root: Path) -> bool:
+    """Whether the campaign stored at *root* planted the adversarial
+    scenario operators — recorded under ``scenarios`` for a plain
+    campaign, inside the monitor spec for an epoch.  False for anything
+    that is not a readable store (a monitor root, a missing directory)."""
+    try:
+        config = load_manifest(root).config
+    except StoreError:
+        return False
+    monitor = config.get("monitor") or {}
+    return config.get("scenarios") is not None or monitor.get("scenarios") is not None

@@ -320,24 +320,24 @@ class TestQueryCli:
         root = str(tmp_path / "cli-store")
         shutil.copytree(mini_store["root"], root)
 
-        assert cli_main(["query", "index", "--dir", root, "--no-operators"]) == 0
+        assert cli_main(["query", "index", "--store", root, "--no-operators"]) == 0
         assert "indexed" in capsys.readouterr().out
 
-        assert cli_main(["query", "get", "--dir", root, "island.com"]) == 0
+        assert cli_main(["query", "get", "--store", root, "island.com"]) == 0
         out = capsys.readouterr().out
         assert "island" in out and "bootstrappable" in out
 
-        assert cli_main(["query", "get", "--dir", root, "nope.example"]) == 1
+        assert cli_main(["query", "get", "--store", root, "nope.example"]) == 1
         assert "not in the snapshot" in capsys.readouterr().out
 
-        assert cli_main(["query", "get", "--dir", root, "island.com", "--full"]) == 0
+        assert cli_main(["query", "get", "--store", root, "island.com", "--full"]) == 0
         record = json.loads(capsys.readouterr().out.splitlines()[0])
         assert record["zone"] == "island.com."
 
-        assert cli_main(["query", "list", "--dir", root, "--status", "island"]) == 0
+        assert cli_main(["query", "list", "--store", root, "--status", "island"]) == 0
         assert "island.com." in capsys.readouterr().out
 
-        assert cli_main(["query", "verify", "--dir", root]) == 0
+        assert cli_main(["query", "verify", "--store", root]) == 0
         assert "snapshot OK" in capsys.readouterr().out
 
         # Query telemetry accumulated across sessions shows up in stats.
@@ -347,7 +347,7 @@ class TestQueryCli:
         assert "lookups" in out
 
     def test_dashboard(self, mini_store, capsys):
-        assert cli_main(["query", "dashboard", "--dir", str(mini_store["root"])]) == 0
+        assert cli_main(["query", "dashboard", "--store", str(mini_store["root"])]) == 0
         out = capsys.readouterr().out
         assert "operator dashboard" in out
         assert "OpDNS" in out  # the attributed operator has a row
@@ -358,7 +358,7 @@ class TestQueryCli:
         monkeypatch.setattr(
             "sys.stdin", io.StringIO("island.com\nno-such.example\n\n")
         )
-        assert cli_main(["query", "serve", "--dir", str(mini_store["root"])]) == 0
+        assert cli_main(["query", "serve", "--store", str(mini_store["root"])]) == 0
         out = capsys.readouterr().out
         assert "island.com.\tisland" in out
         assert "no-such.example\tNXDOMAIN" in out
@@ -367,7 +367,7 @@ class TestQueryCli:
     def test_get_without_index_fails_cleanly(self, tmp_path, capsys):
         root = tmp_path / "empty-store"
         CampaignStore.create(root, seed=1, scale=1e-6).complete()
-        assert cli_main(["query", "get", "--dir", str(root), "x.com"]) == 2
+        assert cli_main(["query", "get", "--store", str(root), "x.com"]) == 2
         assert "no query index" in capsys.readouterr().err
 
 
