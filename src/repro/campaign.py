@@ -7,16 +7,18 @@ the re-check pass for zones whose signal errors might be transient
 
 A frozen :class:`CampaignConfig` is the only thing that travels: it
 carries every setting, validates the combinations in one place, and
-round-trips losslessly through the store manifest.  One executor runs
-it, in three steps every participant shares — :func:`prepare` (config →
-world, scanner, scan list), :func:`scan_into` (zones − skip → a store
-or a list) and the re-analyse / :func:`recheck_pass` / :func:`seal`
-close.  *Run* is "create the store, skip nothing"; *resume* is "rebuild
-the config from the manifest, open the store, skip what it holds"; a
-parallel *worker* (:mod:`repro.parallel`) is the same two steps on its
-own store with its buckets' zones.  The paper's scan ran for a month on
-several machines, so interrupted, resumed and split is the normal case
-— and it is the same code as the uninterrupted one.
+round-trips losslessly through the store manifest.  One executor
+(:func:`_execute`) runs it: *open* the telemetry hub and the store,
+*scan*, then *close* — re-analyse what was scanned, :func:`recheck_pass`,
+:func:`seal`.  A layout differs in its scan step only.  *Run* is
+"create the store, skip nothing"; *resume* is "rebuild the config from
+the manifest, open the store, skip what it holds"; ``workers=N`` hands
+the open store to :func:`repro.parallel.engine.scan_with_workers`, whose
+worker processes are each :func:`prepare` + :func:`scan_into` on their
+own store with their buckets' zones — and whose parent, too, gets its
+world and scanner from :func:`prepare`.  The paper's scan ran for a
+month on several machines, so interrupted, resumed and split is the
+normal case — and it is the same code as the uninterrupted one.
 
 A campaign may be one *epoch* of a continuous-monitoring timeline
 (``epoch=...`` + ``monitor=...``): the world is replayed to that
@@ -51,7 +53,7 @@ from repro.reports.table3 import apply_recheck
 from repro.scanner.fleet import MachineReport
 from repro.scanner.results import ZoneScanResult
 from repro.store import DEFAULT_CHECKPOINT_EVERY, DEFAULT_NUM_SHARDS, CampaignStore, StoreError
-from repro.store.manifest import load_manifest
+from repro.store.manifest import load_manifest, save_manifest
 from repro.store.reader import StoreReader
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -299,7 +301,7 @@ class CampaignResult:
         self.simulated_duration = max([m.duration for m in machines] or [network.clock.now()])
 
 
-# -- the executor's three steps: prepare, scan into a sink, re-check ---------
+# -- the executor's pieces: prepare, stores, scan into a sink, re-check -------
 
 
 def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NULL_TELEMETRY):
@@ -315,7 +317,25 @@ def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NUL
     """
     subset = events = None
     if world is None:
-        world, subset, events = build(config)
+        world, subset, events = scan_world(
+            config.scale,
+            config.seed,
+            monitor=config.monitor,
+            epoch=config.epoch,
+            scenarios=config.scenarios,
+        )
+    # The zones to scan: a delta epoch's change feed, the §3 acquired
+    # source list, or the generator's ground truth.  Acquired before any
+    # fault is injected: the fault model perturbs the scan, and a refused
+    # AXFR is not retried — it would abort the campaign.
+    if subset is not None:
+        zones = subset
+    elif config.use_sources:
+        from repro.scanner.sources import compile_scan_list
+
+        zones = compile_scan_list(world).names
+    else:
+        zones = world.scan_list
     if config.chaos is not None and config.chaos.enabled:
         world.network.install_chaos(config.chaos)
     # Campaigns never mutate zones mid-run, so repeated identical queries
@@ -333,38 +353,14 @@ def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NUL
         in_flight=config.in_flight,
         network=network,
     )
-    return world, scanner, scan_list(config, world, subset), events
-
-
-def build(config: CampaignConfig):
-    """The world *config* describes, replayed to its epoch if it has one:
-    ``(world, delta subset, events)`` as :func:`scan_world` returns them."""
-    return scan_world(
-        config.scale,
-        config.seed,
-        monitor=config.monitor,
-        epoch=config.epoch,
-        scenarios=config.scenarios,
-    )
-
-
-def scan_list(config: CampaignConfig, world: World, subset=None):
-    """The zones a campaign scans: a delta epoch's change feed (*subset*),
-    the §3 acquired source list, or the generator's ground truth."""
-    if subset is not None:
-        return subset
-    if config.use_sources:
-        from repro.scanner.sources import compile_scan_list
-
-        return compile_scan_list(world).names
-    return world.scan_list
+    return world, scanner, zones, events
 
 
 def open_store(
     config: CampaignConfig, root: Path, telemetry, create: Optional[Dict[str, Any]] = None
 ) -> CampaignStore:
     """Open the store at *root* — or, given the manifest fields of a new
-    one in *create* (``zones_total``, ``config``, ``epoch``, …), create
+    one in *create* (``config``, ``epoch``, ``zones_total``, …), create
     it.  The one place a campaign's checkpoint cadence, shard count and
     compression reach a store."""
     cadence = config.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
@@ -382,17 +378,12 @@ def open_store(
     )
 
 
-def create_root_store(
-    config: CampaignConfig, telemetry, zones_total: Optional[int] = None
-) -> CampaignStore:
-    """A new campaign's root store, its manifest recording the config."""
-    recorded = dict(
-        zones_total=zones_total,
-        config=config.manifest_config(),
-        epoch=config.epoch,
-        parent_epoch=config.parent_epoch,
-    )
-    return open_store(config, config.store_dir, telemetry, create=recorded)
+def record_total(store: CampaignStore, zones) -> None:
+    """Note the scan list's length in a root store, which is created
+    before the world that knows it is built."""
+    if store.manifest.zones_total is None:
+        store.manifest.zones_total = len(zones)
+        save_manifest(store.root, store.manifest)
 
 
 def scan_into(
@@ -475,30 +466,51 @@ def seal(telemetry, scanner=None) -> Optional[Telemetry]:
     return telemetry
 
 
-def _execute(config: CampaignConfig, world: Optional[World], resume: bool) -> CampaignResult:
-    """Run a validated config to the end: *resume* opens the store the
-    config names and skips what it holds; otherwise the store (if any)
-    is created and nothing is skipped.  That is the whole difference."""
-    if config.workers is not None:
-        from repro.parallel import resume_parallel_campaign, run_parallel_campaign
+def _execute(
+    config: CampaignConfig, world: Optional[World], resume: bool, faults=None
+) -> CampaignResult:
+    """Run a validated config to the end, in three steps.
 
-        return (resume_parallel_campaign if resume else run_parallel_campaign)(config)
-
+    *Open*: the telemetry hub, then the store the config names — opened
+    if *resume*, else created — streaming events into it.  *Scan*: this
+    process scans whatever the store does not hold yet, or, with
+    ``workers=N``, worker processes do (:func:`repro.parallel.engine.
+    scan_with_workers`; *faults* is its testing hook).  *Close*: analyse
+    what was scanned, re-check, seal.  A layout differs in its scan step
+    only.
+    """
     telemetry = as_telemetry(config.telemetry)
-    world, scanner, zones, events = prepare(config, world, telemetry)
-    try:
-        store, done = None, frozenset()
-        if resume:
-            store = open_store(config, config.store_dir, telemetry)
-            done = frozenset(store.completed_zones())
-        elif config.store_dir is not None:
-            store = create_root_store(config, telemetry, zones_total=len(zones))
-        if store is not None and telemetry.enabled:
+    store = None
+    if config.store_dir is not None:
+        if world is not None and (world.seed, world.scale) != (config.seed, config.scale):
+            raise StoreError(
+                f"world (seed={world.seed}, scale={world.scale:g}) does not match "
+                f"the store's campaign (seed={config.seed}, scale={config.scale:g})"
+            )
+        recorded = None if resume else dict(
+            config=config.manifest_config(), epoch=config.epoch, parent_epoch=config.parent_epoch
+        )
+        store = open_store(config, config.store_dir, telemetry, create=recorded)
+        if telemetry.enabled:
             telemetry.open_sink(stream_path(store.root))
 
+    scanner = None
+    try:
         results: List[ZoneScanResult] = []
-        if store is None or not store.manifest.complete:
-            results = scan_into(scanner, zones, store, skip=done, stop_after=config.stop_after)
+        if config.workers is not None:
+            from repro.parallel.engine import scan_with_workers
+
+            step = scan_with_workers(config, store, telemetry, faults)
+            world, scanner, events, machines, done = step
+        else:
+            world, scanner, zones, events = prepare(config, world, telemetry)
+            machines, done = None, frozenset()
+            if store is not None:
+                record_total(store, zones)
+                done = frozenset(store.completed_zones())
+            if store is None or not store.manifest.complete:
+                results = scan_into(scanner, zones, store, skip=done, stop_after=config.stop_after)
+
         if store is None:
             report = AnalysisPipeline(world.operator_db).analyze(results)
         else:
@@ -507,17 +519,20 @@ def _execute(config: CampaignConfig, world: Optional[World], resume: bool) -> Ca
         interrupted = store is not None and not store.manifest.complete  # stop_after
         if config.recheck and not interrupted:
             rechecked = recheck_pass(scanner, report, double_check=done)
+        # A parent that only merged has no scan of its own to report.
+        scanned = machines is None or config.recheck
         return CampaignResult(
             world=world,
             results=results,
             report=report,
             rechecked=rechecked,
             store_dir=store.root if store is not None else None,
-            telemetry=seal(telemetry, scanner),
+            machines=machines,
+            telemetry=seal(telemetry, scanner if scanned else None),
             events=events,
         )
     finally:
-        if scanner.network is not world.network:
+        if scanner is not None and scanner.network is not world.network:
             scanner.network.close()  # the wire fleet's sockets
 
 
@@ -617,9 +632,4 @@ def resume_campaign(
         **{name: value for name, value in overrides.items() if value is not None},
     )
     config.validate(world=world)
-    if world is not None and (world.seed, world.scale) != (config.seed, config.scale):
-        raise StoreError(
-            f"world (seed={world.seed}, scale={world.scale:g}) does not match "
-            f"the store's campaign (seed={config.seed}, scale={config.scale:g})"
-        )
     return _execute(config, world, resume=True)

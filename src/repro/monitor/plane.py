@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from repro.agent.actions import ledger_path, read_ledger, secured_pairs
 from repro.campaign import CampaignConfig, CampaignResult, resume_campaign, run_campaign
@@ -388,13 +388,14 @@ class Monitor:
 
     def _merged(self, epoch: int):
         """``(zone, result)`` for each zone's newest stored record as of
-        *epoch*: the record from the newest epoch <= *epoch* that
-        scanned the zone, in chain order."""
-        owner = self._zone_owners(epoch)
-        for e in self._chain(epoch):
+        *epoch*: the chain is walked newest epoch first and a zone
+        already seen is superseded, so each epoch store is read once."""
+        seen: Set[str] = set()
+        for e in reversed(self._chain(epoch)):
             for result in StoreReader(self.epoch_dir(e)).iter_results():
                 zone = result.zone.to_text()
-                if owner[zone] == e:
+                if zone not in seen:
+                    seen.add(zone)
                     yield zone, result
 
     def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
@@ -518,16 +519,6 @@ class Monitor:
                 f"delta chain to epoch {epoch} is broken: missing epochs {missing}"
             )
         return chain
-
-    def _zone_owners(self, epoch: int) -> Dict[str, int]:
-        """zone → the newest epoch <= *epoch* that scanned it."""
-        owner: Dict[str, int] = {}
-        for e in self._chain(epoch):
-            for zone in StoreReader(self.epoch_dir(e)).zones():
-                existing = owner.get(zone)
-                if existing is None or e > existing:
-                    owner[zone] = e
-        return owner
 
     def _telemetry(self):
         if not self.config.telemetry:

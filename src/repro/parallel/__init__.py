@@ -9,7 +9,6 @@ campaign whose streamed report is byte-identical to a sequential run.
 from repro.parallel.engine import (
     ParallelCampaignError,
     merge_worker_manifests,
-    resume_parallel_campaign,
     run_parallel_campaign,
     worker_dir,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "bucket_ranges",
     "merge_worker_manifests",
     "partition_zones",
-    "resume_parallel_campaign",
     "run_parallel_campaign",
     "run_worker",
     "stored_zones_for_buckets",

@@ -1,15 +1,18 @@
-"""The parent half of the parallel campaign engine.
+"""The parent half of the parallel campaign engine: the ``workers=N``
+scan step.
 
-``run_parallel_campaign`` turns one measurement campaign — a
-:class:`repro.campaign.CampaignConfig` with ``workers=N`` — into N
-worker processes plus a deterministic merge:
+A parallel campaign is an ordinary one.  :func:`repro.campaign._execute`
+opens the root store and, once every zone is stored, analyses it and
+re-checks — as for every layout; its scan step is
+:func:`scan_with_workers` instead of a scan in this process:
 
-1. the parent creates the campaign root store and spawns one process
-   per worker, handing each the config itself and a contiguous range of
-   shard buckets (:mod:`repro.parallel.partition`);
-2. while the workers scan, the parent rebuilds its own copy of the
-   world (needed for the operator database and the §4.4 re-check), so
-   the build cost overlaps the scan instead of preceding it;
+1. the parent spawns one process per worker, handing each the config
+   itself and a contiguous range of shard buckets
+   (:mod:`repro.parallel.partition`);
+2. while the workers scan, the parent prepares its own copy of the
+   world (:func:`repro.campaign.prepare` — the operator database and
+   the §4.4 re-check need one), so the build cost overlaps the scan
+   instead of preceding it;
 3. each worker commits checkpointed shard segments into its own store
    under ``<root>/workers/wNN``;
 4. the parent merges the worker *manifests* — not the files — into the
@@ -20,16 +23,12 @@ worker processes plus a deterministic merge:
    the same argument as any other checkpoint, and the merged stream
    order is a pure function of the data — never of worker timing.
 
-Resuming is the same body on an opened store: workers skip whatever any
-store under the root already holds.
-
 Determinism invariant: the streamed analysis of the merged store, and
 the report after the re-check pass, are byte-identical (Tables 1–3,
 Figure 1) to a sequential run at the same seed and scale.  Aggregates
 do not depend on record order, the record *set* is exactly the scan
 list, and the re-check gives every transiently-failing zone the same
-observation budget a sequential campaign gives it (see
-:func:`repro.campaign.recheck_pass`).
+observation budget a sequential campaign gives it.
 """
 
 from __future__ import annotations
@@ -41,34 +40,16 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    build,
-    create_root_store,
-    open_store,
-    recheck_pass,
-    scan_list,
-    seal,
-)
-from repro.obs.events import WORKERS_DIR, stream_path
-from repro.obs.telemetry import NULL_TELEMETRY, as_telemetry
+from repro.campaign import CampaignConfig, _execute, prepare, record_total
+from repro.obs.events import WORKERS_DIR
+from repro.obs.telemetry import NULL_TELEMETRY
 from repro.scanner.fleet import MachineReport
 from repro.store.checkpoint import CampaignStore
-from repro.store.manifest import load_manifest, manifest_path, save_manifest
-from repro.store.reader import StoreReader
+from repro.store.manifest import load_manifest, manifest_path
 from repro.store.shards import StoreError
 
 from repro.parallel.partition import bucket_ranges
 from repro.parallel.worker import WorkerSpec, run_worker, worker_stats_path
-
-__all__ = [
-    "WORKERS_DIR",  # re-exported; defined in repro.obs.events
-    "ParallelCampaignError",
-    "run_parallel_campaign",
-    "resume_parallel_campaign",
-]
-
 
 class ParallelCampaignError(StoreError):
     """One or more workers did not finish; the store remains resumable."""
@@ -243,55 +224,27 @@ def _machine_reports(root: Path) -> List[MachineReport]:
     return reports
 
 
-def _finish(config: CampaignConfig, store: CampaignStore, world, telemetry, events):
-    """Stream the merged store through the pipeline and re-check.
+def scan_with_workers(config: CampaignConfig, store: CampaignStore, telemetry, faults=None):
+    """Finish the campaign in the open *store* with ``config.workers``
+    processes; returns ``(world, scanner, events, machines, done)``.
 
-    Every stored observation came from a *worker's* world, so every
-    suspicious zone gets the resumed-campaign double-check budget — the
-    parent's fresh world will replay the transient failure once before
-    resolving (see :func:`repro.campaign.recheck_pass`).  A chaotic
-    campaign re-checks under chaos too (the parent derives its own
-    decision stream), with the same retry policy the workers ran.
+    One worker per bucket range scans whatever is not stored yet:
+    completed worker stores are recognised by their manifests and
+    skipped wholesale, crashed ones resume from their last checkpoint,
+    missing ones start fresh, and a worker count different from the one
+    the campaign started with repartitions only the remaining zones
+    (every stored zone is skipped wherever it lives, so shares stay
+    disjoint).  *faults* (tests only) hard-kills workers mid-scan:
+    ``{worker_index: crash_after_n_zones}``.
     """
-    report = StoreReader(store.root).reanalyze(world.operator_db)
-    rechecked = {}
-    scanner = None
-    if config.recheck:
-        if config.chaos is not None and config.chaos.enabled:
-            world.network.install_chaos(config.chaos.derive("recheck"))
-        scanner = world.make_scanner(telemetry=telemetry, retry=config.effective_retry())
-        done = frozenset(assessment.zone for assessment in report.assessments)
-        rechecked = recheck_pass(scanner, report, double_check=done)
-    return CampaignResult(
-        world=world,
-        results=[],
-        report=report,
-        rechecked=rechecked,
-        store_dir=store.root,
-        machines=_machine_reports(store.root),
-        telemetry=seal(telemetry, scanner),
-        events=events,
-    )
-
-
-def _drive(
-    config: CampaignConfig, store: CampaignStore, telemetry, faults: Optional[Dict[int, int]] = None
-):
-    """Finish the campaign in *store* with ``config.workers`` processes:
-    spawn one worker per bucket range over whatever is not stored yet,
-    rebuild the parent's world while they scan, merge, re-check."""
     root, manifest = store.root, store.manifest
-    if telemetry.enabled:
-        telemetry.open_sink(stream_path(root))
     specs: List[WorkerSpec] = []
     if not manifest.complete:
         skip_roots = tuple(
             str(path)
             for path in ([root] if manifest.shards else []) + _existing_worker_roots(root)
         )
-        worker_config = replace(
-            config, num_shards=manifest.num_shards, telemetry=telemetry.enabled
-        )
+        worker_config = replace(config, num_shards=manifest.num_shards, telemetry=telemetry.enabled)
         specs = [
             WorkerSpec(
                 index=index,
@@ -301,59 +254,37 @@ def _drive(
                 crash_after=(faults or {}).get(index),
                 config=worker_config,
             )
-            for index, bucket_range in enumerate(
-                bucket_ranges(manifest.num_shards, config.workers)
-            )
+            for index, bucket_range in enumerate(bucket_ranges(manifest.num_shards, config.workers))
         ]
         # A resume with a different worker count can strand worker stores
         # of the old partition: nobody reopens them, but their committed
-        # zones are in every new worker's skip-set.  Seal them (orphan
-        # sweep + complete) so the merge can reference their segments.
+        # zones are in every new worker's skip-set.  Complete them (orphan
+        # sweep included) so the merge can reference their segments.
         owned = {Path(spec.store_dir) for spec in specs}
         for wroot in _existing_worker_roots(root):
             if wroot not in owned and not load_manifest(wroot).complete:
                 CampaignStore.open(wroot).complete()
         processes = _spawn_workers(specs)
 
-    # Overlap: the parent rebuilds (and, for epochs, replays) its world
-    # while the workers scan.
-    world, subset, events = build(config)
-    telemetry.bind_clock(world.network.clock)
+    # Overlap: the parent builds (and, for epochs, replays) its world
+    # while the workers scan.  Its fault stream is its own — a chaotic
+    # campaign re-checks under chaos too.
+    parent = replace(config, chaos=config.chaos and config.chaos.derive("recheck"))
+    world, scanner, zones, events = prepare(parent, telemetry=telemetry)
     if specs:
-        if manifest.zones_total is None:
-            manifest.zones_total = len(scan_list(config, world, subset))
-            save_manifest(root, manifest)
+        record_total(store, zones)
         _join_workers(root, specs, processes, telemetry=telemetry)
         manifest.config["workers"] = config.workers
         # Merge every worker store on disk — including leftovers from an
         # earlier run with a different worker count.
         merge_worker_manifests(store, _existing_worker_roots(root), telemetry=telemetry)
-    return _finish(config, store, world, telemetry, events)
+    # Every stored observation came from a *worker's* world, so every
+    # suspicious zone gets the resumed-campaign double-check budget: the
+    # parent's fresh world replays the transient failure once first.
+    return world, scanner, events, _machine_reports(root), frozenset(store.completed_zones())
 
 
 def run_parallel_campaign(config: CampaignConfig, *, faults: Optional[Dict[int, int]] = None):
-    """Run *config* (a :class:`repro.campaign.CampaignConfig` with
-    ``workers`` and ``store_dir`` set) across its worker processes —
-    create the root store, then the resume body with nothing to skip.
-
-    *faults* is a testing hook: ``{worker_index: crash_after_n_zones}``
-    hard-kills the given workers mid-scan, leaving a resumable store.
-    """
-    telemetry = as_telemetry(config.telemetry)
-    return _drive(config, create_root_store(config, telemetry), telemetry, faults)
-
-
-def resume_parallel_campaign(config: CampaignConfig):
-    """Finish the interrupted campaign in ``config.store_dir`` with
-    ``config.workers`` processes (or parallelise the remainder of a
-    sequential one).
-
-    Tolerates a crash of any subset of workers: completed worker stores
-    are recognised by their manifests and skipped wholesale, crashed
-    ones resume from their last checkpoint, and missing ones start
-    fresh.  A worker count different from the one the campaign started
-    with repartitions only the remaining zones (every already-stored
-    zone is skipped wherever it lives, so shares stay disjoint).
-    """
-    telemetry = as_telemetry(config.telemetry)
-    return _drive(config, open_store(config, config.store_dir, telemetry), telemetry)
+    """:func:`repro.campaign.run_campaign` for a ``workers=N`` config,
+    with :func:`scan_with_workers`' *faults* testing hook."""
+    return _execute(config, None, resume=False, faults=faults)

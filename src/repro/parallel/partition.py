@@ -13,14 +13,12 @@ coordination, and the shares are disjoint and complete by construction.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, List, Sequence, Set
 
 from repro.dns.name import Name
-from repro.scanner.serialize import open_results_read
 from repro.store.manifest import load_manifest
-from repro.store.shards import ShardCorruption, shard_for_zone
+from repro.store.shards import shard_for_zone, stored_zones
 
 
 def bucket_ranges(num_shards: int, workers: int) -> List[range]:
@@ -72,31 +70,6 @@ def partition_zones(
 
 def stored_zones_for_buckets(root: Path, buckets: Iterable[int]) -> Set[str]:
     """Dotted names of zones already persisted at *root* whose bucket is
-    in *buckets*.
-
-    This is the bucket-filtered analogue of
-    :meth:`repro.store.CampaignStore.completed_zones`: only shard
-    segments belonging to the wanted buckets are read, so a worker's
-    skip-set costs I/O proportional to its own share of the store, not
-    the whole campaign.
-    """
-    wanted = set(buckets)
-    root = Path(root)
-    manifest = load_manifest(root)
-    done: Set[str] = set()
-    for info in manifest.shards:
-        if info.bucket not in wanted:
-            continue
-        path = root / info.path
-        with open_results_read(str(path)) as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    done.add(json.loads(line)["zone"])
-                except (json.JSONDecodeError, KeyError) as exc:
-                    raise ShardCorruption(
-                        f"corrupt record inside committed shard {info.path}"
-                    ) from exc
-    return done
+    in *buckets* — a worker's skip-set, read from those buckets' segments
+    only (:func:`repro.store.shards.stored_zones`)."""
+    return stored_zones(root, load_manifest(Path(root)), buckets)

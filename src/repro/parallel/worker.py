@@ -13,7 +13,7 @@ communication with the parent is through the filesystem: the worker's
 store manifest carries the durable scan state and a small
 ``worker.json`` carries per-machine statistics — so a crashed worker
 leaves exactly its last checkpoint behind and any subset of workers can
-be re-run by :func:`repro.parallel.resume_parallel_campaign`.
+be re-run by :func:`repro.campaign.resume_campaign`.
 """
 
 from __future__ import annotations

@@ -11,15 +11,15 @@ The walk is written as step generators (the ``*_steps`` methods, see
 :mod:`repro.sched`): every query goes out through the shared
 :class:`~repro.resolver.exchange.Exchanger` as a yielded intent, so a
 scan with many zones in flight drives them directly.  The public
-``resolve`` / ``find_delegation`` / ``find_delegation_below`` /
-``resolve_addresses`` / ``ask`` are synchronous facades that run those
-steps to completion on a loop of their own.
+``resolve`` / ``find_delegation`` / ``resolve_addresses`` are
+synchronous facades that run those steps to completion on a loop of
+their own.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Dict, Generator, List, Optional, Sequence
 
 from repro.chaos.retry import ONE_IMMEDIATE_RETRY, RetryPolicy
 from repro.dns.message import Message
@@ -149,13 +149,11 @@ class IterativeResolver:
         clock = self.limiter.clock if self.limiter is not None else self.network.clock
         return run_steps(clock, self.network, steps)
 
-    def ask(self, ips: Sequence[str], name: Name, rrtype: RRType) -> Tuple[Message, str]:
-        """Query the given server addresses in order until one answers;
-        returns ``(response, answering address)``."""
-        return self._run(self.ask_steps(ips, name, rrtype))
-
     def ask_steps(self, ips: Sequence[str], name: Name, rrtype: RRType) -> Generator:
-        """Each address is given the resolver's full retry budget
+        """Query the given server addresses in order until one answers;
+        steps → ``(response, answering address)``.
+
+        Each address is given the resolver's full retry budget
         (:attr:`retry`) before the walk moves on, and an address whose
         final attempt timed out is passed over — so the delegation walk
         converges under the same fault model as the scanner's queries."""
@@ -355,24 +353,16 @@ class IterativeResolver:
             raise ResolutionError(f"no delegation observed for {zone} at {ip}")
         raise ResolutionError(f"referral chain too long for {zone}")
 
-    def find_delegation_below(
-        self,
-        target: Name,
-        current_zone: Name,
-        servers: Sequence[str],
-    ) -> Optional[Tuple[Name, Optional[RRset], Optional[RRset], List[str]]]:
-        """One step of a downward walk: ask *servers* (authoritative for
-        *current_zone*) about *target* and return the next cut.
-
-        Returns ``(cut_name, ds_rrset, ds_rrsigs, next_server_ips)`` when
-        the servers hand out a referral, or ``None`` when they answer
-        authoritatively (no further cut towards *target*).
-        """
-        return self._run(self.find_delegation_below_steps(target, current_zone, servers))
-
     def find_delegation_below_steps(
         self, target: Name, current_zone: Name, servers: Sequence[str]
     ) -> Generator:
+        """One step of a downward walk: ask *servers* (authoritative for
+        *current_zone*) about *target* for the next cut.
+
+        Steps → ``(cut_name, ds_rrset, ds_rrsigs, next_server_ips)`` when
+        the servers hand out a referral, or ``None`` when they answer
+        authoritatively (no further cut towards *target*).
+        """
         response, _ = yield from self.ask_steps(servers, target, RRType.NS)
         cut = self._referral_cut(response, target)
         if cut is None:

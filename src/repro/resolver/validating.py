@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Generator, List, Optional, Sequence
 
-from repro.dns.message import Message, make_query
+from repro.dns.message import Message
 from repro.dns.name import Name
 from repro.dns.rdata import DNSKEY, RRSIG
 from repro.dns.rrset import RRset
@@ -33,6 +33,7 @@ from repro.dnssec.validator import (
     validate_rrset,
 )
 from repro.resolver.iterative import IterativeResolver, ResolutionError
+from repro.sched import run_steps
 from repro.server.network import SimulatedNetwork
 
 
@@ -78,64 +79,65 @@ class ValidatingResolver:
         self.network = network
         self.resolver = IterativeResolver(network, root_ips)
         self.now = now
-        self._msg_id = 0
 
     # -- plumbing -----------------------------------------------------------
 
-    def _query(self, ips: Sequence[str], qname: Name, qtype: RRType) -> Optional[Message]:
+    def _query(self, ips: Sequence[str], qname: Name, qtype: RRType) -> Generator:
+        """Steps → the first response from *ips*, or None if all fail."""
         try:
-            response, _ = self.resolver.ask(ips, qname, qtype)
+            response, _ = yield from self.resolver.ask_steps(ips, qname, qtype)
             return response
         except ResolutionError:
             return None
 
-    def _rrset_with_sigs(
-        self, response: Message, owner: Name, rrtype: RRType
-    ) -> tuple[Optional[RRset], List[RRSIG]]:
-        rrset = response.get_rrset(response.answer, owner, rrtype)
-        sig_rrset = response.get_rrset(response.answer, owner, RRType.RRSIG)
-        sigs = [
+    @staticmethod
+    def _covering(sig_rrset: Optional[RRset], rrtype: RRType) -> List[RRSIG]:
+        """The RRSIGs of *sig_rrset* that cover *rrtype*."""
+        return [
             rd
             for rd in (sig_rrset.rdatas if sig_rrset else [])
             if isinstance(rd, RRSIG) and int(rd.type_covered) == int(rrtype)
         ]
-        return rrset, sigs
 
-    def _same_server_cut(
-        self, qname: Name, current: Name, servers: Sequence[str]
-    ) -> Optional[tuple]:
-        """Find the next zone apex towards *qname* hosted on the same
+    def _rrset_with_sigs(
+        self, response: Message, owner: Name, rrtype: RRType
+    ) -> tuple[Optional[RRset], List[RRSIG]]:
+        sig_rrset = response.get_rrset(response.answer, owner, RRType.RRSIG)
+        return response.get_rrset(response.answer, owner, rrtype), self._covering(sig_rrset, rrtype)
+
+    def _same_server_cut(self, qname: Name, current: Name, servers: Sequence[str]) -> Generator:
+        """Steps → the next zone apex towards *qname* hosted on the same
         servers (no referral observed): a candidate owning an SOA."""
         for depth in range(len(current) + 1, len(qname) + 1):
             candidate = qname.split(depth)
-            response = self._query(servers, candidate, RRType.SOA)
+            response = yield from self._query(servers, candidate, RRType.SOA)
             if response is None:
                 continue
             soa = response.get_rrset(response.answer, candidate, RRType.SOA)
             if soa is None:
                 continue
-            ds_response = self._query(servers, candidate, RRType.DS)
-            ds_rrset = None
-            ds_rrsig_rrset = None
-            if ds_response is not None:
-                ds_rrset = ds_response.get_rrset(ds_response.answer, candidate, RRType.DS)
-                ds_rrsig_rrset = ds_response.get_rrset(
-                    ds_response.answer, candidate, RRType.RRSIG
-                )
-            return candidate, ds_rrset, ds_rrsig_rrset, list(servers)
+            # No referral carried the DS: ask the (shared) parent servers.
+            ds = yield from self.resolver._ds_at_cut(candidate, response, servers)
+            return (candidate, *ds, list(servers))
         return None
 
     # -- the walk -----------------------------------------------------------------
 
     def resolve(self, name: Name | str, rrtype: RRType) -> ValidatedResolution:
         """Resolve and validate (qname, qtype) from the root down."""
+        return run_steps(self.network.clock, self.network, self.resolve_steps(name, rrtype))
+
+    def resolve_steps(self, name: Name | str, rrtype: RRType) -> Generator:
+        """:meth:`resolve` as a step generator (:mod:`repro.sched`): every
+        query is a yielded intent, so the walk runs under any scan loop
+        and over either transport."""
         qname = name if isinstance(name, Name) else Name.from_text(name)
         servers = list(self.resolver.root_ips)
         current = Name.root()
         chain_zones: List[Name] = [current]
 
         # Trust anchor: the root DNSKEY RRset must self-validate.
-        response = self._query(servers, current, RRType.DNSKEY)
+        response = yield from self._query(servers, current, RRType.DNSKEY)
         if response is None:
             return ValidatedResolution(
                 SecurityStatus.INDETERMINATE, Rcode.SERVFAIL, detail="root unreachable"
@@ -153,16 +155,22 @@ class ValidatingResolver:
 
         for _ in range(24):
             try:
-                step = self.resolver.find_delegation_below(qname, current, servers)
+                step = yield from self.resolver.find_delegation_below_steps(qname, current, servers)
             except ResolutionError as exc:
                 return ValidatedResolution(
                     SecurityStatus.INDETERMINATE, Rcode.SERVFAIL, detail=str(exc)
                 )
+            if step is not None and len(step[0]) > len(current) + 1:
+                # A referral that skips labels (uk → example.co.uk): the
+                # same servers may host a zone in between, whose keys —
+                # not *current*'s — sign the DS.  Descend into it first.
+                between = yield from self._same_server_cut(step[0].parent(), current, servers)
+                step = between or step
             if step is None:
                 # The same servers may host both sides of remaining cuts
                 # (operator serving parent and child): probe for deeper
                 # zone apexes by SOA ownership.
-                deeper = self._same_server_cut(qname, current, servers)
+                deeper = yield from self._same_server_cut(qname, current, servers)
                 if deeper is None:
                     break
                 cut, ds_rrset, ds_rrsig_rrset, next_servers = deeper
@@ -181,11 +189,7 @@ class ValidatingResolver:
                     secure = False
                     detail = f"no DS at {cut} — insecure delegation"
                 else:
-                    ds_sigs = [
-                        rd
-                        for rd in (ds_rrsig_rrset.rdatas if ds_rrsig_rrset else [])
-                        if isinstance(rd, RRSIG) and int(rd.type_covered) == int(RRType.DS)
-                    ]
+                    ds_sigs = self._covering(ds_rrsig_rrset, RRType.DS)
                     if not validate_rrset(ds_rrset, ds_sigs, zone_keys, self.now):
                         return ValidatedResolution(
                             SecurityStatus.BOGUS,
@@ -193,7 +197,7 @@ class ValidatingResolver:
                             chain_zones=chain_zones,
                             detail=f"DS RRset at {cut} fails validation",
                         )
-                    key_response = self._query(next_servers, cut, RRType.DNSKEY)
+                    key_response = yield from self._query(next_servers, cut, RRType.DNSKEY)
                     if key_response is None:
                         return ValidatedResolution(
                             SecurityStatus.INDETERMINATE,
@@ -214,7 +218,7 @@ class ValidatingResolver:
             servers = next_servers
 
         # Final authoritative answer.
-        response = self._query(servers, qname, rrtype)
+        response = yield from self._query(servers, qname, rrtype)
         if response is None:
             return ValidatedResolution(
                 SecurityStatus.INDETERMINATE, Rcode.SERVFAIL, detail="no final answer"
@@ -229,34 +233,21 @@ class ValidatingResolver:
                 chain_zones=chain_zones,
                 detail=detail or "negative answer",
             )
-        if not secure:
-            return ValidatedResolution(
-                SecurityStatus.INSECURE,
-                response.rcode,
-                answers=answers,
-                apex=current,
-                chain_zones=chain_zones,
-                detail=detail,
-            )
-        wanted, sigs = self._rrset_with_sigs(response, qname, rrtype)
-        if wanted is None:
-            # CNAME chains etc.: validate what was returned at the owner.
-            wanted = answers[0]
-            _, sigs = self._rrset_with_sigs(response, wanted.name, wanted.rrtype)
-        outcome = validate_rrset(wanted, sigs, zone_keys, self.now)
-        if not outcome.ok:
-            return ValidatedResolution(
-                SecurityStatus.BOGUS,
-                response.rcode,
-                answers=answers,
-                apex=current,
-                chain_zones=chain_zones,
-                detail=f"answer fails validation: {outcome.reason.value}",
-            )
+        status = SecurityStatus.INSECURE
+        if secure:
+            wanted, sigs = self._rrset_with_sigs(response, qname, rrtype)
+            if wanted is None:
+                # CNAME chains etc.: validate what was returned at the owner.
+                wanted = answers[0]
+                _, sigs = self._rrset_with_sigs(response, wanted.name, wanted.rrtype)
+            outcome = validate_rrset(wanted, sigs, zone_keys, self.now)
+            status = SecurityStatus.SECURE if outcome.ok else SecurityStatus.BOGUS
+            detail = "" if outcome.ok else f"answer fails validation: {outcome.reason.value}"
         return ValidatedResolution(
-            SecurityStatus.SECURE,
+            status,
             response.rcode,
             answers=answers,
             apex=current,
             chain_zones=chain_zones,
+            detail=detail,
         )

@@ -25,7 +25,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, TextIO
 
 logger = logging.getLogger(__name__)
 
@@ -214,28 +214,16 @@ def result_to_line(result: ZoneScanResult) -> str:
 def dump_results(
     results: Iterable[ZoneScanResult],
     fp: TextIO,
-    locations: Optional[List[Tuple[str, int, int]]] = None,
 ) -> int:
     """Write results as JSON lines; returns the record count.
 
     *results* may be any iterable, including a generator — records are
     written as they arrive, nothing is held back.
-
-    When *locations* is a list, one ``(zone, offset, length)`` tuple is
-    appended per record: the byte offset and length (newline included)
-    of that record's line within the written stream.  For compressed
-    output the offsets address the *decompressed* stream.  This is how
-    the store exposes segment offsets at commit time to index builders.
     """
     count = 0
-    offset = 0
     for result in results:
-        line = result_to_line(result)
-        fp.write(line)
+        fp.write(result_to_line(result))
         fp.write("\n")
-        if locations is not None:
-            locations.append((result.zone.to_text(), offset, len(line) + 1))
-        offset += len(line) + 1
         count += 1
     return count
 
@@ -283,14 +271,6 @@ def load_results(
 
 
 # -- gzip-aware file access -------------------------------------------------
-
-
-def is_gzip(raw: BinaryIO) -> bool:
-    """True if the (seekable) binary stream starts with the gzip magic."""
-    pos = raw.tell()
-    magic = raw.read(2)
-    raw.seek(pos)
-    return magic == GZIP_MAGIC
 
 
 class _OwningTextWrapper(io.TextIOWrapper):

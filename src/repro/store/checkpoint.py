@@ -16,14 +16,12 @@ passes over whatever is not yet done.
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
 from repro.obs.telemetry import as_telemetry
 from repro.scanner.results import ZoneScanResult
-from repro.scanner.serialize import open_results_read
 from repro.store.manifest import (
     STATUS_COMPLETE,
     STATUS_IN_PROGRESS,
@@ -33,10 +31,10 @@ from repro.store.manifest import (
     save_manifest,
 )
 from repro.store.shards import (
-    ShardCorruption,
     StoreError,
     orphan_files,
     shard_for_zone,
+    stored_zones,
     write_shard,
 )
 
@@ -55,7 +53,6 @@ class CampaignStore:
         manifest: CampaignManifest,
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         telemetry=None,
-        track_locations: bool = False,
     ):
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -63,11 +60,6 @@ class CampaignStore:
         self.manifest = manifest
         self.checkpoint_every = checkpoint_every
         self.telemetry = as_telemetry(telemetry)
-        self.track_locations = track_locations
-        # segment path → [(zone, offset, length), ...] as committed, for
-        # index builders that want record addresses without re-reading
-        # the segment (populated only with track_locations=True).
-        self.segment_locations: Dict[str, List[tuple]] = {}
         self._buffers: Dict[int, List[ZoneScanResult]] = {}
         self._buffered = 0
         self.checkpoints = 0  # commits performed through this handle
@@ -166,17 +158,9 @@ class CampaignStore:
                 batch = self._buffers[bucket]
                 if not batch:
                     continue
-                locations: list = [] if self.track_locations else None
                 info = write_shard(
-                    self.root,
-                    bucket,
-                    sequence,
-                    batch,
-                    compress=self.manifest.compress,
-                    locations=locations,
+                    self.root, bucket, sequence, batch, compress=self.manifest.compress
                 )
-                if locations is not None:
-                    self.segment_locations[info.path] = locations
                 sequence += 1
                 committed += info.records
                 new_infos.append(info)
@@ -214,29 +198,8 @@ class CampaignStore:
     # -- resume support ----------------------------------------------------
 
     def completed_zones(self) -> Set[str]:
-        """Dotted names of every durably persisted zone (the skip-set).
-
-        Reads only the ``zone`` field of each stored line — no RRset
-        reconstruction — so building the skip-set is cheap relative to
-        scanning.
-        """
-        done: Set[str] = set()
-        for info in self.manifest.shards:
-            path = self.root / info.path
-            with open_results_read(str(path)) as fp:
-                for line in fp:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        done.add(json.loads(line)["zone"])
-                    except (json.JSONDecodeError, KeyError) as exc:
-                        # Committed segments are atomic; a corrupt line
-                        # here means on-disk damage, not a crash artefact.
-                        raise ShardCorruption(
-                            f"corrupt record inside committed shard {info.path}"
-                        ) from exc
-        return done
+        """Dotted names of every durably persisted zone (the skip-set)."""
+        return stored_zones(self.root, self.manifest)
 
     # -- context manager ---------------------------------------------------
 

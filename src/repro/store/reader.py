@@ -9,16 +9,15 @@ the 6.5 TiB archive was analysed without ever re-scanning.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Set
 
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.scanner.results import ZoneScanResult
-from repro.scanner.serialize import LoadStats, open_results_read
+from repro.scanner.serialize import LoadStats
 from repro.store.manifest import CampaignManifest, load_manifest
-from repro.store.shards import ShardCorruption, ShardInfo, StoreError, iter_shard
+from repro.store.shards import ShardInfo, StoreError, iter_shard, stored_zones
 
 
 @dataclass
@@ -92,7 +91,7 @@ class StoreReader:
 
         Served from the query snapshot's zone column when one exists
         and pins this exact manifest generation; otherwise streamed
-        from the segments decoding only each line's ``zone`` field —
+        from the segments (:func:`repro.store.shards.stored_zones`) —
         either way, no RRset reconstruction for a name listing.
         """
         from repro.query.snapshot import load_fresh_zones
@@ -100,23 +99,7 @@ class StoreReader:
         indexed = load_fresh_zones(self.root, self.manifest)
         if indexed is not None:
             return set(indexed)
-        zones: Set[str] = set()
-        for info in self._ordered_shards():
-            path = self.root / info.path
-            if not path.exists():
-                raise StoreError(f"manifest references missing shard {info.path}")
-            with open_results_read(str(path)) as fp:
-                for line in fp:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        zones.add(json.loads(line)["zone"])
-                    except (json.JSONDecodeError, KeyError) as exc:
-                        raise ShardCorruption(
-                            f"corrupt record inside committed shard {info.path}"
-                        ) from exc
-        return zones
+        return stored_zones(self.root, self.manifest)
 
     # -- analysis ----------------------------------------------------------
 

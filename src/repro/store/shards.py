@@ -25,10 +25,11 @@ give identical digests.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.scanner.results import ZoneScanResult
 from repro.scanner.serialize import (
@@ -114,7 +115,6 @@ def write_shard(
     sequence: int,
     results: Iterable[ZoneScanResult],
     compress: bool = True,
-    locations: Optional[List[Tuple[str, int, int]]] = None,
 ) -> ShardInfo:
     """Commit *results* as one immutable shard segment.
 
@@ -122,11 +122,6 @@ def write_shard(
     renamed into place (atomic on POSIX), then the directory entry is
     fsynced.  A crash at any point leaves either no file or a stray
     ``*.tmp`` — never a half-written segment under the final name.
-
-    When *locations* is a list it receives one ``(zone, offset, length)``
-    tuple per committed record — the segment offsets exposed at commit
-    time, so an index builder can address records without re-reading
-    the segment (offsets are within the decompressed stream).
     """
     shard_dir = root / SHARD_DIR
     shard_dir.mkdir(parents=True, exist_ok=True)
@@ -135,7 +130,7 @@ def write_shard(
     tmp = shard_dir / (name + ".tmp")
     fp = open_results_write(str(tmp), compress=compress)
     try:
-        count = dump_results(results, fp, locations=locations)
+        count = dump_results(results, fp)
         fp.flush()
     finally:
         fp.close()
@@ -169,26 +164,37 @@ def iter_shard(
         yield from load_results(fp, strict=strict, stats=stats)
 
 
-def read_record_at(root: Path, path: str, offset: int, length: int) -> ZoneScanResult:
-    """Read one record by its commit-time ``(offset, length)`` location.
+def stored_zones(root: Path, manifest, buckets: Optional[Iterable[int]] = None) -> Set[str]:
+    """Dotted names of every zone *manifest* holds at *root* — of the
+    zone-hash *buckets* only, when given.
 
-    *path* is a store-relative segment (or index data file) path.  For
-    plain JSONL this is a single seek + read; for gzip segments the
-    offset addresses the decompressed stream, so the file is
-    decompressed up to *offset* (still no JSON decoding of earlier
-    records — the dominant cost at scale).
+    The one stored-zone lister: a resume's skip-set, a worker's (which
+    reads only its own buckets' segments, so it costs I/O proportional
+    to its share of the store) and a reader's name listing.  Decodes
+    only each line's ``zone`` field — no RRset reconstruction.
     """
-    import json as _json
-
-    from repro.scanner.serialize import result_from_obj
-
-    target = root / path
-    if not target.exists():
-        raise StoreError(f"cannot read record: missing file {path}")
-    with open_results_read(str(target)) as fp:
-        fp.seek(offset)
-        line = fp.read(length)
-    return result_from_obj(_json.loads(line))
+    wanted = None if buckets is None else set(buckets)
+    zones: Set[str] = set()
+    for info in manifest.shards:
+        if wanted is not None and info.bucket not in wanted:
+            continue
+        path = Path(root) / info.path
+        if not path.exists():
+            raise StoreError(f"manifest references missing shard {info.path}")
+        with open_results_read(str(path)) as fp:
+            for line in fp:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    zones.add(json.loads(line)["zone"])
+                except (json.JSONDecodeError, KeyError) as exc:
+                    # Committed segments are atomic; a corrupt line here
+                    # means on-disk damage, not a crash artefact.
+                    raise ShardCorruption(
+                        f"corrupt record inside committed shard {info.path}"
+                    ) from exc
+    return zones
 
 
 def verify_shard(root: Path, info: ShardInfo) -> None:

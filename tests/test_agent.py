@@ -153,7 +153,9 @@ class TestAgentChain:
         monitor, _ = agent_chain
         world, _ = world_at_epoch(SCALE, SEED, composed_spec(monitor), WEEKS)
         campaign = run_campaign(
-            CampaignConfig(recheck=False, store_dir=tmp_path / "operator-world"),
+            CampaignConfig(
+                scale=SCALE, seed=SEED, recheck=False, store_dir=tmp_path / "operator-world"
+            ),
             world=world,
         )
         assert merged_artifacts(monitor) == render_artifacts(campaign.report)

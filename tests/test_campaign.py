@@ -94,3 +94,24 @@ class TestADroppedWorldIsFreedByRefcount:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestAStoreRecordsTheWorldItScanned:
+    def test_a_foreign_world_is_refused_before_a_store_exists(self, tmp_path):
+        """Regression: the manifest used to record the *config's* seed
+        while the scan ran over the caller's world, so a resume rebuilt
+        a different population and silently finished the store with it."""
+        from repro.store import StoreError
+
+        world = build_world(scale=1e-6, seed=7)
+        root = tmp_path / "store"
+        with pytest.raises(StoreError, match="does not match"):
+            run_campaign(
+                CampaignConfig(seed=1, scale=1e-6, store_dir=root, stop_after=10), world=world
+            )
+        assert not root.exists()
+
+    def test_in_memory_over_a_foreign_world_stays_legal(self):
+        world = build_world(scale=1.25e-7, seed=7)
+        result = run_campaign(CampaignConfig(recheck=False), world=world)  # default seed/scale
+        assert result.world is world and len(result.results) == len(world.scan_list)

@@ -134,8 +134,10 @@ class TestResolverStepHelpers:
         from repro.resolver import IterativeResolver
 
         resolver = IterativeResolver(mini_world["network"], mini_world["root_ips"])
-        step = resolver.find_delegation_below(
-            Name.from_text("www.example.com"), Name.root(), mini_world["root_ips"]
+        step = resolver._run(  # the facades' own driver: one loop, these steps
+            resolver.find_delegation_below_steps(
+                Name.from_text("www.example.com"), Name.root(), mini_world["root_ips"]
+            )
         )
         assert step is not None
         cut, ds_rrset, _, next_servers = step
@@ -148,8 +150,10 @@ class TestResolverStepHelpers:
         from tests.helpers import OP_IP_1
 
         resolver = IterativeResolver(mini_world["network"], mini_world["root_ips"])
-        step = resolver.find_delegation_below(
-            Name.from_text("www.example.com"), Name.from_text("example.com"), [OP_IP_1]
+        step = resolver._run(
+            resolver.find_delegation_below_steps(
+                Name.from_text("www.example.com"), Name.from_text("example.com"), [OP_IP_1]
+            )
         )
         assert step is None  # the operator answers authoritatively
 

@@ -2,10 +2,12 @@
 
 A :class:`CampaignConfig` is the only thing that travels, so (a) every
 recorded setting must still be in force after a resume, (b) resume
-overrides are validated together with the recorded settings, and (c)
+overrides are validated together with the recorded settings, (c)
 every scan-affecting field must reach a spawned worker's world, scanner
-and store.  The first two tests fail at the commit that still had five
-hand-threaded copies of the executor.
+and store — and the parallel parent's, which comes through the same
+``prepare`` — and (d) a layout differs in its scan step only: every
+layout opens and closes the same way.  The first two tests fail at the
+commit that still had five hand-threaded copies of the executor.
 """
 
 import pickle
@@ -14,12 +16,15 @@ from types import SimpleNamespace
 
 import pytest
 
+import repro.monitor.timeline as timeline_module
+import repro.parallel.engine as engine_module
 import repro.parallel.worker as worker_module
-from repro.campaign import CampaignConfig, resume_campaign, run_campaign
+from repro.campaign import CampaignConfig, open_store, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig, RetryPolicy
 from repro.ecosystem.world import build_world
 from repro.monitor import MonitorSpec
 from repro.monitor.timeline import scan_world
+from repro.obs.telemetry import as_telemetry
 from repro.parallel import (
     ParallelCampaignError,
     WorkerSpec,
@@ -28,6 +33,7 @@ from repro.parallel import (
     worker_dir,
     zones_for_buckets,
 )
+from repro.reports import render_artifacts
 from repro.scanner.sources import compile_scan_list
 from repro.scenarios import ScenarioSpec
 from repro.store.manifest import load_manifest, manifest_path
@@ -218,7 +224,7 @@ def _run_one_worker(config, root):
         store_dir=str(worker_dir(root, 0)),
         skip_roots=(),
         crash_after=None,
-        # What the parent resolves before spawning (see engine._drive).
+        # What the parent resolves before spawning (see engine.scan_with_workers).
         config=replace(config, num_shards=config.num_shards or 16, telemetry=bool(config.telemetry)),
     )
     assert pickle.loads(pickle.dumps(spec)) == spec
@@ -245,3 +251,156 @@ def _run_one_worker(config, root):
 def test_worker_observes_the_field(name, seen_by_worker):
     config, check = OBSERVED[name]
     assert check(config, seen_by_worker(config)), name
+
+
+# -- the parallel parent comes through prepare() too -------------------------
+
+# field → what the parent's world / scanner / scan list must show.
+PARENT_OBSERVED = {
+    "scale": (PLAIN, lambda c, p: p.world.scale == c.scale),
+    "seed": (PLAIN, lambda c, p: p.world.seed == c.seed),
+    "use_sources": (PLAIN, lambda c, p: p.zones == compile_scan_list(_replica(c)).names),
+    "in_flight": (PLAIN, lambda c, p: p.scanner.config.in_flight == 4),
+    "telemetry": (PLAIN, lambda c, p: p.scanner.telemetry is p.telemetry and p.telemetry.enabled),
+    "chaos": (PLAIN, lambda c, p: p.world.network.chaos.config == c.chaos.derive("recheck")),
+    "retry": (PLAIN, lambda c, p: p.scanner.retry == c.retry),
+    "scenarios": (PLAIN, lambda c, p: "SpoofSign" in p.world.profiles),
+    "epoch": (EPOCH, lambda c, p: p.events is not None),
+    "monitor": (EPOCH, lambda c, p: p.zones == _delta_subset(c)),
+}
+# Fields the parent's scan step has no use for, and why.
+NOT_THE_SCAN_STEPS_BUSINESS = {
+    "recheck": "read by the close in _execute, on the scanner checked here",
+    "store_dir": "the open: the root store is open before the scan step starts",
+    "checkpoint_every": "the open (open_store); the parent appends nothing",
+    "num_shards": "the open; the scan step reads the manifest's",
+    "compress": "the open; the parent writes no segment",
+    "workers": "the partition (bucket_ranges), not the world or the scanner",
+    "parent_epoch": "stamped in the root manifest by the open",
+    "stop_after": "validate() rejects it with workers=N",
+    "transport": "validate() rejects 'wire' with workers=N",
+}
+
+
+def _replica(config):
+    return build_world(scale=config.scale, seed=config.seed, scenarios=config.scenarios)
+
+
+def test_every_config_field_reaches_the_parent_or_is_accounted_for():
+    names = {f.name for f in fields(CampaignConfig)}
+    assert set(PARENT_OBSERVED) | set(NOT_THE_SCAN_STEPS_BUSINESS) == names
+    assert not set(PARENT_OBSERVED) & set(NOT_THE_SCAN_STEPS_BUSINESS)
+    # What the sequential close reads off its scanner is observed, not excused.
+    assert {"retry", "chaos", "in_flight", "telemetry"} <= set(PARENT_OBSERVED)
+
+
+@pytest.fixture(scope="module")
+def seen_by_parent(tmp_path_factory):
+    """Run the parent's scan step on a finished (empty) store — nothing
+    to spawn — noting what prepare() was handed and what it built."""
+    cache = {}
+
+    def run(config):
+        if id(config) not in cache:
+            config = replace(config, store_dir=tmp_path_factory.mktemp("parent") / "store")
+            config.validate()
+            telemetry = as_telemetry(config.telemetry)
+            store = open_store(config, config.store_dir, telemetry, create={})
+            store.complete()
+            seen = SimpleNamespace(telemetry=telemetry)
+
+            def prepare(*args, **kwargs):
+                seen.world, seen.scanner, seen.zones, seen.events = real_prepare(*args, **kwargs)
+                return seen.world, seen.scanner, seen.zones, seen.events
+
+            real_prepare = engine_module.prepare
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(engine_module, "prepare", prepare)
+                returned = engine_module.scan_with_workers(config, store, telemetry)
+            assert returned[:3] == (seen.world, seen.scanner, seen.events)
+            cache[id(config)] = seen
+        return cache[id(config)]
+
+    return run
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_OBSERVED))
+def test_parent_observes_the_field(name, seen_by_parent):
+    config, check = PARENT_OBSERVED[name]
+    assert check(config, seen_by_parent(config)), name
+
+
+def test_workers_are_spawned_before_the_parent_builds_its_world(tmp_path, monkeypatch):
+    """The overlap: the parent's world build runs while the workers scan."""
+    order = []
+
+    def logged(label, real):
+        def wrapper(*args, **kwargs):
+            order.append(label)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(engine_module, "_spawn_workers", logged("spawn", engine_module._spawn_workers))
+    monkeypatch.setattr(timeline_module, "build_world", logged("build", timeline_module.build_world))
+    run_campaign(
+        CampaignConfig(scale=1.3e-7, seed=SEED, recheck=False, workers=2, store_dir=tmp_path / "s")
+    )
+    assert order == ["spawn", "build"]
+
+
+# -- one close: every layout ends in the same report and manifest ------------
+
+BASE = CampaignConfig(scale=SCALE, seed=SEED, checkpoint_every=8)
+
+
+def _serial(root):
+    return run_campaign(replace(BASE, store_dir=root))
+
+
+def _stopped_then_resumed(root):
+    run_campaign(replace(BASE, store_dir=root, stop_after=40))
+    return resume_campaign(root)
+
+
+def _workers(root):
+    return run_campaign(replace(BASE, store_dir=root, workers=2))
+
+
+def _workers_killed_then_resumed_with_three(root):
+    with pytest.raises(ParallelCampaignError):
+        run_parallel_campaign(replace(BASE, store_dir=root, workers=2), faults={0: 20})
+    return resume_campaign(root, workers=3)
+
+
+def _sequential_start_finished_by_workers(root):
+    run_campaign(replace(BASE, store_dir=root, stop_after=40))
+    return resume_campaign(root, workers=2)
+
+
+# layout → (how to run it, the worker count its manifest must end up recording)
+LAYOUTS = {
+    "serial": (_serial, None),
+    "stop_after-resume": (_stopped_then_resumed, None),
+    "workers2": (_workers, 2),
+    "workers2-killed-resume-workers3": (_workers_killed_then_resumed_with_three, 3),
+    "sequential-start-finish-workers2": (_sequential_start_finished_by_workers, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def in_memory():
+    return run_campaign(BASE)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_every_layout_closes_the_same_way(layout, in_memory, tmp_path):
+    run, workers = LAYOUTS[layout]
+    campaign = run(tmp_path / "store")
+    assert render_artifacts(campaign.report) == render_artifacts(in_memory.report)
+    assert campaign.rechecked == in_memory.rechecked and campaign.rechecked
+    assert campaign.report.total_scanned == in_memory.report.total_scanned
+    manifest = load_manifest(campaign.store_dir)
+    assert manifest.complete and manifest.records == manifest.zones_total
+    assert manifest.config == replace(BASE, workers=workers).manifest_config()
+    assert (campaign.machines is not None) == (workers is not None)

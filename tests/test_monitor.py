@@ -59,7 +59,9 @@ def full_scan_artifacts(epoch: int, tmp_path) -> dict:
     """Ground truth: scan the week-*epoch* world from scratch."""
     world, _ = world_at_epoch(SCALE, SEED, SPEC, epoch)
     campaign = run_campaign(
-        CampaignConfig(recheck=False, store_dir=tmp_path / f"full-e{epoch}"),
+        CampaignConfig(
+            scale=SCALE, seed=SEED, recheck=False, store_dir=tmp_path / f"full-e{epoch}"
+        ),
         world=world,
     )
     return render_artifacts(campaign.report)

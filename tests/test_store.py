@@ -4,11 +4,13 @@ diffing."""
 
 import copy
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.core import assess_zone
+from repro.parallel import stored_zones_for_buckets
 from repro.reports import render_artifacts
 from repro.scanner import Scanner
 from repro.scanner.serialize import result_from_obj, result_to_obj
@@ -21,6 +23,7 @@ from repro.store import (
     load_manifest,
     shard_for_zone,
 )
+from repro.store.shards import stored_zones
 
 SCALE = 1e-6
 SEED = 41
@@ -373,15 +376,12 @@ class TestDiff:
         from repro.provisioning import AuthenticatedBootstrapPolicy, BootstrapEngine
 
         world = build_world(scale=SCALE, seed=7)
-        run_campaign(
-            CampaignConfig(recheck=False, store_dir=tmp_path / "epoch1"), world=world
-        )
+        config = CampaignConfig(scale=SCALE, seed=7, recheck=False)  # the store records the world's
+        run_campaign(replace(config, store_dir=tmp_path / "epoch1"), world=world)
         engine = BootstrapEngine(world, AuthenticatedBootstrapPolicy())
         outcome = engine.run()
         assert outcome.secured, "provisioning should secure at least one island"
-        run_campaign(
-            CampaignConfig(recheck=False, store_dir=tmp_path / "epoch2"), world=world
-        )
+        run_campaign(replace(config, store_dir=tmp_path / "epoch2"), world=world)
 
         diff = diff_stores(
             StoreReader(tmp_path / "epoch1"), StoreReader(tmp_path / "epoch2")
@@ -448,7 +448,7 @@ class TestReaderHardening:
             raise AssertionError("zones() streamed segments despite a fresh index")
 
         monkeypatch.setattr("repro.scanner.serialize.open_results_read", no_streaming)
-        monkeypatch.setattr("repro.store.reader.open_results_read", no_streaming)
+        monkeypatch.setattr("repro.store.shards.open_results_read", no_streaming)
         assert StoreReader(root).zones() == streamed
         monkeypatch.undo()
 
@@ -459,6 +459,31 @@ class TestReaderHardening:
         reopened.append(result_from_obj(extra_obj))
         reopened.checkpoint()
         assert StoreReader(root).zones() == streamed | {"fresh-arrival.com."}
+
+    def test_stored_zones_reads_only_the_wanted_buckets(self, mini_results, tmp_path, monkeypatch):
+        """The one lister: ``buckets=`` opens those buckets' segments and
+        no others, and is the unfiltered listing cut by the shard hash."""
+        import repro.store.shards as shards_module
+
+        store = fill_store(tmp_path / "store", mini_results, checkpoint_every=2, num_shards=4)
+        manifest = store.manifest
+        everything = stored_zones(store.root, manifest)
+        assert everything == {r.zone.to_text() for r in mini_results}
+        assert store.completed_zones() == StoreReader(store.root).zones() == everything
+
+        opened = []
+        real_open = shards_module.open_results_read
+        monkeypatch.setattr(
+            shards_module, "open_results_read", lambda path: opened.append(path) or real_open(path)
+        )
+        wanted = {info.bucket for info in manifest.shards[:1]} | {3}
+        mine = stored_zones(store.root, manifest, buckets=wanted)
+        assert mine == {z for z in everything if shard_for_zone(z, 4) in wanted}
+        assert mine and mine != everything
+        assert sorted(opened) == sorted(
+            str(store.root / info.path) for info in manifest.shards if info.bucket in wanted
+        )
+        assert stored_zones_for_buckets(store.root, wanted) == mine
 
     def test_summary_reports_damaged_store(self, mini_results, tmp_path):
         """A shard vanishing *after* the reader opened (load_manifest
