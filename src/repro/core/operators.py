@@ -51,12 +51,11 @@ class OperatorDB:
 
     def identify_host(self, ns_host: Name) -> Optional[str]:
         """The operator for one NS hostname (deepest matching suffix)."""
-        best: Optional[Tuple[int, str]] = None
-        for suffix, operator in self._suffixes.items():
-            if ns_host.is_subdomain_of(suffix):
-                if best is None or len(suffix) > best[0]:
-                    best = (len(suffix), operator)
-        return best[1] if best else None
+        for depth in range(len(ns_host), -1, -1):
+            operator = self._suffixes.get(ns_host.split(depth))
+            if operator is not None:
+                return operator
+        return None
 
     def identify(self, ns_hosts: Iterable[Name]) -> OperatorAttribution:
         """Attribute a zone from its full NS hostname set.

@@ -111,8 +111,19 @@ class Name:
         Accepts both ``"example.com"`` and ``"example.com."``; the empty
         string and ``"."`` denote the root.  Escapes are not supported —
         the synthetic ecosystem never produces them.
+
+        A text seen before is answered from a table keyed on the exact
+        input (``_INTERN_LIMIT`` entries, cleared when full; a text that
+        raises is never stored) — a store re-spells the same names in
+        every record.  A ``Name`` is immutable, so the shared instance
+        also shares its memoised fold, hash, text and wire.
         """
-        text = text.strip()
+        global TEXT_HITS
+        name = _BY_TEXT.get(text)
+        if name is not None:
+            TEXT_HITS += 1
+            return name
+        key, text = text, text.strip()
         if text in ("", "."):
             return ROOT
         if text.endswith("."):
@@ -120,7 +131,11 @@ class Name:
         labels = [part.encode("ascii") for part in text.split(".")]
         if any(not part for part in labels):
             raise NameError_(f"empty label in {text!r}")
-        return cls(labels)
+        name = cls(labels)
+        if len(_BY_TEXT) >= _INTERN_LIMIT:
+            _BY_TEXT.clear()
+        _BY_TEXT[key] = name
+        return name
 
     @classmethod
     def root(cls) -> "Name":
@@ -319,5 +334,7 @@ class Name:
 
 _INTERN_LIMIT = 1 << 16
 _INTERNED: dict = {}
+_BY_TEXT: dict = {}  # exact input text -> Name, for from_text
+TEXT_HITS = 0  # from_text calls answered from _BY_TEXT
 
 ROOT = Name()

@@ -251,6 +251,8 @@ def _logical_lines(text: str):
 
 def _split_preserving_quotes(line: str) -> List[str]:
     """Tokenise, keeping quoted strings (with spaces) as single tokens."""
+    if '"' not in line:
+        return line.split()  # same whitespace rule as the loop below
     tokens: List[str] = []
     current = ""
     in_quote = False

@@ -50,6 +50,7 @@ from repro.monitor.layout import (
 from repro.monitor.spec import MonitorSpec
 from repro.obs.events import stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.scanner.serialize import result_from_obj
 from repro.store.diff import ZoneClassification, diff_classifications
 from repro.store.manifest import load_manifest, manifest_path
 from repro.store.reader import StoreReader
@@ -389,14 +390,15 @@ class Monitor:
     def _merged(self, epoch: int):
         """``(zone, result)`` for each zone's newest stored record as of
         *epoch*: the chain is walked newest epoch first and a zone
-        already seen is superseded, so each epoch store is read once."""
+        already seen is superseded, so each epoch store is read once and
+        only the records kept are rebuilt."""
         seen: Set[str] = set()
         for e in reversed(self._chain(epoch)):
-            for result in StoreReader(self.epoch_dir(e)).iter_results():
-                zone = result.zone.to_text()
+            for obj in StoreReader(self.epoch_dir(e)).iter_objects():
+                zone = obj["zone"]
                 if zone not in seen:
                     seen.add(zone)
-                    yield zone, result
+                    yield zone, result_from_obj(obj)
 
     def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
         """Each zone's verdict as of *epoch* (default: latest complete)."""

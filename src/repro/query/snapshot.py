@@ -53,9 +53,9 @@ from repro.core.pipeline import signal_operator_for
 from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.monitor.layout import completed_epochs, epoch_dir, is_monitor_root
 from repro.obs.telemetry import as_telemetry
-from repro.scanner.serialize import result_to_obj
+from repro.scanner.serialize import result_from_obj, result_to_obj
 from repro.store.manifest import CampaignManifest, load_manifest
-from repro.store.shards import StoreError, iter_shard
+from repro.store.shards import ShardInfo, StoreError, iter_shard_objects
 
 INDEX_DIR = "index"
 BUCKETS_DIR = "buckets"
@@ -281,7 +281,9 @@ def build_index(
     (tmp_dir / BUCKETS_DIR).mkdir(parents=True)
     (tmp_dir / COLUMNS_DIR).mkdir(parents=True)
 
-    ordered = sorted(manifest.shards, key=lambda info: (info.sequence, info.bucket))
+    by_bucket: Dict[int, List[ShardInfo]] = {}
+    for info in sorted(manifest.shards, key=lambda info: (info.sequence, info.bucket)):
+        by_bucket.setdefault(info.bucket, []).append(info)
     columns: Dict[str, List[str]] = {name: [] for name in COLUMN_NAMES}
     bucket_entries: List[Dict[str, Any]] = []
     total_records = 0
@@ -292,14 +294,12 @@ def build_index(
             # Commit order within the bucket; a dict keyed by zone makes
             # later commits win should a store ever hold a duplicate.
             latest: Dict[str, Any] = {}
-            for info in ordered:
-                if info.bucket != bucket:
-                    continue
-                for result in iter_shard(root, info, strict=True):
-                    latest[result.zone.to_text()] = result
+            for info in by_bucket.get(bucket, ()):
+                for obj in iter_shard_objects(root, info):
+                    latest[obj["zone"]] = obj
 
             rows = sorted(
-                ((zone_key64(zone), zone, result) for zone, result in latest.items()),
+                ((zone_key64(zone), zone, obj) for zone, obj in latest.items()),
                 key=lambda item: (item[0], item[1]),
             )
             files = BucketFiles(bucket)
@@ -313,8 +313,12 @@ def build_index(
             with open(data_path, "w", encoding="utf-8", newline="\n") as data_fp, open(
                 meta_path, "w", encoding="utf-8", newline="\n"
             ) as meta_fp:
-                for key64, zone, result in rows:
-                    line = canonical_record_line(result)
+                for key64, zone, obj in rows:
+                    # The stored object is canonical_record_line's input
+                    # (identity pinned by tests/test_text_memo.py).
+                    result = result_from_obj(obj)
+                    obj["queries_used"] = 0
+                    line = json.dumps(obj, separators=(",", ":"))
                     data_fp.write(line)
                     data_fp.write("\n")
 

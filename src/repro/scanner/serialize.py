@@ -12,6 +12,12 @@ a generator, so a store→re-analyse cycle runs in O(1) memory.  Files
 may be gzip-compressed; readers auto-detect by magic bytes, writers
 compress when the path ends in ``.gz`` (see :func:`open_results_write`).
 
+Decode once: a read parses each distinct name text once
+(:meth:`Name.from_text`'s table) and each distinct ``(type, rdata text)``
+once (``_RDATA_MEMO``, ``_RDATA_MEMO_LIMIT`` entries, cleared when full).
+Both are immutable value objects, so records share them and their
+memoised wire forms; the ``RRset`` around each is built per record.
+
 Crash tolerance: a process killed mid-write leaves a truncated final
 line.  By default :func:`load_results` skips undecodable lines with a
 warning (counted in :class:`LoadStats`); ``strict=True`` restores the
@@ -45,6 +51,26 @@ from repro.scanner.results import (
 )
 
 
+# (rrtype, text) -> Rdata for the origin-independent parse only this
+# codec makes; a parse that raises stores nothing.
+_RDATA_MEMO_LIMIT = 1 << 12
+_RDATA_MEMO: Dict[Any, Any] = {}
+RDATA_HITS = 0  # parses answered from _RDATA_MEMO
+
+
+def _rdata_from_text(rrtype: RRType, text: str):
+    global RDATA_HITS
+    rdata = _RDATA_MEMO.get((rrtype, text))
+    if rdata is None:
+        rdata = parse_rdata(rrtype, text)
+        if len(_RDATA_MEMO) >= _RDATA_MEMO_LIMIT:
+            _RDATA_MEMO.clear()
+        _RDATA_MEMO[(rrtype, text)] = rdata
+    else:
+        RDATA_HITS += 1
+    return rdata
+
+
 def rrset_to_obj(rrset: Optional[RRset]) -> Optional[Dict[str, Any]]:
     if rrset is None:
         return None
@@ -62,7 +88,7 @@ def rrset_from_obj(obj: Optional[Dict[str, Any]]) -> Optional[RRset]:
     rrtype = RRType.from_text(obj["type"])
     rrset = RRset(Name.from_text(obj["name"]), rrtype, obj["ttl"])
     for text in obj["rdata"]:
-        rrset.add(parse_rdata(rrtype, text))
+        rrset.add(_rdata_from_text(rrtype, text))
     return rrset
 
 
@@ -71,7 +97,7 @@ def _rrsigs_to_obj(rrsigs: List[RRSIG]) -> List[str]:
 
 
 def _rrsigs_from_obj(items: List[str]) -> List[RRSIG]:
-    return [parse_rdata(RRType.RRSIG, text) for text in items]
+    return [_rdata_from_text(RRType.RRSIG, text) for text in items]
 
 
 def query_result_to_obj(result: Optional[RRQueryResult]) -> Optional[Dict[str, Any]]:
@@ -236,6 +262,38 @@ class LoadStats:
     skipped: int = 0  # corrupt or truncated lines that were not parseable
 
 
+def _load_lines(fp: TextIO, strict: bool, stats: Optional[LoadStats], decode) -> Iterator[Any]:
+    if stats is None:
+        stats = LoadStats()
+    for lineno, line in enumerate(fp, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            item = decode(line)
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            if strict:
+                raise
+            stats.skipped += 1
+            logger.warning(
+                "skipping corrupt scan record at line %d (%d skipped so far)",
+                lineno,
+                stats.skipped,
+            )
+            continue
+        stats.records += 1
+        yield item
+
+
+def load_objects(
+    fp: TextIO, strict: bool = False, stats: Optional[LoadStats] = None
+) -> Iterator[Dict[str, Any]]:
+    """:func:`load_results` short of :func:`result_from_obj`: the records'
+    JSON objects, under the same strict / skip / *stats* rules — for a
+    reader that needs one field, or rebuilds only the records it keeps."""
+    return _load_lines(fp, strict, stats, json.loads)
+
+
 def load_results(
     fp: TextIO,
     strict: bool = False,
@@ -248,26 +306,7 @@ def load_results(
     *stats* when given).  With ``strict=True`` corruption raises, as the
     original loader did.
     """
-    if stats is None:
-        stats = LoadStats()
-    for lineno, line in enumerate(fp, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            result = result_from_obj(json.loads(line))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            if strict:
-                raise
-            stats.skipped += 1
-            logger.warning(
-                "skipping corrupt scan record at line %d (%d skipped so far)",
-                lineno,
-                stats.skipped,
-            )
-            continue
-        stats.records += 1
-        yield result
+    return _load_lines(fp, strict, stats, lambda line: result_from_obj(json.loads(line)))
 
 
 # -- gzip-aware file access -------------------------------------------------

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.scanner.results import ZoneScanResult
 from repro.scanner.serialize import LoadStats
 from repro.store.manifest import CampaignManifest, load_manifest
-from repro.store.shards import ShardInfo, StoreError, iter_shard, stored_zones
+from repro.store.shards import ShardInfo, StoreError, iter_shard, iter_shard_objects, stored_zones
 
 
 @dataclass
@@ -77,6 +77,12 @@ class StoreReader:
         """
         for info in self._ordered_shards():
             yield from iter_shard(self.root, info, strict=strict, stats=stats)
+
+    def iter_objects(self) -> Iterator[Dict[str, Any]]:
+        """:meth:`iter_results`' stream before reconstruction: each stored
+        JSON object, for a consumer that rebuilds only the records it keeps."""
+        for info in self._ordered_shards():
+            yield from iter_shard_objects(self.root, info)
 
     def iter_bucket(
         self, bucket: int, strict: bool = True, stats: Optional[LoadStats] = None

@@ -19,13 +19,15 @@ immutable *shard segments* instead:
 
 Segments are JSON-lines (:mod:`repro.scanner.serialize`), optionally
 gzip-compressed with deterministic framing so identical record streams
-give identical digests.
+give identical digests.  They are read two ways: :func:`iter_shard`
+rebuilds every record, :func:`iter_shard_objects` stops at the stored
+JSON object for consumers that need one field or keep only some records
+(record lines are parsed in :mod:`repro.scanner.serialize` only).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +37,7 @@ from repro.scanner.results import ZoneScanResult
 from repro.scanner.serialize import (
     LoadStats,
     dump_results,
+    load_objects,
     load_results,
     open_results_read,
     open_results_write,
@@ -150,6 +153,14 @@ def write_shard(
     )
 
 
+def _read_shard(root: Path, info: ShardInfo, load, strict: bool, stats: Optional[LoadStats]):
+    path = Path(root) / info.path
+    if not path.exists():
+        raise StoreError(f"manifest references missing shard {info.path}")
+    with open_results_read(str(path)) as fp:
+        yield from load(fp, strict=strict, stats=stats)
+
+
 def iter_shard(
     root: Path,
     info: ShardInfo,
@@ -157,11 +168,14 @@ def iter_shard(
     stats: Optional[LoadStats] = None,
 ) -> Iterator[ZoneScanResult]:
     """Stream one shard's records (gzip auto-detected by magic bytes)."""
-    path = root / info.path
-    if not path.exists():
-        raise StoreError(f"manifest references missing shard {info.path}")
-    with open_results_read(str(path)) as fp:
-        yield from load_results(fp, strict=strict, stats=stats)
+    return _read_shard(root, info, load_results, strict, stats)
+
+
+def iter_shard_objects(root: Path, info: ShardInfo) -> Iterator[Dict[str, Any]]:
+    """One committed shard's records as stored JSON objects, strictly
+    (:func:`repro.scanner.serialize.load_objects`) — the reader for
+    consumers that do not rebuild every record."""
+    return _read_shard(root, info, load_objects, True, None)
 
 
 def stored_zones(root: Path, manifest, buckets: Optional[Iterable[int]] = None) -> Set[str]:
@@ -170,30 +184,20 @@ def stored_zones(root: Path, manifest, buckets: Optional[Iterable[int]] = None) 
 
     The one stored-zone lister: a resume's skip-set, a worker's (which
     reads only its own buckets' segments, so it costs I/O proportional
-    to its share of the store) and a reader's name listing.  Decodes
-    only each line's ``zone`` field — no RRset reconstruction.
+    to its share of the store) and a reader's name listing.  Reads only
+    each object's ``zone`` field — no RRset reconstruction.
     """
     wanted = None if buckets is None else set(buckets)
     zones: Set[str] = set()
     for info in manifest.shards:
         if wanted is not None and info.bucket not in wanted:
             continue
-        path = Path(root) / info.path
-        if not path.exists():
-            raise StoreError(f"manifest references missing shard {info.path}")
-        with open_results_read(str(path)) as fp:
-            for line in fp:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    zones.add(json.loads(line)["zone"])
-                except (json.JSONDecodeError, KeyError) as exc:
-                    # Committed segments are atomic; a corrupt line here
-                    # means on-disk damage, not a crash artefact.
-                    raise ShardCorruption(
-                        f"corrupt record inside committed shard {info.path}"
-                    ) from exc
+        try:
+            zones.update(obj["zone"] for obj in iter_shard_objects(root, info))
+        except (ValueError, KeyError, TypeError) as exc:
+            # Committed segments are atomic; a corrupt line here
+            # means on-disk damage, not a crash artefact.
+            raise ShardCorruption(f"corrupt record inside committed shard {info.path}") from exc
     return zones
 
 

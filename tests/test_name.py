@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.dns.name as name_module
 from repro.dns.name import MAX_LABEL_LENGTH, Name, NameError_, ROOT
 
 
@@ -141,3 +142,41 @@ class TestWire:
         name = Name.from_text("example.com")
         with pytest.raises(AttributeError):
             name._labels = ()
+
+
+class TestFromTextTable:
+    """``from_text`` answers a repeated text from a bounded table; the
+    table may never change what a caller sees."""
+
+    @pytest.mark.parametrize("text", ["a..b", "a" * (MAX_LABEL_LENGTH + 1) + ".com", ".a"])
+    def test_a_failure_fails_again_and_stores_nothing(self, text):
+        for _ in range(3):
+            with pytest.raises(NameError_):
+                Name.from_text(text)
+        assert text not in name_module._BY_TEXT
+
+    def test_repeated_text_is_one_shared_name(self):
+        first = Name.from_text("shared.example.com.")
+        assert Name.from_text("shared.example.com.") is first
+        assert first.labels == (b"shared", b"example", b"com")
+
+    def test_strip_trailing_dot_and_root_forms_survive_a_repeat(self):
+        for _ in range(2):
+            assert Name.from_text("  example.com \n").to_text() == "example.com."
+            assert Name.from_text("example.com") == Name.from_text("example.com.")
+            assert Name.from_text("") is ROOT and Name.from_text(" . ") is ROOT
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(name_module, "_INTERN_LIMIT", 8)
+        name_module._BY_TEXT.clear()
+        for i in range(50):
+            assert Name.from_text(f"n{i}.example.").labels[0] == f"n{i}".encode()
+            assert len(name_module._BY_TEXT) <= 8
+
+    def test_query_normalisation_keeps_its_fallback_for_unparseable_names(self):
+        from repro.query.service import _normalize_zone
+
+        for _ in range(2):
+            assert _normalize_zone("a..b") == "a..b."
+            assert _normalize_zone("a..b.") == "a..b."
+            assert _normalize_zone("Example.COM") == "Example.COM."

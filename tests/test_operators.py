@@ -1,6 +1,8 @@
 """Unit tests for operator attribution and the analysis pipeline glue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import AnalysisPipeline, OperatorDB
 from repro.core.operators import UNKNOWN_OPERATOR
@@ -23,6 +25,58 @@ def db():
 
 def names(*texts):
     return [Name.from_text(t) for t in texts]
+
+
+def linear_deepest_match(suffixes, ns_host):
+    """``identify_host`` as it was — try every suffix, keep the deepest
+    that matches — kept as the reference for the suffix walk."""
+    best = None
+    for suffix, operator in suffixes.items():
+        if ns_host.is_subdomain_of(suffix):
+            if best is None or len(suffix) > best[0]:
+                best = (len(suffix), operator)
+    return best[1] if best else None
+
+
+LABELS = st.sampled_from(["com", "COM", "cloudflare", "CloudFlare", "ns", "a", "gov", "seized"])
+HOSTS = st.lists(LABELS, min_size=0, max_size=5).map(".".join)
+
+
+class TestSuffixWalkAgainstLinearScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        suffixes=st.dictionaries(HOSTS, st.sampled_from(["A", "B", "C"]), max_size=6),
+        whitelabels=st.dictionaries(HOSTS, st.sampled_from(["W", "X"]), max_size=3),
+        hosts=st.lists(HOSTS, min_size=1, max_size=8),
+    )
+    def test_walk_equals_deepest_linear_match(self, suffixes, whitelabels, hosts):
+        db = OperatorDB(suffixes=suffixes, whitelabels=whitelabels)
+        for host in hosts + list(suffixes) + list(whitelabels):
+            name = Name.from_text(host)
+            assert db.identify_host(name) == linear_deepest_match(db._suffixes, name), host
+
+    def test_named_cases(self):
+        db = OperatorDB(
+            suffixes={"cloudflare.com": "Registrar", "ns.cloudflare.com": "Cloudflare", "gov": "Gov"},
+            whitelabels={"seized.gov": "Cloudflare", "NS.cloudflare.com": "Alias"},
+        )
+        cases = {
+            "asa.ns.cloudflare.com": "Alias",  # white-label shadows the equal suffix
+            "ASA.Ns.CloudFlare.COM": "Alias",  # mixed case
+            "www.cloudflare.com": "Registrar",  # nested: the shallower suffix
+            "cloudflare.com": "Registrar",  # a host equal to a suffix
+            "ns1.seized.gov": "Cloudflare",  # alias deeper than its parent suffix
+            "ns1.other.gov": "Gov",
+            "ns1.example.net": None,
+        }
+        for host, expected in cases.items():
+            name = Name.from_text(host)
+            assert db.identify_host(name) == expected == linear_deepest_match(db._suffixes, name)
+        assert OperatorDB().identify_host(Name.from_text("ns1.example.net")) is None
+        rooted = OperatorDB(suffixes={".": "Everyone", "com": "Com"})
+        assert rooted.identify_host(Name.from_text("a.net")) == "Everyone"
+        assert rooted.identify_host(Name.from_text("a.com")) == "Com"
+        assert rooted.identify_host(Name.root()) == "Everyone"
 
 
 class TestOperatorDB:

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+import repro.scanner.serialize as serialize_module
 from repro.core import assess_zone
+from repro.dns.types import RRType
 from repro.scanner import Scanner
 from repro.scanner.serialize import (
     LoadStats,
@@ -15,6 +17,7 @@ from repro.scanner.serialize import (
     load_results,
     load_results_path,
     result_from_obj,
+    result_to_line,
     result_to_obj,
     rrset_from_obj,
     rrset_to_obj,
@@ -144,6 +147,43 @@ class TestCorruptionTolerance:
         stats = LoadStats()
         assert len(list(load_results(buffer, stats=stats))) == 1
         assert stats.skipped == 1
+
+
+class TestRdataMemoKeepsErrors:
+    """A repeated ``(type, rdata text)`` is parsed once; a parse that
+    raises must raise every time and leave nothing behind."""
+
+    BAD = [
+        ("DS", "12345 13 2 zz"),  # bad hex
+        ("SOA", "ns1.example. admin.example. 1 2 3 4"),  # 6 fields
+    ]
+
+    @pytest.mark.parametrize("rrtype,text", BAD)
+    def test_a_bad_rdata_raises_again_and_stores_nothing(self, rrtype, text):
+        obj = {"name": "example.com.", "type": rrtype, "ttl": 300, "rdata": [text]}
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                rrset_from_obj(obj)
+        assert (RRType.from_text(rrtype), text) not in serialize_module._RDATA_MEMO
+
+    def test_a_good_rdata_is_shared(self):
+        obj = {"name": "example.com.", "type": "A", "ttl": 300, "rdata": ["192.0.2.7"]}
+        first, second = rrset_from_obj(obj), rrset_from_obj(obj)
+        assert first.rdatas[0] is second.rdatas[0]
+        assert first is not second  # RRsets are mutable and never shared
+
+    def test_bad_record_is_skipped_each_time_and_good_ones_are_unaffected(self, results):
+        good = next(r for r in results if r.soa is not None and r.soa.rrset)
+        line = result_to_line(good)
+        bad = json.loads(line)
+        bad["soa"]["rrset"]["rdata"][0] = "ns1.example. admin.example. 1 2 3 4"
+        stream = "\n".join([json.dumps(bad), line, json.dumps(bad), line]) + "\n"
+        stats = LoadStats()
+        loaded = list(load_results(io.StringIO(stream), stats=stats))
+        assert (stats.records, stats.skipped) == (2, 2)
+        assert [result_to_line(result) for result in loaded] == [line, line]
+        with pytest.raises(ValueError):
+            list(load_results(io.StringIO(stream), strict=True))
 
 
 class TestGzipSupport:

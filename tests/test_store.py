@@ -485,6 +485,18 @@ class TestReaderHardening:
         )
         assert stored_zones_for_buckets(store.root, wanted) == mine
 
+    @pytest.mark.parametrize("damage", ['{"zone": "torn.exam', '{"resolved": true}', "[1, 2]"])
+    def test_stored_zones_names_a_damaged_committed_shard(self, mini_results, tmp_path, damage):
+        """Committed segments are atomic, so a line the object reader
+        cannot use is disk damage: ``ShardCorruption`` naming the shard,
+        not a skipped line and not a bare decode error."""
+        store = fill_store(tmp_path / "store", mini_results, compress=False)
+        victim = store.manifest.shards[0]
+        with open(store.root / victim.path, "a", encoding="utf-8") as fp:
+            fp.write(damage + "\n")
+        with pytest.raises(ShardCorruption, match=victim.path):
+            stored_zones(store.root, store.manifest)
+
     def test_summary_reports_damaged_store(self, mini_results, tmp_path):
         """A shard vanishing *after* the reader opened (load_manifest
         guards open time) must surface as a damaged-store report naming

@@ -1,0 +1,226 @@
+"""Decode once, on the read side — the text twin of ``test_decode_memo``.
+
+The store's text codec answers a repeated name text
+(:meth:`Name.from_text`) and a repeated ``(type, rdata text)``
+(:mod:`repro.scanner.serialize`) from two bounded tables, and three
+readers work on the stored JSON objects instead of rebuilt records.
+These tests pin what that sharing may and may not change: every table
+entry equals a fresh parse, the bound changes nothing a user can see,
+and the object stream is the record stream.
+"""
+
+import gc
+import json
+from pathlib import Path
+
+import pytest
+
+import repro.dns.name as name_module
+import repro.monitor.plane as plane_module
+import repro.scanner.serialize as serialize
+from repro.campaign import CampaignConfig, run_campaign
+from repro.core.bootstrap import assess_zone
+from repro.core.pipeline import AnalysisPipeline
+from repro.dns.name import Name
+from repro.dns.zonefile import parse_rdata
+from repro.monitor import Monitor
+from repro.query import build_index
+from repro.query.snapshot import canonical_record_line
+from repro.reports import render_artifacts
+from repro.scenarios import ScenarioSpec
+from repro.store.diff import ZoneClassification, diff_classifications
+from repro.store.reader import StoreReader
+
+from tests.test_monitor import WEEKS, monitor_config
+from tests.test_query import _index_bytes
+
+SCALE = 1e-6
+SEED = 21
+
+
+def clear_tables() -> None:
+    name_module._BY_TEXT.clear()
+    name_module.TEXT_HITS = 0
+    serialize._RDATA_MEMO.clear()
+    serialize.RDATA_HITS = 0
+
+
+def stored_lines(root: Path):
+    reader = StoreReader(root)
+    for info in reader._ordered_shards():
+        with serialize.open_results_read(str(root / info.path)) as fp:
+            for line in fp:
+                yield line.rstrip("\n")
+
+
+@pytest.fixture(scope="module")
+def store(tmp_path_factory):
+    """The 312-zone scenario world of ``test_oracle``, archived."""
+    root = tmp_path_factory.mktemp("memo") / "store"
+    campaign = run_campaign(
+        CampaignConfig(
+            scale=SCALE, seed=SEED, scenarios=ScenarioSpec.default(), store_dir=str(root)
+        )
+    )
+    return root, campaign.world.operator_db
+
+
+@pytest.fixture(scope="module")
+def monitor(tmp_path_factory):
+    """Baseline + 3 delta epochs (the chain ``test_monitor`` uses)."""
+    root = tmp_path_factory.mktemp("memo-monitor") / "mon"
+    monitor = Monitor.init(monitor_config(root))
+    monitor.run_until(weeks=WEEKS)
+    return monitor
+
+
+@pytest.fixture
+def unbounded(monkeypatch):
+    """Empty tables that never clear, so every distinct text a read
+    parsed is still there to be checked."""
+    monkeypatch.setattr(name_module, "_INTERN_LIMIT", 1 << 30)
+    monkeypatch.setattr(serialize, "_RDATA_MEMO_LIMIT", 1 << 30)
+    clear_tables()
+
+
+class TestSharedObjectsStayAsParsed:
+    def test_every_memoised_rdata_equals_a_fresh_parse(self, store, unbounded):
+        root, db = store
+        StoreReader(root).reanalyze(db)
+        memo = serialize._RDATA_MEMO
+        assert len(memo) > 1000
+        for (rrtype, text), cached in memo.items():
+            fresh = parse_rdata(rrtype, text)
+            assert type(cached) is type(fresh)
+            assert cached.to_canonical_wire() == fresh.to_canonical_wire()
+            assert cached.to_text() == fresh.to_text()
+        # Most of what a store spells, it has spelled before.
+        assert serialize.RDATA_HITS / (serialize.RDATA_HITS + len(memo)) > 0.5
+
+    def test_every_tabled_name_equals_a_fresh_name(self, store, unbounded):
+        root, db = store
+        StoreReader(root).reanalyze(db)
+        table = name_module._BY_TEXT
+        assert len(table) > 1000
+        for text, cached in table.items():
+            bare = text.strip().rstrip(".")
+            labels = tuple(part.encode("ascii") for part in bare.split(".")) if bare else ()
+            fresh = Name(labels)
+            assert cached == fresh
+            assert cached.labels == fresh.labels  # case preserved
+            assert cached.to_text() == fresh.to_text()
+        assert name_module.TEXT_HITS / (name_module.TEXT_HITS + len(table)) > 0.5
+
+    def test_case_variants_stay_two_entries(self, unbounded):
+        upper, lower = Name.from_text("Example.COM."), Name.from_text("example.com.")
+        assert upper == lower
+        assert upper.labels == (b"Example", b"COM") and lower.labels == (b"example", b"com")
+        assert Name.from_text("Example.COM.") is upper
+        assert {"Example.COM.", "example.com."} <= set(name_module._BY_TEXT)
+
+    def test_no_reference_cycle_survives_a_store_read(self, store):
+        root, db = store
+        gc.collect()
+        gc.disable()
+        try:
+            report = StoreReader(root).reanalyze(db)
+            assert report.total_scanned > 300
+            del report
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+class TestTheBoundIsInvisible:
+    def test_tables_of_eight_change_no_output(self, store, monitor, monkeypatch):
+        root, db = store
+        clear_tables()
+        tables = render_artifacts(StoreReader(root).reanalyze(db))
+        build_index(root, operator_db=db)
+        index = _index_bytes(root)
+        verdicts = monitor.classifications()
+
+        monkeypatch.setattr(name_module, "_INTERN_LIMIT", 8)
+        monkeypatch.setattr(serialize, "_RDATA_MEMO_LIMIT", 8)
+        name_module._INTERNED.clear()
+        clear_tables()
+        for _ in StoreReader(root).iter_results():
+            assert len(name_module._BY_TEXT) <= 8
+            assert len(name_module._INTERNED) <= 8
+            assert len(serialize._RDATA_MEMO) <= 8
+        assert render_artifacts(StoreReader(root).reanalyze(db)) == tables
+        build_index(root, operator_db=db)
+        assert _index_bytes(root) == index
+        assert monitor.classifications() == verdicts
+        assert len(name_module._BY_TEXT) <= 8 and len(serialize._RDATA_MEMO) <= 8
+
+
+class TestTheObjectStreamIsTheRecordStream:
+    def test_stored_object_is_the_canonical_record_line(self, store):
+        root, _ = store
+        lines = list(stored_lines(root))
+        assert len(lines) > 300
+        for line in lines:
+            # Round-trip identity through the memoised codec …
+            assert serialize.result_to_line(serialize.result_from_obj(json.loads(line))) == line
+            # … so the index's data line need not be re-derived.
+            obj = json.loads(line)
+            expected = canonical_record_line(serialize.result_from_obj(obj))
+            obj["queries_used"] = 0
+            assert json.dumps(obj, separators=(",", ":")) == expected
+
+    def test_object_stream_equals_record_stream(self, store):
+        root, _ = store
+        reader = StoreReader(root)
+        objects = list(reader.iter_objects())
+        assert [obj["zone"] for obj in objects] == [
+            result.zone.to_text() for result in reader.iter_results()
+        ]
+        assert {obj["zone"] for obj in objects} == reader.zones()
+
+    def test_merge_rebuilds_only_what_it_keeps(self, monitor, monkeypatch):
+        built = []
+        real = serialize.result_from_obj
+
+        def counting(obj):
+            built.append(obj["zone"])
+            return real(obj)
+
+        monkeypatch.setattr(plane_module, "result_from_obj", counting)
+        newest = monitor.completed_epochs()[-1]
+        merged = dict(monitor._merged(newest))
+        stored = sum(
+            len(list(StoreReader(monitor.epoch_dir(e)).iter_objects()))
+            for e in monitor.completed_epochs()
+        )
+        assert len(built) == len(merged) < stored  # superseded records exist, none was rebuilt
+
+    def test_merged_views_equal_the_rebuild_everything_merge(self, monitor):
+        def reference_merged(epoch):
+            """The merge as it was: rebuild every record, then drop the
+            superseded ones."""
+            seen = set()
+            for e in reversed(monitor._chain(epoch)):
+                for result in StoreReader(monitor.epoch_dir(e)).iter_results():
+                    zone = result.zone.to_text()
+                    if zone not in seen:
+                        seen.add(zone)
+                        yield zone, result
+
+        def reference_classes(epoch):
+            return {
+                zone: ZoneClassification.of(assess_zone(result))
+                for zone, result in reference_merged(epoch)
+            }
+
+        for epoch in monitor.completed_epochs():
+            assert monitor.classifications(epoch) == reference_classes(epoch)
+            report = AnalysisPipeline(monitor.operator_db()).analyze(
+                result for _, result in reference_merged(epoch)
+            )
+            assert render_artifacts(monitor.analyze(epoch)) == render_artifacts(report)
+        old, new = monitor.completed_epochs()[-2:]
+        expected = diff_classifications(
+            reference_classes(old), reference_classes(new), f"epoch {old}", f"epoch {new}"
+        )
+        assert monitor.diff().diff == expected
