@@ -581,7 +581,7 @@ def cmd_query_get(args: argparse.Namespace) -> int:
 
 
 def cmd_query_list(args: argparse.Namespace) -> int:
-    """Enumerate zones by status class or operator (columnar scan)."""
+    """Enumerate zones by status class or operator (a meta-row scan)."""
     with _query_session(args) as hub, QueryService(args.store, telemetry=hub) as service:
         if args.status:
             zones = service.zones_with_status(args.status)
@@ -604,7 +604,7 @@ def cmd_query_list(args: argparse.Namespace) -> int:
 
 
 def cmd_query_dashboard(args: argparse.Namespace) -> int:
-    """Per-operator deployment dashboard from the columnar sidecars."""
+    """Per-operator deployment dashboard from the snapshot's meta rows."""
     with _query_session(args) as hub, QueryService(args.store, telemetry=hub) as service:
         print(zone_status_dashboard(service, limit=args.limit))
     return 0

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from repro.core.bootstrap import (
     BootstrapAssessment,
@@ -27,23 +27,36 @@ from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.scanner.results import ZoneScanResult
 
 
-def signal_operator_for(result: ZoneScanResult, operator_db: OperatorDB, fallback: str) -> str:
-    """The operator a zone's *signal* belongs to: the operator of the
-    first NS hostname under which signal RRs were actually found.
+class ZoneVerdict(NamedTuple):
+    """Everything the paper's tables say about one zone."""
 
-    In multi-operator setups only one party typically publishes the
-    signaling zone; attributing by publisher matches the paper's
-    per-operator Table 3 columns.  Shared by the live pipeline and the
-    query index builder so both attribute identically.
+    assessment: BootstrapAssessment
+    attribution: OperatorAttribution
+    operator: str  # the Tables 1–2 column
+    signal_operator: Optional[str]  # the Table 3 column; None without a signal
+
+
+def zone_verdict(result: ZoneScanResult, operator_db: OperatorDB, now: int) -> ZoneVerdict:
+    """Assess and attribute one zone — the one rule the analysis
+    pipeline and the query index builder share.
+
+    Multi-operator setups are ambiguous — the paper tags them as unknown
+    operators (§3.1).  A signal is attributed to its *publisher* instead:
+    the operator of the first NS hostname under which signal RRs were
+    actually found (in multi-operator setups only one party typically
+    publishes the signaling zone), falling back to the zone's operator.
     """
-    for scan in result.signals:
-        if not scan.any_cds:
-            continue
-        operator = operator_db.identify_host(scan.ns_host)
-        if operator is not None:
-            return operator
-        return fallback
-    return fallback
+    assessment = assess_zone(result, now)
+    attribution = operator_db.identify(result.delegation_ns)
+    operator = UNKNOWN_OPERATOR if attribution.multi else attribution.primary
+    signal_operator = None
+    if assessment.signal_outcome != SignalOutcome.NO_SIGNAL:
+        publisher = next((scan.ns_host for scan in result.signals if scan.any_cds), None)
+        if publisher is not None:
+            signal_operator = operator_db.identify_host(publisher)
+        if signal_operator is None:
+            signal_operator = operator
+    return ZoneVerdict(assessment, attribution, operator, signal_operator)
 
 
 @dataclass
@@ -208,8 +221,9 @@ class AnalysisPipeline:
     def _observe(self, report: AnalysisReport, result: ZoneScanResult) -> None:
         report.total_scanned += 1
         report.total_queries += result.queries_used
-        assessment = assess_zone(result, self.now)
-        attribution = self.operator_db.identify(result.delegation_ns)
+        assessment, attribution, operator, signal_operator = zone_verdict(
+            result, self.operator_db, self.now
+        )
         report.assessments.append(assessment)
         report.attributions[assessment.zone] = attribution
 
@@ -219,17 +233,12 @@ class AnalysisPipeline:
         report.eligibility_counts[assessment.eligibility] += 1
         report.outcome_counts[assessment.signal_outcome] += 1
 
-        # Multi-operator setups are ambiguous — the paper tags them as
-        # unknown operators (§3.1); signal funnels below are attributed
-        # to the publishing operator instead.
-        operator = UNKNOWN_OPERATOR if attribution.multi else attribution.primary
         if attribution.multi:
             report.multi_operator_zones += 1
         stats = report.operators.setdefault(operator, OperatorStats())
         stats.observe(assessment)
 
-        if assessment.signal_outcome != SignalOutcome.NO_SIGNAL:
-            signal_operator = self._signal_operator(result, assessment, operator)
+        if signal_operator is not None:
             report.signal_operators[assessment.zone] = signal_operator
             funnel = report.signal_funnels.setdefault(signal_operator, SignalFunnel())
             funnel.observe(assessment.signal_outcome)
@@ -237,14 +246,6 @@ class AnalysisPipeline:
             by_op[assessment.signal_outcome] += 1
 
         self._observe_cds_stats(report, assessment, attribution)
-
-    def _signal_operator(
-        self,
-        result: ZoneScanResult,
-        assessment: BootstrapAssessment,
-        fallback: str,
-    ) -> str:
-        return signal_operator_for(result, self.operator_db, fallback)
 
     def _observe_cds_stats(
         self,

@@ -15,7 +15,6 @@ from repro.parallel.engine import (
 from repro.parallel.partition import (
     bucket_ranges,
     partition_zones,
-    stored_zones_for_buckets,
     zones_for_buckets,
 )
 from repro.parallel.worker import EXIT_SIMULATED_CRASH, WorkerSpec, run_worker
@@ -29,7 +28,6 @@ __all__ = [
     "partition_zones",
     "run_parallel_campaign",
     "run_worker",
-    "stored_zones_for_buckets",
     "worker_dir",
     "zones_for_buckets",
 ]

@@ -13,12 +13,10 @@ coordination, and the shares are disjoint and complete by construction.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Iterable, List, Sequence, Set
 
 from repro.dns.name import Name
-from repro.store.manifest import load_manifest
-from repro.store.shards import shard_for_zone, stored_zones
+from repro.store.shards import shard_for_zone
 
 
 def bucket_ranges(num_shards: int, workers: int) -> List[range]:
@@ -66,10 +64,3 @@ def partition_zones(
         zones_for_buckets(zones, num_shards, bucket_range)
         for bucket_range in bucket_ranges(num_shards, workers)
     ]
-
-
-def stored_zones_for_buckets(root: Path, buckets: Iterable[int]) -> Set[str]:
-    """Dotted names of zones already persisted at *root* whose bucket is
-    in *buckets* — a worker's skip-set, read from those buckets' segments
-    only (:func:`repro.store.shards.stored_zones`)."""
-    return stored_zones(root, load_manifest(Path(root)), buckets)

@@ -29,9 +29,9 @@ from repro.obs.events import stream_path
 from repro.obs.telemetry import as_telemetry
 from repro.scanner.fleet import give_own_clock
 from repro.store.manifest import load_manifest, manifest_path
-from repro.store.shards import StoreError
+from repro.store.shards import StoreError, stored_zones
 
-from repro.parallel.partition import stored_zones_for_buckets, zones_for_buckets
+from repro.parallel.partition import zones_for_buckets
 
 # Exit code of a fault-injected "crash" (tests kill workers this way).
 EXIT_SIMULATED_CRASH = 99
@@ -138,7 +138,7 @@ def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
     for skip_root in dict.fromkeys((str(root), *spec.skip_roots)):
         candidate = Path(skip_root)
         if manifest_path(candidate).exists():
-            skip |= stored_zones_for_buckets(candidate, buckets)
+            skip |= stored_zones(candidate, load_manifest(candidate), buckets)
     remainder = [zone for zone in mine if zone.to_text() not in skip]
 
     if store.manifest.complete and remainder:

@@ -4,11 +4,13 @@ Two halves:
 
 * :mod:`repro.query.snapshot` — ``build_index`` compacts a campaign
   store into a deterministic, versioned snapshot under ``<store>/index/``
-  (sorted per-bucket offset indexes + columnar sidecars), byte-identical
-  for a given record set regardless of how the segments were laid down;
+  (per bucket: re-packed records, one meta row per zone holding the
+  pipeline's verdict, a sorted offset index), byte-identical for a
+  given record set regardless of how the segments were laid down;
 * :mod:`repro.query.service` — ``QueryService`` serves point lookups
-  and scans from that snapshot at O(log n) seeks per uncached lookup,
-  stale-but-consistent while a campaign keeps appending.
+  (O(log n) seeks per uncached lookup) and enumerations (a stream of
+  the same meta rows) from that snapshot, stale-but-consistent while a
+  campaign keeps appending.
 """
 
 from repro.query.snapshot import (

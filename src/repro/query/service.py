@@ -11,9 +11,10 @@ per-lookup cost that never depends on campaign size:
 * the hot-field answer is an LRU-cached :class:`ZoneStatusView`;
   *misses are cached too* (the negative cache), so hammering the
   service with absent names stays O(1) amortised;
-* **enumerations** (status histograms, operator portfolios) read the
-  columnar sidecars — a few small line-per-record files — instead of
-  decoding full records;
+* **enumerations** (status histograms, operator portfolios) stream the
+  same meta rows bucket by bucket — counts and filters over
+  :meth:`iter_status`, whose views equal the point lookups' — instead
+  of decoding full records;
 * the full archived record behind a view is one seek away
   (:meth:`zone_record`) because each meta row carries its record's
   ``(offset, length)`` in the re-packed bucket data file.
@@ -23,7 +24,9 @@ campaign appending to the same store changes segments and the manifest
 but never ``index/``, so every answer stays internally consistent
 (stale-but-consistent); :meth:`check_stale` reports whether the live
 manifest has moved past the pin, and a rebuild + fresh service picks
-up the new records.
+up the new records.  A monitor root is served the same way: the
+longest run of completed epochs from the baseline that all carry a
+snapshot, later epochs invisible until they are indexed.
 
 Everything the service does is accounted through ``query.*`` telemetry
 counters (lookups, cache hits/misses, negative answers, index seeks,
@@ -59,7 +62,7 @@ from repro.query.snapshot import (
     SnapshotInfo,
     index_dir,
     load_snapshot,
-    manifest_generation,
+    snapshot_path,
     zone_key64,
 )
 
@@ -135,6 +138,11 @@ class ZoneStatusView:
         return "\n".join(lines)
 
 
+def _view(row: Dict[str, Any], bucket: int) -> ZoneStatusView:
+    """The view of one meta row (a lookup's and an enumeration's alike)."""
+    return ZoneStatusView(bucket=bucket, **row)
+
+
 def _normalize_zone(name: str) -> str:
     """Canonical dotted form matching stored ``zone.to_text()`` output."""
     try:
@@ -163,14 +171,22 @@ class QueryService:
         # Monitoring plane: a monitor root is served by delegating each
         # lookup to the per-epoch sub-service of the newest epoch whose
         # snapshot holds the zone (newest-wins, like the merged
-        # analysis).  self.snapshot stays None in that mode.
+        # analysis).  Only the gap-free run of indexed epochs from the
+        # baseline is served — newest-wins over a hole would answer with
+        # a verdict the merged view has already superseded — and a
+        # completed epoch past it makes the root stale, as an append
+        # does a plain store.  self.snapshot stays None in that mode.
         self._epoch_services: Dict[int, "QueryService"] = {}
         self._monitor_epochs: List[int] = []
         if is_monitor_root(self.root):
-            self._monitor_epochs = completed_epochs(self.root)
+            for epoch in completed_epochs(self.root):
+                if not snapshot_path(epoch_dir(self.root, epoch)).exists():
+                    break
+                self._monitor_epochs.append(epoch)
             if not self._monitor_epochs:
                 raise QueryError(
-                    f"monitor at {self.root} has no completed epochs to serve"
+                    f"no query index at {self.root} (no completed epoch is indexed) — "
+                    f"build one with: repro-dnssec query index --store {self.root}"
                 )
             self.snapshot: Optional[SnapshotInfo] = None
         else:
@@ -199,7 +215,10 @@ class QueryService:
         generation (new segments committed since the index was built).
         The service keeps serving the pinned snapshot either way."""
         if self._monitor_epochs:
-            # A monitor root is stale when its newest served epoch is.
+            # A monitor root is stale when an epoch completed since it
+            # was opened or is not served, or its newest served one is.
+            if completed_epochs(self.root) != self._monitor_epochs:
+                return True
             return self._epoch_service(self._monitor_epochs[-1]).check_stale()
         manifest = load_manifest(self.root)
         stale = not self.snapshot.is_fresh(manifest)
@@ -278,82 +297,64 @@ class QueryService:
 
     def iter_status(self) -> Iterator[ZoneStatusView]:
         """Every zone's hot-field view, in deterministic snapshot order
-        (bucket, then zone hash) — reads columns, not records."""
+        (bucket, then zone hash) — streams the meta rows, not records;
+        each view equals :meth:`zone_status` of its zone.
+
+        Enumerations are per-store: a delta epoch holds only the week's
+        changed zones, so enumerating a monitor root would silently mix
+        populations.  The merged longitudinal view lives on
+        :meth:`repro.monitor.Monitor.analyze` / ``classifications``; a
+        single week is one epoch store away."""
         # Guard at call time, not first next() — misuse should not hide
         # inside a lazily-consumed generator.
-        self._require_single_store("iter_status")
-        return self._iter_status()
-
-    def _iter_status(self) -> Iterator[ZoneStatusView]:
-        if self.telemetry.enabled:
-            self.telemetry.count("query.enumerations")
-        columns = [self._column(name) for name in
-                   ("zone", "status", "eligibility", "outcome", "operator", "flags")]
-        for zone, status, eligibility, outcome, operator, flags in zip(*columns):
-            yield ZoneStatusView(
-                zone=zone,
-                status=status,
-                eligibility=eligibility,
-                outcome=outcome,
-                operator=operator,
-                signal_operator=None,  # meta-row field; not in columns
-                flags=int(flags),
-                bucket=shard_for_zone(zone, self.snapshot.num_buckets),
-                offset=-1,
-                length=-1,
-            )
-
-    def status_counts(self) -> Counter:
-        """Histogram of DNSSEC status classes over the whole snapshot."""
-        return self._column_counts("status")
-
-    def eligibility_counts(self) -> Counter:
-        return self._column_counts("eligibility")
-
-    def outcome_counts(self) -> Counter:
-        return self._column_counts("outcome")
-
-    def operator_counts(self) -> Counter:
-        """Operator → portfolio size (zones attributed to it)."""
-        return self._column_counts("operator")
-
-    def zones_with_status(self, status: str) -> List[str]:
-        """Zone names in one status class (e.g. ``"island"``)."""
-        self._require_single_store("zones_with_status")
-        if self.telemetry.enabled:
-            self.telemetry.count("query.enumerations")
-        return [
-            zone
-            for zone, value in zip(self._column("zone"), self._column("status"))
-            if value == status
-        ]
-
-    def zones_for_operator(self, operator: str) -> List[str]:
-        """Zone names attributed to one operator (the operator scan)."""
-        self._require_single_store("zones_for_operator")
-        if self.telemetry.enabled:
-            self.telemetry.count("query.enumerations")
-        return [
-            zone
-            for zone, value in zip(self._column("zone"), self._column("operator"))
-            if value == operator
-        ]
-
-    # -- internals ---------------------------------------------------------
-
-    def _require_single_store(self, operation: str) -> None:
-        """Enumerations are per-store: a delta epoch holds only the
-        week's changed zones, so enumerating a monitor root would
-        silently mix populations.  The merged longitudinal view lives
-        on :meth:`repro.monitor.Monitor.analyze` / ``classifications``;
-        a single week is one epoch store away."""
         if self._monitor_epochs:
             newest = epoch_dir(self.root, self._monitor_epochs[-1])
             raise QueryError(
-                f"{operation} is not defined on a monitor root — open a "
+                "enumerations are not defined on a monitor root — open a "
                 f"per-epoch store (e.g. QueryService({str(newest)!r})) or use "
                 "repro.monitor.Monitor.analyze() for the merged view"
             )
+        return self._iter_status()
+
+    def _iter_status(self) -> Iterator[ZoneStatusView]:
+        tel = self.telemetry
+        if tel.enabled:
+            tel.count("query.enumerations")
+        for bucket in range(self.snapshot.num_buckets):
+            meta = self.snapshot.bucket_files(bucket).meta
+            fp = self._handle(bucket, "meta", meta, binary=False)
+            fp.seek(0)
+            # The whole bucket at once: a lookup between two views may
+            # seek the same handle.
+            text = fp.read()
+            if tel.enabled:
+                tel.count("query.bytes_read", len(text))
+            for line in text.splitlines():
+                yield _view(json.loads(line), bucket)
+
+    def status_counts(self) -> Counter:
+        """Histogram of DNSSEC status classes over the whole snapshot."""
+        return Counter(view.status for view in self.iter_status())
+
+    def eligibility_counts(self) -> Counter:
+        return Counter(view.eligibility for view in self.iter_status())
+
+    def outcome_counts(self) -> Counter:
+        return Counter(view.outcome for view in self.iter_status())
+
+    def operator_counts(self) -> Counter:
+        """Operator → portfolio size (zones attributed to it)."""
+        return Counter(view.operator for view in self.iter_status())
+
+    def zones_with_status(self, status: str) -> List[str]:
+        """Zone names in one status class (e.g. ``"island"``)."""
+        return [view.zone for view in self.iter_status() if view.status == status]
+
+    def zones_for_operator(self, operator: str) -> List[str]:
+        """Zone names attributed to one operator (the operator scan)."""
+        return [view.zone for view in self.iter_status() if view.operator == operator]
+
+    # -- internals ---------------------------------------------------------
 
     def _epoch_service(self, epoch: int) -> "QueryService":
         service = self._epoch_services.get(epoch)
@@ -423,18 +424,7 @@ class QueryService:
             if tel.enabled:
                 tel.count("query.bytes_read", meta_len)
             if obj["zone"].lower() == zone_cmp:
-                return ZoneStatusView(
-                    zone=obj["zone"],
-                    status=obj["status"],
-                    eligibility=obj["eligibility"],
-                    outcome=obj["outcome"],
-                    operator=obj["operator"],
-                    signal_operator=obj["signal_operator"],
-                    flags=obj["flags"],
-                    bucket=bucket,
-                    offset=obj["offset"],
-                    length=obj["length"],
-                )
+                return _view(obj, bucket)
             lo += 1
         return None
 
@@ -450,21 +440,6 @@ class QueryService:
             self._handles[cache_key] = fp
         return fp
 
-    def _column(self, name: str) -> List[str]:
-        path = self.snapshot.column_path(name)
-        if not path.exists():
-            raise QueryError(f"snapshot is missing column {name}")
-        text = path.read_text(encoding="utf-8")
-        if self.telemetry.enabled:
-            self.telemetry.count("query.bytes_read", len(text))
-        return text.splitlines()
-
-    def _column_counts(self, name: str) -> Counter:
-        self._require_single_store("enumeration")
-        if self.telemetry.enabled:
-            self.telemetry.count("query.enumerations")
-        return Counter(self._column(name))
-
     # -- reporting ---------------------------------------------------------
 
     def summary(self) -> str:
@@ -474,7 +449,7 @@ class QueryService:
             return "\n".join(
                 [
                     f"monitor:   {self.root}",
-                    f"epochs:    {len(self._monitor_epochs)} complete "
+                    f"epochs:    {len(completed_epochs(self.root))} complete "
                     f"(serving as of epoch {self._monitor_epochs[-1]})",
                     f"campaign:  seed={newest.snapshot.seed} "
                     f"scale={newest.snapshot.scale:g}",

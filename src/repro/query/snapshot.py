@@ -11,17 +11,13 @@ streaming the campaign:
   is the first 8 bytes of the zone-name SHA-256 — the same hash family
   that routes records to buckets;
 * **per-bucket meta rows** — ``buckets/qNNN.meta.jsonl``: one small
-  JSON line per zone carrying the hot assessment fields (status,
-  eligibility, signal outcome, operator, flags) plus the record's
-  ``(offset, length)`` in the data file;
+  JSON line per zone carrying the hot verdict fields (status,
+  eligibility, signal outcome, operator, signal operator, flags) plus
+  the record's ``(offset, length)`` in the data file — the one copy a
+  point lookup and an enumeration both read;
 * **sorted offset indexes** — ``buckets/qNNN.idx``: fixed-width binary
   rows ``(key64, meta_offset, meta_length)`` (20 bytes, big-endian),
-  sorted by key — a point lookup is a binary search of ~20-byte probes;
-* **columnar sidecars** — ``columns/*.col``: one value per line in
-  global ``(bucket, key64, zone)`` order for the fields enumerations
-  touch (zone, status, eligibility, outcome, operator, flags), so an
-  operator scan or a status-class count reads two small columns instead
-  of the archive.
+  sorted by key — a point lookup is a binary search of ~20-byte probes.
 
 Determinism invariant: every file above is a pure function of the
 *record set* (plus the operator DB and validation time), never of the
@@ -45,11 +41,11 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
-from repro.core.bootstrap import SignalOutcome, assess_zone
-from repro.core.operators import UNKNOWN_OPERATOR, OperatorDB
-from repro.core.pipeline import signal_operator_for
+from repro.core.bootstrap import SignalOutcome
+from repro.core.operators import OperatorDB
+from repro.core.pipeline import ZoneVerdict, zone_verdict
 from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.monitor.layout import completed_epochs, epoch_dir, is_monitor_root
 from repro.obs.telemetry import as_telemetry
@@ -59,7 +55,6 @@ from repro.store.shards import ShardInfo, StoreError, iter_shard_objects
 
 INDEX_DIR = "index"
 BUCKETS_DIR = "buckets"
-COLUMNS_DIR = "columns"
 SNAPSHOT_FILENAME = "snapshot.json"
 PIN_FILENAME = "pin.json"
 SNAPSHOT_VERSION = 1
@@ -68,9 +63,7 @@ SNAPSHOT_VERSION = 1
 IDX_ROW = struct.Struct(">QQI")
 IDX_ROW_SIZE = IDX_ROW.size
 
-COLUMN_NAMES = ("zone", "status", "eligibility", "outcome", "operator", "flags")
-
-# Meta/column flag bits (kept additive; never reassign existing bits).
+# Meta-row flag bits (kept additive; never reassign existing bits).
 FLAG_RESOLVED = 1
 FLAG_HAS_CDS = 2
 FLAG_CDS_DELETE = 4
@@ -154,7 +147,6 @@ class SnapshotInfo:
     # for plain campaigns — such snapshots serialise unchanged).
     epoch: Optional[int] = None
     buckets: List[Dict[str, Any]] = field(default_factory=list)
-    columns: Dict[str, Dict[str, str]] = field(default_factory=dict)
     pin: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -169,32 +161,22 @@ class SnapshotInfo:
         """True when the live manifest is exactly the pinned generation."""
         return self.pinned_generation == manifest_generation(manifest)
 
-    def column_path(self, name: str) -> Path:
-        return index_dir(self.root) / COLUMNS_DIR / f"{name}.col"
-
     def bucket_files(self, bucket: int) -> BucketFiles:
         if not 0 <= bucket < self.num_buckets:
             raise QueryError(f"bucket {bucket} out of range (0..{self.num_buckets - 1})")
         return BucketFiles(bucket)
 
 
-def _meta_row(
-    zone: str,
-    assessment,
-    operator: str,
-    signal_operator: Optional[str],
-    flags: int,
-    offset: int,
-    length: int,
-) -> Dict[str, Any]:
+def _meta_row(zone: str, result, verdict: ZoneVerdict, offset: int, length: int) -> Dict[str, Any]:
+    assessment = verdict.assessment
     return {
         "zone": zone,
         "status": assessment.status.value,
         "eligibility": assessment.eligibility.value,
         "outcome": assessment.signal_outcome.value,
-        "operator": operator,
-        "signal_operator": signal_operator,
-        "flags": flags,
+        "operator": verdict.operator,
+        "signal_operator": verdict.signal_operator,
+        "flags": _record_flags(result, assessment, verdict.attribution.multi),
         "offset": offset,
         "length": length,
     }
@@ -243,11 +225,11 @@ def build_index(
 
     Walks the manifest in commit order (later commits win on duplicate
     zones, matching the reader's stream order), re-packs each zone-hash
-    bucket sorted by ``(key64, zone)``, derives the hot assessment
-    fields through the same ``assess_zone`` + operator attribution the
-    analysis pipeline applies, and writes the whole snapshot into a
-    temp directory swapped in at the end — an interrupted build never
-    leaves a half snapshot under ``index/``.
+    bucket sorted by ``(key64, zone)``, takes each zone's meta row from
+    the analysis pipeline's own :func:`~repro.core.pipeline.zone_verdict`,
+    and writes the whole snapshot into a temp directory swapped in at
+    the end — an interrupted build never leaves a half snapshot under
+    ``index/``.
 
     Without *operator_db* every zone attributes to ``unknown`` —
     exactly what :meth:`StoreReader.reanalyze`'s default does — so the
@@ -279,12 +261,10 @@ def build_index(
     if tmp_dir.exists():
         shutil.rmtree(tmp_dir)
     (tmp_dir / BUCKETS_DIR).mkdir(parents=True)
-    (tmp_dir / COLUMNS_DIR).mkdir(parents=True)
 
     by_bucket: Dict[int, List[ShardInfo]] = {}
     for info in sorted(manifest.shards, key=lambda info: (info.sequence, info.bucket)):
         by_bucket.setdefault(info.bucket, []).append(info)
-    columns: Dict[str, List[str]] = {name: [] for name in COLUMN_NAMES}
     bucket_entries: List[Dict[str, Any]] = []
     total_records = 0
     zones_hasher = hashlib.sha256()
@@ -322,36 +302,13 @@ def build_index(
                     data_fp.write(line)
                     data_fp.write("\n")
 
-                    assessment = assess_zone(result, now)
-                    attribution = db.identify(result.delegation_ns)
-                    operator = (
-                        UNKNOWN_OPERATOR if attribution.multi else attribution.primary
-                    )
-                    signal_operator = None
-                    if assessment.signal_outcome != SignalOutcome.NO_SIGNAL:
-                        signal_operator = signal_operator_for(result, db, operator)
-                    flags = _record_flags(result, assessment, attribution.multi)
-
-                    meta = _meta_row(
-                        zone,
-                        assessment,
-                        operator,
-                        signal_operator,
-                        flags,
-                        data_offset,
-                        len(line) + 1,
-                    )
+                    verdict = zone_verdict(result, db, now)
+                    meta = _meta_row(zone, result, verdict, data_offset, len(line) + 1)
                     meta_line = json.dumps(meta, separators=(",", ":"), sort_keys=True)
                     meta_fp.write(meta_line)
                     meta_fp.write("\n")
                     idx_rows.append((key64, meta_offset, len(meta_line) + 1))
 
-                    columns["zone"].append(zone)
-                    columns["status"].append(assessment.status.value)
-                    columns["eligibility"].append(assessment.eligibility.value)
-                    columns["outcome"].append(assessment.signal_outcome.value)
-                    columns["operator"].append(operator)
-                    columns["flags"].append(str(flags))
                     zones_hasher.update(zone.encode("ascii", "backslashreplace"))
                     zones_hasher.update(b"\n")
 
@@ -377,16 +334,6 @@ def build_index(
             )
         span["records"] = total_records
 
-    column_entries: Dict[str, Dict[str, str]] = {}
-    for name in COLUMN_NAMES:
-        path = tmp_dir / COLUMNS_DIR / f"{name}.col"
-        body = "".join(value + "\n" for value in columns[name])
-        path.write_text(body, encoding="utf-8", newline="\n")
-        column_entries[name] = {
-            "path": f"{COLUMNS_DIR}/{name}.col",
-            "sha256": _sha256_file(path),
-        }
-
     snapshot_obj = {
         "version": SNAPSHOT_VERSION,
         "seed": manifest.seed,
@@ -397,7 +344,6 @@ def build_index(
         "operators_attributed": operator_db is not None,
         "validation_now": now,
         "buckets": bucket_entries,
-        "columns": column_entries,
     }
     if manifest.epoch is not None:
         snapshot_obj["epoch"] = manifest.epoch
@@ -463,7 +409,6 @@ def load_snapshot(store_root: Path) -> SnapshotInfo:
         validation_now=obj["validation_now"],
         epoch=obj.get("epoch"),
         buckets=obj["buckets"],
-        columns=obj["columns"],
         pin=pin,
     )
 
@@ -483,27 +428,4 @@ def verify_snapshot(store_root: Path) -> SnapshotInfo:
                 raise QueryError(f"snapshot references missing file {entry[path_key]}")
             if _sha256_file(target) != entry[digest_key]:
                 raise QueryError(f"snapshot file {entry[path_key]} does not match its digest")
-    for name, entry in snapshot.columns.items():
-        target = base / entry["path"]
-        if not target.exists():
-            raise QueryError(f"snapshot references missing column {entry['path']}")
-        if _sha256_file(target) != entry["sha256"]:
-            raise QueryError(f"snapshot column {name} does not match its digest")
     return snapshot
-
-
-def load_fresh_zones(store_root: Path, manifest: CampaignManifest) -> Optional[List[str]]:
-    """The zone column, iff a snapshot exists and pins *manifest*'s
-    exact generation — the fast path behind :meth:`StoreReader.zones`.
-    Returns ``None`` (fall back to streaming) otherwise.
-    """
-    try:
-        snapshot = load_snapshot(store_root)
-    except QueryError:
-        return None
-    if not snapshot.is_fresh(manifest):
-        return None
-    column = snapshot.column_path("zone")
-    if not column.exists():
-        return None
-    return column.read_text(encoding="utf-8").splitlines()

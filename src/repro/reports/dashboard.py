@@ -3,8 +3,8 @@
 ``repro-dnssec query dashboard`` renders, for each operator, its
 portfolio size, DNSSEC status split, CDS population, and bootstrappable
 count — the live-operations view of the paper's Tables 1–2, answered
-from the columnar sidecars of the query snapshot instead of a full
-re-analysis.  Reading four small columns makes the dashboard cost
+from the query snapshot's per-zone meta rows instead of a full
+re-analysis.  Streaming one small row per zone makes the dashboard cost
 independent of record size (RRsets, signal chains), which is what lets
 an operator watch a multi-million-zone campaign's deployment posture
 between checkpoints.
@@ -37,7 +37,7 @@ class OperatorRow:
 
 def compute_dashboard(service) -> Dict[str, OperatorRow]:
     """Cross-tab the snapshot's operator/status/eligibility/flags
-    columns into per-operator rows (*service* is a
+    fields into per-operator rows (*service* is a
     :class:`~repro.query.QueryService`)."""
     rows: Dict[str, OperatorRow] = {}
     bootstrappable = BootstrapEligibility.BOOTSTRAPPABLE.value

@@ -93,18 +93,8 @@ class StoreReader:
                 yield from iter_shard(self.root, info, strict=strict, stats=stats)
 
     def zones(self) -> Set[str]:
-        """Dotted names of every stored zone.
-
-        Served from the query snapshot's zone column when one exists
-        and pins this exact manifest generation; otherwise streamed
-        from the segments (:func:`repro.store.shards.stored_zones`) —
-        either way, no RRset reconstruction for a name listing.
-        """
-        from repro.query.snapshot import load_fresh_zones
-
-        indexed = load_fresh_zones(self.root, self.manifest)
-        if indexed is not None:
-            return set(indexed)
+        """Dotted names of every stored zone, streamed from the segments
+        without RRset reconstruction (:func:`repro.store.shards.stored_zones`)."""
         return stored_zones(self.root, self.manifest)
 
     # -- analysis ----------------------------------------------------------

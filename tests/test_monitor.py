@@ -8,6 +8,7 @@ round-trips, diffs, the epoch-aware query plane) supports that claim.
 """
 
 import json
+import shutil
 import sys
 
 import pytest
@@ -26,7 +27,7 @@ from repro.monitor.events import events_for_epoch
 from repro.monitor.layout import EPOCH_EVENTS_FILENAME
 from repro.monitor.timeline import scan_world, world_at_epoch
 from repro.parallel import ParallelCampaignError, run_parallel_campaign
-from repro.query import QueryService, build_index
+from repro.query import QueryService, build_index, index_dir
 from repro.query.service import QueryError
 from repro.reports import render_artifacts
 from repro.store.manifest import load_manifest
@@ -388,6 +389,35 @@ class TestEpochQueryPlane:
                 service.iter_status()
             with pytest.raises(QueryError, match="monitor root"):
                 service.status_counts()
+
+    def test_unindexed_newer_epoch_is_stale_not_fatal(self, tmp_path):
+        """An epoch completed after the last build is what an append is
+        to a plain store: invisible until re-indexed, reported stale,
+        never an error while some gap-free run of epochs is indexed."""
+        monitor = Monitor.init(monitor_config(tmp_path / "mon"))
+        monitor.run_until(weeks=1)
+        build_index(monitor.root)
+        newest = monitor.run_epoch()
+        assert newest.epoch == 2 and newest.events
+        changed = sorted({dotted(event.zone) for event in newest.events})
+        merged_then = monitor.classifications(epoch=1)
+        with QueryService(monitor.root) as service:
+            assert service.check_stale()
+            stale = {zone: service.zone_status(zone) for zone in changed}
+            assert "as of epoch 1" in service.summary()
+        for zone, view in stale.items():
+            then = merged_then.get(zone)
+            assert (view and view.status) == (then and then.status.value), zone
+
+        build_index(monitor.root)
+        with QueryService(monitor.root) as service:
+            assert not service.check_stale()
+            assert {zone: service.zone_status(zone, epoch=1) for zone in changed} == stale
+
+        # A hole at the baseline leaves nothing gap-free to serve.
+        shutil.rmtree(index_dir(monitor.epoch_dir(0)))
+        with pytest.raises(QueryError, match="no query index"):
+            QueryService(monitor.root)
 
     def test_plain_store_rejects_foreign_epochs(self, indexed, chain):
         monitor, _, _ = indexed

@@ -13,6 +13,8 @@ import pytest
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.cli import main as cli_main
 from repro.core.operators import OperatorDB
+from repro.core.pipeline import zone_verdict
+from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.obs import Telemetry
 from repro.query import (
     QueryError,
@@ -98,6 +100,10 @@ class TestIndexBuild:
         assert snapshot.num_buckets == 16
         assert snapshot.operators_attributed
         assert snapshot.pinned_generation is not None
+        # One copy of each zone's verdict: the meta rows, no sidecars.
+        assert sorted(p.name for p in index_dir(mini_store["root"]).iterdir()) == [
+            "buckets", PIN_FILENAME, "snapshot.json"
+        ]
 
     def test_verify_snapshot_passes(self, mini_store):
         verify_snapshot(mini_store["root"])
@@ -154,9 +160,15 @@ class TestLayoutInvariance:
         """Every indexed answer equals the full-scan ground truth, on
         every layout."""
         root = layout_stores["root"]
-        world = layout_stores["campaign"].world
-        report = StoreReader(root / "serial").reanalyze(world.operator_db)
+        db = layout_stores["campaign"].world.operator_db
+        reader = StoreReader(root / "serial")
+        report = reader.reanalyze(db)
         truth = {a.zone: a for a in report.assessments}
+        verdicts = {
+            r.zone.to_text(): zone_verdict(r, db, DEFAULT_VALIDATION_TIME)
+            for r in reader.iter_results()
+        }
+        statuses = {status.value: n for status, n in report.status_counts.items()}
         for layout in ("serial", "workers", "resumed"):
             with QueryService(root / layout) as service:
                 assert service.snapshot.records == len(truth)
@@ -166,11 +178,9 @@ class TestLayoutInvariance:
                     assert view.status == assessment.status.value
                     assert view.eligibility == assessment.eligibility.value
                     assert view.outcome == assessment.signal_outcome.value
-                    attribution = report.attributions[zone]
-                    expected_operator = (
-                        "unknown" if attribution.multi else attribution.primary
-                    )
-                    assert view.operator == expected_operator
+                    assert view.operator == verdicts[zone].operator
+                    assert view.signal_operator == report.signal_operators.get(zone)
+                assert service.status_counts() == statuses
 
 
 class TestPointLookups:
@@ -264,6 +274,28 @@ class TestEnumerations:
             unknown = service.zones_for_operator("unknown")
             assert set(opdns) | set(unknown) == {z + "." for z in MINI_ZONES}
             assert "missing.com." in unknown  # unresolved → no NS to attribute
+
+    @pytest.mark.parametrize("store", ["mini", "serial", "workers", "resumed"])
+    def test_enumeration_equals_lookup(self, store, mini_store, layout_stores):
+        """An enumerated view is the point lookup's view — signal
+        operator and record location included — on every layout."""
+        if store == "mini":
+            root = mini_store["root"]
+        else:
+            root = layout_stores["root"] / store
+            build_index(root, operator_db=layout_stores["campaign"].world.operator_db)
+        with QueryService(root) as service:
+            views = list(service.iter_status())
+            assert len(views) == service.snapshot.records
+            for view in views:
+                assert view == service.zone_status(view.zone)
+                assert (view.signal_operator is not None) == view.has_signal
+                data = index_dir(root) / service.snapshot.bucket_files(view.bucket).data
+                with open(data, "rb") as fp:
+                    fp.seek(view.offset)
+                    stored = json.loads(fp.read(view.length))
+                assert stored["zone"] == view.zone
+                assert result_to_obj(service.zone_record(view.zone)) == stored
 
     def test_iter_status_covers_every_zone(self, mini_store):
         with QueryService(mini_store["root"]) as service:

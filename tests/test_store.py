@@ -10,7 +10,6 @@ import pytest
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.core import assess_zone
-from repro.parallel import stored_zones_for_buckets
 from repro.reports import render_artifacts
 from repro.scanner import Scanner
 from repro.scanner.serialize import result_from_obj, result_to_obj
@@ -412,8 +411,8 @@ class TestDiff:
 
 
 class TestReaderHardening:
-    """Satellites of the read-serving PR: the zone-listing fast path,
-    damaged-store reporting, and non-strict corruption streaming."""
+    """The zone lister, damaged-store reporting, and non-strict
+    corruption streaming."""
 
     def test_zones_streams_only_the_zone_field(self, mini_results, tmp_path, monkeypatch):
         """zones() must not reconstruct records: poison the full decoder
@@ -431,34 +430,6 @@ class TestReaderHardening:
 
         monkeypatch.setattr(serialize, "result_from_obj", poisoned)
         assert StoreReader(root).zones() == expected
-
-    def test_zones_served_from_fresh_index(self, mini_results, tmp_path, monkeypatch):
-        """With a fresh snapshot the listing comes from the zone column
-        (regression: equal output to the streaming path); a stale
-        snapshot falls back to the segments."""
-        from repro.query import build_index
-
-        root = tmp_path / "store"
-        store = fill_store(root, mini_results, complete=False)
-        streamed = StoreReader(root).zones()
-        build_index(root)
-
-        # Fresh: poison the segment path — the column must answer.
-        def no_streaming(*args, **kwargs):
-            raise AssertionError("zones() streamed segments despite a fresh index")
-
-        monkeypatch.setattr("repro.scanner.serialize.open_results_read", no_streaming)
-        monkeypatch.setattr("repro.store.shards.open_results_read", no_streaming)
-        assert StoreReader(root).zones() == streamed
-        monkeypatch.undo()
-
-        # Stale: a new commit moves the manifest past the pin.
-        reopened = CampaignStore.open(root)
-        extra_obj = copy.deepcopy(result_to_obj(mini_results[0]))
-        extra_obj["zone"] = "fresh-arrival.com."
-        reopened.append(result_from_obj(extra_obj))
-        reopened.checkpoint()
-        assert StoreReader(root).zones() == streamed | {"fresh-arrival.com."}
 
     def test_stored_zones_reads_only_the_wanted_buckets(self, mini_results, tmp_path, monkeypatch):
         """The one lister: ``buckets=`` opens those buckets' segments and
@@ -483,7 +454,7 @@ class TestReaderHardening:
         assert sorted(opened) == sorted(
             str(store.root / info.path) for info in manifest.shards if info.bucket in wanted
         )
-        assert stored_zones_for_buckets(store.root, wanted) == mine
+        assert stored_zones(store.root, load_manifest(store.root), wanted) == mine
 
     @pytest.mark.parametrize("damage", ['{"zone": "torn.exam', '{"resolved": true}', "[1, 2]"])
     def test_stored_zones_names_a_damaged_committed_shard(self, mini_results, tmp_path, damage):
