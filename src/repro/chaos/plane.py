@@ -48,10 +48,6 @@ class FaultDecision:
     truncate: bool = False  # answer with TC=1 (forces TCP fallback)
     latency: float = 0.0  # extra simulated seconds, composable
 
-    @property
-    def faulted(self) -> bool:
-        return self.kind is not None
-
 
 #: The shared no-fault decision (the common case under the fairness cap).
 CLEAN = FaultDecision()

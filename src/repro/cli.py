@@ -30,13 +30,12 @@ import argparse
 import operator
 import sys
 import tempfile
-from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro import experiments, provisioning
+from repro import experiments
 from repro.agent import (
     Agent,
     AgentError,
@@ -47,7 +46,7 @@ from repro.agent import (
 )
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig, RetryPolicy
-from repro.core import AnalysisPipeline, assess_zone
+from repro.core import DnssecStatus, assess_zone
 from repro.ecosystem.profiles import build_operator_db
 from repro.ecosystem.world import build_world
 from repro.monitor import Monitor, MonitorConfig, MonitorError, MonitorSpec, render_epoch_diff
@@ -211,15 +210,6 @@ def _query_session(args: argparse.Namespace):
     hub = Telemetry()
     yield hub
     hub.end_session(stream_path(args.store, "query"))
-
-
-def _print_report_summary(report) -> None:
-    print(f"analysed {report.total_scanned} stored results")
-    for status, count in sorted(report.status_counts.items(), key=lambda kv: -kv[1]):
-        print(f"  {status.value:<12} {count}")
-    for outcome, count in sorted(report.outcome_counts.items(), key=lambda kv: -kv[1]):
-        if outcome.value != "no_signal":
-            print(f"  signal:{outcome.value:<28} {count}")
 
 
 # -- campaign run|resume|stats -------------------------------------------------
@@ -453,70 +443,6 @@ def cmd_audit(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
-    """Scan a world and dump the raw results as JSON lines.
-
-    Results stream straight from the scanner to disk (gzipped when the
-    output path ends in ``.gz``) — nothing is held in memory.
-    """
-    world = build_world(scale=args.scale, seed=args.seed)
-    scanner = world.make_scanner()
-    zones = world.scan_list[: args.limit] if args.limit else world.scan_list
-    with serialize.open_results_write(args.output) as fp:
-        count = serialize.dump_results(scanner.scan_iter(zones), fp)
-    print(
-        f"scanned {count} zones ({world.network.queries_sent} queries) -> {args.output}"
-    )
-    return 0
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    """Re-analyse stored scan results offline (no network, no world).
-
-    Streams the file through the pipeline in O(1) memory; gzip input is
-    auto-detected, truncated trailing lines (crash artefacts) are
-    skipped and counted unless ``--strict``.
-    """
-    stats = serialize.LoadStats()
-    report = AnalysisPipeline().analyze(
-        serialize.load_results_path(args.input, strict=args.strict, stats=stats)
-    )
-    _print_report_summary(report)
-    if stats.skipped:
-        print(f"  (skipped {stats.skipped} corrupt record(s))")
-    return 0
-
-
-def cmd_bootstrap(args: argparse.Namespace) -> int:
-    """Play registry: run an acceptance policy and provision DS RRsets."""
-    policies = {
-        "rfc9615": provisioning.AuthenticatedBootstrapPolicy,
-        "delay": provisioning.AcceptAfterDelayPolicy,
-        "challenge": provisioning.AcceptWithChallengePolicy,
-        "inception": provisioning.AcceptFromInceptionPolicy,
-    }
-    world = build_world(scale=args.scale, seed=args.seed)
-    run = provisioning.BootstrapEngine(world, policies[args.policy]()).run()
-    print(f"policy:    {run.policy}")
-    print(f"evaluated: {run.evaluated}")
-    print(f"accepted:  {len(run.accepted)}")
-    print(f"secured:   {len(run.secured)} (verified by re-scan)")
-    print(f"deferred:  {len(run.deferred)}")
-    print(f"rejected:  {len(run.rejected)}")
-    for reason, count in Counter(run.rejected.values()).most_common(8):
-        print(f"  {count:>6}  {reason}")
-    return 0
-
-
-def cmd_list_zones(args: argparse.Namespace) -> int:
-    world = build_world(scale=args.scale, seed=args.seed)
-    for name in world.scan_list[: args.limit]:
-        spec = world.specs[name.to_text().rstrip(".")]
-        print(f"{name.to_text():<70} {spec.operator:<18} {spec.status.value}")
-    print(f"... {world.zone_count} zones total")
-    return 0
-
-
 # -- store status|diff|reanalyze: the campaign warehouse -----------------------
 
 
@@ -538,7 +464,13 @@ def cmd_store_diff(args: argparse.Namespace) -> int:
 
 def cmd_store_reanalyze(args: argparse.Namespace) -> int:
     """Stream a stored campaign back through the analysis pipeline."""
-    _print_report_summary(StoreReader(args.store, verify_digests=args.verify).reanalyze())
+    report = StoreReader(args.store, verify_digests=args.verify).reanalyze()
+    print(f"analysed {report.total_scanned} stored results")
+    for status, count in sorted(report.status_counts.items(), key=lambda kv: -kv[1]):
+        print(f"  {status.value:<12} {count}")
+    for outcome, count in sorted(report.outcome_counts.items(), key=lambda kv: -kv[1]):
+        if outcome.value != "no_signal":
+            print(f"  signal:{outcome.value:<28} {count}")
     return 0
 
 
@@ -750,15 +682,6 @@ COMMANDS: Tuple[Command, ...] = (
             flag("--out", default="experiments", metavar="DIR")),
     command("audit", "audit one zone's AB readiness", cmd_audit, *_WORLD,
             flag("--zone", help="zone name (defaults to the first in the world)")),
-    command("list-zones", "list generated zones", cmd_list_zones, *_WORLD,
-            flag("--limit", type=int, default=25)),
-    command("scan", "scan and store raw results (JSON lines)", cmd_scan, *_WORLD,
-            flag("--output", default="scan-results.jsonl"),
-            flag("--limit", type=int, default=0, help="scan only the first N zones")),
-    command("analyze", "re-analyse stored scan results offline", cmd_analyze,
-            flag("--input", default="scan-results.jsonl"),
-            flag("--strict", action="store_true",
-                 help="raise on corrupt records instead of skipping")),
     command("store status", "inspect a campaign store", cmd_store_status, FLAGS["store"],
             flag("--verify", action="store_true",
                  help="re-hash every shard against the manifest")),
@@ -777,7 +700,8 @@ COMMANDS: Tuple[Command, ...] = (
             flag("--full", action="store_true", help="print the full archived record as JSON")),
     command("query list", "enumerate zones by status class or operator",
             cmd_query_list, FLAGS["store"],
-            flag("--status", help="status class (e.g. island, secure)"),
+            flag("--status", choices=[status.value for status in DnssecStatus],
+                 help="status class (e.g. island, secure)"),
             flag("--operator", help="operator name (e.g. Cloudflare)"),
             flag("--limit", type=int, default=50, help="0 = unlimited")),
     command("query dashboard", "per-operator deployment dashboard",
@@ -786,9 +710,6 @@ COMMANDS: Tuple[Command, ...] = (
             cmd_query_verify, FLAGS["store"]),
     command("query serve", "answer zone lookups read from stdin",
             cmd_query_serve, FLAGS["store"], failure="cannot serve"),
-    command("bootstrap", "run a registry acceptance policy", cmd_bootstrap, *_WORLD,
-            flag("--policy", choices=("rfc9615", "delay", "challenge", "inception"),
-                 default="rfc9615")),
 )
 
 

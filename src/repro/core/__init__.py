@@ -13,7 +13,6 @@ from repro.core.bootstrap import (
     SignalOutcome,
     assess_zone,
 )
-from repro.core.csync import CsyncReport, analyze_csync
 from repro.core.feasibility import FeasibilityReport, estimate_feasibility
 from repro.core.operators import OperatorAttribution, OperatorDB
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
@@ -24,10 +23,8 @@ __all__ = [
     "BootstrapAssessment",
     "BootstrapEligibility",
     "CdsReport",
-    "CsyncReport",
     "DnssecStatus",
     "FeasibilityReport",
-    "analyze_csync",
     "estimate_feasibility",
     "OperatorAttribution",
     "OperatorDB",

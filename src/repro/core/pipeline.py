@@ -164,12 +164,6 @@ class AnalysisReport:
     def outcome_count(self, outcome: SignalOutcome) -> int:
         return self.outcome_counts.get(outcome, 0)
 
-    @property
-    def zones_with_signal(self) -> int:
-        return self.total_resolved and sum(
-            funnel.with_signal for funnel in self.signal_funnels.values()
-        )
-
     def top_operators(self, limit: int = 20) -> List[str]:
         """Operator names by portfolio size (Table 1 ordering)."""
         named = [

@@ -8,7 +8,7 @@ The DS digest is computed over ``owner (canonical wire) || DNSKEY rdata``
 from __future__ import annotations
 
 from repro.dns.name import Name
-from repro.dns.rdata import CDNSKEY, CDS, DNSKEY, DS, _DNSKEYBase, _DSBase
+from repro.dns.rdata import CDNSKEY, CDS, DS, _DNSKEYBase, _DSBase
 from repro.dnssec.algorithms import DigestType, digest_for
 
 
@@ -59,8 +59,3 @@ def cdnskey_delete_rdata() -> CDNSKEY:
 def cds_to_ds(cds: CDS) -> DS:
     """Re-type a child's CDS as the DS the parent would install."""
     return DS(cds.key_tag, cds.algorithm, cds.digest_type, cds.digest)
-
-
-def cdnskey_to_dnskey(cdnskey: CDNSKEY) -> DNSKEY:
-    """Re-type a CDNSKEY as the DNSKEY it advertises."""
-    return DNSKEY(cdnskey.flags, cdnskey.protocol, cdnskey.algorithm, cdnskey.public_key)

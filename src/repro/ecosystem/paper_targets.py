@@ -93,11 +93,6 @@ NO_DNSSEC_OPERATORS = frozenset(
 )
 
 
-def table1_domains(name: str) -> int:
-    unsigned, secured, invalid, islands = TABLE1[name]
-    return unsigned + secured + invalid + islands
-
-
 # --------------------------------------------------------------------------
 # Table 2: operators *not* already in Table 1, with (domains-with-CDS,
 # % of portfolio).  Swiss operators marked for the §6 discussion.

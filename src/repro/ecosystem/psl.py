@@ -37,10 +37,6 @@ SUFFIX_WEIGHTS: Dict[str, int] = {
 AB_PROCESSING_SUFFIXES = ("ch", "li")
 
 
-def all_suffixes() -> List[str]:
-    return list(SUFFIX_WEIGHTS)
-
-
 def registry_zone_names() -> List[str]:
     """All zones the registries must serve: the suffixes plus any bare
     parents needed to delegate multi-label suffixes (``co.uk`` → ``uk``)."""

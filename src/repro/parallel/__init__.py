@@ -9,14 +9,9 @@ campaign whose streamed report is byte-identical to a sequential run.
 from repro.parallel.engine import (
     ParallelCampaignError,
     merge_worker_manifests,
-    run_parallel_campaign,
     worker_dir,
 )
-from repro.parallel.partition import (
-    bucket_ranges,
-    partition_zones,
-    zones_for_buckets,
-)
+from repro.parallel.partition import bucket_ranges, zones_for_buckets
 from repro.parallel.worker import EXIT_SIMULATED_CRASH, WorkerSpec, run_worker
 
 __all__ = [
@@ -25,8 +20,6 @@ __all__ = [
     "WorkerSpec",
     "bucket_ranges",
     "merge_worker_manifests",
-    "partition_zones",
-    "run_parallel_campaign",
     "run_worker",
     "worker_dir",
     "zones_for_buckets",

@@ -40,7 +40,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from repro.campaign import CampaignConfig, _execute, prepare, record_total
+from repro.campaign import CampaignConfig, prepare, record_total
 from repro.obs.events import WORKERS_DIR
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.scanner.fleet import MachineReport
@@ -282,9 +282,3 @@ def scan_with_workers(config: CampaignConfig, store: CampaignStore, telemetry, f
     # suspicious zone gets the resumed-campaign double-check budget: the
     # parent's fresh world replays the transient failure once first.
     return world, scanner, events, _machine_reports(root), frozenset(store.completed_zones())
-
-
-def run_parallel_campaign(config: CampaignConfig, *, faults: Optional[Dict[int, int]] = None):
-    """:func:`repro.campaign.run_campaign` for a ``workers=N`` config,
-    with :func:`scan_with_workers`' *faults* testing hook."""
-    return _execute(config, None, resume=False, faults=faults)

@@ -13,7 +13,7 @@ coordination, and the shares are disjoint and complete by construction.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, List, Set
 
 from repro.dns.name import Name
 from repro.store.shards import shard_for_zone
@@ -53,14 +53,4 @@ def zones_for_buckets(
         zone
         for zone in zones
         if shard_for_zone(zone.to_text(), num_shards) in wanted
-    ]
-
-
-def partition_zones(
-    zones: Sequence[Name], num_shards: int, workers: int
-) -> List[List[Name]]:
-    """Every worker's share of *zones* — disjoint and complete."""
-    return [
-        zones_for_buckets(zones, num_shards, bucket_range)
-        for bucket_range in bucket_ranges(num_shards, workers)
     ]

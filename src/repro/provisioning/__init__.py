@@ -14,10 +14,7 @@ with those signals:
   (``provision_zone``: install the accepted CDS as a signed DS, re-scan,
   keep it iff the chain is SECURE, else roll back) shared with the
   parental agent, and a bootstrap engine that scans a TLD's unsecured
-  delegations and runs a policy over them;
-* :mod:`repro.provisioning.rollover` — CDS-driven key rollovers for
-  already-secured zones (RFC 7344 §4), the maintenance half of the
-  automation story.
+  delegations and runs a policy over them.
 
 Together these make the App.-D feasibility discussion executable: how
 many zones would each policy secure, and at what query cost?
@@ -33,7 +30,6 @@ from repro.provisioning.policies import (
     Decision,
 )
 from repro.provisioning.engine import BootstrapEngine, BootstrapRun
-from repro.provisioning.rollover import RolloverEngine, RolloverResult
 
 __all__ = [
     "AcceptAfterDelayPolicy",
@@ -45,6 +41,4 @@ __all__ = [
     "BootstrapPolicy",
     "BootstrapRun",
     "Decision",
-    "RolloverEngine",
-    "RolloverResult",
 ]

@@ -60,10 +60,6 @@ class BootstrapRun:
     failed_verification: List[str] = field(default_factory=list)
     queries_used: int = 0
 
-    @property
-    def acceptance_rate(self) -> float:
-        return len(self.accepted) / self.evaluated if self.evaluated else 0.0
-
 
 def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
     """Replace the DS RRset and its covering RRSIG at *zone_name*'s

@@ -336,16 +336,6 @@ class QueryService:
         """Histogram of DNSSEC status classes over the whole snapshot."""
         return Counter(view.status for view in self.iter_status())
 
-    def eligibility_counts(self) -> Counter:
-        return Counter(view.eligibility for view in self.iter_status())
-
-    def outcome_counts(self) -> Counter:
-        return Counter(view.outcome for view in self.iter_status())
-
-    def operator_counts(self) -> Counter:
-        """Operator → portfolio size (zones attributed to it)."""
-        return Counter(view.operator for view in self.iter_status())
-
     def zones_with_status(self, status: str) -> List[str]:
         """Zone names in one status class (e.g. ``"island"``)."""
         return [view.zone for view in self.iter_status() if view.status == status]

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.pipeline import AnalysisReport
-from repro.ecosystem.paper_targets import TABLE1
 from repro.ecosystem.spec import StatusScenario
 from repro.reports.render import format_count, format_pct, render_table
 
@@ -118,16 +117,3 @@ def render_table1(
         )
     return out
 
-
-def paper_table1_percentages() -> Dict[str, Dict[str, float]]:
-    """The published per-operator percentages (for shape checks)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for name, (unsigned, secured, invalid, islands) in TABLE1.items():
-        domains = unsigned + secured + invalid + islands
-        out[name] = {
-            "unsigned": 100.0 * unsigned / domains,
-            "secured": 100.0 * secured / domains,
-            "invalid": 100.0 * invalid / domains,
-            "islands": 100.0 * islands / domains,
-        }
-    return out

@@ -13,13 +13,7 @@ from repro.scanner.fleet import FleetReport, ScanFleet
 from repro.scanner.ratelimit import RateLimiter
 from repro.scanner.results import QueryStatus, RRQueryResult, SignalScan, ZoneScanResult
 from repro.scanner.sampling import AnycastSamplingPolicy
-from repro.scanner.serialize import (
-    LoadStats,
-    dump_results,
-    dump_results_path,
-    load_results,
-    load_results_path,
-)
+from repro.scanner.serialize import LoadStats, dump_results, load_results
 from repro.scanner.sources import compile_scan_list
 from repro.scanner.yodns import Scanner, ScannerConfig
 
@@ -40,7 +34,5 @@ __all__ = [
     "compile_scan_list",
     "coverage_bias",
     "dump_results",
-    "dump_results_path",
     "load_results",
-    "load_results_path",
 ]

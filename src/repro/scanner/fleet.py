@@ -16,7 +16,7 @@ machine, which is why operators like Cloudflare see more).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.dns.name import Name
 from repro.scanner.ratelimit import RateLimiter
@@ -121,16 +121,3 @@ class ScanFleet:
         assert report.total_queries == self.world.network.queries_sent - queries_before
         return report
 
-
-def duration_by_fleet_size(
-    world,
-    sizes: Sequence[int],
-    zones: Optional[Sequence[Name]] = None,
-) -> Dict[int, float]:
-    """Campaign duration (simulated seconds) for each fleet size —
-    fresh scanners per size so caches don't leak between runs."""
-    out: Dict[int, float] = {}
-    for size in sizes:
-        fleet = ScanFleet(world, machines=size)
-        out[size] = fleet.scan(zones).duration
-    return out

@@ -10,7 +10,7 @@ Streaming semantics: :func:`dump_results` consumes any iterable (a
 generator works — nothing is materialised) and :func:`load_results` is
 a generator, so a store→re-analyse cycle runs in O(1) memory.  Files
 may be gzip-compressed; readers auto-detect by magic bytes, writers
-compress when the path ends in ``.gz`` (see :func:`open_results_write`).
+compress when asked to (see :func:`open_results_write`).
 
 Decode once: a read parses each distinct name text once
 (:meth:`Name.from_text`'s table) and each distinct ``(type, rdata text)``
@@ -338,16 +338,13 @@ def open_results_read(path: str) -> TextIO:
     return open(path, "r", encoding="utf-8")
 
 
-def open_results_write(path: str, compress: Optional[bool] = None) -> TextIO:
-    """Open a results file for writing; gzip when *compress* is true or
-    (if None) when the path ends in ``.gz``.
+def open_results_write(path: str, compress: bool) -> TextIO:
+    """Open a results file for writing, gzipped when *compress* is true.
 
     Compressed output is deterministic (``mtime=0``, no embedded
     filename) so equal record streams produce byte-identical files —
     shard content digests depend on it.
     """
-    if compress is None:
-        compress = path.endswith(".gz")
     if not compress:
         return open(path, "w", encoding="utf-8", newline="\n")
     raw = open(path, "wb")
@@ -358,18 +355,3 @@ def open_results_write(path: str, compress: Optional[bool] = None) -> TextIO:
         raw.close()
         raise
 
-
-def load_results_path(
-    path: str, strict: bool = False, stats: Optional[LoadStats] = None
-) -> Iterator[ZoneScanResult]:
-    """Stream results from a (possibly gzipped) file path."""
-    with open_results_read(path) as fp:
-        yield from load_results(fp, strict=strict, stats=stats)
-
-
-def dump_results_path(
-    path: str, results: Iterable[ZoneScanResult], compress: Optional[bool] = None
-) -> int:
-    """Write results to a file path (gzipped for ``.gz``); returns the count."""
-    with open_results_write(path, compress=compress) as fp:
-        return dump_results(results, fp)

@@ -84,14 +84,6 @@ class StoreReader:
         for info in self._ordered_shards():
             yield from iter_shard_objects(self.root, info)
 
-    def iter_bucket(
-        self, bucket: int, strict: bool = True, stats: Optional[LoadStats] = None
-    ) -> Iterator[ZoneScanResult]:
-        """Stream one zone-hash bucket (a parallel consumer's share)."""
-        for info in self._ordered_shards():
-            if info.bucket == bucket:
-                yield from iter_shard(self.root, info, strict=strict, stats=stats)
-
     def zones(self) -> Set[str]:
         """Dotted names of every stored zone, streamed from the segments
         without RRset reconstruction (:func:`repro.store.shards.stored_zones`)."""

@@ -214,3 +214,12 @@ def build_mini_world():
         },
         "island_cds": island_cds,
     }
+
+
+def run_with_faults(config, faults):
+    """Run a ``workers=N`` campaign with worker *faults* injected
+    (``{worker index: crash after N zones}``, the hook of
+    :func:`repro.parallel.engine.scan_with_workers`)."""
+    from repro.campaign import _execute
+
+    return _execute(config, None, resume=False, faults=faults)

@@ -32,12 +32,6 @@ class TestParser:
 
 
 class TestCommands:
-    def test_list_zones(self, capsys):
-        rc = main(["list-zones", *SCALE_ARGS, "--limit", "5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "zones total" in out
-
     def test_audit_default_zone(self, capsys):
         rc = main(["audit", *SCALE_ARGS])
         assert rc == 0
@@ -57,39 +51,6 @@ class TestCommands:
         out = capsys.readouterr().out
         for artefact in ("Table 1", "Table 2", "Table 3", "Figure 1"):
             assert artefact in out
-
-    def test_scan_then_analyze(self, capsys, tmp_path):
-        out_file = str(tmp_path / "results.jsonl")
-        rc = main(["scan", *SCALE_ARGS, "--output", out_file, "--limit", "20"])
-        assert rc == 0
-        assert "scanned 20 zones" in capsys.readouterr().out
-        rc = main(["analyze", "--input", out_file])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "analysed 20 stored results" in out
-
-    def test_bootstrap_rfc9615(self, capsys):
-        rc = main(["bootstrap", *SCALE_ARGS, "--policy", "rfc9615"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "policy:    rfc9615-authenticated" in out
-        assert "secured:" in out
-
-    def test_bootstrap_delay_defers(self, capsys):
-        rc = main(["bootstrap", *SCALE_ARGS, "--policy", "delay"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "accepted:  0" in out  # day-zero pass only observes
-
-    def test_scan_gzip_output_then_analyze(self, capsys, tmp_path):
-        out_file = str(tmp_path / "results.jsonl.gz")
-        rc = main(["scan", *SCALE_ARGS, "--output", out_file, "--limit", "10"])
-        assert rc == 0
-        capsys.readouterr()
-        assert open(out_file, "rb").read(2) == b"\x1f\x8b"
-        rc = main(["analyze", "--input", out_file])
-        assert rc == 0
-        assert "analysed 10 stored results" in capsys.readouterr().out
 
 
 class TestStoreCommands:
@@ -129,6 +90,32 @@ class TestStoreCommands:
         out = capsys.readouterr().out
         assert "campaign diff" in out
         assert "+0 added, -0 removed" in out
+
+
+@pytest.fixture(scope="module")
+def indexed_store(tmp_path_factory):
+    """A campaign store with its query snapshot built."""
+    store = str(tmp_path_factory.mktemp("cli-query") / "store")
+    assert main(["campaign", "run", "--scale", "5e-7", "--seed", "41", "--store", store]) == 0
+    assert main(["query", "index", "--store", store]) == 0
+    return store
+
+
+class TestQueryCommands:
+    def test_list_by_status(self, indexed_store, capsys):
+        capsys.readouterr()
+        assert main(["query", "list", "--store", indexed_store, "--status", "island"]) == 0
+        assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("status", ["islands", "bogus"])
+    def test_list_rejects_an_unknown_status(self, indexed_store, status, capsys):
+        # Table 1's header says "islands"; the class is "island".  A typo
+        # used to print nothing and exit 0.
+        with pytest.raises(SystemExit) as stop:
+            main(["query", "list", "--store", indexed_store, "--status", status])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "invalid choice" in err
 
 
 class TestUserErrors:

@@ -1,19 +1,8 @@
-"""Tests for CSYNC (RFC 7477): the rdata type and the drift analysis."""
+"""Tests for the CSYNC (RFC 7477) rdata type."""
 
-import pytest
-
-from repro.core.csync import analyze_csync, apply_csync_to_delegation
-from repro.dns.name import Name
-from repro.dns.rdata import CSYNC, NS, SOA, read_rdata
-from repro.dns.rrset import RRset
-from repro.dns.types import Rcode, RRType
+from repro.dns.rdata import CSYNC, read_rdata
+from repro.dns.types import RRType
 from repro.dns.wire import WireReader
-from repro.dnssec import Algorithm, KeyPair
-from repro.dnssec.signer import corrupt_signature, sign_rrset
-from repro.scanner.results import QueryStatus, RRQueryResult, ZoneScanResult
-
-ZONE = Name.from_text("drift.example")
-KEY = KeyPair.generate(Algorithm.ED25519, ksk=True, seed=b"csync")
 
 
 class TestCsyncRdata:
@@ -35,93 +24,3 @@ class TestCsyncRdata:
         rdata = CSYNC(1, 0, [RRType.AAAA, RRType.NS, RRType.A])
         assert rdata.types == (RRType.A, RRType.NS, RRType.AAAA)
 
-
-def ok(rrset=None, rrsigs=None):
-    return RRQueryResult(QueryStatus.OK, rcode=Rcode.NOERROR, rrset=rrset, rrsigs=rrsigs or [])
-
-
-def make_result(child_ns_names, parent_ns_names, serial=100):
-    result = ZoneScanResult(zone=ZONE, resolved=True)
-    result.delegation_ns = [Name.from_text(n) for n in parent_ns_names]
-    result.child_ns = ok(
-        RRset(ZONE, RRType.NS, 3600, [NS(n) for n in child_ns_names])
-    )
-    result.soa = ok(RRset(ZONE, RRType.SOA, 3600, [SOA("ns1.x.net", "h.x.net", serial)]))
-    dnskey_rrset = RRset(ZONE, RRType.DNSKEY, 3600, [KEY.dnskey()])
-    result.dnskey = ok(dnskey_rrset, [sign_rrset(dnskey_rrset, KEY, ZONE)])
-    return result
-
-
-def csync_response(serial=100, flags=CSYNC.FLAG_SOAMINIMUM, types=(RRType.NS,), corrupt=False):
-    rrset = RRset(ZONE, RRType.CSYNC, 3600, [CSYNC(serial, flags, list(types))])
-    sig = sign_rrset(rrset, KEY, ZONE)
-    if corrupt:
-        sig = corrupt_signature(sig)
-    return ok(rrset, [sig])
-
-
-class TestAnalyzeCsync:
-    def test_no_drift_no_csync(self):
-        result = make_result(["ns1.a.net", "ns2.a.net"], ["ns1.a.net", "ns2.a.net"])
-        report = analyze_csync(result)
-        assert not report.ns_drift
-        assert not report.csync_present
-        assert not report.actionable
-
-    def test_drift_detected(self):
-        # The paper's Cloudflare incident: registry NS set disagrees with
-        # what the operator serves.
-        result = make_result(["ns1.a.net", "ns2.a.net"], ["ns1.a.net", "ns9.old.net"])
-        report = analyze_csync(result)
-        assert report.ns_drift
-        assert report.child_only_ns == [Name.from_text("ns2.a.net")]
-        assert report.parent_only_ns == [Name.from_text("ns9.old.net")]
-
-    def test_actionable_with_valid_csync(self):
-        result = make_result(["ns1.a.net", "ns2.a.net"], ["ns1.a.net", "ns9.old.net"])
-        report = analyze_csync(result, csync_response())
-        assert report.csync_present
-        assert report.sigs_valid is True
-        assert report.would_sync_ns
-        assert report.actionable
-        new_ns = apply_csync_to_delegation(report, result)
-        assert new_ns == [Name.from_text("ns1.a.net"), Name.from_text("ns2.a.net")]
-
-    def test_bad_signature_not_actionable(self):
-        result = make_result(["ns1.a.net"], ["ns9.old.net"])
-        report = analyze_csync(result, csync_response(corrupt=True))
-        assert report.sigs_valid is False
-        assert not report.actionable
-        assert apply_csync_to_delegation(report, result) is None
-
-    def test_soaminimum_gate_blocks_stale_serial(self):
-        result = make_result(["ns1.a.net"], ["ns9.old.net"], serial=50)
-        report = analyze_csync(result, csync_response(serial=100))
-        assert report.serial_gate_passed is False
-        assert not report.would_sync_ns
-
-    def test_soaminimum_gate_passes(self):
-        result = make_result(["ns1.a.net"], ["ns9.old.net"], serial=150)
-        report = analyze_csync(result, csync_response(serial=100))
-        assert report.serial_gate_passed is True
-        assert report.would_sync_ns
-
-    def test_immediate_flag_skips_gate(self):
-        result = make_result(["ns1.a.net"], ["ns9.old.net"], serial=1)
-        report = analyze_csync(
-            result, csync_response(serial=100, flags=CSYNC.FLAG_IMMEDIATE)
-        )
-        assert report.serial_gate_passed is True
-
-    def test_ns_not_in_bitmap_not_synced(self):
-        result = make_result(["ns1.a.net"], ["ns9.old.net"])
-        report = analyze_csync(result, csync_response(types=(RRType.A, RRType.AAAA)))
-        assert report.sigs_valid is True
-        assert not report.would_sync_ns
-
-    def test_unsigned_zone_cannot_use_csync(self):
-        result = make_result(["ns1.a.net"], ["ns9.old.net"])
-        result.dnskey = ok(None)
-        report = analyze_csync(result, csync_response())
-        assert report.sigs_valid is False
-        assert not report.actionable

@@ -38,11 +38,6 @@ class TestExamples:
         assert "SECURE" in out
         assert "NXDOMAIN" in out
 
-    def test_key_rollover(self):
-        out = run_example("key_rollover.py")
-        assert out.count("[OK ]") == 6
-        assert "BROKEN" not in out
-
     def test_registry_bootstrap(self):
         out = run_example("registry_bootstrap.py")
         assert "RFC 9615 authenticated bootstrapping" in out

@@ -28,7 +28,6 @@ from repro.obs.telemetry import as_telemetry
 from repro.parallel import (
     ParallelCampaignError,
     WorkerSpec,
-    run_parallel_campaign,
     run_worker,
     worker_dir,
     zones_for_buckets,
@@ -37,6 +36,7 @@ from repro.reports import render_artifacts
 from repro.scanner.sources import compile_scan_list
 from repro.scenarios import ScenarioSpec
 from repro.store.manifest import load_manifest, manifest_path
+from tests.helpers import run_with_faults
 
 SCALE = 5e-7
 SEED = 3
@@ -85,7 +85,7 @@ class TestResumeHonoursTheRecordedCadence:
         killed = replace(config, store_dir=tmp_path / "killed")
         with pytest.raises(ParallelCampaignError):
             # 20 zones = two whole commits, then a hard exit.
-            run_parallel_campaign(killed, faults={0: 20})
+            run_with_faults(killed, faults={0: 20})
         resume_campaign(killed.store_dir)
 
         full = load_manifest(config.store_dir)
@@ -369,7 +369,7 @@ def _workers(root):
 
 def _workers_killed_then_resumed_with_three(root):
     with pytest.raises(ParallelCampaignError):
-        run_parallel_campaign(replace(BASE, store_dir=root, workers=2), faults={0: 20})
+        run_with_faults(replace(BASE, store_dir=root, workers=2), faults={0: 20})
     return resume_campaign(root, workers=3)
 
 

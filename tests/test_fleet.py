@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import AnalysisPipeline
 from repro.ecosystem import build_world
-from repro.scanner.fleet import ScanFleet, duration_by_fleet_size
+from repro.scanner.fleet import ScanFleet
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +52,7 @@ class TestFleetScan:
         assert report.duration == max(m.duration for m in report.machines)
 
     def test_more_machines_finish_sooner(self, world):
-        durations = duration_by_fleet_size(world, sizes=[1, 4])
+        durations = {size: ScanFleet(world, machines=size).scan().duration for size in (1, 4)}
         assert durations[4] < durations[1]
         # Near-linear at this scale (no per-NS contention modelled
         # across machines): 4 machines cut the duration at least in half.

@@ -26,12 +26,13 @@ from repro.monitor import (
 from repro.monitor.events import events_for_epoch
 from repro.monitor.layout import EPOCH_EVENTS_FILENAME
 from repro.monitor.timeline import scan_world, world_at_epoch
-from repro.parallel import ParallelCampaignError, run_parallel_campaign
+from repro.parallel import ParallelCampaignError
 from repro.query import QueryService, build_index, index_dir
 from repro.query.service import QueryError
 from repro.reports import render_artifacts
 from repro.store.manifest import load_manifest
 from repro.store.reader import StoreReader
+from tests.helpers import run_with_faults
 
 
 SCALE = 1e-6
@@ -251,7 +252,7 @@ class TestOneWorldPerEpoch:
             return epoch, recorded
         config = monitor._campaign_config(epoch)
         with pytest.raises(ParallelCampaignError):
-            run_parallel_campaign(config, faults={0: 1, 1: 1})
+            run_with_faults(config, faults={0: 1, 1: 1})
         return epoch, None
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))

@@ -10,15 +10,11 @@ import pytest
 
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.dns.name import Name
-from repro.parallel import (
-    ParallelCampaignError,
-    bucket_ranges,
-    partition_zones,
-    run_parallel_campaign,
-)
+from repro.parallel import ParallelCampaignError, bucket_ranges, zones_for_buckets
 from repro.reports import render_artifacts
 from repro.store import StoreReader
 from repro.store.shards import shard_for_zone
+from tests.helpers import run_with_faults
 
 SCALE = 1e-6
 SEED = 41
@@ -55,7 +51,7 @@ class TestPartition:
 
     def test_zone_partition_disjoint_and_complete(self, sequential):
         zones = sequential.world.scan_list
-        shares = partition_zones(zones, 16, 4)
+        shares = [zones_for_buckets(zones, 16, r) for r in bucket_ranges(16, 4)]
         flat = [zone for share in shares for zone in share]
         assert sorted(n.to_text() for n in flat) == sorted(n.to_text() for n in zones)
         seen = set()
@@ -67,8 +63,8 @@ class TestPartition:
     def test_partition_follows_shard_hash(self):
         zones = [Name.from_text(f"zone{i}.example") for i in range(50)]
         ranges = bucket_ranges(16, 4)
-        for share, bucket_range in zip(partition_zones(zones, 16, 4), ranges):
-            for zone in share:
+        for bucket_range in ranges:
+            for zone in zones_for_buckets(zones, 16, bucket_range):
                 assert shard_for_zone(zone.to_text(), 16) in bucket_range
 
 
@@ -76,9 +72,7 @@ class TestByteIdentity:
     @pytest.fixture(scope="class")
     def parallel(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("parallel") / "store"
-        return run_parallel_campaign(
-            CampaignConfig(scale=SCALE, seed=SEED, store_dir=root, workers=4)
-        )
+        return run_campaign(CampaignConfig(scale=SCALE, seed=SEED, store_dir=root, workers=4))
 
     def test_reports_byte_identical(self, parallel, sequential_artifacts):
         assert render_artifacts(parallel.report) == sequential_artifacts
@@ -115,7 +109,7 @@ class TestCrashAndResume:
     ):
         root = tmp_path / "store"
         with pytest.raises(ParallelCampaignError) as excinfo:
-            run_parallel_campaign(
+            run_with_faults(
                 CampaignConfig(
                     scale=SCALE, seed=SEED, store_dir=root, workers=3, checkpoint_every=4
                 ),
@@ -141,7 +135,7 @@ class TestCrashAndResume:
     ):
         root = tmp_path / "store"
         with pytest.raises(ParallelCampaignError):
-            run_parallel_campaign(
+            run_with_faults(
                 CampaignConfig(
                     scale=SCALE, seed=SEED, store_dir=root, workers=4, checkpoint_every=4
                 ),

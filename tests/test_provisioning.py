@@ -1,13 +1,13 @@
 """Tests for the registry-side provisioning: acceptance policies, the
-bootstrap engine, and CDS-driven key rollovers."""
+bootstrap engine, and RFC 8078 delete processing."""
 
 import pytest
 
 from repro.core import AnalysisPipeline, DnssecStatus, assess_zone
 from repro.core.status import classify_status
-from repro.dns import A, NS, RRset, RRType, SOA, Zone
+from repro.dns import RRset, RRType
 from repro.dns.name import Name
-from repro.dnssec import Algorithm, KeyPair, ds_from_dnskey, sign_zone
+from repro.dnssec import Algorithm, KeyPair
 from repro.ecosystem import build_world, psl
 from repro.ecosystem.spec import CdsScenario, SignalScenario, StatusScenario
 from repro.provisioning import (
@@ -17,7 +17,6 @@ from repro.provisioning import (
     AuthenticatedBootstrapPolicy,
     BootstrapEngine,
     Decision,
-    RolloverEngine,
 )
 from repro.provisioning.engine import install_ds, remove_ds
 from repro.provisioning.policies import CDS_DISAGREEMENT, ZONE_UNSIGNED
@@ -290,59 +289,3 @@ class TestDeleteProcessing:
         }
         assert not (island_deletes & evaluated_or_deleted)
 
-
-class TestRollover:
-    def make_secure_zone(self):
-        key = KeyPair.generate(Algorithm.ED25519, ksk=True, seed=b"rollover-initial")
-        zone = Zone("roll.example.net")
-        zone.add("roll.example.net", 3600, SOA("ns1.p.net", "h.p.net", 1))
-        zone.add("roll.example.net", 3600, NS("ns1.p.net"))
-        zone.add("www.roll.example.net", 300, A("192.0.2.2"))
-        sign_zone(zone, [key])
-        ds = RRset(
-            "roll.example.net",
-            RRType.DS,
-            3600,
-            [ds_from_dnskey(Name.from_text("roll.example.net"), key.dnskey())],
-        )
-        return zone, key, ds
-
-    def test_full_rollover_keeps_chain_valid(self):
-        zone, key, ds = self.make_secure_zone()
-        engine = RolloverEngine(zone, key, ds)
-        new_key = KeyPair.generate(Algorithm.ED25519, ksk=True, seed=b"rollover-new")
-        results = engine.run_full_rollover(new_key)
-        assert [r.stage.value for r in results] == [
-            "new_key_published",
-            "ds_swapped",
-            "old_key_retired",
-        ]
-        assert all(r.chain_valid for r in results)
-        assert results[-1].ds_key_tags == [new_key.key_tag]
-        assert results[-1].dnskey_count == 1
-
-    def test_double_signature_phase(self):
-        zone, key, ds = self.make_secure_zone()
-        engine = RolloverEngine(zone, key, ds)
-        result = engine.publish_new_key()
-        assert result.dnskey_count == 2
-        assert result.chain_valid  # old DS still anchors the chain
-        # CDS advertises only the new key.
-        cds = zone.get_rrset("roll.example.net", RRType.CDS)
-        assert len(cds) == 1
-        assert cds.rdatas[0].key_tag == engine.new_key.key_tag
-
-    def test_stage_ordering_enforced(self):
-        zone, key, ds = self.make_secure_zone()
-        engine = RolloverEngine(zone, key, ds)
-        with pytest.raises(RuntimeError):
-            engine.parent_swaps_ds()
-        with pytest.raises(RuntimeError):
-            engine.retire_old_key()
-
-    def test_cross_algorithm_rollover(self):
-        zone, key, ds = self.make_secure_zone()
-        engine = RolloverEngine(zone, key, ds)
-        new_key = KeyPair.generate(Algorithm.ECDSAP256SHA256, ksk=True, seed=b"to-ecdsa")
-        results = engine.run_full_rollover(new_key)
-        assert all(r.chain_valid for r in results)

@@ -24,7 +24,8 @@ from repro.reports import (
     render_table3,
 )
 from repro.reports.figure1 import expected_figure1
-from repro.reports.table1 import expected_table1, paper_table1_percentages
+from repro.ecosystem.paper_targets import TABLE1
+from repro.reports.table1 import expected_table1
 from repro.reports.table2 import expected_table2
 from repro.reports.table3 import AB_COLUMNS, expected_table3
 
@@ -78,10 +79,12 @@ class TestTable1:
         assert "Table 1" in text
 
     def test_paper_percentages_sane(self):
-        pct = paper_table1_percentages()
-        assert 95 < pct["GoDaddy"]["unsigned"] < 100
-        assert 40 < pct["Google Domains"]["secured"] < 50
-        assert 15 < pct["WIX"]["islands"] < 17
+        def pct(name, column):  # column: 0 unsigned, 1 secured, 2 invalid, 3 islands
+            return 100.0 * TABLE1[name][column] / sum(TABLE1[name])
+
+        assert 95 < pct("GoDaddy", 0) < 100
+        assert 40 < pct("Google Domains", 1) < 50
+        assert 15 < pct("WIX", 3) < 17
 
 
 class TestTable2:

@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig
 from repro.ecosystem import build_world
-from repro.parallel import run_parallel_campaign
 from repro.reports import ARTIFACTS, render_artifacts
 from repro.scanner.serialize import result_to_line
 from repro.sched import EventLoop, FlightMap, Gate, Sleep, run_steps
@@ -487,7 +486,7 @@ class TestDifferentialGoldens:
     def test_serial_workers_keep_the_legacy_machine_durations(self, tmp_path):
         # A scan machine's clock carries its rate-limit waits and
         # backoffs; fabric time stays on the worker's world clock.
-        parallel = run_parallel_campaign(
+        parallel = run_campaign(
             CampaignConfig(scale=SCALE, seed=SEED, store_dir=tmp_path / "store", workers=2)
         )
         assert [m.duration for m in parallel.machines] == LEGACY_WORKERS2_DURATIONS
@@ -506,7 +505,7 @@ class TestDifferentialGoldens:
         assert artefacts_crc(chaotic) == LEGACY_SERIAL["artefacts_crc"]
 
     def test_workers_compose_with_in_flight(self, sequential_artifacts, tmp_path):
-        parallel = run_parallel_campaign(
+        parallel = run_campaign(
             CampaignConfig(
                 scale=SCALE, seed=SEED, store_dir=tmp_path / "store", workers=2, in_flight=16
             )

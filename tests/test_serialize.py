@@ -13,9 +13,9 @@ from repro.scanner import Scanner
 from repro.scanner.serialize import (
     LoadStats,
     dump_results,
-    dump_results_path,
     load_results,
-    load_results_path,
+    open_results_read,
+    open_results_write,
     result_from_obj,
     result_to_line,
     result_to_obj,
@@ -186,33 +186,46 @@ class TestRdataMemoKeepsErrors:
             list(load_results(io.StringIO(stream), strict=True))
 
 
+def dump_file(path, results, compress):
+    """Write *results* to *path* the way a store shard is written."""
+    with open_results_write(str(path), compress=compress) as fp:
+        return dump_results(results, fp)
+
+
+def load_file(path, **kwargs):
+    """Read a results file back the way a store shard is read."""
+    with open_results_read(str(path)) as fp:
+        return list(load_results(fp, **kwargs))
+
+
 class TestGzipSupport:
-    def test_gz_suffix_compresses(self, results, tmp_path):
+    def test_compressed_write_round_trips(self, results, tmp_path):
         path = tmp_path / "results.jsonl.gz"
-        count = dump_results_path(str(path), results)
+        count = dump_file(path, results, compress=True)
         assert count == len(results)
         assert path.read_bytes()[:2] == b"\x1f\x8b"
-        loaded = list(load_results_path(str(path)))
+        loaded = load_file(path)
         assert [r.zone for r in loaded] == [r.zone for r in results]
 
     def test_read_autodetects_by_magic_not_suffix(self, results, tmp_path):
         """A gzipped file without the .gz suffix still loads."""
         path = tmp_path / "results.jsonl"
-        dump_results_path(str(path), results, compress=True)
+        dump_file(path, results, compress=True)
         assert path.read_bytes()[:2] == b"\x1f\x8b"
-        assert len(list(load_results_path(str(path)))) == len(results)
+        assert len(load_file(path)) == len(results)
 
     def test_plain_write_stays_plain(self, results, tmp_path):
-        path = tmp_path / "results.jsonl"
-        dump_results_path(str(path), results)
+        path = tmp_path / "results.jsonl.gz"
+        dump_file(path, results, compress=False)
         json.loads(path.read_text().splitlines()[0])
+        assert len(load_file(path)) == len(results)
 
     def test_compressed_output_is_deterministic(self, results, tmp_path):
         """mtime-free framing: equal records -> equal bytes (digests
         recorded in store manifests rely on this)."""
         a, b = tmp_path / "a.gz", tmp_path / "b.gz"
-        dump_results_path(str(a), results, compress=True)
-        dump_results_path(str(b), results, compress=True)
+        dump_file(a, results, compress=True)
+        dump_file(b, results, compress=True)
         assert a.read_bytes() == b.read_bytes()
 
     def test_torn_gzip_stream_raises(self, results, tmp_path):
@@ -225,4 +238,4 @@ class TestGzipSupport:
         blob = gzip.compress(payload.getvalue().encode())
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises((EOFError, OSError)):
-            list(load_results_path(str(path), strict=True))
+            load_file(path, strict=True)

@@ -142,12 +142,11 @@ class TestWriteResumeReanalyze:
     def test_records_route_to_their_hash_bucket(self, mini_results, tmp_path):
         root = tmp_path / "store"
         store = fill_store(root, mini_results, num_shards=4)
-        reader = StoreReader(root)
         seen = set()
         for bucket in range(store.manifest.num_shards):
-            for result in reader.iter_bucket(bucket):
-                assert shard_for_zone(result.zone.to_text(), 4) == bucket
-                seen.add(result.zone.to_text())
+            for zone in stored_zones(root, store.manifest, {bucket}):
+                assert shard_for_zone(zone, 4) == bucket
+                seen.add(zone)
         assert seen == {r.zone.to_text() for r in mini_results}
 
     def test_plain_jsonl_store(self, mini_results, tmp_path):
@@ -483,7 +482,7 @@ class TestReaderHardening:
     def test_iter_results_nonstrict_skips_corruption(self, mini_results, tmp_path):
         """A corrupt line inside a committed plain segment: strict
         streaming raises, non-strict skips it and counts it in
-        LoadStats — through iter_results and iter_bucket alike."""
+        LoadStats."""
         from repro.scanner.serialize import LoadStats
 
         root = tmp_path / "plain"
@@ -505,13 +504,6 @@ class TestReaderHardening:
         assert {r.zone.to_text() for r in restored} == {
             r.zone.to_text() for r in mini_results
         }
-
-        bucket_stats = LoadStats()
-        in_bucket = list(
-            reader.iter_bucket(victim_info.bucket, strict=False, stats=bucket_stats)
-        )
-        assert bucket_stats.skipped == 1
-        assert bucket_stats.records == len(in_bucket)
 
 
 class TestEpochManifest:
