@@ -40,7 +40,7 @@ def main() -> None:
 
     print("\n--- RFC 9615 authenticated bootstrapping ---")
     engine = BootstrapEngine(world, AuthenticatedBootstrapPolicy())
-    run = engine.run(results=results)
+    run = engine.run(results)
     print(f"candidates evaluated: {run.evaluated}")
     print(f"accepted + verified secure: {len(run.secured)}")
     reasons = Counter(run.rejected.values())
@@ -57,10 +57,10 @@ def main() -> None:
     print("\n--- RFC 8078 accept-after-delay (unauthenticated) for comparison ---")
     delay = AcceptAfterDelayPolicy(hold_days=3)
     engine2 = BootstrapEngine(world, delay)
-    first = engine2.run(results=results_after, verify=False)
+    first = engine2.run(results_after)
     print(f"day 0: {len(first.accepted)} accepted, {len(first.deferred)} held for observation")
     delay.advance_days(3)
-    second = engine2.run(results=results_after, verify=False)
+    second = engine2.run(results_after)
     print(f"day 3: {len(second.accepted)} accepted "
           f"(every well-formed island, but without cryptographic assurance)")
 

@@ -36,7 +36,7 @@ deterministic counters/spans/progress events (:mod:`repro.obs`).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Container, Dict, List, Optional, Union
 
@@ -60,6 +60,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.monitor.events import Event
 
 
+# Settings since removed that never changed what a campaign recorded
+# (``time_scale`` paced the scan against the wall clock): a store that
+# recorded one resumes whatever its value.
+_IGNORED_ON_RESUME = frozenset({"time_scale"})
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Everything that defines one measurement campaign.
@@ -74,7 +80,6 @@ class CampaignConfig:
     scale: float = 1 / 100_000
     seed: int = 1
     recheck: bool = True
-    use_sources: bool = False
     store_dir: Optional[Path] = None
     checkpoint_every: Optional[int] = None
     num_shards: Optional[int] = None
@@ -105,12 +110,11 @@ class CampaignConfig:
     # streams or simulated durations (real I/O reorders the schedule).
     transport: str = "sim"
     # Monitoring-plane leaf: which simulated week this campaign observes
-    # (0 = baseline full scan, >= 1 = delta over the changed subset) and
-    # the seeded event stream that evolves the world between weeks.
-    # Both or neither; requires a store; the orchestration loop lives in
-    # repro.monitor.Monitor.
+    # (0 = baseline full scan, >= 1 = delta over the changed subset, the
+    # previous week being its parent) and the seeded event stream that
+    # evolves the world between weeks.  Both or neither; requires a
+    # store; the orchestration loop lives in repro.monitor.Monitor.
     epoch: Optional[int] = None
-    parent_epoch: Optional[int] = None
     monitor: Optional[MonitorSpec] = None
     # Key-transition / adversarial-operator plane for *plain* campaigns
     # (repro.scenarios).  Epoch campaigns carry scenarios inside the
@@ -121,8 +125,6 @@ class CampaignConfig:
     def __post_init__(self):
         if self.store_dir is not None and not isinstance(self.store_dir, Path):
             object.__setattr__(self, "store_dir", Path(self.store_dir))
-        if self.epoch is not None and self.epoch > 0 and self.parent_epoch is None:
-            object.__setattr__(self, "parent_epoch", self.epoch - 1)
 
     def effective_retry(self) -> Optional[RetryPolicy]:
         """The retry policy the campaign actually runs with: the
@@ -185,17 +187,6 @@ class CampaignConfig:
                     "not persisted in store records, so a rechecked delta chain "
                     "could not render identically to a from-scratch scan"
                 )
-            if self.use_sources:
-                raise ValueError(
-                    "epoch campaigns scan the change feed, not an acquired "
-                    "source list (use_sources must be False)"
-                )
-            expected_parent = None if self.epoch == 0 else self.epoch - 1
-            if self.parent_epoch != expected_parent:
-                raise ValueError(
-                    f"epoch {self.epoch} must chain onto parent_epoch "
-                    f"{expected_parent} (got {self.parent_epoch})"
-                )
         elif self.monitor is not None:
             raise ValueError("monitor=... requires epoch=N (which week to observe)")
         if self.scenarios is not None and self.monitor is not None:
@@ -209,14 +200,11 @@ class CampaignConfig:
     def manifest_config(self) -> Dict[str, Any]:
         """The ``config`` dict recorded in the store manifest.
 
-        Keys with default values are omitted (except the two the
-        analysis layer always reads), so the stored dict stays minimal
-        and byte-stable across versions.
+        Keys with default values are omitted (except ``recheck``, which
+        is always recorded), so the stored dict stays minimal and
+        byte-stable across versions.
         """
-        config: Dict[str, Any] = {
-            "recheck": self.recheck,
-            "use_sources": self.use_sources,
-        }
+        config: Dict[str, Any] = {"recheck": self.recheck}
         if self.workers is not None:
             config["workers"] = self.workers
         if self.in_flight != 1:
@@ -239,19 +227,32 @@ class CampaignConfig:
 
     @classmethod
     def from_manifest(cls, manifest, store_dir: Optional[Path] = None) -> "CampaignConfig":
-        """Rebuild the config a stored campaign was started with."""
+        """Rebuild the config a stored campaign was started with.
+
+        A recorded setting that is no longer a field is accepted at its
+        old default (false/null), or at any value if it never changed
+        what was scanned (:data:`_IGNORED_ON_RESUME`), and refused
+        otherwise: the campaign ran on something this version cannot
+        rebuild — a different scan list, say — and a resume would mix
+        two populations in one store.
+        """
         config = manifest.config
+        known = {f.name for f in fields(cls)} | _IGNORED_ON_RESUME
+        removed = sorted(key for key, value in config.items() if value and key not in known)
+        if removed:
+            raise StoreError(
+                f"the campaign was started with {', '.join(removed)}, which this "
+                "version no longer supports; it cannot be resumed"
+            )
         chaos = config.get("chaos")
         retry = config.get("retry")
         return cls(
-            epoch=getattr(manifest, "epoch", None),
-            parent_epoch=getattr(manifest, "parent_epoch", None),
+            epoch=manifest.epoch,
             monitor=MonitorSpec.from_dict(config.get("monitor")),
             scenarios=ScenarioSpec.from_dict(config.get("scenarios")),
             scale=manifest.scale,
             seed=manifest.seed,
             recheck=bool(config.get("recheck", True)),
-            use_sources=bool(config.get("use_sources", False)),
             store_dir=Path(store_dir) if store_dir is not None else None,
             checkpoint_every=config.get("checkpoint_every"),
             num_shards=manifest.num_shards,
@@ -324,18 +325,9 @@ def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NUL
             epoch=config.epoch,
             scenarios=config.scenarios,
         )
-    # The zones to scan: a delta epoch's change feed, the §3 acquired
-    # source list, or the generator's ground truth.  Acquired before any
-    # fault is injected: the fault model perturbs the scan, and a refused
-    # AXFR is not retried — it would abort the campaign.
-    if subset is not None:
-        zones = subset
-    elif config.use_sources:
-        from repro.scanner.sources import compile_scan_list
-
-        zones = compile_scan_list(world).names
-    else:
-        zones = world.scan_list
+    # The zones to scan: a delta epoch's change feed, or the generator's
+    # ground truth.
+    zones = world.scan_list if subset is None else subset
     if config.chaos is not None and config.chaos.enabled:
         world.network.install_chaos(config.chaos)
     # Campaigns never mutate zones mid-run, so repeated identical queries
@@ -487,9 +479,7 @@ def _execute(
                 f"world (seed={world.seed}, scale={world.scale:g}) does not match "
                 f"the store's campaign (seed={config.seed}, scale={config.scale:g})"
             )
-        recorded = None if resume else dict(
-            config=config.manifest_config(), epoch=config.epoch, parent_epoch=config.parent_epoch
-        )
+        recorded = None if resume else dict(config=config.manifest_config(), epoch=config.epoch)
         store = open_store(config, config.store_dir, telemetry, create=recorded)
         if telemetry.enabled:
             telemetry.open_sink(stream_path(store.root))
@@ -552,11 +542,6 @@ def run_campaign(config: Optional[CampaignConfig] = None, /, world=None) -> Camp
     transient server failures (deSEC's bogus-signature episodes) resolve
     to CORRECT, persistent misconfigurations stay put.
 
-    With ``use_sources=True`` the scan list is *acquired* the way the
-    paper acquired it (§3: CZDS dumps, AXFR, private arrangements,
-    CT-log sampling) instead of taken from the generator's ground truth
-    — CT-log-only ccTLDs are then scanned partially.
-
     With ``store_dir`` set, every result is persisted to a sharded
     campaign store as it is scanned (checkpointed every
     *checkpoint_every* records) instead of being kept in memory, and
@@ -589,8 +574,6 @@ def run_campaign(config: Optional[CampaignConfig] = None, /, world=None) -> Camp
 
 def resume_campaign(
     store_dir: Path,
-    world: Optional[World] = None,
-    checkpoint_every: Optional[int] = None,
     workers: Optional[int] = None,
     telemetry=None,
     chaos: Optional[ChaosConfig] = None,
@@ -600,9 +583,10 @@ def resume_campaign(
     """Finish an interrupted store-backed campaign.
 
     Rebuilds the :class:`CampaignConfig` the campaign was started with
-    from its manifest, and runs it again with every zone already
-    persisted skipped: only the remainder is scanned (checkpointing as
-    it goes), the store is marked complete, and the report is produced
+    from its manifest, and runs it again — on the world that config
+    rebuilds — with every zone already persisted skipped: only the
+    remainder is scanned (checkpointing as it goes at the recorded
+    cadence), the store is marked complete, and the report is produced
     by streaming the whole store — byte-identical to the report of an
     uninterrupted campaign at the same seed/scale.  Everything recorded
     resumes as started: worker count, checkpoint cadence, telemetry
@@ -620,7 +604,6 @@ def resume_campaign(
     """
     root = Path(store_dir)
     overrides = dict(
-        checkpoint_every=checkpoint_every,
         workers=workers,
         telemetry=telemetry,
         chaos=chaos,
@@ -631,5 +614,5 @@ def resume_campaign(
         CampaignConfig.from_manifest(load_manifest(root), store_dir=root),
         **{name: value for name, value in overrides.items() if value is not None},
     )
-    config.validate(world=world)
-    return _execute(config, world, resume=True)
+    config.validate()
+    return _execute(config, None, resume=True)

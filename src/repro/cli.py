@@ -53,7 +53,14 @@ from repro.monitor import Monitor, MonitorConfig, MonitorError, MonitorSpec, ren
 from repro.monitor.plane import EPOCH_SETTINGS
 from repro.obs import Telemetry, as_telemetry, collect_stats, render_stats, stream_path
 from repro.parallel import ParallelCampaignError
-from repro.query import QueryError, QueryService, build_index, verify_snapshot
+from repro.query import (
+    QueryError,
+    QueryService,
+    build_index,
+    index_dir,
+    indexed_stores,
+    verify_snapshot,
+)
 from repro.reports import ARTIFACTS, check_shapes, compute_table3, render_artifacts
 from repro.reports.dashboard import zone_status_dashboard
 from repro.scanner import serialize
@@ -478,18 +485,20 @@ def cmd_store_reanalyze(args: argparse.Namespace) -> int:
 
 
 def cmd_query_index(args: argparse.Namespace) -> int:
-    """Compact a campaign store into its query snapshot.
+    """Compact a campaign store — or each complete epoch store of a
+    monitor root — into its query snapshot.
 
     Operators are attributed from the profile catalogue — no world is
-    built; the store's manifest says whether the adversarial scenario
-    operators belong to it."""
-    db = None if args.no_operators else build_operator_db(is_adversarial(args.store))
+    built; each store's own manifest says whether the adversarial
+    scenario operators belong to it."""
     with _query_session(args) as hub:
-        snapshot = build_index(args.store, operator_db=db, telemetry=hub)
-    print(
-        f"indexed {snapshot.records} zones into {snapshot.num_buckets} buckets "
-        f"under {args.store}/index"
-    )
+        for store in indexed_stores(args.store):
+            db = None if args.no_operators else build_operator_db(is_adversarial(store))
+            snapshot = build_index(store, operator_db=db, telemetry=hub)
+            print(
+                f"indexed {snapshot.records} zones into {snapshot.num_buckets} buckets "
+                f"under {index_dir(store)}"
+            )
     return 0
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 from repro.core.cds import CdsReport, analyze_cds
 from repro.core.signal import SignalReport, analyze_signals
 from repro.core.status import DnssecStatus, classify_status, island_is_internally_valid
-from repro.dnssec.validator import DEFAULT_VALIDATION_TIME, FailureReason
+from repro.dnssec.validator import FailureReason
 from repro.scanner.results import ZoneScanResult
 
 
@@ -150,14 +150,13 @@ def _signal_outcome(
     return SignalOutcome.CORRECT
 
 
-def assess_zone(
-    result: ZoneScanResult, now: int = DEFAULT_VALIDATION_TIME
-) -> BootstrapAssessment:
-    """Run the full per-zone analysis."""
-    status, detail = classify_status(result, now)
-    cds = analyze_cds(result, now)
-    internally_valid = island_is_internally_valid(result, now)
-    signal = analyze_signals(result, cds.cds_rrset or cds.cdnskey_rrset, now)
+def assess_zone(result: ZoneScanResult) -> BootstrapAssessment:
+    """Run the full per-zone analysis (signatures are validated at
+    :data:`~repro.dnssec.validator.DEFAULT_VALIDATION_TIME`)."""
+    status, detail = classify_status(result)
+    cds = analyze_cds(result)
+    internally_valid = island_is_internally_valid(result)
+    signal = analyze_signals(result, cds.cds_rrset or cds.cdnskey_rrset)
     eligibility = _eligibility(status, cds, internally_valid)
     outcome = _signal_outcome(status, eligibility, cds, signal, internally_valid)
     return BootstrapAssessment(

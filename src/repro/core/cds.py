@@ -18,8 +18,8 @@ from typing import Dict, List, Optional
 from repro.dns.rdata import CDNSKEY, CDS, _DSBase
 from repro.dns.rrset import RRset
 from repro.dnssec.ds import ds_matches_dnskey
-from repro.dnssec.validator import DEFAULT_VALIDATION_TIME, validate_rrset
-from repro.scanner.results import QueryStatus, RRQueryResult, ZoneScanResult
+from repro.dnssec.validator import validate_rrset
+from repro.scanner.results import RRQueryResult, ZoneScanResult
 
 
 @dataclass
@@ -70,9 +70,7 @@ def _consistent(answering: Dict[str, RRQueryResult]) -> tuple[bool, List[str]]:
     return not offenders, offenders
 
 
-def analyze_cds(
-    result: ZoneScanResult, now: int = DEFAULT_VALIDATION_TIME
-) -> CdsReport:
+def analyze_cds(result: ZoneScanResult) -> CdsReport:
     """Run the §4.2 checks for one zone's scan result."""
     report = CdsReport()
     cds_q, cds_a, _, cds_ok = _collect(result.cds_by_ns)
@@ -109,7 +107,7 @@ def analyze_cds(
         for key, responses in (("cds", cds_ok), ("cdnskey", cdnskey_ok)):
             for _, response in sorted(responses.items()):
                 if response.has_data:
-                    outcome = validate_rrset(response.rrset, response.rrsigs, dnskeys, now)
+                    outcome = validate_rrset(response.rrset, response.rrsigs, dnskeys)
                     sig_checks.append(bool(outcome))
                     break
         report.sigs_valid = all(sig_checks) if sig_checks else None

@@ -23,7 +23,6 @@ from repro.core.bootstrap import (
 )
 from repro.core.operators import OperatorAttribution, OperatorDB, UNKNOWN_OPERATOR
 from repro.core.status import DnssecStatus
-from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.scanner.results import ZoneScanResult
 
 
@@ -36,7 +35,7 @@ class ZoneVerdict(NamedTuple):
     signal_operator: Optional[str]  # the Table 3 column; None without a signal
 
 
-def zone_verdict(result: ZoneScanResult, operator_db: OperatorDB, now: int) -> ZoneVerdict:
+def zone_verdict(result: ZoneScanResult, operator_db: OperatorDB) -> ZoneVerdict:
     """Assess and attribute one zone — the one rule the analysis
     pipeline and the query index builder share.
 
@@ -46,7 +45,7 @@ def zone_verdict(result: ZoneScanResult, operator_db: OperatorDB, now: int) -> Z
     actually found (in multi-operator setups only one party typically
     publishes the signaling zone), falling back to the zone's operator.
     """
-    assessment = assess_zone(result, now)
+    assessment = assess_zone(result)
     attribution = operator_db.identify(result.delegation_ns)
     operator = UNKNOWN_OPERATOR if attribution.multi else attribution.primary
     signal_operator = None
@@ -188,13 +187,8 @@ class AnalysisReport:
 class AnalysisPipeline:
     """Runs the per-zone assessment and aggregation."""
 
-    def __init__(
-        self,
-        operator_db: Optional[OperatorDB] = None,
-        now: int = DEFAULT_VALIDATION_TIME,
-    ):
+    def __init__(self, operator_db: Optional[OperatorDB] = None):
         self.operator_db = operator_db or OperatorDB()
-        self.now = now
 
     def analyze(self, results: Iterable[ZoneScanResult]) -> AnalysisReport:
         """Assess and aggregate *results* into an :class:`AnalysisReport`.
@@ -216,7 +210,7 @@ class AnalysisPipeline:
         report.total_scanned += 1
         report.total_queries += result.queries_used
         assessment, attribution, operator, signal_operator = zone_verdict(
-            result, self.operator_db, self.now
+            result, self.operator_db
         )
         report.assessments.append(assessment)
         report.attributions[assessment.zone] = attribution

@@ -21,12 +21,7 @@ from typing import List, Optional, Sequence
 
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
-from repro.dnssec.validator import (
-    DEFAULT_VALIDATION_TIME,
-    FailureReason,
-    validate_chain_link,
-    validate_rrset,
-)
+from repro.dnssec.validator import FailureReason, validate_chain_link, validate_rrset
 from repro.scanner.results import ChainLink, SignalScan, ZoneScanResult
 
 
@@ -40,9 +35,7 @@ class SignalZoneStatus(enum.Enum):
 
 
 def validate_chain(
-    links: Sequence[ChainLink],
-    expected_apex: Optional[Name] = None,
-    now: int = DEFAULT_VALIDATION_TIME,
+    links: Sequence[ChainLink], expected_apex: Optional[Name] = None
 ) -> SignalZoneStatus:
     """Validate a root-to-apex chain of trust.
 
@@ -56,17 +49,17 @@ def validate_chain(
     if root.dnskey_rrset is None or not len(root.dnskey_rrset):
         return SignalZoneStatus.UNKNOWN
     parent_keys = list(root.dnskey_rrset.rdatas)
-    if not validate_rrset(root.dnskey_rrset, root.dnskey_rrsigs, parent_keys, now):
+    if not validate_rrset(root.dnskey_rrset, root.dnskey_rrsigs, parent_keys):
         return SignalZoneStatus.BOGUS
     for link in links[1:]:
         if link.ds_rrset is None or not len(link.ds_rrset):
             return SignalZoneStatus.INSECURE
         # The DS RRset must be signed by the parent zone.
-        ds_ok = validate_rrset(link.ds_rrset, link.ds_rrsigs, parent_keys, now)
+        ds_ok = validate_rrset(link.ds_rrset, link.ds_rrsigs, parent_keys)
         if not ds_ok:
             return SignalZoneStatus.BOGUS
         step = validate_chain_link(
-            link.zone, link.ds_rrset, link.dnskey_rrset, link.dnskey_rrsigs, now
+            link.zone, link.ds_rrset, link.dnskey_rrset, link.dnskey_rrsigs
         )
         if not step.ok:
             if step.reason in (FailureReason.NO_MATCHING_DS, FailureReason.NO_DNSKEY):
@@ -159,7 +152,7 @@ def classify_signal_threat(report: SignalReport) -> SignalThreat:
     return SignalThreat.NONE
 
 
-def _evaluate_one(scan: SignalScan, now: int) -> PerNsSignal:
+def _evaluate_one(scan: SignalScan) -> PerNsSignal:
     entry = PerNsSignal(ns_host=scan.ns_host)
     if scan.name_too_long:
         entry.name_too_long = True
@@ -198,13 +191,13 @@ def _evaluate_one(scan: SignalScan, now: int) -> PerNsSignal:
             getattr(rd, "is_delete", False) for rd in entry.cds_rrset.rdatas
         )
 
-    entry.chain_status = validate_chain(scan.chain, scan.signal_zone_apex, now)
+    entry.chain_status = validate_chain(scan.chain, scan.signal_zone_apex)
     if entry.chain_status == SignalZoneStatus.SECURE and signing_views:
         apex_link = scan.chain[-1] if scan.chain else None
         if apex_link is not None and apex_link.dnskey_rrset is not None:
             keys = list(apex_link.dnskey_rrset.rdatas)
             entry.sigs_valid = all(
-                bool(validate_rrset(view.rrset, view.rrsigs, keys, now))
+                bool(validate_rrset(view.rrset, view.rrsigs, keys))
                 for view in signing_views
             )
         else:
@@ -214,15 +207,11 @@ def _evaluate_one(scan: SignalScan, now: int) -> PerNsSignal:
     return entry
 
 
-def analyze_signals(
-    result: ZoneScanResult,
-    zone_cds_rrset: Optional[RRset],
-    now: int = DEFAULT_VALIDATION_TIME,
-) -> SignalReport:
+def analyze_signals(result: ZoneScanResult, zone_cds_rrset: Optional[RRset]) -> SignalReport:
     """Evaluate all of a zone's signaling scans against RFC 9615 §4."""
     report = SignalReport()
     for scan in result.signals:
-        report.per_ns.append(_evaluate_one(scan, now))
+        report.per_ns.append(_evaluate_one(scan))
 
     present = [entry for entry in report.per_ns if entry.present]
     report.any_signal = bool(present)

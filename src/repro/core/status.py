@@ -17,12 +17,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Tuple
 
-from repro.dnssec.validator import (
-    DEFAULT_VALIDATION_TIME,
-    FailureReason,
-    validate_chain_link,
-    validate_rrset,
-)
+from repro.dnssec.validator import FailureReason, validate_chain_link, validate_rrset
 from repro.scanner.results import ZoneScanResult
 
 
@@ -98,9 +93,7 @@ def classify_transition(result: ZoneScanResult) -> KeyTransitionState:
     return KeyTransitionState.NONE
 
 
-def classify_status(
-    result: ZoneScanResult, now: int = DEFAULT_VALIDATION_TIME
-) -> Tuple[DnssecStatus, Optional[FailureReason]]:
+def classify_status(result: ZoneScanResult) -> Tuple[DnssecStatus, Optional[FailureReason]]:
     """Classify one scanned zone; returns (status, failure detail).
 
     The detail is the validator's failure reason for ``INVALID`` zones
@@ -120,11 +113,11 @@ def classify_status(
         return DnssecStatus.UNSIGNED, None
 
     dnskeys = list(result.dnskey.rrset.rdatas)
-    selfsig = validate_rrset(result.dnskey.rrset, result.dnskey.rrsigs, dnskeys, now)
+    selfsig = validate_rrset(result.dnskey.rrset, result.dnskey.rrsigs, dnskeys)
 
     if has_ds:
         link = validate_chain_link(
-            result.zone, result.ds.rrset, result.dnskey.rrset, result.dnskey.rrsigs, now
+            result.zone, result.ds.rrset, result.dnskey.rrset, result.dnskey.rrsigs
         )
         if link.ok:
             return DnssecStatus.SECURE, None
@@ -138,9 +131,7 @@ def classify_status(
     return DnssecStatus.ISLAND, selfsig.reason
 
 
-def island_is_internally_valid(
-    result: ZoneScanResult, now: int = DEFAULT_VALIDATION_TIME
-) -> bool:
+def island_is_internally_valid(result: ZoneScanResult) -> bool:
     """Does an island's DNSKEY RRset validate under its own keys?
 
     Bootstrapping a zone whose own signatures are broken would only
@@ -149,4 +140,4 @@ def island_is_internally_valid(
     if result.dnskey is None or not result.dnskey.has_data:
         return False
     dnskeys = list(result.dnskey.rrset.rdatas)
-    return bool(validate_rrset(result.dnskey.rrset, result.dnskey.rrsigs, dnskeys, now))
+    return bool(validate_rrset(result.dnskey.rrset, result.dnskey.rrsigs, dnskeys))

@@ -18,7 +18,8 @@ misconfiguration taxonomy remains represented.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import replace
+from typing import Dict, List, Sequence
 
 from repro.ecosystem.spec import Cell
 
@@ -88,19 +89,4 @@ def scale_cells(cells: Sequence[Cell], scale: float) -> List[Cell]:
         for i, count in zip(indices, group_counts):
             counts[i] = count
 
-    out: List[Cell] = []
-    for cell, count in zip(cells, counts):
-        if count > 0:
-            out.append(
-                Cell(
-                    operator=cell.operator,
-                    status=cell.status,
-                    cds=cell.cds,
-                    signal=cell.signal,
-                    count=count,
-                    preserve=cell.preserve,
-                    secondary_operator=cell.secondary_operator,
-                    legacy_ns=cell.legacy_ns,
-                )
-            )
-    return out
+    return [replace(cell, count=count) for cell, count in zip(cells, counts) if count > 0]

@@ -514,14 +514,9 @@ class InfrastructureBuilder:
     def finalize_registries(self) -> None:
         """Sign the registry zones and attach them to their servers
         (done last, after all delegations are in)."""
-        from repro.scanner.sources import AXFR_SUFFIXES
-
         for name, zone in self.registry_zones.items():
             sign_zone(zone, [registry_key(name)], with_nsec=len(zone) < TLD_NSEC_LIMIT)
             self.registry_server.add_zone(zone)
-            if name in AXFR_SUFFIXES:
-                # The ccTLDs the paper fetched via open AXFR (§3 iii).
-                self.registry_server.allow_axfr.add(zone.origin)
         sign_zone(self.root_zone, [registry_key("root")], with_nsec=True)
         self.root_server.add_zone(self.root_zone)
 

@@ -325,7 +325,7 @@ def _policies(ctx: Context):
 
     def dry_run(policy):
         engine = provisioning.BootstrapEngine(campaign.world, policy)
-        return engine.run(results=campaign.results, verify=False, provision=False)
+        return engine.run(campaign.results, provision=False)
 
     delay = provisioning.AcceptAfterDelayPolicy(hold_days=3)
     runs = {"rfc9615": dry_run(provisioning.AuthenticatedBootstrapPolicy())}
@@ -369,7 +369,7 @@ def _provisioning(ctx: Context):
     campaign = ctx.campaign
     policy = provisioning.AuthenticatedBootstrapPolicy()
     engine = provisioning.BootstrapEngine(campaign.world, policy)
-    run = engine.run(results=campaign.results, verify=True)
+    run = engine.run(campaign.results)
     stuck = []
     for zone in run.secured:
         remove_ds(campaign.world, zone.rstrip("."))

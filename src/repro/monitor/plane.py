@@ -26,7 +26,7 @@ to a from-scratch full scan of the final world state, across serial,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set
 
@@ -54,7 +54,7 @@ from repro.scanner.serialize import result_from_obj
 from repro.store.diff import ZoneClassification, diff_classifications
 from repro.store.manifest import load_manifest, manifest_path
 from repro.store.reader import StoreReader
-from repro.store.shards import StoreError
+from repro.store.shards import write_atomic
 
 
 # The per-epoch execution settings: MonitorConfig fields that are handed,
@@ -220,9 +220,9 @@ class Monitor:
             raise MonitorError(f"{root} already holds a monitor")
         root.mkdir(parents=True, exist_ok=True)
         (root / EPOCHS_DIR).mkdir(exist_ok=True)
-        state = root / MONITOR_STATE_FILENAME
-        state.write_text(
-            json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        write_atomic(
+            root / MONITOR_STATE_FILENAME,
+            json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
         )
         return cls(config)
 
@@ -306,11 +306,8 @@ class Monitor:
         epoch = self.in_progress_epoch()
         if epoch is None:
             raise MonitorError("no epoch is in progress; nothing to resume")
-        campaign = resume_campaign(
-            self.epoch_dir(epoch),
-            checkpoint_every=self.config.checkpoint_every,
-            telemetry=True if self.config.telemetry else None,
-        )
+        # The epoch's manifest recorded this root's settings when it began.
+        campaign = resume_campaign(self.epoch_dir(epoch))
         events = self._read_events(epoch)
         if events is None:
             # Killed before the batch was recorded: the resumed campaign
@@ -488,9 +485,7 @@ class Monitor:
 
     def _write_events(self, epoch: int, events: List[Event]) -> None:
         payload = [event.to_dict() for event in events]
-        self._events_file(epoch).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_atomic(self._events_file(epoch), json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     def _read_events(self, epoch: int) -> Optional[List[Event]]:
         path = self._events_file(epoch)

@@ -24,7 +24,7 @@ from repro.obs.events import (
     stream_path,
 )
 from repro.obs.telemetry import (
-    DEFAULT_PROGRESS_EVERY,
+    PROGRESS_EVERY,
     NULL_TELEMETRY,
     NullTelemetry,
     Telemetry,
@@ -32,7 +32,7 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "DEFAULT_PROGRESS_EVERY",
+    "PROGRESS_EVERY",
     "EVENTS_DIR",
     "NULL_TELEMETRY",
     "NullTelemetry",

@@ -35,10 +35,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 EVENTS_DIR = "events"
 
-# The parallel engine's worker-store directory (defined here, at the
-# bottom of the dependency graph, so the observability reader needs no
-# import from repro.parallel).
+# The parallel engine's worker-store directory and per-worker statistics
+# file (defined here, at the bottom of the dependency graph, so the
+# observability reader needs no import from repro.parallel).
 WORKERS_DIR = "workers"
+WORKER_STATS_FILENAME = "worker.json"
 
 
 def stream_path(root: Path, producer: str = "stream") -> Path:
@@ -89,6 +90,24 @@ def campaign_event_streams(store_root: Path) -> List[Tuple[str, Path]]:
         for child in candidates
         if stream_path(child).exists()
     ]
+
+
+def machine_stats(store_root: Path) -> List[Dict[str, Any]]:
+    """Each finished worker's machine statistics, in worker order.
+
+    A file without a ``duration`` is a heartbeat of a worker that never
+    finished, and one that does not parse was torn by a killed writer:
+    both are liveness data, not a machine report, and are skipped.
+    """
+    machines: List[Dict[str, Any]] = []
+    for path in sorted((Path(store_root) / WORKERS_DIR).glob(f"*/{WORKER_STATS_FILENAME}")):
+        try:
+            stats = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError:
+            continue
+        if "duration" in stats:
+            machines.append(stats)
+    return machines
 
 
 @dataclass

@@ -27,11 +27,11 @@ from repro.monitor.layout import (
     is_monitor_root,
 )
 from repro.obs.events import (
-    WORKERS_DIR,
     SpanStats,
     add_counters,
     campaign_event_streams,
     fold_stream,
+    machine_stats,
     stream_path,
 )
 from repro.reports.render import format_count, format_duration, render_table
@@ -59,20 +59,6 @@ class CampaignStats:
     spans: Dict[str, SpanStats] = field(default_factory=dict)
     last_progress: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     machines: List[Dict[str, Any]] = field(default_factory=list)
-
-
-def _machine_stats(root: Path) -> List[Dict[str, Any]]:
-    """Final per-worker machine stats (heartbeat-only files — a worker
-    killed mid-scan — are skipped: they carry no duration yet)."""
-    machines: List[Dict[str, Any]] = []
-    for stats_file in sorted((root / WORKERS_DIR).glob("*/worker.json")):
-        try:
-            stats = json.loads(stats_file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError:
-            continue
-        if "duration" in stats:
-            machines.append(stats)
-    return machines
 
 
 def _describe_root(root: Path) -> CampaignStats:
@@ -128,7 +114,7 @@ def collect_stats(store_root: Path) -> CampaignStats:
                 stats.spans.setdefault(name, SpanStats()).merge(agg)
             if fold.last_progress is not None:
                 stats.last_progress[origin] = fold.last_progress
-    stats.machines = _machine_stats(root)
+    stats.machines = machine_stats(root)
     return stats
 
 

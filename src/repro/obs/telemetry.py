@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro.obs.events import truncate_torn_tail
 
-DEFAULT_PROGRESS_EVERY = 100
+PROGRESS_EVERY = 100  # records between two progress events
 
 
 class _NullSpan:
@@ -95,17 +95,9 @@ class Telemetry:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock=None,
-        wall_clock: bool = False,
-        progress_every: int = DEFAULT_PROGRESS_EVERY,
-    ):
-        if progress_every < 1:
-            raise ValueError("progress_every must be >= 1")
+    def __init__(self, clock=None, wall_clock: bool = False):
         self._clock = clock  # None until a simulated clock is bound: t = 0.0
         self.wall_clock = wall_clock
-        self.progress_every = progress_every
         self.counters: Dict[str, float] = {}
         self.events: List[Dict[str, Any]] = []
         self._seq = 0
@@ -186,9 +178,9 @@ class Telemetry:
         self.event("span", name=name, t0=t0, t1=self.now(), **fields)
 
     def maybe_progress(self, done: int, total: Optional[int] = None) -> None:
-        """Emit progress every ``progress_every`` records (and at the
-        end, when *total* is known) — a deterministic cadence."""
-        if done % self.progress_every == 0 or done == total:
+        """Emit progress every :data:`PROGRESS_EVERY` records (and at
+        the end, when *total* is known) — a deterministic cadence."""
+        if done % PROGRESS_EVERY == 0 or done == total:
             self.event("progress", done=done, total=total)
 
     def live(self, **fields) -> None:

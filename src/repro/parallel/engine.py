@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign import CampaignConfig, prepare, record_total
-from repro.obs.events import WORKERS_DIR
+from repro.obs.events import WORKERS_DIR, machine_stats
 from repro.obs.telemetry import NULL_TELEMETRY
 from repro.scanner.fleet import MachineReport
 from repro.store.checkpoint import CampaignStore
@@ -202,28 +202,6 @@ def merge_worker_manifests(
         span["segments"] = len(entries)
 
 
-def _machine_reports(root: Path) -> List[MachineReport]:
-    reports: List[MachineReport] = []
-    for wroot in _existing_worker_roots(root):
-        stats_file = worker_stats_path(wroot)
-        if not stats_file.exists():
-            continue
-        stats = json.loads(stats_file.read_text(encoding="utf-8"))
-        if "duration" not in stats:
-            # A heartbeat snapshot from a worker that never finished —
-            # liveness data, not a machine report.
-            continue
-        reports.append(
-            MachineReport(
-                index=stats["index"],
-                zones=stats["zones"],
-                queries=stats["queries"],
-                duration=stats["duration"],
-            )
-        )
-    return reports
-
-
 def scan_with_workers(config: CampaignConfig, store: CampaignStore, telemetry, faults=None):
     """Finish the campaign in the open *store* with ``config.workers``
     processes; returns ``(world, scanner, events, machines, done)``.
@@ -281,4 +259,8 @@ def scan_with_workers(config: CampaignConfig, store: CampaignStore, telemetry, f
     # Every stored observation came from a *worker's* world, so every
     # suspicious zone gets the resumed-campaign double-check budget: the
     # parent's fresh world replays the transient failure once first.
-    return world, scanner, events, _machine_reports(root), frozenset(store.completed_zones())
+    machines = [
+        MachineReport(stats["index"], stats["zones"], stats["queries"], stats["duration"])
+        for stats in machine_stats(root)
+    ]
+    return world, scanner, events, machines, frozenset(store.completed_zones())

@@ -25,18 +25,16 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from repro.campaign import CampaignConfig, open_store, prepare, scan_into, seal
-from repro.obs.events import stream_path
-from repro.obs.telemetry import as_telemetry
+from repro.obs.events import WORKER_STATS_FILENAME, stream_path
+from repro.obs.telemetry import PROGRESS_EVERY, as_telemetry
 from repro.scanner.fleet import give_own_clock
 from repro.store.manifest import load_manifest, manifest_path
-from repro.store.shards import StoreError, stored_zones
+from repro.store.shards import StoreError, stored_zones, write_atomic
 
 from repro.parallel.partition import zones_for_buckets
 
 # Exit code of a fault-injected "crash" (tests kill workers this way).
 EXIT_SIMULATED_CRASH = 99
-
-WORKER_STATS_FILENAME = "worker.json"
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,7 @@ def worker_stats_path(store_dir: Path) -> Path:
 
 def _write_stats(store_dir: Path, stats: Dict[str, Any]) -> None:
     """Atomically publish the worker's machine statistics."""
-    path = worker_stats_path(store_dir)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
+    write_atomic(worker_stats_path(store_dir), json.dumps(stats, indent=2, sort_keys=True) + "\n")
 
 
 def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
@@ -146,7 +141,7 @@ def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
         store.reopen_in_progress()
 
     def each(scanned: int, total: int) -> None:
-        if telemetry.enabled and scanned % telemetry.progress_every == 0:
+        if telemetry.enabled and scanned % PROGRESS_EVERY == 0:
             # Transient liveness signal for the parent (the parent polls
             # worker.json): deliberately *not* part of the persisted
             # event stream, which must stay timing-independent.

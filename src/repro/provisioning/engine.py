@@ -105,7 +105,6 @@ def provision_zone(
     world: World,
     scan: Callable[[str], ZoneScanResult],
     assessment: BootstrapAssessment,
-    verify: bool = True,
 ) -> Tuple[Optional[str], List[DS]]:
     """The one per-zone step after an accept: install the zone's CDS as
     DS, re-scan with *scan*, keep it iff the chain is now SECURE.
@@ -119,7 +118,7 @@ def provision_zone(
         # Accepted on CDNSKEY alone: no digest to install yet.
         return NO_ZONE_CDS, []
     installed = install_ds(world, zone, assessment.cds.cds_rrset)
-    if verify and classify_status(scan(zone))[0] != DnssecStatus.SECURE:
+    if classify_status(scan(zone))[0] != DnssecStatus.SECURE:
         remove_ds(world, zone)
         return VERIFICATION_FAILED, []
     return None, installed
@@ -142,27 +141,20 @@ class BootstrapEngine:
             if result.resolved and not (result.ds is not None and result.ds.has_data)
         ]
 
-    def run(
-        self,
-        results: Optional[Iterable[ZoneScanResult]] = None,
-        verify: bool = True,
-        provision: bool = True,
-    ) -> BootstrapRun:
-        """Evaluate, provision, and (optionally) verify by re-scan.
+    def run(self, results: Iterable[ZoneScanResult], provision: bool = True) -> BootstrapRun:
+        """Evaluate *results*, provision, and verify each install by re-scan.
 
         ``provision=False`` is a dry run: decisions are computed but the
         registry zones are left untouched (policy comparisons).
         """
         queries_before = self.world.network.queries_sent
-        if results is None:
-            results = self.scanner.scan_many(self.world.scan_list)
         run = BootstrapRun(policy=self.policy.name)
         for result in self.candidates(results):
             assessment = assess_zone(result)
             decision = self.policy.evaluate(assessment)
             run.evaluated += 1
             if decision.decision == Decision.ACCEPT:
-                self._provision(run, assessment, verify=verify, provision=provision)
+                self._provision(run, assessment, provision=provision)
             elif decision.decision == Decision.DEFER:
                 run.deferred.append(decision.zone)
             else:
@@ -170,21 +162,19 @@ class BootstrapEngine:
         run.queries_used = self.world.network.queries_sent - queries_before
         return run
 
-    def _provision(
-        self, run: BootstrapRun, assessment: BootstrapAssessment, verify: bool, provision: bool
-    ) -> None:
+    def _provision(self, run: BootstrapRun, assessment: BootstrapAssessment, provision: bool) -> None:
         zone = assessment.zone
         if not provision:
             run.accepted.append(zone)
             return
-        failure, _ = provision_zone(self.world, self.scanner.scan_zone, assessment, verify)
+        failure, _ = provision_zone(self.world, self.scanner.scan_zone, assessment)
         if failure == NO_ZONE_CDS:
             run.rejected[zone] = failure
             return
         run.accepted.append(zone)
         if failure is not None:
             run.failed_verification.append(zone)
-        elif verify:
+        else:
             run.secured.append(zone)
 
     # -- delete processing (RFC 8078 §4, the "unAB" side) ------------------

@@ -24,6 +24,7 @@ from repro.query.snapshot import (
     SnapshotInfo,
     build_index,
     index_dir,
+    indexed_stores,
     load_snapshot,
     manifest_generation,
     verify_snapshot,
@@ -44,6 +45,7 @@ __all__ = [
     "ZoneStatusView",
     "build_index",
     "index_dir",
+    "indexed_stores",
     "load_snapshot",
     "manifest_generation",
     "verify_snapshot",

@@ -215,10 +215,22 @@ def _record_flags(result, assessment, multi: bool) -> int:
     return flags
 
 
+def indexed_stores(store_root: Path) -> List[Path]:
+    """The campaign stores an index build of *store_root* covers: the
+    store itself, or every complete epoch store of a monitor root,
+    oldest first."""
+    root = Path(store_root)
+    if not is_monitor_root(root):
+        return [root]
+    stores = [epoch_dir(root, epoch) for epoch in completed_epochs(root)]
+    if not stores:
+        raise StoreError(f"monitor at {root} has no completed epochs to index")
+    return stores
+
+
 def build_index(
     store_root: Path,
     operator_db: Optional[OperatorDB] = None,
-    now: int = DEFAULT_VALIDATION_TIME,
     telemetry=None,
 ) -> SnapshotInfo:
     """Compact a campaign store into its query snapshot.
@@ -238,19 +250,15 @@ def build_index(
 
     Monitoring plane: pointed at a monitor root instead of a single
     campaign store, the build recurses — one snapshot per complete
-    epoch store — and returns the newest epoch's :class:`SnapshotInfo`,
-    so the epoch-aware :class:`~repro.query.service.QueryService` finds
-    every per-epoch index already in place.
+    epoch store (:func:`indexed_stores`) — and returns the newest
+    epoch's :class:`SnapshotInfo`, so the epoch-aware
+    :class:`~repro.query.service.QueryService` finds every per-epoch
+    index already in place.
     """
     root = Path(store_root)
     if is_monitor_root(root):
-        newest: Optional[SnapshotInfo] = None
-        for epoch in completed_epochs(root):
-            newest = build_index(
-                epoch_dir(root, epoch), operator_db=operator_db, now=now, telemetry=telemetry
-            )
-        if newest is None:
-            raise StoreError(f"monitor at {root} has no completed epochs to index")
+        for store in indexed_stores(root):
+            newest = build_index(store, operator_db=operator_db, telemetry=telemetry)
         return newest
     manifest = load_manifest(root)
     telemetry = as_telemetry(telemetry)
@@ -302,7 +310,7 @@ def build_index(
                     data_fp.write(line)
                     data_fp.write("\n")
 
-                    verdict = zone_verdict(result, db, now)
+                    verdict = zone_verdict(result, db)
                     meta = _meta_row(zone, result, verdict, data_offset, len(line) + 1)
                     meta_line = json.dumps(meta, separators=(",", ":"), sort_keys=True)
                     meta_fp.write(meta_line)
@@ -342,7 +350,7 @@ def build_index(
         "records": total_records,
         "zones_digest": zones_hasher.hexdigest(),
         "operators_attributed": operator_db is not None,
-        "validation_now": now,
+        "validation_now": DEFAULT_VALIDATION_TIME,
         "buckets": bucket_entries,
     }
     if manifest.epoch is not None:

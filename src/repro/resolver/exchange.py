@@ -27,13 +27,14 @@ from repro.sched import Exchange, Sleep
 from repro.server.network import NetworkTimeout
 
 _TEMPLATE_CACHE_MAX = 2048
+# Simulated seconds a query waits for its answer before it counts as lost.
+QUERY_TIMEOUT = 2.0
 
 
 class Exchanger:
     """Shared by a scanner and its resolver (or owned by a lone resolver)."""
 
-    def __init__(self, timeout: float = 2.0):
-        self.timeout = timeout
+    def __init__(self):
         self.tcp_fallbacks = 0
         self._msg_id = 0
         # (qname, qtype) -> (question, wire encoded with id 0).  The same
@@ -96,7 +97,7 @@ class Exchanger:
                         wait = limiter.reserve(ip)
                         if wait:
                             yield Sleep(wait)
-                    response = yield Exchange(ip, question, wire, tcp, self.timeout)
+                    response = yield Exchange(ip, question, wire, tcp, QUERY_TIMEOUT)
                     if tcp or not response.truncated:
                         break
                     self.tcp_fallbacks += 1

@@ -113,7 +113,6 @@ class IterativeResolver:
         network: SimulatedNetwork,
         root_ips: Sequence[str],
         cache: Optional[DnsCache] = None,
-        timeout: float = 2.0,
         limiter=None,
         retry: Optional[RetryPolicy] = None,
     ):
@@ -122,7 +121,6 @@ class IterativeResolver:
         # `cache or ...` would discard a shared cache: DnsCache defines
         # __len__, so a freshly created (empty) cache is falsy.
         self.cache = cache if cache is not None else DnsCache(now=network.clock.now)
-        self.timeout = timeout
         # Optional token bucket (see repro.scanner.ratelimit): when set,
         # every outgoing query is paced — the scanner shares its limiter
         # so *all* measurement traffic honours the per-NS budget.
@@ -134,7 +132,7 @@ class IterativeResolver:
         self.retry_backoff_seconds = 0.0
         # The one retrying exchange step; a scanner built around this
         # resolver sends its own queries through the same object.
-        self.exchange = Exchanger(timeout)
+        self.exchange = Exchanger()
         # Single-flight address lookups (repro.sched): overlapping tasks
         # asking for the same hostname serialize, so each observes the
         # cache state a sequential caller in its position would have.

@@ -14,7 +14,6 @@ from repro.scanner.ratelimit import RateLimiter
 from repro.scanner.results import QueryStatus, RRQueryResult, SignalScan, ZoneScanResult
 from repro.scanner.sampling import AnycastSamplingPolicy
 from repro.scanner.serialize import LoadStats, dump_results, load_results
-from repro.scanner.sources import compile_scan_list
 from repro.scanner.yodns import Scanner, ScannerConfig
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "UniformSampler",
     "ZoneScanResult",
     "LoadStats",
-    "compile_scan_list",
     "coverage_bias",
     "dump_results",
     "load_results",

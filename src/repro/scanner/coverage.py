@@ -22,6 +22,11 @@ from typing import Callable, Dict, Iterable, List, Sequence
 from repro.dns.name import Name
 
 
+# Hash salts: each sampler draws its own deterministic stream.
+UNIFORM_SALT = b"ctlog-uniform"
+TLS_SALT = b"ctlog-tls"
+
+
 def _bucket(salt: bytes, name: Name) -> float:
     digest = hashlib.sha256(salt + name.to_canonical_wire()).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
@@ -33,14 +38,13 @@ class UniformSampler:
 
     name = "uniform"
 
-    def __init__(self, fraction: float, salt: bytes = b"ctlog-uniform"):
+    def __init__(self, fraction: float):
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
         self.fraction = fraction
-        self.salt = salt
 
     def keeps(self, zone: Name, secured: bool) -> bool:
-        return _bucket(self.salt, zone) < self.fraction
+        return _bucket(UNIFORM_SALT, zone) < self.fraction
 
 
 class TlsWeightedSampler:
@@ -50,16 +54,15 @@ class TlsWeightedSampler:
 
     name = "tls-weighted"
 
-    def __init__(self, fraction: float, weight: float = 2.0, salt: bytes = b"ctlog-tls"):
+    def __init__(self, fraction: float, weight: float = 2.0):
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
         self.fraction = fraction
         self.weight = weight
-        self.salt = salt
 
     def keeps(self, zone: Name, secured: bool) -> bool:
         probability = min(1.0, self.fraction * (self.weight if secured else 1.0))
-        return _bucket(self.salt, zone) < probability
+        return _bucket(TLS_SALT, zone) < probability
 
 
 @dataclass

@@ -46,7 +46,7 @@ def give_own_clock(scanner: Scanner) -> SimulatedClock:
     on one machine never advance another machine's time.
     """
     clock = SimulatedClock()
-    scanner.limiter = RateLimiter(clock, qps=scanner.config.qps_per_ns)
+    scanner.limiter = RateLimiter(clock)
     scanner.resolver.limiter = scanner.limiter
     scanner.telemetry.bind_clock(clock)
     return clock

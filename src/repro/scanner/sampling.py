@@ -19,6 +19,7 @@ from typing import Dict, Iterable, List, Tuple
 from repro.dns.name import Name
 
 DEFAULT_FULL_SCAN_FRACTION = 0.05
+SAMPLING_SALT = b"repro-sampling"  # salts the full-scan bucket's zone-name hash
 
 
 def _is_ipv6(address: str) -> bool:
@@ -32,11 +33,9 @@ class AnycastSamplingPolicy:
         self,
         anycast_ns_suffixes: Iterable[Name] = (),
         full_scan_fraction: float = DEFAULT_FULL_SCAN_FRACTION,
-        salt: bytes = b"repro-sampling",
     ):
         self.anycast_ns_suffixes = list(anycast_ns_suffixes)
         self.full_scan_fraction = full_scan_fraction
-        self.salt = salt
         self.zones_sampled = 0
         self.zones_full = 0
 
@@ -45,7 +44,7 @@ class AnycastSamplingPolicy:
 
     def wants_full_scan(self, zone: Name) -> bool:
         """Deterministic 5 % bucket by zone-name hash."""
-        digest = hashlib.sha256(self.salt + zone.to_canonical_wire()).digest()
+        digest = hashlib.sha256(SAMPLING_SALT + zone.to_canonical_wire()).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2**64
         return fraction < self.full_scan_fraction
 

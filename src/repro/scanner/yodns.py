@@ -52,7 +52,7 @@ from repro.dns.types import Rcode, RRType
 from repro.obs.telemetry import as_telemetry
 from repro.resolver.cache import DnsCache
 from repro.resolver.iterative import IterativeResolver, ResolutionError
-from repro.scanner.ratelimit import DEFAULT_QPS, RateLimiter
+from repro.scanner.ratelimit import RateLimiter
 from repro.scanner.results import (
     ChainLink,
     QueryStatus,
@@ -70,8 +70,6 @@ from repro.server.network import SimulatedNetwork
 class ScannerConfig:
     """Tunable scan parameters (paper defaults)."""
 
-    qps_per_ns: float = DEFAULT_QPS
-    timeout: float = 2.0
     anycast_ns_suffixes: List[Name] = field(default_factory=list)
     full_scan_fraction: float = 0.05
     # Retry/backoff policy (repro.chaos).  The default is one immediate
@@ -110,13 +108,12 @@ class Scanner:
         self.config = config or ScannerConfig()
         self.telemetry = as_telemetry(telemetry)
         self.cache = DnsCache(now=network.clock.now)
-        self.limiter = RateLimiter(network.clock, qps=self.config.qps_per_ns)
+        self.limiter = RateLimiter(network.clock)
         self.retry = self.config.retry_policy
         self.resolver = IterativeResolver(
             network,
             root_ips,
             cache=self.cache,
-            timeout=self.config.timeout,
             limiter=self.limiter,
             retry=self.retry,
         )

@@ -62,8 +62,6 @@ class AuthoritativeServer:
         self._providers: List[ZoneProvider] = []
         self.behaviors: List["ServerBehavior"] = []
         self.queries_handled = 0
-        # Zones this server exports via AXFR (RFC 5936); default none.
-        self.allow_axfr: set[Name] = set()
 
     # -- zone management ---------------------------------------------------
 
@@ -174,8 +172,6 @@ class AuthoritativeServer:
             return make_response(query, Rcode.FORMERR)
         qname = query.question.name
         qtype = RRType.make(int(query.question.rrtype))
-        if int(qtype) == int(RRType.AXFR):
-            return self._answer_axfr(query, qname)
         zone = self.find_zone(qname)
         if (
             zone is not None
@@ -226,29 +222,6 @@ class AuthoritativeServer:
             self._attach_referral(zone, result.cut_name, response, want_dnssec)
         else:  # NOT_IN_ZONE — find_zone said yes but the zone disagrees
             response.rcode = Rcode.SERVFAIL
-        return response
-
-    def _answer_axfr(self, query: Message, qname: Name) -> Message:
-        """Zone transfer (RFC 5936): SOA, every RRset, SOA again.
-
-        Only allowed for zones this server is configured to export
-        (``allow_axfr``) — the paper's ccTLD registries (.ch, .li, .se,
-        .nu, .ee) publish their zones this way, most do not.
-        """
-        zone = self._zones.get(qname)
-        if zone is None or qname not in self.allow_axfr:
-            return make_response(query, Rcode.REFUSED)
-        soa = zone.get_rrset(zone.origin, RRType.SOA)
-        if soa is None:
-            return make_response(query, Rcode.SERVFAIL)
-        response = make_response(query)
-        response.authoritative = True
-        response.answer.append(soa)
-        for rrset in zone.iter_rrsets():
-            if rrset is soa:
-                continue
-            response.answer.append(rrset)
-        response.answer.append(soa)
         return response
 
     # -- response assembly helpers --------------------------------------------------

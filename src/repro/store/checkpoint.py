@@ -80,7 +80,6 @@ class CampaignStore:
         checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY,
         telemetry=None,
         epoch: Optional[int] = None,
-        parent_epoch: Optional[int] = None,
     ) -> "CampaignStore":
         """Initialise a fresh store directory (refuses to clobber one)."""
         root = Path(root)
@@ -96,7 +95,6 @@ class CampaignStore:
             config=dict(config or {}),
             zones_total=zones_total,
             epoch=epoch,
-            parent_epoch=parent_epoch,
         )
         save_manifest(root, manifest)
         return cls(root, manifest, checkpoint_every=checkpoint_every, telemetry=telemetry)

@@ -15,13 +15,12 @@ different worlds, and a diff can refuse to compare apples to oranges.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.store.shards import ShardInfo, StoreError, fsync_dir, verify_shard
+from repro.store.shards import ShardInfo, StoreError, verify_shard, write_atomic
 
 MANIFEST_FILENAME = "manifest.json"
 FORMAT_VERSION = 1
@@ -46,11 +45,9 @@ class CampaignManifest:
     updated: float = field(default_factory=time.time)
     version: int = FORMAT_VERSION
     # Monitoring-plane identity: which simulated week this campaign
-    # observed, and which epoch it is a delta against (None on the
-    # baseline epoch 0; both None on plain, non-monitored campaigns —
-    # such manifests serialise byte-identically to the pre-epoch format).
+    # observed (None on plain, non-monitored campaigns — such manifests
+    # serialise byte-identically to the pre-epoch format).
     epoch: Optional[int] = None
-    parent_epoch: Optional[int] = None
 
     @property
     def records(self) -> int:
@@ -60,6 +57,12 @@ class CampaignManifest:
     @property
     def complete(self) -> bool:
         return self.status == STATUS_COMPLETE
+
+    @property
+    def parent_epoch(self) -> Optional[int]:
+        """The epoch this one is a delta against: the previous week (None
+        on the baseline epoch 0 and on plain campaigns)."""
+        return self.epoch - 1 if self.epoch else None
 
     @property
     def next_sequence(self) -> int:
@@ -102,7 +105,6 @@ class CampaignManifest:
             updated=obj.get("updated", 0.0),
             version=version,
             epoch=obj.get("epoch"),
-            parent_epoch=obj.get("parent_epoch"),
         )
 
 
@@ -112,17 +114,9 @@ def manifest_path(root: Path) -> Path:
 
 def save_manifest(root: Path, manifest: CampaignManifest) -> None:
     """Atomically rewrite the manifest (temp + fsync + rename)."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
+    Path(root).mkdir(parents=True, exist_ok=True)
     manifest.updated = time.time()
-    tmp = root / (MANIFEST_FILENAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fp:
-        json.dump(manifest.to_obj(), fp, indent=2, sort_keys=True)
-        fp.write("\n")
-        fp.flush()
-        os.fsync(fp.fileno())
-    os.replace(tmp, manifest_path(root))
-    fsync_dir(root)
+    write_atomic(manifest_path(root), json.dumps(manifest.to_obj(), indent=2, sort_keys=True) + "\n")
 
 
 def load_manifest(root: Path, verify_digests: bool = False) -> CampaignManifest:

@@ -91,14 +91,10 @@ class StoreReader:
 
     # -- analysis ----------------------------------------------------------
 
-    def reanalyze(self, operator_db=None, now: Optional[int] = None) -> AnalysisReport:
+    def reanalyze(self, operator_db=None) -> AnalysisReport:
         """Re-run the full analysis pipeline over the stored campaign
         without loading it into memory."""
-        if now is None:
-            pipeline = AnalysisPipeline(operator_db)
-        else:
-            pipeline = AnalysisPipeline(operator_db, now=now)
-        return pipeline.analyze(self.iter_results())
+        return AnalysisPipeline(operator_db).analyze(self.iter_results())
 
     # -- inspection --------------------------------------------------------
 

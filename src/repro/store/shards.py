@@ -112,6 +112,21 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
+def write_atomic(path: Path, text: str) -> None:
+    """Replace *path* with *text* crash-safely: a temp file beside it,
+    flush + fsync, atomic rename, directory fsync.  A reader — or a
+    process killed at any point — sees the old bytes or the new ones,
+    never a torn file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fp:
+        fp.write(text)
+        fp.flush()
+        os.fsync(fp.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)
+
+
 def write_shard(
     root: Path,
     bucket: int,

@@ -60,6 +60,17 @@ class TestScaleCells:
         with pytest.raises(ValueError):
             scale_cells([make_cell(10)], 1.5)
 
+    def test_scaled_cells_keep_every_other_field(self):
+        """Regression: cells were rebuilt field by field and a rollover
+        cell came back with no rollover kind."""
+        from dataclasses import replace
+
+        from repro.scenarios.transitions import KIND_DOUBLE_DS
+
+        rollover = replace(make_cell(500, op="roll"), rollover_kind=KIND_DOUBLE_DS, legacy_ns=True)
+        scaled = {c.operator: c for c in scale_cells([make_cell(500, op="a"), rollover], 0.1)}
+        assert scaled["roll"] == replace(rollover, count=50)
+
     def test_zero_count_cells_dropped(self):
         cells = [make_cell(100, op="a"), make_cell(3, op="b")]
         scaled = scale_cells(cells, 0.01)

@@ -1,5 +1,5 @@
 """Direct tests for the campaign orchestration (build → scan → analyze
-→ re-check) and its acquired-sources mode."""
+→ re-check)."""
 
 import gc
 
@@ -50,32 +50,6 @@ class TestRecheck:
         incorrect = sum(report.outcome_counts.get(o, 0) for o in INCORRECT_OUTCOMES)
         funnel_incorrect = sum(f.incorrect for f in report.signal_funnels.values())
         assert incorrect == funnel_incorrect
-
-
-class TestSourcesMode:
-    def test_acquired_list_scans(self):
-        acquired = run_campaign(
-            CampaignConfig(scale=SCALE, seed=41, recheck=False, use_sources=True)
-        )
-        full = run_campaign(CampaignConfig(scale=SCALE, seed=41, recheck=False))
-        # CT-log sampling makes the acquired list a subset.
-        assert acquired.report.total_scanned <= full.report.total_scanned
-        assert acquired.report.total_scanned > 0
-
-    def test_acquired_percentages_close_to_full(self):
-        from repro.core import DnssecStatus
-
-        acquired = run_campaign(
-            CampaignConfig(scale=2e-6, seed=42, recheck=False, use_sources=True)
-        )
-        full = run_campaign(CampaignConfig(scale=2e-6, seed=42, recheck=False))
-
-        def secured_pct(report):
-            return report.status_count(DnssecStatus.SECURE) / max(1, report.total_resolved)
-
-        # Uniform CT-log sampling keeps the estimate representative
-        # (§3.1's claim) — allow small-population noise.
-        assert abs(secured_pct(acquired.report) - secured_pct(full.report)) < 0.04
 
 
 class TestADroppedWorldIsFreedByRefcount:

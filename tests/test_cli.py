@@ -152,9 +152,7 @@ def test_every_verb_prints_help(row, capsys):
 
 # CampaignConfig fields no command-line flag sets, and why.
 NOT_A_FLAG = {
-    "use_sources": "source acquisition (§3) is an experiments row (S31), not a campaign switch",
     "epoch": "set per epoch by Monitor; `monitor advance` is the way in",
-    "parent_epoch": "derived from epoch",
     "monitor": "assembled by `monitor init` from --monitor-seed/--event-rate-scale/--scenarios",
 }
 

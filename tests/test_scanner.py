@@ -196,8 +196,8 @@ class TestScanZone:
 
     def test_rate_limit_advances_clock(self, mini_world):
         # A cold scanner with a tiny rate limit must advance the clock.
-        config = ScannerConfig(qps_per_ns=5.0)
-        scanner = Scanner(mini_world["network"], mini_world["root_ips"], config)
+        scanner = Scanner(mini_world["network"], mini_world["root_ips"])
+        scanner.limiter = scanner.resolver.limiter = RateLimiter(mini_world["network"].clock, qps=5.0)
         before = mini_world["network"].clock.now()
         scanner.scan_zone("example.com")
         assert mini_world["network"].clock.now() > before
