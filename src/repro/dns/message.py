@@ -7,10 +7,11 @@ validator operate at.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+import struct
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.dns.name import Name
-from repro.dns.rdata import OPT, Rdata, read_rdata
+from repro.dns.rdata import Rdata, read_rdata
 from repro.dns.rrset import RRset
 from repro.dns.types import (
     EDNS_FLAG_DO,
@@ -30,6 +31,19 @@ from repro.dns.types import (
 from repro.dns.wire import WireError, WireReader, WireWriter, borrow_buffer, return_buffer
 
 EDNS_VERSION = 0
+_HEADER = struct.Struct("!6H")
+_TYPE_CLASS = struct.Struct("!HH")
+_TYPE_CLASS_TTL = struct.Struct("!HHI")
+_RR_FIXED = struct.Struct("!HHIH")  # type, class, TTL, RDLENGTH
+
+#: Bound on the decoded-rdata memo (cleared wholesale on overflow).  The
+#: same records come back from every server of a zone, so a campaign
+#: decodes each distinct ``(type, rdata bytes)`` about six times over.
+RDATA_MEMO_MAX = 1024
+
+# (type, rdata wire) → the Rdata decoded from it; rdata are immutable
+# and shared between every message that carried the same bytes.
+_RDATA_MEMO: Dict[Tuple[int, bytes], Rdata] = {}
 
 
 class Question:
@@ -202,22 +216,19 @@ class Message:
             return_buffer(buf)
 
     def _encode_into(self, writer: WireWriter) -> bytes:
-        writer.write_u16(self.id)
         flags = self.flags & ~0x7800 & ~0x000F
         flags |= (int(self.opcode) & 0xF) << 11
         flags |= int(self.rcode) & 0xF
-        writer.write_u16(flags)
-        writer.write_u16(1 if self.question else 0)
-        answer_rrs = sum(len(rrset) for rrset in self.answer)
-        authority_rrs = sum(len(rrset) for rrset in self.authority)
-        additional_rrs = sum(len(rrset) for rrset in self.additional) + (1 if self.edns else 0)
-        writer.write_u16(answer_rrs)
-        writer.write_u16(authority_rrs)
-        writer.write_u16(additional_rrs)
-        if self.question:
-            writer.write_name(self.question.name)
-            writer.write_u16(int(self.question.rrtype))
-            writer.write_u16(int(self.question.rclass))
+        answer_rrs = sum(map(len, self.answer))
+        authority_rrs = sum(map(len, self.authority))
+        additional_rrs = sum(map(len, self.additional)) + (1 if self.edns else 0)
+        writer.write_bytes(_HEADER.pack(
+            self.id, flags, 1 if self.question else 0, answer_rrs, authority_rrs, additional_rrs
+        ))  # fmt: skip
+        question = self.question
+        if question:
+            writer.write_name(question.name)
+            writer.write_bytes(_TYPE_CLASS.pack(int(question.rrtype), int(question.rclass)))
         for section in (self.answer, self.authority, self.additional):
             for rrset in section:
                 self._encode_rrset(writer, rrset)
@@ -226,45 +237,34 @@ class Message:
         return writer.getvalue()
 
     def _encode_rrset(self, writer: WireWriter, rrset: RRset) -> None:
+        # One type/class/TTL header per RRset; each rdata is spliced in
+        # from its memoised standalone wire form.  The encoder never
+        # compresses inside rdata, so only the owner name is compressed.
+        header = _TYPE_CLASS_TTL.pack(int(rrset.rrtype), int(rrset.rclass), rrset.ttl)
         for rdata in rrset:
             writer.write_name(rrset.name)
-            writer.write_u16(int(rrset.rrtype))
-            writer.write_u16(int(rrset.rclass))
-            writer.write_u32(rrset.ttl)
-            len_offset = len(writer)
-            writer.write_u16(0)
-            start = len(writer)
-            rdata.write_rdata(writer)
-            writer.write_at_u16(len_offset, len(writer) - start)
+            writer.write_bytes(header)
+            writer.splice_rdata(rdata.to_wire(), rdata.wire_names())
 
     def _encode_opt(self, writer: WireWriter) -> None:
-        writer.write_u8(0)  # root owner name
-        writer.write_u16(int(RRType.OPT))
-        writer.write_u16(self.edns_payload)
         ttl = ((self.rcode >> 4) << 24) | (self.edns_version << 16) | self.edns_flags
-        writer.write_u32(ttl)
-        writer.write_u16(0)
+        # Root owner name, then an empty rdata.
+        writer.write_bytes(b"\x00" + _RR_FIXED.pack(int(RRType.OPT), self.edns_payload, ttl, 0))
 
     @classmethod
     def from_wire(cls, data: bytes) -> "Message":
         reader = WireReader(data)
         msg = cls()
-        msg.id = reader.read_u16()
-        flags = reader.read_u16()
+        msg.id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack(reader.read_bytes(12))
         msg.flags = flags & ~0x7800 & ~0x000F
         msg.opcode = Opcode.make((flags >> 11) & 0xF)
         rcode_low = flags & 0xF
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
         if qdcount > 1:
             raise WireError(f"unsupported qdcount: {qdcount}")
         if qdcount:
             qname = reader.read_name()
-            qtype = RRType.make(reader.read_u16())
-            qclass = RClass.make(reader.read_u16())
-            msg.question = Question(qname, qtype, qclass)
+            qtype, qclass = _TYPE_CLASS.unpack(reader.read_bytes(4))
+            msg.question = Question(qname, qtype, RClass.make(qclass))
         msg.answer = cls._read_section(reader, ancount, msg)
         msg.authority = cls._read_section(reader, nscount, msg)
         msg.additional = cls._read_section(reader, arcount, msg)
@@ -282,10 +282,7 @@ class Message:
         opt_value = int(RRType.OPT)
         for _ in range(count):
             name = reader.read_name()
-            rtype_raw = reader.read_u16()
-            rclass_raw = reader.read_u16()
-            ttl = reader.read_u32()
-            rdlength = reader.read_u16()
+            rtype_raw, rclass_raw, ttl, rdlength = _RR_FIXED.unpack(reader.read_bytes(10))
             if rtype_raw == opt_value:
                 msg.edns = True
                 msg.edns_payload = rclass_raw
@@ -294,16 +291,27 @@ class Message:
                 msg.edns_flags = ttl & 0xFFFF
                 reader.read_bytes(rdlength)
                 continue
-            rrtype = RRType.make(rtype_raw)
-            rdata = read_rdata(rrtype, reader, rdlength)
-            rclass = RClass.IN if rclass_raw == 1 else RClass.make(rclass_raw)
+            start = reader.position
+            chunk = reader.read_bytes(rdlength)  # all rdlength octets, or WireError
+            rdata = _RDATA_MEMO.get((rtype_raw, chunk))
+            if rdata is None:
+                reader.seek(start)
+                rdata = read_rdata(RRType.make(rtype_raw), reader, rdlength)
+                # Only rdata that re-encodes to exactly these bytes may
+                # stand for them: no compression pointers, no normalising.
+                wire = rdata.to_wire()
+                if wire == chunk:
+                    if len(_RDATA_MEMO) >= RDATA_MEMO_MAX:
+                        _RDATA_MEMO.clear()
+                    _RDATA_MEMO[(rtype_raw, wire)] = rdata
             key = (name, rtype_raw, rclass_raw)
             rrset = index.get(key)
             if rrset is not None:
                 rrset.add(rdata)
                 rrset.ttl = min(rrset.ttl, ttl)
             else:
-                rrset = RRset(name, rrtype, ttl, [rdata], rclass)
+                rclass = RClass.IN if rclass_raw == 1 else RClass.make(rclass_raw)
+                rrset = RRset(name, rtype_raw, ttl, [rdata], rclass)
                 index[key] = rrset
                 rrsets.append(rrset)
         return rrsets

@@ -195,7 +195,7 @@ class Name:
     @property
     def wire_length(self) -> int:
         """Length of the uncompressed wire encoding in octets."""
-        return sum(len(label) + 1 for label in self._labels) + 1
+        return len(self.to_wire())
 
     def suffix_layout(self) -> Tuple[Tuple[Tuple[bytes, ...], int], ...]:
         """``((folded suffix, octet offset), ...)`` for every label position.

@@ -13,7 +13,6 @@ from __future__ import annotations
 import base64
 import binascii
 import ipaddress
-import struct
 from typing import ClassVar, Dict, List, Sequence, Tuple, Type
 
 from repro.dns.name import Name
@@ -53,6 +52,12 @@ class Rdata:
 
     def to_text(self) -> str:
         raise NotImplementedError
+
+    def wire_names(self) -> Tuple[Tuple[int, Name], ...]:
+        """``(offset, name)`` for each domain name in :meth:`to_wire`: the
+        compression targets a message registers when it splices the
+        rdata in (they are written uncompressed, so they may be pointed at)."""
+        return ()
 
     # -- helpers ------------------------------------------------------------
 
@@ -205,6 +210,9 @@ class _SingleName(Rdata):
     def write_canonical(self, writer: WireWriter) -> None:
         writer.write_bytes(self.target.to_canonical_wire())
 
+    def wire_names(self) -> Tuple[Tuple[int, Name], ...]:
+        return ((0, self.target),)
+
     @classmethod
     def read_rdata(cls, reader: WireReader, rdlength: int):
         return cls(reader.read_name())
@@ -270,6 +278,9 @@ class SOA(Rdata):
         for field in (self.serial, self.refresh, self.retry, self.expire, self.minimum):
             writer.write_u32(field)
 
+    def wire_names(self) -> Tuple[Tuple[int, Name], ...]:
+        return ((0, self.mname), (self.mname.wire_length, self.rname))
+
     @classmethod
     def read_rdata(cls, reader: WireReader, rdlength: int) -> "SOA":
         mname = reader.read_name()
@@ -305,6 +316,9 @@ class MX(Rdata):
     def write_canonical(self, writer: WireWriter) -> None:
         writer.write_u16(self.preference)
         writer.write_bytes(self.exchange.to_canonical_wire())
+
+    def wire_names(self) -> Tuple[Tuple[int, Name], ...]:
+        return ((2, self.exchange),)
 
     @classmethod
     def read_rdata(cls, reader: WireReader, rdlength: int) -> "MX":
@@ -479,6 +493,26 @@ class CDS(_DSBase):
     rrtype = RRType.CDS
 
 
+def rrsig_fields_wire(
+    type_covered: int, algorithm: int, labels: int, original_ttl: int,
+    expiration: int, inception: int, key_tag: int, signer_name: Name,
+) -> bytes:  # fmt: skip
+    """RRSIG rdata up to (not including) the Signature field.
+
+    The signer name is written uncompressed and as stored: RFC 6840 §5.1
+    does not case-fold it, and every name generated here is lowercase.
+    """
+    return (
+        int(type_covered).to_bytes(2, "big")
+        + bytes((algorithm, labels))
+        + original_ttl.to_bytes(4, "big")
+        + expiration.to_bytes(4, "big")
+        + inception.to_bytes(4, "big")
+        + key_tag.to_bytes(2, "big")
+        + signer_name.to_wire()
+    )
+
+
 @register
 class RRSIG(Rdata):
     """Signature over an RRset (RFC 4034 §3)."""
@@ -520,26 +554,19 @@ class RRSIG(Rdata):
         writer.write_name(self.signer_name, compress=False)
         writer.write_bytes(self.signature)
 
+    def wire_names(self) -> Tuple[Tuple[int, Name], ...]:
+        return ((18, self.signer_name),)
+
     def rdata_to_sign(self) -> bytes:
         """The RRSIG rdata with the Signature field omitted — the prefix
         of the data fed to the signature algorithm (RFC 4034 §3.1.8.1).
         Memoised: chain validation feeds the same RRSIG repeatedly."""
         cached = self.__dict__.get("_to_sign")
-        if cached is not None:
-            return cached
-        writer = WireWriter(compress=False)
-        writer.write_u16(int(self.type_covered))
-        writer.write_u8(self.algorithm)
-        writer.write_u8(self.labels)
-        writer.write_u32(self.original_ttl)
-        writer.write_u32(self.expiration)
-        writer.write_u32(self.inception)
-        writer.write_u16(self.key_tag)
-        # RFC 6840 §5.1: the signer name is not case-folded here, but must
-        # be in lowercase in practice; we emit it as stored.
-        writer.write_name(self.signer_name, compress=False)
-        cached = writer.getvalue()
-        self.__dict__["_to_sign"] = cached
+        if cached is None:
+            cached = self.__dict__["_to_sign"] = rrsig_fields_wire(
+                self.type_covered, self.algorithm, self.labels, self.original_ttl,
+                self.expiration, self.inception, self.key_tag, self.signer_name,
+            )  # fmt: skip
         return cached
 
     @classmethod
@@ -636,6 +663,9 @@ class NSEC(Rdata):
         # generate lowercase names throughout, so both forms coincide.
         writer.write_name(self.next_name, compress=False)
         writer.write_bytes(_encode_type_bitmaps(self.types))
+
+    def wire_names(self) -> Tuple[Tuple[int, Name], ...]:
+        return ((0, self.next_name),)
 
     @classmethod
     def read_rdata(cls, reader: WireReader, rdlength: int) -> "NSEC":

@@ -131,6 +131,25 @@ class WireWriter:
                     break
                 offsets.setdefault(suffix, offset)
 
+    def splice_rdata(self, wire: bytes, names: Tuple[Tuple[int, Name], ...]) -> None:
+        """Write RDLENGTH and a pre-encoded rdata *wire*, registering the
+        ``(offset, name)`` pairs embedded in it as pointer targets —
+        exactly what writing those names with ``compress=False`` does."""
+        buf = self._buf
+        buf += len(wire).to_bytes(2, "big")
+        base = len(buf)
+        buf += wire
+        offsets = self._offsets
+        for rel, name in names:
+            start = base + rel
+            if start >= 0x4000:
+                break
+            for suffix, srel in name.suffix_layout():
+                offset = start + srel
+                if offset >= 0x4000:
+                    break
+                offsets.setdefault(suffix, offset)
+
 
 class WireReader:
     """Sequential reader over a full DNS message buffer."""
@@ -157,13 +176,6 @@ class WireReader:
         self._pos = offset
 
     # -- primitives ----------------------------------------------------
-
-    def _take(self, count: int) -> bytes:
-        if self.remaining < count:
-            raise WireError(f"truncated data: wanted {count}, have {self.remaining}")
-        chunk = self._data[self._pos : self._pos + count]
-        self._pos += count
-        return chunk
 
     def read_u8(self) -> int:
         data = self._data
@@ -192,7 +204,13 @@ class WireReader:
         )
 
     def read_bytes(self, count: int) -> bytes:
-        return self._take(count)
+        data = self._data
+        pos = self._pos
+        end = pos + count
+        if end > len(data):
+            raise WireError(f"truncated data: wanted {count}, have {len(data) - pos}")
+        self._pos = end
+        return data[pos:end]
 
     # -- names -------------------------------------------------------------
 

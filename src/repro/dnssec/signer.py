@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from repro.dns.name import Name
-from repro.dns.rdata import RRSIG
+from repro.dns.rdata import RRSIG, rrsig_fields_wire
 from repro.dns.rrset import RRset
 from repro.dns.types import RRType
 from repro.dns.zone import Zone
@@ -49,29 +49,15 @@ def sign_rrset(
     labels = len(rrset.name)
     if rrset.name.labels and rrset.name.labels[0] == b"*":
         labels -= 1
-    rrsig = RRSIG(
-        type_covered=rrset.rrtype,
-        algorithm=int(key.algorithm),
-        labels=labels,
-        original_ttl=ttl,
-        expiration=expiration,
-        inception=inception,
-        key_tag=key.key_tag,
-        signer_name=signer_name,
-        signature=b"",
+    algorithm = int(key.algorithm)
+    to_sign = rrsig_fields_wire(
+        rrset.rrtype, algorithm, labels, ttl, expiration, inception, key.key_tag, signer_name
     )
-    data = rrsig.rdata_to_sign() + rrset.canonical_wire(original_ttl=ttl)
+    signature = key.sign(to_sign + rrset.canonical_wire(original_ttl=ttl))
     return RRSIG(
-        rrsig.type_covered,
-        rrsig.algorithm,
-        rrsig.labels,
-        rrsig.original_ttl,
-        rrsig.expiration,
-        rrsig.inception,
-        rrsig.key_tag,
-        rrsig.signer_name,
-        key.sign(data),
-    )
+        rrset.rrtype, algorithm, labels, ttl, expiration, inception, key.key_tag, signer_name,
+        signature,
+    )  # fmt: skip
 
 
 def corrupt_signature(rrsig: RRSIG) -> RRSIG:

@@ -55,20 +55,22 @@ TLD_NSEC_LIMIT = 20_000
 
 
 class _LruZoneCache:
-    """Bounded cache of materialised zones (per server)."""
+    """Bounded cache of materialised customer zones (per operator),
+    keyed by ``(apex, content variant)`` and holding the spec each zone
+    was built from next to it."""
 
     def __init__(self, maxsize: int = 512):
         self.maxsize = maxsize
-        self._data: "OrderedDict[Name, Zone]" = OrderedDict()
+        self._data: "OrderedDict[Tuple[Name, int], Tuple[ZoneSpec, Zone]]" = OrderedDict()
 
-    def get(self, key: Name) -> Optional[Zone]:
-        zone = self._data.get(key)
-        if zone is not None:
+    def get(self, key: Tuple[Name, int]) -> Optional[Tuple[ZoneSpec, Zone]]:
+        entry = self._data.get(key)
+        if entry is not None:
             self._data.move_to_end(key)
-        return zone
+        return entry
 
-    def put(self, key: Name, zone: Zone) -> None:
-        self._data[key] = zone
+    def put(self, key: Tuple[Name, int], entry: Tuple[ZoneSpec, Zone]) -> None:
+        self._data[key] = entry
         self._data.move_to_end(key)
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
@@ -253,6 +255,22 @@ def signal_cds_rdatas(spec: ZoneSpec) -> Tuple[List[CDS], List[CDNSKEY]]:
     return customer_cds_rdatas(spec, variant=0)
 
 
+def _ns_variant(spec: ZoneSpec, host: Optional[str]) -> int:
+    if host is not None and host in spec.ns_hosts:
+        return spec.ns_hosts.index(host)
+    return 0
+
+
+def _content_variant(spec: ZoneSpec, host: Optional[str]) -> int:
+    """Which of *spec*'s zones *host* serves: the only part of the host
+    :func:`materialize_customer_zone` reads.  An INCONSISTENT zone's
+    first NS host serves other CDS than the rest; a MULTISIGNER zone's
+    first host signs with the primary key, the rest with the secondary."""
+    if spec.cds in (CdsScenario.INCONSISTENT, CdsScenario.MULTISIGNER):
+        return min(_ns_variant(spec, host), 1)
+    return 0
+
+
 def materialize_customer_zone(spec: ZoneSpec, host: Optional[str]) -> Zone:
     """Build (and sign) the zone for *spec* as served by *host*."""
     origin = Name.from_text(spec.name)
@@ -266,9 +284,7 @@ def materialize_customer_zone(spec: ZoneSpec, host: Optional[str]) -> Zone:
     zone.add(origin.child("www"), 300, A(f"192.0.2.{octet}"))
     zone.add(origin, _ZONE_TTL, TXT([f"synthetic zone {spec.name}"]))
 
-    variant = 0
-    if host is not None and host in spec.ns_hosts:
-        variant = spec.ns_hosts.index(host)
+    variant = _ns_variant(spec, host)
     cds_rdatas, cdnskey_rdatas = customer_cds_rdatas(spec, variant)
     if cds_rdatas:
         zone.add_rrset(RRset(origin, RRType.CDS, _ZONE_TTL, cds_rdatas))
@@ -615,15 +631,20 @@ class InfrastructureBuilder:
     def install_customer_provider(
         self, specs_by_host: Dict[str, Dict[Name, ZoneSpec]]
     ) -> None:
-        """Attach a lazy provider for customer zones to every host server."""
+        """Attach a lazy provider for customer zones to every host server.
+
+        An operator's hosts share one cache: each ``(apex, content
+        variant)`` is materialised and signed once, however many of the
+        operator's servers are asked for it."""
         self.customer_spec_maps = specs_by_host
+        caches: Dict[str, _LruZoneCache] = {}
         for host, spec_map in specs_by_host.items():
             owner = self.host_owner.get(host)
             if owner is None:
                 continue
             runtime = self.operators[owner]
             server = runtime.server_for(host)
-            cache = _LruZoneCache()
+            cache = caches.setdefault(owner, _LruZoneCache())
             provider = self._make_customer_provider(spec_map, host, cache)
             server.add_zone_provider(spec_map.keys(), provider)
 
@@ -635,11 +656,14 @@ class InfrastructureBuilder:
             spec = spec_map.get(apex)
             if spec is None:
                 return None
-            zone = cache.get(apex)
-            if zone is None:
-                zone = materialize_customer_zone(spec, host)
-                cache.put(apex, zone)
-            return zone
+            key = (apex, _content_variant(spec, host))
+            entry = cache.get(key)
+            # Mutations replace specs (NS churn, serial bumps): a zone
+            # built from any other spec than the map's is stale.
+            if entry is None or entry[0] is not spec:
+                entry = (spec, materialize_customer_zone(spec, host))
+                cache.put(key, entry)
+            return entry[1]
 
         return provider
 

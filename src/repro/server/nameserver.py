@@ -118,8 +118,9 @@ class AuthoritativeServer:
         The one exchange step behind every transport — the simulated
         fabric calls it in memory, the socket engine calls it between a
         read and a write.  UDP responses are cut to the query's EDNS
-        payload size (512 octets without EDNS) and may come back with
-        the TC bit; TCP carries them whole (RFC 7766).  With an enabled
+        payload size (512 octets without EDNS, and never fewer: RFC 6891
+        §6.2.5) and may come back with the TC bit; TCP carries them
+        whole (RFC 7766).  With an enabled
         *cache*, the answer of a server whose behaviours (if any) are
         all ``cacheable`` is a pure function of the query bytes: a
         repeated query is served from the cached wire with the message
@@ -147,7 +148,8 @@ class AuthoritativeServer:
         if tcp:
             response_wire = response.to_wire()
         else:
-            response_wire = response.to_wire(max_size=query.edns_payload if query.edns else 512)
+            payload = max(query.edns_payload, 512) if query.edns else 512
+            response_wire = response.to_wire(max_size=payload)
         if key is not None:
             if len(cache.wires) >= cache.LIMIT:
                 cache.clear()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dns.message import Message, make_query
 from repro.dns.name import Name
-from repro.dns.rdata import A, NS, SOA
+from repro.dns.rdata import A, NS, SOA, TXT
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
 from repro.server import (
@@ -119,6 +119,21 @@ class TestAnswering:
         resp = server.handle_query(make_query("a.x.test", RRType.A))
         types = [int(r.rrtype) for r in resp.answer]
         assert int(RRType.CNAME) in types and int(RRType.A) in types
+
+    def test_an_edns_payload_below_512_is_taken_as_512(self):
+        # RFC 6891 §6.2.5: a ~113-octet answer fits in 512, so it comes
+        # back whole even when the query advertises only 100.
+        server = AuthoritativeServer()
+        zone = Zone("x.test")
+        zone.add("x.test", 300, SOA("ns1.x.test", "h.x.test", 1))
+        zone.add("x.test", 300, TXT(["t" * 65]))
+        server.add_zone(zone)
+        query = make_query("x.test", RRType.TXT, dnssec_ok=False)
+        query.edns_payload = 100
+        wire = server.answer_wire(query.to_wire())
+        reply = Message.from_wire(wire)
+        assert 100 < len(wire) <= 512
+        assert not reply.truncated and reply.answer
 
     def test_formerr_without_question(self, mini_world):
         server = mini_world["servers"]["operator"]
