@@ -43,13 +43,13 @@ def main() -> None:
 
     print("\nlive vs offline analysis:")
     agree = True
-    for status, live_count in sorted(live_report.status_counts.items(), key=lambda kv: kv[0].value):
-        offline_count = offline_report.status_counts.get(status, 0)
+    for status, live_count in sorted(live_report.tally("status").items(), key=lambda kv: kv[0].value):
+        offline_count = offline_report.count("status", status)
         marker = "==" if live_count == offline_count else "!="
         agree &= live_count == offline_count
         print(f"  {status.value:<12} {live_count:>6} {marker} {offline_count:<6}")
-    for outcome, live_count in sorted(live_report.outcome_counts.items(), key=lambda kv: kv[0].value):
-        offline_count = offline_report.outcome_counts.get(outcome, 0)
+    for outcome, live_count in sorted(live_report.tally("outcome").items(), key=lambda kv: kv[0].value):
+        offline_count = offline_report.count("outcome", outcome)
         agree &= live_count == offline_count
     print("\nanalyses agree exactly" if agree else "\nMISMATCH — this is a bug")
     os.unlink(path)

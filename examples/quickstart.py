@@ -26,15 +26,15 @@ def main() -> None:
     report = pipeline.analyze(results)
 
     print("DNSSEC status across the population:")
-    for status, count in sorted(report.status_counts.items(), key=lambda kv: -kv[1]):
+    for status, count in sorted(report.tally("status").items(), key=lambda kv: -kv[1]):
         print(f"  {status.value:<12} {count:>6}  ({100 * count / report.total_scanned:.1f} %)")
 
     print("\nBootstrapping eligibility (Figure 1 classes):")
-    for eligibility, count in sorted(report.eligibility_counts.items(), key=lambda kv: -kv[1]):
+    for eligibility, count in sorted(report.tally("eligibility").items(), key=lambda kv: -kv[1]):
         print(f"  {eligibility.value:<22} {count:>6}")
 
     print("\nRFC 9615 signal outcomes (Table 3 classes):")
-    for outcome, count in sorted(report.outcome_counts.items(), key=lambda kv: -kv[1]):
+    for outcome, count in sorted(report.tally("outcome").items(), key=lambda kv: -kv[1]):
         if outcome.value == "no_signal":
             continue
         print(f"  {outcome.value:<28} {count:>6}")

@@ -27,7 +27,7 @@ def deployment_rate(world) -> float:
     scanner = world.make_scanner()
     results = scanner.scan_many(world.scan_list)
     report = AnalysisPipeline(world.operator_db).analyze(results)
-    return report.status_count(DnssecStatus.SECURE) / report.total_resolved, results
+    return report.count("status", DnssecStatus.SECURE) / report.total_resolved, results
 
 
 def main() -> None:

@@ -49,7 +49,6 @@ from repro.monitor.timeline import scan_world
 from repro.scenarios.spec import ScenarioSpec
 from repro.obs.events import stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
-from repro.reports.table3 import apply_recheck
 from repro.scanner.fleet import MachineReport
 from repro.scanner.results import ZoneScanResult
 from repro.store import DEFAULT_CHECKPOINT_EVERY, DEFAULT_NUM_SHARDS, CampaignStore, StoreError
@@ -417,6 +416,10 @@ def recheck_pass(
 ) -> Dict[str, SignalOutcome]:
     """The §4.4 re-check: rescan zones with incorrect signal outcomes.
 
+    A zone whose outcome changes gets a revised verdict — the first
+    scan's, with the rescan's signal report and outcome — and the
+    report swaps the zone's contribution (:meth:`AnalysisReport.revise`).
+
     *double_check* names zones whose stored result came from a previous
     process (a resumed campaign, a parallel worker).  Their first,
     transiently-failing observation was consumed in *that* process's
@@ -427,22 +430,27 @@ def recheck_pass(
     """
     with scanner.telemetry.span("recheck") as span:
         suspicious = [
-            assessment.zone
-            for assessment in report.assessments
-            if assessment.signal_outcome in INCORRECT_OUTCOMES
+            index
+            for index, verdict in enumerate(report.verdicts)
+            if verdict.assessment.signal_outcome in INCORRECT_OUTCOMES
         ]
-        rescans = {}  # zone -> the re-scan's assessment
-        for zone in suspicious:
+        resolved = {}  # zone -> the re-scan's outcome, if no longer incorrect
+        for index in suspicious:
+            verdict = report.verdicts[index]
+            zone = verdict.assessment.zone
             rescan = assess_zone(scanner.scan_zone(zone))
             if rescan.signal_outcome in INCORRECT_OUTCOMES and zone in double_check:
                 rescan = assess_zone(scanner.scan_zone(zone))
-            rescans[zone] = rescan
-        apply_recheck(report, rescans)
-        resolved = {
-            zone: rescan.signal_outcome
-            for zone, rescan in rescans.items()
-            if rescan.signal_outcome not in INCORRECT_OUTCOMES
-        }
+            if rescan.signal_outcome != verdict.assessment.signal_outcome:
+                # The signal report travels with the outcome derived from
+                # it, so the acceptance ladder and Table 3 read the same
+                # evidence; everything else is the first scan's.
+                assessment = replace(
+                    verdict.assessment, signal=rescan.signal, signal_outcome=rescan.signal_outcome
+                )
+                report.revise(index, verdict._replace(assessment=assessment))
+            if rescan.signal_outcome not in INCORRECT_OUTCOMES:
+                resolved[zone] = rescan.signal_outcome
         span["suspicious"] = len(suspicious)
         span["resolved"] = len(resolved)
     return resolved

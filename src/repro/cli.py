@@ -473,9 +473,9 @@ def cmd_store_reanalyze(args: argparse.Namespace) -> int:
     """Stream a stored campaign back through the analysis pipeline."""
     report = StoreReader(args.store, verify_digests=args.verify).reanalyze()
     print(f"analysed {report.total_scanned} stored results")
-    for status, count in sorted(report.status_counts.items(), key=lambda kv: -kv[1]):
+    for status, count in sorted(report.tally("status").items(), key=lambda kv: -kv[1]):
         print(f"  {status.value:<12} {count}")
-    for outcome, count in sorted(report.outcome_counts.items(), key=lambda kv: -kv[1]):
+    for outcome, count in sorted(report.tally("outcome").items(), key=lambda kv: -kv[1]):
         if outcome.value != "no_signal":
             print(f"  signal:{outcome.value:<28} {count}")
     return 0

@@ -173,17 +173,13 @@ def measure_trend(scale: float = 1 / 1_000_000, seed: int = 1, years: Optional[L
         results = scanner.scan_many(world.scan_list)
         report = AnalysisPipeline(world.operator_db).analyze(results)
         resolved = report.total_resolved or 1
-        with_signal = sum(
-            count
-            for outcome, count in report.outcome_counts.items()
-            if outcome != SignalOutcome.NO_SIGNAL
-        )
+        with_signal = report.total_scanned - report.count("outcome", SignalOutcome.NO_SIGNAL)
         points.append(
             TrendPoint(
                 year=year,
-                secured_pct=100 * report.status_count(DnssecStatus.SECURE) / resolved,
-                invalid_pct=100 * report.status_count(DnssecStatus.INVALID) / resolved,
-                islands_pct=100 * report.status_count(DnssecStatus.ISLAND) / resolved,
+                secured_pct=100 * report.count("status", DnssecStatus.SECURE) / resolved,
+                invalid_pct=100 * report.count("status", DnssecStatus.INVALID) / resolved,
+                islands_pct=100 * report.count("status", DnssecStatus.ISLAND) / resolved,
                 with_signal=with_signal,
                 source=snapshot_for(year).source,
             )

@@ -33,7 +33,7 @@ from repro.ecosystem.evolution import measure_trend
 from repro.ecosystem.paper_targets import NO_DNSSEC_OPERATORS, TABLE1, TABLE3, TOTAL_DOMAINS
 from repro.provisioning.engine import remove_ds
 from repro.reports import ShapeCheck
-from repro.reports.table3 import AB_COLUMNS, expected_table3
+from repro.reports.table3 import AB_COLUMNS
 from repro.scanner import coverage
 from repro.scanner.fleet import ScanFleet
 from repro.scanner.yodns import Scanner, ScannerConfig
@@ -118,15 +118,17 @@ def _table2(ctx: Context):
         check.band("cloudflare-cds-small-share", 0, by_name["Cloudflare"].pct, 10, "4.4 %")
         specialists = [row.operator for row in rows if row.pct > 60]
         check("cds-driven-by-specialists", len(specialists) >= 3, f"> 60 %: {specialists}")
-        failing = report.cds_query_failures / report.total_resolved
+        failing = report.count("§4.2", "cds_query_failures") / report.total_resolved
         check("cds-query-failures", failing > 0.01, f"{failing:.1%} of zones (paper: 2.6 %)")
-        for name, count, paper in (
-            ("cds-in-unsigned", report.cds_in_unsigned, "2 854"),
-            ("cds-delete-islands", report.cds_delete_island, "165.5 k"),
-            ("cds-delete-still-signed", report.cds_delete_signed, "3 289"),
+        for name, row, paper in (
+            ("cds-in-unsigned", "cds_in_unsigned", "2 854"),
+            ("cds-delete-islands", "cds_delete_island", "165.5 k"),
+            ("cds-delete-still-signed", "cds_delete_signed", "3 289"),
         ):
+            count = report.count("§4.2", row)
             check(name, count >= 1, f"{count} (paper: {paper})")
-        with_cds, consistent = report.islands_with_cds, report.islands_cds_consistent
+        with_cds = report.count("§4.2", "islands_with_cds")
+        consistent = report.count("§4.2", "islands_cds_consistent")
         check(
             "island-cds-consistent",
             with_cds > 0 and consistent / with_cds > 0.9,
@@ -138,7 +140,7 @@ def _table2(ctx: Context):
 def _table3(ctx: Context):
     campaign = ctx.campaign
     data = reports.compute_table3(campaign.report)
-    expected = expected_table3(campaign.world.targets, after_recheck=True)
+    expected = reports.compute_table3(reports.expected_report(campaign.world.targets))
     check = Checks("table3")
     populations = {name: data.columns[name].with_signal for name in AB_COLUMNS}
     check("ab-operators-have-signal-zones", all(populations.values()), f"{populations}")
@@ -262,11 +264,11 @@ def _query_volume(ctx: Context):
     report = campaign.report
     resolved = [r for r in campaign.results if r.resolved]
     per_zone = sum(r.queries_used for r in resolved) / len(resolved)
-    signalling = sum(a.signal_outcome != SignalOutcome.NO_SIGNAL for a in report.assessments)
     total = report.total_scanned
+    signalling = total - report.count("outcome", SignalOutcome.NO_SIGNAL)
     share = signalling / total
     bytes_per_query = campaign.bytes_moved / max(1, campaign.queries_sent)
-    feasibility = estimate_feasibility(report, campaign.results, bytes_per_query)
+    feasibility = estimate_feasibility(report, bytes_per_query)
     saved = feasibility.savings_vs_exhaustive
 
     check = Checks("m2_query_volume")

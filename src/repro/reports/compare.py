@@ -14,7 +14,7 @@ from typing import List, Optional
 from repro.core.bootstrap import BootstrapEligibility
 from repro.core.pipeline import AnalysisReport
 from repro.core.status import DnssecStatus
-from repro.reports.table3 import AB_COLUMNS, Table3Data
+from repro.reports.table3 import AB_COLUMNS, Table3Data, compute_table3
 
 
 @dataclass
@@ -80,11 +80,11 @@ def check_shapes(
     resolved = report.total_resolved
     expected3 = None
     if targets is not None:
-        from repro.reports.table3 import expected_table3
+        from repro.reports import expected_report
 
-        expected3 = expected_table3(targets, after_recheck=True)
+        expected3 = compute_table3(expected_report(targets))
 
-    unsigned_pct = _pct(report.status_count(DnssecStatus.UNSIGNED), resolved)
+    unsigned_pct = _pct(report.count("status", DnssecStatus.UNSIGNED), resolved)
     checks.append(
         ShapeCheck(
             "dnssec-rare",
@@ -92,7 +92,7 @@ def check_shapes(
             f"unsigned = {unsigned_pct:.1f} % (paper: 93.2 %)",
         )
     )
-    secure_pct = _pct(report.status_count(DnssecStatus.SECURE), resolved)
+    secure_pct = _pct(report.count("status", DnssecStatus.SECURE), resolved)
     checks.append(
         ShapeCheck(
             "secured-about-5-percent",
@@ -100,7 +100,7 @@ def check_shapes(
             f"secured = {secure_pct:.1f} % (paper: 5.5 %)",
         )
     )
-    invalid_pct = _pct(report.status_count(DnssecStatus.INVALID), resolved)
+    invalid_pct = _pct(report.count("status", DnssecStatus.INVALID), resolved)
     checks.append(
         ShapeCheck(
             "invalid-under-half-percent",
@@ -171,7 +171,7 @@ def check_shapes(
         )
     )
 
-    bootstrappable = report.eligibility_count(BootstrapEligibility.BOOTSTRAPPABLE)
+    bootstrappable = report.count("eligibility", BootstrapEligibility.BOOTSTRAPPABLE)
     boot_pct = _pct(bootstrappable, resolved)
     checks.append(
         ShapeCheck(
@@ -192,8 +192,8 @@ def check_shapes(
         )
     )
 
-    delete_islands = report.cds_delete_island
-    cf_delete = report.cds_delete_island_by_operator.get("Cloudflare", 0)
+    delete_islands = report.count("§4.2", "cds_delete_island")
+    cf_delete = report.count("§4.2", "cds_delete_island", "Cloudflare")
     checks.append(
         ShapeCheck(
             "cloudflare-delete-islands",
@@ -203,8 +203,8 @@ def check_shapes(
         )
     )
 
-    inconsistent = report.islands_cds_inconsistent
-    multi = report.islands_cds_inconsistent_multi_operator
+    inconsistent = report.count("§4.2", "islands_cds_inconsistent")
+    multi = report.count("§4.2", "islands_cds_inconsistent_multi_operator")
     checks.append(
         ShapeCheck(
             "inconsistency-is-multi-operator",

@@ -8,7 +8,6 @@ from typing import Optional
 from repro.core.bootstrap import BootstrapEligibility
 from repro.core.pipeline import AnalysisReport
 from repro.core.status import DnssecStatus
-from repro.ecosystem.world import expected_classification
 from repro.reports.render import format_count, format_pct, render_table
 
 
@@ -42,25 +41,9 @@ _ELIGIBILITY_FIELDS = {
 def compute_figure1(report: AnalysisReport) -> Figure1Data:
     data = Figure1Data()
     for eligibility, field in _ELIGIBILITY_FIELDS.items():
-        setattr(data, field, report.eligibility_count(eligibility))
+        setattr(data, field, report.count("eligibility", eligibility))
     data.total = report.total_resolved
-    data.islands = report.status_count(DnssecStatus.ISLAND)
-    data.with_dnssec = data.already_secured + data.invalid_dnssec + data.islands
-    return data
-
-
-def expected_figure1(targets) -> Figure1Data:
-    data = Figure1Data()
-    for cell in targets.cells:
-        status, eligibility, _ = expected_classification(cell)
-        if status == DnssecStatus.UNRESOLVED:
-            continue
-        data.total += cell.count
-        if status == DnssecStatus.ISLAND:
-            data.islands += cell.count
-        field = _ELIGIBILITY_FIELDS.get(eligibility)
-        if field:
-            setattr(data, field, getattr(data, field) + cell.count)
+    data.islands = report.count("status", DnssecStatus.ISLAND)
     data.with_dnssec = data.already_secured + data.invalid_dnssec + data.islands
     return data
 

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.pipeline import AnalysisReport
-from repro.ecosystem.spec import StatusScenario
 from repro.reports.render import format_count, format_pct, render_table
 
 
@@ -21,46 +20,12 @@ class Table1Row:
 
 
 def compute_table1(report: AnalysisReport, limit: int = 20) -> List[Table1Row]:
-    """The measured Table 1 rows, ordered by portfolio size."""
-    rows = []
-    for name in report.top_operators(limit):
-        stats = report.operators[name]
-        rows.append(
-            Table1Row(
-                operator=name,
-                domains=stats.domains,
-                unsigned=stats.unsigned,
-                secured=stats.secured,
-                invalid=stats.invalid,
-                islands=stats.islands,
-            )
-        )
-    return rows
-
-
-def expected_table1(targets, limit: int = 20) -> List[Table1Row]:
-    """Table 1 as the scaled cell population predicts it."""
-    by_op: Dict[str, Table1Row] = {}
-    status_field = {
-        StatusScenario.UNSIGNED: "unsigned",
-        StatusScenario.SECURE: "secured",
-        StatusScenario.INVALID_ERRANT_DS: "invalid",
-        StatusScenario.INVALID_BADSIG: "invalid",
-        StatusScenario.ISLAND: "islands",
-        StatusScenario.ISLAND_BADSIG: "islands",
-    }
-    from repro.ecosystem.world import attributed_operator
-
-    for cell in targets.cells:
-        field = status_field.get(cell.status)
-        if field is None:
-            continue
-        operator = attributed_operator(cell)
-        row = by_op.setdefault(operator, Table1Row(operator, 0, 0, 0, 0, 0))
-        row.domains += cell.count
-        setattr(row, field, getattr(row, field) + cell.count)
-    ordered = sorted(by_op.values(), key=lambda r: (-r.domains, r.operator))
-    return [row for row in ordered if row.operator != "unknown"][:limit]
+    """The Table 1 rows, ordered by portfolio size."""
+    columns = ("domains", "unsigned", "secured", "invalid", "islands")
+    return [
+        Table1Row(name, *(report.count("table1", name, column) for column in columns))
+        for name in report.top_operators(limit)
+    ]
 
 
 def render_table1(

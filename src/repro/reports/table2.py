@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.pipeline import AnalysisReport
-from repro.ecosystem.spec import CdsScenario
 from repro.reports.render import format_count, format_pct, render_table
 
 
@@ -22,28 +21,10 @@ class Table2Row:
 
 
 def compute_table2(report: AnalysisReport, limit: int = 20) -> List[Table2Row]:
-    rows = []
-    for name in report.top_cds_operators(limit):
-        stats = report.operators[name]
-        rows.append(Table2Row(operator=name, with_cds=stats.with_cds, domains=stats.domains))
-    return rows
-
-
-def expected_table2(targets, limit: int = 20) -> List[Table2Row]:
-    from repro.ecosystem.world import attributed_operator
-
-    by_op: Dict[str, Table2Row] = {}
-    for cell in targets.cells:
-        operator = attributed_operator(cell)
-        row = by_op.setdefault(operator, Table2Row(operator, 0, 0))
-        row.domains += cell.count
-        if cell.cds not in (CdsScenario.NONE,):
-            row.with_cds += cell.count
-    ordered = sorted(
-        (row for row in by_op.values() if row.with_cds and row.operator != "unknown"),
-        key=lambda r: (-r.with_cds, r.operator),
-    )
-    return ordered[:limit]
+    return [
+        Table2Row(name, report.count("table2", name, "with_cds"), report.count("table1", name, "domains"))
+        for name in report.top_cds_operators(limit)
+    ]
 
 
 def render_table2(rows: List[Table2Row], expected: Optional[List[Table2Row]] = None) -> str:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.bootstrap import SignalOutcome
 from repro.core.pipeline import AnalysisReport
 from repro.reports.render import format_count, render_table
 
@@ -66,24 +65,21 @@ class SecurityTableData:
 
 
 def compute_security(report: AnalysisReport) -> SecurityTableData:
-    """Dry-run the agent's acceptance function over *report*.
+    """The agent's acceptance function, dry-run over *report*.
 
     Zones without any signal are out of scope (an agent never considers
-    them); everything else gets exactly one reason code.
+    them); everything else counts once, under its reason code
+    (:func:`repro.core.pipeline.contribution` applies ``decide``).
     """
     # Lazy import: rendering Tables 1-3 must not pull in provisioning.
-    from repro.provisioning.policies import CHAIN_AUTHENTICATED, LADDER, NO_SIGNAL, decide
+    from repro.provisioning.policies import CHAIN_AUTHENTICATED, LADDER, NO_SIGNAL
 
     ladder = {CHAIN_AUTHENTICATED, *(reason for reason, _, _ in LADDER)} - {NO_SIGNAL}
     assert {reason for reason, _ in ROWS} == ladder, "ROWS out of step with LADDER"
     data = SecurityTableData()
-    for assessment in report.assessments:
-        if assessment.signal_outcome == SignalOutcome.NO_SIGNAL:
-            continue
-        _, reason = decide(assessment)
-        operator = report.signal_operators.get(assessment.zone, "unknown")
-        column = data.columns.setdefault(operator, {})
-        column[reason] = column.get(reason, 0) + 1
+    for (table, reason, operator), count in report.counts.items():
+        if table == "security" and count:
+            data.columns.setdefault(operator, {})[reason] = count
     return data
 
 

@@ -10,13 +10,10 @@ CDS-publishing zones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import List
 
 from repro.core.pipeline import AnalysisReport
-from repro.core.status import DnssecStatus
-from repro.dns.name import Name
-from repro.ecosystem import psl
 from repro.reports.render import format_count, format_pct, render_table
 
 
@@ -37,24 +34,14 @@ class TldRow:
 
 
 def compute_tld_report(report: AnalysisReport) -> List[TldRow]:
-    """Adoption per public suffix, largest first."""
-    rows: Dict[str, TldRow] = {}
-    for assessment in report.assessments:
-        if assessment.status == DnssecStatus.UNRESOLVED:
-            continue
-        try:
-            _, suffix = psl.registrable_part(Name.from_text(assessment.zone))
-        except ValueError:
-            continue
-        row = rows.setdefault(suffix, TldRow(suffix))
-        row.domains += 1
-        if assessment.status == DnssecStatus.SECURE:
-            row.secured += 1
-        if assessment.cds.present:
-            row.with_cds += 1
+    """Adoption per public suffix (resolved zones only), largest first."""
+    rows = [
+        TldRow(suffix, domains, report.count("tld", suffix, "secured"), report.count("tld", suffix, "with_cds"))
+        for suffix, domains in report.tally("tld", "domains").items()
+    ]
     # Ties break on the suffix so the table is identical regardless of
-    # assessment order (serial vs. merged parallel shards).
-    return sorted(rows.values(), key=lambda r: (-r.domains, r.suffix))
+    # zone order (serial vs. merged parallel shards).
+    return sorted(rows, key=lambda r: (-r.domains, r.suffix))
 
 
 def render_tld_report(rows: List[TldRow]) -> str:

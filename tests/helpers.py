@@ -223,3 +223,53 @@ def run_with_faults(config, faults):
     from repro.campaign import _execute
 
     return _execute(config, None, resume=False, faults=faults)
+
+
+def folded(report):
+    """The sum of *report*'s per-zone contributions, recomputed."""
+    from collections import Counter
+
+    from repro.core.pipeline import contribution
+
+    total = Counter()
+    for verdict in report.verdicts:
+        total.update(contribution(verdict))
+    return total
+
+
+def run_recording_rescans(config):
+    """Run an in-memory campaign; return it with the records its §4.4
+    re-check scanned (every ``assess_zone`` call of ``recheck_pass``)."""
+    import pytest
+
+    import repro.campaign as campaign_module
+
+    rescanned = []
+    assess = campaign_module.assess_zone
+
+    def recording(result):
+        rescanned.append(result)
+        return assess(result)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign_module, "assess_zone", recording)
+        campaign = campaign_module.run_campaign(config)
+    return campaign, rescanned
+
+
+def assert_rescans_change_only_the_signal(campaign, rescanned):
+    """The re-check keeps a zone's first verdict but for its signal
+    report and outcome: pin that nothing else a rescan sees differs."""
+    from repro.core.pipeline import zone_verdict
+
+    db = campaign.world.operator_db
+    first = {result.zone: zone_verdict(result, db) for result in campaign.results}
+    assert rescanned
+    for result in rescanned:
+        was, now = first[result.zone], zone_verdict(result, db)
+        zone = was.assessment.zone
+        assert now.assessment.status == was.assessment.status, zone
+        assert now.assessment.eligibility == was.assessment.eligibility, zone
+        assert now.assessment.cds == was.assessment.cds, zone
+        assert now.attribution == was.attribution, zone
+        assert now.signal_operator == was.signal_operator, zone

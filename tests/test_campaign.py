@@ -2,20 +2,30 @@
 → re-check)."""
 
 import gc
+import random
+from dataclasses import fields
 
 import pytest
 
 from repro.campaign import CampaignConfig, run_campaign
 from repro.core.bootstrap import INCORRECT_OUTCOMES, SignalOutcome
+from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.ecosystem.spec import SignalScenario
 from repro.ecosystem.world import build_world
+from repro.reports import compute_table3, render_artifacts
+from tests.helpers import assert_rescans_change_only_the_signal, folded, run_recording_rescans
 
 SCALE = 1e-6
 
 
 @pytest.fixture(scope="module")
-def campaign():
-    return run_campaign(CampaignConfig(scale=SCALE, seed=41, recheck=True))
+def recorded():
+    return run_recording_rescans(CampaignConfig(scale=SCALE, seed=41, recheck=True))
+
+
+@pytest.fixture(scope="module")
+def campaign(recorded):
+    return recorded[0]
 
 
 class TestRecheck:
@@ -46,10 +56,37 @@ class TestRecheck:
 
     def test_counter_consistency_after_recheck(self, campaign):
         report = campaign.report
-        assert sum(report.outcome_counts.values()) == report.total_scanned
-        incorrect = sum(report.outcome_counts.get(o, 0) for o in INCORRECT_OUTCOMES)
-        funnel_incorrect = sum(f.incorrect for f in report.signal_funnels.values())
+        assert sum(report.tally("outcome").values()) == report.total_scanned
+        incorrect = sum(report.count("outcome", o) for o in INCORRECT_OUTCOMES)
+        funnel_incorrect = compute_table3(report).total("incorrect")
         assert incorrect == funnel_incorrect
+
+    def test_rescans_change_only_the_signal(self, recorded):
+        assert_rescans_change_only_the_signal(*recorded)
+
+
+class TestFold:
+    """A report is the sum of its zones' contributions."""
+
+    def test_report_holds_one_per_zone_field(self):
+        assert {f.name: f.type for f in fields(AnalysisReport)} == {
+            "verdicts": "List[ZoneVerdict]",
+            "counts": "Counter",
+        }
+
+    def test_counts_are_the_sum_of_contributions_after_recheck(self, campaign):
+        assert campaign.rechecked
+        assert campaign.report.counts == folded(campaign.report)
+
+    def test_zone_order_changes_nothing(self, campaign):
+        pipeline = AnalysisPipeline(campaign.world.operator_db)
+        report = pipeline.analyze(campaign.results)
+        shuffled = list(campaign.results)
+        random.Random(5).shuffle(shuffled)
+        other = pipeline.analyze(shuffled)
+        assert other.counts == report.counts
+        targets = campaign.world.targets
+        assert render_artifacts(other, targets) == render_artifacts(report, targets)
 
 
 class TestADroppedWorldIsFreedByRefcount:

@@ -103,28 +103,28 @@ class TestGroundTruth:
             (StatusScenario.UNSIGNED, DnssecStatus.UNSIGNED),
         ]:
             expected = world.targets.count_where(status=scenario)
-            assert report.status_count(status) == expected
+            assert report.count("status", status) == expected
 
     def test_island_total(self, world, report):
         expected = world.targets.count_where(status=StatusScenario.ISLAND) + world.targets.count_where(
             status=StatusScenario.ISLAND_BADSIG
         )
-        assert report.status_count(DnssecStatus.ISLAND) == expected
+        assert report.count("status", DnssecStatus.ISLAND) == expected
 
     def test_unresolved_zones_detected(self, world, report):
         expected = world.targets.count_where(status=StatusScenario.UNRESOLVED)
-        assert report.status_count(DnssecStatus.UNRESOLVED) == expected
+        assert report.count("status", DnssecStatus.UNRESOLVED) == expected
         assert expected >= 2
 
     def test_multi_operator_zones_counted(self, world, report):
         expected = sum(
             1 for spec in world.specs.values() if spec.secondary_operator is not None
         )
-        assert report.multi_operator_zones == expected
+        assert report.count("zones", "multi_operator") == expected
 
     def test_legacy_cds_failures_counted(self, world, report):
         expected = sum(1 for spec in world.specs.values() if spec.legacy_ns)
-        assert report.cds_query_failures == expected
+        assert report.count("§4.2", "cds_query_failures") == expected
 
     def test_operator_attribution(self, world, report):
         cf_zones = [
@@ -132,9 +132,8 @@ class TestGroundTruth:
             for spec in world.specs.values()
             if spec.operator == "Cloudflare" and spec.secondary_operator is None
         ]
-        stats = report.operators.get("Cloudflare")
-        assert stats is not None
-        assert stats.domains >= len(cf_zones)
+        assert "Cloudflare" in report.tally("table1", "domains")
+        assert report.count("table1", "Cloudflare", "domains") >= len(cf_zones)
 
 
 class TestSignalFunnelGroundTruth:
@@ -147,7 +146,7 @@ class TestSignalFunnelGroundTruth:
             if outcome != SignalOutcome.NO_SIGNAL:
                 expected[outcome] += 1
         for outcome, count in expected.items():
-            assert report.outcome_count(outcome) == count, outcome
+            assert report.count("outcome", outcome) == count, outcome
 
     def test_zone_cut_zone_detected(self, world, report):
         cut_specs = [s for s in world.specs.values() if s.signal == SignalScenario.ZONE_CUT]
@@ -190,7 +189,7 @@ class TestEligibilityGroundTruth:
             for spec in world.specs.values()
             if expected_classification(spec_cell(spec))[1] == BootstrapEligibility.BOOTSTRAPPABLE
         )
-        assert report.eligibility_count(BootstrapEligibility.BOOTSTRAPPABLE) == expected
+        assert report.count("eligibility", BootstrapEligibility.BOOTSTRAPPABLE) == expected
 
     def test_delete_islands(self, world, report):
         expected = sum(
@@ -198,7 +197,7 @@ class TestEligibilityGroundTruth:
             for spec in world.specs.values()
             if spec.status == StatusScenario.ISLAND and spec.cds == CdsScenario.DELETE
         )
-        assert report.eligibility_count(BootstrapEligibility.ISLAND_CDS_DELETE) == expected
+        assert report.count("eligibility", BootstrapEligibility.ISLAND_CDS_DELETE) == expected
 
 
 # -- lazy operator zones ------------------------------------------------------

@@ -42,8 +42,8 @@ class TestFleetScan:
         single = world_b.make_scanner().scan_many(world_b.scan_list)
         fleet_analysis = AnalysisPipeline(world_a.operator_db).analyze(fleet_report.results)
         single_analysis = AnalysisPipeline(world_b.operator_db).analyze(single)
-        assert fleet_analysis.status_counts == single_analysis.status_counts
-        assert fleet_analysis.outcome_counts == single_analysis.outcome_counts
+        assert fleet_analysis.tally("status") == single_analysis.tally("status")
+        assert fleet_analysis.tally("outcome") == single_analysis.tally("outcome")
 
     def test_machine_reports(self, world):
         report = ScanFleet(world, machines=3).scan()

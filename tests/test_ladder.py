@@ -175,14 +175,14 @@ class TestCrossTaxonomy:
 
     def test_outcome_to_reason_is_one_to_one(self, report):
         seen = set()
-        for assessment in report.assessments:
+        for assessment, _, _, signal_operator, _ in report.verdicts:
             outcome, reason = assessment.signal_outcome, decide(assessment)[1]
             if outcome == SignalOutcome.NO_SIGNAL:
                 assert reason in (ZONE_WENT_DARK, DS_ALREADY_PRESENT, NO_SIGNAL)
                 continue
             seen.add((outcome, reason))
             if reason == ALGORITHM_NOT_PERMITTED:
-                assert report.signal_operators[assessment.zone] == "DowngradeCo"
+                assert signal_operator == "DowngradeCo"
         expected = set(REASON_FOR_OUTCOME.items()) | DOCUMENTED_EXCEPTIONS
         assert seen <= expected
         assert DOCUMENTED_EXCEPTIONS <= seen

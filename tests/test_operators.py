@@ -142,32 +142,30 @@ class TestPipelineAggregation:
     def test_status_counts(self, report):
         from repro.core import DnssecStatus
 
-        assert report.status_count(DnssecStatus.SECURE) == 1
-        assert report.status_count(DnssecStatus.UNSIGNED) == 1
-        assert report.status_count(DnssecStatus.ISLAND) == 1
-        assert report.status_count(DnssecStatus.INVALID) == 1
-        assert report.status_count(DnssecStatus.UNRESOLVED) == 1
+        assert report.count("status", DnssecStatus.SECURE) == 1
+        assert report.count("status", DnssecStatus.UNSIGNED) == 1
+        assert report.count("status", DnssecStatus.ISLAND) == 1
+        assert report.count("status", DnssecStatus.INVALID) == 1
+        assert report.count("status", DnssecStatus.UNRESOLVED) == 1
 
     def test_operator_stats(self, report):
-        stats = report.operators["OpDNS"]
-        assert stats.domains == 4
-        assert stats.secured == 1
-        assert stats.unsigned == 1
-        assert stats.islands == 1
-        assert stats.invalid == 1
-        assert stats.with_cds == 1
+        assert report.count("table1", "OpDNS", "domains") == 4
+        assert report.count("table1", "OpDNS", "secured") == 1
+        assert report.count("table1", "OpDNS", "unsigned") == 1
+        assert report.count("table1", "OpDNS", "islands") == 1
+        assert report.count("table1", "OpDNS", "invalid") == 1
+        assert report.count("table2", "OpDNS", "with_cds") == 1
 
     def test_signal_funnel(self, report):
-        funnel = report.signal_funnels["OpDNS"]
-        assert funnel.with_signal == 1
-        assert funnel.potential == 1
-        assert funnel.correct == 1
-        assert funnel.incorrect == 0
+        assert report.count("table3", "with_signal", "OpDNS") == 1
+        assert report.count("table3", "potential", "OpDNS") == 1
+        assert report.count("table3", "correct", "OpDNS") == 1
+        assert report.count("table3", "incorrect", "OpDNS") == 0
 
     def test_islands_with_cds(self, report):
-        assert report.islands_with_cds == 1
-        assert report.islands_cds_consistent == 1
-        assert report.islands_cds_inconsistent == 0
+        assert report.count("§4.2", "islands_with_cds") == 1
+        assert report.count("§4.2", "islands_cds_consistent") == 1
+        assert report.count("§4.2", "islands_cds_inconsistent") == 0
 
     def test_top_operators(self, report):
         assert report.top_operators() == ["OpDNS"]

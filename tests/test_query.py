@@ -167,7 +167,7 @@ class TestLayoutInvariance:
             r.zone.to_text(): zone_verdict(r, db)
             for r in reader.iter_results()
         }
-        statuses = {status.value: n for status, n in report.status_counts.items()}
+        statuses = {status.value: n for status, n in report.tally("status").items()}
         for layout in ("serial", "workers", "resumed"):
             with QueryService(root / layout) as service:
                 assert service.snapshot.records == len(truth)
@@ -178,7 +178,7 @@ class TestLayoutInvariance:
                     assert view.eligibility == assessment.eligibility.value
                     assert view.outcome == assessment.signal_outcome.value
                     assert view.operator == verdicts[zone].operator
-                    assert view.signal_operator == report.signal_operators.get(zone)
+                    assert view.signal_operator == verdicts[zone].signal_operator
                 assert service.status_counts() == statuses
 
 
@@ -264,7 +264,7 @@ class TestEnumerations:
         with QueryService(mini_store["root"]) as service:
             counts = service.status_counts()
             assert counts == {
-                status.value: count for status, count in report.status_counts.items()
+                status.value: count for status, count in report.tally("status").items()
             }
 
     def test_operator_scan(self, mini_store):

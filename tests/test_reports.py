@@ -16,6 +16,7 @@ from repro.reports import (
     compute_table1,
     compute_table2,
     compute_table3,
+    expected_report,
     format_count,
     format_pct,
     render_figure1,
@@ -23,11 +24,8 @@ from repro.reports import (
     render_table2,
     render_table3,
 )
-from repro.reports.figure1 import expected_figure1
 from repro.ecosystem.paper_targets import TABLE1
-from repro.reports.table1 import expected_table1
-from repro.reports.table2 import expected_table2
-from repro.reports.table3 import AB_COLUMNS, expected_table3
+from repro.reports.table3 import AB_COLUMNS
 
 SCALE = 1 / 1_000_000
 
@@ -61,7 +59,8 @@ class TestRenderHelpers:
 class TestTable1:
     def test_measured_matches_expected(self, campaign):
         measured = {r.operator: r for r in compute_table1(campaign.report, limit=50)}
-        expected = {r.operator: r for r in expected_table1(campaign.world.targets, limit=50)}
+        expected_rows = compute_table1(expected_report(campaign.world.targets), limit=50)
+        expected = {r.operator: r for r in expected_rows}
         for name, exp in expected.items():
             got = measured.get(name)
             assert got is not None, name
@@ -90,7 +89,7 @@ class TestTable1:
 class TestTable2:
     def test_measured_matches_expected(self, campaign):
         measured = {r.operator: r.with_cds for r in compute_table2(campaign.report, limit=50)}
-        for row in expected_table2(campaign.world.targets, limit=50):
+        for row in compute_table2(expected_report(campaign.world.targets), limit=50):
             assert measured.get(row.operator) == row.with_cds, row.operator
 
     def test_render(self, campaign):
@@ -101,7 +100,7 @@ class TestTable2:
 class TestTable3:
     def test_measured_matches_expected_after_recheck(self, campaign):
         measured = compute_table3(campaign.report)
-        expected = expected_table3(campaign.world.targets, after_recheck=True)
+        expected = compute_table3(expected_report(campaign.world.targets))
         for column in (*AB_COLUMNS, "Others"):
             got = measured.columns[column]
             want = expected.columns[column]
@@ -147,7 +146,7 @@ class TestTable3:
 class TestFigure1:
     def test_measured_matches_expected(self, campaign):
         measured = compute_figure1(campaign.report)
-        expected = expected_figure1(campaign.world.targets)
+        expected = compute_figure1(expected_report(campaign.world.targets))
         assert measured.total == expected.total
         assert measured.unsigned == expected.unsigned
         assert measured.already_secured == expected.already_secured
@@ -195,4 +194,4 @@ class TestCampaign:
     def test_no_recheck_leaves_transients_incorrect(self):
         campaign = run_campaign(CampaignConfig(scale=SCALE, seed=3, recheck=False))
         assert campaign.rechecked == {}
-        assert campaign.report.outcome_count(SignalOutcome.INCORRECT_SIGNAL_DNSSEC) >= 2
+        assert campaign.report.count("outcome", SignalOutcome.INCORRECT_SIGNAL_DNSSEC) >= 2

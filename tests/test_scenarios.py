@@ -43,7 +43,7 @@ from repro.ecosystem.world import build_world
 from repro.monitor import Monitor, MonitorConfig, MonitorSpec
 from repro.monitor.events import apply_epoch, events_for_epoch
 from repro.monitor.timeline import world_at_epoch
-from repro.reports import render_artifacts
+from repro.reports import compute_table1, expected_report, render_artifacts
 from repro.reports.table_security import compute_security
 from repro.scenarios import (
     ADVANCE_EVENT,
@@ -65,6 +65,7 @@ from repro.scenarios.transitions import (
     PHASE_PREPUBLISH,
     PHASE_STRANDED,
 )
+from tests.helpers import assert_rescans_change_only_the_signal, folded, run_recording_rescans
 
 
 SCALE = 1e-6
@@ -112,8 +113,14 @@ def adversarial_zones(world) -> dict:
 
 
 @pytest.fixture(scope="module")
-def serial():
-    return run_campaign(CampaignConfig(scale=SCALE, seed=SEED, recheck=True, scenarios=SCEN))
+def recorded():
+    config = CampaignConfig(scale=SCALE, seed=SEED, recheck=True, scenarios=SCEN)
+    return run_recording_rescans(config)
+
+
+@pytest.fixture(scope="module")
+def serial(recorded):
+    return recorded[0]
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +137,20 @@ class TestDifferentialArtifacts:
         ]
         assert len(windowed) >= 6, "KeyCycle cells must open rollover windows"
 
+    def test_serial_counts_are_the_sum_of_contributions(self, serial):
+        assert serial.rechecked
+        assert serial.report.counts == folded(serial.report)
+
+    def test_rescans_change_only_the_signal(self, recorded):
+        assert_rescans_change_only_the_signal(*recorded)
+
+    def test_measured_table1_equals_the_expected_rows(self, serial):
+        # Rollover mishaps (stranded KSK, dangling DS) are declared
+        # secure but scan invalid: both sides must say so.
+        measured = {row.operator: row for row in compute_table1(serial.report, limit=50)}
+        for row in compute_table1(expected_report(serial.world.targets), limit=50):
+            assert measured.get(row.operator) == row, row.operator
+
     def test_workers_render_identical_artifacts(self, serial_artifacts, tmp_path):
         campaign = run_campaign(
             CampaignConfig(
@@ -142,12 +163,14 @@ class TestDifferentialArtifacts:
             )
         )
         assert render_artifacts(campaign.report) == serial_artifacts
+        assert campaign.report.counts == folded(campaign.report)
 
     def test_in_flight_renders_identical_artifacts(self, serial_artifacts):
         campaign = run_campaign(
             CampaignConfig(scale=SCALE, seed=SEED, recheck=True, scenarios=SCEN, in_flight=16)
         )
         assert render_artifacts(campaign.report) == serial_artifacts
+        assert campaign.report.counts == folded(campaign.report)
 
     def test_kill_and_resume_renders_identical_artifacts(self, serial_artifacts, tmp_path):
         root = tmp_path / "killed"

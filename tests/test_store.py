@@ -330,8 +330,8 @@ class TestCampaignResume:
         resumed, full = campaign_stores["resumed"], campaign_stores["full"]
         assert render_artifacts(resumed.report) == render_artifacts(full.report)
         assert resumed.rechecked == full.rechecked
-        assert resumed.report.status_counts == full.report.status_counts
-        assert resumed.report.outcome_counts == full.report.outcome_counts
+        assert resumed.report.tally("status") == full.report.tally("status")
+        assert resumed.report.tally("outcome") == full.report.tally("outcome")
 
     def test_store_backed_matches_in_memory(self, campaign_stores):
         full, memory = campaign_stores["full"], campaign_stores["memory"]
