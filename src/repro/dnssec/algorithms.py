@@ -3,7 +3,8 @@
 Wraps the ``cryptography`` library behind the DNSSEC wire formats:
 
 * RSASHA256 (8): PKCS#1 v1.5 signatures; RFC 3110 public-key encoding.
-* ECDSAP256SHA256 (13): raw ``r || s`` signatures; RFC 6605 key encoding.
+* ECDSAP256SHA256 (13): raw ``r || s`` signatures with deterministic
+  RFC 6979 nonces; RFC 6605 key encoding.
 * ED25519 (15): raw 64-byte signatures; RFC 8080 key encoding.
 
 Algorithm 0 is reserved and only appears in the RFC 8078 delete sentinel.
@@ -67,8 +68,10 @@ def generate_private_key(algorithm: Algorithm, seed: bytes | None = None):
 
     When *seed* (32 octets) is given, generation is deterministic for
     Ed25519 and ECDSA P-256 — the property the ecosystem generator relies
-    on to rebuild identical worlds from a seed.  RSA has no practical
-    deterministic path in ``cryptography``; RSA keys are always random.
+    on to rebuild identical worlds from a seed; with :func:`sign` also
+    deterministic (ECDSA through RFC 6979), every signature a world holds
+    is a function of the seed.  RSA has no practical deterministic path
+    in ``cryptography``; RSA keys are always random.
     """
     if algorithm == Algorithm.ED25519:
         if seed is not None:
@@ -140,7 +143,7 @@ def sign(algorithm: Algorithm, private_key, data: bytes) -> bytes:
     if algorithm == Algorithm.ED25519:
         return private_key.sign(data)
     if algorithm == Algorithm.ECDSAP256SHA256:
-        der = private_key.sign(data, ec.ECDSA(hashes.SHA256()))
+        der = private_key.sign(data, ec.ECDSA(hashes.SHA256(), deterministic_signing=True))
         r, s = decode_dss_signature(der)
         return r.to_bytes(32, "big") + s.to_bytes(32, "big")
     if algorithm == Algorithm.RSASHA256:

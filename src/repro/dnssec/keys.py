@@ -4,11 +4,16 @@ A :class:`KeyPair` couples a private key with the DNSKEY flags it will be
 published under.  The ecosystem generator derives keys deterministically
 from a per-zone seed so that rebuilding a world with the same seed yields
 byte-identical zones (and therefore reproducible scans).
+
+Both are pure, so a process derives each seeded key and makes each
+signature once: worlds share ``KeyPair`` objects and their DNSKEY rdata,
+which is safe only because rdata (:mod:`repro.dns.rdata`) and key pairs
+are immutable after ``__init__``.  No lock: the scan runs on one thread.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.dns.rdata import CDNSKEY, DNSKEY
 from repro.dnssec.algorithms import (
@@ -19,6 +24,21 @@ from repro.dnssec.algorithms import (
 )
 
 PROTOCOL_DNSSEC = 3
+
+#: Bound on each memo below (cleared wholesale when full).  A 146-zone
+#: world derives about 240 keys and makes about 750 signatures.
+SEED_MEMO_MAX = 4096
+
+# (algorithm, flags, seed) → KeyPair; RSA keys are random, never stored.
+_KEYS: Dict[Tuple[int, int, bytes], "KeyPair"] = {}
+# (algorithm, public key wire, data) → the signature over data.
+_SIGNATURES: Dict[Tuple[int, bytes, bytes], bytes] = {}
+
+
+def _remember(memo: dict, key, value):
+    if len(memo) >= SEED_MEMO_MAX:
+        memo.clear()
+    memo[key] = value
 
 
 class KeyPair:
@@ -49,11 +69,18 @@ class KeyPair:
         """Generate a key pair; *seed* makes it deterministic (Ed25519 and
         ECDSA only — see :func:`repro.dnssec.algorithms.generate_private_key`).
 
-        ``ksk=True`` sets the SEP flag, marking a key-signing key.
+        ``ksk=True`` sets the SEP flag, marking a key-signing key.  A
+        seeded Ed25519 or ECDSA key is derived once per process and shared.
         """
+        algorithm = Algorithm(algorithm)
         flags = DNSKEY.FLAG_ZONE | (DNSKEY.FLAG_SEP if ksk else 0)
-        private_key = generate_private_key(Algorithm(algorithm), seed)
-        return cls(algorithm, private_key, flags)
+        memo_key = (int(algorithm), flags, seed)
+        key = _KEYS.get(memo_key)
+        if key is None:
+            key = cls(algorithm, generate_private_key(algorithm, seed), flags)
+            if seed is not None and algorithm != Algorithm.RSASHA256:
+                _remember(_KEYS, memo_key, key)
+        return key
 
     # -- views --------------------------------------------------------------------
 
@@ -80,7 +107,14 @@ class KeyPair:
     # -- operations ------------------------------------------------------------------
 
     def sign(self, data: bytes) -> bytes:
-        return algorithm_sign(self.algorithm, self.private_key, data)
+        """Sign *data*: every algorithm signs deterministically, so a
+        signature made before is answered from the memo."""
+        memo_key = (int(self.algorithm), self._public_wire, data)
+        signature = _SIGNATURES.get(memo_key)
+        if signature is None:
+            signature = algorithm_sign(self.algorithm, self.private_key, data)
+            _remember(_SIGNATURES, memo_key, signature)
+        return signature
 
     def __repr__(self) -> str:
         kind = "KSK" if self.is_ksk else "ZSK"

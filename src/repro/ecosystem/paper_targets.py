@@ -19,6 +19,7 @@ bad edit fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from repro.ecosystem.spec import Cell, CdsScenario, SignalScenario, StatusScenario
@@ -197,7 +198,13 @@ def build_cells() -> List[Cell]:
 
     Every count in the returned cells is at paper scale (287.6 M zones
     total); :func:`repro.ecosystem.allocator.scale_cells` shrinks it.
+    Computed once: a fresh list of the shared, frozen cells.
     """
+    return list(_paper_cells())
+
+
+@lru_cache(maxsize=1)
+def _paper_cells() -> Tuple[Cell, ...]:
     cells: List[Cell] = []
 
     def add(
@@ -473,7 +480,7 @@ def build_cells() -> List[Cell]:
         add("MassHost-1", StatusScenario.UNSIGNED, CdsScenario.NONE, SignalScenario.NONE, dust)
 
     _check_invariants(cells)
-    return cells
+    return tuple(cells)
 
 
 def _check_invariants(cells: List[Cell]) -> None:

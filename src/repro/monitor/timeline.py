@@ -9,10 +9,13 @@ every campaign must scan a *fresh* replica, exactly like the
 from-scratch full scan it is compared against.
 
 What keeps that affordable is that a build pays only for what is eager:
-IPs, keys, delegations and the signed registries (which provisioning
-and replay mutate live, so they cannot be deferred).  Operator, signal
-and customer zones are providers that sign on first query, so a delta
-epoch that re-scans 5 % of the zones signs about that share of the
+IPs, delegations and the signed registries (which provisioning and
+replay mutate live, so they cannot be deferred).  Keys and signatures
+are pure functions of the seed and come from a bounded per-process memo
+(:mod:`repro.dnssec.keys`), so a same-seed rebuild pays for its zones,
+NSEC chains and servers, not for crypto.  Operator, signal and customer
+zones are providers that sign on first query, so a delta epoch that
+re-scans 5 % of the zones materialises about that share of the
 world.  And a build happens once per step: a delta epoch, a resume and
 an agent pass each replay exactly one world — the epoch's event batch
 is returned by :func:`scan_world` from the same replay the campaign

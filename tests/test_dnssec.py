@@ -21,7 +21,9 @@ from repro.dnssec import (
     validate_chain_link,
     validate_rrset,
 )
-from repro.dnssec.algorithms import UnsupportedAlgorithm, generate_private_key
+from cryptography.hazmat.primitives.asymmetric import ec
+
+from repro.dnssec.algorithms import UnsupportedAlgorithm, generate_private_key, sign, verify
 from repro.dnssec.signer import DEFAULT_INCEPTION, corrupt_signature
 from repro.dnssec.validator import (
     DEFAULT_VALIDATION_TIME,
@@ -62,6 +64,18 @@ class TestKeyPair:
         k1 = KeyPair.generate(Algorithm.ECDSAP256SHA256, seed=b"e")
         k2 = KeyPair.generate(Algorithm.ECDSAP256SHA256, seed=b"e")
         assert k1.dnskey() == k2.dnskey()
+
+    def test_ecdsa_signs_rfc6979_known_answer(self):
+        """RFC 6979 §A.2.5: P-256, SHA-256, message "sample" — the nonce
+        and so the whole signature follow from key and message."""
+        x = int("C9AFA9D845BA75166B5C215767B1D6934E50C3DB36E89B127B8A622B120F6721", 16)
+        r = "EFD48B2AACB6A8FD1140DD9CD45E81D69D2C877B56AAF991C34D0EA84EAF3716"
+        s = "F7CB1C942D657C41D436C7A1B6E29F65F3E900DBB9AFF4064DC4AB2F843ACDA8"
+        private_key = ec.derive_private_key(x, ec.SECP256R1())
+        signature = sign(Algorithm.ECDSAP256SHA256, private_key, b"sample")
+        assert signature.hex().upper() == r + s
+        public = KeyPair(Algorithm.ECDSAP256SHA256, private_key).public_key_wire
+        assert verify(Algorithm.ECDSAP256SHA256, public, signature, b"sample")
 
     def test_ksk_flag(self, keys):
         assert keys["ksk"].is_ksk
