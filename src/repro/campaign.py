@@ -49,7 +49,6 @@ from repro.monitor.timeline import scan_world
 from repro.scenarios.spec import ScenarioSpec
 from repro.obs.events import stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, as_telemetry
-from repro.scanner.fleet import MachineReport
 from repro.scanner.results import ZoneScanResult
 from repro.store import DEFAULT_CHECKPOINT_EVERY, DEFAULT_NUM_SHARDS, CampaignStore, StoreError
 from repro.store.manifest import load_manifest, save_manifest
@@ -57,6 +56,7 @@ from repro.store.reader import StoreReader
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.monitor.events import Event
+    from repro.parallel.engine import MachineReport
 
 
 # Settings since removed that never changed what a campaign recorded

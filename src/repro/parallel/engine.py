@@ -36,20 +36,30 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.campaign import CampaignConfig, prepare, record_total
 from repro.obs.events import WORKERS_DIR, machine_stats
 from repro.obs.telemetry import NULL_TELEMETRY
-from repro.scanner.fleet import MachineReport
 from repro.store.checkpoint import CampaignStore
 from repro.store.manifest import load_manifest, manifest_path
 from repro.store.shards import StoreError
 
 from repro.parallel.partition import bucket_ranges
 from repro.parallel.worker import WorkerSpec, run_worker, worker_stats_path
+
+
+@dataclass
+class MachineReport:
+    """One worker's share of a parallel campaign."""
+
+    index: int
+    zones: int
+    queries: int
+    duration: float  # simulated seconds on this machine's clock
+
 
 class ParallelCampaignError(StoreError):
     """One or more workers did not finish; the store remains resumable."""

@@ -4,16 +4,16 @@ A worker process is a *scan machine* in the paper's sense (App. D).  It
 receives the campaign's :class:`~repro.campaign.CampaignConfig` and
 runs the same executor steps a sequential campaign runs
 (:func:`repro.campaign.prepare`, :func:`repro.campaign.scan_into`) with
-exactly three differences: its scanner waits on a clock of its own, its
-chaos and retry streams are derived from ``(campaign seed, first
-bucket)``, and it scans only the zones whose shard bucket falls in its
-assigned range — into its own checkpointed
-:class:`~repro.store.CampaignStore` under the campaign root.  All
-communication with the parent is through the filesystem: the worker's
-store manifest carries the durable scan state and a small
-``worker.json`` carries per-machine statistics — so a crashed worker
-leaves exactly its last checkpoint behind and any subset of workers can
-be re-run by :func:`repro.campaign.resume_campaign`.
+exactly three differences, made by :func:`scan_machine` (which M3
+also runs): its scanner waits on a clock of its own, its chaos and
+retry streams are derived from ``(campaign seed, first bucket)``, and
+it scans only the zones whose shard bucket falls in its assigned range
+— into its own checkpointed :class:`~repro.store.CampaignStore` under
+the campaign root.  All communication with the parent is through the
+filesystem: the worker's store manifest carries the durable scan state
+and a small ``worker.json`` carries per-machine statistics — so a
+crashed worker leaves exactly its last checkpoint behind and any subset
+of workers can be re-run by :func:`repro.campaign.resume_campaign`.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import json
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.campaign import CampaignConfig, open_store, prepare, scan_into, seal
 from repro.obs.events import WORKER_STATS_FILENAME, stream_path
 from repro.obs.telemetry import PROGRESS_EVERY, as_telemetry
-from repro.scanner.fleet import give_own_clock
+from repro.scanner.ratelimit import RateLimiter
+from repro.server.network import SimulatedClock
 from repro.store.manifest import load_manifest, manifest_path
 from repro.store.shards import StoreError, stored_zones, write_atomic
 
@@ -65,6 +66,26 @@ def worker_stats_path(store_dir: Path) -> Path:
 def _write_stats(store_dir: Path, stats: Dict[str, Any]) -> None:
     """Atomically publish the worker's machine statistics."""
     write_atomic(worker_stats_path(store_dir), json.dumps(stats, indent=2, sort_keys=True) + "\n")
+
+
+def scan_machine(config: CampaignConfig, buckets: Sequence[int]):
+    """``(world, scanner, clock, zones)`` of the scan machine that owns
+    *buckets*: *zones* are those hashing into them, *clock* its own."""
+    # Each machine gets its own decision streams: derived, not shared, so
+    # no two workers replay identical fault patterns or backoff jitter,
+    # yet each stream is a pure function of (campaign seed, bucket).
+    retry = config.effective_retry()
+    config = replace(
+        config,
+        chaos=config.chaos and config.chaos.derive("worker", buckets[0]),
+        retry=retry and retry.derive("worker", buckets[0]),
+    )
+    world, scanner, zones, _ = prepare(config, telemetry=as_telemetry(config.telemetry))
+    # Rate-limit waits and spans run on the machine's own clock.
+    clock = SimulatedClock()
+    scanner.limiter = scanner.resolver.limiter = RateLimiter(clock)
+    scanner.telemetry.bind_clock(clock)
+    return world, scanner, clock, zones_for_buckets(zones, config.num_shards, buckets)
 
 
 def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
@@ -109,20 +130,8 @@ def run_worker(spec: WorkerSpec) -> Dict[str, Any]:
             _write_stats(root, stats)
             return stats
 
-    # Each machine gets its own decision streams: derived, not shared, so
-    # no two workers replay identical fault patterns or backoff jitter,
-    # yet each stream is a pure function of (campaign seed, bucket).
-    retry = config.effective_retry()
-    config = replace(
-        config,
-        chaos=config.chaos and config.chaos.derive("worker", buckets[0]),
-        retry=retry and retry.derive("worker", buckets[0]),
-    )
-    telemetry = as_telemetry(config.telemetry)
-    world, scanner, zones, _ = prepare(config, telemetry=telemetry)
-    # A scan machine: rate-limit waits and spans run on its own clock.
-    clock = give_own_clock(scanner)
-    mine = zones_for_buckets(zones, config.num_shards, buckets)
+    world, scanner, clock, mine = scan_machine(config, buckets)
+    telemetry = scanner.telemetry
 
     created = {"zones_total": len(mine), "config": {"worker": spec.index, "buckets": buckets}}
     store = open_store(config, root, telemetry, create=created if fresh else None)

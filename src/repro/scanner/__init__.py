@@ -9,7 +9,6 @@ the analysis pipeline.
 """
 
 from repro.scanner.coverage import TlsWeightedSampler, UniformSampler, coverage_bias
-from repro.scanner.fleet import FleetReport, ScanFleet
 from repro.scanner.ratelimit import RateLimiter
 from repro.scanner.results import QueryStatus, RRQueryResult, SignalScan, ZoneScanResult
 from repro.scanner.sampling import AnycastSamplingPolicy
@@ -18,11 +17,9 @@ from repro.scanner.yodns import Scanner, ScannerConfig
 
 __all__ = [
     "AnycastSamplingPolicy",
-    "FleetReport",
     "QueryStatus",
     "RRQueryResult",
     "RateLimiter",
-    "ScanFleet",
     "Scanner",
     "ScannerConfig",
     "SignalScan",

@@ -1,7 +1,9 @@
 """The experiments table: its ids and artefacts are the documented ones,
 every campaign-backed row writes the same bytes whatever ran before it,
-and a failed shape check fails the command by name."""
+a failed shape check fails the command by name, and it is the only
+harness."""
 
+import os
 import re
 from pathlib import Path
 
@@ -74,3 +76,21 @@ def test_an_unknown_id_exits_2(tmp_path, capsys):
     assert main(["experiments", "--only", "T1,nope", "--out", str(tmp_path)]) == 2
     assert "unknown experiment 'nope'" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_one_experiments_table_and_no_second_harness():
+    # benchmarks/ holds the e2e performance harness and nothing else.
+    names = os.listdir(ROOT / "benchmarks")
+    assert [name for name in names if name != "e2e" and not name.startswith(".")] == []
+    # No env knob selects a scale: --scale does.  (CHANGES.md is history.)
+    knob = "_".join(("REPRO", "BENCH")).encode()
+    naming = []
+    for folder, dirs, files in os.walk(ROOT):
+        dirs[:] = [name for name in dirs if name != ".git"]
+        naming += [
+            os.path.join(folder, name)
+            for name in files
+            if name not in ("CHANGES.md", "ISSUE.md", "ci.yml")
+            and knob in Path(folder, name).read_bytes()
+        ]
+    assert naming == []
