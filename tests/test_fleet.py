@@ -8,10 +8,12 @@ from dataclasses import replace
 
 import pytest
 
-from repro.campaign import CampaignConfig
+from repro.campaign import CampaignConfig, scan_into
+from repro.core import AnalysisPipeline
 from repro.ecosystem.paper_targets import TOTAL_DOMAINS
 from repro.experiments import fleet_table, machine_runs
 from repro.parallel import WorkerSpec, bucket_ranges, run_worker, worker_dir
+from repro.parallel.worker import scan_machine
 from repro.store import DEFAULT_NUM_SHARDS
 
 CONFIG = CampaignConfig(scale=2e-7, seed=51, num_shards=DEFAULT_NUM_SHARDS)
@@ -22,7 +24,35 @@ def runs():
     return {size: machine_runs(CONFIG, size) for size in (1, 2, 4)}
 
 
+class TestPartition:
+    def test_invalid_size(self):
+        with pytest.raises(ValueError):
+            machine_runs(CONFIG, 0)
+        with pytest.raises(ValueError):
+            machine_runs(CONFIG, CONFIG.num_shards + 1)
+
+
 class TestFleetScan:
+    def test_results_match_single_scanner(self):
+        def analyze(machines):
+            # Each machine scans its own freshly built world replica.
+            results, operators = [], None
+            for buckets in bucket_ranges(CONFIG.num_shards, machines):
+                world, scanner, _, zones = scan_machine(CONFIG, buckets)
+                results += scan_into(scanner, zones)
+                operators = world.operator_db
+            return AnalysisPipeline(operators).analyze(results)
+
+        fleet, single = analyze(3), analyze(1)
+        assert fleet.tally("status") == single.tally("status")
+        assert fleet.tally("outcome") == single.tally("outcome")
+
+    def test_machine_reports(self, runs):
+        [(alone, _)] = runs[1]
+        assert len(runs[4]) == 4
+        assert all(zones > 0 and duration > 0 for zones, duration in runs[4])
+        assert sum(zones for zones, _ in runs[4]) == alone
+
     def test_slices_are_the_machines_a_campaign_spawns(self, runs, tmp_path):
         # Called inline, as tests/test_executor.py does.
         reported = [
