@@ -17,7 +17,7 @@ emitted at ``scale >= 9e-5`` — computed from ``--scale``, set by no one.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
@@ -299,6 +299,7 @@ FLEET_SCALE, FLEET_SEED, FLEET_SIZES = 2e-6, 29, (1, 2, 4)
 def machine_runs(config: CampaignConfig, machines: int) -> List[Tuple[int, float]]:
     """``(zones, simulated seconds)`` of each machine a ``workers=machines``
     campaign spawns, scanned here on a fresh world replica and own clock."""
+    config = replace(config, num_shards=config.num_shards or DEFAULT_NUM_SHARDS)
     runs = []
     for buckets in bucket_ranges(config.num_shards, machines):
         _, scanner, clock, zones = scan_machine(config, buckets)
@@ -330,7 +331,7 @@ def fleet_table(runs: Dict[int, List[Tuple[int, float]]]):
 
 def _fleet(ctx: Context):
     """Simulated duration against fleet size, at the paper's population."""
-    config = CampaignConfig(scale=FLEET_SCALE, seed=FLEET_SEED, num_shards=DEFAULT_NUM_SHARDS)
+    config = CampaignConfig(scale=FLEET_SCALE, seed=FLEET_SEED)
     return fleet_table({size: machine_runs(config, size) for size in FLEET_SIZES})
 
 

@@ -82,8 +82,7 @@ def test_one_experiments_table_and_no_second_harness():
     # benchmarks/ holds the e2e performance harness and nothing else.
     names = os.listdir(ROOT / "benchmarks")
     assert [name for name in names if name != "e2e" and not name.startswith(".")] == []
-    # No env knob selects a scale: --scale does.  (Markdown documents are
-    # history and plans, not code.)
+    # No env knob selects a scale: --scale does.  (CHANGES.md is history.)
     knob = "_".join(("REPRO", "BENCH")).encode()
     naming = []
     for folder, dirs, files in os.walk(ROOT):
@@ -91,7 +90,6 @@ def test_one_experiments_table_and_no_second_harness():
         naming += [
             os.path.join(folder, name)
             for name in files
-            if not name.endswith(".md") and name != "ci.yml"
-            and knob in Path(folder, name).read_bytes()
+            if name not in ("CHANGES.md", "ISSUE.md") and knob in Path(folder, name).read_bytes()
         ]
     assert naming == []

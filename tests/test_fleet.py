@@ -16,7 +16,9 @@ from repro.parallel import WorkerSpec, bucket_ranges, run_worker, worker_dir
 from repro.parallel.worker import scan_machine
 from repro.store import DEFAULT_NUM_SHARDS
 
-CONFIG = CampaignConfig(scale=2e-7, seed=51, num_shards=DEFAULT_NUM_SHARDS)
+CONFIG = CampaignConfig(scale=2e-7, seed=51)
+# A worker's config: the parallel engine resolves the shard count for it.
+WORKER_CONFIG = replace(CONFIG, num_shards=DEFAULT_NUM_SHARDS)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +31,7 @@ class TestPartition:
         with pytest.raises(ValueError):
             machine_runs(CONFIG, 0)
         with pytest.raises(ValueError):
-            machine_runs(CONFIG, CONFIG.num_shards + 1)
+            machine_runs(CONFIG, DEFAULT_NUM_SHARDS + 1)
 
 
 class TestFleetScan:
@@ -37,8 +39,8 @@ class TestFleetScan:
         def analyze(machines):
             # Each machine scans its own freshly built world replica.
             results, operators = [], None
-            for buckets in bucket_ranges(CONFIG.num_shards, machines):
-                world, scanner, _, zones = scan_machine(CONFIG, buckets)
+            for buckets in bucket_ranges(DEFAULT_NUM_SHARDS, machines):
+                world, scanner, _, zones = scan_machine(WORKER_CONFIG, buckets)
                 results += scan_into(scanner, zones)
                 operators = world.operator_db
             return AnalysisPipeline(operators).analyze(results)
@@ -63,16 +65,16 @@ class TestFleetScan:
                     store_dir=str(worker_dir(tmp_path, index)),
                     skip_roots=(),
                     crash_after=None,
-                    config=replace(CONFIG, store_dir=tmp_path),
+                    config=replace(WORKER_CONFIG, store_dir=tmp_path),
                 )
             )
-            for index, buckets in enumerate(bucket_ranges(CONFIG.num_shards, 2))
+            for index, buckets in enumerate(bucket_ranges(DEFAULT_NUM_SHARDS, 2))
         ]
         assert runs[2] == [(stats["zones"], stats["duration"]) for stats in reported]
 
     def test_more_machines_finish_sooner(self, runs):
         [(_, alone)] = runs[1]
-        assert max(duration for _, duration in runs[4]) < alone
+        assert max(duration for _, duration in runs[4]) < alone * 0.5
 
     def test_days_are_priced_per_scanned_zone(self, runs):
         [(zones, duration)] = runs[1]
