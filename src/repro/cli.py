@@ -530,10 +530,14 @@ def cmd_query_list(args: argparse.Namespace) -> int:
         elif args.operator:
             zones = service.zones_for_operator(args.operator)
             label = f"operator={args.operator}"
+            if not zones:
+                # Names come only from attribution: no zone means no such operator.
+                print(f"no zone in the snapshot is attributed to operator {args.operator!r}")
+                return 1
         else:
-            counts = service.status_counts()
+            counts = service.report().tally("status")
             for status, count in sorted(counts.items(), key=lambda kv: -kv[1]):
-                print(f"  {status:<12} {count}")
+                print(f"  {status.value:<12} {count}")
             print(f"{sum(counts.values())} zones indexed")
             return 0
     shown = zones if args.limit == 0 else zones[: args.limit]
@@ -712,9 +716,9 @@ COMMANDS: Tuple[Command, ...] = (
             flag("--status", choices=[status.value for status in DnssecStatus],
                  help="status class (e.g. island, secure)"),
             flag("--operator", help="operator name (e.g. Cloudflare)"),
-            flag("--limit", type=int, default=50, help="0 = unlimited")),
+            flag("--limit", type=int, default=50, help="0 = all")),
     command("query dashboard", "per-operator deployment dashboard",
-            cmd_query_dashboard, FLAGS["store"], flag("--limit", type=int, default=20)),
+            cmd_query_dashboard, FLAGS["store"], flag("--limit", type=int, default=20, help="0 = all")),
     command("query verify", "re-hash the snapshot against its digests",
             cmd_query_verify, FLAGS["store"]),
     command("query serve", "answer zone lookups read from stdin",

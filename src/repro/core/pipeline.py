@@ -92,19 +92,22 @@ def paper_contribution(
 ) -> Counter:
     """One zone's counts in the paper's artefacts, from the six facts
     they read: the status, eligibility and outcome totals (Figure 1's
-    boxes are these), Table 1 (status per *operator*), Table 2 (CDS per
-    *operator*) and Table 3 (the funnel rows per *signal_operator*).
+    boxes are these; eligibility is also split per *operator*, the
+    dashboard's column), Table 1 (status per *operator*), Table 2 (CDS
+    per *operator*) and Table 3 (the funnel rows per *signal_operator*).
     Rows and columns are the rendered artefact's.
 
     The measured side reaches it through :func:`contribution`; the
     expected side (:func:`repro.reports.expected_report`) calls it once
-    per cell of the world's scaled population.
+    per cell of the world's scaled population; the query plane
+    (:meth:`repro.query.QueryService.report`) once per meta row.
     """
     counts = Counter(
         {
             ("zones", "scanned", None): 1,
             ("status", status, None): 1,
             ("eligibility", eligibility, None): 1,
+            ("eligibility", eligibility, operator): 1,
             ("outcome", outcome, None): 1,
             ("table1", operator, "domains"): 1,
         }
@@ -236,8 +239,9 @@ class AnalysisReport:
     def total_queries(self) -> int:
         return self.count("zones", "queries")
 
-    def top_operators(self, limit: int = 20) -> List[str]:
-        """Operator names by portfolio size (Table 1 ordering)."""
+    def top_operators(self, limit: Optional[int] = 20) -> List[str]:
+        """Operator names by portfolio size (Table 1 ordering; ``None``:
+        all of them)."""
         return _ranked(self.tally("table1", "domains"), limit)
 
     def top_cds_operators(self, limit: int = 20) -> List[str]:
@@ -245,7 +249,7 @@ class AnalysisReport:
         return _ranked(self.tally("table2", "with_cds"), limit)
 
 
-def _ranked(by_operator: Counter, limit: int) -> List[str]:
+def _ranked(by_operator: Counter, limit: Optional[int]) -> List[str]:
     named = [
         (name, n) for name, n in by_operator.items() if name != UNKNOWN_OPERATOR and n
     ]

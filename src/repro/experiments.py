@@ -37,7 +37,7 @@ from repro.reports import ShapeCheck
 from repro.reports.table3 import AB_COLUMNS
 from repro.scanner import coverage
 from repro.scanner.yodns import Scanner, ScannerConfig
-from repro.store import DEFAULT_NUM_SHARDS
+from repro.store import DEFAULT_NUM_SHARDS, ZoneClassification
 
 FULL_FIDELITY_SCALE = 9e-5
 
@@ -240,8 +240,7 @@ def _sampling(ctx: Context):
     pairs = [(before, scanner.scan_zone(before.zone)) for before in sampled]
 
     def verdict(result):
-        assessment = assess_zone(result)
-        return assessment.status, assessment.eligibility, assessment.signal_outcome
+        return ZoneClassification.of(assess_zone(result))
 
     differ = [a.zone.to_text() for a, b in pairs if verdict(a) != verdict(b)]
     check = Checks("m1_sampling")

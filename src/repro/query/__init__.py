@@ -50,13 +50,4 @@ __all__ = [
     "manifest_generation",
     "verify_snapshot",
     "zone_key64",
-    "zone_status_dashboard",
 ]
-
-
-def __getattr__(name):
-    if name == "zone_status_dashboard":
-        from repro.reports.dashboard import zone_status_dashboard
-
-        return zone_status_dashboard
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

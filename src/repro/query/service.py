@@ -11,8 +11,8 @@ per-lookup cost that never depends on campaign size:
 * the hot-field answer is an LRU-cached :class:`ZoneStatusView`;
   *misses are cached too* (the negative cache), so hammering the
   service with absent names stays O(1) amortised;
-* **enumerations** (status histograms, operator portfolios) stream the
-  same meta rows bucket by bucket — counts and filters over
+* **enumerations** (the paper's counts, operator portfolios) stream
+  the same meta rows bucket by bucket — counts and filters over
   :meth:`iter_status`, whose views equal the point lookups' — instead
   of decoding full records;
 * the full archived record behind a view is one seek away
@@ -37,11 +37,14 @@ bytes read, enumerations) — which is also how the tests pin the
 from __future__ import annotations
 
 import json
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.bootstrap import BootstrapEligibility, SignalOutcome
+from repro.core.pipeline import AnalysisReport, paper_contribution
+from repro.core.status import DnssecStatus
 from repro.dns.name import Name, NameError_
 from repro.monitor.layout import completed_epochs, epoch_dir, is_monitor_root
 from repro.obs.telemetry import as_telemetry
@@ -332,9 +335,24 @@ class QueryService:
             for line in text.splitlines():
                 yield _view(json.loads(line), bucket)
 
-    def status_counts(self) -> Counter:
-        """Histogram of DNSSEC status classes over the whole snapshot."""
-        return Counter(view.status for view in self.iter_status())
+    def report(self) -> AnalysisReport:
+        """The paper's counts over the whole snapshot: each meta row's
+        :func:`~repro.core.pipeline.paper_contribution`, summed — the
+        counter ``store reanalyze`` renders Tables 1–3 and Figure 1
+        from, with no verdict kept (``verdicts`` stays empty)."""
+        report = AnalysisReport()
+        for view in self.iter_status():
+            report.counts.update(
+                paper_contribution(
+                    DnssecStatus(view.status),
+                    BootstrapEligibility(view.eligibility),
+                    SignalOutcome(view.outcome),
+                    view.has_cds,
+                    view.operator,
+                    view.signal_operator,
+                )
+            )
+        return report
 
     def zones_with_status(self, status: str) -> List[str]:
         """Zone names in one status class (e.g. ``"island"``)."""

@@ -15,6 +15,7 @@ from repro.reports.figure1 import compute_figure1, render_figure1
 from repro.reports.table_security import compute_security, render_security
 from repro.reports.tld import compute_tld_report, render_tld_report
 from repro.reports.compare import ShapeCheck, check_shapes
+from repro.reports.dashboard import zone_status_dashboard
 
 ARTIFACTS = ("table1", "table2", "table3", "figure1", "tld", "security")
 
@@ -63,7 +64,6 @@ __all__ = [
     "ARTIFACTS",
     "ShapeCheck",
     "check_shapes",
-    "compute_dashboard",
     "compute_figure1",
     "compute_security",
     "compute_table1",
@@ -83,14 +83,3 @@ __all__ = [
     "render_table3",
     "zone_status_dashboard",
 ]
-
-
-def __getattr__(name):
-    # The dashboard sits on top of repro.query; importing it lazily
-    # keeps `repro.reports` free of the store/query layers for callers
-    # that only render tables.
-    if name in ("compute_dashboard", "zone_status_dashboard"):
-        from importlib import import_module
-
-        return getattr(import_module("repro.reports.dashboard"), name)
-    raise AttributeError(f"module 'repro.reports' has no attribute {name!r}")

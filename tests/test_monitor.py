@@ -415,7 +415,7 @@ class TestEpochQueryPlane:
             with pytest.raises(QueryError, match="monitor root"):
                 service.iter_status()
             with pytest.raises(QueryError, match="monitor root"):
-                service.status_counts()
+                service.report()
 
     def test_unindexed_newer_epoch_is_stale_not_fatal(self, tmp_path):
         """An epoch completed after the last build is what an append is

@@ -139,7 +139,7 @@ class TestPipelineAggregation:
         assert report.total_resolved == 4
         assert report.total_queries > 0
 
-    def test_status_counts(self, report):
+    def test_status_totals(self, report):
         from repro.core import DnssecStatus
 
         assert report.count("status", DnssecStatus.SECURE) == 1

@@ -11,11 +11,13 @@ and the object stream is the record stream.
 
 import gc
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 import repro.dns.name as name_module
+import repro.dns.zonefile as zonefile
 import repro.monitor.plane as plane_module
 import repro.scanner.serialize as serialize
 from repro.campaign import CampaignConfig, run_campaign
@@ -129,6 +131,69 @@ class TestSharedObjectsStayAsParsed:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestOneParsePerText:
+    """A store read parses each distinct text once, in one place.
+    Counts, not timings: both repeat exactly for a given store."""
+
+    def test_each_distinct_text_is_parsed_once(self, store, monkeypatch):
+        root, _ = store
+        reader = StoreReader(root)
+        pairs, texts = set(), set()
+
+        def walk(obj):
+            if isinstance(obj, dict):
+                if "rdata" in obj:
+                    pairs.update((obj["type"], text) for text in obj["rdata"])
+                for key, value in obj.items():
+                    if key.endswith("rrsigs"):
+                        pairs.update(("RRSIG", text) for text in value)
+                    else:
+                        walk(value)
+            elif isinstance(obj, list):
+                for value in obj:
+                    walk(value)
+
+        walk(list(reader.iter_objects()))
+        calls = {"split": 0, "init": 0}
+        split, init = zonefile._split_preserving_quotes, Name.__init__
+        from_text = Name.from_text.__func__
+
+        def counted_split(line):
+            calls["split"] += 1
+            return split(line)
+
+        def counted_init(self, labels=()):
+            calls["init"] += 1
+            init(self, labels)
+
+        def seen_text(cls, text):
+            texts.add(text)
+            return from_text(cls, text)
+
+        monkeypatch.setattr(zonefile, "_split_preserving_quotes", counted_split)
+        monkeypatch.setattr(Name, "__init__", counted_init)
+        monkeypatch.setattr(Name, "from_text", classmethod(seen_text))
+        clear_tables()
+        records = sum(1 for _ in reader.iter_results())
+        assert records > 300 and pairs
+        assert calls["split"] <= len(pairs), "an rdata text was tokenised twice"
+        assert calls["init"] <= len(texts), "a name text was built twice"
+
+    def test_one_tokeniser_and_one_record_parser(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        # One tokeniser under dns/ (no second parser kept beside it) …
+        found = {
+            match
+            for path in (src / "dns").rglob("*.py")
+            for match in re.findall(
+                r"def (?:_split|\w*tokeni[sz]e)\w*|shlex", path.read_text(encoding="utf-8")
+            )
+        }
+        assert found == {"def _split_preserving_quotes"}
+        # … and record lines are parsed in scanner/serialize.py only.
+        assert "json.loads(" not in (src / "store" / "shards.py").read_text(encoding="utf-8")
 
 
 class TestTheBoundIsInvisible:
