@@ -32,7 +32,6 @@ from repro.ecosystem.evolution import measure_trend
 from repro.ecosystem.paper_targets import NO_DNSSEC_OPERATORS, TABLE1, TABLE3, TOTAL_DOMAINS
 from repro.parallel.partition import bucket_ranges
 from repro.parallel.worker import scan_machine
-from repro.provisioning.engine import remove_ds
 from repro.reports import ShapeCheck
 from repro.reports.table3 import AB_COLUMNS
 from repro.scanner import coverage
@@ -390,7 +389,7 @@ def _provisioning(ctx: Context):
     run = engine.run(campaign.results)
     stuck = []
     for zone in run.secured:
-        remove_ds(campaign.world, zone.rstrip("."))
+        engine.withdraw(zone)
         if classify_status(engine.scanner.scan_zone(zone.rstrip(".")))[0] != DnssecStatus.ISLAND:
             stuck.append(zone)
     # The "unAB" direction, dry: honour delete requests on secured zones.

@@ -18,7 +18,7 @@ paying the import.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List
+from typing import List, Optional
 
 from repro.store.manifest import load_manifest, manifest_path
 
@@ -54,12 +54,14 @@ def list_epoch_dirs(root: Path) -> List[int]:
     return sorted(epochs)
 
 
-def completed_epochs(root: Path) -> List[int]:
-    """Epochs whose store holds a manifest marked complete, sorted —
-    the one answer to "which epochs can be read"."""
+def completed_epochs(root: Path, through: Optional[int] = None) -> List[int]:
+    """Epochs (up to *through*, default: all) whose store holds a
+    manifest marked complete, sorted — the one answer to "which epochs
+    can be read"."""
     return [
         epoch
         for epoch in list_epoch_dirs(root)
-        if manifest_path(epoch_dir(root, epoch)).exists()
+        if (through is None or epoch <= through)
+        and manifest_path(epoch_dir(root, epoch)).exists()
         and load_manifest(epoch_dir(root, epoch)).complete
     ]

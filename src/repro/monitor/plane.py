@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.agent.actions import ledger_path, read_ledger, secured_pairs
 from repro.campaign import CampaignConfig, CampaignResult, resume_campaign, run_campaign
@@ -209,6 +209,8 @@ class Monitor:
         self.config = config
         self.root = config.root
         self._hub = None
+        # ``(epoch, verdicts)`` of the newest epoch classifications() folded.
+        self._folded: Tuple[int, Dict[str, ZoneClassification]] = (-1, {})
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -384,13 +386,13 @@ class Monitor:
         scenarios = self.config.monitor.scenarios
         return build_operator_db(adversarial=scenarios is not None and scenarios.enabled)
 
-    def _merged(self, epoch: int):
-        """``(zone, result)`` for each zone's newest stored record as of
-        *epoch*: the chain is walked newest epoch first and a zone
-        already seen is superseded, so each epoch store is read once and
-        only the records kept are rebuilt."""
+    def _merged(self, epoch: int, since: int = -1):
+        """``(zone, result)`` for each zone's newest stored record in
+        epochs *since*+1..*epoch* of a verified chain: they are walked
+        newest epoch first and a zone already seen is superseded, so each
+        epoch store is read once and only the records kept are rebuilt."""
         seen: Set[str] = set()
-        for e in reversed(self._chain(epoch)):
+        for e in range(epoch, since, -1):
             for obj in StoreReader(self.epoch_dir(e)).iter_objects():
                 zone = obj["zone"]
                 if zone not in seen:
@@ -398,11 +400,25 @@ class Monitor:
                     yield zone, result_from_obj(obj)
 
     def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
-        """Each zone's verdict as of *epoch* (default: latest complete)."""
-        return {
+        """Each zone's verdict as of *epoch* (default: latest complete).
+
+        A fold onto the newest epoch already folded: only the stores
+        above it are read, and each zone they do not hold keeps its
+        folded verdict — sound because a completed epoch store never
+        changes.  The order is the full merge's (*epoch*'s zones, then
+        each older epoch's unseen ones); an epoch older than the fold is
+        merged in full."""
+        epoch = self._resolve_epoch(epoch)
+        folded, memo = self._folded if self._folded[0] <= epoch else (-1, {})
+        classes = {
             zone: ZoneClassification.of(assess_zone(result))
-            for zone, result in self._merged(self._resolve_epoch(epoch))
+            for zone, result in self._merged(epoch, since=folded)
         }
+        for zone, verdict in memo.items():
+            classes.setdefault(zone, verdict)
+        if epoch >= self._folded[0]:
+            self._folded = (epoch, classes)
+        return dict(classes)
 
     def analyze(self, epoch: Optional[int] = None) -> AnalysisReport:
         """The merged analysis report as of *epoch* (default: latest
@@ -497,25 +513,21 @@ class Monitor:
         ]
 
     def _resolve_epoch(self, epoch: Optional[int]) -> int:
-        completed = self.completed_epochs()
+        """*epoch* (default: the newest complete), once epochs 0..epoch
+        are verified complete and gap-free — one manifest load each."""
+        completed = completed_epochs(self.root, through=epoch)
         if not completed:
             raise MonitorError("no completed epochs yet")
         if epoch is None:
-            return completed[-1]
+            epoch = completed[-1]
         if epoch not in completed:
             raise MonitorError(f"epoch {epoch} is not a completed epoch of this monitor")
-        return epoch
-
-    def _chain(self, epoch: int) -> List[int]:
-        """Epochs 0..epoch, verified complete and gap-free."""
-        completed = set(self.completed_epochs())
-        chain = list(range(epoch + 1))
-        missing = [e for e in chain if e not in completed]
+        missing = sorted(set(range(epoch + 1)) - set(completed))
         if missing:
             raise MonitorError(
                 f"delta chain to epoch {epoch} is broken: missing epochs {missing}"
             )
-        return chain
+        return epoch
 
     def _telemetry(self):
         if not self.config.telemetry:

@@ -211,6 +211,10 @@ class BootstrapEngine:
                 run.refused[zone] = "delete request not validly signed"
                 continue
             if provision:
-                remove_ds(self.world, zone.rstrip("."))
+                self.withdraw(zone)
             run.deleted.append(zone)
         return run
+
+    def withdraw(self, zone: str) -> None:
+        """Drop *zone*'s DS at the parent (an honoured delete, or undo)."""
+        remove_ds(self.world, zone.rstrip("."))

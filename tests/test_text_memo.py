@@ -6,7 +6,9 @@ The store's text codec answers a repeated name text
 readers work on the stored JSON objects instead of rebuilt records.
 These tests pin what that sharing may and may not change: every table
 entry equals a fresh parse, the bound changes nothing a user can see,
-and the object stream is the record stream.
+and the object stream is the record stream.  The monitor's merged
+verdicts are a fold over those objects: a warm pass reads and rebuilds
+only the newest epoch's store, and equals the full merge.
 """
 
 import gc
@@ -18,8 +20,10 @@ import pytest
 
 import repro.dns.name as name_module
 import repro.dns.zonefile as zonefile
+import repro.monitor.layout as layout_module
 import repro.monitor.plane as plane_module
 import repro.scanner.serialize as serialize
+import repro.store.reader as reader_module
 from repro.campaign import CampaignConfig, run_campaign
 from repro.core.bootstrap import assess_zone
 from repro.core.pipeline import AnalysisPipeline
@@ -31,6 +35,7 @@ from repro.query.snapshot import canonical_record_line
 from repro.reports import render_artifacts
 from repro.scenarios import ScenarioSpec
 from repro.store.diff import ZoneClassification, diff_classifications
+from repro.store.manifest import load_manifest
 from repro.store.reader import StoreReader
 
 from tests.test_monitor import WEEKS, monitor_config
@@ -74,6 +79,14 @@ def monitor(tmp_path_factory):
     monitor = Monitor.init(monitor_config(root))
     monitor.run_until(weeks=WEEKS)
     return monitor
+
+
+@pytest.fixture(scope="module")
+def weeks_five(tmp_path_factory):
+    """A 74-zone world watched for five weeks: the root of epochs 0..5."""
+    root = tmp_path_factory.mktemp("memo-fold") / "mon"
+    Monitor.init(monitor_config(root, scale=2.5e-7)).run_until(weeks=5)
+    return root
 
 
 @pytest.fixture
@@ -216,7 +229,9 @@ class TestTheBoundIsInvisible:
         assert render_artifacts(StoreReader(root).reanalyze(db)) == tables
         build_index(root, operator_db=db)
         assert _index_bytes(root) == index
-        assert monitor.classifications() == verdicts
+        # A fresh monitor: the fixture's would answer from its fold and
+        # re-derive nothing under the small tables.
+        assert Monitor.open(monitor.root).classifications() == verdicts
         assert len(name_module._BY_TEXT) <= 8 and len(serialize._RDATA_MEMO) <= 8
 
 
@@ -265,7 +280,7 @@ class TestTheObjectStreamIsTheRecordStream:
             """The merge as it was: rebuild every record, then drop the
             superseded ones."""
             seen = set()
-            for e in reversed(monitor._chain(epoch)):
+            for e in reversed(range(epoch + 1)):
                 for result in StoreReader(monitor.epoch_dir(e)).iter_results():
                     zone = result.zone.to_text()
                     if zone not in seen:
@@ -278,14 +293,70 @@ class TestTheObjectStreamIsTheRecordStream:
                 for zone, result in reference_merged(epoch)
             }
 
-        for epoch in monitor.completed_epochs():
-            assert monitor.classifications(epoch) == reference_classes(epoch)
+        epochs = monitor.completed_epochs()
+        reference = {epoch: list(reference_classes(epoch).items()) for epoch in epochs}
+        for epoch in epochs:
+            assert list(monitor.classifications(epoch).items()) == reference[epoch]
             report = AnalysisPipeline(monitor.operator_db()).analyze(
                 result for _, result in reference_merged(epoch)
             )
             assert render_artifacts(monitor.analyze(epoch)) == render_artifacts(report)
-        old, new = monitor.completed_epochs()[-2:]
+        # The fold gives the full merge, dict order included, whatever
+        # order the epochs are asked in and whatever the fold holds.
+        ascending, descending = Monitor.open(monitor.root), Monitor.open(monitor.root)
+        for epoch in epochs:
+            assert list(ascending.classifications(epoch).items()) == reference[epoch]
+            assert list(Monitor.open(monitor.root).classifications(epoch).items()) == reference[epoch]
+        for epoch in reversed(epochs):
+            assert list(descending.classifications(epoch).items()) == reference[epoch]
+        ascending.classifications().clear()  # the caller's copy, not the fold
+        assert list(ascending.classifications().items()) == reference[epochs[-1]]
+
+        old, new = epochs[-2:]
         expected = diff_classifications(
             reference_classes(old), reference_classes(new), f"epoch {old}", f"epoch {new}"
         )
         assert monitor.diff().diff == expected
+        expected = diff_classifications(
+            reference_classes(0), reference_classes(new), "epoch 0", f"epoch {new}"
+        )
+        assert Monitor.open(monitor.root).diff(old=0, new=new).diff == expected
+
+
+class TestAPassReadsItsDelta:
+    """An agent pass asks for the epoch after the one it last asked for:
+    the fold answers it from the newest epoch's store alone."""
+
+    @pytest.mark.parametrize("epoch", [2, 5])
+    def test_warm_pass_scans_the_chain_once(self, weeks_five, epoch, monkeypatch):
+        loaded = []
+
+        def counting(root, *args, **kwargs):
+            loaded.append(Path(root).name)
+            return load_manifest(root, *args, **kwargs)
+
+        for module in (layout_module, plane_module, reader_module):
+            monkeypatch.setattr(module, "load_manifest", counting)
+        monitor = Monitor.open(weeks_five)
+        monitor.classifications(epoch - 1)
+        loaded.clear()
+        monitor.classifications(epoch)
+        # One manifest per chain epoch, then the one store the fold reads.
+        assert loaded == [f"e{e:04d}" for e in range(epoch + 1)] + [f"e{epoch:04d}"]
+
+    def test_warm_pass_rebuilds_only_the_newest_store(self, weeks_five, monkeypatch):
+        built = []
+        real = serialize.result_from_obj
+
+        def counting(obj):
+            built.append(obj["zone"])
+            return real(obj)
+
+        monkeypatch.setattr(plane_module, "result_from_obj", counting)
+        monitor = Monitor.open(weeks_five)
+        monitor.classifications(0)
+        for epoch in range(1, 6):
+            built.clear()
+            monitor.classifications(epoch)
+            stored = [obj["zone"] for obj in StoreReader(monitor.epoch_dir(epoch)).iter_objects()]
+            assert built == stored
