@@ -87,6 +87,16 @@ class RRset:
         if rdata not in self._rdatas:
             self._rdatas.append(rdata)
 
+    def union(self, rdatas: Iterable[Rdata]) -> "RRset":
+        """A new RRset holding this one's records, then those of *rdatas*
+        it lacks (name, type, class and TTL are this one's); this one is
+        left as it is."""
+        merged = RRset(self.name, self.rrtype, self.ttl, rclass=self.rclass)
+        merged._rdatas = list(self._rdatas)
+        for rdata in rdatas:
+            merged.add(rdata)
+        return merged
+
     @property
     def rdatas(self) -> Tuple[Rdata, ...]:
         return tuple(self._rdatas)

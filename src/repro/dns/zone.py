@@ -4,6 +4,13 @@ A :class:`Zone` stores RRsets indexed by (owner name, type) and answers
 the question an authoritative server must resolve for each query:
 answer / delegation (referral) / NODATA / NXDOMAIN / CNAME — including
 zone-cut awareness, which the RFC 9615 signal-zone analysis depends on.
+
+A zone never changes an RRset it holds: :meth:`Zone.add_rrset` merges
+copy-on-write and every other edit replaces or removes whole RRsets.
+That is what lets :meth:`Zone.copy` share the RRset objects between a
+zone and its copies — a world's registry zones are copies of one
+signed plan (:mod:`repro.ecosystem.world`), and provisioning edits them
+per world.
 """
 
 from __future__ import annotations
@@ -72,7 +79,23 @@ class Zone:
 
     # -- mutation ------------------------------------------------------------
 
+    def copy(self) -> "Zone":
+        """A zone with the same records whose edits stay its own.
+
+        O(owners): the index dicts are copied, the RRsets are shared.
+        """
+        clone = Zone(self.origin)
+        clone._rrsets = dict(self._rrsets)
+        clone._names = {name: list(types) for name, types in self._names.items()}
+        clone._interior = dict(self._interior)
+        return clone
+
     def add_rrset(self, rrset: RRset) -> None:
+        """Add *rrset*, merging it into the owner's RRset of that type.
+
+        The merge stores a new RRset (the held one keeps its records, the
+        first TTL wins): a copy of this zone may share the held one.
+        """
         if not rrset.name.is_subdomain_of(self.origin):
             raise ZoneError(f"{rrset.name} is not within zone {self.origin}")
         key = (rrset.name, int(rrset.rrtype))
@@ -85,8 +108,7 @@ class Zone:
                     self._interior[ancestor] = self._interior.get(ancestor, 0) + 1
             self._names.setdefault(rrset.name, []).append(int(rrset.rrtype))
         else:
-            for rdata in rrset:
-                existing.add(rdata)
+            self._rrsets[key] = existing.union(rrset)
 
     def add(self, name: Name | str, ttl: int, rdata: Rdata) -> None:
         """Convenience: add a single record."""

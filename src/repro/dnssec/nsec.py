@@ -51,6 +51,14 @@ def _node_type_bitmap(
     return sorted(types, key=int)
 
 
+def nsec_types(zone: Zone, name: Name) -> List[RRType]:
+    """The type bitmap :func:`build_nsec_chain` gives the NSEC at *name*,
+    from the node as it is now (RFC 4034 §4.1.2)."""
+    is_cut = name != zone.origin and zone.get_rrset(name, RRType.NS) is not None
+    cuts = frozenset([name]) if is_cut else frozenset()
+    return _node_type_bitmap(zone, name, [RRType.NSEC, RRType.RRSIG], cuts)
+
+
 def build_nsec_chain(zone: Zone, ttl: int = 3600) -> None:
     """Add an NSEC chain covering every authoritative name, in place."""
     names = _authoritative_names(zone)

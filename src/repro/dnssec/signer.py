@@ -9,7 +9,7 @@ fabricate the invalid-DNSSEC populations the paper measures.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.dns.name import Name
 from repro.dns.rdata import RRSIG, rrsig_fields_wire
@@ -120,12 +120,7 @@ def sign_zone(
     ksks = [key for key in key_list if key.is_ksk] or key_list
     zsks = [key for key in key_list if not key.is_ksk] or key_list
 
-    dnskey_rrset = zone.get_rrset(zone.origin, RRType.DNSKEY)
-    if dnskey_rrset is None:
-        dnskey_rrset = RRset(zone.origin, RRType.DNSKEY, 3600)
-        zone.add_rrset(dnskey_rrset)
-    for key in key_list:
-        dnskey_rrset.add(key.dnskey())
+    zone.add_rrset(RRset(zone.origin, RRType.DNSKEY, 3600, [key.dnskey() for key in key_list]))
 
     if denial == "nsec":
         build_nsec_chain(zone)
@@ -135,18 +130,20 @@ def sign_zone(
         build_nsec3_chain(zone)
 
     cuts = frozenset(zone.delegation_points())
-    signatures: List[RRset] = []
+    # One RRSIG RRset per owner, its signatures in the owner's type order.
+    signatures: Dict[Name, RRset] = {}
     for rrset in list(zone.iter_rrsets()):
         if int(rrset.rrtype) in _UNSIGNED_TYPES:
             continue
         if _is_glue_or_below_cut(zone, rrset.name, rrset.rrtype, cuts):
             continue
         signers = ksks if int(rrset.rrtype) == int(RRType.DNSKEY) else zsks
-        sig_rrset = RRset(rrset.name, RRType.RRSIG, rrset.ttl)
+        sig_rrset = signatures.get(rrset.name)
+        if sig_rrset is None:
+            sig_rrset = signatures[rrset.name] = RRset(rrset.name, RRType.RRSIG, rrset.ttl)
         for key in signers:
             sig_rrset.add(
                 sign_rrset(rrset, key, zone.origin, inception, expiration)
             )
-        signatures.append(sig_rrset)
-    for sig_rrset in signatures:
+    for sig_rrset in signatures.values():
         zone.add_rrset(sig_rrset)

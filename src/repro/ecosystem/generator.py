@@ -1,17 +1,21 @@
 """World generation: from population cells to a servable Internet.
 
-Builds the signed root and registry zones, every operator's nameserver
-fleet (with anycast pools, legacy quirks, and RFC 9615 signaling zones),
-delegates each operator and customer zone with the right parent-side DS
-state, and installs lazy zone providers so a world costs what a scan
-touches: operator NS zones, signaling zones and customer zones are only
-built and signed when a query first reaches their apex.  Registries are
-the exception — provisioning mutates and re-signs them live, and their
-NSEC chains need every delegation in place — so they are signed eagerly.
-Every key is derived from a seed and every signature is deterministic,
-so both come from a bounded per-process memo (:mod:`repro.dnssec.keys`):
-rebuilding a same-seed world, or materialising a zone again, repeats no
-key derivation and no signature.
+A world is planned, then assembled.  :class:`WorldPlan` is the part
+that is a pure function of ``(cells, seed, adversarial)``: the operator
+address plan, the zone specs, and the root and registry zones with
+every operator and customer delegation in place, signed — built once
+per key and kept in a one-entry per-process memo
+(:func:`repro.ecosystem.world.world_plan`).  :class:`InfrastructureBuilder`
+assembles each world from it: network, servers, anycast pools, legacy
+quirks, and lazy zone providers, so a world costs what a scan touches —
+operator NS zones, RFC 9615 signaling zones and customer zones are only
+built and signed when a query first reaches their apex.  Each world
+serves :meth:`~repro.dns.zone.Zone.copy` copies of the planned
+registries (provisioning re-signs them live); the copies share the
+plan's RRsets, which no zone edit changes in place.  Every key is
+derived from a seed and every signature is deterministic, so both come
+from a bounded per-process memo (:mod:`repro.dnssec.keys`): materialising
+a zone again repeats no key derivation and no signature.
 """
 
 from __future__ import annotations
@@ -444,45 +448,31 @@ def materialize_operator_zone(
 
 
 @dataclass
-class OperatorRuntime:
-    """A built operator: its servers and bookkeeping."""
+class WorldPlan:
+    """The seed-pure half of a world: a function of ``(cells, seed,
+    adversarial)`` alone, built once per key and shared by every world
+    built from it (:func:`repro.ecosystem.world.world_plan`).
 
-    profile: OperatorProfile
-    servers: Dict[Optional[str], AuthoritativeServer] = field(default_factory=dict)
-    host_ips: Dict[str, List[str]] = field(default_factory=dict)
-    # NS zones materialised so far (apex → signed zone); empty until a
-    # query reaches one of ``profile.ns_zones``.
-    zones: Dict[Name, Zone] = field(default_factory=dict)
+    It holds the operator address plan, the zone specs with their host
+    and signal indexes, and the **signed** root and registry zones with
+    every operator and customer delegation in place.  A world never
+    edits it: :class:`InfrastructureBuilder` hands each world
+    :meth:`~repro.dns.zone.Zone.copy` copies of the zones and its own
+    copies of the indexes the monitoring plane mutates.
+    """
 
-    def server_for(self, host: str) -> AuthoritativeServer:
-        if self.profile.anycast:
-            return self.servers[None]
-        return self.servers[host]
-
-    def all_servers(self) -> List[AuthoritativeServer]:
-        return list(dict.fromkeys(self.servers.values()))
-
-
-class InfrastructureBuilder:
-    """Builds servers, registries, and operator fleets for a world."""
-
-    def __init__(self, network: SimulatedNetwork, profiles: Dict[str, OperatorProfile]):
-        self.network = network
-        self.profiles = profiles
-        self.ips = _IpAllocator()
-        self.registry_zones: Dict[str, Zone] = {}
-        self.root_zone = Zone(".")
-        self.root_server = AuthoritativeServer("root")
-        self.registry_server = AuthoritativeServer("registries")
-        self.operators: Dict[str, OperatorRuntime] = {}
-        self.host_owner: Dict[str, str] = {}
-        # Retained mutation handles: the provider closures installed by
-        # install_customer_provider / install_signal_providers capture
-        # these dicts *by reference*, so the monitoring plane can evolve
-        # a built world in place (before any query is served — caches
-        # are still cold) by mutating them.
-        self.customer_spec_maps: Dict[str, Dict[Name, ZoneSpec]] = {}
-        self.signal_index: Dict[str, List[ZoneSpec]] = {}
+    profiles: Dict[str, OperatorProfile]
+    host_owner: Dict[str, str] = field(default_factory=dict)
+    # operator → host → addresses, allocated in profile order.
+    host_ips: Dict[str, Dict[str, List[str]]] = field(default_factory=dict)
+    registry_zones: Dict[str, Zone] = field(default_factory=dict)
+    root_zone: Zone = field(default_factory=lambda: Zone("."))
+    specs: Dict[str, ZoneSpec] = field(default_factory=dict)
+    specs_by_host: Dict[str, Dict[Name, ZoneSpec]] = field(default_factory=dict)
+    signal_index: Dict[str, List[ZoneSpec]] = field(default_factory=dict)
+    transient_names: Dict[str, List[Name]] = field(default_factory=dict)
+    cut_names: Dict[str, List[Name]] = field(default_factory=dict)
+    spoof_names: Dict[str, List[Name]] = field(default_factory=dict)
 
     # -- registries ----------------------------------------------------------
 
@@ -524,39 +514,132 @@ class InfrastructureBuilder:
                 _ZONE_TTL,
                 ds_from_dnskey(Name.from_text(name), registry_key(name).dnskey()),
             )
-        self.network.register(ROOT_IP, self.root_server)
-        for ip in REGISTRY_IPS:
-            self.network.register(ip, self.registry_server)
 
-    def registry_for(self, suffix: str) -> Zone:
-        return self.registry_zones[suffix]
-
-    def finalize_registries(self) -> None:
-        """Sign the registry zones and attach them to their servers
-        (done last, after all delegations are in)."""
+    def sign_registries(self) -> None:
+        """Sign the registry and root zones (done last, after all
+        delegations are in)."""
         for name, zone in self.registry_zones.items():
             sign_zone(zone, [registry_key(name)], with_nsec=len(zone) < TLD_NSEC_LIMIT)
-            self.registry_server.add_zone(zone)
         sign_zone(self.root_zone, [registry_key("root")], with_nsec=True)
+
+    # -- operators ----------------------------------------------------------------
+
+    def plan_operators(self) -> None:
+        """Allocate every operator host's addresses, in profile order,
+        and delegate the operators' NS zones (with glue)."""
+        ips = _IpAllocator()
+        for name, profile in self.profiles.items():
+            host_ips = self.host_ips[name] = {}
+            for host in profile.hosts:
+                self.host_owner[host] = name
+                host_ips[host] = [ips.v4() for _ in range(profile.v4_per_host)]
+                host_ips[host] += [ips.v6() for _ in range(profile.v6_per_host)]
+            for zone_name in profile.ns_zones:
+                self._delegate_operator_zone(zone_name, profile, host_ips)
+
+    def _delegate_operator_zone(
+        self, zone_name: str, profile: OperatorProfile, host_ips: Dict[str, List[str]]
+    ) -> None:
+        key = operator_zone_key(zone_name)
+        _, suffix = psl.registrable_part(Name.from_text(zone_name))
+        registry = self.registry_zones[suffix]
+        origin = Name.from_text(zone_name)
+        for ns_host in profile.hosts[:2]:
+            registry.add(zone_name, _ZONE_TTL, NS(ns_host))
+        registry.add(zone_name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
+        # Glue for in-bailiwick hosts.
+        for host in profile.hosts:
+            if not Name.from_text(host).is_subdomain_of(origin):
+                continue
+            for ip in host_ips[host]:
+                rdata = AAAA(ip) if ":" in ip else A(ip)
+                registry.add(host, _ZONE_TTL, rdata)
+
+    # -- customer zones --------------------------------------------------------------
+
+    def delegate_customer(self, spec: ZoneSpec) -> None:
+        registry = self.registry_zones[spec.suffix]
+        origin = Name.from_text(spec.name)
+        for ns_host in spec.ns_hosts:
+            registry.add(spec.name, _ZONE_TTL, NS(ns_host))
+        if spec.wants_parent_ds:
+            if spec.rollover_phase:
+                for key in transition_keys(spec)[2]:
+                    registry.add(spec.name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
+                return
+            key = (
+                ghost_keys(spec)
+                if spec.status == StatusScenario.INVALID_ERRANT_DS
+                else zone_keys(spec)
+            )
+            registry.add(spec.name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
+
+
+@dataclass
+class OperatorRuntime:
+    """A built operator: its servers and bookkeeping."""
+
+    profile: OperatorProfile
+    servers: Dict[Optional[str], AuthoritativeServer] = field(default_factory=dict)
+    host_ips: Dict[str, List[str]] = field(default_factory=dict)
+    # NS zones materialised so far (apex → signed zone); empty until a
+    # query reaches one of ``profile.ns_zones``.
+    zones: Dict[Name, Zone] = field(default_factory=dict)
+
+    def server_for(self, host: str) -> AuthoritativeServer:
+        if self.profile.anycast:
+            return self.servers[None]
+        return self.servers[host]
+
+    def all_servers(self) -> List[AuthoritativeServer]:
+        return list(dict.fromkeys(self.servers.values()))
+
+
+class InfrastructureBuilder:
+    """Assembles one world from a :class:`WorldPlan`: the network, the
+    servers, their behaviours, zone providers and quirks.
+
+    The registry and root zones it serves are copies of the plan's, so
+    provisioning and replay edit this world's registries only.
+    """
+
+    def __init__(self, network: SimulatedNetwork, plan: WorldPlan):
+        self.network = network
+        self.plan = plan
+        self.profiles = plan.profiles
+        self.host_owner = plan.host_owner
+        self.registry_zones = {name: zone.copy() for name, zone in plan.registry_zones.items()}
+        self.root_zone = plan.root_zone.copy()
+        self.root_server = AuthoritativeServer("root")
+        self.registry_server = AuthoritativeServer("registries")
+        for zone in self.registry_zones.values():
+            self.registry_server.add_zone(zone)
         self.root_server.add_zone(self.root_zone)
+        network.register(ROOT_IP, self.root_server)
+        for ip in REGISTRY_IPS:
+            network.register(ip, self.registry_server)
+        self.operators: Dict[str, OperatorRuntime] = {}
+        # Retained mutation handles: the provider closures installed by
+        # install_customer_provider / install_signal_providers capture
+        # these dicts *by reference*, so the monitoring plane can evolve
+        # a built world in place (before any query is served — caches
+        # are still cold) by mutating them.
+        self.customer_spec_maps: Dict[str, Dict[Name, ZoneSpec]] = {}
+        self.signal_index: Dict[str, List[ZoneSpec]] = {}
 
     # -- operators ----------------------------------------------------------------
 
     def build_operator(self, name: str, dark: bool = False) -> OperatorRuntime:
         profile = self.profiles[name]
-        runtime = OperatorRuntime(profile=profile)
+        runtime = OperatorRuntime(profile=profile, host_ips=self.plan.host_ips[name])
         self.operators[name] = runtime
         if profile.anycast:
             runtime.servers[None] = AuthoritativeServer(f"{name}-anycast")
         for host in profile.hosts:
-            self.host_owner[host] = name
             if not profile.anycast:
                 runtime.servers[host] = AuthoritativeServer(f"{name}:{host}")
             server = runtime.server_for(host)
-            ips = [self.ips.v4() for _ in range(profile.v4_per_host)]
-            ips += [self.ips.v6() for _ in range(profile.v6_per_host)]
-            runtime.host_ips[host] = ips
-            for ip in ips:
+            for ip in runtime.host_ips[host]:
                 if dark:
                     self.network.register_dark(ip)
                 else:
@@ -568,19 +651,16 @@ class InfrastructureBuilder:
         return runtime
 
     def _install_operator_zones(self, runtime: OperatorRuntime) -> None:
-        """Delegate the operator's NS zones now; serve them on demand.
+        """Serve the operator's NS zones on demand.
 
-        Registry NS/DS/glue must land before the registries are signed,
-        so delegation is eager.  The zone bodies are a pure function of
-        the profile and the addresses allocated above, so they are built
-        and signed by a provider the first time a query reaches their
-        apex — one memo per operator, shared by all its servers.
+        The plan delegated them (registry NS/DS/glue must land before
+        the registries are signed).  The zone bodies are a pure function
+        of the profile and the planned addresses, so they are built and
+        signed by a provider the first time a query reaches their apex —
+        one memo per operator, shared by all its servers.
         """
         profile = runtime.profile
-        names: Dict[Name, str] = {}
-        for zone_name in profile.ns_zones:
-            names[Name.from_text(zone_name)] = zone_name
-            self._delegate_operator_zone(zone_name, runtime)
+        names = {Name.from_text(zone_name): zone_name for zone_name in profile.ns_zones}
         # The closure holds the two dicts, not the runtime: the servers
         # that keep it are the runtime's own, and a cycle through them
         # would leave a dropped world to the cycle collector.
@@ -596,41 +676,7 @@ class InfrastructureBuilder:
         for server in runtime.all_servers():
             server.add_zone_provider(names, provider)
 
-    def _delegate_operator_zone(self, zone_name: str, runtime: OperatorRuntime) -> None:
-        profile = runtime.profile
-        key = operator_zone_key(zone_name)
-        _, suffix = psl.registrable_part(Name.from_text(zone_name))
-        registry = self.registry_for(suffix)
-        origin = Name.from_text(zone_name)
-        for ns_host in profile.hosts[:2]:
-            registry.add(zone_name, _ZONE_TTL, NS(ns_host))
-        registry.add(zone_name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
-        # Glue for in-bailiwick hosts.
-        for host in profile.hosts:
-            if not Name.from_text(host).is_subdomain_of(origin):
-                continue
-            for ip in runtime.host_ips[host]:
-                rdata = AAAA(ip) if ":" in ip else A(ip)
-                registry.add(host, _ZONE_TTL, rdata)
-
-    # -- customer zones --------------------------------------------------------------
-
-    def delegate_customer(self, spec: ZoneSpec) -> None:
-        registry = self.registry_for(spec.suffix)
-        origin = Name.from_text(spec.name)
-        for ns_host in spec.ns_hosts:
-            registry.add(spec.name, _ZONE_TTL, NS(ns_host))
-        if spec.wants_parent_ds:
-            if spec.rollover_phase:
-                for key in transition_keys(spec)[2]:
-                    registry.add(spec.name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
-                return
-            key = (
-                ghost_keys(spec)
-                if spec.status == StatusScenario.INVALID_ERRANT_DS
-                else zone_keys(spec)
-            )
-            registry.add(spec.name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
+    # -- providers and quirks ----------------------------------------------------
 
     def install_customer_provider(
         self, specs_by_host: Dict[str, Dict[Name, ZoneSpec]]

@@ -1,4 +1,18 @@
-"""World assembly and the ``build_world`` entry point."""
+"""World assembly and the ``build_world`` entry point.
+
+A world is built in two halves.  The *plan*
+(:class:`~repro.ecosystem.generator.WorldPlan`) is the seed-pure half —
+zone specs, the operator address plan, and the signed root and
+registry zones with every delegation in place — a function of ``(cells,
+seed, adversarial)`` alone, so :func:`world_plan` keeps the last one in
+a one-entry per-process memo.  The *assembly* runs on every build:
+network, servers, behaviours, providers and quirks, with
+:meth:`~repro.dns.zone.Zone.copy` copies of the planned zones
+(copy-on-write, so a world's provisioning edits never reach the plan
+or another world) and its own copies of the indexes the monitoring
+plane mutates.  There is one code path: a cold build plans, then
+assembles; a warm one only assembles.
+"""
 
 from __future__ import annotations
 
@@ -12,7 +26,7 @@ from repro.dns.name import Name
 from repro.ecosystem import psl
 from repro.ecosystem.allocator import scale_cells
 from repro.ecosystem import generator as generator_module
-from repro.ecosystem.generator import InfrastructureBuilder
+from repro.ecosystem.generator import InfrastructureBuilder, WorldPlan
 from repro.ecosystem.paper_targets import PaperTargets, build_cells
 from repro.ecosystem.profiles import anycast_suffixes, build_operator_db, build_profiles
 from repro.ecosystem.spec import Cell, CdsScenario, SignalScenario, StatusScenario, ZoneSpec
@@ -46,7 +60,8 @@ class World:
     anycast_ns_suffixes: List[Name]
     targets: PaperTargets
     profiles: Dict[str, object] = field(default_factory=dict)
-    # suffix → registry Zone (live objects: provisioning installs DS here).
+    # suffix → registry Zone: this world's copies of the plan's, edited
+    # live (provisioning installs DS here).
     registry_zones: Dict[str, object] = field(default_factory=dict)
     # The InfrastructureBuilder that assembled this world.  Its retained
     # spec-map / signal-index handles are captured by reference inside
@@ -188,53 +203,33 @@ def expected_classification(
     return status, eligibility, outcome
 
 
-def build_world(
-    scale: float = 1 / 10_000,
-    seed: int = 1,
-    cells_override: Optional[List[Cell]] = None,
-    scenarios: Optional[ScenarioSpec] = None,
-) -> World:
-    """Build a complete synthetic DNS ecosystem at *scale*.
+#: The one-entry plan memo: ``(cells, seed, adversarial)`` → plan.
+_PLAN: Dict[Tuple[Tuple[Cell, ...], int, bool], WorldPlan] = {}
 
-    ``scale=1/10_000`` yields 28 760 customer zones — enough to
-    reproduce every percentage in the paper to quota-rounding accuracy
-    while remaining scannable in well under a minute of CPU.
-    *cells_override* substitutes a different paper-scale population
-    (used by the longitudinal snapshots in
-    :mod:`repro.ecosystem.evolution`).  *scenarios* appends the
-    key-transition and adversarial cells of :mod:`repro.scenarios`
-    after the scaled paper population, leaving the honest zones' labels
-    and host assignments untouched.
+
+def world_plan(cells: List[Cell], seed: int, adversarial: bool) -> WorldPlan:
+    """The plan of a world of *cells* at *seed*, built on a miss.
+
+    The memo holds one key: it is cleared before a miss is planned, so
+    a process never holds the plans of two seeds.  A monitor rebuilds
+    the same-seed world twice a week (the delta epoch, then the agent
+    pass); each rebuild copies the planned registries instead of
+    delegating and signing them again.
     """
-    cells = scale_cells(cells_override if cells_override is not None else build_cells(), scale)
-    cells = cells + [
-        Cell(
-            operator="DarkHost",
-            status=StatusScenario.UNRESOLVED,
-            cds=CdsScenario.NONE,
-            signal=SignalScenario.NONE,
-            count=max(2, round(UNRESOLVED_PAPER_COUNT * scale)),
-        )
-    ]
-    if scenarios is not None and scenarios.enabled:
-        cells = cells + scenario_cells(scenarios)
+    key = (tuple(cells), seed, adversarial)
+    plan = _PLAN.get(key)
+    if plan is None:
+        _PLAN.clear()
+        plan = _PLAN[key] = _plan_world(cells, seed, adversarial)
+    return plan
 
-    profiles = build_profiles(adversarial=scenarios is not None and scenarios.enabled)
-    network = SimulatedNetwork()
-    builder = InfrastructureBuilder(network, profiles)
-    builder.build_registries()
-    for name, profile in profiles.items():
-        builder.build_operator(name, dark=(name == "DarkHost"))
 
-    # ---- expand cells into zone specs ------------------------------------
-    specs: Dict[str, ZoneSpec] = {}
-    specs_by_host: Dict[str, Dict[Name, ZoneSpec]] = {}
-    signal_index: Dict[str, List[ZoneSpec]] = {}
-    transient_names: Dict[str, List[Name]] = {}
-    cut_names: Dict[str, List[Name]] = {}
-    spoof_names: Dict[str, List[Name]] = {}
+def _plan_world(cells: List[Cell], seed: int, adversarial: bool) -> WorldPlan:
+    plan = WorldPlan(profiles=build_profiles(adversarial=adversarial))
+    plan.build_registries()
+    plan.plan_operators()
+    profiles = plan.profiles
     index = seed * 1_000_003  # offsets suffix/host assignment per seed
-
     for cell in cells:
         primary = profiles[cell.operator]
         secondary = profiles.get(cell.secondary_operator) if cell.secondary_operator else None
@@ -267,47 +262,95 @@ def build_world(
                 rollover_kind=cell.rollover_kind,
                 rollover_phase=PHASE_FOR_KIND.get(cell.rollover_kind, ""),
             )
-            specs[name] = spec
-            builder.delegate_customer(spec)
+            plan.specs[name] = spec
+            plan.delegate_customer(spec)
             apex = Name.from_text(name)
             for host in dict.fromkeys(hosts):
-                specs_by_host.setdefault(host, {})[apex] = spec
+                plan.specs_by_host.setdefault(host, {})[apex] = spec
             if spec.signal != SignalScenario.NONE and primary.publishes_signal:
                 publish_hosts = list(dict.fromkeys(hosts))
                 if spec.signal == SignalScenario.NS_COVERAGE and len(publish_hosts) > 1:
                     publish_hosts = publish_hosts[:1]
                 for host in publish_hosts:
-                    if builder.host_owner.get(host) != cell.operator:
+                    if plan.host_owner.get(host) != cell.operator:
                         continue  # the other operator does not publish
-                    signal_index.setdefault(host, []).append(spec)
+                    plan.signal_index.setdefault(host, []).append(spec)
                     boot = Name.from_text(f"_dsboot.{name}._signal.{host}")
                     if spec.signal == SignalScenario.SIG_TRANSIENT:
-                        transient_names.setdefault(cell.operator, []).append(boot)
+                        plan.transient_names.setdefault(cell.operator, []).append(boot)
                     if spec.signal == SignalScenario.ZONE_CUT:
-                        cut_names.setdefault(cell.operator, []).append(boot.parent())
+                        plan.cut_names.setdefault(cell.operator, []).append(boot.parent())
                     if spec.signal == SignalScenario.SPOOFED:
-                        spoof_names.setdefault(cell.operator, []).append(boot)
+                        plan.spoof_names.setdefault(cell.operator, []).append(boot)
+    plan.sign_registries()
+    return plan
 
-    builder.finalize_registries()
-    builder.install_customer_provider(specs_by_host)
-    builder.install_signal_providers(signal_index)
-    builder.install_quirks(transient_names, cut_names, spoof_names)
+
+def build_world(
+    scale: float = 1 / 10_000,
+    seed: int = 1,
+    cells_override: Optional[List[Cell]] = None,
+    scenarios: Optional[ScenarioSpec] = None,
+) -> World:
+    """Build a complete synthetic DNS ecosystem at *scale*.
+
+    ``scale=1/10_000`` yields 28 760 customer zones — enough to
+    reproduce every percentage in the paper to quota-rounding accuracy
+    while remaining scannable in well under a minute of CPU.
+    *cells_override* substitutes a different paper-scale population
+    (used by the longitudinal snapshots in
+    :mod:`repro.ecosystem.evolution`).  *scenarios* appends the
+    key-transition and adversarial cells of :mod:`repro.scenarios`
+    after the scaled paper population, leaving the honest zones' labels
+    and host assignments untouched.
+
+    The seed-pure part comes from :func:`world_plan`; what is built here
+    is this world's own: the network, servers, behaviours, providers
+    and quirks, and copies of the signed registries and of every index
+    the monitoring plane edits.
+    """
+    cells = scale_cells(cells_override if cells_override is not None else build_cells(), scale)
+    cells = cells + [
+        Cell(
+            operator="DarkHost",
+            status=StatusScenario.UNRESOLVED,
+            cds=CdsScenario.NONE,
+            signal=SignalScenario.NONE,
+            count=max(2, round(UNRESOLVED_PAPER_COUNT * scale)),
+        )
+    ]
+    adversarial = scenarios is not None and scenarios.enabled
+    if adversarial:
+        cells = cells + scenario_cells(scenarios)
+
+    plan = world_plan(cells, seed, adversarial)
+    profiles = plan.profiles
+    network = SimulatedNetwork()
+    builder = InfrastructureBuilder(network, plan)
+    for name in profiles:
+        builder.build_operator(name, dark=(name == "DarkHost"))
+    builder.install_customer_provider(
+        {host: dict(spec_map) for host, spec_map in plan.specs_by_host.items()}
+    )
+    builder.install_signal_providers(
+        {host: list(entries) for host, entries in plan.signal_index.items()}
+    )
+    builder.install_quirks(plan.transient_names, plan.cut_names, plan.spoof_names)
 
     scan_list = sorted(
-        (Name.from_text(name) for name in specs), key=lambda n: n.canonical_key()
+        (Name.from_text(name) for name in plan.specs), key=lambda n: n.canonical_key()
     )
-    targets = PaperTargets(scale=scale, cells=list(cells))
     return World(
         scale=scale,
         seed=seed,
         network=network,
         root_ips=[generator_module.ROOT_IP],
-        specs=specs,
+        specs=dict(plan.specs),
         scan_list=scan_list,
         operator_db=build_operator_db(profiles=profiles),
         anycast_ns_suffixes=[Name.from_text(s) for s in anycast_suffixes(profiles)],
-        targets=targets,
-        profiles=profiles,
+        targets=PaperTargets(scale=scale, cells=list(cells)),
+        profiles=dict(profiles),
         registry_zones=builder.registry_zones,
         builder=builder,
     )

@@ -8,12 +8,14 @@ transient-SERVFAIL quirks answer bogus a fixed number of times), so
 every campaign must scan a *fresh* replica, exactly like the
 from-scratch full scan it is compared against.
 
-What keeps that affordable is that a build pays only for what is eager:
-IPs, delegations and the signed registries (which provisioning and
-replay mutate live, so they cannot be deferred).  Keys and signatures
-are pure functions of the seed and come from a bounded per-process memo
-(:mod:`repro.dnssec.keys`), so a same-seed rebuild pays for its zones,
-NSEC chains and servers, not for crypto.  Operator, signal and customer
+What keeps that affordable is that a rebuild pays for no seed-pure
+work.  IPs, specs, delegations and the signed registries come from the
+process's one-entry plan (:func:`repro.ecosystem.world.world_plan`):
+each rebuilt world gets copies of the planned registries, which
+provisioning and replay then edit live, so a same-seed rebuild
+delegates and signs nothing and pays for its servers and providers.
+Keys and signatures come from a bounded per-process memo
+(:mod:`repro.dnssec.keys`) as well.  Operator, signal and customer
 zones are providers that sign on first query, so a delta epoch that
 re-scans 5 % of the zones materialises about that share of the
 world.  And a build happens once per step: a delta epoch, a resume and

@@ -8,7 +8,8 @@ need to be scanned to this depth") into an executable experiment.
 
 :func:`provision_zone` is the only install → re-scan → keep-or-roll-back
 step (the parental agent calls it too) and :func:`_replace_ds` the only
-code that edits a registry's DS RRset and its signature.
+code that edits a registry's DS RRset, its signature and the NSEC that
+proves it.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.bootstrap import BootstrapAssessment, assess_zone
 from repro.core.status import DnssecStatus, classify_status
 from repro.dns.name import Name
-from repro.dns.rdata import CDS, DS
+from repro.dns.rdata import CDS, DS, NSEC
 from repro.dns.rrset import RRset
 from repro.dns.types import RRType
 from repro.dns.zone import Zone
 from repro.dnssec.ds import cds_to_ds
+from repro.dnssec.nsec import nsec_types
 from repro.dnssec.signer import sign_rrset
 from repro.ecosystem import psl
 from repro.ecosystem.generator import registry_key
@@ -62,24 +64,42 @@ class BootstrapRun:
 
 
 def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
-    """Replace the DS RRset and its covering RRSIG at *zone_name*'s
-    delegation (no rdatas: remove both), keeping the owner's other
-    signatures, and drop the now-stale cached response wires."""
+    """Replace the DS RRset at *zone_name*'s delegation (no rdatas:
+    remove it), rebuild the owner's NSEC type bitmap, re-sign both while
+    keeping the owner's other signatures, and drop the now-stale cached
+    response wires.
+
+    Each RRset is replaced, never edited (a world's registries share
+    theirs with the plan they were copied from), and re-added in the
+    order a fresh build gives the node — DS, then NSEC, then RRSIG, the
+    signatures in that type order — so an install undone by a removal
+    leaves the registry byte for byte as it was.
+    """
     owner = Name.from_text(zone_name)
     _, suffix = psl.registrable_part(owner)
     registry: Zone = world.registry_zones[suffix]
     registry.remove_rrset(owner, RRType.DS)
-    sig_rrset = registry.get_rrset(owner, RRType.RRSIG)
-    ttl, sigs = 3600, []
-    if sig_rrset is not None:
-        ttl = sig_rrset.ttl
-        sigs = [sig for sig in sig_rrset.rdatas if int(sig.type_covered) != int(RRType.DS)]
-        registry.remove_rrset(owner, RRType.RRSIG)
     if ds_rdatas:
-        ds_rrset = RRset(owner, RRType.DS, 3600, ds_rdatas)
-        registry.add_rrset(ds_rrset)
-        sigs.append(sign_rrset(ds_rrset, registry_key(suffix), registry.origin))
+        registry.add_rrset(RRset(owner, RRType.DS, 3600, ds_rdatas))
+    nsec = registry.get_rrset(owner, RRType.NSEC)
+    if nsec is not None:
+        # RFC 4035 §5.4: the NSEC at an insecure delegation must deny DS.
+        registry.remove_rrset(owner, RRType.NSEC)
+        next_name = nsec.rdatas[0].next_name
+        registry.add_rrset(
+            RRset(owner, RRType.NSEC, nsec.ttl, [NSEC(next_name, nsec_types(registry, owner))])
+        )
+    old_sigs = registry.get_rrset(owner, RRType.RRSIG)
+    registry.remove_rrset(owner, RRType.RRSIG)
+    key = registry_key(suffix)
+    sigs = []
+    for rrset in registry.node_rrsets(owner):
+        if int(rrset.rrtype) in (int(RRType.DS), int(RRType.NSEC)):
+            sigs.append(sign_rrset(rrset, key, registry.origin))
+        elif old_sigs is not None:
+            sigs += [sig for sig in old_sigs if int(sig.type_covered) == int(rrset.rrtype)]
     if sigs:
+        ttl = old_sigs.ttl if old_sigs is not None else 3600
         registry.add_rrset(RRset(owner, RRType.RRSIG, ttl, sigs))
     world.network.invalidate_response_cache()
 

@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from repro.agent import Agent
+import repro.ecosystem.world as world_module
 from repro.campaign import CampaignConfig, run_campaign
 from repro.ecosystem.mutate import bootstrap_zone
 from repro.monitor import (
@@ -58,7 +59,10 @@ def merged_artifacts(monitor: Monitor, epoch=None) -> dict:
 
 
 def full_scan_artifacts(epoch: int, tmp_path) -> dict:
-    """Ground truth: scan the week-*epoch* world from scratch."""
+    """Ground truth: scan the week-*epoch* world from scratch — from a
+    cold plan too, so a plan that leaked an edit cannot corrupt both
+    sides of a differential alike."""
+    world_module._PLAN.clear()
     world, _ = world_at_epoch(SCALE, SEED, SPEC, epoch)
     campaign = run_campaign(
         CampaignConfig(

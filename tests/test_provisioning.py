@@ -6,9 +6,12 @@ import pytest
 from repro.core import AnalysisPipeline, DnssecStatus, assess_zone
 from repro.core.status import classify_status
 from repro.dns import RRset, RRType
+from repro.dns.message import make_query
 from repro.dns.name import Name
 from repro.dnssec import Algorithm, KeyPair
+from repro.dnssec.validator import validate_rrset
 from repro.ecosystem import build_world, psl
+from repro.ecosystem.generator import REGISTRY_IPS, registry_key
 from repro.ecosystem.spec import CdsScenario, SignalScenario, StatusScenario
 from repro.provisioning import (
     AcceptAfterDelayPolicy,
@@ -245,6 +248,70 @@ class TestEngine:
             cache.enabled = False
         assert registry.get_rrset(owner, RRType.DS) is None
         assert registry.get_rrset(owner, RRType.RRSIG) == sigs_before
+
+
+class TestDenialAfterDsEdit:
+    """RFC 4035 §5.4: the NSEC at a delegation proves which of NS and DS
+    the parent holds, so a DS edit rebuilds its bitmap and re-signs it."""
+
+    ZONE = "cloudflare-secure-ok-ok-1126004.org"
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        return build_world(scale=5e-7, seed=42001)
+
+    @staticmethod
+    def nsec_at(world, zone):
+        """The registry's NSEC at *zone* and its validity under the
+        registry key."""
+        owner = Name.from_text(zone)
+        suffix = psl.registrable_part(owner)[1]
+        registry = world.registry_zones[suffix]
+        nsec = registry.get_rrset(owner, RRType.NSEC)
+        sigs = registry.get_rrset(owner, RRType.RRSIG).rdatas
+        return nsec, validate_rrset(nsec, sigs, [registry_key(suffix).dnskey()]).ok
+
+    def test_a_removed_ds_is_denied_in_the_served_proof(self, world):
+        before, _ = self.nsec_at(world, self.ZONE)
+        assert RRType.DS in before.rdatas[0].types
+        cds_rrset = assess_zone(world.make_scanner().scan_zone(self.ZONE)).cds.cds_rrset
+        remove_ds(world, self.ZONE)
+        response = world.network.query(REGISTRY_IPS[0], make_query(self.ZONE, RRType.DS))
+        assert not response.answer
+        (served,) = [r for r in response.authority if int(r.rrtype) == int(RRType.NSEC)]
+        sigs = [
+            sig
+            for r in response.authority
+            if int(r.rrtype) == int(RRType.RRSIG) and r.name == served.name
+            for sig in r.rdatas
+        ]
+        assert RRType.DS not in served.rdatas[0].types
+        assert validate_rrset(served, sigs, [registry_key("org").dnskey()]).ok
+        # The bitmap keeps its length: no stored byte count moves.
+        assert len(served.rdatas[0].to_wire()) == len(before.rdatas[0].to_wire())
+        install_ds(world, self.ZONE, cds_rrset)
+        after, valid = self.nsec_at(world, self.ZONE)
+        assert RRType.DS in after.rdatas[0].types and valid
+        assert after.rdatas[0].to_wire() == before.rdatas[0].to_wire()
+
+    def test_an_install_on_an_island_is_asserted_in_the_bitmap(self, world):
+        spec = next(
+            spec
+            for spec in world.specs.values()
+            if spec.status == StatusScenario.ISLAND and spec.cds == CdsScenario.OK
+        )
+        owner = Name.from_text(spec.name)
+        registry = world.registry_zones[spec.suffix]
+        rows_before = [(r.rrtype, r.rdatas) for r in registry.node_rrsets(owner)]
+        nsec, _ = self.nsec_at(world, spec.name)
+        assert RRType.DS not in nsec.rdatas[0].types
+        cds_rrset = assess_zone(world.make_scanner().scan_zone(spec.name)).cds.cds_rrset
+        install_ds(world, spec.name, cds_rrset)
+        nsec, valid = self.nsec_at(world, spec.name)
+        assert RRType.DS in nsec.rdatas[0].types and valid
+        # The agent's rollback restores the node byte for byte.
+        remove_ds(world, spec.name)
+        assert [(r.rrtype, r.rdatas) for r in registry.node_rrsets(owner)] == rows_before
 
 
 class TestDeleteProcessing:

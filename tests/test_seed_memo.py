@@ -1,11 +1,14 @@
-"""Derive once, sign once.
+"""Derive once, sign once, plan once.
 
 Seeded keys and signatures are pure functions of their inputs, so
-:mod:`repro.dnssec.keys` memoises both per process: a rebuilt
-same-seed world derives no key and makes no signature.  These tests pin
-what that sharing may and may not change: the bytes of every world, the
-per-RRset signing calls, the bound, and fresh randomness for keys that
-have no seed.
+:mod:`repro.dnssec.keys` memoises both per process, and a world's
+signed registries are a pure function of its cells and seed, so
+:func:`repro.ecosystem.world.world_plan` keeps the last plan: a rebuilt
+same-seed world derives no key, makes no signature and delegates
+nothing.  These tests pin what that sharing may and may not change:
+the bytes of every world, the per-RRset signing calls, the bounds, the
+isolation of one world's registry edits from the next world, and fresh
+randomness for keys that have no seed.
 """
 
 import hashlib
@@ -15,9 +18,18 @@ import pytest
 import repro.dnssec.keys as keys_module
 import repro.dnssec.signer as signer_module
 import repro.ecosystem.generator as generator_module
+import repro.ecosystem.world as world_module
 from repro.campaign import CampaignConfig, run_campaign
+from repro.core.bootstrap import assess_zone
+from repro.dns.name import Name
+from repro.dns.rdata import NS
+from repro.dns.zone import Zone
 from repro.dnssec import Algorithm, KeyPair
+from repro.ecosystem.evolution import historical_cells
+from repro.ecosystem.mutate import _churn_candidates, _churn_ns, bootstrap_zone
+from repro.ecosystem.spec import CdsScenario, StatusScenario
 from repro.ecosystem.world import build_world
+from repro.provisioning.engine import install_ds, provision_zone, remove_ds
 from repro.scenarios.spec import ScenarioSpec
 
 SCALE = 5e-7
@@ -27,6 +39,7 @@ SEED = 42
 def clear_memos():
     keys_module._KEYS.clear()
     keys_module._SIGNATURES.clear()
+    world_module._PLAN.clear()
 
 
 @pytest.fixture
@@ -90,7 +103,7 @@ def test_sign_rrset_runs_once_per_rrset_signed(cleared, primitives, monkeypatch)
     assert len(cold) >= primitives["sign"] > 0
     calls.clear()
     build_world(scale=SCALE, seed=SEED)
-    assert calls == cold
+    assert calls == []  # a warm build copies the signed plan
 
 
 def test_memos_stay_within_their_bound(cleared, monkeypatch):
@@ -100,6 +113,83 @@ def test_memos_stay_within_their_bound(cleared, monkeypatch):
     assert signed_rrsets(build_world(scale=SCALE, seed=SEED)) == reference
     assert 0 < len(keys_module._KEYS) <= 8
     assert 0 < len(keys_module._SIGNATURES) <= 8
+
+
+def state(world):
+    """Everything a world edit can reach: the signed zones row for row,
+    the spec table, the hosts' provider maps and the signal index."""
+    builder = world.builder
+    return (
+        signed_rrsets(world),
+        dict(world.specs),
+        {host: dict(spec_map) for host, spec_map in builder.customer_spec_maps.items()},
+        {host: list(entries) for host, entries in builder.signal_index.items()},
+    )
+
+
+def edit_every_way(world):
+    """Edit *world*'s registries through every path that edits them."""
+    specs = list(world.specs.values())
+    islands = [s for s in specs if s.status == StatusScenario.ISLAND and s.cds == CdsScenario.OK]
+    secure = [s for s in specs if s.status == StatusScenario.SECURE and s.cds == CdsScenario.OK]
+    scanner = world.make_scanner()
+    # The agent's install → verify → rollback (the re-scan finds no chain).
+    before = scanner.scan_zone(islands[0].name)
+    assert provision_zone(world, lambda zone: before, assess_zone(before))[0] is not None
+    install_ds(world, islands[1].name, assess_zone(scanner.scan_zone(islands[1].name)).cds.cds_rrset)
+    bootstrap_zone(world, islands[2].name)
+    remove_ds(world, secure[0].name)
+    churned = next(s for s in secure[1:] if len(_churn_candidates(world, s)) > 1)
+    _churn_ns(world, churned)
+
+
+def test_a_world_edits_its_own_registries_only(cleared):
+    world_a = build_world(scale=SCALE, seed=SEED)
+    pristine = state(world_a)
+    edit_every_way(world_a)
+    edited = state(world_a)
+    assert all(edited[i] != pristine[i] for i in range(3))
+    world_b = build_world(scale=SCALE, seed=SEED)
+    assert world_b.builder.plan is world_a.builder.plan
+    clear_memos()
+    cold = build_world(scale=SCALE, seed=SEED)
+    assert state(world_b) == state(cold) == pristine
+
+
+def test_a_zone_copy_shares_no_edit():
+    origin = Name.from_text("example")
+    zone = Zone(origin)
+    zone.add("child.example", 3600, NS("a.ns.example"))
+    zone.add("child.example", 3600, NS("b.ns.example"))
+    rows = [(r.name, r.rrtype, r.rdatas) for r in zone.iter_rrsets()]
+    copy = zone.copy()
+    copy.add("child.example", 3600, NS("c.ns.example"))
+    copy.add("other.example", 3600, NS("a.ns.example"))
+    copy.remove_rrset(Name.from_text("child.example"), NS.rrtype)
+    assert [(r.name, r.rrtype, r.rdatas) for r in zone.iter_rrsets()] == rows
+    assert zone.has_name(Name.from_text("child.example"))
+    assert not zone.has_name(Name.from_text("other.example"))
+
+
+def test_the_plan_memo_holds_one_key(cleared):
+    """One plan per process, and never one shared across keys."""
+    base = build_world(scale=SCALE, seed=SEED).builder.plan
+    assert build_world(scale=SCALE, seed=SEED).builder.plan is base
+    variants = [
+        dict(scale=2 * SCALE, seed=SEED),
+        dict(scale=SCALE, seed=SEED + 1),
+        dict(scale=SCALE, seed=SEED, scenarios=ScenarioSpec.default()),
+        dict(scale=SCALE, seed=SEED, cells_override=historical_cells(2020)),
+    ]
+    plans = [base]
+    for variant in variants:
+        plan = build_world(**variant).builder.plan
+        assert len(world_module._PLAN) == 1
+        assert all(plan is not other for other in plans)
+        plans.append(plan)
+    again = build_world(scale=SCALE, seed=SEED).builder.plan
+    assert len(world_module._PLAN) == 1
+    assert all(again is not other for other in plans)
 
 
 def test_a_seeded_key_is_shared_per_algorithm_flags_and_seed(cleared):
