@@ -89,7 +89,6 @@ class Agent:
         from repro.monitor.timeline import world_at_epoch
 
         world, _ = world_at_epoch(config.scale, config.seed, spec, epoch)
-        world.network.enable_response_cache()
         hub.bind_clock(world.network.clock)
         scanner = world.make_scanner(telemetry=hub)
 

@@ -329,9 +329,6 @@ def prepare(config: CampaignConfig, world: Optional[World] = None, telemetry=NUL
     zones = world.scan_list if subset is None else subset
     if config.chaos is not None and config.chaos.enabled:
         world.network.install_chaos(config.chaos)
-    # Campaigns never mutate zones mid-run, so repeated identical queries
-    # can be served from cached response wires.
-    world.network.enable_response_cache()
     telemetry.bind_clock(world.network.clock)
     network = None
     if config.transport == "wire":

@@ -9,10 +9,12 @@ per key and kept in a one-entry per-process memo
 assembles each world from it: network, servers, anycast pools, legacy
 quirks, and lazy zone providers, so a world costs what a scan touches —
 operator NS zones, RFC 9615 signaling zones and customer zones are only
-built and signed when a query first reaches their apex.  Each world
-serves :meth:`~repro.dns.zone.Zone.copy` copies of the planned
-registries (provisioning re-signs them live); the copies share the
-plan's RRsets, which no zone edit changes in place.  Every key is
+built and signed when a query first reaches their apex, and the plan
+keeps them frozen (:meth:`WorldPlan.zone`) for every world of the seed.
+Each world serves :meth:`~repro.dns.zone.Zone.copy` copies of the
+planned registries (provisioning re-signs them live); the copies share
+the plan's RRsets, which no zone edit changes in place, and its answer
+memo until they are edited.  Every key is
 derived from a seed and every signature is deterministic, so both come
 from a bounded per-process memo (:mod:`repro.dnssec.keys`): materialising
 a zone again repeats no key derivation and no signature.
@@ -62,26 +64,9 @@ _ZONE_TTL = 3600
 TLD_NSEC_LIMIT = 20_000
 
 
-class _LruZoneCache:
-    """Bounded cache of materialised customer zones (per operator),
-    keyed by ``(apex, content variant)`` and holding the spec each zone
-    was built from next to it."""
-
-    def __init__(self, maxsize: int = 512):
-        self.maxsize = maxsize
-        self._data: "OrderedDict[Tuple[Name, int], Tuple[ZoneSpec, Zone]]" = OrderedDict()
-
-    def get(self, key: Tuple[Name, int]) -> Optional[Tuple[ZoneSpec, Zone]]:
-        entry = self._data.get(key)
-        if entry is not None:
-            self._data.move_to_end(key)
-        return entry
-
-    def put(self, key: Tuple[Name, int], entry: Tuple[ZoneSpec, Zone]) -> None:
-        self._data[key] = entry
-        self._data.move_to_end(key)
-        if len(self._data) > self.maxsize:
-            self._data.popitem(last=False)
+#: Materialised zones the plan keeps per operator (least recently used
+#: dropped first).
+ZONE_MEMO_MAX = 512
 
 
 class _IpAllocator:
@@ -473,6 +458,24 @@ class WorldPlan:
     transient_names: Dict[str, List[Name]] = field(default_factory=dict)
     cut_names: Dict[str, List[Name]] = field(default_factory=dict)
     spoof_names: Dict[str, List[Name]] = field(default_factory=dict)
+    # operator → its materialised zones, frozen, least recently used first.
+    zones: Dict[str, "OrderedDict[object, Zone]"] = field(default_factory=dict)
+
+    def zone(self, operator: str, key: object, build: Callable[[], Zone]) -> Zone:
+        """*operator*'s materialised zone under *key*, built and frozen on
+        a miss: customer zones are keyed ``(spec, content variant)``, NS
+        zones by their name and signal zones ``(host, entries)``.  Every
+        world of this plan, and every server in it, answers from the one
+        zone and its one answer memo."""
+        zones = self.zones.setdefault(operator, OrderedDict())
+        zone = zones.get(key)
+        if zone is None:
+            zone = zones[key] = build().freeze()
+            if len(zones) > ZONE_MEMO_MAX:
+                zones.popitem(last=False)
+        else:
+            zones.move_to_end(key)
+        return zone
 
     # -- registries ----------------------------------------------------------
 
@@ -517,10 +520,12 @@ class WorldPlan:
 
     def sign_registries(self) -> None:
         """Sign the registry and root zones (done last, after all
-        delegations are in)."""
+        delegations are in) and freeze them: worlds edit copies."""
         for name, zone in self.registry_zones.items():
             sign_zone(zone, [registry_key(name)], with_nsec=len(zone) < TLD_NSEC_LIMIT)
+            zone.freeze()
         sign_zone(self.root_zone, [registry_key("root")], with_nsec=True)
+        self.root_zone.freeze()
 
     # -- operators ----------------------------------------------------------------
 
@@ -622,8 +627,8 @@ class InfrastructureBuilder:
         # Retained mutation handles: the provider closures installed by
         # install_customer_provider / install_signal_providers capture
         # these dicts *by reference*, so the monitoring plane can evolve
-        # a built world in place (before any query is served — caches
-        # are still cold) by mutating them.
+        # a built world in place (before any query is served) by
+        # mutating them.
         self.customer_spec_maps: Dict[str, Dict[Name, ZoneSpec]] = {}
         self.signal_index: Dict[str, List[ZoneSpec]] = {}
 
@@ -655,22 +660,28 @@ class InfrastructureBuilder:
 
         The plan delegated them (registry NS/DS/glue must land before
         the registries are signed).  The zone bodies are a pure function
-        of the profile and the planned addresses, so they are built and
-        signed by a provider the first time a query reaches their apex —
-        one memo per operator, shared by all its servers.
+        of the profile and the planned addresses, so the plan builds and
+        signs each the first time a query reaches its apex, for every
+        world of the seed and all the operator's servers.
         """
         profile = runtime.profile
         names = {Name.from_text(zone_name): zone_name for zone_name in profile.ns_zones}
-        # The closure holds the two dicts, not the runtime: the servers
-        # that keep it are the runtime's own, and a cycle through them
-        # would leave a dropped world to the cycle collector.
+        # The closure holds the dict and the plan, not the runtime: the
+        # servers that keep it are the runtime's own, and a cycle through
+        # them would leave a dropped world to the cycle collector.
         zones = runtime.zones
         host_ips = runtime.host_ips
+        plan = self.plan
 
         def provider(apex: Name) -> Optional[Zone]:
             zone = zones.get(apex)
             if zone is None and apex in names:
-                zone = zones[apex] = materialize_operator_zone(names[apex], profile, host_ips)
+                zone_name = names[apex]
+                zone = zones[apex] = plan.zone(
+                    profile.name,
+                    zone_name,
+                    lambda: materialize_operator_zone(zone_name, profile, host_ips),
+                )
             return zone
 
         for server in runtime.all_servers():
@@ -683,43 +694,38 @@ class InfrastructureBuilder:
     ) -> None:
         """Attach a lazy provider for customer zones to every host server.
 
-        An operator's hosts share one cache: each ``(apex, content
-        variant)`` is materialised and signed once, however many of the
-        operator's servers are asked for it."""
+        Each ``(spec, content variant)`` is materialised and signed once
+        per plan, however many of the operator's servers and worlds are
+        asked for it; a mutation replaces the spec, so it is a new key."""
         self.customer_spec_maps = specs_by_host
-        caches: Dict[str, _LruZoneCache] = {}
         for host, spec_map in specs_by_host.items():
             owner = self.host_owner.get(host)
             if owner is None:
                 continue
-            runtime = self.operators[owner]
-            server = runtime.server_for(host)
-            cache = caches.setdefault(owner, _LruZoneCache())
-            provider = self._make_customer_provider(spec_map, host, cache)
+            server = self.operators[owner].server_for(host)
+            provider = self._make_customer_provider(self.plan, owner, spec_map, host)
             server.add_zone_provider(spec_map.keys(), provider)
 
     @staticmethod
     def _make_customer_provider(
-        spec_map: Dict[Name, ZoneSpec], host: str, cache: _LruZoneCache
+        plan: WorldPlan, owner: str, spec_map: Dict[Name, ZoneSpec], host: str
     ) -> Callable[[Name], Optional[Zone]]:
         def provider(apex: Name) -> Optional[Zone]:
             spec = spec_map.get(apex)
             if spec is None:
                 return None
-            key = (apex, _content_variant(spec, host))
-            entry = cache.get(key)
-            # Mutations replace specs (NS churn, serial bumps): a zone
-            # built from any other spec than the map's is stale.
-            if entry is None or entry[0] is not spec:
-                entry = (spec, materialize_customer_zone(spec, host))
-                cache.put(key, entry)
-            return entry[1]
+            return plan.zone(
+                owner,
+                (spec, _content_variant(spec, host)),
+                lambda: materialize_customer_zone(spec, host),
+            )
 
         return provider
 
     def install_signal_providers(self, signal_index: Dict[str, List[ZoneSpec]]) -> None:
         """Attach signaling-zone providers to every AB operator server."""
         self.signal_index = signal_index
+        plan = self.plan
         for name, runtime in self.operators.items():
             profile = runtime.profile
             if not profile.publishes_signal:
@@ -737,9 +743,12 @@ class InfrastructureBuilder:
                     host = apex.parent().to_text().rstrip(".")
                     if apex.labels[0] != b"_signal" or host not in _profile.hosts:
                         return None
-                    entries = signal_index.get(host, [])
-                    zone = materialize_signal_zone(host, _profile, entries)
-                    _cache[apex] = zone
+                    entries = tuple(signal_index.get(host, ()))
+                    zone = _cache[apex] = plan.zone(
+                        _profile.name,
+                        (host, entries),
+                        lambda: materialize_signal_zone(host, _profile, list(entries)),
+                    )
                 return zone
 
             for server in runtime.all_servers():

@@ -11,10 +11,11 @@ The trick that keeps this cheap: zones are materialised lazily, and the
 provider closures capture the builder's spec maps and signal index *by
 reference* (see :class:`~repro.ecosystem.generator.InfrastructureBuilder`).
 Events are always applied to a freshly rebuilt world **before** any
-query is served, so every materialisation cache is still cold and no
-invalidation machinery is needed — mutating the spec maps, the live
-registry zones (via :mod:`repro.provisioning`), and the signal index is
-the whole job.
+query is served, and no invalidation machinery is needed: a replaced
+spec names another materialised zone, a registry edit drops that zone's
+answer memo by itself, and the world's signal zones are still
+unbuilt — mutating the spec maps, the live registry zones (via
+:mod:`repro.provisioning`), and the signal index is the whole job.
 
 Every applied event bumps the zone's SOA serial, which is what the
 delta campaigns' change feed (zone-serial / CSYNC-style) keys on.
@@ -325,7 +326,6 @@ def _churn_ns(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
     registry.remove_rrset(owner, RRType.NS)
     for host in new_hosts:
         registry.add(spec.name, _TTL, NS(host))
-    world.network.invalidate_response_cache()
     return new
 
 

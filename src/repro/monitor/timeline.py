@@ -16,9 +16,14 @@ provisioning and replay then edit live, so a same-seed rebuild
 delegates and signs nothing and pays for its servers and providers.
 Keys and signatures come from a bounded per-process memo
 (:mod:`repro.dnssec.keys`) as well.  Operator, signal and customer
-zones are providers that sign on first query, so a delta epoch that
-re-scans 5 % of the zones materialises about that share of the
-world.  And a build happens once per step: a delta epoch, a resume and
+zones are providers that sign on first query, and the zones they build
+are frozen and kept in the plan, so a same-seed rebuild materialises
+only what a replayed event changed.  Answers live on the zone that
+answers them (:attr:`repro.dns.zone.Zone.answers`), so a rebuilt
+world's servers serve unchanged zones from the answers an earlier world
+built; what is fresh per world is its servers and their behaviours,
+which keeps the consumable quirks above honest.  And a build happens
+once per step: a delta epoch, a resume and
 an agent pass each replay exactly one world — the epoch's event batch
 is returned by :func:`scan_world` from the same replay the campaign
 scans, never drawn from a second, throw-away world.

@@ -162,7 +162,7 @@ def _scan_sections(stats: CampaignStats, n) -> List[str]:
             f"  in flight:    {n('wire.in_flight_peak')} peak",
             f"  batches:      {n('wire.batches')} selector passes with sends "
             f"({per_batch} queries/pass, {n('wire.batch_peak')} peak)",
-            f"  resp. cache:  {n('wire.response_cache_hits')} hits",
+            f"  answer memo:  {n('wire.response_cache_hits')} hits",
             f"  errors:       {n('wire.socket_errors')} socket, "
             f"{n('wire.demux_misses')} demux misses, {n('wire.decode_errors')} decode, "
             f"{n('wire.wall_timeouts')} wall timeouts",

@@ -65,9 +65,9 @@ class BootstrapRun:
 
 def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
     """Replace the DS RRset at *zone_name*'s delegation (no rdatas:
-    remove it), rebuild the owner's NSEC type bitmap, re-sign both while
-    keeping the owner's other signatures, and drop the now-stale cached
-    response wires.
+    remove it), rebuild the owner's NSEC type bitmap, and re-sign both
+    while keeping the owner's other signatures.  The edits drop the
+    registry's answer memo (:attr:`~repro.dns.zone.Zone.answers`).
 
     Each RRset is replaced, never edited (a world's registries share
     theirs with the plan they were copied from), and re-added in the
@@ -101,7 +101,6 @@ def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
     if sigs:
         ttl = old_sigs.ttl if old_sigs is not None else 3600
         registry.add_rrset(RRset(owner, RRType.RRSIG, ttl, sigs))
-    world.network.invalidate_response_cache()
 
 
 def install_ds(world: World, zone_name: str, cds_rrset: RRset) -> List[DS]:

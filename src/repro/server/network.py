@@ -19,7 +19,7 @@ from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.dns.message import Message, Question, make_response
 from repro.dns.types import Rcode
-from repro.server.nameserver import AuthoritativeServer, ResponseCache
+from repro.server.nameserver import AuthoritativeServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosConfig, ChaosPlane
@@ -72,28 +72,17 @@ class SimulatedNetwork:
         self.per_ip_queries: Dict[str, int] = {}
         # The fault-injection plane (None = fault-free network).
         self.chaos: Optional["ChaosPlane"] = None
-        # Opt-in (see enable_response_cache); shared by every transport
-        # that serves this network's servers.
-        self.response_cache = ResponseCache()
         # Response bytes minus the message id → the decoded Message, so
         # a response that comes back again is not parsed again.
         self._decoded: Dict[bytes, Message] = {}
         self.decode_hits = 0
 
-    def enable_response_cache(self) -> None:
-        """Serve repeated identical queries from cached response wires
-        (campaigns never mutate zones mid-run).  Callers that mutate
-        zone content after enabling must call
-        :meth:`invalidate_response_cache`.
-        """
-        self.response_cache.enabled = True
-
-    def invalidate_response_cache(self) -> None:
-        self.response_cache.clear()
-
     @property
     def response_cache_hits(self) -> int:
-        return self.response_cache.hits
+        """Answers this network's servers served from a zone's memo, over
+        every transport that hosts them."""
+        servers = {id(server): server for server in self._servers.values()}
+        return sum(server.memo_hits for server in servers.values())
 
     # -- failure injection -------------------------------------------------
 
@@ -148,7 +137,7 @@ class SimulatedNetwork:
         """
         wire, server, response_wire = self.outbound(ip, query, timeout, tcp, wire, asker)
         if response_wire is None:
-            response_wire = server.answer_wire(wire, tcp, self.response_cache)
+            response_wire = server.answer_wire(wire, tcp)
             if response_wire is None:
                 raise self.timed_out(timeout, f"{ip} dropped the query")
         return self.inbound(response_wire)

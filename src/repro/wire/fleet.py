@@ -9,14 +9,12 @@ on the spot: starting a fleet is a plain loop).  Anycast is preserved by
 construction: the many simulated IPs that share one server object all
 map to the same socket pair, exactly as the provider's single real
 deployment would answer them.  Each endpoint runs the server's
-:meth:`~repro.server.nameserver.AuthoritativeServer.answer_wire` with
-the network's own response cache, so the fabric and the sockets answer
-from one step and one cache.
+:meth:`~repro.server.nameserver.AuthoritativeServer.answer_wire`, so the
+fabric and the sockets answer from one step and one memo per zone.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Dict, Optional, Tuple
 
 from repro.server.network import SimulatedNetwork
@@ -44,12 +42,9 @@ class WireFleet:
             server = self.network.server_at(ip)
             pair = by_server.get(id(server))
             if pair is None:
-                answer = functools.partial(
-                    server.answer_wire, cache=self.network.response_cache
-                )
                 pair = by_server[id(server)] = (
-                    self.engine.serve_udp(answer),
-                    self.engine.serve_tcp(answer),
+                    self.engine.serve_udp(server.answer_wire),
+                    self.engine.serve_tcp(server.answer_wire),
                 )
                 self.servers_hosted += 1
             self._endpoints[ip] = pair

@@ -245,7 +245,6 @@ def accepted_scan(agent_chain):
     ledger = read_ledger(ledger_path(monitor.root))
     action = next(a for a in ledger if a.action == SECURED)
     world, _ = world_at_epoch(SCALE, SEED, SPEC, action.epoch)
-    world.network.enable_response_cache()
     result = world.make_scanner().scan_zone(action.zone)
     assert decide(assess_zone(result)) == (True, CHAIN_AUTHENTICATED)
     return result
@@ -331,7 +330,6 @@ def candidate_results(agent_chain):
     monitor, _ = agent_chain
     epoch = monitor.completed_epochs()[-1]
     world, _ = world_at_epoch(SCALE, SEED, composed_spec(monitor), epoch)
-    world.network.enable_response_cache()
     scanner = world.make_scanner()
     zones = sorted(
         zone.rstrip(".")

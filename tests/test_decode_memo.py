@@ -116,7 +116,10 @@ class TestSharedMessagesStayAsDecoded:
 
     def test_every_answer_encodes_as_the_reference_encoder_did(self, recorded):
         campaign, built = recorded
-        assert len(built) > 4000
+        # A repeat is served from the zone's answer memo, not rebuilt:
+        # the corpus is every distinct response (3 704 at seed 3, the
+        # same set the servers built before the memo shared answers).
+        assert len({response.to_wire()[2:] for response in built}) > 3600
         for response in built:
             assert response.to_wire() == reference_wire(response)
         # Decoded responses hold memoised rdata: their wire form is the

@@ -74,6 +74,17 @@ class TestNsec3Proofs:
         result = verify_nxdomain_nsec3(Name.from_text("zulu.n3.test"), APEX, proof)
         assert result.proven, result.reason
 
+    @pytest.mark.parametrize("qname", ["x.alpha.n3.test", "q.r.alpha.n3.test"])
+    def test_nxdomain_below_an_existing_name_proves_its_closest_encloser(self, served, qname):
+        # RFC 5155 §7.2.1: the encloser is alpha, not the apex, and the
+        # covered name is the next-closer one, not the qname.
+        _, server, _ = served
+        response = server.handle_query(make_query(qname, RRType.A))
+        assert response.rcode == Rcode.NXDOMAIN
+        result = verify_nxdomain_nsec3(Name.from_text(qname), APEX, nsec3_sets(response))
+        assert result.proven, result.reason
+        assert "closest encloser alpha.n3.test." in result.reason
+
     def test_nodata_carries_verifiable_proof(self, served):
         _, server, _ = served
         response = server.handle_query(make_query("alpha.n3.test", RRType.TXT))

@@ -23,7 +23,6 @@ from repro.server.behaviors import (
     StripSignaturesBehavior,
     SyntheticCutBehavior,
 )
-from repro.server.nameserver import ResponseCache
 
 from tests.helpers import COM_IP, OP_IP_1, OP_IP_2, ROOT_IP
 
@@ -194,18 +193,17 @@ class TestBehaviors:
 
 class TestPureBehavioursAnswerFromTheCache:
     """A server whose behaviours are all pure functions of the query is
-    as cacheable as one with none (`ServerBehavior.cacheable`)."""
+    as memoisable as one with none (`ServerBehavior.memo_key`): its
+    answers live on the zone that answers."""
 
     make_server = TestBehaviors.make_server
 
-    def exchange(self, server, cache, name, rrtype, msg_id):
-        wire = server.answer_wire(make_query(name, rrtype, msg_id=msg_id).to_wire(), False, cache)
+    def exchange(self, server, name, rrtype, msg_id):
+        wire = server.answer_wire(make_query(name, rrtype, msg_id=msg_id).to_wire())
         return None if wire is None else Message.from_wire(wire)
 
-    def cache(self):
-        cache = ResponseCache()
-        cache.enabled = True
-        return cache
+    def memo(self, server):
+        return server.find_zone(Name.from_text("legacy.test")).answers
 
     def test_which_behaviours_declare_themselves_pure(self):
         name = [Name.from_text("www.legacy.test")]
@@ -213,44 +211,47 @@ class TestPureBehavioursAnswerFromTheCache:
             LegacyUnknownTypeBehavior(), AfternicParkingBehavior(), StripSignaturesBehavior(name),
             SyntheticCutBehavior(name), DropQueriesBehavior(),
         ]  # fmt: skip
-        assert all(behavior.cacheable for behavior in pure)
+        assert all(behavior.memo_key is not None for behavior in pure)
+        # Content keys, so equal behaviours on two servers share answers.
+        assert StripSignaturesBehavior(name).memo_key == StripSignaturesBehavior(name).memo_key
+        assert LegacyUnknownTypeBehavior().memo_key != LegacyUnknownTypeBehavior(Rcode.FORMERR).memo_key
         # These count down: the same query is answered differently later.
-        assert not ServerBehavior.cacheable
-        assert not TransientFailureBehavior(name).cacheable
-        assert not CorruptSignaturesBehavior(name).cacheable
+        assert ServerBehavior.memo_key is None
+        assert TransientFailureBehavior(name).memo_key is None
+        assert CorruptSignaturesBehavior(name).memo_key is None
 
     def test_a_pure_server_answers_the_repeat_from_the_cache(self):
-        server, cache = self.make_server(), self.cache()
+        server = self.make_server()
         server.add_behavior(LegacyUnknownTypeBehavior(Rcode.SERVFAIL))
         server.add_behavior(SyntheticCutBehavior([Name.from_text("www.legacy.test")]))
-        first = self.exchange(server, cache, "legacy.test", RRType.CDS, 1)
-        again = self.exchange(server, cache, "legacy.test", RRType.CDS, 2)
+        first = self.exchange(server, "legacy.test", RRType.CDS, 1)
+        again = self.exchange(server, "legacy.test", RRType.CDS, 2)
         assert (first.rcode, first.id) == (Rcode.SERVFAIL, 1)
         assert (again.rcode, again.id) == (Rcode.SERVFAIL, 2)
-        assert cache.hits == 1 and server.queries_handled == 2
-        cut = self.exchange(server, cache, "www.legacy.test", RRType.NS, 3)
-        assert cut.answer and self.exchange(server, cache, "www.legacy.test", RRType.NS, 4).answer
-        assert cache.hits == 2
+        assert server.memo_hits == 1 and server.queries_handled == 2
+        cut = self.exchange(server, "www.legacy.test", RRType.NS, 3)
+        assert cut.answer and self.exchange(server, "www.legacy.test", RRType.NS, 4).answer
+        assert server.memo_hits == 2
 
     def test_one_stateful_behaviour_keeps_the_whole_server_out(self):
-        server, cache = self.make_server(), self.cache()
+        server = self.make_server()
         target = Name.from_text("www.legacy.test")
         server.add_behavior(LegacyUnknownTypeBehavior())
         server.add_behavior(TransientFailureBehavior([target], failures=1))
-        assert self.exchange(server, cache, target, RRType.A, 1).rcode == Rcode.SERVFAIL
-        assert self.exchange(server, cache, target, RRType.A, 2).rcode == Rcode.NOERROR
-        assert cache.hits == 0 and not cache.wires
+        assert self.exchange(server, target, RRType.A, 1).rcode == Rcode.SERVFAIL
+        assert self.exchange(server, target, RRType.A, 2).rcode == Rcode.NOERROR
+        assert server.memo_hits == 0 and not self.memo(server)
 
     def test_a_dropped_query_stays_a_drop(self):
-        server, cache = self.make_server(), self.cache()
+        server = self.make_server()
         server.add_behavior(DropQueriesBehavior(qtypes=[RRType.CDS]))
         for msg_id in (1, 2):
-            assert self.exchange(server, cache, "legacy.test", RRType.CDS, msg_id) is None
-        assert not cache.wires and cache.hits == 0
-        # What it does answer is cached like any pure server's answer.
+            assert self.exchange(server, "legacy.test", RRType.CDS, msg_id) is None
+        assert not self.memo(server) and server.memo_hits == 0
+        # What it does answer is memoised like any pure server's answer.
         for msg_id in (3, 4):
-            assert self.exchange(server, cache, "legacy.test", RRType.SOA, msg_id).id == msg_id
-        assert cache.hits == 1
+            assert self.exchange(server, "legacy.test", RRType.SOA, msg_id).id == msg_id
+        assert server.memo_hits == 1
 
 
 class TestNetwork:

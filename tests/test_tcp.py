@@ -83,9 +83,9 @@ class TestAllTrafficIsPacedAndCounted:
         for server in {id(s): s for s in map(network.server_at, tld_ips)}.values():
             answer_wire = server.answer_wire
 
-            def truncating(wire, tcp=False, cache=None, answer_wire=answer_wire):
+            def truncating(wire, tcp=False, answer_wire=answer_wire):
                 if tcp:
-                    return answer_wire(wire, tcp, cache)
+                    return answer_wire(wire, tcp)
                 response = make_response(Message.from_wire(wire))
                 response.truncated = True
                 return response.to_wire()

@@ -164,9 +164,9 @@ class TestWireDifferential:
         counted("recv", chunks)
         answer_wire = AuthoritativeServer.answer_wire
 
-        def answering(server, wire, tcp=False, cache=None):
+        def answering(server, wire, tcp=False):
             answered.append((wire, tcp))
-            return answer_wire(server, wire, tcp, cache)
+            return answer_wire(server, wire, tcp)
 
         monkeypatch.setattr(AuthoritativeServer, "answer_wire", answering)
         campaign = run_campaign(
@@ -377,7 +377,7 @@ EXCHANGES = [
 
 class TestOneAnswerStep:
     """The fabric, the UDP endpoint and the TCP endpoint answer from one
-    step and one cache: same bytes, modulo the UDP size limit."""
+    step and one memo: same bytes, modulo the UDP size limit."""
 
     @pytest.mark.parametrize(
         "qname,qtype,edns,behavior,rcode,udp_truncated",
@@ -388,7 +388,8 @@ class TestOneAnswerStep:
         server = _zone_server("eq")
         if behavior is not None:
             server.add_behavior(behavior)
-        cached = behavior is None or behavior.cacheable
+        # A memo lives on the zone that answers: a refusal has none.
+        cached = (behavior is None or behavior.memo_key is not None) and rcode != Rcode.REFUSED
         handled = []
         handle_query = server.handle_query
         server.handle_query = lambda q: handled.append(q) or handle_query(q)
@@ -398,7 +399,6 @@ class TestOneAnswerStep:
 
         with _hosted(server) as (network, udp, tcp):
             sim = network.sim
-            sim.enable_response_cache()
             fabric = []
             inbound = sim.inbound
             sim.inbound = lambda response_wire: fabric.append(response_wire) or inbound(response_wire)
@@ -623,4 +623,5 @@ class TestStatsSection:
         )
         assert "wire engine (repro.wire)" in out
         assert "6.0 queries/pass" in out
+        assert "answer memo:  11 hits" in out
         assert "1 decode" in out
