@@ -14,15 +14,18 @@ per world.
 
 A zone also carries the wires the servers answering from it have built
 (:attr:`Zone.answers`, filled by
-:meth:`~repro.server.nameserver.AuthoritativeServer.answer_wire`).  The
-memo needs no invalidation by hand: the two mutators replace it, a copy
-shares it until either side is edited, and a :meth:`Zone.freeze`-d zone
-cannot be edited at all.
+:meth:`~repro.server.nameserver.AuthoritativeServer.answer_wire`), and
+its owners in canonical order, per record type, for the denial
+proofs' one bisect (:meth:`Zone.preceding`).  Neither needs invalidation by
+hand: the two mutators replace them, a copy shares them until either
+side is edited, and a :meth:`Zone.freeze`-d zone cannot be edited at
+all.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dns.name import Name
@@ -86,6 +89,8 @@ class Zone:
         # (query wire less its id, tcp, behaviour keys) → response wire
         # less its id: what servers answering from this content built.
         self.answers: Dict[tuple, bytes] = {}
+        # rrtype → (canonical keys, owners) of the owners holding one.
+        self._chains: Dict[int, Tuple[List[tuple], List[Name]]] = {}
         self._frozen = False
 
     # -- mutation ------------------------------------------------------------
@@ -101,6 +106,7 @@ class Zone:
         clone._names = {name: list(types) for name, types in self._names.items()}
         clone._interior = dict(self._interior)
         clone.answers = self.answers
+        clone._chains = self._chains
         return clone
 
     def freeze(self) -> "Zone":
@@ -112,6 +118,7 @@ class Zone:
         if self._frozen:
             raise ZoneError(f"zone {self.origin} is frozen")
         self.answers = {}
+        self._chains = {}
 
     def add_rrset(self, rrset: RRset) -> None:
         """Add *rrset*, merging it into the owner's RRset of that type.
@@ -184,6 +191,22 @@ class Zone:
     def names(self) -> List[Name]:
         """All owner names, in RFC 4034 canonical order."""
         return sorted(self._names, key=lambda n: n.canonical_key())
+
+    def preceding(self, rrtype: RRType, key: tuple, wrap: bool = False) -> Optional[RRset]:
+        """The *rrtype* RRset of the last owner holding one whose
+        canonical key is at or before *key*, or None; with *wrap*, the
+        last owner holding one when no owner is before *key*.  One
+        bisect: the owners holding *rrtype* are sorted once per zone
+        content."""
+        chain = self._chains.get(int(rrtype))
+        if chain is None:
+            owners = [n for n in self.names() if (n, int(rrtype)) in self._rrsets]
+            chain = self._chains[int(rrtype)] = ([n.canonical_key() for n in owners], owners)
+        keys, owners = chain
+        index = bisect_right(keys, key)
+        if index == 0 and not (wrap and owners):
+            return None
+        return self._rrsets[(owners[index - 1], int(rrtype))]
 
     def iter_rrsets(self) -> Iterator[RRset]:
         for name in self.names():

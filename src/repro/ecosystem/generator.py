@@ -5,12 +5,17 @@ that is a pure function of ``(cells, seed, adversarial)``: the operator
 address plan, the zone specs, and the root and registry zones with
 every operator and customer delegation in place, signed — built once
 per key and kept in a one-entry per-process memo
-(:func:`repro.ecosystem.world.world_plan`).  :class:`InfrastructureBuilder`
-assembles each world from it: network, servers, anycast pools, legacy
-quirks, and lazy zone providers, so a world costs what a scan touches —
-operator NS zones, RFC 9615 signaling zones and customer zones are only
-built and signed when a query first reaches their apex, and the plan
-keeps them frozen (:meth:`WorldPlan.zone`) for every world of the seed.
+(:func:`repro.ecosystem.world.world_plan`).  ``build_world`` assembles
+each world from it with the plain steps at the end of this module
+(:func:`serve_registries`, :func:`build_operator`, the customer and
+signal providers, :func:`install_quirks`): network, servers, anycast
+pools, legacy quirks, and lazy zone providers, so a world costs what a
+scan touches — operator NS zones, RFC 9615 signaling zones and customer
+zones are only built and signed when a query first reaches their apex,
+and the plan keeps them frozen (:meth:`WorldPlan.zone`) for every world
+of the seed.  The providers index zones by name and read each spec from
+the world's spec table when asked, so that table is the only place a
+world keeps a spec.
 Each world serves :meth:`~repro.dns.zone.Zone.copy` copies of the
 planned registries (provisioning re-signs them live); the copies share
 the plan's RRsets, which no zone edit changes in place, and its answer
@@ -25,7 +30,7 @@ from __future__ import annotations
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.dns.name import Name
 from repro.dns.rdata import A, AAAA, CDNSKEY, CDS, NS, SOA, TXT
@@ -54,7 +59,9 @@ from repro.server.behaviors import (
     SyntheticCutBehavior,
 )
 from repro.server.nameserver import AuthoritativeServer
-from repro.server.network import SimulatedNetwork
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ecosystem.world import World
 
 ROOT_IP = "198.41.0.4"
 REGISTRY_IPS = ("192.5.6.30", "2001:503:a83e::2:30")
@@ -439,11 +446,12 @@ class WorldPlan:
     built from it (:func:`repro.ecosystem.world.world_plan`).
 
     It holds the operator address plan, the zone specs with their host
-    and signal indexes, and the **signed** root and registry zones with
-    every operator and customer delegation in place.  A world never
-    edits it: :class:`InfrastructureBuilder` hands each world
+    and signal indexes (by zone name), and the **signed** root and
+    registry zones with every operator and customer delegation in
+    place.  A world never edits it: ``build_world`` gives each world
     :meth:`~repro.dns.zone.Zone.copy` copies of the zones and its own
-    copies of the indexes the monitoring plane mutates.
+    copies of the spec table and the two indexes the monitoring plane
+    edits.
     """
 
     profiles: Dict[str, OperatorProfile]
@@ -453,8 +461,10 @@ class WorldPlan:
     registry_zones: Dict[str, Zone] = field(default_factory=dict)
     root_zone: Zone = field(default_factory=lambda: Zone("."))
     specs: Dict[str, ZoneSpec] = field(default_factory=dict)
-    specs_by_host: Dict[str, Dict[Name, ZoneSpec]] = field(default_factory=dict)
-    signal_index: Dict[str, List[ZoneSpec]] = field(default_factory=dict)
+    # host → {apex → zone name}: the customer zones each host serves.
+    zones_by_host: Dict[str, Dict[Name, str]] = field(default_factory=dict)
+    # host → names of the zones signalling under it.
+    signal_index: Dict[str, List[str]] = field(default_factory=dict)
     transient_names: Dict[str, List[Name]] = field(default_factory=dict)
     cut_names: Dict[str, List[Name]] = field(default_factory=dict)
     spoof_names: Dict[str, List[Name]] = field(default_factory=dict)
@@ -600,174 +610,150 @@ class OperatorRuntime:
         return list(dict.fromkeys(self.servers.values()))
 
 
-class InfrastructureBuilder:
-    """Assembles one world from a :class:`WorldPlan`: the network, the
-    servers, their behaviours, zone providers and quirks.
+# -- world assembly ----------------------------------------------------------
+#
+# ``build_world`` runs these steps, in order, over a new world's own
+# dicts.  No provider closure holds the world: a server that kept it
+# would close a cycle and leave a dropped world to the cycle collector.
 
-    The registry and root zones it serves are copies of the plan's, so
-    provisioning and replay edit this world's registries only.
+
+def serve_registries(world: "World") -> None:
+    """Put the world's root and registry zones on their servers."""
+    root_server = AuthoritativeServer("root")
+    registry_server = AuthoritativeServer("registries")
+    for zone in world.registry_zones.values():
+        registry_server.add_zone(zone)
+    root_server.add_zone(world.root_zone)
+    world.network.register(ROOT_IP, root_server)
+    for ip in REGISTRY_IPS:
+        world.network.register(ip, registry_server)
+
+
+def build_operator(world: "World", name: str, dark: bool = False) -> None:
+    """Start operator *name*'s servers on its planned addresses (dark
+    ones for *dark*) and serve its NS zones on demand.
+
+    The plan delegated the NS zones (registry NS/DS/glue must land
+    before the registries are signed).  Their bodies are a pure function
+    of the profile and the planned addresses, so the plan builds and
+    signs each the first time a query reaches its apex, for every world
+    of the seed and all the operator's servers.
     """
+    plan = world.plan
+    profile = plan.profiles[name]
+    runtime = world.operators[name] = OperatorRuntime(profile, host_ips=plan.host_ips[name])
+    if profile.anycast:
+        runtime.servers[None] = AuthoritativeServer(f"{name}-anycast")
+    for host in profile.hosts:
+        if not profile.anycast:
+            runtime.servers[host] = AuthoritativeServer(f"{name}:{host}")
+        server = runtime.server_for(host)
+        for ip in runtime.host_ips[host]:
+            if dark:
+                world.network.register_dark(ip)
+            else:
+                world.network.register(ip, server)
+    if profile.legacy:
+        for server in runtime.all_servers():
+            server.add_behavior(LegacyUnknownTypeBehavior(Rcode.SERVFAIL))
 
-    def __init__(self, network: SimulatedNetwork, plan: WorldPlan):
-        self.network = network
-        self.plan = plan
-        self.profiles = plan.profiles
-        self.host_owner = plan.host_owner
-        self.registry_zones = {name: zone.copy() for name, zone in plan.registry_zones.items()}
-        self.root_zone = plan.root_zone.copy()
-        self.root_server = AuthoritativeServer("root")
-        self.registry_server = AuthoritativeServer("registries")
-        for zone in self.registry_zones.values():
-            self.registry_server.add_zone(zone)
-        self.root_server.add_zone(self.root_zone)
-        network.register(ROOT_IP, self.root_server)
-        for ip in REGISTRY_IPS:
-            network.register(ip, self.registry_server)
-        self.operators: Dict[str, OperatorRuntime] = {}
-        # Retained mutation handles: the provider closures installed by
-        # install_customer_provider / install_signal_providers capture
-        # these dicts *by reference*, so the monitoring plane can evolve
-        # a built world in place (before any query is served) by
-        # mutating them.
-        self.customer_spec_maps: Dict[str, Dict[Name, ZoneSpec]] = {}
-        self.signal_index: Dict[str, List[ZoneSpec]] = {}
+    names = {Name.from_text(zone_name): zone_name for zone_name in profile.ns_zones}
+    zones = runtime.zones
+    host_ips = runtime.host_ips
 
-    # -- operators ----------------------------------------------------------------
+    def provider(apex: Name) -> Optional[Zone]:
+        zone = zones.get(apex)
+        if zone is None and apex in names:
+            zone_name = names[apex]
+            zone = zones[apex] = plan.zone(
+                profile.name,
+                zone_name,
+                lambda: materialize_operator_zone(zone_name, profile, host_ips),
+            )
+        return zone
 
-    def build_operator(self, name: str, dark: bool = False) -> OperatorRuntime:
-        profile = self.profiles[name]
-        runtime = OperatorRuntime(profile=profile, host_ips=self.plan.host_ips[name])
-        self.operators[name] = runtime
-        if profile.anycast:
-            runtime.servers[None] = AuthoritativeServer(f"{name}-anycast")
-        for host in profile.hosts:
-            if not profile.anycast:
-                runtime.servers[host] = AuthoritativeServer(f"{name}:{host}")
-            server = runtime.server_for(host)
-            for ip in runtime.host_ips[host]:
-                if dark:
-                    self.network.register_dark(ip)
-                else:
-                    self.network.register(ip, server)
-        if profile.legacy:
-            for server in runtime.all_servers():
-                server.add_behavior(LegacyUnknownTypeBehavior(Rcode.SERVFAIL))
-        self._install_operator_zones(runtime)
-        return runtime
+    for server in runtime.all_servers():
+        server.add_zone_provider(names, provider)
 
-    def _install_operator_zones(self, runtime: OperatorRuntime) -> None:
-        """Serve the operator's NS zones on demand.
 
-        The plan delegated them (registry NS/DS/glue must land before
-        the registries are signed).  The zone bodies are a pure function
-        of the profile and the planned addresses, so the plan builds and
-        signs each the first time a query reaches its apex, for every
-        world of the seed and all the operator's servers.
-        """
+def install_customer_providers(world: "World") -> None:
+    """Attach a lazy customer-zone provider to every host's server.
+
+    A host's provider maps an apex to a zone name and reads that zone's
+    spec from ``world.specs`` when asked, so an event that replaces a
+    spec edits that one table.  Each ``(spec, content variant)`` is
+    materialised and signed once per plan, however many of the
+    operator's servers and worlds are asked for it; a replaced spec is
+    a new key."""
+    plan, specs = world.plan, world.specs
+    for host, zone_names in world.zones_by_host.items():
+        owner = plan.host_owner.get(host)
+        if owner is None:
+            continue
+        provider = _customer_provider(plan, specs, owner, zone_names, host)
+        world.operators[owner].server_for(host).add_zone_provider(zone_names, provider)
+
+
+def _customer_provider(
+    plan: WorldPlan, specs: Dict[str, ZoneSpec], owner: str, zone_names: Dict[Name, str], host: str
+) -> Callable[[Name], Optional[Zone]]:
+    def provider(apex: Name) -> Optional[Zone]:
+        name = zone_names.get(apex)
+        if name is None:
+            return None
+        spec = specs[name]
+        return plan.zone(
+            owner,
+            (spec, _content_variant(spec, host)),
+            lambda: materialize_customer_zone(spec, host),
+        )
+
+    return provider
+
+
+def install_signal_providers(world: "World") -> None:
+    """Attach signaling-zone providers to every AB operator server: the
+    ``_signal.<host>`` zone holds the specs, read from ``world.specs``,
+    of the zones ``world.signal_index`` lists under *host*."""
+    plan, specs, signal_index = world.plan, world.specs, world.signal_index
+    for runtime in world.operators.values():
         profile = runtime.profile
-        names = {Name.from_text(zone_name): zone_name for zone_name in profile.ns_zones}
-        # The closure holds the dict and the plan, not the runtime: the
-        # servers that keep it are the runtime's own, and a cycle through
-        # them would leave a dropped world to the cycle collector.
-        zones = runtime.zones
-        host_ips = runtime.host_ips
-        plan = self.plan
+        if not profile.publishes_signal:
+            continue
+        apexes = [Name.from_text(f"_signal.{host}") for host in profile.hosts]
+        cache: Dict[Name, Zone] = {}
 
-        def provider(apex: Name) -> Optional[Zone]:
-            zone = zones.get(apex)
-            if zone is None and apex in names:
-                zone_name = names[apex]
-                zone = zones[apex] = plan.zone(
-                    profile.name,
-                    zone_name,
-                    lambda: materialize_operator_zone(zone_name, profile, host_ips),
+        def provider(
+            apex: Name,
+            _profile: OperatorProfile = profile,
+            _cache: Dict[Name, Zone] = cache,
+        ) -> Optional[Zone]:
+            zone = _cache.get(apex)
+            if zone is None:
+                host = apex.parent().to_text().rstrip(".")
+                if apex.labels[0] != b"_signal" or host not in _profile.hosts:
+                    return None
+                entries = tuple(specs[name] for name in signal_index.get(host, ()))
+                zone = _cache[apex] = plan.zone(
+                    _profile.name,
+                    (host, entries),
+                    lambda: materialize_signal_zone(host, _profile, list(entries)),
                 )
             return zone
 
         for server in runtime.all_servers():
-            server.add_zone_provider(names, provider)
+            server.add_zone_provider(apexes, provider)
 
-    # -- providers and quirks ----------------------------------------------------
 
-    def install_customer_provider(
-        self, specs_by_host: Dict[str, Dict[Name, ZoneSpec]]
-    ) -> None:
-        """Attach a lazy provider for customer zones to every host server.
-
-        Each ``(spec, content variant)`` is materialised and signed once
-        per plan, however many of the operator's servers and worlds are
-        asked for it; a mutation replaces the spec, so it is a new key."""
-        self.customer_spec_maps = specs_by_host
-        for host, spec_map in specs_by_host.items():
-            owner = self.host_owner.get(host)
-            if owner is None:
-                continue
-            server = self.operators[owner].server_for(host)
-            provider = self._make_customer_provider(self.plan, owner, spec_map, host)
-            server.add_zone_provider(spec_map.keys(), provider)
-
-    @staticmethod
-    def _make_customer_provider(
-        plan: WorldPlan, owner: str, spec_map: Dict[Name, ZoneSpec], host: str
-    ) -> Callable[[Name], Optional[Zone]]:
-        def provider(apex: Name) -> Optional[Zone]:
-            spec = spec_map.get(apex)
-            if spec is None:
-                return None
-            return plan.zone(
-                owner,
-                (spec, _content_variant(spec, host)),
-                lambda: materialize_customer_zone(spec, host),
-            )
-
-        return provider
-
-    def install_signal_providers(self, signal_index: Dict[str, List[ZoneSpec]]) -> None:
-        """Attach signaling-zone providers to every AB operator server."""
-        self.signal_index = signal_index
-        plan = self.plan
-        for name, runtime in self.operators.items():
-            profile = runtime.profile
-            if not profile.publishes_signal:
-                continue
-            apexes = [Name.from_text(f"_signal.{host}") for host in profile.hosts]
-            cache: Dict[Name, Zone] = {}
-
-            def provider(
-                apex: Name,
-                _profile: OperatorProfile = profile,
-                _cache: Dict[Name, Zone] = cache,
-            ) -> Optional[Zone]:
-                zone = _cache.get(apex)
-                if zone is None:
-                    host = apex.parent().to_text().rstrip(".")
-                    if apex.labels[0] != b"_signal" or host not in _profile.hosts:
-                        return None
-                    entries = tuple(signal_index.get(host, ()))
-                    zone = _cache[apex] = plan.zone(
-                        _profile.name,
-                        (host, entries),
-                        lambda: materialize_signal_zone(host, _profile, list(entries)),
-                    )
-                return zone
-
-            for server in runtime.all_servers():
-                server.add_zone_provider(apexes, provider)
-
-    def install_quirks(
-        self,
-        transient_names: Dict[str, List[Name]],
-        cut_names: Dict[str, List[Name]],
-        spoof_names: Optional[Dict[str, List[Name]]] = None,
-    ) -> None:
-        """Attach transient-signature, synthetic-cut, and
-        signature-stripping behaviours."""
-        for operator, names in transient_names.items():
-            for server in self.operators[operator].all_servers():
-                server.add_behavior(CorruptSignaturesBehavior(names, failures=2))
-        for operator, names in cut_names.items():
-            for server in self.operators[operator].all_servers():
-                server.add_behavior(SyntheticCutBehavior(names))
-        for operator, names in (spoof_names or {}).items():
-            for server in self.operators[operator].all_servers():
-                server.add_behavior(StripSignaturesBehavior(names))
+def install_quirks(world: "World") -> None:
+    """Attach the planned transient-signature, synthetic-cut and
+    signature-stripping behaviours."""
+    plan = world.plan
+    for quirk_names, make in (
+        (plan.transient_names, lambda names: CorruptSignaturesBehavior(names, failures=2)),
+        (plan.cut_names, SyntheticCutBehavior),
+        (plan.spoof_names, StripSignaturesBehavior),
+    ):
+        for operator, names in quirk_names.items():
+            for server in world.operators[operator].all_servers():
+                server.add_behavior(make(names))

@@ -7,15 +7,18 @@ bootstrapping, publishing/withdrawing CDS, getting bootstrapped into
 the chain of trust, rolling keys, churning NS sets, filing RFC 8078
 delete requests — applied *between* simulated epochs.
 
-The trick that keeps this cheap: zones are materialised lazily, and the
-provider closures capture the builder's spec maps and signal index *by
-reference* (see :class:`~repro.ecosystem.generator.InfrastructureBuilder`).
-Events are always applied to a freshly rebuilt world **before** any
-query is served, and no invalidation machinery is needed: a replaced
-spec names another materialised zone, a registry edit drops that zone's
-answer memo by itself, and the world's signal zones are still
-unbuilt — mutating the spec maps, the live registry zones (via
-:mod:`repro.provisioning`), and the signal index is the whole job.
+What keeps this cheap: zones are materialised lazily, and a world
+keeps each spec in one place, ``world.specs``.  The servers' providers
+index zones by name — host → {apex → zone name} and host → [zones
+signalling under it] — and read the spec when asked (see
+:func:`~repro.ecosystem.generator.install_customer_providers`).  Events
+are always applied to a freshly rebuilt world **before** any query is
+served, and no invalidation machinery is needed: a replaced spec names
+another materialised zone, a registry edit drops that zone's answer
+memo by itself, and the world's signal zones are still unbuilt — a
+spec change is one write to ``world.specs``, and only NS churn and a
+newly adopted signal also edit an index (plus the live registry zones,
+via :mod:`repro.provisioning`).
 
 Every applied event bumps the zone's SOA serial, which is what the
 delta campaigns' change feed (zone-serial / CSYNC-style) keys on.
@@ -109,7 +112,7 @@ def applicable(world: World, spec: ZoneSpec, kind: str) -> bool:
             spec.signal == SignalScenario.NONE
             and getattr(profile, "publishes_signal", False)
             and any(
-                world.builder.host_owner.get(host) == spec.operator
+                world.plan.host_owner.get(host) == spec.operator
                 for host in spec.ns_hosts
             )
         )
@@ -150,31 +153,18 @@ def apply_event(
 
 
 def _replace_spec(world: World, spec: ZoneSpec, **changes) -> ZoneSpec:
-    """Swap in an updated (serial-bumped) spec everywhere the old one
-    is referenced: the world's spec table, every host's provider map,
-    and the signal index."""
+    """Swap in an updated (serial-bumped) spec.  ``world.specs`` is the
+    only place it lives: the providers read it there when asked."""
     new = replace(spec, serial=spec.serial + 1, **changes)
     world.specs[spec.name] = new
-    builder = world.builder
-    apex = Name.from_text(spec.name)
-    for host in dict.fromkeys(new.ns_hosts):
-        spec_map = builder.customer_spec_maps.get(host)
-        if spec_map is not None and apex in spec_map:
-            spec_map[apex] = new
-    for entries in builder.signal_index.values():
-        for i, entry in enumerate(entries):
-            if entry.name == spec.name:
-                entries[i] = new
     return new
 
 
 def _adopt_signal(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
     new = _replace_spec(world, spec, signal=SignalScenario.OK)
-    builder = world.builder
     for host in dict.fromkeys(new.ns_hosts):
-        if builder.host_owner.get(host) != new.operator:
-            continue
-        builder.signal_index.setdefault(host, []).append(new)
+        if world.plan.host_owner.get(host) == new.operator:
+            world.signal_index.setdefault(host, []).append(new.name)
     return new
 
 
@@ -284,20 +274,17 @@ def _remove_ds(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
 
 def _churn_candidates(world: World, spec: ZoneSpec):
     """Hosts this zone may move to: same operator, and a host whose
-    server already carries a customer provider map (so the moved apex
+    server already carries a customer provider (so the moved apex
     resolves through the existing closure)."""
-    builder = world.builder
-    profile = world.profiles[spec.operator]
+    host_owner = world.plan.host_owner
     return [
         host
-        for host in profile.hosts
-        if builder.host_owner.get(host) == spec.operator
-        and host in builder.customer_spec_maps
+        for host in world.profiles[spec.operator].hosts
+        if host_owner.get(host) == spec.operator and host in world.zones_by_host
     ]
 
 
 def _churn_ns(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
-    builder = world.builder
     candidates = _churn_candidates(world, spec)
     old_hosts = tuple(dict.fromkeys(spec.ns_hosts))
     want = len(old_hosts)
@@ -312,11 +299,10 @@ def _churn_ns(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
     apex = Name.from_text(spec.name)
     for host in old_hosts:
         if host not in new_hosts:
-            builder.customer_spec_maps[host].pop(apex, None)
+            world.zones_by_host[host].pop(apex, None)
     for host in new_hosts:
-        builder.customer_spec_maps[host][apex] = new
-        runtime = builder.operators[builder.host_owner[host]]
-        runtime.server_for(host).claim_apex(apex)
+        world.zones_by_host[host][apex] = spec.name
+        world.operators[world.plan.host_owner[host]].server_for(host).claim_apex(apex)
 
     # Re-point the delegation (delegation NS RRsets are unsigned, so no
     # registry re-signing is needed; glue for operator hosts lives in

@@ -156,7 +156,7 @@ def build_profiles(adversarial: bool = False) -> Dict[str, OperatorProfile]:
             "KeyCycle", pool=2, publishes_signal=True, signal_includes_delete=True
         )
         # SpoofSign: serves signal records with their RRSIGs stripped
-        # (the wire behavior is installed by the world builder).
+        # (the wire behavior is installed by generator.install_quirks).
         profiles["SpoofSign"] = _generic_profile(
             "SpoofSign", pool=2, publishes_signal=True
         )

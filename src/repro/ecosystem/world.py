@@ -5,13 +5,16 @@ A world is built in two halves.  The *plan*
 zone specs, the operator address plan, and the signed root and
 registry zones with every delegation in place — a function of ``(cells,
 seed, adversarial)`` alone, so :func:`world_plan` keeps the last one in
-a one-entry per-process memo.  The *assembly* runs on every build:
-network, servers, behaviours, providers and quirks, with
-:meth:`~repro.dns.zone.Zone.copy` copies of the planned zones
-(copy-on-write, so a world's provisioning edits never reach the plan
-or another world) and its own copies of the indexes the monitoring
-plane mutates.  There is one code path: a cold build plans, then
-assembles; a warm one only assembles.
+a one-entry per-process memo.  The *assembly* runs on every build: a
+:class:`World` gets :meth:`~repro.dns.zone.Zone.copy` copies of the
+planned zones (copy-on-write, so a world's provisioning edits never
+reach the plan or another world) and its own copies of the spec table
+and the two name-only indexes the monitoring plane edits, then the
+generator's assembly steps start its network, servers, behaviours,
+providers and quirks over those dicts.  ``world.specs`` is the one
+place a world keeps a spec: the providers read it when asked.  There
+is one code path: a cold build plans, then assembles; a warm one only
+assembles.
 """
 
 from __future__ import annotations
@@ -23,12 +26,18 @@ from repro.core.bootstrap import BootstrapEligibility, SignalOutcome
 from repro.core.operators import OperatorDB
 from repro.core.status import DnssecStatus
 from repro.dns.name import Name
+from repro.dns.zone import Zone
 from repro.ecosystem import psl
 from repro.ecosystem.allocator import scale_cells
 from repro.ecosystem import generator as generator_module
-from repro.ecosystem.generator import InfrastructureBuilder, WorldPlan
+from repro.ecosystem.generator import OperatorRuntime, WorldPlan
 from repro.ecosystem.paper_targets import PaperTargets, build_cells
-from repro.ecosystem.profiles import anycast_suffixes, build_operator_db, build_profiles
+from repro.ecosystem.profiles import (
+    OperatorProfile,
+    anycast_suffixes,
+    build_operator_db,
+    build_profiles,
+)
 from repro.ecosystem.spec import Cell, CdsScenario, SignalScenario, StatusScenario, ZoneSpec
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.transitions import (
@@ -54,20 +63,26 @@ class World:
     seed: int
     network: SimulatedNetwork
     root_ips: List[str]
-    specs: Dict[str, ZoneSpec]
     scan_list: List[Name]
     operator_db: OperatorDB
     anycast_ns_suffixes: List[Name]
     targets: PaperTargets
-    profiles: Dict[str, object] = field(default_factory=dict)
-    # suffix → registry Zone: this world's copies of the plan's, edited
-    # live (provisioning installs DS here).
-    registry_zones: Dict[str, object] = field(default_factory=dict)
-    # The InfrastructureBuilder that assembled this world.  Its retained
-    # spec-map / signal-index handles are captured by reference inside
-    # the lazy zone providers, which is what lets the monitoring plane
-    # (repro.ecosystem.mutate) evolve a freshly built world in place.
-    builder: Optional[InfrastructureBuilder] = None
+    plan: WorldPlan
+    # What replay and provisioning edit: this world's copies of the
+    # plan's root and registry zones (provisioning installs DS here),
+    # its spec table (zone name → spec, the only copy of each), and
+    # two name-only indexes the providers read — host → {apex → zone
+    # name} and host → [names of the zones signalling under it].
+    root_zone: Zone
+    registry_zones: Dict[str, Zone]
+    specs: Dict[str, ZoneSpec]
+    zones_by_host: Dict[str, Dict[Name, str]]
+    signal_index: Dict[str, List[str]]
+    operators: Dict[str, OperatorRuntime] = field(default_factory=dict)
+
+    @property
+    def profiles(self) -> Dict[str, OperatorProfile]:
+        return self.plan.profiles
 
     @property
     def zone_count(self) -> int:
@@ -266,7 +281,7 @@ def _plan_world(cells: List[Cell], seed: int, adversarial: bool) -> WorldPlan:
             plan.delegate_customer(spec)
             apex = Name.from_text(name)
             for host in dict.fromkeys(hosts):
-                plan.specs_by_host.setdefault(host, {})[apex] = spec
+                plan.zones_by_host.setdefault(host, {})[apex] = name
             if spec.signal != SignalScenario.NONE and primary.publishes_signal:
                 publish_hosts = list(dict.fromkeys(hosts))
                 if spec.signal == SignalScenario.NS_COVERAGE and len(publish_hosts) > 1:
@@ -274,7 +289,7 @@ def _plan_world(cells: List[Cell], seed: int, adversarial: bool) -> WorldPlan:
                 for host in publish_hosts:
                     if plan.host_owner.get(host) != cell.operator:
                         continue  # the other operator does not publish
-                    plan.signal_index.setdefault(host, []).append(spec)
+                    plan.signal_index.setdefault(host, []).append(name)
                     boot = Name.from_text(f"_dsboot.{name}._signal.{host}")
                     if spec.signal == SignalScenario.SIG_TRANSIENT:
                         plan.transient_names.setdefault(cell.operator, []).append(boot)
@@ -305,9 +320,9 @@ def build_world(
     and host assignments untouched.
 
     The seed-pure part comes from :func:`world_plan`; what is built here
-    is this world's own: the network, servers, behaviours, providers
-    and quirks, and copies of the signed registries and of every index
-    the monitoring plane edits.
+    is this world's own: copies of the signed root and registries, of
+    the spec table and of the two indexes the monitoring plane edits,
+    then the network, servers, behaviours, providers and quirks.
     """
     cells = scale_cells(cells_override if cells_override is not None else build_cells(), scale)
     cells = cells + [
@@ -324,33 +339,28 @@ def build_world(
         cells = cells + scenario_cells(scenarios)
 
     plan = world_plan(cells, seed, adversarial)
-    profiles = plan.profiles
-    network = SimulatedNetwork()
-    builder = InfrastructureBuilder(network, plan)
-    for name in profiles:
-        builder.build_operator(name, dark=(name == "DarkHost"))
-    builder.install_customer_provider(
-        {host: dict(spec_map) for host, spec_map in plan.specs_by_host.items()}
-    )
-    builder.install_signal_providers(
-        {host: list(entries) for host, entries in plan.signal_index.items()}
-    )
-    builder.install_quirks(plan.transient_names, plan.cut_names, plan.spoof_names)
-
-    scan_list = sorted(
-        (Name.from_text(name) for name in plan.specs), key=lambda n: n.canonical_key()
-    )
-    return World(
+    world = World(
         scale=scale,
         seed=seed,
-        network=network,
+        network=SimulatedNetwork(),
         root_ips=[generator_module.ROOT_IP],
-        specs=dict(plan.specs),
-        scan_list=scan_list,
-        operator_db=build_operator_db(profiles=profiles),
-        anycast_ns_suffixes=[Name.from_text(s) for s in anycast_suffixes(profiles)],
+        scan_list=sorted(
+            (Name.from_text(name) for name in plan.specs), key=lambda n: n.canonical_key()
+        ),
+        operator_db=build_operator_db(profiles=plan.profiles),
+        anycast_ns_suffixes=[Name.from_text(s) for s in anycast_suffixes(plan.profiles)],
         targets=PaperTargets(scale=scale, cells=list(cells)),
-        profiles=dict(profiles),
-        registry_zones=builder.registry_zones,
-        builder=builder,
+        plan=plan,
+        root_zone=plan.root_zone.copy(),
+        registry_zones={name: zone.copy() for name, zone in plan.registry_zones.items()},
+        specs=dict(plan.specs),
+        zones_by_host={host: dict(names) for host, names in plan.zones_by_host.items()},
+        signal_index={host: list(names) for host, names in plan.signal_index.items()},
     )
+    generator_module.serve_registries(world)
+    for name in plan.profiles:
+        generator_module.build_operator(world, name, dark=(name == "DarkHost"))
+    generator_module.install_customer_providers(world)
+    generator_module.install_signal_providers(world)
+    generator_module.install_quirks(world)
+    return world

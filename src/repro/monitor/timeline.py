@@ -14,6 +14,9 @@ process's one-entry plan (:func:`repro.ecosystem.world.world_plan`):
 each rebuilt world gets copies of the planned registries, which
 provisioning and replay then edit live, so a same-seed rebuild
 delegates and signs nothing and pays for its servers and providers.
+An event that changes a zone writes its new spec to ``world.specs``,
+the one place a world keeps it; the providers read it there when a
+query arrives.
 Keys and signatures come from a bounded per-process memo
 (:mod:`repro.dnssec.keys`) as well.  Operator, signal and customer
 zones are providers that sign on first query, and the zones they build

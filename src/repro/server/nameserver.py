@@ -69,8 +69,8 @@ class AuthoritativeServer:
     def claim_apex(self, apex: Name) -> None:
         """Extend an installed provider's authority to one more apex
         (NS churn moves a customer zone between host servers; the
-        destination's provider map gains the spec, and this makes the
-        server answer for it)."""
+        destination's provider map gains the zone's name, and this makes
+        the server answer for it)."""
         self._provider_apexes.add(apex)
 
     def add_behavior(self, behavior: "ServerBehavior") -> None:
@@ -335,30 +335,16 @@ class AuthoritativeServer:
         return zone.get_rrset(owner, RRType.NSEC3)
 
     def _covering_nsec3(self, zone: Zone, qname: Name) -> Optional[RRset]:
-        """The NSEC3 whose hash span covers *qname* (NXDOMAIN proofs)."""
+        """The NSEC3 whose hash span covers *qname* (NXDOMAIN proofs).
+        Base32hex keeps hash order, so the hashed owners' canonical order
+        is hash order; a hash before the first owner wraps to the last."""
         params = self._nsec3_params(zone)
         if params is None:
             return None
-        from repro.dnssec.nsec import nsec3_hash, nsec3_label_to_hash
+        from repro.dnssec.nsec import nsec3_hash_label
 
-        target = nsec3_hash(qname, *params)
-        best: Optional[RRset] = None
-        best_hash = None
-        last: Optional[RRset] = None
-        last_hash = None
-        for name in zone.names():
-            rrset = zone.get_rrset(name, RRType.NSEC3)
-            if rrset is None:
-                continue
-            owner_hash = nsec3_label_to_hash(name.labels[0])
-            if owner_hash <= target and (best_hash is None or owner_hash > best_hash):
-                best = rrset
-                best_hash = owner_hash
-            if last_hash is None or owner_hash > last_hash:
-                last = rrset
-                last_hash = owner_hash
-        # Wrap-around: target before the first hash → last NSEC3 covers it.
-        return best if best is not None else last
+        hashed = zone.origin.child(nsec3_hash_label(qname, *params))
+        return zone.preceding(RRType.NSEC3, hashed.canonical_key(), wrap=True)
 
     def _attach_nsec3_nxdomain_proof(self, zone: Zone, qname: Name, response: Message) -> None:
         """RFC 5155 §7.2.1: the NSEC3 matching the closest encloser (the
@@ -388,18 +374,7 @@ class AuthoritativeServer:
                 self._attach_sigs(zone, response.authority, rrset.name)
 
     def _covering_nsec(self, zone: Zone, qname: Name) -> Optional[RRset]:
-        key = qname.canonical_key()
-        best: Optional[RRset] = None
-        best_key = None
-        for name in zone.names():
-            nsec = zone.get_rrset(name, RRType.NSEC)
-            if nsec is None:
-                continue
-            name_key = name.canonical_key()
-            if name_key <= key and (best_key is None or name_key > best_key):
-                best = nsec
-                best_key = name_key
-        return best
+        return zone.preceding(RRType.NSEC, qname.canonical_key())
 
     def _attach_referral(
         self, zone: Zone, cut: Name, response: Message, want_dnssec: bool

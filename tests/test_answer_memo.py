@@ -98,7 +98,7 @@ class TestSeedSharedZones:
         first, second = worlds
         apex = first.scan_list[0]
         host = first.specs[apex.to_text().rstrip(".")].ns_hosts[0]
-        ip = first.builder.plan.host_ips[first.builder.host_owner[host]][host][0]
+        ip = first.plan.host_ips[first.plan.host_owner[host]][host][0]
         zone = first.network.server_at(ip).find_zone(apex)
         assert zone is second.network.server_at(ip).find_zone(apex)
         for edit in (
@@ -107,7 +107,7 @@ class TestSeedSharedZones:
         ):
             with pytest.raises(ZoneError, match="frozen"):
                 edit()
-        plan = first.builder.plan
+        plan = first.plan
         with pytest.raises(ZoneError, match="frozen"):
             plan.root_zone.remove_rrset(Name.from_text("."), RRType.SOA)
 

@@ -205,23 +205,22 @@ class TestEligibilityGroundTruth:
 
 def materialised_operator_zones(world) -> set:
     """Apexes of the operator NS zones built so far."""
-    return {apex for rt in world.builder.operators.values() for apex in rt.zones}
+    return {apex for rt in world.operators.values() for apex in rt.zones}
 
 
 def operator_zones_of(world, specs) -> set:
     """The NS zones enclosing the nameserver hosts of *specs* — what a
     scan of those zones has to query.  DarkHost's addresses are dark, so
     no query ever reaches its servers."""
-    builder = world.builder
     wanted = set()
     for spec in specs:
         for host in spec.ns_hosts:
-            owner = builder.host_owner[host]
+            owner = world.plan.host_owner[host]
             if owner == "DarkHost":
                 continue
             wanted.update(
                 Name.from_text(zone)
-                for zone in builder.profiles[owner].ns_zones
+                for zone in world.profiles[owner].ns_zones
                 if Name.from_text(host).is_subdomain_of(Name.from_text(zone))
             )
     return wanted
@@ -230,8 +229,8 @@ def operator_zones_of(world, specs) -> set:
 class TestLazyOperatorZones:
     def test_build_world_materialises_no_operator_zone(self):
         world = build_world(scale=SCALE, seed=3)
-        total = sum(len(p.ns_zones) for p in world.builder.profiles.values())
-        assert total >= len(world.builder.operators) > 100
+        total = sum(len(p.ns_zones) for p in world.profiles.values())
+        assert total >= len(world.operators) > 100
         assert materialised_operator_zones(world) == set()
 
     def test_a_scan_materialises_only_the_zones_it_queries(self):
@@ -241,7 +240,7 @@ class TestLazyOperatorZones:
         specs = [world.specs[name.to_text().rstrip(".")] for name in subset]
         built = materialised_operator_zones(world)
         assert built == operator_zones_of(world, specs)
-        total = sum(len(p.ns_zones) for p in world.builder.profiles.values())
+        total = sum(len(p.ns_zones) for p in world.profiles.values())
         assert 0 < len(built) < total / 4
 
     def test_wire_campaign_materialises_the_same_zones_as_sim(self):
@@ -271,9 +270,8 @@ class TestLazyOperatorZones:
 
         # Scenarios add NullSign, whose _signal delegations carry no DS.
         world = build_world(scale=SCALE, seed=3, scenarios=ScenarioSpec.default())
-        builder = world.builder
         compared = denials = 0
-        for name, runtime in builder.operators.items():
+        for name, runtime in world.operators.items():
             profile = runtime.profile
             zones = []
             queries = []
@@ -286,9 +284,8 @@ class TestLazyOperatorZones:
                 queries += [(Name.from_text(host), t) for t in (RRType.A, RRType.AAAA)]
                 if profile.publishes_signal:
                     signal = Name.from_text(f"_signal.{host}")
-                    zones.append(
-                        materialize_signal_zone(host, profile, builder.signal_index.get(host, []))
-                    )
+                    entries = [world.specs[zone] for zone in world.signal_index.get(host, ())]
+                    zones.append(materialize_signal_zone(host, profile, entries))
                     # DS at the signal apex is the parent side of the cut:
                     # answered from the operator zone, not the signal zone.
                     queries += [(signal, RRType.DS), (signal, RRType.SOA)]

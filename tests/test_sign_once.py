@@ -48,8 +48,7 @@ def built(monkeypatch):
 
 
 def ask(world, host, zone, rrtype):
-    builder = world.builder
-    ip = builder.operators[builder.host_owner[host]].host_ips[host][0]
+    ip = world.operators[world.plan.host_owner[host]].host_ips[host][0]
     return world.network.query(ip, make_query(zone, rrtype))
 
 
@@ -64,9 +63,8 @@ def signer_tags(response, zone, rrtype):
 
 def two_servers(world, spec):
     """The zone is on two distinct servers of one operator."""
-    builder = world.builder
-    owners = {builder.host_owner[host] for host in spec.ns_hosts}
-    runtime = builder.operators[spec.operator]
+    owners = {world.plan.host_owner[host] for host in spec.ns_hosts}
+    runtime = world.operators[spec.operator]
     servers = {id(runtime.server_for(host)) for host in spec.ns_hosts}
     return owners == {spec.operator} and len(servers) == len(spec.ns_hosts) == 2
 
@@ -90,10 +88,7 @@ class TestOneZonePerContent:
 
     def test_multisigner_hosts_sign_with_their_own_keys(self, world, built):
         spec = world.specs[PLAIN]
-        multi = replace(spec, cds=CdsScenario.MULTISIGNER)
-        apex = Name.from_text(PLAIN)
-        for host in spec.ns_hosts:
-            world.builder.customer_spec_maps[host][apex] = multi
+        multi = world.specs[PLAIN] = replace(spec, cds=CdsScenario.MULTISIGNER)
         tags = [signer_tags(ask(world, host, PLAIN, RRType.DNSKEY), PLAIN, RRType.DNSKEY)
                 for host in spec.ns_hosts]  # fmt: skip
         assert tags == [{zone_keys(multi).key_tag}, {secondary_keys(multi).key_tag}]
