@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.dns.name import Name
-from repro.dns.rdata import A, AAAA, CDNSKEY, CDS, NS, SOA, TXT
+from repro.dns.rdata import A, AAAA, CDNSKEY, CDS, DS, NS, SOA, TXT
 from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.dns.zone import Zone
@@ -168,6 +168,24 @@ def ghost_keys(spec: ZoneSpec) -> KeyPair:
     return KeyPair.generate(Algorithm.ED25519, ksk=True, seed=spec.seed("ghost"))
 
 
+def delegation(spec: ZoneSpec) -> Tuple[List[NS], List[DS]]:
+    """The NS and DS rdatas the parent holds for *spec*: one NS per
+    distinct host; a DS for the phase's DS keys mid-rollover, for a key
+    the zone lacks (errant DS), for its own key, or none (an island).
+    The plan delegates every zone by it, and replay follows it."""
+    ns = [NS(host) for host in dict.fromkeys(spec.ns_hosts)]
+    if not spec.wants_parent_ds:
+        return ns, []
+    if spec.rollover_phase:
+        keys = transition_keys(spec)[2]
+    elif spec.status == StatusScenario.INVALID_ERRANT_DS:
+        keys = [ghost_keys(spec)]
+    else:
+        keys = [zone_keys(spec)]
+    owner = Name.from_text(spec.name)
+    return ns, [ds_from_dnskey(owner, key.dnskey()) for key in keys]
+
+
 def secondary_keys(spec: ZoneSpec) -> KeyPair:
     """The second operator's key in an RFC 8901 multi-signer setup."""
     return KeyPair.generate(Algorithm.ED25519, ksk=True, seed=spec.seed("ksk2"))
@@ -183,11 +201,6 @@ def registry_key(suffix: str) -> KeyPair:
 
 def operator_zone_key(zone: str) -> KeyPair:
     return KeyPair.generate(Algorithm.ED25519, ksk=True, seed=f"opzone:{zone}".encode())
-
-
-def _cds_pair(spec: ZoneSpec, key: KeyPair) -> Tuple[List[CDS], List[CDNSKEY]]:
-    owner = Name.from_text(spec.name)
-    return [cds_from_dnskey(owner, key.dnskey())], [key.cdnskey()]
 
 
 def _cds_set(spec: ZoneSpec, keys: List[KeyPair]) -> Tuple[List[CDS], List[CDNSKEY]]:
@@ -226,18 +239,13 @@ def customer_cds_rdatas(spec: ZoneSpec, variant: int) -> Tuple[List[CDS], List[C
         # (RFC 7344 §6.1: the CDS RRset *is* the desired DS RRset).
         return _cds_set(spec, transition_keys(spec)[3])
     if spec.cds == CdsScenario.MISMATCH or spec.cds == CdsScenario.UNSIGNED_CDS:
-        return _cds_pair(spec, ghost_keys(spec))
+        return _cds_set(spec, [ghost_keys(spec)])
     if spec.cds == CdsScenario.INCONSISTENT and variant != 0:
-        return _cds_pair(spec, ghost_keys(spec))
+        return _cds_set(spec, [ghost_keys(spec)])
     if spec.cds == CdsScenario.MULTISIGNER:
         # RFC 8901: every operator serves the *union* of both CDS sets.
-        owner = Name.from_text(spec.name)
-        cds = [
-            cds_from_dnskey(owner, zone_keys(spec).dnskey()),
-            cds_from_dnskey(owner, secondary_keys(spec).dnskey()),
-        ]
-        return cds, [zone_keys(spec).cdnskey(), secondary_keys(spec).cdnskey()]
-    return _cds_pair(spec, zone_keys(spec))
+        return _cds_set(spec, [zone_keys(spec), secondary_keys(spec)])
+    return _cds_set(spec, [zone_keys(spec)])
 
 
 def signal_cds_rdatas(spec: ZoneSpec) -> Tuple[List[CDS], List[CDNSKEY]]:
@@ -249,9 +257,7 @@ def signal_cds_rdatas(spec: ZoneSpec) -> Tuple[List[CDS], List[CDNSKEY]]:
     the key it intends to use.
     """
     if spec.cds == CdsScenario.NONE:
-        if spec.rollover_phase:
-            return _cds_set(spec, transition_keys(spec)[3])
-        return _cds_pair(spec, zone_keys(spec))
+        return _cds_set(spec, transition_keys(spec)[3])
     return customer_cds_rdatas(spec, variant=0)
 
 
@@ -350,6 +356,14 @@ def _corrupt_cds_signature(zone: Zone, origin: Name) -> None:
     zone.add_rrset(RRset(origin, RRType.RRSIG, sig_rrset.ttl, rewritten))
 
 
+def signal_entry(spec: ZoneSpec) -> Tuple[str, Tuple[CDS, ...], Tuple[CDNSKEY, ...], bool]:
+    """What :func:`materialize_signal_zone` reads of *spec*: its name,
+    the CDS and CDNSKEY rdatas its operator signals for it, and whether
+    their signatures are expired."""
+    cds, cdnskey = signal_cds_rdatas(spec)
+    return spec.name, tuple(cds), tuple(cdnskey), spec.signal == SignalScenario.SIG_EXPIRED
+
+
 def materialize_signal_zone(
     host: str,
     profile: OperatorProfile,
@@ -364,16 +378,15 @@ def materialize_signal_zone(
     for ns_host in profile.hosts[:2]:
         zone.add(origin, _ZONE_TTL, NS(ns_host))
     expired: List[Name] = []
-    for spec in entries:
-        boot = Name.from_text(f"_dsboot.{spec.name}").concatenate(origin)
-        cds_rdatas, cdnskey_rdatas = signal_cds_rdatas(spec)
+    for name, cds_rdatas, cdnskey_rdatas, sig_expired in map(signal_entry, entries):
         if not cds_rdatas and not cdnskey_rdatas:
             continue
+        boot = Name.from_text(f"_dsboot.{name}").concatenate(origin)
         if cds_rdatas:
             zone.add_rrset(RRset(boot, RRType.CDS, _ZONE_TTL, cds_rdatas))
         if cdnskey_rdatas:
             zone.add_rrset(RRset(boot, RRType.CDNSKEY, _ZONE_TTL, cdnskey_rdatas))
-        if spec.signal == SignalScenario.SIG_EXPIRED:
+        if sig_expired:
             expired.append(boot)
     sign_zone(zone, [key])
     for boot in expired:
@@ -474,7 +487,8 @@ class WorldPlan:
     def zone(self, operator: str, key: object, build: Callable[[], Zone]) -> Zone:
         """*operator*'s materialised zone under *key*, built and frozen on
         a miss: customer zones are keyed ``(spec, content variant)``, NS
-        zones by their name and signal zones ``(host, entries)``.  Every
+        zones by their name and signal zones by their host and the
+        :func:`signal_entry` of each zone they list.  Every
         world of this plan, and every server in it, answers from the one
         zone and its one answer memo."""
         zones = self.zones.setdefault(operator, OrderedDict())
@@ -570,24 +584,16 @@ class WorldPlan:
                 rdata = AAAA(ip) if ":" in ip else A(ip)
                 registry.add(host, _ZONE_TTL, rdata)
 
-    # -- customer zones --------------------------------------------------------------
-
-    def delegate_customer(self, spec: ZoneSpec) -> None:
-        registry = self.registry_zones[spec.suffix]
-        origin = Name.from_text(spec.name)
-        for ns_host in spec.ns_hosts:
-            registry.add(spec.name, _ZONE_TTL, NS(ns_host))
-        if spec.wants_parent_ds:
-            if spec.rollover_phase:
-                for key in transition_keys(spec)[2]:
-                    registry.add(spec.name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
-                return
-            key = (
-                ghost_keys(spec)
-                if spec.status == StatusScenario.INVALID_ERRANT_DS
-                else zone_keys(spec)
-            )
-            registry.add(spec.name, _ZONE_TTL, ds_from_dnskey(origin, key.dnskey()))
+    def hosts(self, spec: ZoneSpec) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        """``(serving, signalling)``: the hosts whose servers serve
+        *spec*'s zone, and those whose ``_signal`` zone lists it — its
+        own operator's hosts, when that operator publishes signals (the
+        first host only for an NS-coverage gap)."""
+        serving = tuple(dict.fromkeys(spec.ns_hosts))
+        if spec.signal == SignalScenario.NONE or not self.profiles[spec.operator].publishes_signal:
+            return serving, ()
+        publishing = serving[:1] if spec.signal == SignalScenario.NS_COVERAGE else serving
+        return serving, tuple(h for h in publishing if self.host_owner.get(h) == spec.operator)
 
 
 @dataclass
@@ -714,7 +720,9 @@ def _customer_provider(
 def install_signal_providers(world: "World") -> None:
     """Attach signaling-zone providers to every AB operator server: the
     ``_signal.<host>`` zone holds the specs, read from ``world.specs``,
-    of the zones ``world.signal_index`` lists under *host*."""
+    of the zones ``world.signal_index`` lists under *host*, and is kept
+    under what it reads of them, so an event that leaves a zone's
+    signal as it was (a serial bump, a DS install) keeps the zone."""
     plan, specs, signal_index = world.plan, world.specs, world.signal_index
     for runtime in world.operators.values():
         profile = runtime.profile
@@ -733,11 +741,11 @@ def install_signal_providers(world: "World") -> None:
                 host = apex.parent().to_text().rstrip(".")
                 if apex.labels[0] != b"_signal" or host not in _profile.hosts:
                     return None
-                entries = tuple(specs[name] for name in signal_index.get(host, ()))
+                entries = [specs[name] for name in signal_index.get(host, ())]
                 zone = _cache[apex] = plan.zone(
                     _profile.name,
-                    (host, entries),
-                    lambda: materialize_signal_zone(host, _profile, list(entries)),
+                    (host, tuple(map(signal_entry, entries))),
+                    lambda: materialize_signal_zone(host, _profile, entries),
                 )
             return zone
 

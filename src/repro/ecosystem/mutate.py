@@ -7,18 +7,25 @@ bootstrapping, publishing/withdrawing CDS, getting bootstrapped into
 the chain of trust, rolling keys, churning NS sets, filing RFC 8078
 delete requests — applied *between* simulated epochs.
 
-What keeps this cheap: zones are materialised lazily, and a world
-keeps each spec in one place, ``world.specs``.  The servers' providers
-index zones by name — host → {apex → zone name} and host → [zones
-signalling under it] — and read the spec when asked (see
+An event is one spec write.  Its kind names a change of the zone's old
+spec (:data:`CHANGES`); the new spec, serial bumped, goes to
+``world.specs``, the one place a world keeps it, and :func:`follow`
+brings the rest of the world along through the rules that planned it:
+the parent's NS and DS rows
+(:func:`~repro.ecosystem.generator.delegation`, written by the one
+registry editor :func:`~repro.provisioning.engine.replace_delegation`)
+and the host indexes
+(:meth:`~repro.ecosystem.generator.WorldPlan.hosts`), each edited only
+where the old and the new spec derive other rows.  So a replayed zone
+is what a fresh plan of its spec would hold.
+
+What keeps this cheap: zones are materialised lazily, and the servers'
+providers index zones by name and read the spec when asked (see
 :func:`~repro.ecosystem.generator.install_customer_providers`).  Events
 are always applied to a freshly rebuilt world **before** any query is
 served, and no invalidation machinery is needed: a replaced spec names
-another materialised zone, a registry edit drops that zone's answer
-memo by itself, and the world's signal zones are still unbuilt — a
-spec change is one write to ``world.specs``, and only NS churn and a
-newly adopted signal also edit an index (plus the live registry zones,
-via :mod:`repro.provisioning`).
+another materialised zone, and a registry edit drops that zone's answer
+memo by itself.
 
 Every applied event bumps the zone's SOA serial, which is what the
 delta campaigns' change feed (zone-serial / CSYNC-style) keys on.
@@ -27,17 +34,14 @@ delta campaigns' change feed (zone-serial / CSYNC-style) keys on.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.chaos.retry import stable_unit
 from repro.dns.name import Name
-from repro.dns.rdata import NS
-from repro.dns.rrset import RRset
-from repro.dns.types import RRType
-from repro.dnssec.ds import cds_from_dnskey
-from repro.ecosystem.generator import transition_keys, zone_keys
+from repro.ecosystem.generator import delegation
 from repro.ecosystem.spec import CdsScenario, SignalScenario, StatusScenario, ZoneSpec
 from repro.ecosystem.world import World
+from repro.provisioning.engine import replace_delegation
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.transitions import (
     ADVANCE_EVENT,
@@ -63,8 +67,6 @@ EVENT_KINDS: Tuple[str, ...] = (
     "churn_ns",
     "remove_ds",
 )
-
-_TTL = 3600
 
 
 class MutationError(ValueError):
@@ -106,15 +108,10 @@ def applicable(world: World, spec: ZoneSpec, kind: str) -> bool:
         return spec.rollover_phase in RECOVERABLE_PHASES
     if not eligible(world, spec):
         return False
-    profile = world.profiles[spec.operator]
     if kind == "adopt_signal":
-        return (
-            spec.signal == SignalScenario.NONE
-            and getattr(profile, "publishes_signal", False)
-            and any(
-                world.plan.host_owner.get(host) == spec.operator
-                for host in spec.ns_hosts
-            )
+        # Adopting must give the zone a host that signals for it.
+        return spec.signal == SignalScenario.NONE and bool(
+            world.plan.hosts(replace(spec, signal=SignalScenario.OK))[1]
         )
     if kind == "publish_cds":
         return spec.cds == CdsScenario.NONE
@@ -146,57 +143,7 @@ def apply_event(
     spec = world.specs[zone]
     if not applicable(world, spec, kind):
         raise MutationError(f"event {kind} is not applicable to {zone}")
-    return _APPLIERS[kind](world, spec, scenarios)
-
-
-# -- per-kind application ----------------------------------------------------
-
-
-def _replace_spec(world: World, spec: ZoneSpec, **changes) -> ZoneSpec:
-    """Swap in an updated (serial-bumped) spec.  ``world.specs`` is the
-    only place it lives: the providers read it there when asked."""
-    new = replace(spec, serial=spec.serial + 1, **changes)
-    world.specs[spec.name] = new
-    return new
-
-
-def _adopt_signal(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
-    new = _replace_spec(world, spec, signal=SignalScenario.OK)
-    for host in dict.fromkeys(new.ns_hosts):
-        if world.plan.host_owner.get(host) == new.operator:
-            world.signal_index.setdefault(host, []).append(new.name)
-    return new
-
-
-def _publish_cds(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
-    return _replace_spec(world, spec, cds=CdsScenario.OK)
-
-
-def _withdraw_cds(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
-    return _replace_spec(world, spec, cds=CdsScenario.NONE)
-
-
-def _keys_cds_rrset(spec: ZoneSpec, keys) -> RRset:
-    owner = Name.from_text(spec.name)
-    return RRset(
-        owner, RRType.CDS, _TTL, [cds_from_dnskey(owner, key.dnskey()) for key in keys]
-    )
-
-
-def _own_cds_rrset(spec: ZoneSpec) -> RRset:
-    """The CDS RRset the zone currently advertises (what an accept
-    decision installs).  Mid-rollover this carries every key in the
-    window — RFC 7344 §6.1: the CDS RRset *is* the desired DS RRset."""
-    keys = transition_keys(spec)[3] or [zone_keys(spec)]
-    return _keys_cds_rrset(spec, keys)
-
-
-def _bootstrap_ds(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
-    from repro.provisioning.engine import install_ds
-
-    new = _replace_spec(world, spec, status=StatusScenario.SECURE)
-    install_ds(world, new.name, _own_cds_rrset(new))
-    return new
+    return _write(world, spec, CHANGES[kind](world, spec, scenarios))
 
 
 def bootstrap_zone(world: World, zone: str) -> ZoneSpec:
@@ -204,27 +151,78 @@ def bootstrap_zone(world: World, zone: str) -> ZoneSpec:
 
     Replay counterpart of an :class:`~repro.agent` accept decision: the
     agent verified the zone's live CDS at decision time, so replay
-    installs the spec-derived DS unconditionally — exactly what
-    ``_bootstrap_ds`` does for the operator-driven event, minus the
-    seeded-rate gate.
+    secures the zone unconditionally — the ``bootstrap_ds`` change,
+    minus the seeded-rate gate — and the parent follows with the DS
+    the secured spec derives.
     """
-    return _bootstrap_ds(world, world.specs[zone])
+    return _write(world, world.specs[zone], {"status": StatusScenario.SECURE})
 
 
-def _roll_key(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
+def _write(world: World, old: ZoneSpec, changes: Dict[str, object]) -> ZoneSpec:
+    """Store *old* with *changes* and its serial bumped in ``world.specs``,
+    the only place a world keeps it, and let the rest of the world
+    follow."""
+    new = world.specs[old.name] = replace(old, serial=old.serial + 1, **changes)
+    follow(world, old, new)
+    return new
+
+
+def follow(world: World, old: ZoneSpec, new: ZoneSpec) -> None:
+    """Make what *world* derives from a zone's spec hold for *new*.
+
+    The rows come from the rules that planned the world: the parent's
+    NS and DS from :func:`~repro.ecosystem.generator.delegation`, edited
+    through the one registry editor; the host indexes from
+    :meth:`~repro.ecosystem.generator.WorldPlan.hosts`, a host that
+    starts serving the zone claiming its apex.  Only what *old* and
+    *new* derive differently is edited, so an event that leaves the
+    rows as they were keeps the registry's answer memo.
+    """
+    (old_ns, old_ds), (ns, ds) = delegation(old), delegation(new)
+    if (old_ns, old_ds) != (ns, ds):
+        replace_delegation(
+            world, new.name, ns=None if ns == old_ns else ns, ds=None if ds == old_ds else ds
+        )
+    apex, plan = Name.from_text(new.name), world.plan
+    (old_serving, old_signalling), (serving, signalling) = plan.hosts(old), plan.hosts(new)
+    for host in _minus(old_serving, serving):
+        world.zones_by_host[host].pop(apex, None)
+    for host in _minus(serving, old_serving):
+        world.zones_by_host[host][apex] = new.name
+        world.operators[plan.host_owner[host]].server_for(host).claim_apex(apex)
+    for host in _minus(old_signalling, signalling):
+        world.signal_index[host].remove(new.name)
+    for host in _minus(signalling, old_signalling):
+        world.signal_index.setdefault(host, []).append(new.name)
+
+
+def _minus(hosts, others):
+    return [host for host in hosts if host not in others]
+
+
+# -- per-kind spec changes ---------------------------------------------------
+#
+# Each takes the world, the zone's old spec and the scenario spec, and
+# returns the fields the event changes; ``_write`` bumps the serial.
+
+
+def _set(**changes):
+    return lambda world, spec, scenarios: changes
+
+
+def _roll_key(world: World, spec: ZoneSpec, scenarios=None) -> Dict[str, object]:
     """Open a key-rollover window (RFC 7344 remove-then-add).
 
-    The old behaviour was an atomic key swap — DNSKEY, CDS, and parent
-    DS all flipped between epochs, a transition no real operator can
-    perform.  Now the event *enters* a window: the spec records the
-    transition kind and phase, the zone publishes and signs per the
-    phase (see :func:`repro.ecosystem.generator.transition_keys`), and
-    the forced ``advance_rollover`` event completes recoverable windows
-    one epoch later.  Mishap kinds (stranded KSK, dangling DS) are
-    terminal states the event stream never repairs.
+    No real operator swaps DNSKEY, CDS and parent DS between two epochs,
+    so the event *enters* a window: the spec records the transition kind
+    and phase, the zone publishes and signs per the phase (see
+    :func:`repro.ecosystem.generator.transition_keys`), the parent DS of
+    a secured zone follows the phase's DS key set (both keys in a
+    double-DS window; unchanged for stranded/dangling mishaps), and the
+    forced ``advance_rollover`` event completes recoverable windows one
+    epoch later.  Mishap kinds (stranded KSK, dangling DS) are terminal
+    states the event stream never repairs.
     """
-    from repro.provisioning.engine import install_ds
-
     kind = choose_roll_kind(scenarios, spec.name, spec.key_generation)
     if spec.status != StatusScenario.SECURE and kind in (
         KIND_STRANDED_KSK,
@@ -233,43 +231,21 @@ def _roll_key(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
         # Mishaps are parent-DS pathologies; an island has no DS to
         # strand or dangle, so degrade to the conservative window.
         kind = KIND_DOUBLE_DS
-    new = _replace_spec(
-        world, spec, rollover_kind=kind, rollover_phase=PHASE_FOR_KIND[kind]
-    )
-    if new.status == StatusScenario.SECURE:
-        # The parent DS follows the phase's DS key set (both keys in a
-        # double-DS window; unchanged for stranded/dangling mishaps).
-        install_ds(world, new.name, _keys_cds_rrset(new, transition_keys(new)[2]))
-    return new
+    return {"rollover_kind": kind, "rollover_phase": PHASE_FOR_KIND[kind]}
 
 
-def _advance_rollover(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
+def _advance_rollover(world: World, spec: ZoneSpec, scenarios=None) -> Dict[str, object]:
     """Close a recoverable rollover window: the successor key becomes
-    the incumbent and the parent DS (for secured zones) follows."""
-    from repro.provisioning.engine import install_ds
-
+    the incumbent (and the parent DS of a secured zone follows)."""
     algorithm = spec.algorithm
     if spec.rollover_kind == KIND_ALGORITHM:
         algorithm = ALGORITHM_ROLL_TARGET.get(spec.algorithm, "ecdsap256")
-    new = _replace_spec(
-        world,
-        spec,
-        key_generation=spec.key_generation + 1,
-        algorithm=algorithm,
-        rollover_kind="",
-        rollover_phase="",
-    )
-    if new.status == StatusScenario.SECURE:
-        install_ds(world, new.name, _own_cds_rrset(new))
-    return new
-
-
-def _remove_ds(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
-    from repro.provisioning.engine import remove_ds
-
-    new = _replace_spec(world, spec, status=StatusScenario.ISLAND)
-    remove_ds(world, new.name)
-    return new
+    return {
+        "key_generation": spec.key_generation + 1,
+        "algorithm": algorithm,
+        "rollover_kind": "",
+        "rollover_phase": "",
+    }
 
 
 def _churn_candidates(world: World, spec: ZoneSpec):
@@ -284,44 +260,24 @@ def _churn_candidates(world: World, spec: ZoneSpec):
     ]
 
 
-def _churn_ns(world: World, spec: ZoneSpec, scenarios=None) -> ZoneSpec:
+def _churn_ns(world: World, spec: ZoneSpec, scenarios=None) -> Dict[str, object]:
     candidates = _churn_candidates(world, spec)
-    old_hosts = tuple(dict.fromkeys(spec.ns_hosts))
-    want = len(old_hosts)
+    want = len(dict.fromkeys(spec.ns_hosts))
     if want > len(candidates):
         # Not enough hosts to fill the NS set; record the (no-op) churn
         # by bumping the serial so the change feed stays honest.
-        return _replace_spec(world, spec)
+        return {}
     start = int(stable_unit("monitor", "churn", spec.name, spec.serial) * len(candidates))
-    new_hosts = tuple(candidates[(start + i) % len(candidates)] for i in range(want))
-
-    new = _replace_spec(world, spec, ns_hosts=new_hosts)
-    apex = Name.from_text(spec.name)
-    for host in old_hosts:
-        if host not in new_hosts:
-            world.zones_by_host[host].pop(apex, None)
-    for host in new_hosts:
-        world.zones_by_host[host][apex] = spec.name
-        world.operators[world.plan.host_owner[host]].server_for(host).claim_apex(apex)
-
-    # Re-point the delegation (delegation NS RRsets are unsigned, so no
-    # registry re-signing is needed; glue for operator hosts lives in
-    # the operator's own ns_zones).
-    registry = world.registry_zones[spec.suffix]
-    owner = Name.from_text(spec.name)
-    registry.remove_rrset(owner, RRType.NS)
-    for host in new_hosts:
-        registry.add(spec.name, _TTL, NS(host))
-    return new
+    return {"ns_hosts": tuple(candidates[(start + i) % len(candidates)] for i in range(want))}
 
 
-_APPLIERS = {
-    "adopt_signal": _adopt_signal,
-    "publish_cds": _publish_cds,
-    "withdraw_cds": _withdraw_cds,
-    "bootstrap_ds": _bootstrap_ds,
+CHANGES = {
+    "adopt_signal": _set(signal=SignalScenario.OK),
+    "publish_cds": _set(cds=CdsScenario.OK),
+    "withdraw_cds": _set(cds=CdsScenario.NONE),
+    "bootstrap_ds": _set(status=StatusScenario.SECURE),
     "roll_key": _roll_key,
     "churn_ns": _churn_ns,
-    "remove_ds": _remove_ds,
+    "remove_ds": _set(status=StatusScenario.ISLAND),
     ADVANCE_EVENT: _advance_rollover,
 }

@@ -20,6 +20,7 @@ assembles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.bootstrap import BootstrapEligibility, SignalOutcome
@@ -278,25 +279,22 @@ def _plan_world(cells: List[Cell], seed: int, adversarial: bool) -> WorldPlan:
                 rollover_phase=PHASE_FOR_KIND.get(cell.rollover_kind, ""),
             )
             plan.specs[name] = spec
-            plan.delegate_customer(spec)
+            registry = plan.registry_zones[suffix]
+            for rdata in chain(*generator_module.delegation(spec)):
+                registry.add(name, 3600, rdata)
             apex = Name.from_text(name)
-            for host in dict.fromkeys(hosts):
+            serving, signalling = plan.hosts(spec)
+            for host in serving:
                 plan.zones_by_host.setdefault(host, {})[apex] = name
-            if spec.signal != SignalScenario.NONE and primary.publishes_signal:
-                publish_hosts = list(dict.fromkeys(hosts))
-                if spec.signal == SignalScenario.NS_COVERAGE and len(publish_hosts) > 1:
-                    publish_hosts = publish_hosts[:1]
-                for host in publish_hosts:
-                    if plan.host_owner.get(host) != cell.operator:
-                        continue  # the other operator does not publish
-                    plan.signal_index.setdefault(host, []).append(name)
-                    boot = Name.from_text(f"_dsboot.{name}._signal.{host}")
-                    if spec.signal == SignalScenario.SIG_TRANSIENT:
-                        plan.transient_names.setdefault(cell.operator, []).append(boot)
-                    if spec.signal == SignalScenario.ZONE_CUT:
-                        plan.cut_names.setdefault(cell.operator, []).append(boot.parent())
-                    if spec.signal == SignalScenario.SPOOFED:
-                        plan.spoof_names.setdefault(cell.operator, []).append(boot)
+            for host in signalling:
+                plan.signal_index.setdefault(host, []).append(name)
+                boot = Name.from_text(f"_dsboot.{name}._signal.{host}")
+                if spec.signal == SignalScenario.SIG_TRANSIENT:
+                    plan.transient_names.setdefault(cell.operator, []).append(boot)
+                if spec.signal == SignalScenario.ZONE_CUT:
+                    plan.cut_names.setdefault(cell.operator, []).append(boot.parent())
+                if spec.signal == SignalScenario.SPOOFED:
+                    plan.spoof_names.setdefault(cell.operator, []).append(boot)
     plan.sign_registries()
     return plan
 

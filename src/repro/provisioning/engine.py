@@ -7,9 +7,10 @@ paper's App.-D feasibility discussion ("only 1.2 M of 287.6 M domains
 need to be scanned to this depth") into an executable experiment.
 
 :func:`provision_zone` is the only install → re-scan → keep-or-roll-back
-step (the parental agent calls it too) and :func:`_replace_ds` the only
-code that edits a registry's DS RRset, its signature and the NSEC that
-proves it.
+step (the parental agent calls it too) and :func:`replace_delegation`
+the only code that edits a registry's delegation: its NS RRset, its DS
+RRset, the DS signature and the NSEC that proves it.  A replayed event
+reaches it through :func:`repro.ecosystem.mutate.follow`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.bootstrap import BootstrapAssessment, assess_zone
 from repro.core.status import DnssecStatus, classify_status
 from repro.dns.name import Name
-from repro.dns.rdata import CDS, DS, NSEC
+from repro.dns.rdata import CDS, DS, NS, NSEC
 from repro.dns.rrset import RRset
 from repro.dns.types import RRType
 from repro.dns.zone import Zone
@@ -63,11 +64,17 @@ class BootstrapRun:
     queries_used: int = 0
 
 
-def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
-    """Replace the DS RRset at *zone_name*'s delegation (no rdatas:
-    remove it), rebuild the owner's NSEC type bitmap, and re-sign both
-    while keeping the owner's other signatures.  The edits drop the
-    registry's answer memo (:attr:`~repro.dns.zone.Zone.answers`).
+def replace_delegation(
+    world: World,
+    zone_name: str,
+    ns: Optional[Sequence[NS]] = None,
+    ds: Optional[Sequence[DS]] = None,
+) -> None:
+    """Replace the NS and the DS RRset at *zone_name*'s delegation (None
+    keeps one; no DS rdatas remove the DS).  A DS edit also rebuilds the
+    owner's NSEC type bitmap and re-signs both, keeping the owner's
+    other signatures (a delegation's NS RRset is unsigned).  The edits
+    drop the registry's answer memo (:attr:`~repro.dns.zone.Zone.answers`).
 
     Each RRset is replaced, never edited (a world's registries share
     theirs with the plan they were copied from), and re-added in the
@@ -78,9 +85,14 @@ def _replace_ds(world: World, zone_name: str, ds_rdatas: Sequence[DS]) -> None:
     owner = Name.from_text(zone_name)
     _, suffix = psl.registrable_part(owner)
     registry: Zone = world.registry_zones[suffix]
+    if ns is not None:
+        registry.remove_rrset(owner, RRType.NS)
+        registry.add_rrset(RRset(owner, RRType.NS, 3600, ns))
+    if ds is None:
+        return
     registry.remove_rrset(owner, RRType.DS)
-    if ds_rdatas:
-        registry.add_rrset(RRset(owner, RRType.DS, 3600, ds_rdatas))
+    if ds:
+        registry.add_rrset(RRset(owner, RRType.DS, 3600, ds))
     nsec = registry.get_rrset(owner, RRType.NSEC)
     if nsec is not None:
         # RFC 4035 §5.4: the NSEC at an insecure delegation must deny DS.
@@ -111,13 +123,13 @@ def install_ds(world: World, zone_name: str, cds_rrset: RRset) -> List[DS]:
     ]
     if not ds_rdatas:
         raise ValueError(f"no installable CDS for {zone_name}")
-    _replace_ds(world, zone_name, ds_rdatas)
+    replace_delegation(world, zone_name, ds=ds_rdatas)
     return ds_rdatas
 
 
 def remove_ds(world: World, zone_name: str) -> None:
     """Process an RFC 8078 delete request: drop the DS at the parent."""
-    _replace_ds(world, zone_name, ())
+    replace_delegation(world, zone_name, ds=())
 
 
 def provision_zone(

@@ -7,9 +7,9 @@ pipeline interoperate at ZDNS-class mechanics: non-blocking sockets on
 one selector that the waiting caller pumps, a client socket pool with
 transaction-id demultiplexing, a deadline queue and a bounded drain
 (:mod:`~repro.wire.engine`); the authoritative fleet live on ephemeral
-ports, each endpoint running the servers' one answer step and the
-network's one response cache (:mod:`~repro.wire.fleet`); a drop-in
-scanner transport that shares the fabric's client prologue and doubles
+ports, each endpoint running the servers' one answer step, which serves
+repeats from the answering zone's answer memo (:mod:`~repro.wire.fleet`);
+a drop-in scanner transport that shares the fabric's client prologue and doubles
 as the scan loop's socket back-end — tasks park on the engine's pending
 handles and resume in settling order (:mod:`~repro.wire.network`).
 

@@ -26,7 +26,7 @@ from repro.dns.rdata import NS
 from repro.dns.zone import Zone
 from repro.dnssec import Algorithm, KeyPair
 from repro.ecosystem.evolution import historical_cells
-from repro.ecosystem.mutate import _churn_candidates, _churn_ns, bootstrap_zone
+from repro.ecosystem.mutate import apply_event, applicable, bootstrap_zone
 from repro.ecosystem.spec import CdsScenario, StatusScenario
 from repro.ecosystem.world import build_world
 from repro.provisioning.engine import install_ds, provision_zone, remove_ds
@@ -141,8 +141,8 @@ def edit_every_way(world):
     # The hosts' maps hold zone names, so only an NS churn that moves a
     # zone to another host edits them.
     for spec in secure[1:]:
-        if len(_churn_candidates(world, spec)) > 1:
-            if set(_churn_ns(world, spec).ns_hosts) != set(spec.ns_hosts):
+        if applicable(world, spec, "churn_ns"):
+            if set(apply_event(world, "churn_ns", spec.name).ns_hosts) != set(spec.ns_hosts):
                 break
 
 
