@@ -15,7 +15,7 @@ import tempfile
 
 from repro.core import AnalysisPipeline
 from repro.ecosystem import build_world
-from repro.scanner.serialize import dump_results, load_results
+from repro.scanner.serialize import dump_results, load_objects, result_from_obj
 
 
 def main() -> None:
@@ -38,7 +38,7 @@ def main() -> None:
           f"the paper stored 6.5 TiB of full DNS messages)")
 
     with open(path, encoding="utf-8") as fp:
-        stored = list(load_results(fp))
+        stored = [result_from_obj(obj) for obj in load_objects(fp)]
     offline_report = AnalysisPipeline(world.operator_db).analyze(stored)
 
     print("\nlive vs offline analysis:")

@@ -10,7 +10,8 @@ A zone's bootstrapping signal is acceptable when (RFC 9615 §4):
 5. the signaling CDS **match** the CDS published in the zone itself.
 
 :func:`analyze_signals` runs these checks over the scanner's
-:class:`~repro.scanner.results.SignalScan` records.
+:class:`~repro.scanner.results.SignalScan` records; the accept decision
+over them is :data:`repro.provisioning.policies.LADDER`.
 """
 
 from __future__ import annotations
@@ -99,19 +100,6 @@ class SignalReport:
     secure_and_valid: bool = False  # condition 4
     matches_zone_cds: Optional[bool] = None  # condition 5
     is_delete: bool = False
-
-    @property
-    def acceptable(self) -> bool:
-        """All five signal-side conditions hold."""
-        return (
-            self.any_signal
-            and self.covered_all_ns
-            and self.no_zone_cuts
-            and self.consistent
-            and self.secure_and_valid
-            and self.matches_zone_cds is not False
-            and not self.is_delete
-        )
 
 
 class SignalThreat(enum.Enum):

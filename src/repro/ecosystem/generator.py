@@ -728,7 +728,7 @@ def install_signal_providers(world: "World") -> None:
         profile = runtime.profile
         if not profile.publishes_signal:
             continue
-        apexes = [Name.from_text(f"_signal.{host}") for host in profile.hosts]
+        apexes = {Name.from_text(f"_signal.{host}") for host in profile.hosts}
         cache: Dict[Name, Zone] = {}
 
         def provider(

@@ -173,8 +173,8 @@ def follow(world: World, old: ZoneSpec, new: ZoneSpec) -> None:
     The rows come from the rules that planned the world: the parent's
     NS and DS from :func:`~repro.ecosystem.generator.delegation`, edited
     through the one registry editor; the host indexes from
-    :meth:`~repro.ecosystem.generator.WorldPlan.hosts`, a host that
-    starts serving the zone claiming its apex.  Only what *old* and
+    :meth:`~repro.ecosystem.generator.WorldPlan.hosts`, which each host's
+    server reads as its customer provider's apex map.  Only what *old* and
     *new* derive differently is edited, so an event that leaves the
     rows as they were keeps the registry's answer memo.
     """
@@ -189,7 +189,6 @@ def follow(world: World, old: ZoneSpec, new: ZoneSpec) -> None:
         world.zones_by_host[host].pop(apex, None)
     for host in _minus(serving, old_serving):
         world.zones_by_host[host][apex] = new.name
-        world.operators[plan.host_owner[host]].server_for(host).claim_apex(apex)
     for host in _minus(old_signalling, signalling):
         world.signal_index[host].remove(new.name)
     for host in _minus(signalling, old_signalling):

@@ -12,7 +12,7 @@ from repro.scanner.coverage import TlsWeightedSampler, UniformSampler, coverage_
 from repro.scanner.ratelimit import RateLimiter
 from repro.scanner.results import QueryStatus, RRQueryResult, SignalScan, ZoneScanResult
 from repro.scanner.sampling import AnycastSamplingPolicy
-from repro.scanner.serialize import LoadStats, dump_results, load_results
+from repro.scanner.serialize import dump_results
 from repro.scanner.yodns import Scanner, ScannerConfig
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "TlsWeightedSampler",
     "UniformSampler",
     "ZoneScanResult",
-    "LoadStats",
     "coverage_bias",
     "dump_results",
-    "load_results",
 ]

@@ -7,7 +7,7 @@ later without re-scanning — rdata round-trips through the master-file
 presentation format.
 
 Streaming semantics: :func:`dump_results` consumes any iterable (a
-generator works — nothing is materialised) and :func:`load_results` is
+generator works — nothing is materialised) and :func:`load_objects` is
 a generator, so a store→re-analyse cycle runs in O(1) memory.  Files
 may be gzip-compressed; readers auto-detect by magic bytes, writers
 compress when asked to (see :func:`open_results_write`).
@@ -18,10 +18,11 @@ once (``_RDATA_MEMO``, ``_RDATA_MEMO_LIMIT`` entries, cleared when full).
 Both are immutable value objects, so records share them and their
 memoised wire forms; the ``RRset`` around each is built per record.
 
-Crash tolerance: a process killed mid-write leaves a truncated final
-line.  By default :func:`load_results` skips undecodable lines with a
-warning (counted in :class:`LoadStats`); ``strict=True`` restores the
-raise-on-corruption behaviour.
+Damage: reading is strict.  A line that is not a record object raises
+:class:`ValueError` naming its line; a record that does not rebuild
+raises from :func:`result_from_obj`.  A store never shows a reader a
+torn line (a segment is committed whole, see :mod:`repro.store.shards`),
+so either is damage, and the store reports it as such.
 """
 
 from __future__ import annotations
@@ -29,11 +30,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
-import logging
-from dataclasses import dataclass
 from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, TextIO
-
-logger = logging.getLogger(__name__)
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -178,6 +175,28 @@ def _signal_from_obj(obj: Dict[str, Any]) -> SignalScan:
     )
 
 
+#: The keys of every record object (:func:`result_to_obj` writes each).
+RECORD_KEYS = frozenset(
+    (
+        "zone",
+        "resolved",
+        "error",
+        "parent",
+        "delegation_ns",
+        "ds",
+        "soa",
+        "child_ns",
+        "dnskey",
+        "ns_addresses",
+        "sampled",
+        "cds_by_ns",
+        "cdnskey_by_ns",
+        "signals",
+        "queries_used",
+    )
+)
+
+
 def result_to_obj(result: ZoneScanResult) -> Dict[str, Any]:
     """Serialise one scan result to a JSON-compatible dict."""
     return {
@@ -254,59 +273,23 @@ def dump_results(
     return count
 
 
-@dataclass
-class LoadStats:
-    """Counters filled in by :func:`load_results`."""
-
-    records: int = 0
-    skipped: int = 0  # corrupt or truncated lines that were not parseable
-
-
-def _load_lines(fp: TextIO, strict: bool, stats: Optional[LoadStats], decode) -> Iterator[Any]:
-    if stats is None:
-        stats = LoadStats()
+def load_objects(fp: Iterable[str]) -> Iterator[Dict[str, Any]]:
+    """Stream the record objects of a JSON-lines file, strictly: each
+    non-blank line must decode to an object carrying every key of
+    :func:`result_to_obj`, or :class:`ValueError` names the line.  The
+    one record-line parser — :func:`result_from_obj` rebuilds a record
+    a reader keeps."""
     for lineno, line in enumerate(fp, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            item = decode(line)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            if strict:
-                raise
-            stats.skipped += 1
-            logger.warning(
-                "skipping corrupt scan record at line %d (%d skipped so far)",
-                lineno,
-                stats.skipped,
-            )
-            continue
-        stats.records += 1
-        yield item
-
-
-def load_objects(
-    fp: TextIO, strict: bool = False, stats: Optional[LoadStats] = None
-) -> Iterator[Dict[str, Any]]:
-    """:func:`load_results` short of :func:`result_from_obj`: the records'
-    JSON objects, under the same strict / skip / *stats* rules — for a
-    reader that needs one field, or rebuilds only the records it keeps."""
-    return _load_lines(fp, strict, stats, json.loads)
-
-
-def load_results(
-    fp: TextIO,
-    strict: bool = False,
-    stats: Optional[LoadStats] = None,
-) -> Iterator[ZoneScanResult]:
-    """Stream results back from JSON lines.
-
-    A crash mid-write leaves a truncated final line; by default such
-    undecodable lines are skipped with a warning (and counted in
-    *stats* when given).  With ``strict=True`` corruption raises, as the
-    original loader did.
-    """
-    return _load_lines(fp, strict, stats, lambda line: result_from_obj(json.loads(line)))
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from exc
+        if not isinstance(obj, dict) or not RECORD_KEYS <= obj.keys():
+            raise ValueError(f"line {lineno}: not a scan record object")
+        yield obj
 
 
 # -- gzip-aware file access -------------------------------------------------

@@ -17,7 +17,7 @@ caller ever clears anything.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, TYPE_CHECKING
+from typing import Callable, Collection, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.dns.message import Message, make_response
 from repro.dns.name import Name
@@ -50,8 +50,9 @@ class AuthoritativeServer:
     def __init__(self, server_id: str = "ns"):
         self.server_id = server_id
         self._zones: Dict[Name, Zone] = {}
-        self._provider_apexes: set[Name] = set()
-        self._providers: List[ZoneProvider] = []
+        # (apexes, provider): the provider is asked for an apex its own
+        # live container holds.
+        self._providers: List[Tuple[Collection[Name], ZoneProvider]] = []
         self.behaviors: List["ServerBehavior"] = []
         self.queries_handled = 0
         self.memo_hits = 0  # answers served from a zone's memo
@@ -61,24 +62,20 @@ class AuthoritativeServer:
     def add_zone(self, zone: Zone) -> None:
         self._zones[zone.origin] = zone
 
-    def add_zone_provider(self, apexes: Iterable[Name], provider: ZoneProvider) -> None:
-        """Register a lazy provider claiming authority for *apexes*."""
-        self._provider_apexes.update(apexes)
-        self._providers.append(provider)
-
-    def claim_apex(self, apex: Name) -> None:
-        """Extend an installed provider's authority to one more apex
-        (NS churn moves a customer zone between host servers; the
-        destination's provider map gains the zone's name, and this makes
-        the server answer for it)."""
-        self._provider_apexes.add(apex)
+    def add_zone_provider(self, apexes: Collection[Name], provider: ZoneProvider) -> None:
+        """Register a lazy provider claiming authority for the apexes in
+        *apexes* — read live, so an apex the caller adds to it or drops
+        from it (NS churn moving a customer zone between hosts) is
+        served or refused from then on."""
+        self._providers.append((apexes, provider))
 
     def add_behavior(self, behavior: "ServerBehavior") -> None:
         self.behaviors.append(behavior)
 
     def zone_apexes(self) -> List[Name]:
         return sorted(
-            set(self._zones) | self._provider_apexes, key=lambda n: n.canonical_key()
+            set(self._zones).union(*(apexes for apexes, _ in self._providers)),
+            key=lambda n: n.canonical_key(),
         )
 
     def find_zone(self, qname: Name) -> Optional[Zone]:
@@ -93,8 +90,8 @@ class AuthoritativeServer:
             zone = self._zones.get(apex)
             if zone is not None:
                 return zone
-            if apex in self._provider_apexes:
-                for provider in self._providers:
+            for apexes, provider in self._providers:
+                if apex in apexes:
                     zone = provider(apex)
                     if zone is not None:
                         return zone

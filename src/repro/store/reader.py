@@ -15,9 +15,15 @@ from typing import Any, Dict, Iterator, List, Optional, Set
 
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.scanner.results import ZoneScanResult
-from repro.scanner.serialize import LoadStats
+from repro.scanner.serialize import result_from_obj
 from repro.store.manifest import CampaignManifest, load_manifest
-from repro.store.shards import ShardInfo, StoreError, iter_shard, iter_shard_objects, stored_zones
+from repro.store.shards import (
+    ShardCorruption,
+    ShardInfo,
+    StoreError,
+    iter_shard_objects,
+    stored_zones,
+)
 
 
 @dataclass
@@ -67,16 +73,21 @@ class StoreReader:
         # the manifest's list order.
         return sorted(self.manifest.shards, key=lambda info: (info.sequence, info.bucket))
 
-    def iter_results(
-        self, strict: bool = True, stats: Optional[LoadStats] = None
-    ) -> Iterator[ZoneScanResult]:
-        """Stream every stored result in commit order, O(1) memory.
-
-        Committed shards are atomic, so corruption here is disk damage
-        rather than an expected crash artefact — strict by default.
-        """
+    def iter_results(self) -> Iterator[ZoneScanResult]:
+        """Stream every stored result in commit order, O(1) memory: each
+        stored object rebuilt.  Committed shards are atomic, so a record
+        that does not rebuild is disk damage — :class:`ShardCorruption`
+        naming its segment, as for a line that does not decode."""
         for info in self._ordered_shards():
-            yield from iter_shard(self.root, info, strict=strict, stats=stats)
+            for obj in iter_shard_objects(self.root, info):
+                try:
+                    result = result_from_obj(obj)
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise ShardCorruption(
+                        f"corrupt record inside committed shard {info.path}: "
+                        f"zone {obj['zone']} does not rebuild: {exc!r}"
+                    ) from exc
+                yield result
 
     def iter_objects(self) -> Iterator[Dict[str, Any]]:
         """:meth:`iter_results`' stream before reconstruction: each stored

@@ -19,26 +19,28 @@ immutable *shard segments* instead:
 
 Segments are JSON-lines (:mod:`repro.scanner.serialize`), optionally
 gzip-compressed with deterministic framing so identical record streams
-give identical digests.  They are read two ways: :func:`iter_shard`
-rebuilds every record, :func:`iter_shard_objects` stops at the stored
-JSON object for consumers that need one field or keep only some records
-(record lines are parsed in :mod:`repro.scanner.serialize` only).
+give identical digests.  They are read one way, by
+:func:`iter_shard_objects`: the stored JSON objects, strictly — a line
+that does not decode to a record object raises :class:`ShardCorruption`
+naming the segment and the line, because no committed segment holds a
+torn line.  A consumer rebuilds the records it keeps (record lines are
+parsed in :mod:`repro.scanner.serialize` only).
 """
 
 from __future__ import annotations
 
+import gzip
 import hashlib
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.scanner.results import ZoneScanResult
 from repro.scanner.serialize import (
-    LoadStats,
     dump_results,
     load_objects,
-    load_results,
     open_results_read,
     open_results_write,
 )
@@ -51,7 +53,8 @@ class StoreError(Exception):
 
 
 class ShardCorruption(StoreError):
-    """A committed shard's bytes no longer match its manifest digest."""
+    """A committed shard is damaged: its bytes no longer match its
+    manifest digest, or a line of it is not a record that rebuilds."""
 
 
 def shard_for_zone(zone: str, num_shards: int) -> int:
@@ -168,29 +171,21 @@ def write_shard(
     )
 
 
-def _read_shard(root: Path, info: ShardInfo, load, strict: bool, stats: Optional[LoadStats]):
+def iter_shard_objects(root: Path, info: ShardInfo) -> Iterator[Dict[str, Any]]:
+    """One committed shard's records as stored JSON objects, in line
+    order (:func:`repro.scanner.serialize.load_objects`) — the one way a
+    segment is read.  A line that is not a record object, or bytes that
+    do not decode, raise :class:`ShardCorruption` naming the segment."""
     path = Path(root) / info.path
     if not path.exists():
         raise StoreError(f"manifest references missing shard {info.path}")
     with open_results_read(str(path)) as fp:
-        yield from load(fp, strict=strict, stats=stats)
-
-
-def iter_shard(
-    root: Path,
-    info: ShardInfo,
-    strict: bool = False,
-    stats: Optional[LoadStats] = None,
-) -> Iterator[ZoneScanResult]:
-    """Stream one shard's records (gzip auto-detected by magic bytes)."""
-    return _read_shard(root, info, load_results, strict, stats)
-
-
-def iter_shard_objects(root: Path, info: ShardInfo) -> Iterator[Dict[str, Any]]:
-    """One committed shard's records as stored JSON objects, strictly
-    (:func:`repro.scanner.serialize.load_objects`) — the reader for
-    consumers that do not rebuild every record."""
-    return _read_shard(root, info, load_objects, True, None)
+        try:
+            yield from load_objects(fp)
+        except (ValueError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise ShardCorruption(
+                f"corrupt record inside committed shard {info.path}: {exc}"
+            ) from exc
 
 
 def stored_zones(root: Path, manifest, buckets: Optional[Iterable[int]] = None) -> Set[str]:
@@ -207,12 +202,7 @@ def stored_zones(root: Path, manifest, buckets: Optional[Iterable[int]] = None) 
     for info in manifest.shards:
         if wanted is not None and info.bucket not in wanted:
             continue
-        try:
-            zones.update(obj["zone"] for obj in iter_shard_objects(root, info))
-        except (ValueError, KeyError, TypeError) as exc:
-            # Committed segments are atomic; a corrupt line here
-            # means on-disk damage, not a crash artefact.
-            raise ShardCorruption(f"corrupt record inside committed shard {info.path}") from exc
+        zones.update(obj["zone"] for obj in iter_shard_objects(root, info))
     return zones
 
 

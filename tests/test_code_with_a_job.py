@@ -21,6 +21,9 @@ DELETED = re.compile(
     # The world is assembled by plain functions over its own dicts, and
     # world.specs is the one place it keeps a spec.
     r"|InfrastructureBuilder|customer_spec_maps|\bworld\.builder\b"
+    # A committed segment is read one way, strictly; a server reads its
+    # providers' own apex maps.
+    r"|LoadStats|load_results|\biter_shard\b|claim_apex|_provider_apexes"
 )
 
 #: Not verbs: the JSONL side channel, the one-policy bootstrap and

@@ -86,14 +86,13 @@ class TestAnalyzeSignals:
         assert report.consistent
         assert report.secure_and_valid
         assert report.matches_zone_cds is True
-        assert report.acceptable
+        assert not report.is_delete
 
     def test_no_signal(self, mini_world):
         scanner = Scanner(mini_world["network"], mini_world["root_ips"])
         result = scanner.scan_zone("example.com")
         report = analyze_signals(result, None)
         assert not report.any_signal
-        assert not report.acceptable
 
     def test_missing_on_one_ns_breaks_coverage(self, scan):
         # Wipe the CDS under ns2's signaling zone.
@@ -108,7 +107,6 @@ class TestAnalyzeSignals:
         report = analyze_signals(scan, zone_cds(scan))
         assert report.any_signal
         assert not report.covered_all_ns
-        assert not report.acceptable
 
     def test_inconsistent_within_signal_zone(self, scan):
         keys = sorted(scan.signals[0].cds_by_ip)
@@ -119,13 +117,11 @@ class TestAnalyzeSignals:
         )
         report = analyze_signals(scan, zone_cds(scan))
         assert not report.consistent
-        assert not report.acceptable
 
     def test_zone_cut_detected(self, scan):
         scan.signals[0].zone_cuts = [Name.from_text("island.com._signal.ns1.opdns.net")]
         report = analyze_signals(scan, zone_cds(scan))
         assert not report.no_zone_cuts
-        assert not report.acceptable
 
     def test_bad_signal_sigs(self, scan):
         for signal in scan.signals:
@@ -134,7 +130,6 @@ class TestAnalyzeSignals:
                     response.rrsigs = [corrupt_signature(s) for s in response.rrsigs]
         report = analyze_signals(scan, zone_cds(scan))
         assert not report.secure_and_valid
-        assert not report.acceptable
 
     def test_insecure_chain(self, scan):
         for signal in scan.signals:
@@ -148,7 +143,6 @@ class TestAnalyzeSignals:
         delete_rrset = RRset(Name.from_text("island.com"), RRType.CDS, 3600, [cds_delete_rdata()])
         report = analyze_signals(scan, delete_rrset)
         assert report.matches_zone_cds is False
-        assert not report.acceptable
 
     def test_delete_in_signal(self, scan):
         for signal in scan.signals:
@@ -159,7 +153,6 @@ class TestAnalyzeSignals:
                     )
         report = analyze_signals(scan, zone_cds(scan))
         assert report.is_delete
-        assert not report.acceptable
 
     def test_name_too_long_flagged(self, scan):
         scan.signals[0].signal_name = None

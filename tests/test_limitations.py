@@ -119,5 +119,4 @@ class TestNameLengthLimit:
         result.signals = [scanner._run(scanner._scan_signal(self.LONG_ZONE, self.LONG_NS))]
         report = analyze_signals(result, None)
         assert not report.any_signal
-        assert not report.acceptable
         assert report.per_ns[0].name_too_long

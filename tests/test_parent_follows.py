@@ -15,9 +15,9 @@ from collections import Counter
 
 import pytest
 
-from repro.dns.message import make_query
+from repro.dns.message import Message, make_query
 from repro.dns.name import Name
-from repro.dns.types import RRType
+from repro.dns.types import Rcode, RRType
 from repro.ecosystem import build_world
 from repro.ecosystem.generator import delegation, materialize_signal_zone
 from repro.ecosystem.mutate import EVENT_KINDS, applicable, apply_event, bootstrap_zone
@@ -146,3 +146,29 @@ def test_an_install_keeps_the_hosts_served_signal_zone():
     for qname, qtype in queries:
         query = make_query(qname, qtype, dnssec_ok=True).to_wire()
         assert served.answer_wire(query) == fresh.answer_wire(query), (qname, qtype)
+
+
+def test_a_churned_zone_is_served_by_its_new_hosts_only():
+    """A host's server reads its customer provider's apexes from the
+    live host index: after NS churn the hosts that left refuse the apex
+    and the hosts that joined answer for it."""
+    world = build_world(scale=SCALE, seed=SEED)
+    for spec in list(world.specs.values()):
+        if not applicable(world, spec, "churn_ns"):
+            continue
+        new = apply_event(world, "churn_ns", spec.name)
+        old_hosts, new_hosts = world.plan.hosts(spec)[0], world.plan.hosts(new)[0]
+        left = [host for host in old_hosts if host not in new_hosts]
+        joined = [host for host in new_hosts if host not in old_hosts]
+        if left and joined:
+            break
+    else:
+        pytest.fail("no churn moved a zone to other hosts")
+    apex = Name.from_text(new.name)
+    query = make_query(apex, RRType.SOA, dnssec_ok=True).to_wire()
+    for hosts, rcode, zone in ((left, Rcode.REFUSED, None), (joined, Rcode.NOERROR, apex)):
+        for host in hosts:
+            server = world.operators[world.plan.host_owner[host]].server_for(host)
+            found = server.find_zone(apex)
+            assert (None if found is None else found.origin) == zone, host
+            assert Message.from_wire(server.answer_wire(query)).rcode == rcode, host

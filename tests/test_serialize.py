@@ -11,9 +11,9 @@ from repro.core import assess_zone
 from repro.dns.types import RRType
 from repro.scanner import Scanner
 from repro.scanner.serialize import (
-    LoadStats,
+    RECORD_KEYS,
     dump_results,
-    load_results,
+    load_objects,
     open_results_read,
     open_results_write,
     result_from_obj,
@@ -93,7 +93,7 @@ class TestStreamFormat:
         count = dump_results(results, buffer)
         assert count == len(results)
         buffer.seek(0)
-        loaded = list(load_results(buffer))
+        loaded = rebuild_all(buffer)
         assert [r.zone for r in loaded] == [r.zone for r in results]
 
     def test_blank_lines_ignored(self, results):
@@ -102,7 +102,7 @@ class TestStreamFormat:
         buffer.write("\n\n")
         dump_results(results[1:2], buffer)
         buffer.seek(0)
-        assert len(list(load_results(buffer))) == 2
+        assert len(rebuild_all(buffer)) == 2
 
     def test_one_json_object_per_line(self, results):
         buffer = io.StringIO()
@@ -118,35 +118,32 @@ class TestStreamFormat:
         assert count == len(results)
 
 
-class TestCorruptionTolerance:
-    """A crash mid-write truncates the final line; loading must survive."""
+class TestDamageRaises:
+    """Reading is strict: a line that is not a record object raises a
+    ValueError naming its line, never a skipped record."""
 
-    def _truncated_stream(self, results):
+    def test_every_record_object_has_the_record_keys(self, results):
+        assert all(set(result_to_obj(result)) == RECORD_KEYS for result in results)
+
+    def test_a_torn_final_line_raises_naming_its_line(self, results):
         buffer = io.StringIO()
         dump_results(results, buffer)
         text = buffer.getvalue()
         # Chop the last record in half, as a killed writer would.
-        return text[: len(text) - len(text.splitlines()[-1]) // 2 - 1]
+        torn = text[: len(text) - len(text.splitlines()[-1]) // 2 - 1]
+        with pytest.raises(ValueError, match=f"^line {len(results)}, column "):
+            rebuild_all(io.StringIO(torn))
 
-    def test_truncated_final_line_skipped_with_counter(self, results):
-        stats = LoadStats()
-        loaded = list(load_results(io.StringIO(self._truncated_stream(results)), stats=stats))
-        assert len(loaded) == len(results) - 1
-        assert stats.skipped == 1
-        assert stats.records == len(results) - 1
-
-    def test_strict_flag_restores_raise(self, results):
-        with pytest.raises(json.JSONDecodeError):
-            list(load_results(io.StringIO(self._truncated_stream(results)), strict=True))
-
-    def test_valid_json_with_missing_keys_is_skipped(self, results):
+    @pytest.mark.parametrize(
+        "line", ['{"zone": "half.example.", "resolved": true}', "[1, 2]"], ids=["half", "list"]
+    )
+    def test_json_that_is_not_a_record_object_raises(self, results, line):
         buffer = io.StringIO()
         dump_results(results[:1], buffer)
-        buffer.write('{"zone": "half.example.", "resolved": true}\n')
+        buffer.write("\n" + line + "\n")
         buffer.seek(0)
-        stats = LoadStats()
-        assert len(list(load_results(buffer, stats=stats))) == 1
-        assert stats.skipped == 1
+        with pytest.raises(ValueError, match="^line 3: not a scan record object"):
+            list(load_objects(buffer))
 
 
 class TestRdataMemoKeepsErrors:
@@ -172,18 +169,18 @@ class TestRdataMemoKeepsErrors:
         assert first.rdatas[0] is second.rdatas[0]
         assert first is not second  # RRsets are mutable and never shared
 
-    def test_bad_record_is_skipped_each_time_and_good_ones_are_unaffected(self, results):
+    def test_a_bad_record_raises_each_time_and_good_ones_are_unaffected(self, results):
         good = next(r for r in results if r.soa is not None and r.soa.rrset)
         line = result_to_line(good)
         bad = json.loads(line)
         bad["soa"]["rrset"]["rdata"][0] = "ns1.example. admin.example. 1 2 3 4"
-        stream = "\n".join([json.dumps(bad), line, json.dumps(bad), line]) + "\n"
-        stats = LoadStats()
-        loaded = list(load_results(io.StringIO(stream), stats=stats))
-        assert (stats.records, stats.skipped) == (2, 2)
-        assert [result_to_line(result) for result in loaded] == [line, line]
-        with pytest.raises(ValueError):
-            list(load_results(io.StringIO(stream), strict=True))
+        stream = "\n".join([line, json.dumps(bad), line]) + "\n"
+        for _ in range(2):
+            objects = load_objects(io.StringIO(stream))
+            assert result_to_line(result_from_obj(next(objects))) == line
+            with pytest.raises(ValueError):
+                result_from_obj(next(objects))
+            assert result_to_line(result_from_obj(next(objects))) == line
 
 
 def dump_file(path, results, compress):
@@ -192,10 +189,15 @@ def dump_file(path, results, compress):
         return dump_results(results, fp)
 
 
-def load_file(path, **kwargs):
+def rebuild_all(fp):
+    """Every record of a JSON-lines stream, rebuilt."""
+    return [result_from_obj(obj) for obj in load_objects(fp)]
+
+
+def load_file(path):
     """Read a results file back the way a store shard is read."""
     with open_results_read(str(path)) as fp:
-        return list(load_results(fp, **kwargs))
+        return rebuild_all(fp)
 
 
 class TestGzipSupport:
@@ -229,13 +231,13 @@ class TestGzipSupport:
         assert a.read_bytes() == b.read_bytes()
 
     def test_torn_gzip_stream_raises(self, results, tmp_path):
-        """A gzip member truncated mid-flush is a transport-level error,
-        not a skippable line — it raises in both modes.  (Store shards
-        never hit this: segments are committed atomically.)"""
+        """A gzip member truncated mid-flush is a transport-level error
+        and raises.  (Store shards never hit this: segments are
+        committed atomically.)"""
         path = tmp_path / "torn.jsonl.gz"
         payload = io.StringIO()
         dump_results(results, payload)
         blob = gzip.compress(payload.getvalue().encode())
         path.write_bytes(blob[: len(blob) - 7])
         with pytest.raises((EOFError, OSError)):
-            load_file(path, strict=True)
+            load_file(path)

@@ -481,32 +481,6 @@ class TestReaderHardening:
         with pytest.raises(StoreError, match=f"damaged.*{victim}"):
             reader.summary()
 
-    def test_iter_results_nonstrict_skips_corruption(self, mini_results, tmp_path):
-        """A corrupt line inside a committed plain segment: strict
-        streaming raises, non-strict skips it and counts it in
-        LoadStats."""
-        from repro.scanner.serialize import LoadStats
-
-        root = tmp_path / "plain"
-        store = fill_store(root, mini_results, compress=False)
-        victim_info = store.manifest.shards[0]
-        victim = root / victim_info.path
-        lines = victim.read_text().splitlines(keepends=True)
-        lines.insert(1, '{"zone": "truncated-mid-wri\n')
-        victim.write_text("".join(lines))
-
-        reader = StoreReader(root)
-        with pytest.raises(json.JSONDecodeError):
-            list(reader.iter_results(strict=True))
-
-        stats = LoadStats()
-        restored = list(reader.iter_results(strict=False, stats=stats))
-        assert stats.skipped == 1
-        assert stats.records == len(mini_results)
-        assert {r.zone.to_text() for r in restored} == {
-            r.zone.to_text() for r in mini_results
-        }
-
 
 class TestEpochManifest:
     """Monitoring plane: epoch identity rides the manifest losslessly,
