@@ -125,14 +125,25 @@ class TestDamageRaises:
     def test_every_record_object_has_the_record_keys(self, results):
         assert all(set(result_to_obj(result)) == RECORD_KEYS for result in results)
 
-    def test_a_torn_final_line_raises_naming_its_line(self, results):
+    @staticmethod
+    def _torn_stream(results):
         buffer = io.StringIO()
         dump_results(results, buffer)
         text = buffer.getvalue()
         # Chop the last record in half, as a killed writer would.
-        torn = text[: len(text) - len(text.splitlines()[-1]) // 2 - 1]
+        return text[: len(text) - len(text.splitlines()[-1]) // 2 - 1]
+
+    def test_a_torn_final_line_raises_naming_its_line(self, results):
         with pytest.raises(ValueError, match=f"^line {len(results)}, column "):
-            rebuild_all(io.StringIO(torn))
+            rebuild_all(io.StringIO(self._torn_stream(results)))
+
+    def test_the_records_before_a_torn_line_still_stream(self, results):
+        objects = load_objects(io.StringIO(self._torn_stream(results)))
+        for result in results[:-1]:
+            assert result_to_line(result_from_obj(next(objects))) == result_to_line(result)
+        with pytest.raises(ValueError) as raised:
+            next(objects)
+        assert isinstance(raised.value.__cause__, json.JSONDecodeError)
 
     @pytest.mark.parametrize(
         "line", ['{"zone": "half.example.", "resolved": true}', "[1, 2]"], ids=["half", "list"]
