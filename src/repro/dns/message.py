@@ -45,6 +45,16 @@ RDATA_MEMO_MAX = 1024
 # and shared between every message that carried the same bytes.
 _RDATA_MEMO: Dict[Tuple[int, bytes], Rdata] = {}
 
+#: Bound on the received-message memo (least recently used evicted).
+#: Every world of a seed asks the same servers the same questions, so
+#: it catches repeats across rebuilt worlds as well as within one scan.
+RECEIVED_MEMO_MAX = 2048
+
+# Received bytes less the message id → the Message decoded from them,
+# oldest use first.  Queries and responses never share a key: the QR
+# bit is inside it.
+_RECEIVED: Dict[bytes, "Message"] = {}
+
 
 class Question:
     """The question section entry: (qname, qtype, qclass)."""
@@ -332,6 +342,32 @@ class Message:
             f" rcode={self.rcode.name}{q} an={len(self.answer)}"
             f" au={len(self.authority)} ad={len(self.additional)}>"
         )
+
+
+def decode_received(wire: bytes) -> Message:
+    """Decode *wire*, a query or response that was received, once per
+    process: a repeat of the same bytes (less the message id) is a view
+    of the Message decoded the first time, under the id *wire* carries.
+    Received messages are therefore shared between every receiver —
+    every server and asker of every world — and must not be mutated.
+    Bytes that do not decode raise :class:`WireError` and are not
+    remembered."""
+    key = wire[2:]
+    memo = _RECEIVED
+    msg = memo.pop(key, None)
+    if msg is not None:
+        memo[key] = msg
+        return msg.with_id((wire[0] << 8) | wire[1])
+    msg = Message.from_wire(wire)
+    if len(memo) >= RECEIVED_MEMO_MAX:
+        del memo[next(iter(memo))]
+    memo[key] = msg
+    return msg
+
+
+def received_before(wire: bytes) -> bool:
+    """Whether :func:`decode_received` would answer *wire* without a parse."""
+    return wire[2:] in _RECEIVED
 
 
 def make_query(

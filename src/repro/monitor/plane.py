@@ -50,11 +50,10 @@ from repro.monitor.layout import (
 from repro.monitor.spec import MonitorSpec
 from repro.obs.events import stream_path
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.scanner.serialize import result_from_obj
 from repro.store.diff import ZoneClassification, diff_classifications
 from repro.store.manifest import load_manifest, manifest_path
 from repro.store.reader import StoreReader
-from repro.store.shards import write_atomic
+from repro.store.shards import rebuild_record, write_atomic
 
 
 # The per-epoch execution settings: MonitorConfig fields that are handed,
@@ -390,14 +389,16 @@ class Monitor:
         """``(zone, result)`` for each zone's newest stored record in
         epochs *since*+1..*epoch* of a verified chain: they are walked
         newest epoch first and a zone already seen is superseded, so each
-        epoch store is read once and only the records kept are rebuilt."""
+        epoch store is read once and only the records kept are rebuilt —
+        by :func:`~repro.store.shards.rebuild_record`, which names the
+        segment of a record that does not rebuild."""
         seen: Set[str] = set()
         for e in range(epoch, since, -1):
-            for obj in StoreReader(self.epoch_dir(e)).iter_objects():
+            for info, obj in StoreReader(self.epoch_dir(e)).iter_located():
                 zone = obj["zone"]
                 if zone not in seen:
                     seen.add(zone)
-                    yield zone, result_from_obj(obj)
+                    yield zone, rebuild_record(info, obj)
 
     def classifications(self, epoch: Optional[int] = None) -> Dict[str, ZoneClassification]:
         """Each zone's verdict as of *epoch* (default: latest complete).

@@ -41,7 +41,7 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.bootstrap import SignalOutcome
 from repro.core.operators import OperatorDB
@@ -49,9 +49,9 @@ from repro.core.pipeline import ZoneVerdict, zone_verdict
 from repro.dnssec.validator import DEFAULT_VALIDATION_TIME
 from repro.monitor.layout import completed_epochs, epoch_dir, is_monitor_root
 from repro.obs.telemetry import as_telemetry
-from repro.scanner.serialize import result_from_obj, result_to_obj
+from repro.scanner.serialize import result_to_obj
 from repro.store.manifest import CampaignManifest, load_manifest
-from repro.store.shards import ShardInfo, StoreError, iter_shard_objects
+from repro.store.shards import ShardInfo, StoreError, iter_shard_objects, rebuild_record
 
 INDEX_DIR = "index"
 BUCKETS_DIR = "buckets"
@@ -281,13 +281,13 @@ def build_index(
         for bucket in range(manifest.num_shards):
             # Commit order within the bucket; a dict keyed by zone makes
             # later commits win should a store ever hold a duplicate.
-            latest: Dict[str, Any] = {}
+            latest: Dict[str, Tuple[ShardInfo, Dict[str, Any]]] = {}
             for info in by_bucket.get(bucket, ()):
                 for obj in iter_shard_objects(root, info):
-                    latest[obj["zone"]] = obj
+                    latest[obj["zone"]] = (info, obj)
 
             rows = sorted(
-                ((zone_key64(zone), zone, obj) for zone, obj in latest.items()),
+                ((zone_key64(zone), zone, located) for zone, located in latest.items()),
                 key=lambda item: (item[0], item[1]),
             )
             files = BucketFiles(bucket)
@@ -301,10 +301,10 @@ def build_index(
             with open(data_path, "w", encoding="utf-8", newline="\n") as data_fp, open(
                 meta_path, "w", encoding="utf-8", newline="\n"
             ) as meta_fp:
-                for key64, zone, obj in rows:
+                for key64, zone, (info, obj) in rows:
                     # The stored object is canonical_record_line's input
                     # (identity pinned by tests/test_text_memo.py).
-                    result = result_from_obj(obj)
+                    result = rebuild_record(info, obj)
                     obj["queries_used"] = 0
                     line = json.dumps(obj, separators=(",", ":"))
                     data_fp.write(line)

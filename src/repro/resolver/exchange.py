@@ -2,12 +2,13 @@
 
 The scanner's point queries and the resolver's delegation walk both ask
 "one address, one question" through :meth:`Exchanger.ask`: one message-id
-counter, one ``(qname, qtype)`` → wire-template cache, one rate-limiter
-charge per datagram *and* per TCP retry (the paper's 50 qps/NS budget
-covers all measurement traffic), one RFC 7766 truncation fallback, one
-capped-backoff retry loop.  It is a step generator (:mod:`repro.sched`):
-the limiter deficit and the backoff are yielded as sleeps, the query as
-an exchange, so nothing here touches the network or the clock.
+counter, one process-wide ``(qname, qtype)`` → wire-template cache, one
+rate-limiter charge per datagram *and* per TCP retry (the paper's 50
+qps/NS budget covers all measurement traffic), one RFC 7766 truncation
+fallback, one capped-backoff retry loop.  It is a step generator
+(:mod:`repro.sched`): the limiter deficit and the backoff are yielded as
+sleeps, the query as an exchange, so nothing here touches the network
+or the clock.
 
 The *asker* — the :class:`~repro.scanner.yodns.Scanner` or the
 :class:`~repro.resolver.iterative.IterativeResolver` — brings what
@@ -27,8 +28,24 @@ from repro.sched import Exchange, Sleep
 from repro.server.network import NetworkTimeout
 
 _TEMPLATE_CACHE_MAX = 2048
+# (qname, qtype) -> (question, wire encoded with id 0).  The same
+# question is asked of every selected server address, by every scanner
+# of every world, so it is encoded once per process and each datagram
+# patches in its own 2-byte id.  Cleared when it grows large.
+_TEMPLATES: Dict[Tuple[Name, int], Tuple[Question, bytes]] = {}
 # Simulated seconds a query waits for its answer before it counts as lost.
 QUERY_TIMEOUT = 2.0
+
+
+def _template(qname: Name, qtype: RRType) -> Tuple[Question, bytes]:
+    key = (qname, int(qtype))
+    entry = _TEMPLATES.get(key)
+    if entry is None:
+        if len(_TEMPLATES) >= _TEMPLATE_CACHE_MAX:
+            _TEMPLATES.clear()
+        query = make_query(qname, qtype, msg_id=0)
+        entry = _TEMPLATES[key] = (query.question, query.to_wire())
+    return entry
 
 
 class Exchanger:
@@ -37,22 +54,6 @@ class Exchanger:
     def __init__(self):
         self.tcp_fallbacks = 0
         self._msg_id = 0
-        # (qname, qtype) -> (question, wire encoded with id 0).  The same
-        # question is asked of every selected server address, so it is
-        # encoded once and each datagram patches in its own 2-byte id.
-        # Reuse is temporally local (within one zone's scan), so the
-        # cache is simply cleared when it grows large.
-        self._templates: Dict[Tuple[Name, int], Tuple[Question, bytes]] = {}
-
-    def _template(self, qname: Name, qtype: RRType) -> Tuple[Question, bytes]:
-        key = (qname, int(qtype))
-        entry = self._templates.get(key)
-        if entry is None:
-            if len(self._templates) >= _TEMPLATE_CACHE_MAX:
-                self._templates.clear()
-            query = make_query(qname, qtype, msg_id=0)
-            entry = self._templates[key] = (query.question, query.to_wire())
-        return entry
 
     def ask(
         self, asker, ip: str, qname: Name, qtype: RRType
@@ -71,7 +72,7 @@ class Exchanger:
         """
         policy = asker.retry
         limiter = asker.limiter
-        question, template = self._template(qname, qtype)
+        question, template = _template(qname, qtype)
         key: Optional[str] = None
         waited = 0.0
         last: Optional[Message] = None

@@ -118,8 +118,8 @@ class Scanner:
             retry=self.retry,
         )
         # One retrying exchange step for the scanner's point queries and
-        # the resolver's walk alike (one msg-id counter, one wire-template
-        # cache, one limiter charge per datagram and per TCP retry).
+        # the resolver's walk alike (one msg-id counter, one limiter
+        # charge per datagram and per TCP retry).
         self.exchange = self.resolver.exchange
         self.sampling = AnycastSamplingPolicy(
             self.config.anycast_ns_suffixes, self.config.full_scan_fraction

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Collection, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from repro.dns.message import Message, make_response
+from repro.dns.message import Message, decode_received, make_response
 from repro.dns.name import Name
 from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
@@ -33,15 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
 ZoneProvider = Callable[[Name], Optional[Zone]]
 
 
-#: Bound on the decoded queries :meth:`AuthoritativeServer.answer_wire`
-#: keeps, process-wide (cleared wholesale when full).
-QUERY_MEMO_MAX = 1024
-
 #: Bound on one zone's answer memo (cleared wholesale when full).
 ANSWER_MEMO_MAX = 1024
-
-# Query bytes less the message id → the decoded Message.
-_QUERIES: Dict[bytes, Message] = {}
 
 
 class AuthoritativeServer:
@@ -108,7 +101,8 @@ class AuthoritativeServer:
         read and a write.  UDP responses are cut to the query's EDNS
         payload size (512 octets without EDNS, and never fewer: RFC 6891
         §6.2.5) and may come back with the TC bit; TCP carries them
-        whole (RFC 7766).
+        whole (RFC 7766).  The query is decoded through
+        :func:`~repro.dns.message.decode_received`, once per process.
 
         The answer of a server whose behaviours (if any) all have a
         ``memo_key`` is a pure function of the query bytes and the zone
@@ -119,13 +113,7 @@ class AuthoritativeServer:
         never memoised.  Raises :class:`ValueError` if *wire* does not
         decode.
         """
-        body = wire[2:]
-        query = _QUERIES.get(body)
-        if query is None:
-            query = Message.from_wire(wire)
-            if len(_QUERIES) >= QUERY_MEMO_MAX:
-                _QUERIES.clear()
-            _QUERIES[body] = query
+        query = decode_received(wire)
         for behavior in self.behaviors:
             if behavior.should_drop(query):
                 return None
@@ -134,14 +122,13 @@ class AuthoritativeServer:
             zone = self._answering_zone(query.question.name, int(query.question.rrtype))
             behaviours = tuple(behavior.memo_key for behavior in self.behaviors)
             if zone is not None and None not in behaviours:
-                memo, key = zone.answers, (body, tcp, behaviours)
+                memo, key = zone.answers, (wire[2:], tcp, behaviours)
                 hit = memo.get(key)
                 if hit is not None:
                     self.queries_handled += 1
                     self.memo_hits += 1
                     return wire[:2] + hit
-        msg_id = (wire[0] << 8) | wire[1]
-        response = self.handle_query(query if query.id == msg_id else query.with_id(msg_id))
+        response = self.handle_query(query)
         if tcp:
             response_wire = response.to_wire()
         else:

@@ -17,20 +17,18 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.dns.message import Message, Question, make_response
+from repro.dns.message import (
+    Message,
+    Question,
+    decode_received,
+    make_response,
+    received_before,
+)
 from repro.dns.types import Rcode
 from repro.server.nameserver import AuthoritativeServer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.chaos import ChaosConfig, ChaosPlane
-
-
-#: Bound on decoded responses kept by :meth:`SimulatedNetwork.inbound`
-#: (cleared wholesale on overflow).  Small on purpose: repeats come close
-#: together — every address of a zone's NS set is asked the same
-#: questions back to back — so 256 entries catch nearly all an unbounded
-#: memo would (hit ratio 0.45 against 0.48), at none of its resident size.
-DECODE_MEMO_MAX = 256
 
 
 class NetworkTimeout(Exception):
@@ -72,9 +70,7 @@ class SimulatedNetwork:
         self.per_ip_queries: Dict[str, int] = {}
         # The fault-injection plane (None = fault-free network).
         self.chaos: Optional["ChaosPlane"] = None
-        # Response bytes minus the message id → the decoded Message, so
-        # a response that comes back again is not parsed again.
-        self._decoded: Dict[bytes, Message] = {}
+        # Responses that needed no parse (decode_received had them).
         self.decode_hits = 0
 
     @property
@@ -196,7 +192,7 @@ class SimulatedNetwork:
             if decision.servfail or decision.truncate:
                 # Made from the decoded query and wire-round-tripped like
                 # any real answer, so the accounting holds.
-                decoded = Message.from_wire(wire)
+                decoded = decode_received(wire)
                 if decision.servfail:
                     response = make_response(decoded, Rcode.SERVFAIL)
                 else:
@@ -211,22 +207,16 @@ class SimulatedNetwork:
     def inbound(self, response_wire: bytes) -> Message:
         """Account for and decode the bytes that came back.
 
-        Decoding is memoised on the received bytes (less the message
-        id): a repeat is answered with a view of the Message decoded the
-        first time, under the id this wire carries.  Replies are
-        therefore shared between askers and must not be mutated.
+        Decoding goes through :func:`~repro.dns.message.decode_received`:
+        bytes already received in this process (less the message id), by
+        this world or any other, are answered with a view of the Message
+        decoded the first time, under the id this wire carries.  Replies
+        are therefore shared between askers and must not be mutated.
         """
         self.bytes_received += len(response_wire)
-        key = response_wire[2:]
-        reply = self._decoded.get(key)
-        if reply is None:
-            reply = Message.from_wire(response_wire)
-            if len(self._decoded) >= DECODE_MEMO_MAX:
-                self._decoded.clear()
-            self._decoded[key] = reply
-        else:
+        if received_before(response_wire):
             self.decode_hits += 1
-            reply = reply.with_id((response_wire[0] << 8) | response_wire[1])
+        reply = decode_received(response_wire)
         if reply.truncated:
             self.truncations += 1
         return reply

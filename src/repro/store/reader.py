@@ -11,17 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Set
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.scanner.results import ZoneScanResult
-from repro.scanner.serialize import result_from_obj
 from repro.store.manifest import CampaignManifest, load_manifest
 from repro.store.shards import (
-    ShardCorruption,
     ShardInfo,
     StoreError,
     iter_shard_objects,
+    rebuild_record,
     stored_zones,
 )
 
@@ -75,25 +74,25 @@ class StoreReader:
 
     def iter_results(self) -> Iterator[ZoneScanResult]:
         """Stream every stored result in commit order, O(1) memory: each
-        stored object rebuilt.  Committed shards are atomic, so a record
-        that does not rebuild is disk damage — :class:`ShardCorruption`
-        naming its segment, as for a line that does not decode."""
+        stored object rebuilt by :func:`~repro.store.shards.rebuild_record`,
+        so a record that does not rebuild raises
+        :class:`~repro.store.shards.ShardCorruption` naming its segment."""
+        for info, obj in self.iter_located():
+            yield rebuild_record(info, obj)
+
+    def iter_located(self) -> Iterator[Tuple[ShardInfo, Dict[str, Any]]]:
+        """:meth:`iter_results`' stream before reconstruction: each stored
+        JSON object with the segment it was read from, for a consumer
+        that rebuilds (:func:`~repro.store.shards.rebuild_record`) only
+        the records it keeps."""
         for info in self._ordered_shards():
             for obj in iter_shard_objects(self.root, info):
-                try:
-                    result = result_from_obj(obj)
-                except (AttributeError, KeyError, TypeError, ValueError) as exc:
-                    raise ShardCorruption(
-                        f"corrupt record inside committed shard {info.path}: "
-                        f"zone {obj['zone']} does not rebuild: {exc!r}"
-                    ) from exc
-                yield result
+                yield info, obj
 
     def iter_objects(self) -> Iterator[Dict[str, Any]]:
-        """:meth:`iter_results`' stream before reconstruction: each stored
-        JSON object, for a consumer that rebuilds only the records it keeps."""
-        for info in self._ordered_shards():
-            yield from iter_shard_objects(self.root, info)
+        """Each stored JSON object of :meth:`iter_located`, alone."""
+        for _, obj in self.iter_located():
+            yield obj
 
     def zones(self) -> Set[str]:
         """Dotted names of every stored zone, streamed from the segments

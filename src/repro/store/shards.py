@@ -23,8 +23,10 @@ give identical digests.  They are read one way, by
 :func:`iter_shard_objects`: the stored JSON objects, strictly — a line
 that does not decode to a record object raises :class:`ShardCorruption`
 naming the segment and the line, because no committed segment holds a
-torn line.  A consumer rebuilds the records it keeps (record lines are
-parsed in :mod:`repro.scanner.serialize` only).
+torn line.  A consumer rebuilds the records it keeps through
+:func:`rebuild_record`, the one rebuild step, which names the segment
+and the zone of a record that does not rebuild (record lines are parsed
+in :mod:`repro.scanner.serialize` only).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.scanner.serialize import (
     load_objects,
     open_results_read,
     open_results_write,
+    result_from_obj,
 )
 
 SHARD_DIR = "shards"
@@ -186,6 +189,20 @@ def iter_shard_objects(root: Path, info: ShardInfo) -> Iterator[Dict[str, Any]]:
             raise ShardCorruption(
                 f"corrupt record inside committed shard {info.path}: {exc}"
             ) from exc
+
+
+def rebuild_record(info: ShardInfo, obj: Dict[str, Any]) -> ZoneScanResult:
+    """A stored object of segment *info* rebuilt into its result.
+    Committed shards are atomic, so a record that does not rebuild is
+    disk damage — :class:`ShardCorruption` naming the segment and the
+    zone, as for a line that does not decode."""
+    try:
+        return result_from_obj(obj)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ShardCorruption(
+            f"corrupt record inside committed shard {info.path}: "
+            f"zone {obj['zone']} does not rebuild: {exc!r}"
+        ) from exc
 
 
 def stored_zones(root: Path, manifest, buckets: Optional[Iterable[int]] = None) -> Set[str]:

@@ -24,6 +24,9 @@ DELETED = re.compile(
     # A committed segment is read one way, strictly; a server reads its
     # providers' own apex maps.
     r"|LoadStats|load_results|\biter_shard\b|claim_apex|_provider_apexes"
+    # A received message is decoded through one process-wide memo, and
+    # query templates are one process-wide table: no per-world copy.
+    r"|\b_QUERIES\b|QUERY_MEMO_MAX|\bDECODE_MEMO_MAX\b|network\._decoded|self\._templates"
 )
 
 #: Not verbs: the JSONL side channel, the one-policy bootstrap and

@@ -1,27 +1,42 @@
 """Decode once, encode once.
 
-The client epilogue (:meth:`SimulatedNetwork.inbound`, shared by the
-fabric and the socket transport) memoises decoded responses on the
-received bytes, and :meth:`Message.from_wire` memoises each decoded
-rdata on its ``(type, bytes)``.  Decoded messages and rdata are
-therefore *shared* between askers; these tests pin what that sharing
-may and may not change.  The encoder splices each rdata's memoised wire
-form; it must write the bytes the per-field encoder wrote.
+:func:`decode_received` memoises every received message — the queries
+:meth:`AuthoritativeServer.answer_wire` reads and the responses the
+client epilogue (:meth:`SimulatedNetwork.inbound`, shared by the fabric
+and the socket transport) reads — on its bytes less the message id, once
+per process, and :meth:`Message.from_wire` memoises each decoded rdata
+on its ``(type, bytes)``.  Decoded messages and rdata are therefore
+*shared* between askers and between the worlds of a process; these tests
+pin what that sharing may and may not change.  Query templates are
+shared across scanners the same way.  The encoder splices each rdata's
+memoised wire form; it must write the bytes the per-field encoder wrote.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 import repro.dns.message as message_module
-import repro.server.network as network_module
+import repro.resolver.exchange as exchange_module
 from repro.campaign import CampaignConfig, run_campaign
-from repro.dns.message import Message, make_query, make_response
+from repro.chaos import RetryPolicy
+from repro.cli import main
+from repro.dns.message import (
+    RECEIVED_MEMO_MAX,
+    Message,
+    decode_received,
+    make_query,
+    make_response,
+)
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, SOA, read_rdata
 from repro.dns.types import RRType
 from repro.dns.wire import WireError, WireReader, WireWriter
 from repro.dns.zone import Zone
+from repro.ecosystem.world import build_world
+from repro.resolver.exchange import Exchanger
 from repro.server import AuthoritativeServer
-from repro.server.network import DECODE_MEMO_MAX, SimulatedNetwork
+from repro.server.network import SimulatedNetwork
 
 from tests.helpers import OP_IP_1, ROOT_IP, build_mini_world
 
@@ -82,10 +97,39 @@ def reference_wire(msg: Message) -> bytes:
     return writer.getvalue()
 
 
+@pytest.fixture
+def fresh_received(monkeypatch):
+    """An empty received-message memo, for tests that count hits or
+    parses; returns it."""
+    memo = {}
+    monkeypatch.setattr(message_module, "_RECEIVED", memo)
+    return memo
+
+
+@pytest.fixture
+def fresh_templates(monkeypatch):
+    """An empty query-template table; returns it."""
+    templates = {}
+    monkeypatch.setattr(exchange_module, "_TEMPLATES", templates)
+    return templates
+
+
+def responses(memo):
+    """The memo's response entries (the QR bit is the key's first bit)."""
+    return {key: msg for key, msg in memo.items() if key[0] & 0x80}
+
+
+def assert_every_entry_decodes_as_its_key(memo):
+    # Nobody who was handed a shared Message (or a view of one)
+    # appended to a section, re-ordered it or mutated an RRset.
+    for key, cached in memo.items():
+        assert_same_message(cached, Message.from_wire(b"\x00\x00" + key))
+
+
 @pytest.fixture(scope="module")
 def recorded():
-    """One seed-3 campaign with the memo unbounded, so that *every*
-    distinct response it decoded is still there to be checked, and
+    """One seed-3 campaign in a fresh, unbounded memo, so that *every*
+    distinct message it received is still there to be checked, and
     every response message its servers built."""
     built = []
     handle_query = AuthoritativeServer.handle_query
@@ -94,10 +138,12 @@ def recorded():
         built.append(handle_query(server, query))
         return built[-1]
 
+    memo = {}
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network_module, "DECODE_MEMO_MAX", 1 << 30)
+        patch.setattr(message_module, "_RECEIVED", memo)
+        patch.setattr(message_module, "RECEIVED_MEMO_MAX", 1 << 30)
         patch.setattr(AuthoritativeServer, "handle_query", recording)
-        return run_campaign(CampaignConfig(scale=SCALE, seed=SEED)), built
+        return run_campaign(CampaignConfig(scale=SCALE, seed=SEED)), built, memo
 
 
 @pytest.fixture(scope="module")
@@ -106,25 +152,22 @@ def campaign(recorded):
 
 
 class TestSharedMessagesStayAsDecoded:
-    def test_every_cached_message_equals_a_fresh_decode(self, campaign):
-        # Nobody who was handed a shared Message (or a view of one)
-        # appended to a section, re-ordered it or mutated an RRset.
-        decoded = campaign.world.network._decoded
-        assert len(decoded) > 1000
-        for key, cached in decoded.items():
-            assert_same_message(cached, Message.from_wire(b"\x00\x00" + key))
+    def test_every_cached_message_equals_a_fresh_decode(self, recorded):
+        memo = recorded[2]
+        assert len(responses(memo)) > 1000
+        assert_every_entry_decodes_as_its_key(memo)
 
     def test_every_answer_encodes_as_the_reference_encoder_did(self, recorded):
-        campaign, built = recorded
+        campaign, built, memo = recorded
         # A repeat is served from the zone's answer memo, not rebuilt:
         # the corpus is every distinct response (3 704 at seed 3, the
         # same set the servers built before the memo shared answers).
         assert len({response.to_wire()[2:] for response in built}) > 3600
         for response in built:
             assert response.to_wire() == reference_wire(response)
-        # Decoded responses hold memoised rdata: their wire form is the
+        # Decoded messages hold memoised rdata: their wire form is the
         # bytes they were admitted with.
-        for cached in campaign.world.network._decoded.values():
+        for cached in memo.values():
             assert cached.to_wire() == reference_wire(cached)
 
     def test_every_memoised_rdata_is_still_what_its_bytes_say(self, campaign):
@@ -134,21 +177,23 @@ class TestSharedMessagesStayAsDecoded:
             assert rdata.to_wire() is wire
             assert read_rdata(RRType.make(rtype), WireReader(wire), len(wire)) == rdata
 
-    def test_the_campaign_asked_what_it_always_asked(self, campaign):
+    def test_the_campaign_asked_what_it_always_asked(self, recorded):
+        campaign, _, memo = recorded
         network = campaign.world.network
         assert network.queries_sent == QUERIES_SENT
-        assert network.decode_hits + len(network._decoded) == (
+        # Each response that arrived was parsed once or was a hit.
+        assert network.decode_hits + len(responses(memo)) == (
             network.queries_sent - network.timeouts
         )
 
-    def test_hit_ratio_at_the_shipped_bound(self):
-        # Reuse is temporally local: the small bound keeps most of it.
+    def test_hit_ratio_at_the_shipped_bound(self, fresh_received):
         network = run_campaign(CampaignConfig(scale=SCALE, seed=SEED)).world.network
         assert network.queries_sent == QUERIES_SENT
-        assert network.decode_hits / network.queries_sent >= 0.40
-        assert len(network._decoded) <= DECODE_MEMO_MAX
+        assert network.decode_hits / network.queries_sent >= 0.45
+        assert len(fresh_received) == RECEIVED_MEMO_MAX
 
 
+@pytest.mark.usefixtures("fresh_received")
 class TestInbound:
     def test_hit_and_miss_both_carry_the_id_on_the_wire(self):
         world = build_mini_world()
@@ -174,21 +219,12 @@ class TestInbound:
         assert network.truncations == 3
         assert network.bytes_received == 3 * len(wire)
 
-    def test_the_memo_is_bounded_and_cleared_when_full(self, monkeypatch):
-        monkeypatch.setattr(network_module, "DECODE_MEMO_MAX", 4)
-        network = SimulatedNetwork()
-        for index in range(10):
-            query = make_query(f"n{index}.example", RRType.A, msg_id=index)
-            network.inbound(make_response(query).to_wire())
-            assert len(network._decoded) <= 4
-        assert network.decode_hits == 0
-
-    def test_undecodable_bytes_are_not_remembered(self):
+    def test_undecodable_bytes_are_not_remembered(self, fresh_received):
         network = SimulatedNetwork()
         for _ in range(2):
             with pytest.raises(WireError):
                 network.inbound(b"\x00\x01\x80")
-        assert not network._decoded and network.decode_hits == 0
+        assert not fresh_received and network.decode_hits == 0
 
     def test_root_referral_reads_the_same_through_a_view(self):
         # The referral path reads all three sections (NS cut, DS, glue).
@@ -200,6 +236,119 @@ class TestInbound:
         assert section_rows(second.authority) == section_rows(first.authority)
         assert section_rows(second.additional) == section_rows(first.additional)
         assert second.additional
+
+
+#: Zones scanned by each of two same-seed worlds: few enough that every
+#: message they receive fits under ``RECEIVED_MEMO_MAX`` (about 1 750).
+REBUILT_ZONES = 40
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Every wire :meth:`Message.from_wire` parses, in order."""
+    seen = []
+    from_wire = Message.__dict__["from_wire"].__func__
+
+    def recording(cls, data):
+        seen.append(bytes(data))
+        return from_wire(cls, data)
+
+    monkeypatch.setattr(Message, "from_wire", classmethod(recording))
+    return seen
+
+
+class TestOneMemoPerProcess:
+    def test_the_memo_is_an_lru_at_its_bound(self, monkeypatch, fresh_received):
+        monkeypatch.setattr(message_module, "RECEIVED_MEMO_MAX", 3)
+        wires = [
+            make_response(make_query(f"n{index}.example", RRType.A, msg_id=index)).to_wire()
+            for index in range(4)
+        ]
+        for wire in wires[:3]:
+            assert decode_received(wire).id == (wire[0] << 8) | wire[1]
+        assert list(fresh_received) == [wire[2:] for wire in wires[:3]]
+        # A hit is a view under the id it arrived with; the memo keeps
+        # the decode and moves it to the newest end ...
+        first = fresh_received[wires[0][2:]]
+        view = decode_received(b"\xbe\xef" + wires[0][2:])
+        assert (view.id, first.id) == (0xBEEF, 0)
+        assert view is not first and view.answer is first.answer
+        assert fresh_received[wires[0][2:]] is first
+        assert list(fresh_received) == [wire[2:] for wire in (wires[1], wires[2], wires[0])]
+        # ... so a miss at the bound evicts the least recently used.
+        decode_received(wires[3])
+        assert list(fresh_received) == [wire[2:] for wire in (wires[2], wires[0], wires[3])]
+
+    def test_a_server_and_its_client_read_through_one_memo(self, fresh_received, parses):
+        network = build_mini_world()["network"]
+        for msg_id in (1, 2):
+            reply = network.query(OP_IP_1, make_query("example.com", RRType.SOA, msg_id=msg_id))
+            assert reply.id == msg_id
+        # The query, then the response, parsed once; the repeat of each
+        # is a hit.  The QR bit keeps their keys apart.
+        assert [wire[2] & 0x80 for wire in parses] == [0, 0x80]
+        assert len(fresh_received) == 2 and network.decode_hits == 1
+
+    def test_a_rebuilt_world_parses_only_new_bytes(self, fresh_received, parses):
+        worlds, parsed = [], []
+        for _ in range(2):
+            start = len(parses)
+            world = build_world(SCALE, SEED)
+            scanner = world.make_scanner()
+            for zone in world.scan_list[:REBUILT_ZONES]:
+                scanner.scan_zone(zone)
+            worlds.append(world)
+            parsed.append({wire[2:] for wire in parses[start:] if wire[2] & 0x80})
+        first, second = worlds
+        assert second is not first and second.network is not first.network
+        assert len(fresh_received) < RECEIVED_MEMO_MAX
+        assert len(parsed[0]) > 1000
+        assert not parsed[0] & parsed[1]
+        # Every response the rebuilt world received, the first world had.
+        network = second.network
+        assert network.decode_hits == network.queries_sent - network.timeouts
+        assert not parsed[1]
+
+    def test_every_entry_after_an_agent_chain_equals_a_fresh_decode(
+        self, tmp_path, monkeypatch, fresh_received
+    ):
+        # Sharing spans worlds now: the baseline's, each delta epoch's
+        # replayed world and the agent's.  None may have mutated what
+        # another was handed.
+        monkeypatch.setattr(message_module, "RECEIVED_MEMO_MAX", 1 << 30)
+        root = str(tmp_path / "agent-root")
+        world = ["--scale", str(SCALE), "--seed", "41", "--monitor-seed", "7"]
+        assert main(["monitor", "init", "--store", root, *world, "--event-rate-scale", "20"]) == 0
+        assert main(["monitor", "advance", "--store", root]) == 0
+        assert main(["agent", "run", "--store", root]) == 0
+        assert main(["monitor", "advance", "--store", root, "--agent"]) == 0
+        assert len(responses(fresh_received)) > 1000
+        assert_every_entry_decodes_as_its_key(fresh_received)
+
+    def test_two_exchangers_share_a_template(self, monkeypatch, fresh_templates):
+        qname = Name.from_text("example.com")
+        body = make_query(qname, RRType.SOA).to_wire()[2:]
+        encoded = []
+        to_wire = Message.to_wire
+
+        def counting(msg, *args, **kwargs):
+            encoded.append(msg)
+            return to_wire(msg, *args, **kwargs)
+
+        monkeypatch.setattr(Message, "to_wire", counting)
+        asker = SimpleNamespace(retry=RetryPolicy(attempts=1), limiter=None)
+        one, two = Exchanger(), Exchanger()
+        sent = []
+        for exchanger in (one, two, one):
+            ask = exchanger.ask(asker, OP_IP_1, qname, RRType.SOA)
+            sent.append(next(ask))
+            ask.close()
+        # One encode for three datagrams, one question object ...
+        assert len(encoded) == 1 and list(fresh_templates) == [(qname, int(RRType.SOA))]
+        assert sent[0].question is sent[1].question is sent[2].question
+        # ... and each datagram carries its own exchanger's next id.
+        assert [intent.wire[:2] for intent in sent] == [b"\x00\x01", b"\x00\x01", b"\x00\x02"]
+        assert all(intent.wire[2:] == body for intent in sent)
 
 
 class TestCompiledAnswers:

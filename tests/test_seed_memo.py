@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+import repro.dns.message as message_module
 import repro.dnssec.keys as keys_module
 import repro.dnssec.signer as signer_module
 import repro.ecosystem.generator as generator_module
@@ -40,6 +41,7 @@ def clear_memos():
     keys_module._KEYS.clear()
     keys_module._SIGNATURES.clear()
     world_module._PLAN.clear()
+    message_module._RECEIVED.clear()
 
 
 @pytest.fixture

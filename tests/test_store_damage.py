@@ -104,23 +104,43 @@ def test_every_verb_exits_2_naming_the_damaged_segment(pristine, tmp_path, capsy
     assert "Traceback" not in err
 
 
-def test_a_record_that_does_not_rebuild_names_its_segment(pristine, tmp_path, capsys):
-    """Every record key present, but an rdata that does not parse: the
-    rebuild fails, and that is damage to the segment too."""
-    store, _ = pristine
+def bad_rdata_record(root):
+    """A record of the store (or baseline epoch) at *root* with every key
+    present but an SOA rdata that does not parse, as one JSON line."""
     records = [
         json.loads(line)
-        for info in load_manifest(store).shards
-        for line in (store / info.path).read_text().splitlines()
+        for info in load_manifest(root).shards
+        for line in (root / info.path).read_text().splitlines()
     ]
     record = next(obj for obj in records if obj["soa"] and obj["soa"]["rrset"])
     record["zone"] = "bad-rdata.example."
     record["soa"]["rrset"]["rdata"] = ["ns1.example. admin.example. 1 2 3 4"]
-    root, segment = damaged(pristine, tmp_path, "store", json.dumps(record))
-    with pytest.raises(ShardCorruption, match=f"{segment}: zone bad-rdata.example. does not"):
+    return json.dumps(record)
+
+
+def test_a_record_that_does_not_rebuild_names_its_segment(pristine, tmp_path, capsys):
+    """Every record key present, but an rdata that does not parse: the
+    rebuild fails, and that is damage to the segment too — for every
+    consumer that rebuilds, each through the one rebuild step."""
+    store, monitor = pristine
+    root, segment = damaged(pristine, tmp_path, "store", bad_rdata_record(store))
+    names = f"{segment}: zone bad-rdata.example. does not rebuild"
+    with pytest.raises(ShardCorruption, match=names):
         list(StoreReader(root).iter_results())
-    assert main(["store", "reanalyze", "--store", str(root)]) == 2
-    assert segment in capsys.readouterr().err
+    with pytest.raises(ShardCorruption, match=names):
+        build_index(root)
+    line = bad_rdata_record(monitor / "epochs" / "e0000")
+    monitor_root, monitor_segment = damaged(pristine, tmp_path, "monitor", line)
+    with pytest.raises(ShardCorruption, match=f"{monitor_segment}: zone bad-rdata.example."):
+        Monitor.open(monitor_root).analyze()
+    capsys.readouterr()
+    for verb in ("store reanalyze", "query index", "monitor diff"):
+        kind = "monitor" if verb.startswith("monitor") else "store"
+        args = cli_args(monitor_root if kind == "monitor" else root, store)[verb]
+        assert main(args) == 2, verb
+        err = capsys.readouterr().err
+        assert (monitor_segment if kind == "monitor" else segment) in err, (verb, err)
+        assert "bad-rdata.example." in err and "Traceback" not in err, (verb, err)
 
 
 def test_a_torn_gzip_segment_names_its_segment(pristine, tmp_path):

@@ -24,6 +24,7 @@ import repro.monitor.layout as layout_module
 import repro.monitor.plane as plane_module
 import repro.scanner.serialize as serialize
 import repro.store.reader as reader_module
+import repro.store.shards as shards_module
 from repro.campaign import CampaignConfig, run_campaign
 from repro.core.bootstrap import assess_zone
 from repro.core.pipeline import AnalysisPipeline
@@ -266,7 +267,7 @@ class TestTheObjectStreamIsTheRecordStream:
             built.append(obj["zone"])
             return real(obj)
 
-        monkeypatch.setattr(plane_module, "result_from_obj", counting)
+        monkeypatch.setattr(shards_module, "result_from_obj", counting)
         newest = monitor.completed_epochs()[-1]
         merged = dict(monitor._merged(newest))
         stored = sum(
@@ -352,7 +353,7 @@ class TestAPassReadsItsDelta:
             built.append(obj["zone"])
             return real(obj)
 
-        monkeypatch.setattr(plane_module, "result_from_obj", counting)
+        monkeypatch.setattr(shards_module, "result_from_obj", counting)
         monitor = Monitor.open(weeks_five)
         monitor.classifications(0)
         for epoch in range(1, 6):
