@@ -8,10 +8,10 @@ validator operate at.
 from __future__ import annotations
 
 import struct
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.dns.name import Name
-from repro.dns.rdata import Rdata, read_rdata
+from repro.dns.rdata import read_rdata
 from repro.dns.rrset import RRset
 from repro.dns.types import (
     EDNS_FLAG_DO,
@@ -29,6 +29,7 @@ from repro.dns.types import (
     RRType,
 )
 from repro.dns.wire import WireError, WireReader, WireWriter, borrow_buffer, return_buffer
+from repro.memo import table
 
 EDNS_VERSION = 0
 _HEADER = struct.Struct("!6H")
@@ -36,24 +37,17 @@ _TYPE_CLASS = struct.Struct("!HH")
 _TYPE_CLASS_TTL = struct.Struct("!HHI")
 _RR_FIXED = struct.Struct("!HHIH")  # type, class, TTL, RDLENGTH
 
-#: Bound on the decoded-rdata memo (cleared wholesale on overflow).  The
-#: same records come back from every server of a zone, so a campaign
-#: decodes each distinct ``(type, rdata bytes)`` about six times over.
-RDATA_MEMO_MAX = 1024
-
 # (type, rdata wire) → the Rdata decoded from it; rdata are immutable
-# and shared between every message that carried the same bytes.
-_RDATA_MEMO: Dict[Tuple[int, bytes], Rdata] = {}
+# and shared between every message that carried the same bytes.  The
+# same records come back from every server of a zone, so a campaign
+# decodes each distinct ``(type, rdata bytes)`` about six times over.
+_RDATA_MEMO = table(1024)
 
-#: Bound on the received-message memo (least recently used evicted).
-#: Every world of a seed asks the same servers the same questions, so
-#: it catches repeats across rebuilt worlds as well as within one scan.
-RECEIVED_MEMO_MAX = 2048
-
-# Received bytes less the message id → the Message decoded from them,
-# oldest use first.  Queries and responses never share a key: the QR
-# bit is inside it.
-_RECEIVED: Dict[bytes, "Message"] = {}
+# Received bytes less the message id → the Message decoded from them.
+# Queries and responses never share a key: the QR bit is inside it.
+# Every world of a seed asks the same servers the same questions, so
+# it catches repeats across rebuilt worlds as well as within one scan.
+_RECEIVED = table(2048)
 
 
 class Question:
@@ -311,9 +305,7 @@ class Message:
                 # stand for them: no compression pointers, no normalising.
                 wire = rdata.to_wire()
                 if wire == chunk:
-                    if len(_RDATA_MEMO) >= RDATA_MEMO_MAX:
-                        _RDATA_MEMO.clear()
-                    _RDATA_MEMO[(rtype_raw, wire)] = rdata
+                    _RDATA_MEMO.put((rtype_raw, wire), rdata)
             key = (name, rtype_raw, rclass_raw)
             rrset = index.get(key)
             if rrset is not None:
@@ -353,16 +345,10 @@ def decode_received(wire: bytes) -> Message:
     Bytes that do not decode raise :class:`WireError` and are not
     remembered."""
     key = wire[2:]
-    memo = _RECEIVED
-    msg = memo.pop(key, None)
+    msg = _RECEIVED.get(key)
     if msg is not None:
-        memo[key] = msg
         return msg.with_id((wire[0] << 8) | wire[1])
-    msg = Message.from_wire(wire)
-    if len(memo) >= RECEIVED_MEMO_MAX:
-        del memo[next(iter(memo))]
-    memo[key] = msg
-    return msg
+    return _RECEIVED.put(key, Message.from_wire(wire))
 
 
 def received_before(wire: bytes) -> bool:

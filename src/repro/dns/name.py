@@ -11,6 +11,8 @@ from __future__ import annotations
 from functools import total_ordering
 from typing import Iterable, Iterator, Tuple
 
+from repro.memo import table
+
 MAX_LABEL_LENGTH = 63
 MAX_NAME_LENGTH = 255
 
@@ -93,15 +95,11 @@ class Name:
         response repeats the question name; every zone repeats its apex),
         so interning lets the lazily-memoised folded form, hash, sort key,
         and text be computed once per distinct name instead of once per
-        decode.  The table is bounded; on overflow it is simply cleared —
-        correctness never depends on a hit.
+        decode.  The table is a bounded :class:`~repro.memo.Memo`.
         """
         name = _INTERNED.get(labels)
         if name is None:
-            if len(_INTERNED) >= _INTERN_LIMIT:
-                _INTERNED.clear()
-            name = cls._unchecked(labels)
-            _INTERNED[labels] = name
+            name = _INTERNED.put(labels, cls._unchecked(labels))
         return name
 
     @classmethod
@@ -113,15 +111,12 @@ class Name:
         the synthetic ecosystem never produces them.
 
         A text seen before is answered from a table keyed on the exact
-        input (``_INTERN_LIMIT`` entries, cleared when full; a text that
-        raises is never stored) — a store re-spells the same names in
-        every record.  A ``Name`` is immutable, so the shared instance
-        also shares its memoised fold, hash, text and wire.
+        input (a text that raises is never stored) — a store re-spells
+        the same names in every record.  A ``Name`` is immutable, so the
+        shared instance also shares its memoised fold, hash, text and wire.
         """
-        global TEXT_HITS
         name = _BY_TEXT.get(text)
         if name is not None:
-            TEXT_HITS += 1
             return name
         key, text = text, text.strip()
         if text in ("", "."):
@@ -131,11 +126,7 @@ class Name:
         labels = [part.encode("ascii") for part in text.split(".")]
         if any(not part for part in labels):
             raise NameError_(f"empty label in {text!r}")
-        name = cls(labels)
-        if len(_BY_TEXT) >= _INTERN_LIMIT:
-            _BY_TEXT.clear()
-        _BY_TEXT[key] = name
-        return name
+        return _BY_TEXT.put(key, cls(labels))
 
     @classmethod
     def root(cls) -> "Name":
@@ -332,9 +323,7 @@ class Name:
         return bytes(out)
 
 
-_INTERN_LIMIT = 1 << 16
-_INTERNED: dict = {}
-_BY_TEXT: dict = {}  # exact input text -> Name, for from_text
-TEXT_HITS = 0  # from_text calls answered from _BY_TEXT
+_INTERNED = table(1 << 16)  # labels -> Name, for intern
+_BY_TEXT = table(1 << 16)  # exact input text -> Name, for from_text
 
 ROOT = Name()

@@ -32,6 +32,7 @@ from repro.dns.name import Name
 from repro.dns.rdata import Rdata, SOA
 from repro.dns.rrset import RRset
 from repro.dns.types import RClass, RRType
+from repro.memo import Memo
 
 
 class ZoneError(ValueError):
@@ -86,12 +87,8 @@ class Zone:
         # Every in-zone ancestor of every owner (for O(1) empty
         # non-terminal checks in big registry zones).
         self._interior: Dict[Name, int] = {}
-        # (query wire less its id, tcp, behaviour keys) → response wire
-        # less its id: what servers answering from this content built.
-        self.answers: Dict[tuple, bytes] = {}
-        # rrtype → (canonical keys, owners) of the owners holding one.
-        self._chains: Dict[int, Tuple[List[tuple], List[Name]]] = {}
         self._frozen = False
+        self._edit()
 
     # -- mutation ------------------------------------------------------------
 
@@ -117,8 +114,11 @@ class Zone:
     def _edit(self) -> None:
         if self._frozen:
             raise ZoneError(f"zone {self.origin} is frozen")
-        self.answers = {}
-        self._chains = {}
+        # (query wire less its id, tcp, behaviour keys) → response wire
+        # less its id: what servers answering from this content built.
+        self.answers = Memo(1024)
+        # rrtype → (canonical keys, owners) of the owners holding one.
+        self._chains: Dict[int, Tuple[List[tuple], List[Name]]] = {}
 
     def add_rrset(self, rrset: RRset) -> None:
         """Add *rrset*, merging it into the owner's RRset of that type.

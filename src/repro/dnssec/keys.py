@@ -13,7 +13,7 @@ are immutable after ``__init__``.  No lock: the scan runs on one thread.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.dns.rdata import CDNSKEY, DNSKEY
 from repro.dnssec.algorithms import (
@@ -22,23 +22,15 @@ from repro.dnssec.algorithms import (
     public_key_to_wire,
     sign as algorithm_sign,
 )
+from repro.memo import table
 
 PROTOCOL_DNSSEC = 3
 
-#: Bound on each memo below (cleared wholesale when full).  A 146-zone
-#: world derives about 240 keys and makes about 750 signatures.
-SEED_MEMO_MAX = 4096
-
+# A 146-zone world derives about 240 keys and makes about 750 signatures.
 # (algorithm, flags, seed) → KeyPair; RSA keys are random, never stored.
-_KEYS: Dict[Tuple[int, int, bytes], "KeyPair"] = {}
+_KEYS = table(4096)
 # (algorithm, public key wire, data) → the signature over data.
-_SIGNATURES: Dict[Tuple[int, bytes, bytes], bytes] = {}
-
-
-def _remember(memo: dict, key, value):
-    if len(memo) >= SEED_MEMO_MAX:
-        memo.clear()
-    memo[key] = value
+_SIGNATURES = table(4096)
 
 
 class KeyPair:
@@ -79,7 +71,7 @@ class KeyPair:
         if key is None:
             key = cls(algorithm, generate_private_key(algorithm, seed), flags)
             if seed is not None and algorithm != Algorithm.RSASHA256:
-                _remember(_KEYS, memo_key, key)
+                _KEYS.put(memo_key, key)
         return key
 
     # -- views --------------------------------------------------------------------
@@ -112,8 +104,9 @@ class KeyPair:
         memo_key = (int(self.algorithm), self._public_wire, data)
         signature = _SIGNATURES.get(memo_key)
         if signature is None:
-            signature = algorithm_sign(self.algorithm, self.private_key, data)
-            _remember(_SIGNATURES, memo_key, signature)
+            signature = _SIGNATURES.put(
+                memo_key, algorithm_sign(self.algorithm, self.private_key, data)
+            )
         return signature
 
     def __repr__(self) -> str:

@@ -24,6 +24,7 @@ from repro.dns.types import RRType
 from repro.dnssec.algorithms import SUPPORTED_ALGORITHMS, verify as algorithm_verify
 from repro.dnssec.ds import ds_matches_dnskey
 from repro.dnssec.signer import DEFAULT_INCEPTION
+from repro.memo import table
 
 # "now" for the deterministic worlds: 1 day after the default inception.
 DEFAULT_VALIDATION_TIME = DEFAULT_INCEPTION + 86_400
@@ -66,9 +67,8 @@ class ValidationResult:
 # re-verify the same chain links constantly (every zone under a TLD
 # revalidates the TLD's DNSKEY/DS link; anycast sampling re-fetches the
 # same RRsets), so value-keyed caching collapses repeated public-key
-# operations into a dict hit.  Bounded: cleared on overflow.
-_VERIFY_MEMO: dict = {}
-_VERIFY_MEMO_LIMIT = 1 << 14
+# operations into a dict hit.
+_VERIFY_MEMO = table(1 << 14)
 
 _SUPPORTED_ALGORITHM_NUMBERS = frozenset(int(a) for a in SUPPORTED_ALGORITHMS)
 
@@ -99,10 +99,9 @@ def _verify_one(
     memo_key = (rrsig.algorithm, dnskey.public_key, rrsig.signature, data)
     ok = _VERIFY_MEMO.get(memo_key)
     if ok is None:
-        ok = algorithm_verify(rrsig.algorithm, dnskey.public_key, rrsig.signature, data)
-        if len(_VERIFY_MEMO) >= _VERIFY_MEMO_LIMIT:
-            _VERIFY_MEMO.clear()
-        _VERIFY_MEMO[memo_key] = ok
+        ok = _VERIFY_MEMO.put(
+            memo_key, algorithm_verify(rrsig.algorithm, dnskey.public_key, rrsig.signature, data)
+        )
     if ok:
         return ValidationResult(True, key_tag=rrsig.key_tag)
     return ValidationResult(False, FailureReason.BAD_SIGNATURE, rrsig.key_tag)

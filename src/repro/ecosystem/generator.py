@@ -28,7 +28,6 @@ a zone again repeats no key derivation and no signature.
 from __future__ import annotations
 
 import zlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
@@ -43,6 +42,7 @@ from repro.dnssec.signer import DEFAULT_INCEPTION, corrupt_signature, sign_rrset
 from repro.ecosystem import psl
 from repro.ecosystem.profiles import OperatorProfile
 from repro.ecosystem.spec import CdsScenario, SignalScenario, StatusScenario, ZoneSpec
+from repro.memo import Memo
 from repro.scenarios.transitions import (
     ALGORITHM_ROLL_TARGET,
     KIND_ALGORITHM,
@@ -69,11 +69,6 @@ REGISTRY_IPS = ("192.5.6.30", "2001:503:a83e::2:30")
 _ZONE_TTL = 3600
 #: Registry zones with at least this many RRsets are signed without an NSEC chain.
 TLD_NSEC_LIMIT = 20_000
-
-
-#: Materialised zones the plan keeps per operator (least recently used
-#: dropped first).
-ZONE_MEMO_MAX = 512
 
 
 class _IpAllocator:
@@ -481,8 +476,8 @@ class WorldPlan:
     transient_names: Dict[str, List[Name]] = field(default_factory=dict)
     cut_names: Dict[str, List[Name]] = field(default_factory=dict)
     spoof_names: Dict[str, List[Name]] = field(default_factory=dict)
-    # operator → its materialised zones, frozen, least recently used first.
-    zones: Dict[str, "OrderedDict[object, Zone]"] = field(default_factory=dict)
+    # operator → its materialised zones, frozen.
+    zones: Dict[str, Memo] = field(default_factory=dict)
 
     def zone(self, operator: str, key: object, build: Callable[[], Zone]) -> Zone:
         """*operator*'s materialised zone under *key*, built and frozen on
@@ -491,14 +486,12 @@ class WorldPlan:
         :func:`signal_entry` of each zone they list.  Every
         world of this plan, and every server in it, answers from the one
         zone and its one answer memo."""
-        zones = self.zones.setdefault(operator, OrderedDict())
+        zones = self.zones.get(operator)
+        if zones is None:
+            zones = self.zones[operator] = Memo(512)
         zone = zones.get(key)
         if zone is None:
-            zone = zones[key] = build().freeze()
-            if len(zones) > ZONE_MEMO_MAX:
-                zones.popitem(last=False)
-        else:
-            zones.move_to_end(key)
+            zone = zones.put(key, build().freeze())
         return zone
 
     # -- registries ----------------------------------------------------------

@@ -40,6 +40,7 @@ from repro.ecosystem.profiles import (
     build_profiles,
 )
 from repro.ecosystem.spec import Cell, CdsScenario, SignalScenario, StatusScenario, ZoneSpec
+from repro.memo import table
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.transitions import (
     KIND_DANGLING_DS,
@@ -220,23 +221,23 @@ def expected_classification(
 
 
 #: The one-entry plan memo: ``(cells, seed, adversarial)`` → plan.
-_PLAN: Dict[Tuple[Tuple[Cell, ...], int, bool], WorldPlan] = {}
+_PLAN = table(1)
 
 
 def world_plan(cells: List[Cell], seed: int, adversarial: bool) -> WorldPlan:
     """The plan of a world of *cells* at *seed*, built on a miss.
 
-    The memo holds one key: it is cleared before a miss is planned, so
-    a process never holds the plans of two seeds.  A monitor rebuilds
-    the same-seed world twice a week (the delta epoch, then the agent
-    pass); each rebuild copies the planned registries instead of
-    delegating and signing them again.
+    A monitor rebuilds the same-seed world twice a week (the delta
+    epoch, then the agent pass); each rebuild copies the planned
+    registries instead of delegating and signing them again.
     """
     key = (tuple(cells), seed, adversarial)
     plan = _PLAN.get(key)
     if plan is None:
-        _PLAN.clear()
-        plan = _PLAN[key] = _plan_world(cells, seed, adversarial)
+        # Drop the old plan before planning, so a process never holds
+        # the plans of two seeds at once (peak RSS).
+        _PLAN.make_room()
+        plan = _PLAN.put(key, _plan_world(cells, seed, adversarial))
     return plan
 
 

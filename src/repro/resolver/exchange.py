@@ -19,20 +19,20 @@ and the ``retry_attempts`` / ``retry_backoff_seconds`` counters charged.
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 from repro.dns.message import Message, Question, make_query
 from repro.dns.name import Name
 from repro.dns.types import Rcode, RRType
+from repro.memo import table
 from repro.sched import Exchange, Sleep
 from repro.server.network import NetworkTimeout
 
-_TEMPLATE_CACHE_MAX = 2048
 # (qname, qtype) -> (question, wire encoded with id 0).  The same
 # question is asked of every selected server address, by every scanner
 # of every world, so it is encoded once per process and each datagram
-# patches in its own 2-byte id.  Cleared when it grows large.
-_TEMPLATES: Dict[Tuple[Name, int], Tuple[Question, bytes]] = {}
+# patches in its own 2-byte id.
+_TEMPLATES = table(2048)
 # Simulated seconds a query waits for its answer before it counts as lost.
 QUERY_TIMEOUT = 2.0
 
@@ -41,10 +41,8 @@ def _template(qname: Name, qtype: RRType) -> Tuple[Question, bytes]:
     key = (qname, int(qtype))
     entry = _TEMPLATES.get(key)
     if entry is None:
-        if len(_TEMPLATES) >= _TEMPLATE_CACHE_MAX:
-            _TEMPLATES.clear()
         query = make_query(qname, qtype, msg_id=0)
-        entry = _TEMPLATES[key] = (query.question, query.to_wire())
+        entry = _TEMPLATES.put(key, (query.question, query.to_wire()))
     return entry
 
 

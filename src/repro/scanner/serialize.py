@@ -14,7 +14,7 @@ compress when asked to (see :func:`open_results_write`).
 
 Decode once: a read parses each distinct name text once
 (:meth:`Name.from_text`'s table) and each distinct ``(type, rdata text)``
-once (``_RDATA_MEMO``, ``_RDATA_MEMO_LIMIT`` entries, cleared when full).
+once (``_RDATA_MEMO``, a bounded :class:`~repro.memo.Memo`).
 Both are immutable value objects, so records share them and their
 memoised wire forms; the ``RRset`` around each is built per record.
 
@@ -39,6 +39,7 @@ from repro.dns.rdata import RRSIG
 from repro.dns.rrset import RRset
 from repro.dns.types import Rcode, RRType
 from repro.dns.zonefile import parse_rdata
+from repro.memo import table
 from repro.scanner.results import (
     ChainLink,
     QueryStatus,
@@ -50,21 +51,13 @@ from repro.scanner.results import (
 
 # (rrtype, text) -> Rdata for the origin-independent parse only this
 # codec makes; a parse that raises stores nothing.
-_RDATA_MEMO_LIMIT = 1 << 12
-_RDATA_MEMO: Dict[Any, Any] = {}
-RDATA_HITS = 0  # parses answered from _RDATA_MEMO
+_RDATA_MEMO = table(1 << 12)
 
 
 def _rdata_from_text(rrtype: RRType, text: str):
-    global RDATA_HITS
     rdata = _RDATA_MEMO.get((rrtype, text))
     if rdata is None:
-        rdata = parse_rdata(rrtype, text)
-        if len(_RDATA_MEMO) >= _RDATA_MEMO_LIMIT:
-            _RDATA_MEMO.clear()
-        _RDATA_MEMO[(rrtype, text)] = rdata
-    else:
-        RDATA_HITS += 1
+        rdata = _RDATA_MEMO.put((rrtype, text), parse_rdata(rrtype, text))
     return rdata
 
 

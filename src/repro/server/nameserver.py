@@ -33,10 +33,6 @@ if TYPE_CHECKING:  # pragma: no cover
 ZoneProvider = Callable[[Name], Optional[Zone]]
 
 
-#: Bound on one zone's answer memo (cleared wholesale when full).
-ANSWER_MEMO_MAX = 1024
-
-
 class AuthoritativeServer:
     """Serves one or more zones authoritatively."""
 
@@ -135,9 +131,7 @@ class AuthoritativeServer:
             payload = max(query.edns_payload, 512) if query.edns else 512
             response_wire = response.to_wire(max_size=payload)
         if memo is not None:
-            if len(memo) >= ANSWER_MEMO_MAX:
-                memo.clear()
-            memo[key] = response_wire[2:]
+            memo.put(key, response_wire[2:])
         return response_wire
 
     def handle_query(self, query: Message) -> Message:

@@ -27,6 +27,11 @@ DELETED = re.compile(
     # A received message is decoded through one process-wide memo, and
     # query templates are one process-wide table: no per-world copy.
     r"|\b_QUERIES\b|QUERY_MEMO_MAX|\bDECODE_MEMO_MAX\b|network\._decoded|self\._templates"
+    # Every memo table is a repro.memo.Memo that carries its own bound:
+    # no eviction helper, bound constant or hit counter beside it.
+    r"|\b_remember\b|SEED_MEMO_MAX|_VERIFY_MEMO_LIMIT|_RDATA_MEMO_LIMIT|RDATA_MEMO_MAX"
+    r"|_TEMPLATE_CACHE_MAX|_INTERN_LIMIT|RECEIVED_MEMO_MAX|\bTEXT_HITS\b|\bRDATA_HITS\b"
+    r"|ANSWER_MEMO_MAX|ZONE_MEMO_MAX"
 )
 
 #: Not verbs: the JSONL side channel, the one-policy bootstrap and

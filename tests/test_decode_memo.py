@@ -21,19 +21,14 @@ import repro.resolver.exchange as exchange_module
 from repro.campaign import CampaignConfig, run_campaign
 from repro.chaos import RetryPolicy
 from repro.cli import main
-from repro.dns.message import (
-    RECEIVED_MEMO_MAX,
-    Message,
-    decode_received,
-    make_query,
-    make_response,
-)
+from repro.dns.message import Message, decode_received, make_query, make_response
 from repro.dns.name import Name
 from repro.dns.rdata import A, NS, SOA, read_rdata
 from repro.dns.types import RRType
 from repro.dns.wire import WireError, WireReader, WireWriter
 from repro.dns.zone import Zone
 from repro.ecosystem.world import build_world
+from repro.memo import Memo
 from repro.resolver.exchange import Exchanger
 from repro.server import AuthoritativeServer
 from repro.server.network import SimulatedNetwork
@@ -101,7 +96,7 @@ def reference_wire(msg: Message) -> bytes:
 def fresh_received(monkeypatch):
     """An empty received-message memo, for tests that count hits or
     parses; returns it."""
-    memo = {}
+    memo = Memo(message_module._RECEIVED.bound)
     monkeypatch.setattr(message_module, "_RECEIVED", memo)
     return memo
 
@@ -109,7 +104,7 @@ def fresh_received(monkeypatch):
 @pytest.fixture
 def fresh_templates(monkeypatch):
     """An empty query-template table; returns it."""
-    templates = {}
+    templates = Memo(exchange_module._TEMPLATES.bound)
     monkeypatch.setattr(exchange_module, "_TEMPLATES", templates)
     return templates
 
@@ -138,10 +133,9 @@ def recorded():
         built.append(handle_query(server, query))
         return built[-1]
 
-    memo = {}
+    memo = Memo(1 << 30)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(message_module, "_RECEIVED", memo)
-        patch.setattr(message_module, "RECEIVED_MEMO_MAX", 1 << 30)
         patch.setattr(AuthoritativeServer, "handle_query", recording)
         return run_campaign(CampaignConfig(scale=SCALE, seed=SEED)), built, memo
 
@@ -190,7 +184,7 @@ class TestSharedMessagesStayAsDecoded:
         network = run_campaign(CampaignConfig(scale=SCALE, seed=SEED)).world.network
         assert network.queries_sent == QUERIES_SENT
         assert network.decode_hits / network.queries_sent >= 0.45
-        assert len(fresh_received) == RECEIVED_MEMO_MAX
+        assert len(fresh_received) == fresh_received.bound
 
 
 @pytest.mark.usefixtures("fresh_received")
@@ -239,7 +233,7 @@ class TestInbound:
 
 
 #: Zones scanned by each of two same-seed worlds: few enough that every
-#: message they receive fits under ``RECEIVED_MEMO_MAX`` (about 1 750).
+#: message they receive fits under the memo's bound (about 1 750).
 REBUILT_ZONES = 40
 
 
@@ -258,8 +252,8 @@ def parses(monkeypatch):
 
 
 class TestOneMemoPerProcess:
-    def test_the_memo_is_an_lru_at_its_bound(self, monkeypatch, fresh_received):
-        monkeypatch.setattr(message_module, "RECEIVED_MEMO_MAX", 3)
+    def test_the_memo_evicts_the_oldest_insertion_at_its_bound(self, monkeypatch, fresh_received):
+        monkeypatch.setattr(fresh_received, "bound", 3)
         wires = [
             make_response(make_query(f"n{index}.example", RRType.A, msg_id=index)).to_wire()
             for index in range(4)
@@ -268,16 +262,16 @@ class TestOneMemoPerProcess:
             assert decode_received(wire).id == (wire[0] << 8) | wire[1]
         assert list(fresh_received) == [wire[2:] for wire in wires[:3]]
         # A hit is a view under the id it arrived with; the memo keeps
-        # the decode and moves it to the newest end ...
+        # the decode where it was ...
         first = fresh_received[wires[0][2:]]
         view = decode_received(b"\xbe\xef" + wires[0][2:])
         assert (view.id, first.id) == (0xBEEF, 0)
         assert view is not first and view.answer is first.answer
         assert fresh_received[wires[0][2:]] is first
-        assert list(fresh_received) == [wire[2:] for wire in (wires[1], wires[2], wires[0])]
-        # ... so a miss at the bound evicts the least recently used.
+        assert list(fresh_received) == [wire[2:] for wire in wires[:3]]
+        # ... so a miss at the bound evicts the oldest insertion, hit or not.
         decode_received(wires[3])
-        assert list(fresh_received) == [wire[2:] for wire in (wires[2], wires[0], wires[3])]
+        assert list(fresh_received) == [wire[2:] for wire in wires[1:]]
 
     def test_a_server_and_its_client_read_through_one_memo(self, fresh_received, parses):
         network = build_mini_world()["network"]
@@ -301,7 +295,7 @@ class TestOneMemoPerProcess:
             parsed.append({wire[2:] for wire in parses[start:] if wire[2] & 0x80})
         first, second = worlds
         assert second is not first and second.network is not first.network
-        assert len(fresh_received) < RECEIVED_MEMO_MAX
+        assert len(fresh_received) < fresh_received.bound
         assert len(parsed[0]) > 1000
         assert not parsed[0] & parsed[1]
         # Every response the rebuilt world received, the first world had.
@@ -315,7 +309,7 @@ class TestOneMemoPerProcess:
         # Sharing spans worlds now: the baseline's, each delta epoch's
         # replayed world and the agent's.  None may have mutated what
         # another was handed.
-        monkeypatch.setattr(message_module, "RECEIVED_MEMO_MAX", 1 << 30)
+        monkeypatch.setattr(fresh_received, "bound", 1 << 30)
         root = str(tmp_path / "agent-root")
         world = ["--scale", str(SCALE), "--seed", "41", "--monitor-seed", "7"]
         assert main(["monitor", "init", "--store", root, *world, "--event-rate-scale", "20"]) == 0
@@ -401,7 +395,7 @@ def _response(qname: str, rtype: int, rdata: bytes, rdlength=None) -> bytes:
 class TestHostileBytesAgainstTheRdataMemo:
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
-        monkeypatch.setattr(message_module, "_RDATA_MEMO", {})
+        monkeypatch.setattr(message_module, "_RDATA_MEMO", Memo(message_module._RDATA_MEMO.bound))
 
     @pytest.mark.parametrize("rtype, fixed, signature, field", [
         (int(RRType.NS), b"", b"", "target"),
@@ -430,12 +424,13 @@ class TestHostileBytesAgainstTheRdataMemo:
                 Message.from_wire(_response("a.example", int(RRType.A), b"\x0a\x00\x00\x01\x02"))
         assert not message_module._RDATA_MEMO
 
-    def test_the_memo_is_bounded_and_cleared_when_full(self, monkeypatch):
-        monkeypatch.setattr(message_module, "RDATA_MEMO_MAX", 4)
+    def test_the_memo_is_bounded_and_evicts_the_oldest_when_full(self, monkeypatch):
+        monkeypatch.setattr(message_module._RDATA_MEMO, "bound", 4)
         sizes = []
         for index in range(6):
             rdata = bytes((10, 0, 0, index))
             reply = Message.from_wire(_response("a.example", int(RRType.A), rdata))
             assert reply.answer[0].rdatas[0] == A(f"10.0.0.{index}")
             sizes.append(len(message_module._RDATA_MEMO))
-        assert sizes == [1, 2, 3, 4, 1, 2]
+        assert sizes == [1, 2, 3, 4, 4, 4]
+        assert [wire[3] for _, wire in message_module._RDATA_MEMO] == [2, 3, 4, 5]

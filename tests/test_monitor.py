@@ -14,10 +14,9 @@ import sys
 import pytest
 
 from repro.agent import Agent
-import repro.dns.message as message_module
-import repro.ecosystem.world as world_module
 from repro.campaign import CampaignConfig, run_campaign
 from repro.ecosystem.mutate import bootstrap_zone
+from repro.memo import clear_all
 from repro.monitor import (
     Monitor,
     MonitorConfig,
@@ -60,12 +59,11 @@ def merged_artifacts(monitor: Monitor, epoch=None) -> dict:
 
 
 def full_scan_artifacts(epoch: int, tmp_path) -> dict:
-    """Ground truth: scan the week-*epoch* world from scratch — from a
-    cold plan and a cold decode memo too, so a plan or a shared message
-    that leaked an edit cannot corrupt both sides of a differential
-    alike."""
-    world_module._PLAN.clear()
-    message_module._RECEIVED.clear()
+    """Ground truth: scan the week-*epoch* world from scratch — with
+    every memo cold too, so a plan, a shared message or any other
+    memoised object that leaked an edit cannot corrupt both sides of a
+    differential alike."""
+    clear_all()
     world, _ = world_at_epoch(SCALE, SEED, SPEC, epoch)
     campaign = run_campaign(
         CampaignConfig(

@@ -4,6 +4,7 @@ import pytest
 
 import repro.dns.name as name_module
 from repro.dns.name import MAX_LABEL_LENGTH, Name, NameError_, ROOT
+from repro.memo import clear_all
 
 
 class TestParsing:
@@ -167,8 +168,8 @@ class TestFromTextTable:
             assert Name.from_text("") is ROOT and Name.from_text(" . ") is ROOT
 
     def test_table_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(name_module, "_INTERN_LIMIT", 8)
-        name_module._BY_TEXT.clear()
+        monkeypatch.setattr(name_module._BY_TEXT, "bound", 8)
+        clear_all()
         for i in range(50):
             assert Name.from_text(f"n{i}.example.").labels[0] == f"n{i}".encode()
             assert len(name_module._BY_TEXT) <= 8

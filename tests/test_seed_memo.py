@@ -15,7 +15,6 @@ import hashlib
 
 import pytest
 
-import repro.dns.message as message_module
 import repro.dnssec.keys as keys_module
 import repro.dnssec.signer as signer_module
 import repro.ecosystem.generator as generator_module
@@ -30,6 +29,7 @@ from repro.ecosystem.evolution import historical_cells
 from repro.ecosystem.mutate import apply_event, applicable, bootstrap_zone
 from repro.ecosystem.spec import CdsScenario, StatusScenario
 from repro.ecosystem.world import build_world
+from repro.memo import clear_all
 from repro.provisioning.engine import install_ds, provision_zone, remove_ds
 from repro.scenarios.spec import ScenarioSpec
 
@@ -37,18 +37,11 @@ SCALE = 5e-7
 SEED = 42
 
 
-def clear_memos():
-    keys_module._KEYS.clear()
-    keys_module._SIGNATURES.clear()
-    world_module._PLAN.clear()
-    message_module._RECEIVED.clear()
-
-
 @pytest.fixture
 def cleared():
-    clear_memos()
+    clear_all()
     yield
-    clear_memos()
+    clear_all()
 
 
 @pytest.fixture
@@ -110,8 +103,9 @@ def test_sign_rrset_runs_once_per_rrset_signed(cleared, primitives, monkeypatch)
 
 def test_memos_stay_within_their_bound(cleared, monkeypatch):
     reference = signed_rrsets(build_world(scale=SCALE, seed=SEED))
-    clear_memos()
-    monkeypatch.setattr(keys_module, "SEED_MEMO_MAX", 8)
+    clear_all()
+    monkeypatch.setattr(keys_module._KEYS, "bound", 8)
+    monkeypatch.setattr(keys_module._SIGNATURES, "bound", 8)
     assert signed_rrsets(build_world(scale=SCALE, seed=SEED)) == reference
     assert 0 < len(keys_module._KEYS) <= 8
     assert 0 < len(keys_module._SIGNATURES) <= 8
@@ -156,7 +150,7 @@ def test_a_world_edits_its_own_registries_only(cleared):
     assert all(edited[i] != pristine[i] for i in range(3))
     world_b = build_world(scale=SCALE, seed=SEED)
     assert world_b.plan is world_a.plan
-    clear_memos()
+    clear_all()
     cold = build_world(scale=SCALE, seed=SEED)
     assert state(world_b) == state(cold) == pristine
 
@@ -224,7 +218,7 @@ def test_same_seed_stores_are_byte_identical(cleared, tmp_path):
     a random nonce, two of this store's shards differed run to run."""
     digests = []
     for run in ("a", "b"):
-        clear_memos()
+        clear_all()
         root = tmp_path / run
         config = CampaignConfig(
             scale=SCALE, seed=41, scenarios=ScenarioSpec.default(), store_dir=root

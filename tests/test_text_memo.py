@@ -30,6 +30,7 @@ from repro.core.bootstrap import assess_zone
 from repro.core.pipeline import AnalysisPipeline
 from repro.dns.name import Name
 from repro.dns.zonefile import parse_rdata
+from repro.memo import clear_all
 from repro.monitor import Monitor
 from repro.query import build_index
 from repro.query.snapshot import canonical_record_line
@@ -44,13 +45,6 @@ from tests.test_query import _index_bytes
 
 SCALE = 1e-6
 SEED = 21
-
-
-def clear_tables() -> None:
-    name_module._BY_TEXT.clear()
-    name_module.TEXT_HITS = 0
-    serialize._RDATA_MEMO.clear()
-    serialize.RDATA_HITS = 0
 
 
 def stored_lines(root: Path):
@@ -92,15 +86,35 @@ def weeks_five(tmp_path_factory):
 
 @pytest.fixture
 def unbounded(monkeypatch):
-    """Empty tables that never clear, so every distinct text a read
+    """Empty tables that never evict, so every distinct text a read
     parsed is still there to be checked."""
-    monkeypatch.setattr(name_module, "_INTERN_LIMIT", 1 << 30)
-    monkeypatch.setattr(serialize, "_RDATA_MEMO_LIMIT", 1 << 30)
-    clear_tables()
+    for table in (name_module._INTERNED, name_module._BY_TEXT, serialize._RDATA_MEMO):
+        monkeypatch.setattr(table, "bound", 1 << 30)
+    clear_all()
+
+
+@pytest.fixture
+def hits(monkeypatch):
+    """For every name text and every ``(type, rdata text)`` looked up,
+    in order, whether its table answered it without a parse."""
+    seen = {"name": [], "rdata": []}
+    from_text, rdata_from_text = Name.from_text.__func__, serialize._rdata_from_text
+
+    def name(cls, text):
+        seen["name"].append(text in name_module._BY_TEXT)
+        return from_text(cls, text)
+
+    def rdata(rrtype, text):
+        seen["rdata"].append((rrtype, text) in serialize._RDATA_MEMO)
+        return rdata_from_text(rrtype, text)
+
+    monkeypatch.setattr(Name, "from_text", classmethod(name))
+    monkeypatch.setattr(serialize, "_rdata_from_text", rdata)
+    return seen
 
 
 class TestSharedObjectsStayAsParsed:
-    def test_every_memoised_rdata_equals_a_fresh_parse(self, store, unbounded):
+    def test_every_memoised_rdata_equals_a_fresh_parse(self, store, unbounded, hits):
         root, db = store
         StoreReader(root).reanalyze(db)
         memo = serialize._RDATA_MEMO
@@ -111,9 +125,9 @@ class TestSharedObjectsStayAsParsed:
             assert cached.to_canonical_wire() == fresh.to_canonical_wire()
             assert cached.to_text() == fresh.to_text()
         # Most of what a store spells, it has spelled before.
-        assert serialize.RDATA_HITS / (serialize.RDATA_HITS + len(memo)) > 0.5
+        assert sum(hits["rdata"]) / len(hits["rdata"]) > 0.5
 
-    def test_every_tabled_name_equals_a_fresh_name(self, store, unbounded):
+    def test_every_tabled_name_equals_a_fresh_name(self, store, unbounded, hits):
         root, db = store
         StoreReader(root).reanalyze(db)
         table = name_module._BY_TEXT
@@ -125,7 +139,7 @@ class TestSharedObjectsStayAsParsed:
             assert cached == fresh
             assert cached.labels == fresh.labels  # case preserved
             assert cached.to_text() == fresh.to_text()
-        assert name_module.TEXT_HITS / (name_module.TEXT_HITS + len(table)) > 0.5
+        assert sum(hits["name"]) / len(hits["name"]) > 0.5
 
     def test_case_variants_stay_two_entries(self, unbounded):
         upper, lower = Name.from_text("Example.COM."), Name.from_text("example.com.")
@@ -189,7 +203,7 @@ class TestOneParsePerText:
         monkeypatch.setattr(zonefile, "_split_preserving_quotes", counted_split)
         monkeypatch.setattr(Name, "__init__", counted_init)
         monkeypatch.setattr(Name, "from_text", classmethod(seen_text))
-        clear_tables()
+        clear_all()
         records = sum(1 for _ in reader.iter_results())
         assert records > 300 and pairs
         assert calls["split"] <= len(pairs), "an rdata text was tokenised twice"
@@ -213,16 +227,15 @@ class TestOneParsePerText:
 class TestTheBoundIsInvisible:
     def test_tables_of_eight_change_no_output(self, store, monitor, monkeypatch):
         root, db = store
-        clear_tables()
+        clear_all()
         tables = render_artifacts(StoreReader(root).reanalyze(db))
         build_index(root, operator_db=db)
         index = _index_bytes(root)
         verdicts = monitor.classifications()
 
-        monkeypatch.setattr(name_module, "_INTERN_LIMIT", 8)
-        monkeypatch.setattr(serialize, "_RDATA_MEMO_LIMIT", 8)
-        name_module._INTERNED.clear()
-        clear_tables()
+        for table in (name_module._INTERNED, name_module._BY_TEXT, serialize._RDATA_MEMO):
+            monkeypatch.setattr(table, "bound", 8)
+        clear_all()
         for _ in StoreReader(root).iter_results():
             assert len(name_module._BY_TEXT) <= 8
             assert len(name_module._INTERNED) <= 8
